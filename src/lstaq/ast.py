@@ -18,6 +18,7 @@ from .errors import (
     LengthMismatchError,
     RedundantSummationVarError,
     UnknownLengthError,
+    WellFormednessError,
 )
 
 # -- ket pattern atoms -------------------------------------------------------
@@ -367,14 +368,20 @@ def iterating_vars(term: Term, outer: frozenset[str]) -> frozenset[str]:
 
 
 def check_well_formed(ast: AssertionAst, lengths: LengthMap) -> None:
-    """Enforce the three static rules on a length-resolved assertion.
+    """Enforce the static rules on a length-resolved assertion.
 
-    1. every dirac inside one union denotes states of one qubit count,
-    2. the operands of every (in)equality constraint have equal length,
-    3. a summation variable that does not occur in its term's ket would
+    1. every tensor power and every variable spans at least one qubit,
+    2. every dirac inside one union denotes states of one qubit count,
+    3. the operands of every (in)equality constraint have equal length,
+    4. a summation variable that does not occur in its term's ket would
        silently scale the amplitude, so it is rejected.
     """
+    for var, n in lengths.items():
+        if n < 1:
+            raise WellFormednessError(f"variable '{var}' spans no qubits")
     for seg in ast.segments:
+        if seg.power < 1:
+            raise WellFormednessError(f"tensor power {seg.power} is below 1")
         widths: list[int] = []
         for sq in seg.base.alternatives:
             for dirac in sq.diracs:

@@ -2,8 +2,10 @@
 
 The entry point is :func:`translate`, which runs the whole pipeline:
 canonicalize, align, abstract constants, reorder slots and qubits, expand
-slices, and compose the per-slice automata with tensor/union folds and the
-two amplitude-domain crossings (``filter_f``, ``filter_tau``).
+slices, and compose the per-slice automata with the n-ary ``tensor_chain``
+and ``union_all`` and the two amplitude-domain crossings (``filter_f``,
+``filter_tau``).  Composition does not re-check its results: ``validate``
+runs once on each finished assertion automaton.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .lsta import (
     map_leaves,
     mk_lsta,
     n_leaves,
-    tensor,
-    union,
+    tensor_chain,
+    union_all,
     validate,
 )
 from .preprocess import (
@@ -144,21 +146,16 @@ def _zero_lsta(n: int, semiring: Semiring) -> Lsta:
 
 
 def build_setq_lsta(states: Sequence[StateVector], semiring: Semiring) -> Lsta:
-    """Union-fold of levelwise automata, one per member state."""
+    """Union of levelwise automata, one per member state."""
     if not states:
         raise EmptyStateError()
     if len({psi.n for psi in states}) != 1:
         raise InternalError("set members have differing qubit counts")
 
-    def build(psi: StateVector) -> Lsta:
-        if psi.is_zero:
-            return _zero_lsta(psi.n, semiring)
-        return build_state_lsta(psi, semiring)
-
-    out = build(states[0])
-    for psi in states[1:]:
-        out = union(out, build(psi))
-    return out
+    return union_all([
+        _zero_lsta(psi.n, semiring) if psi.is_zero
+        else build_state_lsta(psi, semiring)
+        for psi in states])
 
 
 # ---------------------------------------------------------------------------
@@ -332,32 +329,22 @@ def translate(asts: Sequence[A.AssertionAst]) -> TranslationResult:
                 for v in project_setP(sp, orders[s], slot_ids, legend):
                     table, slices = expand_qubit_slices(v, aligned.lengths)
                     expansions.append((idx, s, v, table, tuple(slices)))
-                    mq: Lsta | None = None
-                    for sl in slices:
-                        piece = build_setq_lsta(
-                            [c.state for c in sl.cases], VALUATION)
-                        mq = piece if mq is None else tensor(mq, piece)
-                        peaks["slice"] = max(peaks["slice"], mq.size)
-                    assert mq is not None
+                    mq, peak = tensor_chain([
+                        build_setq_lsta([c.state for c in sl.cases], VALUATION)
+                        for sl in slices])
+                    peaks["slice"] = max(peaks["slice"], peak)
                     mv = map_leaves(mq, filter_f, TAG)
                     peaks["setv"] = max(peaks["setv"], mv.size)
                     mv_autos.append(mv)
-                mp = mv_autos[0]
-                for x in mv_autos[1:]:
-                    mp = tensor(mp, x)
                 mp = map_leaves(
-                    mp, lambda e, _u=sp.uid: filter_tau(e, legend, _u),
-                    COMPLEX)
+                    tensor_chain(mv_autos)[0],
+                    lambda e, _u=sp.uid: filter_tau(e, legend, _u), COMPLEX)
                 peaks["setp"] = max(peaks["setp"], mp.size)
                 alt_autos.append(mp)
-            seg_auto = alt_autos[0]
-            for x in alt_autos[1:]:
-                seg_auto = union(seg_auto, x)
+            seg_auto = union_all(alt_autos)
             peaks["segment"] = max(peaks["segment"], seg_auto.size)
             seg_autos.append(seg_auto)
-        final = seg_autos[0]
-        for x in seg_autos[1:]:
-            final = tensor(final, x)
+        final = tensor_chain(seg_autos)[0]
         validate(final)
         stats = measure(canon[idx], aligned.partition.total_qubits, final,
                         peaks, time.perf_counter() - ta)

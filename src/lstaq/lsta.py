@@ -9,14 +9,19 @@ transitions from one state must carry disjoint choice sets, so a choice
 sequence induces at most one tree.
 
 The two composition operations mirror the set operations of the
-specification language: :func:`union` adds a fresh root that selects between
-the operands' root transitions, and :func:`tensor` grafts a scaled copy of
-the right automaton onto each distinct leaf value of the left one.
+specification language and take any number of operands: :func:`union_all`
+adds one fresh root that selects between the operands' root transitions, and
+:func:`tensor_chain` grafts each operand in turn, one scaled copy per
+distinct leaf value of what came before.  Both cost time linear in the size
+of their result.  They assert their size bounds but do not :func:`validate`
+their results; callers validate a finished automaton once.  :func:`union` and
+:func:`tensor` are their two-operand forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .amplitude import COMPLEX, Semiring
 from .errors import (
@@ -63,9 +68,6 @@ class Lsta:
             out |= self.semiring.variables(leaf.amplitude)
         return out
 
-    def name_of(self, state: int) -> str:
-        return self.names.get(state, f"q{state}")
-
 
 def mk_lsta(
     semiring: Semiring,
@@ -103,10 +105,6 @@ def validate(a: Lsta) -> None:
             if c in pool:
                 raise ChoiceOverlapError(t.top, c)
             pool.add(c)
-
-
-def size(a: Lsta) -> int:
-    return a.size
 
 
 def n_leaves(a: Lsta) -> int:
@@ -303,174 +301,158 @@ def induced_trees(a: Lsta, psi: StateVector, first_only: bool = False):
 # ---------------------------------------------------------------------------
 
 
-def _relabel(a: Lsta, offset: int) -> Lsta:
-    return Lsta(
-        a.semiring,
-        frozenset(s + offset for s in a.states),
-        a.root + offset,
-        tuple(Internal(t.top + offset, t.choices, t.left + offset, t.right + offset)
-              for t in a.internal),
-        tuple(Leaf(t.top + offset, t.choices, t.amplitude) for t in a.leaves),
-        {s + offset: n for s, n in a.names.items()},
-    )
+def union_all(pieces: Sequence[Lsta]) -> Lsta:
+    """Language union: a fresh root re-emits every piece's root transitions.
+
+    Each piece is relabelled by a running offset, and its root transitions
+    move to the fresh root with singleton choices 1..k in piece order, so
+    the result has exactly as many transitions as the pieces together.
+    State ids are those of a left fold of binary unions, in which every
+    step's fresh root takes one id and stays in the state set.
+    """
+    if not pieces:
+        raise InternalError("union of no automata")
+    if len(pieces) == 1:
+        return pieces[0]
+    semiring = pieces[0].semiring
+    internal: list[Internal] = []
+    leaves: list[Leaf] = []
+    old_roots: list[Internal] = []
+    states: set[int] = set()
+    names: dict[int, str] = {}
+    offset = root = 0
+    for k, p in enumerate(pieces):
+        if p.semiring != semiring:
+            raise InternalError("cannot union automata over different semirings")
+        if any(t.top == p.root for t in p.leaves):
+            raise InternalError("a root state may not carry leaf transitions")
+        for t in p.internal:
+            moved = Internal(t.top + offset, t.choices, t.left + offset, t.right + offset)
+            (old_roots if t.top == p.root else internal).append(moved)
+        leaves += [Leaf(t.top + offset, t.choices, t.amplitude) for t in p.leaves]
+        states.update(s + offset for s in p.states)
+        names.update((s + offset, n) for s, n in p.names.items())
+        offset += max(p.states) + 1
+        if k:
+            root = offset
+            states.add(root)
+            names[root] = "r_union"
+            offset += 1
+    internal += [Internal(root, frozenset((idx,)), t.left, t.right)
+                 for idx, t in enumerate(old_roots, start=1)]
+    assert len(internal) + len(leaves) <= sum(p.size for p in pieces)
+    return Lsta(semiring, frozenset(states), root, tuple(internal), tuple(leaves), names)
 
 
 def union(a: Lsta, b: Lsta) -> Lsta:
-    """Language union: a fresh root re-emits both roots' transitions.
+    """Binary :func:`union_all`."""
+    return union_all([a, b])
 
-    The original root transitions are replaced by copies from the new root
-    with sequentially re-indexed singleton choice sets, so the result is
-    never larger than the operands combined.
+
+def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
+    """Tensor product of ``pieces`` in order, with its peak intermediate size.
+
+    Each piece is grafted once onto a growing accumulator: one copy of it
+    per distinct leaf value ``v`` of the accumulator, its leaf values
+    pre-multiplied by ``v``.  Interface transitions inline the copies' root
+    transitions under the accumulator's former leaf states; their choice
+    sets come from an injection of (leaf choice, root choice) pairs into
+    numbers above every internal choice used so far, which keeps choice
+    sets disjoint.
+
+    Before each graft, leaf-only states with identical leaf transitions are
+    merged into the smallest of them: they are interchangeable in every
+    accepting tree, and merging keeps the leaf transitions as many as the
+    distinct leaf values, which is what the size bound counts.  Only the
+    previous graft's leaves and the internal transitions appended with them
+    can be affected, so a step costs time linear in what it and the step
+    before it add.
+    State ids are those of a left fold of binary tensors.
     """
-    if a.semiring != b.semiring:
-        raise InternalError("cannot union automata over different semirings")
-    b = _relabel(b, max(a.states) + 1)
-    root = max(b.states) + 1
-    old_roots = []
-    for side in (a, b):
-        for t in side.internal:
-            if t.top == side.root:
-                old_roots.append(t)
-        if any(t.top == side.root for t in side.leaves):
-            raise InternalError("a root state may not carry leaf transitions")
-    internal = [t for t in a.internal + b.internal if t.top not in (a.root, b.root)]
-    for idx, t in enumerate(old_roots, start=1):
-        internal.append(Internal(root, frozenset((idx,)), t.left, t.right))
-    names = dict(a.names)
-    names.update(b.names)
-    names[root] = "r_union"
-    out = Lsta(
-        a.semiring,
-        a.states | b.states | {root},
-        root,
-        tuple(internal),
-        a.leaves + b.leaves,
-        names,
-    )
-    assert out.size <= a.size + b.size
-    validate(out)
-    return out
+    if not pieces:
+        raise InternalError("tensor product of no automata")
+    acc = pieces[0]
+    peak = acc.size
+    if len(pieces) == 1:
+        return acc, peak
+    semiring, root = acc.semiring, acc.root
+    internal, leaves = list(acc.internal), list(acc.leaves)
+    states, names = set(acc.states), dict(acc.names)
+    # Only internal transitions from this index on can start from, or point
+    # at, a state that carries leaf transitions.
+    frontier = 0
+    top_choice = max((c for t in internal for c in t.choices), default=0)
+    next_id = max(states) + 1
+    for b in pieces[1:]:
+        if b.semiring != semiring:
+            raise InternalError("cannot tensor automata over different semirings")
+        b_root_trans = [t for t in b.internal if t.top == b.root]
+        if not b_root_trans:
+            raise InternalError("right tensor operand has no root transitions")
+        size = len(internal) + len(leaves)
 
+        inner_tops = {t.top for t in internal[frontier:]}
+        sigs: dict[int, set] = {}
+        for t in leaves:
+            sigs.setdefault(t.top, set()).add((t.choices, t.amplitude))
+        groups: dict[frozenset, list[int]] = {}
+        for top, sig in sigs.items():
+            if top not in inner_tops and top != root:
+                groups.setdefault(frozenset(sig), []).append(top)
+        remap: dict[int, int] = {}
+        for g in groups.values():
+            rep = min(g)
+            remap.update((s, rep) for s in g if s != rep)
+        if remap:
+            for i in range(frontier, len(internal)):
+                t = internal[i]
+                if t.left in remap or t.right in remap:
+                    internal[i] = Internal(t.top, t.choices, remap.get(t.left, t.left),
+                                           remap.get(t.right, t.right))
+            leaves = [t for t in leaves if t.top not in remap]
+            states.difference_update(remap)
+            for s in remap:
+                names.pop(s, None)
+            while next_id - 1 not in states:
+                next_id -= 1
 
-def _merge_equal_leaf_states(a: Lsta) -> Lsta:
-    """Quotient states whose outgoing transitions are identical leaf sets.
-
-    Such states are interchangeable in every accepting tree, so redirecting
-    references to one representative preserves the language.  This keeps the
-    number of leaf transitions equal to the number of distinct leaf values
-    for pipeline-built automata, which is what the tensor size bound counts.
-    """
-    internal_tops = {t.top for t in a.internal}
-    groups: dict[frozenset, list[int]] = {}
-    by_top: dict[int, set] = {}
-    for t in a.leaves:
-        by_top.setdefault(t.top, set()).add((t.choices, t.amplitude))
-    for top, sig in by_top.items():
-        if top in internal_tops or top == a.root:
-            continue
-        groups.setdefault(frozenset(sig), []).append(top)
-    remap: dict[int, int] = {}
-    for members in groups.values():
-        rep = min(members)
-        for s in members:
-            if s != rep:
-                remap[s] = rep
-    if not remap:
-        return a
-    internal = tuple(
-        Internal(t.top, t.choices, remap.get(t.left, t.left), remap.get(t.right, t.right))
-        for t in a.internal
-    )
-    leaves = tuple(t for t in a.leaves if t.top not in remap)
-    seen = set()
-    dedup = []
-    for t in leaves:
-        if t not in seen:
-            seen.add(t)
-            dedup.append(t)
-    return Lsta(
-        a.semiring,
-        a.states - frozenset(remap),
-        a.root,
-        internal,
-        tuple(dedup),
-        {s: n for s, n in a.names.items() if s not in remap},
-    )
+        values = {v: vi for vi, v in enumerate(dict.fromkeys(t.amplitude for t in leaves))}
+        bound = size + len(values) * b.size
+        ex_index = {c: i for i, c in enumerate(sorted({c for t in leaves for c in t.choices}))}
+        u_b_r = sorted({c for t in b_root_trans for c in t.choices})
+        br_index = {c: i for i, c in enumerate(u_b_r)}
+        base = top_choice + 1
+        b_states = sorted(s for s in b.states if s != b.root)
+        b_inner = [t for t in b.internal if t.top != b.root]
+        frontier = len(internal)
+        copies: list[dict[int, int]] = []
+        grafted: list[Leaf] = []
+        for vi, v in enumerate(values):
+            m = {s: next_id + k for k, s in enumerate(b_states)}
+            next_id += len(b_states)
+            states.update(m.values())
+            names.update((m[s], f"{b.names[s]}@{vi}") for s in b_states if s in b.names)
+            internal += [Internal(m[t.top], t.choices, m[t.left], m[t.right]) for t in b_inner]
+            grafted += [Leaf(m[t.top], t.choices, semiring.mul(v, t.amplitude))
+                        for t in b.leaves]
+            copies.append(m)
+        for lt in leaves:
+            m = copies[values[lt.amplitude]]
+            for rt in b_root_trans:
+                choices = frozenset(base + ex_index[ca] * len(u_b_r) + br_index[cb]
+                                    for ca in lt.choices for cb in rt.choices)
+                internal.append(Internal(lt.top, choices, m[rt.left], m[rt.right]))
+        leaves = grafted
+        top_choice = max([top_choice, *(c for t in internal[frontier:] for c in t.choices)])
+        assert len(internal) + len(leaves) <= bound
+        peak = max(peak, len(internal) + len(leaves))
+    out = Lsta(semiring, frozenset(states), root, tuple(internal), tuple(leaves), names)
+    return out, peak
 
 
 def tensor(a: Lsta, b: Lsta) -> Lsta:
-    """Tensor product: graft a scaled copy of ``b`` under each leaf of ``a``.
-
-    One copy of ``b`` is made per distinct leaf value ``v`` of ``a``, with
-    its leaf values pre-multiplied by ``v``.  Interface transitions inline
-    the copies' root transitions under the former leaf states of ``a``; their
-    choice sets are produced by an injection from (leaf choice, root choice)
-    pairs into numbers unused by ``a``'s internal transitions, which keeps
-    choice sets disjoint.
-    """
-    if a.semiring != b.semiring:
-        raise InternalError("cannot tensor automata over different semirings")
-    bound = a.size + n_leaves(a) * b.size
-    a = _merge_equal_leaf_states(a)
-
-    b_root_trans = [t for t in b.internal if t.top == b.root]
-    if not b_root_trans:
-        raise InternalError("right tensor operand has no root transitions")
-
-    u_a_in = sorted({c for t in a.internal for c in t.choices})
-    u_a_ex = sorted({c for t in a.leaves for c in t.choices})
-    u_b_r = sorted({c for t in b_root_trans for c in t.choices})
-    base = 1 + max(u_a_in, default=0)
-    ex_index = {c: i for i, c in enumerate(u_a_ex)}
-    br_index = {c: i for i, c in enumerate(u_b_r)}
-
-    def inject(ca: int, cb: int) -> int:
-        return base + ex_index[ca] * len(u_b_r) + br_index[cb]
-
-    values: list = []
-    for t in a.leaves:
-        if t.amplitude not in values:
-            values.append(t.amplitude)
-
-    next_id = max(a.states) + 1
-    internal = list(a.internal)
-    leaves: list[Leaf] = []
-    states = set(a.states)
-    names = dict(a.names)
-    copy_maps: dict[int, dict[int, int]] = {}
-    for vi, v in enumerate(values):
-        m: dict[int, int] = {}
-        for s in sorted(b.states):
-            if s == b.root:
-                continue
-            m[s] = next_id
-            states.add(next_id)
-            if s in b.names:
-                names[next_id] = f"{b.names[s]}@{vi}"
-            next_id += 1
-        copy_maps[vi] = m
-        for t in b.internal:
-            if t.top == b.root:
-                continue
-            internal.append(Internal(m[t.top], t.choices, m[t.left], m[t.right]))
-        for t in b.leaves:
-            leaves.append(Leaf(m[t.top], t.choices, a.semiring.mul(v, t.amplitude)))
-
-    for lt in a.leaves:
-        vi = values.index(lt.amplitude)
-        m = copy_maps[vi]
-        for rt in b_root_trans:
-            choices = frozenset(
-                inject(ca, cb) for ca in lt.choices for cb in rt.choices
-            )
-            internal.append(Internal(lt.top, choices, m[rt.left], m[rt.right]))
-
-    out = Lsta(
-        a.semiring, frozenset(states), a.root, tuple(internal), tuple(leaves), names
-    )
-    assert out.size <= bound
-    validate(out)
-    return out
+    """Binary :func:`tensor_chain`, without the peak size."""
+    return tensor_chain([a, b])[0]
 
 
 def map_leaves(a: Lsta, fn, semiring: Semiring | None = None) -> Lsta:

@@ -395,6 +395,8 @@ NEGATIVE_CONTROLS = [
     ("{ |i> : |i| = 2, i != 0 }", 2),                          # operand widths
     ("{ sum[ |k| = 1 ] |0> }", 2),                             # redundant sum
     ("{ |0 0> : |p| = 2 }", 2),                                # out of scope
+    ("{ |0> } ^ 0", 2),                                        # empty power
+    ("{ |i> : |i| = 0 }", 2),                                  # zero width
     ("{ |0> } ;; { |0> } (x) { |0> }", 3),                     # segment count
     ("{ |0> } (x) { |0 0> } ;; { |0 0> } (x) { |0> }", 3),     # segment length
     ("{ |i 0> : |i| = 2 } ;; { |0 j> : |j| = 2 }", 3),         # var overlap

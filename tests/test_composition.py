@@ -1,0 +1,163 @@
+"""The n-ary compositions against the binary folds they replace.
+
+``tensor_chain`` and ``union_all`` must build exactly what a left fold of
+the binary operations built, state ids included, because the emitted
+automaton files are compared byte for byte.  The reference folds below are
+the binary operations as they stood before the n-ary routines.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+
+import pytest
+
+from lstaq.build import translate
+from lstaq.cli import bench_sources
+from lstaq.errors import InternalError
+from lstaq.lsta import (
+    Internal,
+    Leaf,
+    Lsta,
+    n_leaves,
+    tensor_chain,
+    union_all,
+    validate,
+    write_lsta,
+)
+from lstaq.parser import parse
+from tests.conftest import canonical_form
+from tests.test_acceptance import _random_automaton
+
+
+def _ref_union(a: Lsta, b: Lsta) -> Lsta:
+    off = max(a.states) + 1
+    b_root = b.root + off
+    b_internal = [Internal(t.top + off, t.choices, t.left + off, t.right + off)
+                  for t in b.internal]
+    root = max(b.states) + off + 1
+    old_roots = ([t for t in a.internal if t.top == a.root]
+                 + [t for t in b_internal if t.top == b_root])
+    internal = [t for t in list(a.internal) + b_internal
+                if t.top not in (a.root, b_root)]
+    internal += [Internal(root, frozenset((i,)), t.left, t.right)
+                 for i, t in enumerate(old_roots, start=1)]
+    leaves = a.leaves + tuple(Leaf(t.top + off, t.choices, t.amplitude)
+                              for t in b.leaves)
+    states = a.states | {s + off for s in b.states} | {root}
+    return Lsta(a.semiring, states, root, tuple(internal), leaves)
+
+
+def _ref_merge(a: Lsta) -> Lsta:
+    """Merge leaf-only states with equal leaf sets, over the whole automaton."""
+    internal_tops = {t.top for t in a.internal}
+    sigs: dict[int, set] = {}
+    for t in a.leaves:
+        sigs.setdefault(t.top, set()).add((t.choices, t.amplitude))
+    groups: dict[frozenset, list[int]] = {}
+    for top, sig in sigs.items():
+        if top not in internal_tops and top != a.root:
+            groups.setdefault(frozenset(sig), []).append(top)
+    remap = {s: min(g) for g in groups.values() for s in g if s != min(g)}
+    internal = tuple(Internal(t.top, t.choices, remap.get(t.left, t.left),
+                              remap.get(t.right, t.right)) for t in a.internal)
+    leaves = tuple(t for t in a.leaves if t.top not in remap)
+    return Lsta(a.semiring, a.states - frozenset(remap), a.root, internal, leaves)
+
+
+def _ref_tensor(a: Lsta, b: Lsta) -> Lsta:
+    a = _ref_merge(a)
+    b_root_trans = [t for t in b.internal if t.top == b.root]
+    base = 1 + max((c for t in a.internal for c in t.choices), default=0)
+    ex = sorted({c for t in a.leaves for c in t.choices})
+    br = sorted({c for t in b_root_trans for c in t.choices})
+    values = list(dict.fromkeys(t.amplitude for t in a.leaves))
+    next_id = max(a.states) + 1
+    internal, leaves, states, copies = list(a.internal), [], set(a.states), []
+    for v in values:
+        m = {}
+        for s in sorted(b.states - {b.root}):
+            m[s] = next_id
+            next_id += 1
+        states.update(m.values())
+        internal += [Internal(m[t.top], t.choices, m[t.left], m[t.right])
+                     for t in b.internal if t.top != b.root]
+        leaves += [Leaf(m[t.top], t.choices, a.semiring.mul(v, t.amplitude))
+                   for t in b.leaves]
+        copies.append(m)
+    for lt in a.leaves:
+        m = copies[values.index(lt.amplitude)]
+        for rt in b_root_trans:
+            choices = frozenset(base + ex.index(ca) * len(br) + br.index(cb)
+                                for ca in lt.choices for cb in rt.choices)
+            internal.append(Internal(lt.top, choices, m[rt.left], m[rt.right]))
+    return Lsta(a.semiring, frozenset(states), a.root, tuple(internal), tuple(leaves))
+
+
+def test_tensor_chain_equals_the_binary_left_fold():
+    rng = random.Random(0x7E5C)
+    for _ in range(60):
+        # At most 8 qubits: canonical forms unfold shared states, so
+        # comparing them costs time exponential in the depth.
+        widths = [rng.randint(1, 2) for _ in range(rng.randint(2, 8))]
+        while sum(widths) > 8:
+            widths[widths.index(2)] = 1
+        pieces = [_random_automaton(rng, n) for n in widths]
+        fold = pieces[0]
+        peak = fold.size
+        for b in pieces[1:]:
+            bound = fold.size + n_leaves(fold) * b.size
+            fold = _ref_tensor(fold, b)
+            validate(fold)
+            assert fold.size <= bound
+            peak = max(peak, fold.size)
+        chain, chain_peak = tensor_chain(pieces)
+        validate(chain)
+        assert chain.size == fold.size
+        assert canonical_form(chain) == canonical_form(fold)
+        assert chain == fold
+        assert chain_peak == peak
+
+
+def test_union_all_equals_the_binary_left_fold():
+    rng = random.Random(0x0A11)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        pieces = [_random_automaton(rng, n) for _ in range(rng.randint(2, 6))]
+        fold = pieces[0]
+        for b in pieces[1:]:
+            bound = fold.size + b.size
+            fold = _ref_union(fold, b)
+            validate(fold)
+            assert fold.size <= bound
+        chain = union_all(pieces)
+        validate(chain)
+        assert chain.size == fold.size
+        assert canonical_form(chain) == canonical_form(fold)
+        assert chain == fold
+
+
+def test_compositions_of_nothing_are_internal_errors():
+    with pytest.raises(InternalError):
+        tensor_chain([])
+    with pytest.raises(InternalError):
+        union_all([])
+
+
+# sha256 of the automata the five bench families translate to at these
+# sizes, taken from the pairwise folds that the n-ary routines replaced.
+FAMILY_SIZES = (2, 3, 4, 8, 16)
+FAMILY_SHA256 = "d7cfc43e90347cb0915dfc4b01bde4813a06a70924ada66d566f7252275b7927"
+
+
+def test_bench_family_automata_are_byte_identical_to_the_folds():
+    out = []
+    for family in ("bv", "ghz", "grover", "groveriter", "mctoffoli"):
+        for n in FAMILY_SIZES:
+            for pre, post, joint in bench_sources(family, n):
+                for group in ([pre, post],) if joint else ([pre], [post]):
+                    result = translate([parse(t) for t in group])
+                    out += [write_lsta(ar.automaton, result.qubits)
+                            for ar in result.assertions]
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == FAMILY_SHA256
