@@ -455,13 +455,16 @@ def valamp_mul(x: ValAmp, y: ValAmp) -> ValAmp:
 # ---------------------------------------------------------------------------
 
 
+_ZEROS = {"complex": POLY_ZERO, "tag": TAG_ZERO, "valuation": VAL_ZERO}
+
+
 @dataclass(frozen=True)
 class Semiring:
     name: str
 
     @property
     def zero(self):
-        return {"complex": POLY_ZERO, "tag": TAG_ZERO, "valuation": VAL_ZERO}[self.name]
+        return _ZEROS[self.name]
 
     def add(self, x, y):
         if self.name == "tag":
@@ -549,6 +552,3 @@ class QSqrt2:
 
     def __le__(self, o: "QSqrt2") -> bool:
         return (self - o).sign <= 0
-
-    def to_float(self) -> float:
-        return float(self.p) + float(self.q) * _SQRT2

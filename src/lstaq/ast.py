@@ -328,17 +328,6 @@ def pattern_width(pattern: tuple[Atom, ...], lengths: LengthMap) -> int:
     return total
 
 
-def term_vars(term: Term) -> frozenset[str]:
-    """Variables mentioned anywhere in a term (pattern or summation)."""
-    out = set()
-    for atom in term.pattern:
-        if isinstance(atom, (Var, Compl)):
-            out.add(atom.name)
-    for con in term.sum_constraints:
-        out.update(varcon_vars(con))
-    return frozenset(out)
-
-
 def pattern_vars(term: Term) -> frozenset[str]:
     return frozenset(
         a.name for a in term.pattern if isinstance(a, (Var, Compl))

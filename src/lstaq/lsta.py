@@ -16,6 +16,12 @@ distinct leaf value of what came before.  Both cost time linear in the size
 of their result.  They assert their size bounds but do not :func:`validate`
 their results; callers validate a finished automaton once.  :func:`union` and
 :func:`tensor` are their two-operand forms.
+
+:func:`membership` decides one state without enumerating the language.  It
+holds the state as a DAG of shared subtrees, in which every all-zero
+subtree is one node, and walks the levels over frontiers of (state, node)
+pairs.  Its cost is proportional to the distinct frontiers times the
+levels, not to the choice sequences, which grow exponentially with depth.
 """
 
 from __future__ import annotations
@@ -153,11 +159,22 @@ def permute_state(psi: StateVector, new_to_old: tuple[int, ...]) -> StateVector:
     return StateVector(psi.n, entries)
 
 
-def substitute_state(psi: StateVector, theta: dict) -> StateVector:
-    """Instantiate every amplitude polynomial; entries that vanish are dropped."""
+def substitute_state(psi: StateVector, theta: dict, memo: dict | None = None) -> StateVector:
+    """Instantiate every amplitude polynomial; entries that vanish are dropped.
+
+    ``memo`` maps polynomials already substituted under this same ``theta``
+    to their values; callers that substitute many states under one
+    valuation pass one dict to all of them, so each polynomial is
+    substituted once.
+    """
+    if memo is None:
+        memo = {}
     out: dict[str, object] = {}
     for s, v in psi.entries:
-        out[s] = v.substitute(theta)
+        value = memo.get(v)
+        if value is None:
+            value = memo[v] = v.substitute(theta)
+        out[s] = value
     return StateVector.of(psi.n, out, COMPLEX)
 
 
@@ -184,22 +201,30 @@ def _choice_index(transitions) -> dict[int, object]:
     return out
 
 
-def _expand_level(maps, internal_by_top, limit: int):
+def _choice_tables(by_top: dict):
+    """A lookup of states' transitions by choice, each table built once.
+
+    Given a set of states, it returns every state's table and the choices
+    all of them allow; a state without transitions allows none.
+    """
+    cache: dict[int, dict] = {}
+
+    def usable(states) -> tuple[dict[int, dict], set[int]]:
+        got = {}
+        for q in states:
+            if q not in cache:
+                cache[q] = _choice_index(by_top.get(q, ()))
+            got[q] = cache[q]
+        return got, set.intersection(*map(set, got.values()))
+    return usable
+
+
+def _expand_level(maps, usable, limit: int):
     """Advance every path->state map one level down, for every usable choice."""
     out = set()
     for m in maps:
-        tables = {}
-        ok = True
-        for q in set(m):
-            trans = internal_by_top.get(q)
-            if not trans:
-                ok = False
-                break
-            tables[q] = _choice_index(trans)
-        if not ok:
-            continue
-        usable = set.intersection(*(set(t) for t in tables.values()))
-        for c in usable:
+        tables, common = usable(set(m))
+        for c in common:
             nxt: list[int] = []
             for q in m:
                 t = tables[q][c]
@@ -211,15 +236,9 @@ def _expand_level(maps, internal_by_top, limit: int):
     return out
 
 
-def _leaf_vectors(m, leaves_by_top, n: int, semiring: Semiring):
-    tables = {}
-    for q in set(m):
-        trans = leaves_by_top.get(q)
-        if not trans:
-            return
-        tables[q] = _choice_index(trans)
-    usable = set.intersection(*(set(t) for t in tables.values()))
-    for c in usable:
+def _leaf_vectors(m, usable, n: int, semiring: Semiring):
+    tables, common = usable(set(m))
+    for c in common:
         amps = {
             format(i, f"0{n}b"): tables[q][c].amplitude for i, q in enumerate(m)
         }
@@ -229,71 +248,92 @@ def _leaf_vectors(m, leaves_by_top, n: int, semiring: Semiring):
 def enumerate_language(a: Lsta, n: int, limit: int = 100_000) -> frozenset[StateVector]:
     """All n-qubit states accepted by ``a``; raises past ``limit`` states."""
     internal_by_top, leaves_by_top = _by_top(a)
+    step, leaf = _choice_tables(internal_by_top), _choice_tables(leaves_by_top)
     maps: set[tuple[int, ...]] = {(a.root,)}
     for _ in range(n):
-        maps = _expand_level(maps, internal_by_top, limit)
+        maps = _expand_level(maps, step, limit)
     out: set[StateVector] = set()
     for m in maps:
-        for psi in _leaf_vectors(m, leaves_by_top, n, a.semiring):
+        for psi in _leaf_vectors(m, leaf, n, a.semiring):
             out.add(psi)
             if len(out) > limit:
                 raise LimitExceededError(limit)
     return frozenset(out)
 
 
+def _psi_dag(psi: StateVector) -> tuple[int, list]:
+    """``psi`` as a hash-consed DAG of subtrees: its root id and node table.
+
+    Built bottom-up from the entries alone, in O(|entries|·n) dict steps.
+    Node 0 stands for every all-zero subtree.  Any other node is a pair of
+    child ids above the leaf level and an entry's amplitude at it; equal
+    subtrees share one id.  An explicit entry, even a zero one, is never
+    node 0.  Entries that are not n-bit strings name no position of the
+    tree and are left out.
+    """
+    nodes: list = [(0, 0)]
+    unique: dict = {}
+
+    def node(kind: str, content) -> int:
+        if (kind, content) not in unique:
+            unique[kind, content] = len(nodes)
+            nodes.append(content)
+        return unique[kind, content]
+
+    level = {s: node("leaf", v) for s, v in psi.as_dict().items()
+             if len(s) == psi.n and not s.strip("01")}
+    for _ in range(psi.n):
+        pairs: dict[str, list[int]] = {}
+        for s, k in level.items():
+            pairs.setdefault(s[:-1], [0, 0])[int(s[-1])] = k
+        level = {s: node("pair", (left, right)) for s, (left, right) in pairs.items()}
+    return level.get("", 0), nodes
+
+
 def membership(a: Lsta, psi: StateVector) -> bool:
-    """Is ``psi`` in the language of ``a``?"""
-    return len(induced_trees(a, psi, first_only=True)) > 0
+    """Is ``psi`` in the language of ``a``?
 
-
-def induced_trees(a: Lsta, psi: StateVector, first_only: bool = False):
-    """Distinct accepting trees for ``psi``: level-wise state maps plus leaves.
-
-    Choice disjointness guarantees at most one tree per choice sequence;
-    the language definition further implies member states have exactly one
-    accepting tree overall, which callers may assert on this result.
+    A level-by-level walk over frontiers: sets of (state, ψ-node) pairs,
+    with ψ held as a DAG of shared subtrees (:func:`_psi_dag`).  Tree
+    positions that share a pair take the same transitions under the same
+    choice, so one pair stands for all of them, and each level keeps only
+    its distinct frontiers.  The cost is proportional to the frontiers
+    times the levels, never to the 2^n positions or to the choice
+    sequences.  At the leaf level a choice accepts when every pair's leaf
+    amplitude matches its node: node 0 matches any amplitude the semiring
+    calls zero, an entry only its own amplitude, and never a zero one.
     """
     internal_by_top, leaves_by_top = _by_top(a)
-    want = psi.as_dict()
-    trees: list[tuple] = []
+    step, leaf = _choice_tables(internal_by_top), _choice_tables(leaves_by_top)
+    root, nodes = _psi_dag(psi)
 
-    def leaf_check(stack: tuple[tuple[int, ...], ...]) -> None:
-        m = stack[-1]
-        tables = {}
-        for q in set(m):
-            trans = leaves_by_top.get(q)
-            if not trans:
-                return
-            tables[q] = _choice_index(trans)
-        usable = set.intersection(*(set(t) for t in tables.values()))
-        for c in usable:
-            values = tuple(tables[q][c].amplitude for q in m)
-            good = True
-            for i, v in enumerate(values):
-                bits = format(i, f"0{psi.n}b")
-                if a.semiring.is_zero(v):
-                    if bits in want:
-                        good = False
-                        break
-                elif want.get(bits) != v:
-                    good = False
-                    break
-            if good:
-                tree = (stack, values)
-                if tree not in trees:
-                    trees.append(tree)
+    frontiers = {frozenset({(a.root, root)})}
+    for _ in range(psi.n):
+        nxt = set()
+        for f in frontiers:
+            tables, common = step({q for q, _k in f})
+            for c in common:
+                pairs = set()
+                for q, k in f:
+                    t = tables[q][c]
+                    left, right = nodes[k]
+                    pairs.add((t.left, left))
+                    pairs.add((t.right, right))
+                nxt.add(frozenset(pairs))
+        frontiers = nxt
 
-    def walk(stack: tuple[tuple[int, ...], ...], depth: int) -> None:
-        if first_only and trees:
-            return
-        if depth == psi.n:
-            leaf_check(stack)
-            return
-        for m in _expand_level({stack[-1]}, internal_by_top, 1 << 24):
-            walk(stack + (m,), depth + 1)
+    is_zero = a.semiring.is_zero
 
-    walk(((a.root,),), 0)
-    return trees
+    def fits(amplitude, k: int) -> bool:
+        if k == 0:
+            return is_zero(amplitude)
+        return not is_zero(amplitude) and amplitude == nodes[k]
+
+    for f in frontiers:
+        tables, common = leaf({q for q, _k in f})
+        if any(all(fits(tables[q][c].amplitude, k) for q, k in f) for c in common):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

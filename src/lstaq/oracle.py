@@ -327,8 +327,10 @@ def differential_check(asts, thetas: list[Valuation] | None = None,
         else:
             ok, detail = True, "no valuations sampled"
             for theta in thetas:
-                li = {substitute_state(s, theta) for s in auto}
-                oi = {substitute_state(s, theta) for s in oracle}
+                # Both sides share most polynomials: substitute each once.
+                memo: dict = {}
+                li = {substitute_state(s, theta, memo) for s in auto}
+                oi = {substitute_state(s, theta, memo) for s in oracle}
                 ok, detail = _compare(li, oi)
                 if not ok:
                     pretty = ", ".join(

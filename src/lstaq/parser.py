@@ -21,6 +21,7 @@ file are separated by ``;;``.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,6 +42,11 @@ _PUNCT = (
     "+", "-", "*", "/", "=", ":", ",", "!",
 )
 _KEYWORDS = {"bigU", "sum"}
+# Deepest nesting of parentheses, prefix minus and negation that a spec
+# may use.  The parser descends one level per Python call (up to four
+# calls in formulas), so this keeps any spec clear of the interpreter's
+# recursion limit; past it the spec is a syntax error.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -102,6 +108,7 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -125,6 +132,17 @@ class _Parser:
     def fail(self, msg: str, tok: Token | None = None):
         tok = tok or self.peek()
         raise SpecSyntaxError(msg, tok.line, tok.col)
+
+    @contextmanager
+    def _nested(self, tok: Token):
+        """One level of nesting opened at ``tok``; fails past MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            self.fail(f"nesting deeper than {MAX_NESTING} levels", tok)
+        self.depth += 1
+        try:
+            yield
+        finally:
+            self.depth -= 1
 
     def _at_tensor(self) -> bool:
         # The tensor operator "(x)" is three tokens; a set expression can
@@ -171,13 +189,13 @@ class _Parser:
 
     def parse_pset(self) -> list[A.PSet]:
         if self.at("("):
-            self.next()
-            inner: list[A.PSet] = []
-            inner.extend(self.parse_pset())
-            while self._at_tensor():
-                self._eat_tensor()
+            with self._nested(self.next()):
+                inner: list[A.PSet] = []
                 inner.extend(self.parse_pset())
-            self.expect(")")
+                while self._at_tensor():
+                    self._eat_tensor()
+                    inner.extend(self.parse_pset())
+                self.expect(")")
             if self.at("^"):
                 tok = self.next()
                 power = self.parse_int()
@@ -347,11 +365,13 @@ class _Parser:
                 self.fail(f"{tok.text!r} cannot start an amplitude", tok)
             return AmplitudePoly.var(tok.text)
         if tok.kind == "(":
-            inner = self.parse_amp()
-            self.expect(")")
+            with self._nested(tok):
+                inner = self.parse_amp()
+                self.expect(")")
             return inner
         if tok.kind == "-":
-            return -self.parse_amp(30)
+            with self._nested(tok):
+                return -self.parse_amp(30)
         self.fail(f"unexpected {tok.text!r} in an amplitude", tok)
 
     # -- amplitude-constraint formulas -------------------------------------------
@@ -379,16 +399,16 @@ class _Parser:
 
     def _formula_not(self) -> A.CCons:
         if self.at("!"):
-            self.next()
-            return A.CNot(self._formula_not())
+            with self._nested(self.next()):
+                return A.CNot(self._formula_not())
         if self.at("("):
             # Either a parenthesised formula or a parenthesised arithmetic
             # expression starting a comparison: try the formula first.
             mark = self.pos
             try:
-                self.next()
-                inner = self.parse_formula()
-                self.expect(")")
+                with self._nested(self.next()):
+                    inner = self.parse_formula()
+                    self.expect(")")
                 return inner
             except SpecSyntaxError:
                 self.pos = mark
@@ -418,11 +438,13 @@ class _Parser:
         if tok.kind == "NUMBER":
             return A.CNum(_number_fraction(tok.text))
         if tok.kind == "-":
-            inner = self._carith(30)
+            with self._nested(tok):
+                inner = self._carith(30)
             return A.CArith("-", A.CNum(Fraction(0)), inner)
         if tok.kind == "(":
-            inner = self._carith()
-            self.expect(")")
+            with self._nested(tok):
+                inner = self._carith()
+                self.expect(")")
             return inner
         if tok.kind == "|":
             var = self.expect("IDENT").text

@@ -235,12 +235,6 @@ class GlobalPartition:
     def of_segment(self, segment: int) -> tuple[Slot, ...]:
         return tuple(s for s in self.slots if s.segment == segment)
 
-    def at(self, start: int) -> Slot:
-        for s in self.slots:
-            if s.start == start:
-                return s
-        raise InternalError(f"no slot starts at qubit {start}")
-
     @property
     def total_qubits(self) -> int:
         return sum(self.segment_lengths)

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ast as A
-from .amplitude import tag
 from .errors import InternalError
 from .preprocess import PAtom, SetP
 
@@ -122,9 +121,6 @@ class SetV:
     slots: tuple[int, ...]
     terms: tuple[VTerm, ...]
     predicate: tuple[A.VarCon, ...]
-
-    def tag_amp(self, m: int):
-        return tag(m)
 
 
 def project_setP(sp: SetP, order: SlotOrder, slot_indices: tuple[int, ...],

@@ -389,6 +389,8 @@ def test_compositions_keep_choice_sets_disjoint():
 
 NEGATIVE_CONTROLS = [
     ("{ |0> ", 1),                                             # syntax
+    ("(" * 3000 + "{ |0> }" + ")" * 3000, 1),                  # nested sets
+    ("{ " + "(" * 3000 + "1" + ")" * 3000 + " |0> }", 1),      # nested amp
     ("{ sum[ i != j ] |i j> }", 2),                            # unknown length
     ("{ |i 0> : |i| = 1, |i| = 2 }", 2),                       # conflicting
     ("{ |0 0> } \\/ { |1> }", 2),                              # union widths

@@ -5,7 +5,12 @@ from __future__ import annotations
 import pytest
 
 from lstaq.amplitude import COMPLEX, AmplitudePoly
-from lstaq.errors import ChoiceOverlapError, DanglingStateError, LimitExceededError
+from lstaq.errors import (
+    ChoiceOverlapError,
+    DanglingStateError,
+    LimitExceededError,
+    UnboundComplexVarError,
+)
 from lstaq.lsta import (
     Internal,
     Leaf,
@@ -188,6 +193,17 @@ def test_substitute_state_drops_vanishing_entries():
                             "1": AmplitudePoly.from_int(1)}, COMPLEX)
     out = substitute_state(sv, {"a": cpoly("0").constant_value})
     assert out == vec(1, {"1": "1"})
+
+
+def test_substitute_state_memo_keeps_unbound_variables_an_error():
+    sv = StateVector.of(1, {"0": AmplitudePoly.var("a"),
+                            "1": AmplitudePoly.var("b")}, COMPLEX)
+    theta = {"a": cpoly("1").constant_value}
+    memo: dict = {}
+    for _ in range(2):
+        with pytest.raises(UnboundComplexVarError):
+            substitute_state(sv, theta, memo)
+    assert AmplitudePoly.var("b") not in memo
 
 
 # ---------------------------------------------------------------------------

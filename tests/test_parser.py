@@ -8,6 +8,7 @@ from lstaq import ast as A
 from lstaq.amplitude import AC_I, AC_ONE, AC_SQRT2, AlgebraicComplex
 from lstaq.errors import SpecSyntaxError
 from lstaq.parser import (
+    MAX_NESTING,
     parse,
     parse_constant,
     parse_many,
@@ -128,6 +129,25 @@ def test_syntax_errors_carry_positions():
         parse("{ |0>\n  + @ }")
     assert exc.value.line == 2
     assert exc.value.exit_code == 1
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda d: "(" * d + "{ |0> }" + ")" * d,
+    lambda d: "{ " + "(" * d + "1" + ")" * d + " |0> }",
+    lambda d: "{ " + "-" * d + "1 |0> }",
+    lambda d: "bigU[ " + "!" * d + "re(a) > 0 ] { a |0> }",
+    lambda d: "bigU[ " + "(" * d + "re(a) > 0" + ")" * d + " ] { a |0> }",
+    lambda d: "bigU[ " + "(" * d + "re(a)" + ")" * d + " > 0 ] { a |0> }",
+], ids=["sets", "amplitude", "minus", "not", "formula", "arithmetic"])
+def test_nesting_is_limited_at_the_offending_token(wrap):
+    parse(wrap(MAX_NESTING))
+    src = wrap(MAX_NESTING + 1)
+    with pytest.raises(SpecSyntaxError) as exc:
+        parse(src)
+    assert exc.value.line == 1
+    before, opener = src[:exc.value.column - 1], src[exc.value.column - 1]
+    assert opener in "(-!"
+    assert before.count(opener) == MAX_NESTING
 
 
 def test_error_on_nonbinary_ket_digits():
