@@ -10,14 +10,20 @@ Three commutative semirings share the leaf-transition slot of an automaton:
 * :class:`ValAmp` — indexed families of boolean valuations recording, per
   term index, which of the term's inequality constraints have already been
   satisfied by the qubits seen so far.
+
+Each domain is one :class:`Semiring` record, :data:`COMPLEX`, :data:`TAG` or
+:data:`VALUATION`, holding its zero and its operations; automata touch leaf
+values only through the record, whatever the domain.
 """
 
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from typing import Any, Callable
 
 from .errors import InternalError, UnboundComplexVarError
 
@@ -371,20 +377,12 @@ POLY_ONE = AmplitudePoly.from_int(1)
 # Tag amplitudes: subsets of term indices.
 # ---------------------------------------------------------------------------
 
-TagAmp = frozenset
-TAG_ZERO: frozenset[int] = frozenset()
-
-
 def tag(*indices: int) -> frozenset[int]:
     return frozenset(indices)
 
 
-def tag_add(x: frozenset[int], y: frozenset[int]) -> frozenset[int]:
-    return x | y
-
-
-def tag_mul(x: frozenset[int], y: frozenset[int]) -> frozenset[int]:
-    return x & y
+def _render_tag(x: frozenset[int]) -> str:
+    return "t0" if not x else "+".join(f"t{i}" for i in sorted(x))
 
 
 # ---------------------------------------------------------------------------
@@ -455,50 +453,34 @@ def valamp_mul(x: ValAmp, y: ValAmp) -> ValAmp:
 # ---------------------------------------------------------------------------
 
 
-_ZEROS = {"complex": POLY_ZERO, "tag": TAG_ZERO, "valuation": VAL_ZERO}
-
-
 @dataclass(frozen=True)
 class Semiring:
+    """One leaf-amplitude domain: its zero and its operations on values.
+
+    ``name`` and ``render`` give the domain's text form in the output
+    format; ``variables`` lists the amplitude variables a value mentions.
+    """
+
     name: str
-
-    @property
-    def zero(self):
-        return _ZEROS[self.name]
-
-    def add(self, x, y):
-        if self.name == "tag":
-            return tag_add(x, y)
-        if self.name == "valuation":
-            return valamp_add(x, y)
-        return x + y
-
-    def mul(self, x, y):
-        if self.name == "tag":
-            return tag_mul(x, y)
-        if self.name == "valuation":
-            return valamp_mul(x, y)
-        return x * y
-
-    def is_zero(self, x) -> bool:
-        if self.name == "tag":
-            return not x
-        return x.is_zero
-
-    def render(self, x) -> str:
-        if self.name == "tag":
-            return "t0" if not x else "+".join(f"t{i}" for i in sorted(x))
-        return str(x)
-
-    def variables(self, x) -> frozenset[str]:
-        if self.name == "complex":
-            return x.variables()
-        return frozenset()
+    zero: Any
+    add: Callable[[Any, Any], Any]
+    mul: Callable[[Any, Any], Any]
+    is_zero: Callable[[Any], bool]
+    render: Callable[[Any], str]
+    variables: Callable[[Any], frozenset[str]]
 
 
-COMPLEX = Semiring("complex")
-TAG = Semiring("tag")
-VALUATION = Semiring("valuation")
+def _no_variables(_x) -> frozenset[str]:
+    return frozenset()
+
+
+_IS_ZERO = operator.attrgetter("is_zero")
+
+COMPLEX = Semiring("complex", POLY_ZERO, operator.add, operator.mul, _IS_ZERO, str,
+                   AmplitudePoly.variables)
+TAG = Semiring("tag", frozenset(), operator.or_, operator.and_, operator.not_,
+               _render_tag, _no_variables)
+VALUATION = Semiring("valuation", VAL_ZERO, valamp_add, valamp_mul, _IS_ZERO, str, _no_variables)
 
 
 # ---------------------------------------------------------------------------

@@ -171,18 +171,31 @@ class CBin:
 CCons = CCmp | CNot | CBin
 
 
+def unchain(e, links) -> tuple[object, list]:
+    """Split a left-nested chain into its first operand and its (op, operand) links.
+
+    ``links(x)`` tells whether ``x`` is a node of the chain.  The spine is
+    walked in a loop, so a chain of any length costs no recursion.
+    """
+    rest = []
+    while links(e):
+        rest.append((e.op, e.right))
+        e = e.left
+    return e, rest[::-1]
+
+
 def ccons_vars(f: CCons | CExpr) -> frozenset[str]:
-    if isinstance(f, (CRe, CIm, CAbsSq)):
-        return frozenset((f.var,))
-    if isinstance(f, CArith):
-        return ccons_vars(f.left) | ccons_vars(f.right)
-    if isinstance(f, CCmp):
-        return ccons_vars(f.left) | ccons_vars(f.right)
-    if isinstance(f, CNot):
-        return ccons_vars(f.inner)
-    if isinstance(f, CBin):
-        return ccons_vars(f.left) | ccons_vars(f.right)
-    return frozenset()
+    out: set[str] = set()
+    todo = [f]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, (CRe, CIm, CAbsSq)):
+            out.add(e.var)
+        elif isinstance(e, CNot):
+            todo.append(e.inner)
+        elif not isinstance(e, CNum):
+            todo += (e.left, e.right)
+    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -204,18 +217,20 @@ LengthMap = dict[str, int]
 # -- length inference ---------------------------------------------------------
 
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict[str, str] = {}
+class UnionFind:
+    """Disjoint sets over hashable items, each added on first mention."""
 
-    def find(self, x: str) -> str:
+    def __init__(self) -> None:
+        self.parent: dict = {}
+
+    def find(self, x):
         self.parent.setdefault(x, x)
         while self.parent[x] != x:
             self.parent[x] = self.parent[self.parent[x]]
             x = self.parent[x]
         return x
 
-    def union(self, x: str, y: str) -> None:
+    def union(self, x, y) -> None:
         rx, ry = self.find(x), self.find(y)
         if rx != ry:
             self.parent[rx] = ry
@@ -252,7 +267,7 @@ def infer_lengths(ast: AssertionAst) -> LengthMap:
     qubits, so a ket whose width is already fixed pins the single unknown
     variable of a sibling ket.
     """
-    uf = _UnionFind()
+    uf = UnionFind()
     known: dict[str, tuple[int, str]] = {}  # class root -> (length, witness var)
 
     def assign(var: str, n: int) -> None:

@@ -10,6 +10,7 @@ runs once on each finished assertion automaton.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -81,26 +82,17 @@ def build_state_lsta(psi: StateVector, semiring: Semiring) -> Lsta:
         raise InternalError("cannot build an automaton over zero qubits")
     full = len(psi.entries) == (1 << n)
 
-    names: dict[int, str] = {}
-    counter = 0
-
-    def new_state(name: str) -> int:
-        nonlocal counter
-        sid = counter
-        counter += 1
-        names[sid] = name
-        return sid
-
+    ids = itertools.count()
     internal: list[Internal] = []
     leaves: list[Leaf] = []
 
     level: dict[str, int] = {}
     for s, amp in psi.entries:
-        level[s] = new_state(f"q_{s}")
+        level[s] = next(ids)
         leaves.append(Leaf(level[s], _ONE, amp))
     sink: int | None = None
     if not full:
-        sink = new_state(f"q_bot{n}")
+        sink = next(ids)
         leaves.append(Leaf(sink, _ONE, semiring.zero))
 
     for depth in range(n - 1, 0, -1):
@@ -108,22 +100,22 @@ def build_state_lsta(psi: StateVector, semiring: Semiring) -> Lsta:
         level, sink = {}, None
         if not full:
             assert prev_sink is not None
-            sink = new_state(f"q_bot{depth}")
+            sink = next(ids)
             internal.append(Internal(sink, _ONE, prev_sink, prev_sink))
         for x in sorted({p[:depth] for p in prev}):
-            level[x] = new_state(f"q_{x}")
+            level[x] = next(ids)
             internal.append(Internal(
                 level[x], _ONE,
                 prev.get(x + "0", prev_sink),
                 prev.get(x + "1", prev_sink),
             ))
 
-    root = new_state("q_eps")
+    root = next(ids)
     internal.append(Internal(
         root, _ONE, level.get("0", sink), level.get("1", sink)
     ))
 
-    out = mk_lsta(semiring, root, internal, leaves, names)
+    out = mk_lsta(semiring, root, internal, leaves)
     assert out.size <= (len(psi.entries) + 1) * (n + 1)
     validate(out)
     return out
@@ -138,9 +130,7 @@ def _zero_lsta(n: int, semiring: Semiring) -> Lsta:
     """
     internal = [Internal(k, _ONE, k + 1, k + 1) for k in range(n)]
     leaves = [Leaf(n, _ONE, semiring.zero)]
-    names = {0: "q_eps"}
-    names.update({k: f"q_bot{k}" for k in range(1, n + 1)})
-    out = mk_lsta(semiring, 0, internal, leaves, names)
+    out = mk_lsta(semiring, 0, internal, leaves)
     validate(out)
     return out
 
@@ -228,7 +218,6 @@ class TranslationResult:
     aligned: AlignedSpec
     orders: tuple[SlotOrder, ...]
     permutation: tuple[int, ...]
-    legend: TagLegend
     expansions: tuple[tuple[int, int, SetV, ConstraintTable, tuple[QubitSlice, ...]], ...]
     seconds: float
 
@@ -352,7 +341,7 @@ def translate(asts: Sequence[A.AssertionAst]) -> TranslationResult:
             AssertionResult(final, canon[idx].constraint, stats))
 
     return TranslationResult(
-        tuple(results), aligned, tuple(orders), permutation, legend,
+        tuple(results), aligned, tuple(orders), permutation,
         tuple(expansions), time.perf_counter() - t0,
     )
 

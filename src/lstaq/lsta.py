@@ -6,7 +6,9 @@ n-qubit state vector.  A run is driven by one choice number per level (plus
 one for the leaf level): every node at a level resolves its transition with
 the same choice, which is what keeps the branches synchronized.  Distinct
 transitions from one state must carry disjoint choice sets, so a choice
-sequence induces at most one tree.
+sequence induces at most one tree.  States are bare integers, and leaf
+values are combined only through the automaton's :class:`Semiring` record,
+so every construction here works over all three leaf domains.
 
 The two composition operations mirror the set operations of the
 specification language and take any number of operands: :func:`union_all`
@@ -26,7 +28,7 @@ levels, not to the choice sequences, which grow exponentially with depth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .amplitude import COMPLEX, Semiring
@@ -61,7 +63,6 @@ class Lsta:
     root: int
     internal: tuple[Internal, ...]
     leaves: tuple[Leaf, ...]
-    names: dict[int, str] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -80,7 +81,6 @@ def mk_lsta(
     root: int,
     internal: list[Internal],
     leaves: list[Leaf],
-    names: dict[int, str] | None = None,
 ) -> Lsta:
     """Assemble an automaton, deriving the state set from the transitions."""
     states = {root}
@@ -88,10 +88,7 @@ def mk_lsta(
         states.update((t.top, t.left, t.right))
     for t in leaves:
         states.add(t.top)
-    return Lsta(
-        semiring, frozenset(states), root, tuple(internal), tuple(leaves),
-        dict(names or {}),
-    )
+    return Lsta(semiring, frozenset(states), root, tuple(internal), tuple(leaves))
 
 
 def validate(a: Lsta) -> None:
@@ -359,7 +356,6 @@ def union_all(pieces: Sequence[Lsta]) -> Lsta:
     leaves: list[Leaf] = []
     old_roots: list[Internal] = []
     states: set[int] = set()
-    names: dict[int, str] = {}
     offset = root = 0
     for k, p in enumerate(pieces):
         if p.semiring != semiring:
@@ -371,17 +367,15 @@ def union_all(pieces: Sequence[Lsta]) -> Lsta:
             (old_roots if t.top == p.root else internal).append(moved)
         leaves += [Leaf(t.top + offset, t.choices, t.amplitude) for t in p.leaves]
         states.update(s + offset for s in p.states)
-        names.update((s + offset, n) for s, n in p.names.items())
         offset += max(p.states) + 1
         if k:
             root = offset
             states.add(root)
-            names[root] = "r_union"
             offset += 1
     internal += [Internal(root, frozenset((idx,)), t.left, t.right)
                  for idx, t in enumerate(old_roots, start=1)]
     assert len(internal) + len(leaves) <= sum(p.size for p in pieces)
-    return Lsta(semiring, frozenset(states), root, tuple(internal), tuple(leaves), names)
+    return Lsta(semiring, frozenset(states), root, tuple(internal), tuple(leaves))
 
 
 def union(a: Lsta, b: Lsta) -> Lsta:
@@ -417,7 +411,7 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
         return acc, peak
     semiring, root = acc.semiring, acc.root
     internal, leaves = list(acc.internal), list(acc.leaves)
-    states, names = set(acc.states), dict(acc.names)
+    states = set(acc.states)
     # Only internal transitions from this index on can start from, or point
     # at, a state that carries leaf transitions.
     frontier = 0
@@ -451,8 +445,6 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
                                            remap.get(t.right, t.right))
             leaves = [t for t in leaves if t.top not in remap]
             states.difference_update(remap)
-            for s in remap:
-                names.pop(s, None)
             while next_id - 1 not in states:
                 next_id -= 1
 
@@ -467,11 +459,10 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
         frontier = len(internal)
         copies: list[dict[int, int]] = []
         grafted: list[Leaf] = []
-        for vi, v in enumerate(values):
+        for v in values:
             m = {s: next_id + k for k, s in enumerate(b_states)}
             next_id += len(b_states)
             states.update(m.values())
-            names.update((m[s], f"{b.names[s]}@{vi}") for s in b_states if s in b.names)
             internal += [Internal(m[t.top], t.choices, m[t.left], m[t.right]) for t in b_inner]
             grafted += [Leaf(m[t.top], t.choices, semiring.mul(v, t.amplitude))
                         for t in b.leaves]
@@ -486,7 +477,7 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
         top_choice = max([top_choice, *(c for t in internal[frontier:] for c in t.choices)])
         assert len(internal) + len(leaves) <= bound
         peak = max(peak, len(internal) + len(leaves))
-    out = Lsta(semiring, frozenset(states), root, tuple(internal), tuple(leaves), names)
+    out = Lsta(semiring, frozenset(states), root, tuple(internal), tuple(leaves))
     return out, peak
 
 
@@ -499,7 +490,7 @@ def map_leaves(a: Lsta, fn, semiring: Semiring | None = None) -> Lsta:
     """Rewrite every leaf amplitude, optionally changing the semiring."""
     semiring = semiring or a.semiring
     leaves = tuple(Leaf(t.top, t.choices, fn(t.amplitude)) for t in a.leaves)
-    return Lsta(semiring, a.states, a.root, a.internal, leaves, dict(a.names))
+    return Lsta(semiring, a.states, a.root, a.internal, leaves)
 
 
 # ---------------------------------------------------------------------------

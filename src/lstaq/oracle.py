@@ -9,6 +9,7 @@ a genuine bug on one of the two sides.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import reduce
 
@@ -168,7 +169,20 @@ def amplitude_vars(asts) -> list[str]:
     return sorted(names)
 
 
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_CMP = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le,
+        ">": operator.gt, ">=": operator.ge}
+
+
 def _cexpr_val(e: A.CExpr, theta: Valuation) -> QSqrt2:
+    head, rest = A.unchain(e, lambda x: isinstance(x, A.CArith))
+    out = _catom_val(head, theta)
+    for op, right in rest:
+        out = _ARITH[op](out, _cexpr_val(right, theta))
+    return out
+
+
+def _catom_val(e: A.CExpr, theta: Valuation) -> QSqrt2:
     if isinstance(e, A.CNum):
         return QSqrt2(e.value)
     if isinstance(e, (A.CRe, A.CIm, A.CAbsSq)):
@@ -181,37 +195,20 @@ def _cexpr_val(e: A.CExpr, theta: Valuation) -> QSqrt2:
         if isinstance(e, A.CIm):
             return im
         return re * re + im * im
-    if isinstance(e, A.CArith):
-        left, right = _cexpr_val(e.left, theta), _cexpr_val(e.right, theta)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        if e.op == "*":
-            return left * right
-        if e.op == "/":
-            return left / right
     raise InternalError(f"unknown arithmetic expression {e!r}")
 
 
 def ccons_eval(f: A.CCons, theta: Valuation) -> bool:
     """Exact truth of an amplitude-constraint formula under ``theta``."""
     if isinstance(f, A.CCmp):
-        left, right = _cexpr_val(f.left, theta), _cexpr_val(f.right, theta)
-        return {
-            "=": left == right,
-            "!=": left != right,
-            "<": left < right,
-            "<=": left <= right,
-            ">": right < left,
-            ">=": right <= left,
-        }[f.op]
+        return _CMP[f.op](_cexpr_val(f.left, theta), _cexpr_val(f.right, theta))
     if isinstance(f, A.CNot):
         return not ccons_eval(f.inner, theta)
     if isinstance(f, A.CBin):
-        if f.op == "&&":
-            return ccons_eval(f.left, theta) and ccons_eval(f.right, theta)
-        return ccons_eval(f.left, theta) or ccons_eval(f.right, theta)
+        # Left to right, stopping at the first operand that settles the chain.
+        head, rest = A.unchain(f, lambda g: isinstance(g, A.CBin) and g.op == f.op)
+        values = (ccons_eval(g, theta) for g in [head, *(g for _op, g in rest)])
+        return all(values) if f.op == "&&" else any(values)
     raise InternalError(f"unknown constraint formula {f!r}")
 
 

@@ -577,7 +577,7 @@ def render_amplitude(poly: AmplitudePoly) -> str:
     monos = []
     for mono, coef in poly.terms:
         factors = []
-        coef_text = _render_algebraic(coef)
+        coef_text = str(coef)
         if not mono:
             factors.append(coef_text)
         else:
@@ -593,26 +593,47 @@ def render_amplitude(poly: AmplitudePoly) -> str:
     return text if simple else f"({text})"
 
 
-def _render_algebraic(v: AlgebraicComplex) -> str:
-    """Exact expression text for a ring constant, using 1, i and sqrt2."""
-    return str(v)
+_LEVEL = {"||": 1, "&&": 2, "+": 1, "-": 1, "*": 2, "/": 2}
 
 
-def render_formula(f: A.CCons) -> str:
-    if isinstance(f, A.CBin):
-        return f"({render_formula(f.left)} {f.op} {render_formula(f.right)})"
-    if isinstance(f, A.CNot):
-        return f"!({render_formula(f.inner)})"
-    return f"{_render_cexpr(f.left)} {f.op} {_render_cexpr(f.right)}"
+def _level(e) -> int:
+    """How tightly the top of ``e`` binds; an atom or a comparison binds tightest."""
+    if isinstance(e, (A.CBin, A.CArith)):
+        return _LEVEL[e.op]
+    if isinstance(e, A.CNum) and e.value.denominator != 1:
+        return _LEVEL["/"]  # written as a quotient
+    return 3
 
 
-def _render_cexpr(e: A.CExpr) -> str:
+def render_formula(e: A.CCons | A.CExpr) -> str:
+    """Text that re-parses to ``e``, a formula or an arithmetic expression.
+
+    A chain of one level is written flat.  An operand is parenthesised only
+    where the grammar would group it otherwise: on the left when it binds
+    more loosely than the chain, on the right when it binds no tighter.
+    """
+    top = _level(e)
+    head, rest = A.unchain(e, lambda x: isinstance(x, (A.CBin, A.CArith)) and _level(x) == top)
+    if not rest:
+        return _render_leaf(head)
+
+    def operand(x, loosest: int) -> str:
+        return f"({render_formula(x)})" if _level(x) < loosest else render_formula(x)
+
+    return operand(head, top) + "".join(f" {op} {operand(x, top + 1)}" for op, x in rest)
+
+
+def _render_leaf(e: A.CCons | A.CExpr) -> str:
+    if isinstance(e, A.CNot):
+        inner = render_formula(e.inner)
+        return f"!({inner})" if isinstance(e.inner, A.CBin) else f"!{inner}"
+    if isinstance(e, A.CCmp):
+        return f"{render_formula(e.left)} {e.op} {render_formula(e.right)}"
     if isinstance(e, A.CNum):
-        return str(e.value) if e.value.denominator == 1 else f"{e.value.numerator}/{e.value.denominator}"
+        v = e.value
+        return str(v) if v.denominator == 1 else f"{v.numerator} / {v.denominator}"
     if isinstance(e, A.CRe):
         return f"re({e.var})"
     if isinstance(e, A.CIm):
         return f"im({e.var})"
-    if isinstance(e, A.CAbsSq):
-        return f"|{e.var}|^2"
-    return f"({_render_cexpr(e.left)} {e.op} {_render_cexpr(e.right)})"
+    return f"|{e.var}|^2"

@@ -88,22 +88,14 @@ def build_dependency_graph(setps, slot_indices: tuple[int, ...]) -> SlotDependen
 
 def compute_slot_order(g: SlotDependencyGraph) -> SlotOrder:
     """Connected components, each ascending, ordered by minimum element."""
-    parent = {s: s for s in g.slots}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = A.UnionFind()
     for e in g.edges:
-        ra, rb = find(e.a), find(e.b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
+        uf.union(e.a, e.b)
     groups: dict[int, list[int]] = {}
     for s in g.slots:
-        groups.setdefault(find(s), []).append(s)
-    return tuple(tuple(sorted(v)) for _k, v in sorted(groups.items()))
+        groups.setdefault(uf.find(s), []).append(s)
+    # Components are disjoint, so as tuples they sort by their smallest slot.
+    return tuple(sorted(tuple(sorted(v)) for v in groups.values()))
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,6 @@ def two_member_automaton() -> Lsta:
             Leaf(7, one, cpoly("i/sqrt2")),
             Leaf(8, one, cpoly("-i/sqrt2")),
         ],
-        names={i: f"q{i}" for i in range(9)},
     )
 
 

@@ -19,7 +19,6 @@ from lstaq.amplitude import (
     POLY_ONE,
     POLY_ZERO,
     TAG,
-    TAG_ZERO,
     VAL_ZERO,
     VALUATION,
     AlgebraicComplex,
@@ -28,8 +27,6 @@ from lstaq.amplitude import (
     QSqrt2,
     ValAmp,
     tag,
-    tag_add,
-    tag_mul,
     valamp_add,
     valamp_mul,
 )
@@ -184,22 +181,22 @@ tags = st.sets(st.integers(min_value=1, max_value=5), max_size=3).map(frozenset)
 
 
 def test_tag_orthogonality():
-    assert tag_mul(tag(1), tag(1)) == tag(1)
-    assert tag_mul(tag(1), tag(2)) == TAG_ZERO
-    assert tag_add(tag(1), tag(2)) == tag(1, 2)
-    assert tag_add(tag(1), tag(1)) == tag(1)
+    assert TAG.mul(tag(1), tag(1)) == tag(1)
+    assert TAG.mul(tag(1), tag(2)) == TAG.zero
+    assert TAG.add(tag(1), tag(2)) == tag(1, 2)
+    assert TAG.add(tag(1), tag(1)) == tag(1)
 
 
 @settings(max_examples=200)
 @given(tags, tags, tags)
 def test_tag_semiring_laws(x, y, z):
-    assert tag_add(x, y) == tag_add(y, x)
-    assert tag_add(tag_add(x, y), z) == tag_add(x, tag_add(y, z))
-    assert tag_mul(x, y) == tag_mul(y, x)
-    assert tag_mul(tag_mul(x, y), z) == tag_mul(x, tag_mul(y, z))
-    assert tag_mul(x, tag_add(y, z)) == tag_add(tag_mul(x, y), tag_mul(x, z))
-    assert tag_add(x, TAG_ZERO) == x
-    assert tag_mul(x, TAG_ZERO) == TAG_ZERO
+    assert TAG.add(x, y) == TAG.add(y, x)
+    assert TAG.add(TAG.add(x, y), z) == TAG.add(x, TAG.add(y, z))
+    assert TAG.mul(x, y) == TAG.mul(y, x)
+    assert TAG.mul(TAG.mul(x, y), z) == TAG.mul(x, TAG.mul(y, z))
+    assert TAG.mul(x, TAG.add(y, z)) == TAG.add(TAG.mul(x, y), TAG.mul(x, z))
+    assert TAG.add(x, TAG.zero) == x
+    assert TAG.mul(x, TAG.zero) == TAG.zero
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +245,7 @@ def test_semiring_dispatch_matches_operations():
     assert TAG.mul(tag(2), tag(2)) == tag(2)
     assert VALUATION.zero == VAL_ZERO
     assert COMPLEX.is_zero(POLY_ZERO)
-    assert TAG.render(TAG_ZERO) == "t0"
+    assert TAG.render(TAG.zero) == "t0"
     assert TAG.render(tag(2, 1)) == "t1+t2"
     assert COMPLEX.variables(AmplitudePoly.var("ah")) == frozenset({"ah"})
 

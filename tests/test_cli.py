@@ -145,6 +145,34 @@ def test_fmt_round_trips(tmp_path, capsys):
     assert parse_many(pretty) == parse_many(src)
 
 
+def _chain(op: str, n: int) -> str:
+    """A one-assertion spec whose formula joins ``n`` operands by ``op``."""
+    sep = ", " if op == "," else f" {op} "
+    if op in ("+", "*"):
+        formula = sep.join(["re(a)"] * n) + " > 0"
+    else:
+        formula = sep.join(["re(a) > 0"] * n)
+    return f"bigU[ {formula} ] {{ a |0> }}"
+
+
+@pytest.mark.parametrize("op", ["&&", "+"])
+@pytest.mark.parametrize("command", [["fmt"], ["translate", "--check-oracle"]])
+def test_long_formula_chains_do_not_crash(tmp_path, capsys, op, command):
+    f = spec_file(tmp_path, _chain(op, 3000))
+    assert main([command[0], f, *command[1:]]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("op", ["&&", "||", ",", "+", "*"])
+def test_fmt_of_a_long_chain_reparses_and_is_stable(tmp_path, capsys, op):
+    src = _chain(op, 150)
+    assert main(["fmt", spec_file(tmp_path, src)]) == 0
+    pretty = capsys.readouterr().out
+    assert parse_many(pretty) == parse_many(src)
+    assert main(["fmt", spec_file(tmp_path, pretty, "again.spec")]) == 0
+    assert capsys.readouterr().out == pretty
+
+
 def test_bench_smoke(capsys):
     assert main(["bench", "bv", "2,3"]) == 0
     out = capsys.readouterr().out.splitlines()

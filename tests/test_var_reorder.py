@@ -14,7 +14,7 @@ import pytest
 from lstaq import ast as A
 from lstaq.build import translate
 from lstaq.parser import parse
-from lstaq.var_reorder import build_dependency_graph, compute_slot_order
+from lstaq.var_reorder import build_dependency_graph, compute_slot_order, project_setP
 
 S_A = ("{ a1A sum[ |a| = 1, |b| = 1, |c| = 2, |d| = 2, e = 0, a != b ]"
        " |a b c x w d e>"
@@ -131,7 +131,9 @@ def test_leftover_component_keeps_the_equality(job):
 
 def test_tags_resolve_to_the_original_amplitudes(job):
     second = segment_setps(job)[1]
-    legend = job.legend
+    slot_ids = tuple(sl.index for sl in job.aligned.partition.of_segment(0))
+    legend = {}
+    project_setP(second, job.orders[0], slot_ids, legend)
     assert str(legend[(second.uid, 1)]) == "a1B"
     assert str(legend[(second.uid, 2)]) == "a2B"
 
