@@ -141,9 +141,8 @@ class CAbsSq:
 
 @dataclass(frozen=True)
 class CArith:
-    op: str  # + - * /
-    left: "CExpr"
-    right: "CExpr"
+    first: "CExpr"  # a chain of one precedence level, left to right
+    rest: tuple[tuple[str, "CExpr"], ...]  # (op, operand); + - or * /
 
 
 CExpr = CNum | CRe | CIm | CAbsSq | CArith
@@ -164,24 +163,10 @@ class CNot:
 @dataclass(frozen=True)
 class CBin:
     op: str  # && ||
-    left: "CCons"
-    right: "CCons"
+    operands: tuple["CCons", ...]
 
 
 CCons = CCmp | CNot | CBin
-
-
-def unchain(e, links) -> tuple[object, list]:
-    """Split a left-nested chain into its first operand and its (op, operand) links.
-
-    ``links(x)`` tells whether ``x`` is a node of the chain.  The spine is
-    walked in a loop, so a chain of any length costs no recursion.
-    """
-    rest = []
-    while links(e):
-        rest.append((e.op, e.right))
-        e = e.left
-    return e, rest[::-1]
 
 
 def ccons_vars(f: CCons | CExpr) -> frozenset[str]:
@@ -193,7 +178,11 @@ def ccons_vars(f: CCons | CExpr) -> frozenset[str]:
             out.add(e.var)
         elif isinstance(e, CNot):
             todo.append(e.inner)
-        elif not isinstance(e, CNum):
+        elif isinstance(e, CBin):
+            todo += e.operands
+        elif isinstance(e, CArith):
+            todo += [e.first, *(x for _op, x in e.rest)]
+        elif isinstance(e, CCmp):
             todo += (e.left, e.right)
     return frozenset(out)
 

@@ -26,7 +26,7 @@ from .amplitude import (
     Semiring,
     ValAmp,
 )
-from .errors import EmptyStateError, InternalError, MissingLegendEntryError
+from .errors import EmptyStateError, InternalError
 from .lsta import (
     Internal,
     Leaf,
@@ -48,11 +48,9 @@ from .preprocess import (
     tensor_alignment_check,
     variable_alignment_check,
 )
-from .qubit_reorder import ConstraintTable, QubitSlice, expand_qubit_slices
+from .qubit_reorder import expand_qubit_slices
 from .var_reorder import (
-    SetV,
     SlotOrder,
-    TagLegend,
     build_dependency_graph,
     compute_slot_order,
     project_setP,
@@ -158,14 +156,15 @@ def filter_f(e: ValAmp) -> frozenset[int]:
     return frozenset(m for m, bools in e.entries if all(bools))
 
 
-def filter_tau(e: frozenset, legend: TagLegend, uid: int) -> AmplitudePoly:
-    """Replace surviving tags by the sum of their recorded amplitudes."""
+def filter_tau(e: frozenset,
+               amplitudes: Sequence[AmplitudePoly]) -> AmplitudePoly:
+    """Sum the amplitudes of the surviving tags; tag ``m`` reads ``amplitudes[m - 1]``."""
     out = POLY_ZERO
     for m in sorted(e):
-        key = (uid, m)
-        if key not in legend:
-            raise MissingLegendEntryError(key)
-        out = out + legend[key]
+        if not 1 <= m <= len(amplitudes):
+            raise InternalError(
+                f"tag {m} names no term of a {len(amplitudes)}-term set")
+        out = out + amplitudes[m - 1]
     return out
 
 
@@ -218,7 +217,6 @@ class TranslationResult:
     aligned: AlignedSpec
     orders: tuple[SlotOrder, ...]
     permutation: tuple[int, ...]
-    expansions: tuple[tuple[int, int, SetV, ConstraintTable, tuple[QubitSlice, ...]], ...]
     seconds: float
 
     @property
@@ -293,31 +291,24 @@ def translate(asts: Sequence[A.AssertionAst]) -> TranslationResult:
     variable_alignment_check(canon, lengths, seg_lengths)
     aligned = constant_abstraction(canon, lengths, seg_lengths, namer)
 
-    orders: list[SlotOrder] = []
-    for s in range(len(seg_lengths)):
-        slot_ids = tuple(sl.index for sl in aligned.partition.of_segment(s))
-        setps = [sp for assertion in aligned.assertions
-                 for sp in assertion.segments[s]]
-        orders.append(compute_slot_order(
-            build_dependency_graph(setps, slot_ids)))
+    slot_ids = _slot_ids(aligned.partition)
+    orders = tuple(
+        compute_slot_order(build_dependency_graph(
+            [sp for a in aligned.assertions for sp in a.segments[s]], ids))
+        for s, ids in enumerate(slot_ids))
     permutation = qubit_permutation(aligned.partition, orders)
 
-    legend: TagLegend = {}
-    expansions: list = []
     results: list[AssertionResult] = []
     for idx, assertion in enumerate(aligned.assertions):
         ta = time.perf_counter()
         peaks = {"slice": 0, "setv": 0, "setp": 0, "segment": 0}
         seg_autos: list[Lsta] = []
-        for s in range(len(seg_lengths)):
-            slot_ids = tuple(
-                sl.index for sl in aligned.partition.of_segment(s))
+        for s, ids in enumerate(slot_ids):
             alt_autos: list[Lsta] = []
             for sp in assertion.segments[s]:
                 mv_autos: list[Lsta] = []
-                for v in project_setP(sp, orders[s], slot_ids, legend):
-                    table, slices = expand_qubit_slices(v, aligned.lengths)
-                    expansions.append((idx, s, v, table, tuple(slices)))
+                for v in project_setP(sp, orders[s], ids):
+                    _table, slices = expand_qubit_slices(v, aligned.lengths)
                     mq, peak = tensor_chain([
                         build_setq_lsta([c.state for c in sl.cases], VALUATION)
                         for sl in slices])
@@ -325,9 +316,10 @@ def translate(asts: Sequence[A.AssertionAst]) -> TranslationResult:
                     mv = map_leaves(mq, filter_f, TAG)
                     peaks["setv"] = max(peaks["setv"], mv.size)
                     mv_autos.append(mv)
+                amplitudes = [t.amplitude for t in sp.terms]
                 mp = map_leaves(
                     tensor_chain(mv_autos)[0],
-                    lambda e, _u=sp.uid: filter_tau(e, legend, _u), COMPLEX)
+                    lambda e, _a=amplitudes: filter_tau(e, _a), COMPLEX)
                 peaks["setp"] = max(peaks["setp"], mp.size)
                 alt_autos.append(mp)
             seg_auto = union_all(alt_autos)
@@ -341,9 +333,32 @@ def translate(asts: Sequence[A.AssertionAst]) -> TranslationResult:
             AssertionResult(final, canon[idx].constraint, stats))
 
     return TranslationResult(
-        tuple(results), aligned, tuple(orders), permutation,
-        tuple(expansions), time.perf_counter() - t0,
+        tuple(results), aligned, orders, permutation,
+        time.perf_counter() - t0,
     )
+
+
+def _slot_ids(partition: GlobalPartition) -> list[tuple[int, ...]]:
+    """The slot indices of each segment, in slot order."""
+    return [tuple(sl.index for sl in partition.of_segment(s))
+            for s in range(len(partition.segment_lengths))]
+
+
+def slice_expansions(result: TranslationResult):
+    """Yield ``(assertion, segment, setV, table, slices)`` per projected set.
+
+    A translation keeps no slice expansions; they are rebuilt here from
+    ``result.aligned`` and ``result.orders`` by the calls :func:`translate`
+    makes, in its order.
+    """
+    aligned = result.aligned
+    slot_ids = _slot_ids(aligned.partition)
+    for idx, assertion in enumerate(aligned.assertions):
+        for s, ids in enumerate(slot_ids):
+            for sp in assertion.segments[s]:
+                for v in project_setP(sp, result.orders[s], ids):
+                    table, slices = expand_qubit_slices(v, aligned.lengths)
+                    yield idx, s, v, table, tuple(slices)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .build import render_orders, render_stats, translate
+from .build import render_orders, render_stats, slice_expansions, translate
 from .errors import LstaqError, SpecSyntaxError
 from .lsta import write_lsta
 from .oracle import Valuation, denote, differential_check
@@ -56,7 +56,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
     if args.order_report and args.out:
         sys.stdout.write(perm_report)
     if args.dump_slices:
-        for ai, seg, v, table, slices in result.expansions:
+        for ai, seg, v, table, slices in slice_expansions(result):
             sys.stdout.write(f"// assertion {ai}, segment {seg + 1}\n")
             sys.stdout.write(render_slices(v, table, slices))
     if args.out:

@@ -122,12 +122,6 @@ class EmptyStateError(InternalError):
         super().__init__("state vector has no nonzero amplitude")
 
 
-class MissingLegendEntryError(InternalError):
-    def __init__(self, key: object):
-        super().__init__(f"tag legend has no entry for {key!r}")
-        self.key = key
-
-
 class CapExceededError(InternalError):
     def __init__(self, qubits: int, cap: int):
         super().__init__(f"{qubits} qubits exceed the oracle cap of {cap}")

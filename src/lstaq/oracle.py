@@ -175,14 +175,11 @@ _CMP = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, "<=": operator.le
 
 
 def _cexpr_val(e: A.CExpr, theta: Valuation) -> QSqrt2:
-    head, rest = A.unchain(e, lambda x: isinstance(x, A.CArith))
-    out = _catom_val(head, theta)
-    for op, right in rest:
-        out = _ARITH[op](out, _cexpr_val(right, theta))
-    return out
-
-
-def _catom_val(e: A.CExpr, theta: Valuation) -> QSqrt2:
+    if isinstance(e, A.CArith):
+        out = _cexpr_val(e.first, theta)
+        for op, x in e.rest:
+            out = _ARITH[op](out, _cexpr_val(x, theta))
+        return out
     if isinstance(e, A.CNum):
         return QSqrt2(e.value)
     if isinstance(e, (A.CRe, A.CIm, A.CAbsSq)):
@@ -206,8 +203,7 @@ def ccons_eval(f: A.CCons, theta: Valuation) -> bool:
         return not ccons_eval(f.inner, theta)
     if isinstance(f, A.CBin):
         # Left to right, stopping at the first operand that settles the chain.
-        head, rest = A.unchain(f, lambda g: isinstance(g, A.CBin) and g.op == f.op)
-        values = (ccons_eval(g, theta) for g in [head, *(g for _op, g in rest)])
+        values = (ccons_eval(g, theta) for g in f.operands)
         return all(values) if f.op == "&&" else any(values)
     raise InternalError(f"unknown constraint formula {f!r}")
 

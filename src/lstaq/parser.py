@@ -42,6 +42,8 @@ _PUNCT = (
     "+", "-", "*", "/", "=", ":", ",", "!",
 )
 _KEYWORDS = {"bigU", "sum"}
+# Binding powers of the infix arithmetic operators.
+_BP = {"*": 20, "/": 20, "+": 10, "-": 10}
 # Deepest nesting of parentheses, prefix minus and negation that a spec
 # may use.  The parser descends one level per Python call (up to four
 # calls in formulas), so this keeps any spec clear of the interpreter's
@@ -335,7 +337,7 @@ class _Parser:
                     self.next()
                     left = left ** self.parse_int()
                     continue
-                bp = {"*": 20, "/": 20, "+": 10, "-": 10}.get(op.kind)
+                bp = _BP.get(op.kind)
                 if bp is None or bp < min_bp:
                     break
                 self.next()
@@ -377,25 +379,24 @@ class _Parser:
     # -- amplitude-constraint formulas -------------------------------------------
 
     def parse_formula(self) -> A.CCons:
-        left = self._formula_or()
-        while self.at(","):
-            self.next()
-            left = A.CBin("&&", left, self._formula_or())
-        return left
+        return self._connective(",", "&&", self._formula_or)
 
     def _formula_or(self) -> A.CCons:
-        left = self._formula_and()
-        while self.at("||"):
-            self.next()
-            left = A.CBin("||", left, self._formula_and())
-        return left
+        return self._connective("||", "||", self._formula_and)
 
     def _formula_and(self) -> A.CCons:
-        left = self._formula_not()
-        while self.at("&&"):
+        return self._connective("&&", "&&", self._formula_not)
+
+    def _connective(self, sep: str, op: str, operand) -> A.CCons:
+        """Operands separated by ``sep`` and joined by ``op`` into one chain."""
+        operands = [operand()]
+        while self.at(sep):
             self.next()
-            left = A.CBin("&&", left, self._formula_not())
-        return left
+            operands.append(operand())
+        first = operands[0]
+        if isinstance(first, A.CBin) and first.op == op:
+            operands[:1] = first.operands
+        return A.CBin(op, tuple(operands)) if len(operands) > 1 else first
 
     def _formula_not(self) -> A.CCons:
         if self.at("!"):
@@ -425,13 +426,16 @@ class _Parser:
 
     def _carith(self, min_bp: int = 0) -> A.CExpr:
         left = self._carith_prefix()
+        links: list[tuple[str, A.CExpr]] = []
         while True:
             op = self.peek()
-            bp = {"*": 20, "/": 20, "+": 10, "-": 10}.get(op.kind)
+            bp = _BP.get(op.kind)
             if bp is None or bp < min_bp:
-                return left
+                return _arith_chain(left, links)
+            if links and bp != _BP[links[0][0]]:
+                left, links = _arith_chain(left, links), []
             self.next()
-            left = A.CArith(op.kind, left, self._carith(bp + 1))
+            links.append((op.kind, self._carith(bp + 1)))
 
     def _carith_prefix(self) -> A.CExpr:
         tok = self.next()
@@ -440,7 +444,7 @@ class _Parser:
         if tok.kind == "-":
             with self._nested(tok):
                 inner = self._carith(30)
-            return A.CArith("-", A.CNum(Fraction(0)), inner)
+            return A.CArith(A.CNum(Fraction(0)), (("-", inner),))
         if tok.kind == "(":
             with self._nested(tok):
                 inner = self._carith()
@@ -460,6 +464,15 @@ class _Parser:
             self.expect(")")
             return A.CRe(var) if tok.text == "re" else A.CIm(var)
         self.fail(f"unexpected {tok.text!r} in a constraint formula", tok)
+
+
+def _arith_chain(first: A.CExpr, links: list) -> A.CExpr:
+    """``first`` then ``links`` of one level; a ``first`` of that level joins."""
+    if not links:
+        return first
+    if isinstance(first, A.CArith) and _BP[first.rest[0][0]] == _BP[links[0][0]]:
+        return A.CArith(first.first, first.rest + tuple(links))
+    return A.CArith(first, tuple(links))
 
 
 def _number_fraction(text: str) -> Fraction:
@@ -572,25 +585,8 @@ def render_varcon(con: A.VarCon) -> str:
 
 def render_amplitude(poly: AmplitudePoly) -> str:
     """Render a polynomial amplitude as a parseable prefix for a ket."""
-    if poly.is_zero:
-        return "0"
-    monos = []
-    for mono, coef in poly.terms:
-        factors = []
-        coef_text = str(coef)
-        if not mono:
-            factors.append(coef_text)
-        else:
-            if coef_text != "1":
-                factors.append(coef_text)
-            for name, exp in mono:
-                factors.append(name if exp == 1 else f"{name}^{exp}")
-        monos.append(" * ".join(factors))
-    text = " + ".join(monos)
-    simple = len(poly.terms) == 1 and (
-        text.isidentifier() or text.isdigit() or text in ("i", "sqrt2")
-    )
-    return text if simple else f"({text})"
+    text = str(poly)
+    return text if text.isidentifier() or text.isdigit() else f"({text})"
 
 
 _LEVEL = {"||": 1, "&&": 2, "+": 1, "-": 1, "*": 2, "/": 2}
@@ -598,8 +594,10 @@ _LEVEL = {"||": 1, "&&": 2, "+": 1, "-": 1, "*": 2, "/": 2}
 
 def _level(e) -> int:
     """How tightly the top of ``e`` binds; an atom or a comparison binds tightest."""
-    if isinstance(e, (A.CBin, A.CArith)):
+    if isinstance(e, A.CBin):
         return _LEVEL[e.op]
+    if isinstance(e, A.CArith):
+        return _LEVEL[e.rest[0][0]]
     if isinstance(e, A.CNum) and e.value.denominator != 1:
         return _LEVEL["/"]  # written as a quotient
     return 3
@@ -612,10 +610,13 @@ def render_formula(e: A.CCons | A.CExpr) -> str:
     where the grammar would group it otherwise: on the left when it binds
     more loosely than the chain, on the right when it binds no tighter.
     """
+    if isinstance(e, A.CBin):
+        head, rest = e.operands[0], [(e.op, x) for x in e.operands[1:]]
+    elif isinstance(e, A.CArith):
+        head, rest = e.first, e.rest
+    else:
+        return _render_leaf(e)
     top = _level(e)
-    head, rest = A.unchain(e, lambda x: isinstance(x, (A.CBin, A.CArith)) and _level(x) == top)
-    if not rest:
-        return _render_leaf(head)
 
     def operand(x, loosest: int) -> str:
         return f"({render_formula(x)})" if _level(x) < loosest else render_formula(x)

@@ -257,7 +257,7 @@ class PTerm:
 
 @dataclass(frozen=True)
 class SetP:
-    """A single-state slot-aligned set; ``uid`` keys the tag legend."""
+    """A single-state slot-aligned set; ``uid`` numbers it across the spec."""
 
     uid: int
     terms: tuple[PTerm, ...]

@@ -119,6 +119,9 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
     outer = outer_slice_vars(v)
     outer_set = set(outer)
     pred_eq = [c for c in v.predicate if isinstance(c, A.EqConst)]
+    terms = [(t, _inner_vars(t, outer_set),
+              [c for c in t.sum_constraints if isinstance(c, A.EqConst)])
+             for t in v.terms]
 
     slices: list[QubitSlice] = []
     for j in range(1, ell + 1):
@@ -128,10 +131,7 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
             if not all(_holds_eq(c, sigma, j) for c in pred_eq):
                 continue
             amp: dict[str, ValAmp] = {}
-            for t in v.terms:
-                inner = _inner_vars(t, outer_set)
-                term_eq = [c for c in t.sum_constraints
-                           if isinstance(c, A.EqConst)]
+            for t, inner, term_eq in terms:
                 for ibits in itertools.product((0, 1), repeat=len(inner)):
                     phi = dict(sigma)
                     phi.update(zip(inner, ibits))

@@ -11,8 +11,8 @@ graph over slot indices, merged across every aligned set of the segment
 Projecting a slot-aligned set onto one component keeps only the pattern
 atoms and constraints living there; each term's complex amplitude is
 replaced by a tag so that only fragments of the same source term recombine
-under the later tensor products.  The original amplitudes are kept in a
-legend for the final substitution.
+under the later tensor products.  Tag ``m`` stands for the ``m``-th term
+of the source set, whose amplitude the final substitution reads back.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from . import ast as A
 from .errors import InternalError
 from .preprocess import PAtom, SetP
-
-TagLegend = dict[tuple[int, int], object]  # (SetP uid, term index) -> amplitude
 
 
 @dataclass(frozen=True)
@@ -109,23 +107,20 @@ class VTerm:
 
 @dataclass(frozen=True)
 class SetV:
-    uid: int  # the source SetP's uid; tags resolve through it
+    uid: int  # the source SetP's uid, naming the set in debug output
     slots: tuple[int, ...]
     terms: tuple[VTerm, ...]
     predicate: tuple[A.VarCon, ...]
 
 
-def project_setP(sp: SetP, order: SlotOrder, slot_indices: tuple[int, ...],
-                 legend: TagLegend) -> list[SetV]:
+def project_setP(sp: SetP, order: SlotOrder,
+                 slot_indices: tuple[int, ...]) -> list[SetV]:
     """Split one aligned set into per-component tagged sets.
 
-    Records the original term amplitudes in ``legend`` under the set's uid.
     Every constraint must survive in exactly one component: inequalities tie
     their slots into one component and all other constraint forms mention a
     single variable.
     """
-    for m, term in enumerate(sp.terms, start=1):
-        legend[(sp.uid, m)] = term.amplitude
     survivings: list[set[str]] = []
     positions_of: list[list[int]] = []
     for comp in order:

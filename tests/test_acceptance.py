@@ -25,7 +25,13 @@ from lstaq.amplitude import (
     ValAmp,
     tag,
 )
-from lstaq.build import build_setq_lsta, build_state_lsta, filter_f, translate
+from lstaq.build import (
+    build_setq_lsta,
+    build_state_lsta,
+    filter_f,
+    slice_expansions,
+    translate,
+)
 from lstaq.cli import bench_sources, main
 from lstaq.lsta import StateVector, n_leaves, tensor, union, validate
 from lstaq.oracle import differential_check
@@ -53,7 +59,8 @@ def test_worked_example_reproduces_exactly():
     assert compute_slot_order(graph) == ((1, 2, 7), (3, 5, 6), (4,))
 
     second = setps[1]
-    parts = {v.slots: v for (_ai, _seg, v, _table, _slices) in job.expansions
+    parts = {v.slots: v
+             for (_ai, _seg, v, _table, _slices) in slice_expansions(job)
              if v.uid == second.uid}
     assert set(parts) == {(1, 2, 7), (3, 5, 6), (4,)}
     recur = parts[(1, 2, 7)]
@@ -67,7 +74,7 @@ def test_worked_example_reproduces_exactly():
     assert rest.predicate == ()
 
     ((_, table, slices),) = [
-        (v, t, s) for (_ai, _seg, v, t, s) in job.expansions
+        (v, t, s) for (_ai, _seg, v, t, s) in slice_expansions(job)
         if v.uid == second.uid and v.slots == (3, 5, 6)]
     assert len(table.phis[1]) == 2 and len(table.phis[2]) == 1
     for sl in slices:

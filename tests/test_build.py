@@ -22,7 +22,7 @@ from lstaq.build import (
     render_stats,
     translate,
 )
-from lstaq.errors import EmptyStateError, MissingLegendEntryError
+from lstaq.errors import EmptyStateError, InternalError
 from lstaq.lsta import Internal, Leaf, StateVector, enumerate_language, mk_lsta, validate
 from lstaq.parser import parse
 from tests.conftest import canonical_form, cpoly, vec
@@ -150,16 +150,21 @@ def test_filter_f_keeps_fully_satisfied_terms():
 
 
 def test_filter_tau_substitutes_original_amplitudes():
-    legend = {(7, 1): AmplitudePoly.var("a1"), (7, 2): AmplitudePoly.var("a2")}
-    assert filter_tau(tag(2), legend, 7) == AmplitudePoly.var("a2")
-    assert filter_tau(tag(1, 2), legend, 7) == (
+    amplitudes = [AmplitudePoly.var("a1"), AmplitudePoly.var("a2")]
+    assert filter_tau(tag(2), amplitudes) == AmplitudePoly.var("a2")
+    assert filter_tau(tag(1, 2), amplitudes) == (
         AmplitudePoly.var("a1") + AmplitudePoly.var("a2"))
-    assert filter_tau(frozenset(), legend, 7) == AmplitudePoly(())
+    assert filter_tau(frozenset(), amplitudes) == AmplitudePoly(())
 
 
 def test_filter_tau_requires_a_legend_entry():
-    with pytest.raises(MissingLegendEntryError):
-        filter_tau(tag(3), {}, 7)
+    # Tag m names the m-th term; 0 must not wrap round to the last one.
+    amplitudes = [AmplitudePoly.var("a1"), AmplitudePoly.var("a2")]
+    for stray in (0, 3):
+        with pytest.raises(InternalError):
+            filter_tau(tag(1, stray), amplitudes)
+    with pytest.raises(InternalError):
+        filter_tau(tag(1), [])
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from lstaq.cli import bench_sources, main
 from lstaq.parser import parse_many
+from tests.test_var_reorder import S_A, S_B
 
 
 def spec_file(tmp_path, text: str, name: str = "in.spec"):
@@ -95,6 +98,26 @@ def test_debug_dumps_have_markers(tmp_path, capsys):
     assert "segment 1" in out
     assert "new_to_old" in out
     assert "slice" in out
+
+
+# sha256 of the debug dumps below, computed before the slice expansions
+# moved out of the translation result.
+DUMP_SHA256 = "ed0f6832ffd63094e1de87d74c30b558de5c93fba013f13d9d10316db11a78c0"
+
+
+def test_debug_dumps_are_byte_identical(tmp_path, capsys):
+    groups = [[f"{S_A} \\/ {S_B}"]]
+    for family in ("bv", "ghz", "grover", "groveriter", "mctoffoli"):
+        for n in (2, 3, 4):
+            for pre, post, joint in bench_sources(family, n):
+                groups += [[pre, post]] if joint else [[pre], [post]]
+    out = []
+    for group in groups:
+        f = spec_file(tmp_path, " ;; ".join(group))
+        assert main(["translate", f, "--dump-aligned", "--dump-slices",
+                     "--order-report"]) == 0
+        out.append(capsys.readouterr().out)
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == DUMP_SHA256
 
 
 def test_constraint_rides_along_with_the_automaton(tmp_path, capsys):

@@ -115,8 +115,39 @@ def test_formula_connectives_and_not():
     ast = parse("bigU[ !(re(a) < 0) || |a|^2 = 1 ] { a |0> }")
     c = ast.constraint
     assert isinstance(c, A.CBin) and c.op == "||"
-    assert isinstance(c.left, A.CNot)
-    assert isinstance(c.right, A.CCmp) and isinstance(c.right.left, A.CAbsSq)
+    left, right = c.operands
+    assert isinstance(left, A.CNot)
+    assert isinstance(right, A.CCmp) and isinstance(right.left, A.CAbsSq)
+
+
+@pytest.mark.parametrize("grouped, flat, same", [
+    ("(re(a) > 0 && re(b) > 0) && re(c) > 0", "re(a) > 0 && re(b) > 0 && re(c) > 0", True),
+    ("(re(a) > 0 || re(b) > 0) || re(c) > 0", "re(a) > 0 || re(b) > 0 || re(c) > 0", True),
+    ("re(a) > 0 && re(b) > 0, re(c) > 0", "re(a) > 0 && re(b) > 0 && re(c) > 0", True),
+    ("(re(a) + re(b)) - re(c) > 0", "re(a) + re(b) - re(c) > 0", True),
+    ("(re(a) * re(b)) / re(c) > 0", "re(a) * re(b) / re(c) > 0", True),
+    ("re(a) > 0 && (re(b) > 0 && re(c) > 0)", "re(a) > 0 && re(b) > 0 && re(c) > 0", False),
+    ("re(a) - (re(b) + re(c)) > 0", "re(a) - re(b) + re(c) > 0", False),
+    ("(re(a) + re(b)) * re(c) > 0", "re(a) + re(b) * re(c) > 0", False),
+], ids=["and", "or", "comma", "plus", "times", "right-and", "right-minus",
+        "lower-level"])
+def test_a_grouped_left_operand_joins_its_chain(grouped, flat, same):
+    def formula(text):
+        return parse(f"bigU[ {text} ] {{ a |0> + b |1> + c |1> }}").constraint
+    assert (formula(grouped) == formula(flat)) is same
+
+
+@pytest.mark.parametrize("formula", [
+    " && ".join(["re(a) > 0"] * 3000),
+    " + ".join(["re(a)"] * 3000) + " > 0",
+], ids=["and", "plus"])
+def test_long_chains_compare_hash_and_print(formula):
+    src = f"bigU[ {formula} ] {{ a |0> }}"
+    x, y = parse(src), parse(src)
+    assert x == y
+    assert hash(x) == hash(y)
+    assert repr(x) == repr(y)
+    assert x != parse(src.replace(formula, formula[:-4] + " < 0"))
 
 
 def test_comments_and_separators():

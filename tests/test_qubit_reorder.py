@@ -16,7 +16,7 @@ import pytest
 
 from lstaq import ast as A
 from lstaq.amplitude import VAL_ZERO, ValAmp, valamp_add, valamp_mul
-from lstaq.build import translate
+from lstaq.build import slice_expansions, translate
 from lstaq.lsta import StateVector
 from lstaq.parser import parse
 from lstaq.qubit_reorder import expand_qubit_slices
@@ -32,7 +32,7 @@ def job():
 def expansion(job):
     """(table, slices) for the inequality component of the second set."""
     second_uid = job.aligned.assertions[0].segments[0][1].uid
-    for (_ai, _seg, setv, table, slices) in job.expansions:
+    for (_ai, _seg, setv, table, slices) in slice_expansions(job):
         if setv.uid == second_uid and setv.slots == (3, 5, 6):
             return setv, table, slices
     raise AssertionError("expected component not found")
@@ -149,7 +149,7 @@ def test_case_states_merge_coinciding_assignments(expansion):
 
 def test_equality_predicates_filter_whole_cases():
     job = translate([parse("{ sum[ |i| = 2 ] |i j>, |i ~j> : j = 0 }")])
-    for (_ai, _seg, setv, _table, slices) in job.expansions:
+    for (_ai, _seg, setv, _table, slices) in slice_expansions(job):
         if any(isinstance(c, A.EqConst) for c in setv.predicate):
             for s in slices:
                 assert [c.assignment for c in s.cases] == [((setv.predicate[0].var, 0),)]
@@ -160,7 +160,7 @@ def test_equality_predicates_filter_whole_cases():
 
 def test_complemented_occurrences_flip_the_emitted_bit():
     job = translate([parse("{ sum[ |v| = 1 ] |v ~v> }")])
-    ((_, _, _setv, _table, slices),) = job.expansions
+    ((_, _, _setv, _table, slices),) = slice_expansions(job)
     (slc,) = slices
     ((_, st),) = [(c.assignment, c.state) for c in slc.cases]
     assert {s for s, _v in st.entries} == {"01", "10"}
@@ -172,7 +172,7 @@ def test_dead_summand_cases_keep_explicit_zero_states():
     job = translate([parse("{ sum[ p = 0 ] |p q> : |p| = 1, |q| = 1 }")])
     zero_cases = [
         c.assignment
-        for (_ai, _seg, _setv, _table, slices) in job.expansions
+        for (_ai, _seg, _setv, _table, slices) in slice_expansions(job)
         for s in slices
         for c in s.cases
         if c.state.is_zero

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from lstaq import ast as A
-from lstaq.build import translate
+from lstaq.build import filter_tau, slice_expansions, translate
 from lstaq.parser import parse
 from lstaq.var_reorder import build_dependency_graph, compute_slot_order, project_setP
 
@@ -82,7 +82,7 @@ def projections(job):
     """The three SetVs projected from the second alternative, by slots."""
     second = segment_setps(job)[1]
     out = {}
-    for (_ai, _seg, setv, _table, _slices) in job.expansions:
+    for (_ai, _seg, setv, _table, _slices) in slice_expansions(job):
         if setv.uid == second.uid:
             out[setv.slots] = setv
     return out
@@ -132,10 +132,11 @@ def test_leftover_component_keeps_the_equality(job):
 def test_tags_resolve_to_the_original_amplitudes(job):
     second = segment_setps(job)[1]
     slot_ids = tuple(sl.index for sl in job.aligned.partition.of_segment(0))
-    legend = {}
-    project_setP(second, job.orders[0], slot_ids, legend)
-    assert str(legend[(second.uid, 1)]) == "a1B"
-    assert str(legend[(second.uid, 2)]) == "a2B"
+    amplitudes = [t.amplitude for t in second.terms]
+    for v in project_setP(second, job.orders[0], slot_ids):
+        assert [t.tag for t in v.terms] == [1, 2]
+    assert str(filter_tau(frozenset({1}), amplitudes)) == "a1B"
+    assert str(filter_tau(frozenset({2}), amplitudes)) == "a2B"
 
 
 def test_every_slot_appears_in_exactly_one_component(job):
