@@ -351,11 +351,19 @@ class AmplitudePoly:
         return out
 
     def __str__(self) -> str:
+        """Text that re-parses to the same polynomial.
+
+        A coefficient written as a sum (it has both a Gaussian and an
+        ``(1 + i)/sqrt2`` part) is parenthesised before its variables.
+        """
         if not self.terms:
             return "0"
         parts = []
         for mono, coef in self.terms:
-            factors = [] if mono and coef == AC_ONE else [str(coef)]
+            text = str(coef)
+            if mono and (coef.a or coef.c) and (coef.b or coef.d):
+                text = f"({text})"
+            factors = [] if mono and coef == AC_ONE else [text]
             for name, exp in mono:
                 factors.append(name if exp == 1 else f"{name}^{exp}")
             parts.append(" * ".join(factors))

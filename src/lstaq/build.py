@@ -5,7 +5,9 @@ canonicalize, align, abstract constants, reorder slots and qubits, expand
 slices, and compose the per-slice automata with the n-ary ``tensor_chain``
 and ``union_all`` and the two amplitude-domain crossings (``filter_f``,
 ``filter_tau``).  Composition does not re-check its results: ``validate``
-runs once on each finished assertion automaton.
+runs once on each finished assertion automaton.  Qubit slices with the same
+member states recur across qubit positions and sets; each distinct one is
+built once per call and passed wherever it recurs.
 """
 
 from __future__ import annotations
@@ -298,10 +300,14 @@ def translate(asts: Sequence[A.AssertionAst]) -> TranslationResult:
         for s, ids in enumerate(slot_ids))
     permutation = qubit_permutation(aligned.partition, orders)
 
+    # Slice automata by their member states, shared by the whole call:
+    # tensor_chain only reads its pieces, so one object may recur.
+    slice_autos: dict[tuple[StateVector, ...], Lsta] = {}
     results: list[AssertionResult] = []
     for idx, assertion in enumerate(aligned.assertions):
         ta = time.perf_counter()
         peaks = {"slice": 0, "setv": 0, "setp": 0, "segment": 0}
+        n_slices = n_built = 0
         seg_autos: list[Lsta] = []
         for s, ids in enumerate(slot_ids):
             alt_autos: list[Lsta] = []
@@ -309,9 +315,17 @@ def translate(asts: Sequence[A.AssertionAst]) -> TranslationResult:
                 mv_autos: list[Lsta] = []
                 for v in project_setP(sp, orders[s], ids):
                     _table, slices = expand_qubit_slices(v, aligned.lengths)
-                    mq, peak = tensor_chain([
-                        build_setq_lsta([c.state for c in sl.cases], VALUATION)
-                        for sl in slices])
+                    pieces: list[Lsta] = []
+                    for sl in slices:
+                        states = tuple(c.state for c in sl.cases)
+                        piece = slice_autos.get(states)
+                        if piece is None:
+                            piece = slice_autos[states] = build_setq_lsta(
+                                states, VALUATION)
+                            n_built += 1
+                        pieces.append(piece)
+                    n_slices += len(pieces)
+                    mq, peak = tensor_chain(pieces)
                     peaks["slice"] = max(peaks["slice"], peak)
                     mv = map_leaves(mq, filter_f, TAG)
                     peaks["setv"] = max(peaks["setv"], mv.size)
@@ -329,6 +343,7 @@ def translate(asts: Sequence[A.AssertionAst]) -> TranslationResult:
         validate(final)
         stats = measure(canon[idx], aligned.partition.total_qubits, final,
                         peaks, time.perf_counter() - ta)
+        stats.update(slices=n_slices, slices_built=n_built)
         results.append(
             AssertionResult(final, canon[idx].constraint, stats))
 

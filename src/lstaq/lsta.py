@@ -16,7 +16,9 @@ adds one fresh root that selects between the operands' root transitions, and
 :func:`tensor_chain` grafts each operand in turn, one scaled copy per
 distinct leaf value of what came before.  Both cost time linear in the size
 of their result.  They assert their size bounds but do not :func:`validate`
-their results; callers validate a finished automaton once.  :func:`union` and
+their results; callers validate a finished automaton once.  Neither changes
+its operands, so the same automaton object may be passed several times, as
+translation does with recurring qubit slices.  :func:`union` and
 :func:`tensor` are their two-operand forms.
 
 :func:`membership` decides one state without enumerating the language.  It
@@ -402,6 +404,10 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
     can be affected, so a step costs time linear in what it and the step
     before it add.
     State ids are those of a left fold of binary tensors.
+
+    ``pieces`` are only read, so one automaton may appear in several
+    positions.  Each product of a leaf value and a piece's leaf amplitude
+    is computed once per call, however often the pair recurs.
     """
     if not pieces:
         raise InternalError("tensor product of no automata")
@@ -417,6 +423,7 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
     frontier = 0
     top_choice = max((c for t in internal for c in t.choices), default=0)
     next_id = max(states) + 1
+    products: dict = {}
     for b in pieces[1:]:
         if b.semiring != semiring:
             raise InternalError("cannot tensor automata over different semirings")
@@ -464,8 +471,12 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
             next_id += len(b_states)
             states.update(m.values())
             internal += [Internal(m[t.top], t.choices, m[t.left], m[t.right]) for t in b_inner]
-            grafted += [Leaf(m[t.top], t.choices, semiring.mul(v, t.amplitude))
-                        for t in b.leaves]
+            for t in b.leaves:
+                key = (v, t.amplitude)
+                product = products.get(key)
+                if product is None:
+                    product = products[key] = semiring.mul(v, t.amplitude)
+                grafted.append(Leaf(m[t.top], t.choices, product))
             copies.append(m)
         for lt in leaves:
             m = copies[values[lt.amplitude]]

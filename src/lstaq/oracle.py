@@ -196,9 +196,17 @@ def _cexpr_val(e: A.CExpr, theta: Valuation) -> QSqrt2:
 
 
 def ccons_eval(f: A.CCons, theta: Valuation) -> bool:
-    """Exact truth of an amplitude-constraint formula under ``theta``."""
+    """Exact truth of an amplitude-constraint formula under ``theta``.
+
+    A comparison with an operand that divides by zero is false, whatever
+    its operator; a negation of it is true.
+    """
     if isinstance(f, A.CCmp):
-        return _CMP[f.op](_cexpr_val(f.left, theta), _cexpr_val(f.right, theta))
+        try:
+            left, right = _cexpr_val(f.left, theta), _cexpr_val(f.right, theta)
+        except ZeroDivisionError:
+            return False
+        return _CMP[f.op](left, right)
     if isinstance(f, A.CNot):
         return not ccons_eval(f.inner, theta)
     if isinstance(f, A.CBin):

@@ -108,6 +108,11 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
     Returns ``(table, slices)`` where the table fixes each term's ordered
     inequality list and every slice holds one concrete state per admissible
     assignment of the union-indexing variables.
+
+    A slice depends on its qubit index ``j`` only through the constant bits
+    that the ``EqConst`` and ``NeqConst`` constraints read at ``j``.  Slices
+    whose columns of those bits are equal share one ``cases`` tuple, which
+    is computed once.
     """
     widths = {lengths[a.var] for t in v.terms for a in t.pattern}
     if len(widths) != 1:
@@ -122,9 +127,18 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
     terms = [(t, _inner_vars(t, outer_set),
               [c for c in t.sum_constraints if isinstance(c, A.EqConst)])
              for t in v.terms]
+    constants = [c.bits for c in pred_eq]
+    constants += [c.bits for _t, _inner, term_eq in terms for c in term_eq]
+    constants += [c.bits for phi in table.phis.values() for c in phi
+                  if isinstance(c, A.NeqConst)]
 
+    by_column: dict[tuple[str, ...], tuple[SliceCase, ...]] = {}
     slices: list[QubitSlice] = []
     for j in range(1, ell + 1):
+        column = tuple(bits[j - 1] for bits in constants)
+        if column in by_column:
+            slices.append(QubitSlice(j, by_column[column]))
+            continue
         cases: list[SliceCase] = []
         for bits in itertools.product((0, 1), repeat=len(outer)):
             sigma = dict(zip(outer, bits))
@@ -150,7 +164,8 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
                 tuple(zip(outer, bits)),
                 StateVector.of(n_slot, amp, VALUATION),
             ))
-        slices.append(QubitSlice(j, tuple(cases)))
+        by_column[column] = tuple(cases)
+        slices.append(QubitSlice(j, by_column[column]))
     return table, slices
 
 

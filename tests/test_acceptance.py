@@ -413,6 +413,25 @@ NEGATIVE_CONTROLS = [
 ]
 
 
+# Inputs that once ended in a traceback under --check-oracle.  A comparison
+# whose operand divides by zero is false (docs/language.md), so the search
+# for a satisfying valuation goes on and the check completes.
+ORACLE_NEGATIVE_CONTROLS = [
+    ("bigU[ re(a) / im(b) > 1 ] { a |0> + b |1> }", "4 valuations agree"),
+    ("bigU[ re(a) / 0 > 1 ] { a |0> + b |1> }", "3 valuations agree"),
+]
+
+
+def test_zero_divisors_under_the_oracle_check_are_false(tmp_path, capsys):
+    for i, (src, detail) in enumerate(ORACLE_NEGATIVE_CONTROLS):
+        f = tmp_path / f"div{i}.spec"
+        f.write_text(src)
+        got = main(["translate", str(f), "--check-oracle"])
+        out, err = capsys.readouterr()
+        assert got == 0, f"{src!r}: exit {got} ({err.strip()})"
+        assert f"assertion 0: ok — {detail}" in out
+
+
 def test_every_error_class_reports_its_exit_code(tmp_path, capsys):
     for i, (src, expected) in enumerate(NEGATIVE_CONTROLS):
         f = tmp_path / f"bad{i}.spec"

@@ -30,6 +30,7 @@ from lstaq.amplitude import (
     valamp_add,
     valamp_mul,
 )
+from lstaq.parser import parse
 from tests.conftest import cpoly
 
 
@@ -130,6 +131,44 @@ def test_poly_renders_without_unit_coefficients():
     assert str(a) == "a"
     assert str(a * AmplitudePoly.const(AC_I)) == "i * a"
     assert str(POLY_ZERO) == "0"
+
+
+def _reparse(text: str) -> AmplitudePoly:
+    ast = parse("{ (%s) |0> }" % text)
+    return ast.segments[0].base.alternatives[0].diracs[0][0].amplitude
+
+
+# Coefficients mixing a Gaussian part (a, c) with an omega part (b, d).
+_mixed = st.builds(AlgebraicComplex.make, _small.filter(bool), _small, _small.filter(bool),
+                   _small, st.integers(min_value=0, max_value=3))
+_monomials = st.lists(st.tuples(st.sampled_from("ab"), st.integers(1, 2)),
+                      min_size=0, max_size=2)
+_polys = st.lists(st.tuples(st.one_of(_mixed, acs), _monomials), min_size=1, max_size=3)
+
+
+def _poly_of(terms) -> AmplitudePoly:
+    out = POLY_ZERO
+    for coef, mono in terms:
+        p = AmplitudePoly.const(coef)
+        for name, exp in mono:
+            p = p * AmplitudePoly.var(name) ** exp
+        out = out + p
+    return out
+
+
+@settings(max_examples=300)
+@given(_polys)
+def test_poly_text_reparses_to_the_same_polynomial(terms):
+    p = _poly_of(terms)
+    assert _reparse(str(p)) == p
+
+
+def test_mixed_coefficients_are_parenthesised():
+    a = AmplitudePoly.var("a")
+    half = AmplitudePoly.const(AC_ONE / AC_SQRT2)
+    p = half + (POLY_ONE + half) * a  # (1 + 1/sqrt2) * a + 1/sqrt2
+    assert str(p) == "1/sqrt2 + (1/sqrt2 + (1 - i) * (1 + i)/sqrt2^2) * a"
+    assert _reparse(str(p)) == p
 
 
 def test_poly_substitution_closes_to_constants():

@@ -22,6 +22,7 @@ from lstaq.build import (
     render_stats,
     translate,
 )
+from lstaq.cli import bench_sources
 from lstaq.errors import EmptyStateError, InternalError
 from lstaq.lsta import Internal, Leaf, StateVector, enumerate_language, mk_lsta, validate
 from lstaq.parser import parse
@@ -250,6 +251,44 @@ def test_stats_report_sizes_and_counts():
     assert "assertion0.size" in text and "permutation 1,2" in text
     orders = render_orders(result)
     assert "new_to_old" in orders
+
+
+def _slice_counts(sources) -> list[tuple[int, int]]:
+    result = translate([parse(src) for src in sources])
+    return [(ar.stats["slices"], ar.stats["slices_built"])
+            for ar in result.assertions]
+
+
+def test_each_distinct_slice_is_built_once_per_translation(monkeypatch):
+    import lstaq.build as build
+
+    calls = []
+
+    def counted(states, semiring):
+        calls.append(states)
+        return build_setq_lsta(states, semiring)
+
+    monkeypatch.setattr(build, "build_setq_lsta", counted)
+    small = _slice_counts(bench_sources("bv", 16)[0][:2])
+    assert sum(b for _s, b in small) == len(calls)
+    assert len(set(calls)) == len(calls)
+    large = _slice_counts(bench_sources("bv", 64)[0][:2])
+    # Wider sets tensor more slices, but no new kind of slice.
+    assert [b for _s, b in small] == [b for _s, b in large]
+    assert all(s_large > s_small
+               for (s_small, _), (s_large, _) in zip(small, large))
+
+
+def test_one_slice_sets_build_every_slice():
+    # A set over 1-bit variables is one slot component of width one.
+    names = [f"x{i}" for i in range(5)]
+    lengths = ", ".join(f"|{v}| = 1" for v in names)
+    chain = ", ".join(f"{a} != {b}" for a, b in zip(names, names[1:]))
+    cycle = f"{chain}, {names[-1]} != {names[0]}"
+    ket = " ".join(names)
+    counts = _slice_counts([f"{{ |{ket}> : {lengths}, {chain} }}",
+                            f"{{ |{ket}> : {lengths}, {cycle} }}"])
+    assert counts == [(1, 1), (1, 1)]
 
 
 def test_every_assembled_automaton_validates_and_bounds_hold():

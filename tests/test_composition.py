@@ -13,7 +13,8 @@ import random
 
 import pytest
 
-from lstaq.build import translate
+from lstaq.amplitude import VALUATION
+from lstaq.build import build_setq_lsta, slice_expansions, translate
 from lstaq.cli import bench_sources
 from lstaq.errors import InternalError
 from lstaq.lsta import (
@@ -118,6 +119,24 @@ def test_tensor_chain_equals_the_binary_left_fold():
         assert canonical_form(chain) == canonical_form(fold)
         assert chain == fold
         assert chain_peak == peak
+
+
+def test_a_piece_repeated_by_reference_tensors_like_separate_copies():
+    # translate passes one slice automaton wherever that slice recurs.
+    ((_, _, _, _, slices),) = slice_expansions(
+        translate([parse("{ |i> : |i| = 3, i != 010 }")]))
+    states = tuple(c.state for c in slices[0].cases)
+    builders = [lambda: build_setq_lsta(states, VALUATION)]
+    builders += [lambda s=s: _random_automaton(random.Random(s), 2)
+                 for s in (0x5A1, 0x5A2, 0x5A3)]
+    for build in builders:
+        p = build()
+        shared, shared_peak = tensor_chain([p, p, p])
+        copies, copies_peak = tensor_chain([build(), build(), build()])
+        # Equal state ids, and transitions in the same order.
+        assert shared == copies
+        assert shared_peak == copies_peak
+        assert p == build()  # the piece itself is left as it was
 
 
 def test_union_all_equals_the_binary_left_fold():

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lstaq import ast as A
 from lstaq.amplitude import COMPLEX
-from lstaq.errors import CapExceededError, UnboundComplexVarError
+from lstaq.errors import CapExceededError, LstaqError, UnboundComplexVarError
 from lstaq.lsta import StateVector
 from lstaq.oracle import (
     _compare,
@@ -117,6 +119,53 @@ def test_ccons_eval_compares_exactly():
 def test_ccons_eval_requires_bound_names():
     with pytest.raises(UnboundComplexVarError):
         ccons_eval(formula_of("re(zz) = 0"), {})
+
+
+def test_a_zero_divisor_makes_its_comparison_false():
+    theta = {"a": parse_constant("1"), "b": parse_constant("1")}
+    for op in ("=", "!=", "<", "<=", ">", ">="):
+        assert not ccons_eval(formula_of(f"re(a) / im(b) {op} 1"), theta)
+        assert not ccons_eval(formula_of(f"1 {op} re(a) / (re(b) - 1)"), theta)
+    assert ccons_eval(formula_of("!(re(a) / 0 > 1)"), theta)
+    assert ccons_eval(formula_of("re(a) / 0 > 1 || re(a) = 1"), theta)
+    theta["b"] = parse_constant("i/2")
+    assert ccons_eval(formula_of("re(a) / im(b) > 1"), theta)
+    c = formula_of("re(a) / im(b) > 1")
+    found = satisfying_theta(c, ["a", "b"])
+    assert found is not None and ccons_eval(c, found)
+
+
+_ATOMS = ("re(a)", "im(a)", "|a|^2", "re(b)", "im(b)", "|b|^2",
+          "0", "1", "2", "1/2", "0.5")
+_arith = st.recursive(
+    st.sampled_from(_ATOMS),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        inner.map(lambda x: f"-{x}")),
+    max_leaves=6)
+_quotients = st.tuples(_arith, _arith).map(lambda t: f"{t[0]} / {t[1]}")
+_comparisons = st.tuples(
+    st.one_of(_quotients, _arith), st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
+    st.one_of(_quotients, _arith)).map(" ".join)
+_formulas = st.recursive(
+    _comparisons,
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["&&", "||"]), inner).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        inner.map(lambda f: f"!({f})")),
+    max_leaves=4).filter(lambda f: "/" in f)
+_values = st.sampled_from(["0", "1", "-1", "i", "1/sqrt2", "(1+i)/2", "i/2", "2"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_formulas, _values, _values)
+def test_ccons_eval_raises_only_lstaq_errors_on_division(src, a, b):
+    theta = {"a": parse_constant(a), "b": parse_constant(b)}
+    try:
+        assert ccons_eval(formula_of(src), theta) in (True, False)
+    except LstaqError:
+        pass
 
 
 def test_satisfying_theta_searches_the_pool():

@@ -12,14 +12,26 @@ which inequalities the chosen bits already satisfy.
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from lstaq import ast as A
-from lstaq.amplitude import VAL_ZERO, ValAmp, valamp_add, valamp_mul
+from lstaq.amplitude import VAL_ZERO, VALUATION, ValAmp, valamp_add, valamp_mul
 from lstaq.build import slice_expansions, translate
 from lstaq.lsta import StateVector
 from lstaq.parser import parse
-from lstaq.qubit_reorder import expand_qubit_slices
+from lstaq.qubit_reorder import (
+    QubitSlice,
+    SliceCase,
+    _holds_eq,
+    _inner_vars,
+    _truth,
+    constraint_table,
+    expand_qubit_slices,
+    outer_slice_vars,
+)
 from tests.test_var_reorder import S_A, S_B
 
 
@@ -47,8 +59,6 @@ def va(mapping: dict[int, tuple[bool, ...]]) -> ValAmp:
 
 
 def state(entries: dict[str, ValAmp]) -> StateVector:
-    from lstaq.amplitude import VALUATION
-
     return StateVector.of(3, entries, VALUATION)
 
 
@@ -188,3 +198,74 @@ def test_valamp_algebra_matches_the_slice_semantics():
     assert valamp_add(x, y).as_dict() == {1: (T, F), 2: (T,)}
     assert valamp_mul(x, y) == VAL_ZERO
     assert valamp_mul(va({1: (T, F)}), va({1: (F, T)})).as_dict() == {1: (T, T)}
+
+
+# ---------------------------------------------------------------------------
+# Slices with equal constant columns share their cases.
+# ---------------------------------------------------------------------------
+
+
+def _reference_slices(v, lengths):
+    """Every slice expanded on its own, one qubit index at a time."""
+    (ell,) = {lengths[a.var] for t in v.terms for a in t.pattern}
+    table = constraint_table(v)
+    outer = outer_slice_vars(v)
+    slices = []
+    for j in range(1, ell + 1):
+        cases = []
+        for bits in itertools.product((0, 1), repeat=len(outer)):
+            sigma = dict(zip(outer, bits))
+            if not all(_holds_eq(c, sigma, j) for c in v.predicate
+                       if isinstance(c, A.EqConst)):
+                continue
+            amp = {}
+            for t in v.terms:
+                inner = _inner_vars(t, set(outer))
+                for ibits in itertools.product((0, 1), repeat=len(inner)):
+                    phi = {**sigma, **dict(zip(inner, ibits))}
+                    if not all(_holds_eq(c, phi, j) for c in t.sum_constraints
+                               if isinstance(c, A.EqConst)):
+                        continue
+                    key = "".join(str(phi[a.var] ^ a.complemented)
+                                  for a in t.pattern)
+                    d = ValAmp.of({t.tag: tuple(_truth(c, phi, j)
+                                                for c in table.phis[t.tag])})
+                    amp[key] = valamp_add(amp[key], d) if key in amp else d
+            cases.append(SliceCase(tuple(zip(outer, bits)),
+                                   StateVector.of(len(v.slots), amp, VALUATION)))
+        slices.append(QubitSlice(j, tuple(cases)))
+    return table, slices
+
+
+def _assert_matches_reference(src: str) -> None:
+    job = translate([parse(src)])
+    for (_ai, _seg, setv, table, slices) in slice_expansions(job):
+        assert (table, list(slices)) == _reference_slices(setv, job.aligned.lengths), src
+
+
+@pytest.mark.parametrize("src", [
+    "{ |i> : |i| = 4, i != 0110 }",
+    "{ sum[ |j| = 4, j = 0101 ] |i j> : |i| = 4 }",
+    "{ |i j> : |i| = 4, j = 0011, i != 1010 }",
+    "{ sum[ |j| = 3, j != 011 ] |i j>, |i ~i> : |i| = 3, i != 110 }",
+    f"{S_A} \\/ {S_B}",
+])
+def test_shared_slices_equal_the_per_index_expansion(src):
+    _assert_matches_reference(src)
+
+
+def test_shared_slices_equal_the_per_index_expansion_on_random_specs():
+    from tests.test_acceptance import random_source
+
+    rng = random.Random(0x511CE)
+    for _ in range(200):
+        _assert_matches_reference(random_source(rng))
+
+
+def test_equal_constant_columns_share_one_cases_tuple():
+    job = translate([parse("{ |i> : |i| = 4, i != 0110 }")])
+    ((_, _, _setv, _table, slices),) = slice_expansions(job)
+    # Columns 0, 1, 1, 0: the outer slices share, and so do the inner ones.
+    assert slices[0].cases is slices[3].cases
+    assert slices[1].cases is slices[2].cases
+    assert slices[0].cases != slices[1].cases
