@@ -503,10 +503,6 @@ class QSqrt2:
     p: Fraction
     q: Fraction = Fraction(0)
 
-    @classmethod
-    def of(cls, p) -> "QSqrt2":
-        return cls(Fraction(p))
-
     def __add__(self, o: "QSqrt2") -> "QSqrt2":
         return QSqrt2(self.p + o.p, self.q + o.q)
 

@@ -104,6 +104,17 @@ class SetQ:
     diracs: tuple[Dirac, ...]
     predicate: tuple[VarCon, ...] = ()
 
+    def terms(self):
+        """Every term of every comma-separated ket, in source order."""
+        for dirac in self.diracs:
+            yield from dirac
+
+    def constraints(self):
+        """The predicate, then each term's summation constraints."""
+        yield from self.predicate
+        for term in self.terms():
+            yield from term.sum_constraints
+
 
 @dataclass(frozen=True)
 class USet:
@@ -114,6 +125,11 @@ class USet:
 class PSet:
     base: USet
     power: int = 1
+
+    def terms(self):
+        """The terms of the base union in source order."""
+        for sq in self.base.alternatives:
+            yield from sq.terms()
 
 
 # -- amplitude-variable constraint formulas ----------------------------------
@@ -196,8 +212,12 @@ class AssertionAst:
 
     def setqs(self):
         for seg in self.segments:
-            for sq in seg.base.alternatives:
-                yield sq
+            yield from seg.base.alternatives
+
+    def terms(self):
+        """Every term of every segment in source order, powers counted once."""
+        for seg in self.segments:
+            yield from seg.terms()
 
 
 LengthMap = dict[str, int]
@@ -227,23 +247,7 @@ class UnionFind:
 
 def _all_constraints(ast: AssertionAst):
     for sq in ast.setqs():
-        for con in sq.predicate:
-            yield con
-        for dirac in sq.diracs:
-            for term in dirac:
-                for con in term.sum_constraints:
-                    yield con
-
-
-def _all_pattern_vars(ast: AssertionAst) -> list[str]:
-    out = []
-    for sq in ast.setqs():
-        for dirac in sq.diracs:
-            for term in dirac:
-                for atom in term.pattern:
-                    if isinstance(atom, (Var, Compl)):
-                        out.append(atom.name)
-    return out
+        yield from sq.constraints()
 
 
 def infer_lengths(ast: AssertionAst) -> LengthMap:
@@ -266,7 +270,9 @@ def infer_lengths(ast: AssertionAst) -> LengthMap:
             raise ConflictingLengthError(var, cur[0], n)
         known[root] = (n, var)
 
-    mentioned: set[str] = set(_all_pattern_vars(ast))
+    mentioned: set[str] = set()
+    for term in ast.terms():
+        mentioned |= pattern_vars(term)
     for con in _all_constraints(ast):
         mentioned.update(varcon_vars(con))
         if isinstance(con, NeqVar):
@@ -283,25 +289,23 @@ def infer_lengths(ast: AssertionAst) -> LengthMap:
         for seg in ast.segments:
             width: int | None = None
             pending: list[tuple[int, dict[str, tuple[int, str]]]] = []
-            for sq in seg.base.alternatives:
-                for dirac in sq.diracs:
-                    for term in dirac:
-                        bits = 0
-                        unknown: dict[str, tuple[int, str]] = {}
-                        for atom in term.pattern:
-                            if isinstance(atom, ConstBit):
-                                bits += 1
-                                continue
-                            root = uf.find(atom.name)
-                            if root in known:
-                                bits += known[root][0]
-                            else:
-                                count, _ = unknown.get(root, (0, ""))
-                                unknown[root] = (count + 1, atom.name)
-                        if unknown:
-                            pending.append((bits, unknown))
-                        elif width is None:
-                            width = bits
+            for term in seg.terms():
+                bits = 0
+                unknown: dict[str, tuple[int, str]] = {}
+                for atom in term.pattern:
+                    if isinstance(atom, ConstBit):
+                        bits += 1
+                        continue
+                    root = uf.find(atom.name)
+                    if root in known:
+                        bits += known[root][0]
+                    else:
+                        count, _ = unknown.get(root, (0, ""))
+                        unknown[root] = (count + 1, atom.name)
+                if unknown:
+                    pending.append((bits, unknown))
+                elif width is None:
+                    width = bits
             if width is None:
                 continue
             for bits, unknown in pending:
@@ -350,9 +354,8 @@ def outer_vars(sq: SetQ) -> frozenset[str]:
     out = set()
     for con in sq.predicate:
         out.update(varcon_vars(con))
-    for dirac in sq.diracs:
-        for term in dirac:
-            out.update(pattern_vars(term) - sum_vars(term))
+    for term in sq.terms():
+        out.update(pattern_vars(term) - sum_vars(term))
     return frozenset(out)
 
 
@@ -375,11 +378,7 @@ def check_well_formed(ast: AssertionAst, lengths: LengthMap) -> None:
     for seg in ast.segments:
         if seg.power < 1:
             raise WellFormednessError(f"tensor power {seg.power} is below 1")
-        widths: list[int] = []
-        for sq in seg.base.alternatives:
-            for dirac in sq.diracs:
-                for term in dirac:
-                    widths.append(pattern_width(term.pattern, lengths))
+        widths = [pattern_width(t.pattern, lengths) for t in seg.terms()]
         for w in widths[1:]:
             if w != widths[0]:
                 raise LengthMismatchError("union members", widths[0], w)
@@ -399,8 +398,7 @@ def check_well_formed(ast: AssertionAst, lengths: LengthMap) -> None:
 
     for sq in ast.setqs():
         outer = outer_vars(sq)
-        for dirac in sq.diracs:
-            for term in dirac:
-                loose = iterating_vars(term, outer) - pattern_vars(term)
-                if loose:
-                    raise RedundantSummationVarError(sorted(loose)[0])
+        for term in sq.terms():
+            loose = iterating_vars(term, outer) - pattern_vars(term)
+            if loose:
+                raise RedundantSummationVarError(sorted(loose)[0])

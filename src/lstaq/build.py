@@ -4,16 +4,15 @@ The entry point is :func:`translate`, which runs the whole pipeline:
 canonicalize, align, abstract constants, reorder slots and qubits, expand
 slices, and compose the per-slice automata with the n-ary ``tensor_chain``
 and ``union_all`` and the two amplitude-domain crossings (``filter_f``,
-``filter_tau``).  Composition does not re-check its results: ``validate``
-runs once on each finished assertion automaton.  Qubit slices with the same
-member states recur across qubit positions and sets; each distinct one is
-built once per call and passed wherever it recurs.
+``filter_tau``).  Neither construction nor composition re-checks its
+results: ``validate`` runs once on each finished assertion automaton.  Qubit
+slices with the same member states recur across qubit positions and sets;
+each distinct one is built once per call and passed wherever it recurs.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -45,6 +44,7 @@ from .preprocess import (
     AlignedSpec,
     FreshNamer,
     GlobalPartition,
+    _check_constrained_vars_occur,
     canonicalize,
     constant_abstraction,
     tensor_alignment_check,
@@ -117,7 +117,6 @@ def build_state_lsta(psi: StateVector, semiring: Semiring) -> Lsta:
 
     out = mk_lsta(semiring, root, internal, leaves)
     assert out.size <= (len(psi.entries) + 1) * (n + 1)
-    validate(out)
     return out
 
 
@@ -130,9 +129,7 @@ def _zero_lsta(n: int, semiring: Semiring) -> Lsta:
     """
     internal = [Internal(k, _ONE, k + 1, k + 1) for k in range(n)]
     leaves = [Leaf(n, _ONE, semiring.zero)]
-    out = mk_lsta(semiring, 0, internal, leaves)
-    validate(out)
-    return out
+    return mk_lsta(semiring, 0, internal, leaves)
 
 
 def build_setq_lsta(states: Sequence[StateVector], semiring: Semiring) -> Lsta:
@@ -228,45 +225,16 @@ class TranslationResult:
 
 def measure(ast: A.AssertionAst, qubits: int, automaton: Lsta,
             peaks: dict[str, int], seconds: float) -> dict:
-    """Count the structural size parameters and the realized sizes.
-
-    The envelope is ``2^(N_term·2^N_vc) · 2^N_vc · N_term · N_union · L ·
-    N_amp``; the final size is checked against it softly (recorded, not
-    asserted) since the per-operation bounds are already enforced.  The
-    comparison allows a fixed factor of 8 standing in for the constant the
-    asymptotic statement leaves unspecified.  The envelope is kept as a
-    base-2 logarithm: its doubly-exponential leading factor overflows any
-    direct representation already for a few dozen constraints.
-    """
-    n_term = 0
-    n_union = 0
-    n_vc = 0
-    amps = set()
-    for seg in ast.segments:
-        n_union += len(seg.base.alternatives)
-        for sq in seg.base.alternatives:
-            n_vc += len(sq.predicate)
-            for dirac in sq.diracs:
-                n_term += len(dirac)
-                for t in dirac:
-                    n_vc += len(t.sum_constraints)
-                    amps.add(t.amplitude)
-    n_amp = len(amps)
-    log2_envelope = (
-        math.inf if n_vc >= 64
-        else n_term * float(2 ** n_vc) + n_vc
-        + math.log2(max(n_term, 1)) + math.log2(max(n_union, 1))
-        + math.log2(max(qubits, 1)) + math.log2(max(n_amp, 1)))
+    """Count the structural size parameters and the realized sizes."""
+    terms = list(ast.terms())
     stats = {
         "qubits": qubits,
-        "n_term": n_term,
-        "n_vc": n_vc,
-        "n_union": n_union,
-        "n_amp": n_amp,
+        "n_term": len(terms),
+        "n_vc": sum(1 for sq in ast.setqs() for _ in sq.constraints()),
+        "n_union": sum(len(seg.base.alternatives) for seg in ast.segments),
+        "n_amp": len({t.amplitude for t in terms}),
         "size": automaton.size,
         "n_leaves": n_leaves(automaton),
-        "log2_envelope": log2_envelope,
-        "within_envelope": math.log2(automaton.size) <= 3 + log2_envelope,
         "seconds": seconds,
     }
     stats.update({f"size_{k}_max": v for k, v in peaks.items()})
@@ -282,6 +250,11 @@ def translate(asts: Sequence[A.AssertionAst]) -> TranslationResult:
 
     for ast in asts:
         A.check_well_formed(ast, A.infer_lengths(ast))
+        # Checked on the source, one ket at a time, so errors name the
+        # variables as written.
+        for sq in ast.setqs():
+            for dirac in sq.diracs:
+                _check_constrained_vars_occur(A.SetQ((dirac,), sq.predicate))
 
     namer = FreshNamer.for_asts(asts)
     canon = [canonicalize(ast, namer) for ast in asts]

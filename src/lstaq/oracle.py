@@ -71,7 +71,7 @@ def _assignments(names, lengths: A.LengthMap, cap: int):
 
 def _denote_setq(sq: A.SetQ, lengths: A.LengthMap, theta: Valuation | None,
                  cap: int) -> set[StateVector]:
-    width = A.pattern_width(sq.diracs[0][0].pattern, lengths)
+    width = A.pattern_width(next(sq.terms()).pattern, lengths)
     outer = sorted(A.outer_vars(sq))
     states: set[StateVector] = set()
     for phi in _assignments(outer, lengths, cap):
@@ -107,8 +107,8 @@ def tensor_sets(xs: set[StateVector], ys: set[StateVector]) -> set[StateVector]:
     return {_tensor_pair(x, y) for x in xs for y in ys}
 
 
-def denote(ast: A.AssertionAst, lengths: A.LengthMap | None = None,
-           theta: Valuation | None = None, cap: int = 12) -> frozenset[StateVector]:
+def denote(ast: A.AssertionAst, theta: Valuation | None = None,
+           cap: int = 12) -> frozenset[StateVector]:
     """Enumerate the set of states one assertion describes.
 
     Predicate constraints filter the enumerated assignments; summation
@@ -116,13 +116,10 @@ def denote(ast: A.AssertionAst, lengths: A.LengthMap | None = None,
     the zero vector as a member).  The trailing amplitude-constraint
     formula is ignored here: choosing ``theta`` is the caller's business.
     """
-    if lengths is None:
-        lengths = A.infer_lengths(ast)
-        A.check_well_formed(ast, lengths)
-    total = 0
-    for seg in ast.segments:
-        term = seg.base.alternatives[0].diracs[0][0]
-        total += A.pattern_width(term.pattern, lengths) * seg.power
+    lengths = A.infer_lengths(ast)
+    A.check_well_formed(ast, lengths)
+    total = sum(A.pattern_width(next(seg.terms()).pattern, lengths) * seg.power
+                for seg in ast.segments)
     if total > cap:
         raise CapExceededError(total, cap)
 
@@ -160,10 +157,8 @@ def amplitude_vars(asts) -> list[str]:
     """All complex-amplitude variable names, sorted."""
     names: set[str] = set()
     for ast in asts:
-        for sq in ast.setqs():
-            for dirac in sq.diracs:
-                for term in dirac:
-                    names |= term.amplitude.variables()
+        for term in ast.terms():
+            names |= term.amplitude.variables()
         if ast.constraint is not None:
             names |= A.ccons_vars(ast.constraint)
     return sorted(names)
@@ -231,10 +226,10 @@ def satisfying_theta(constraint: A.CCons, names) -> Valuation | None:
     return None
 
 
-def sample_thetas(asts, count: int = 3) -> list[Valuation]:
-    """Deterministic valuations covering every amplitude variable.
+def sample_thetas(asts) -> list[Valuation]:
+    """Three deterministic valuations covering every amplitude variable.
 
-    Includes, per trailing constraint formula, one valuation satisfying it
+    Adds, per trailing constraint formula, one valuation satisfying it
     whenever the bounded pool search finds one.
     """
     names = amplitude_vars(asts)
@@ -242,7 +237,7 @@ def sample_thetas(asts, count: int = 3) -> list[Valuation]:
         return []
     thetas = [
         {v: _POOL[(t + 2 * i) % len(_POOL)] for i, v in enumerate(names)}
-        for t in range(count)
+        for t in range(3)
     ]
     for ast in asts:
         if ast.constraint is None:

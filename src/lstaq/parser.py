@@ -357,7 +357,7 @@ class _Parser:
     def _amp_prefix(self) -> AmplitudePoly:
         tok = self.next()
         if tok.kind == "NUMBER":
-            return _number_poly(tok, self)
+            return _number_poly(tok)
         if tok.kind == "IDENT":
             if tok.text == "i":
                 return AmplitudePoly.const(AC_I)
@@ -482,7 +482,7 @@ def _number_fraction(text: str) -> Fraction:
         raise SpecSyntaxError(f"malformed number {text!r}") from None
 
 
-def _number_poly(tok: Token, parser: _Parser) -> AmplitudePoly:
+def _number_poly(tok: Token) -> AmplitudePoly:
     frac = _number_fraction(tok.text)
     num = AlgebraicComplex.from_int(frac.numerator)
     den = AlgebraicComplex.from_int(frac.denominator)

@@ -40,15 +40,10 @@ class FreshNamer:
         used: set[str] = set()
         for ast in asts:
             for sq in ast.setqs():
-                for c in sq.predicate:
+                for c in sq.constraints():
                     used.update(A.varcon_vars(c))
-                for dirac in sq.diracs:
-                    for term in dirac:
-                        for c in term.sum_constraints:
-                            used.update(A.varcon_vars(c))
-                        for atom in term.pattern:
-                            if not isinstance(atom, A.ConstBit):
-                                used.add(atom.name)
+            for term in ast.terms():
+                used |= A.pattern_vars(term)
         return cls(used)
 
     def fresh(self, base: str) -> str:
@@ -152,10 +147,7 @@ def tensor_alignment_check(asts, lengths: A.LengthMap) -> list[int]:
     for s in range(counts[0]):
         widths = sorted({
             A.pattern_width(term.pattern, lengths)
-            for ast in asts
-            for sq in ast.segments[s].base.alternatives
-            for dirac in sq.diracs
-            for term in dirac
+            for ast in asts for term in ast.segments[s].terms()
         })
         if len(widths) > 1:
             raise SegmentLengthMismatchError(s + 1, widths[0], widths[1])
@@ -179,20 +171,18 @@ def _occurrence_intervals(asts, lengths: A.LengthMap, seg_lengths: list[int]):
         starts.append(starts[-1] + w)
     for ast in asts:
         for s, pset in enumerate(ast.segments):
-            for sq in pset.base.alternatives:
-                for dirac in sq.diracs:
-                    for term in dirac:
-                        pos = starts[s]
-                        for atom in term.pattern:
-                            if isinstance(atom, A.ConstBit):
-                                pos += 1
-                            else:
-                                w = lengths[atom.name]
-                                yield atom.name, pos, pos + w, s
-                                pos += w
-                        if pos != starts[s + 1]:
-                            raise InternalError(
-                                f"segment {s + 1} pattern width drifted")
+            for term in pset.terms():
+                pos = starts[s]
+                for atom in term.pattern:
+                    if isinstance(atom, A.ConstBit):
+                        pos += 1
+                    else:
+                        w = lengths[atom.name]
+                        yield atom.name, pos, pos + w, s
+                        pos += w
+                if pos != starts[s + 1]:
+                    raise InternalError(
+                        f"segment {s + 1} pattern width drifted")
 
 
 def variable_alignment_check(asts, lengths: A.LengthMap,
@@ -263,11 +253,16 @@ class SetP:
     terms: tuple[PTerm, ...]
     predicate: tuple[A.VarCon, ...]
 
+    def constraints(self):
+        """The predicate, then each term's summation constraints."""
+        yield from self.predicate
+        for term in self.terms:
+            yield from term.sum_constraints
+
 
 @dataclass(frozen=True)
 class AlignedAssertion:
     segments: tuple[tuple[SetP, ...], ...]
-    constraint: object | None
 
 
 @dataclass(frozen=True)
@@ -345,19 +340,13 @@ def _abstract_term(term: A.Term, seg_slots: tuple[Slot, ...], seg_start: int,
 
 
 def _check_constrained_vars_occur(sq: A.SetQ) -> None:
-    in_pattern = {
-        a.name
-        for dirac in sq.diracs for t in dirac for a in t.pattern
-        if not isinstance(a, A.ConstBit)
-    }
-    mentioned = [v for c in sq.predicate for v in A.varcon_vars(c)]
-    for dirac in sq.diracs:
-        for t in dirac:
-            mentioned += [v for c in t.sum_constraints for v in A.varcon_vars(c)]
-    for v in mentioned:
-        if v not in in_pattern:
-            raise ScopeError(
-                f"variable '{v}' is constrained but never appears in a pattern")
+    """Every variable that ``sq`` constrains occurs in one of its patterns."""
+    in_pattern = set().union(*map(A.pattern_vars, sq.terms()))
+    for c in sq.constraints():
+        for v in A.varcon_vars(c):
+            if v not in in_pattern:
+                raise ScopeError(f"variable '{v}' is constrained but "
+                                 "never appears in a pattern")
 
 
 def constant_abstraction(asts, lengths: A.LengthMap, seg_lengths: list[int],
@@ -376,7 +365,6 @@ def constant_abstraction(asts, lengths: A.LengthMap, seg_lengths: list[int],
             seg_slots = partition.of_segment(s)
             alts = []
             for sq in pset.base.alternatives:
-                _check_constrained_vars_occur(sq)
                 (dirac,) = sq.diracs
                 terms = tuple(
                     _abstract_term(t, seg_slots, starts[s], out_lengths, namer)
@@ -385,7 +373,7 @@ def constant_abstraction(asts, lengths: A.LengthMap, seg_lengths: list[int],
                 alts.append(SetP(uid, terms, sq.predicate))
                 uid += 1
             segments.append(tuple(alts))
-        assertions.append(AlignedAssertion(tuple(segments), ast.constraint))
+        assertions.append(AlignedAssertion(tuple(segments)))
     return AlignedSpec(tuple(assertions), partition, out_lengths)
 
 

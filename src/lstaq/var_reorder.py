@@ -73,10 +73,7 @@ def build_dependency_graph(setps, slot_indices: tuple[int, ...]) -> SlotDependen
                 for j in sorted(occ):
                     if i < j:
                         add(i, j, "recurrence", var)
-        constraints = list(sp.predicate)
-        for term in sp.terms:
-            constraints.extend(term.sum_constraints)
-        for c in constraints:
+        for c in sp.constraints():
             if isinstance(c, A.NeqVar):
                 for i in sorted(slots_of.get(c.left, ())):
                     for j in sorted(slots_of.get(c.right, ())):
@@ -134,10 +131,7 @@ def project_setP(sp: SetP, order: SlotOrder,
         vs = set(A.varcon_vars(c))
         return sum(1 for sv in survivings if vs <= sv)
 
-    all_constraints = list(sp.predicate)
-    for term in sp.terms:
-        all_constraints.extend(term.sum_constraints)
-    for c in all_constraints:
+    for c in sp.constraints():
         if home_count(c) != 1:
             raise InternalError(
                 f"constraint {c} does not land in exactly one slot component")

@@ -406,6 +406,7 @@ NEGATIVE_CONTROLS = [
     ("{ |0 0> : |p| = 2 }", 2),                                # out of scope
     ("{ |0> } ^ 0", 2),                                        # empty power
     ("{ |i> : |i| = 0 }", 2),                                  # zero width
+    ("{ |0> : |k| = 1 } ;; { |0> } (x) { |0> }", 2),           # scope first
     ("{ |0> } ;; { |0> } (x) { |0> }", 3),                     # segment count
     ("{ |0> } (x) { |0 0> } ;; { |0 0> } (x) { |0> }", 3),     # segment length
     ("{ |i 0> : |i| = 2 } ;; { |0 j> : |j| = 2 }", 3),         # var overlap

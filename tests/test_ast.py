@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from lstaq import ast as A
+from lstaq.build import translate
 from lstaq.errors import (
     ConflictingLengthError,
     LengthMismatchError,
@@ -13,6 +16,7 @@ from lstaq.errors import (
     UnknownLengthError,
 )
 from lstaq.parser import parse
+from tests.test_acceptance import random_source
 
 
 def lengths_of(src: str) -> A.LengthMap:
@@ -68,8 +72,6 @@ def test_summation_variable_must_occur_in_its_ket():
 
 
 def test_predicate_variables_must_occur_in_patterns():
-    from lstaq.build import translate
-
     with pytest.raises(ScopeError):
         translate([parse("{ |0> : |k| = 1 }")])
 
@@ -112,6 +114,58 @@ def test_ccons_vars_collects_amplitude_names():
     assert A.ccons_vars(ast.constraint) == frozenset({"ah", "al"})
 
 
+def _nested_terms(sq: A.SetQ) -> list[A.Term]:
+    return [t for dirac in sq.diracs for t in dirac]
+
+
+def _nested_constraints(predicate, terms) -> list[A.VarCon]:
+    out = list(predicate)
+    for t in terms:
+        out += t.sum_constraints
+    return out
+
+
+def _check_walks(ast: A.AssertionAst) -> None:
+    """``terms()`` and ``constraints()`` agree with spelled-out loops."""
+    assert list(ast.terms()) == [
+        t for seg in ast.segments for sq in seg.base.alternatives
+        for t in _nested_terms(sq)]
+    for seg in ast.segments:
+        assert list(seg.terms()) == [
+            t for sq in seg.base.alternatives for t in _nested_terms(sq)]
+    for sq in ast.setqs():
+        assert list(sq.terms()) == _nested_terms(sq)
+        assert list(sq.constraints()) == _nested_constraints(
+            sq.predicate, _nested_terms(sq))
+
+
+def _check_aligned_walks(asts) -> None:
+    for assertion in translate(asts).aligned.assertions:
+        for alts in assertion.segments:
+            for sp in alts:
+                assert list(sp.constraints()) == _nested_constraints(
+                    sp.predicate, sp.terms)
+
+
+# Two segments, a union, two kets, summations and a predicate.
+WALKED = ("{ a sum[ |i| = 1 ] |i k> + b sum[ |j| = 1, j != k ] |j k>,"
+          " c |k 1> : |k| = 1 } \\/ { d |0 0> } (x) { e |1> + f |0> }")
+
+
 def test_setqs_walks_every_set_in_every_segment():
     ast = parse("{ |0> } \\/ { |1> } (x) { |1 1> }")
     assert len(list(ast.setqs())) == 3
+
+    ast = parse(WALKED)
+    assert [str(t.amplitude) for t in ast.terms()] == list("abcdef")
+    first = next(ast.setqs())
+    assert list(first.constraints()) == [
+        A.Len("k", 1), A.Len("i", 1), A.Len("j", 1), A.NeqVar("j", "k")]
+    _check_walks(ast)
+    _check_aligned_walks([ast])
+
+    rng = random.Random(11)
+    for _ in range(100):
+        ast = parse(random_source(rng))
+        _check_walks(ast)
+        _check_aligned_walks([ast])

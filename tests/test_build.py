@@ -291,6 +291,31 @@ def test_one_slice_sets_build_every_slice():
     assert counts == [(1, 1), (1, 1)]
 
 
+def test_translate_validates_each_finished_assertion_once(monkeypatch):
+    import lstaq.build as build
+
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        validate(a)
+
+    monkeypatch.setattr(build, "validate", counted)
+    chain = "{ |x y z> : |x| = 1, |y| = 1, |z| = 1, x != y, y != z }"
+    jobs = [
+        [chain, chain],
+        list(bench_sources("bv", 8)[0][:2]),
+        # An emptied summation leaves the zero vector as a member.
+        ["{ sum[ p = 0 ] |p q> : |p| = 1, |q| = 1 } \\/ { |1 1> }"],
+    ]
+    for sources in jobs:
+        calls.clear()
+        result = translate([parse(src) for src in sources])
+        assert len(calls) == len(sources)
+        assert all(got is ar.automaton
+                   for got, ar in zip(calls, result.assertions))
+
+
 def test_every_assembled_automaton_validates_and_bounds_hold():
     sources = [
         "{ sum[ |i| = 2 ] |i j> : |j| = 1 } \\/ { |1 1 1> }",

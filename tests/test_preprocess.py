@@ -172,5 +172,8 @@ def test_straddling_variables_within_one_assertion_are_rejected():
 
 
 def test_constrained_variables_must_appear_in_patterns():
-    with pytest.raises(ScopeError):
-        translate([parse("{ |0> : |k| = 1 }")])
+    # Each comma-separated ket must hold the set's predicate variables, and
+    # the error names them as written.
+    for src in ("{ |0> : |k| = 1 }", "{ |k>, |0> : |k| = 1 }"):
+        with pytest.raises(ScopeError, match="'k'"):
+            translate([parse(src)])
