@@ -349,18 +349,28 @@ def sum_vars(term: Term) -> frozenset[str]:
     return frozenset(out)
 
 
-def outer_vars(sq: SetQ) -> frozenset[str]:
-    """Variables a set enumerates over: predicate-bound plus free pattern vars."""
-    out = set()
-    for con in sq.predicate:
-        out.update(varcon_vars(con))
-    for term in sq.terms():
-        out.update(pattern_vars(term) - sum_vars(term))
-    return frozenset(out)
+def outer_vars(predicate, terms) -> tuple[str, ...]:
+    """The variables a set enumerates, in first-occurrence order.
+
+    They are the predicate's variables plus every ket variable that its own
+    term does not sum over.  Order: the predicate's constraints, then the
+    kets left to right.  Fresh names and slice case order follow it.
+    ``terms`` may hold ``Term``s or projected ``var_reorder.VTerm``s.
+    """
+    names = [v for c in predicate for v in varcon_vars(c)]
+    outer = set(names)
+    for term in terms:
+        kets = [a.name for a in term.pattern if not isinstance(a, ConstBit)]
+        outer |= set(kets) - sum_vars(term)
+        names += kets
+    return tuple(v for v in dict.fromkeys(names) if v in outer)
 
 
-def iterating_vars(term: Term, outer: frozenset[str]) -> frozenset[str]:
-    return sum_vars(term) - outer
+def inner_vars(term, outer) -> tuple[str, ...]:
+    """The variables ``term`` sums over beyond ``outer``, in first-occurrence order."""
+    return tuple(dict.fromkeys(
+        v for c in term.sum_constraints for v in varcon_vars(c)
+        if v not in outer))
 
 
 def check_well_formed(ast: AssertionAst, lengths: LengthMap) -> None:
@@ -397,8 +407,8 @@ def check_well_formed(ast: AssertionAst, lengths: LengthMap) -> None:
                 raise LengthMismatchError(f"{con.var} {op} {con.bits}", n1, n2)
 
     for sq in ast.setqs():
-        outer = outer_vars(sq)
+        outer = set(outer_vars(sq.predicate, sq.terms()))
         for term in sq.terms():
-            loose = iterating_vars(term, outer) - pattern_vars(term)
+            loose = sum_vars(term) - outer - pattern_vars(term)
             if loose:
                 raise RedundantSummationVarError(sorted(loose)[0])

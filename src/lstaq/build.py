@@ -328,8 +328,7 @@ def translate(asts: Sequence[A.AssertionAst]) -> TranslationResult:
 
 def _slot_ids(partition: GlobalPartition) -> list[tuple[int, ...]]:
     """The slot indices of each segment, in slot order."""
-    return [tuple(sl.index for sl in partition.of_segment(s))
-            for s in range(len(partition.segment_lengths))]
+    return [tuple(sl.index for sl in seg) for seg in partition.segments]
 
 
 def slice_expansions(result: TranslationResult):

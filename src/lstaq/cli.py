@@ -2,7 +2,7 @@
 
 Exit codes follow the error taxonomy: 1 syntax, 2 well-formedness,
 3 alignment, 4 internal invariant or resource limit (also used when
-``--check-oracle`` finds a mismatch).
+``--check-oracle`` finds a mismatch or an input file cannot be read).
 """
 
 from __future__ import annotations
@@ -20,6 +20,16 @@ from .oracle import Valuation, denote, differential_check
 from .parser import parse, parse_constant, parse_many, render_formula, render_many
 from .preprocess import render_aligned
 from .qubit_reorder import render_slices
+
+
+def _read_source(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as err:
+        raise LstaqError(f"cannot read {path!r}: {err.strerror}") from err
+    except UnicodeDecodeError as err:
+        raise LstaqError(f"cannot read {path!r}: byte {err.start} is not "
+                         f"{err.encoding} text") from err
 
 
 def _parse_theta(bindings: list[str]) -> Valuation | None:
@@ -40,7 +50,7 @@ def _parse_theta(bindings: list[str]) -> Valuation | None:
 
 
 def cmd_translate(args: argparse.Namespace) -> int:
-    asts = parse_many(Path(args.file).read_text())
+    asts = parse_many(_read_source(args.file))
     result = translate(asts)
 
     automata = []
@@ -86,7 +96,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    asts = parse_many(Path(args.file).read_text())
+    asts = parse_many(_read_source(args.file))
     theta = _parse_theta(args.theta)
     for i, ast in enumerate(asts):
         states = denote(ast, theta=theta, cap=args.cap)
@@ -154,7 +164,12 @@ def bench_sources(family: str, n: int) -> list[tuple[str, str, bool]]:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    sizes = [int(x) for x in args.sizes.split(",") if x.strip()]
+    try:
+        sizes = [int(x) for x in args.sizes.split(",") if x.strip()]
+    except ValueError:
+        raise SpecSyntaxError(
+            f"sizes must be comma-separated integers, got {args.sizes!r}"
+        ) from None
     print(f"{'n':>5} {'qubits':>7} {'pre':>9} {'post':>9} {'seconds':>9}")
     for n in sizes:
         jobs = bench_sources(args.family, n)
@@ -178,7 +193,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_fmt(args: argparse.Namespace) -> int:
-    asts = parse_many(Path(args.file).read_text())
+    asts = parse_many(_read_source(args.file))
     sys.stdout.write(render_many(asts))
     return 0
 

@@ -72,18 +72,22 @@ def _assignments(names, lengths: A.LengthMap, cap: int):
 def _denote_setq(sq: A.SetQ, lengths: A.LengthMap, theta: Valuation | None,
                  cap: int) -> set[StateVector]:
     width = A.pattern_width(next(sq.terms()).pattern, lengths)
-    outer = sorted(A.outer_vars(sq))
+    outer = sorted(A.outer_vars(sq.predicate, sq.terms()))
+    phis = [phi for phi in _assignments(outer, lengths, cap)
+            if all(varcon_holds(c, phi) for c in sq.predicate)]
+    if not phis:
+        # Substituting below could fail on a set that has no members.
+        return set()
+    diracs = [[(term, sorted(A.inner_vars(term, outer)),
+                term.amplitude if theta is None
+                else term.amplitude.substitute(theta))
+               for term in dirac]
+              for dirac in sq.diracs]
     states: set[StateVector] = set()
-    for phi in _assignments(outer, lengths, cap):
-        if not all(varcon_holds(c, phi) for c in sq.predicate):
-            continue
-        for dirac in sq.diracs:
+    for phi in phis:
+        for dirac in diracs:
             amp_map: dict[str, object] = {}
-            for term in dirac:
-                inner = sorted(A.iterating_vars(term, frozenset(outer)))
-                amp = term.amplitude
-                if theta is not None:
-                    amp = amp.substitute(theta)
+            for term, inner, amp in dirac:
                 for iphi in _assignments(inner, lengths, cap):
                     full = {**phi, **iphi}
                     if not all(varcon_holds(c, full)

@@ -554,11 +554,12 @@ def _render_term(term: A.Term) -> str:
     if term.sum_constraints:
         cons = ", ".join(render_varcon(c) for c in term.sum_constraints)
         bits.append(f"sum[ {cons} ]")
-    bits.append(_render_ket(term.pattern))
+    bits.append(render_ket(term.pattern))
     return " ".join(bits)
 
 
-def _render_ket(pattern: tuple[A.Atom, ...]) -> str:
+def render_ket(pattern: tuple[A.Atom, ...]) -> str:
+    """The ``|...>`` text of a pattern; adjacent constant bits form one run."""
     out: list[str] = []
     for atom in pattern:
         if isinstance(atom, A.ConstBit):

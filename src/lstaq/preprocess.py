@@ -11,12 +11,16 @@ must share one qubit ordering):
                                 constant bits by fresh summation variables
                                 bound with equality constraints.
 
-The output patterns mention only variables, one per slot, which is the shape
-the slot-reordering stage expects.
+The output patterns hold one ``ast.Var`` or ``ast.Compl`` per slot, with
+fresh ``c`` variables in place of constant runs, which is the shape the
+slot-reordering stage expects.  Renaming follows ``ast.outer_vars`` and
+``ast.inner_vars``, which own the scoping rule and the first-occurrence
+order that decides the fresh names.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import ast as A
@@ -34,6 +38,9 @@ class FreshNamer:
 
     def __init__(self, used: set[str] | None = None) -> None:
         self.used = set(used or ())
+        # The next number to try per base.  ``used`` only grows, so every
+        # number below it is taken for good.
+        self._next: dict[str, int] = {}
 
     @classmethod
     def for_asts(cls, asts) -> "FreshNamer":
@@ -47,9 +54,10 @@ class FreshNamer:
         return cls(used)
 
     def fresh(self, base: str) -> str:
-        n = 0
+        n = self._next.get(base, 0)
         while f"{base}{n}" in self.used:
             n += 1
+        self._next[base] = n + 1
         name = f"{base}{n}"
         self.used.add(name)
         return name
@@ -58,14 +66,6 @@ class FreshNamer:
 # ---------------------------------------------------------------------------
 # Step 1: canonicalization.
 # ---------------------------------------------------------------------------
-
-
-def _ordered_unique(names) -> list[str]:
-    seen: list[str] = []
-    for n in names:
-        if n not in seen:
-            seen.append(n)
-    return seen
 
 
 def _sub_atom(atom: A.Atom, mapping: dict[str, str]) -> A.Atom:
@@ -88,23 +88,12 @@ def _sub_varcon(c: A.VarCon, mapping: dict[str, str]) -> A.VarCon:
 
 def _rename_setq(sq: A.SetQ, namer: FreshNamer) -> A.SetQ:
     (dirac,) = sq.diracs
-    outer = A.outer_vars(sq)
-    outer_order = _ordered_unique(
-        [v for c in sq.predicate for v in A.varcon_vars(c) if v in outer]
-        + [a.name for t in dirac for a in t.pattern
-           if not isinstance(a, A.ConstBit) and a.name in outer]
-    )
-    omap = {v: namer.fresh(v) for v in outer_order}
+    outer = A.outer_vars(sq.predicate, dirac)
+    omap = {v: namer.fresh(v) for v in outer}
     terms = []
     for term in dirac:
-        inner = A.iterating_vars(term, outer)
-        inner_order = _ordered_unique(
-            [v for c in term.sum_constraints for v in A.varcon_vars(c) if v in inner]
-            + [a.name for a in term.pattern
-               if not isinstance(a, A.ConstBit) and a.name in inner]
-        )
         tmap = dict(omap)
-        tmap.update({v: namer.fresh(v) for v in inner_order})
+        tmap.update({v: namer.fresh(v) for v in A.inner_vars(term, omap)})
         terms.append(A.Term(
             term.amplitude,
             tuple(_sub_varcon(c, tmap) for c in term.sum_constraints),
@@ -160,15 +149,17 @@ def tensor_alignment_check(asts, lengths: A.LengthMap) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _occurrence_intervals(asts, lengths: A.LengthMap, seg_lengths: list[int]):
+def _segment_starts(seg_lengths: list[int]) -> list[int]:
+    """The 1-based first qubit of each segment, then one past the last."""
+    return list(itertools.accumulate(seg_lengths, initial=1))
+
+
+def _occurrence_intervals(asts, lengths: A.LengthMap, starts: list[int]):
     """Yield (var, start, end, segment) for every variable occurrence.
 
     Positions are global and 1-based; constants advance the cursor but
     produce no interval.
     """
-    starts = [1]
-    for w in seg_lengths:
-        starts.append(starts[-1] + w)
     for ast in asts:
         for s, pset in enumerate(ast.segments):
             for term in pset.terms():
@@ -189,7 +180,8 @@ def variable_alignment_check(asts, lengths: A.LengthMap,
                              seg_lengths: list[int]) -> None:
     """Require all occurrence intervals to be pairwise disjoint or identical."""
     intervals: dict[tuple[int, int], str] = {}
-    for var, start, end, _seg in _occurrence_intervals(asts, lengths, seg_lengths):
+    for var, start, end, _seg in _occurrence_intervals(
+            asts, lengths, _segment_starts(seg_lengths)):
         intervals.setdefault((start, end), var)
     spans = sorted(intervals)
     for (a, b), (c, d) in zip(spans, spans[1:]):
@@ -208,7 +200,6 @@ class Slot:
     """One interval of the global partition (1-based, half-open)."""
 
     index: int
-    segment: int
     start: int
     width: int
 
@@ -219,38 +210,31 @@ class Slot:
 
 @dataclass(frozen=True)
 class GlobalPartition:
-    slots: tuple[Slot, ...]
-    segment_lengths: tuple[int, ...]
+    """The slots of each segment, numbered from 1 across all segments."""
+
+    segments: tuple[tuple[Slot, ...], ...]
 
     def of_segment(self, segment: int) -> tuple[Slot, ...]:
-        return tuple(s for s in self.slots if s.segment == segment)
+        return self.segments[segment]
+
+    @property
+    def slots(self) -> tuple[Slot, ...]:
+        return tuple(itertools.chain.from_iterable(self.segments))
 
     @property
     def total_qubits(self) -> int:
-        return sum(self.segment_lengths)
-
-
-@dataclass(frozen=True)
-class PAtom:
-    """A variable occurrence filling one slot; the bit may be complemented."""
-
-    var: str
-    complemented: bool = False
-
-
-@dataclass(frozen=True)
-class PTerm:
-    amplitude: object
-    sum_constraints: tuple[A.VarCon, ...]
-    pattern: tuple[PAtom, ...]
+        return sum(sl.width for sl in self.slots)
 
 
 @dataclass(frozen=True)
 class SetP:
-    """A single-state slot-aligned set; ``uid`` numbers it across the spec."""
+    """A single-state slot-aligned set; ``uid`` numbers it across the spec.
+
+    Each term's pattern holds one ``ast.Var`` or ``ast.Compl`` per slot.
+    """
 
     uid: int
-    terms: tuple[PTerm, ...]
+    terms: tuple[A.Term, ...]
     predicate: tuple[A.VarCon, ...]
 
     def constraints(self):
@@ -272,37 +256,28 @@ class AlignedSpec:
     lengths: dict[str, int]
 
 
-def _build_partition(asts, lengths, seg_lengths) -> GlobalPartition:
-    covered = sorted({
-        (start, end)
-        for _v, start, end, _s in _occurrence_intervals(asts, lengths, seg_lengths)
-    })
-    starts = [1]
-    for w in seg_lengths:
-        starts.append(starts[-1] + w)
-    slots: list[Slot] = []
-    for s, width in enumerate(seg_lengths):
-        seg_begin, seg_end = starts[s], starts[s] + width
-        inside = [(a, b) for a, b in covered if seg_begin <= a and b <= seg_end]
-        pos = seg_begin
-        for a, b in inside:
-            if pos < a:
-                slots.append(Slot(0, s, pos, a - pos))
-            slots.append(Slot(0, s, a, b - a))
-            pos = b
-        if pos < seg_end:
-            slots.append(Slot(0, s, pos, seg_end - pos))
-    return GlobalPartition(
-        tuple(Slot(i + 1, sl.segment, sl.start, sl.width)
-              for i, sl in enumerate(slots)),
-        tuple(seg_lengths),
-    )
+def _build_partition(asts, lengths, starts: list[int]) -> GlobalPartition:
+    """Cut each segment at the ends of its variable intervals.
+
+    The intervals are pairwise disjoint or equal (variable alignment), so
+    the cuts give every interval one slot and every gap between them one.
+    """
+    cuts = [{starts[s], starts[s + 1]} for s in range(len(starts) - 1)]
+    for _v, start, end, s in _occurrence_intervals(asts, lengths, starts):
+        cuts[s].update((start, end))
+    index = itertools.count(1)
+    segments = []
+    for points in cuts:
+        points = sorted(points)
+        segments.append(tuple(Slot(next(index), a, b - a)
+                              for a, b in zip(points, points[1:])))
+    return GlobalPartition(tuple(segments))
 
 
 def _abstract_term(term: A.Term, seg_slots: tuple[Slot, ...], seg_start: int,
                    lengths: dict[str, int], namer: FreshNamer):
     """Rewrite one term's pattern into one atom per slot."""
-    atoms: list[PAtom] = []
+    atoms: list[A.Atom] = []
     extra: list[A.VarCon] = []
     by_start = {s.start: s for s in seg_slots}
     pos = seg_start
@@ -317,7 +292,7 @@ def _abstract_term(term: A.Term, seg_slots: tuple[Slot, ...], seg_start: int,
                 raise InternalError("constant run does not align with slots")
             fresh = namer.fresh("c")
             lengths[fresh] = slot.width
-            atoms.append(PAtom(fresh))
+            atoms.append(A.Var(fresh))
             extra.append(A.EqConst(fresh, pending[: slot.width]))
             pending = pending[slot.width:]
             start += slot.width
@@ -332,11 +307,11 @@ def _abstract_term(term: A.Term, seg_slots: tuple[Slot, ...], seg_start: int,
         if slot is None or slot.width != w:
             raise InternalError(
                 f"variable '{atom.name}' does not align with its slot")
-        atoms.append(PAtom(atom.name, isinstance(atom, A.Compl)))
+        atoms.append(atom)
         pos += w
     flush()
-    return PTerm(term.amplitude, term.sum_constraints + tuple(extra),
-                 tuple(atoms))
+    return A.Term(term.amplitude, term.sum_constraints + tuple(extra),
+                  tuple(atoms))
 
 
 def _check_constrained_vars_occur(sq: A.SetQ) -> None:
@@ -352,11 +327,9 @@ def _check_constrained_vars_occur(sq: A.SetQ) -> None:
 def constant_abstraction(asts, lengths: A.LengthMap, seg_lengths: list[int],
                          namer: FreshNamer) -> AlignedSpec:
     """Compute the global partition and rewrite every set into a SetP."""
-    partition = _build_partition(asts, lengths, seg_lengths)
+    starts = _segment_starts(seg_lengths)
+    partition = _build_partition(asts, lengths, starts)
     out_lengths = dict(lengths)
-    starts = [1]
-    for w in seg_lengths:
-        starts.append(starts[-1] + w)
     uid = 0
     assertions = []
     for ast in asts:
@@ -383,17 +356,15 @@ def constant_abstraction(asts, lengths: A.LengthMap, seg_lengths: list[int],
 
 
 def render_aligned(spec: AlignedSpec) -> str:
-    from .parser import render_amplitude, render_varcon
-
-    def patom(a: PAtom) -> str:
-        return ("~" if a.complemented else "") + a.var
+    from .parser import render_amplitude, render_ket, render_varcon
 
     lines = []
-    for slot in spec.partition.slots:
-        lines.append(
-            f"// slot {slot.index}: qubits [{slot.start},{slot.end})"
-            f" segment {slot.segment + 1}"
-        )
+    for s, slots in enumerate(spec.partition.segments, start=1):
+        for slot in slots:
+            lines.append(
+                f"// slot {slot.index}: qubits [{slot.start},{slot.end})"
+                f" segment {s}"
+            )
     for ai, assertion in enumerate(spec.assertions):
         parts = []
         for alts in assertion.segments:
@@ -403,7 +374,7 @@ def render_aligned(spec: AlignedSpec) -> str:
                     render_amplitude(t.amplitude)
                     + (" sum[ " + ", ".join(render_varcon(c) for c in t.sum_constraints) + " ]"
                        if t.sum_constraints else " ")
-                    + "|" + " ".join(patom(a) for a in t.pattern) + ">"
+                    + render_ket(t.pattern)
                     for t in sp.terms
                 )
                 if sp.predicate:

@@ -10,7 +10,10 @@ satisfy; tensoring slices later folds these records with pointwise OR.
 
 Variables mentioned in the set predicate (or free in a pattern) index the
 union of concrete states; variables bound by a term's summation expand
-inside the state.  Equality bindings against constants are hard local
+inside the state.  ``ast.outer_vars`` and ``ast.inner_vars`` own that rule
+and its first-occurrence order, which fixes the order of a slice's cases.
+Pattern atoms are ``ast.Var`` and ``ast.Compl``; a complemented one emits
+the flipped bit.  Equality bindings against constants are hard local
 filters and never enter the constraint records.
 """
 
@@ -23,7 +26,7 @@ from . import ast as A
 from .amplitude import VALUATION, ValAmp, valamp_add
 from .errors import InternalError
 from .lsta import StateVector
-from .var_reorder import SetV, VTerm
+from .var_reorder import SetV
 
 
 @dataclass(frozen=True)
@@ -57,35 +60,6 @@ def constraint_table(v: SetV) -> ConstraintTable:
     })
 
 
-def _ordered_vars(constraints, patterns, member) -> list[str]:
-    order: list[str] = []
-    for c in constraints:
-        for name in A.varcon_vars(c):
-            if name in member and name not in order:
-                order.append(name)
-    for pat in patterns:
-        for atom in pat:
-            if atom.var in member and atom.var not in order:
-                order.append(atom.var)
-    return order
-
-
-def outer_slice_vars(v: SetV) -> list[str]:
-    """Union-indexing variables, in first-occurrence order."""
-    mentioned = {name for c in v.predicate for name in A.varcon_vars(c)}
-    outer = set(mentioned)
-    for t in v.terms:
-        summed = {name for c in t.sum_constraints for name in A.varcon_vars(c)}
-        outer |= {a.var for a in t.pattern} - summed
-    return _ordered_vars(v.predicate, [t.pattern for t in v.terms], outer)
-
-
-def _inner_vars(t: VTerm, outer: set[str]) -> list[str]:
-    summed = {name for c in t.sum_constraints for name in A.varcon_vars(c)}
-    inner = summed - outer
-    return _ordered_vars(t.sum_constraints, [t.pattern], inner)
-
-
 def _bit(c: str) -> int:
     return 1 if c == "1" else 0
 
@@ -114,17 +88,16 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
     whose columns of those bits are equal share one ``cases`` tuple, which
     is computed once.
     """
-    widths = {lengths[a.var] for t in v.terms for a in t.pattern}
+    widths = {lengths[a.name] for t in v.terms for a in t.pattern}
     if len(widths) != 1:
         raise InternalError(
             f"slot component mixes qubit lengths {sorted(widths)}")
     ell = widths.pop()
     n_slot = len(v.slots)
     table = constraint_table(v)
-    outer = outer_slice_vars(v)
-    outer_set = set(outer)
+    outer = A.outer_vars(v.predicate, v.terms)
     pred_eq = [c for c in v.predicate if isinstance(c, A.EqConst)]
-    terms = [(t, _inner_vars(t, outer_set),
+    terms = [(t, A.inner_vars(t, outer),
               [c for c in t.sum_constraints if isinstance(c, A.EqConst)])
              for t in v.terms]
     constants = [c.bits for c in pred_eq]
@@ -152,7 +125,7 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
                     if not all(_holds_eq(c, phi, j) for c in term_eq):
                         continue
                     key = "".join(
-                        str(phi[a.var] ^ (1 if a.complemented else 0))
+                        str(phi[a.name] ^ isinstance(a, A.Compl))
                         for a in t.pattern
                     )
                     d = ValAmp.of({

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import ast as A
 from .errors import InternalError
-from .preprocess import PAtom, SetP
+from .preprocess import SetP
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,6 @@ class DepEdge:
     a: int
     b: int
     kind: str  # "recurrence" | "inequality"
-    label: str
 
     def __post_init__(self) -> None:
         if self.a >= self.b:
@@ -49,7 +48,7 @@ def _var_slots(sp: SetP, slot_indices: tuple[int, ...]) -> dict[str, set[int]]:
     out: dict[str, set[int]] = {}
     for term in sp.terms:
         for atom, idx in zip(term.pattern, slot_indices):
-            out.setdefault(atom.var, set()).add(idx)
+            out.setdefault(atom.name, set()).add(idx)
     return out
 
 
@@ -58,13 +57,13 @@ def build_dependency_graph(setps, slot_indices: tuple[int, ...]) -> SlotDependen
     edges: list[DepEdge] = []
     seen: set[tuple[int, int]] = set()
 
-    def add(i: int, j: int, kind: str, label: str) -> None:
+    def add(i: int, j: int, kind: str) -> None:
         if i == j:
             return
         key = (min(i, j), max(i, j))
         if key not in seen:
             seen.add(key)
-            edges.append(DepEdge(key[0], key[1], kind, label))
+            edges.append(DepEdge(key[0], key[1], kind))
 
     for sp in setps:
         slots_of = _var_slots(sp, slot_indices)
@@ -72,12 +71,12 @@ def build_dependency_graph(setps, slot_indices: tuple[int, ...]) -> SlotDependen
             for i in sorted(occ):
                 for j in sorted(occ):
                     if i < j:
-                        add(i, j, "recurrence", var)
+                        add(i, j, "recurrence")
         for c in sp.constraints():
             if isinstance(c, A.NeqVar):
                 for i in sorted(slots_of.get(c.left, ())):
                     for j in sorted(slots_of.get(c.right, ())):
-                        add(i, j, "inequality", f"{c.left}!={c.right}")
+                        add(i, j, "inequality")
     return SlotDependencyGraph(slot_indices, tuple(edges))
 
 
@@ -99,7 +98,7 @@ class VTerm:
 
     tag: int
     sum_constraints: tuple[A.VarCon, ...]
-    pattern: tuple[PAtom, ...]
+    pattern: tuple[A.Atom, ...]
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,7 @@ def project_setP(sp: SetP, order: SlotOrder,
         positions = [slot_indices.index(s) for s in comp]
         positions_of.append(positions)
         survivings.append({
-            term.pattern[p].var for term in sp.terms for p in positions
+            term.pattern[p].name for term in sp.terms for p in positions
         })
 
     def home_count(c: A.VarCon) -> int:

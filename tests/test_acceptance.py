@@ -64,7 +64,7 @@ def test_worked_example_reproduces_exactly():
              if v.uid == second.uid}
     assert set(parts) == {(1, 2, 7), (3, 5, 6), (4,)}
     recur = parts[(1, 2, 7)]
-    assert recur.terms[0].pattern[1].var == recur.terms[1].pattern[2].var
+    assert recur.terms[0].pattern[1].name == recur.terms[1].pattern[2].name
     assert [type(c).__name__ for c in recur.predicate] == ["Len"]
     ineq = parts[(3, 5, 6)]
     assert sorted(type(c).__name__ for c in ineq.predicate) == [

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from lstaq import ast as A
-from lstaq.build import translate
+from lstaq.build import slice_expansions, translate
 from lstaq.errors import (
     ConflictingLengthError,
     LengthMismatchError,
@@ -16,6 +16,7 @@ from lstaq.errors import (
     UnknownLengthError,
 )
 from lstaq.parser import parse
+from lstaq.preprocess import canonicalize
 from tests.test_acceptance import random_source
 
 
@@ -84,15 +85,67 @@ def test_predicate_variables_must_occur_in_patterns():
 def test_outer_vars_are_the_union_indexing_ones():
     ast = parse("{ sum[ |j| = 1 ] |i j> : |i| = 1 }")
     (sq,) = list(ast.setqs())
-    assert A.outer_vars(sq) == frozenset({"i"})
+    assert A.outer_vars(sq.predicate, sq.terms()) == ("i",)
     (term,) = sq.diracs[0]
-    assert A.iterating_vars(term, frozenset({"i"})) == frozenset({"j"})
+    assert A.inner_vars(term, ("i",)) == ("j",)
 
 
 def test_free_pattern_vars_are_outer_even_without_a_predicate():
     ast = parse("{ sum[ |j| = 1 ] |i j>, |0 0 0> }")
     (sq,) = list(ast.setqs())
-    assert "i" in A.outer_vars(sq)
+    assert "i" in A.outer_vars(sq.predicate, sq.terms())
+
+
+def _reference_scopes(predicate, terms):
+    """(outer, inner of each term), each a list in first-occurrence order."""
+    def con_names(cons):
+        return [v for c in cons for v in A.varcon_vars(c)]
+
+    def ket_names(ts):
+        return [a.name for t in ts for a in t.pattern
+                if not isinstance(a, A.ConstBit)]
+
+    def first(names, member):
+        order = []
+        for v in names:
+            if v in member and v not in order:
+                order.append(v)
+        return order
+
+    outer = set(con_names(predicate))
+    for t in terms:
+        outer |= set(ket_names([t])) - set(con_names(t.sum_constraints))
+    inner = [first(con_names(t.sum_constraints) + ket_names([t]),
+                   set(con_names(t.sum_constraints)) - outer)
+             for t in terms]
+    return first(con_names(predicate) + ket_names(terms), outer), inner
+
+
+def _check_scopes(predicate, terms) -> None:
+    terms = list(terms)
+    outer, inner = _reference_scopes(predicate, terms)
+    assert A.outer_vars(predicate, terms) == tuple(outer)
+    assert [A.inner_vars(t, outer) for t in terms] == [tuple(i) for i in inner]
+
+
+# A ket variable free in one term and summed in another is outer; one that
+# no constraint names is outer too.
+SCOPED = ["{ sum[ |i| = 1 ] |i j> + |j i> : |j| = 1 }",
+          "{ sum[ |j| = 1, j != k ] |k j i>, |k 0 0> : |k| = 1 }"]
+
+
+def test_scoping_order_matches_a_first_occurrence_reference():
+    """Source, canonical and projected sets, on fixed and random specs."""
+    rng = random.Random(0x5C0BE)
+    sources = SCOPED + [random_source(rng) for _ in range(100)]
+    for src in sources:
+        ast = parse(src)
+        for sq in ast.setqs():
+            _check_scopes(sq.predicate, sq.terms())
+        for sq in canonicalize(ast).setqs():
+            _check_scopes(sq.predicate, sq.terms())
+        for _ai, _seg, v, _table, _slices in slice_expansions(translate([ast])):
+            _check_scopes(v.predicate, v.terms)
 
 
 def test_pattern_width_counts_constants_and_variables():

@@ -54,6 +54,23 @@ def test_resource_caps_exit_4(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["translate", "oracle", "fmt"])
+def test_unreadable_input_files_exit_4(tmp_path, capsys, command):
+    missing = str(tmp_path / "missing.spec")
+    assert main([command, missing]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and missing in err[0]
+    binary = tmp_path / "binary.spec"
+    binary.write_bytes(b"{ |0> } \xff\xfe")
+    assert main([command, str(binary)]) == 4
+    assert "error:" in capsys.readouterr().err
+
+
+def test_bench_sizes_must_be_integers(capsys):
+    assert main(["bench", "bv", "abc"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_malformed_theta_exits_1(tmp_path, capsys):
     f = spec_file(tmp_path, "{ a |0> + a |1> }")
     assert main(["translate", f, "--check-oracle", "--theta", "a=@@"]) == 1

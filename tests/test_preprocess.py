@@ -7,7 +7,11 @@ and variables that force the global partition's five slots.
 
 from __future__ import annotations
 
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lstaq import ast as A
 from lstaq.build import translate
@@ -73,6 +77,40 @@ def test_fresh_names_avoid_the_existing_pool():
     assert namer.fresh("i") == "i3"
 
 
+_BASES = st.sampled_from(["c", "c1", "i", "x"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.builds("{}{}".format, _BASES, st.integers(0, 12))),
+       st.lists(_BASES, max_size=40))
+def test_fresh_names_equal_the_count_from_zero_reference(used, bases):
+    namer = FreshNamer(used)
+    taken = set(used)
+    for base in bases:
+        n = 0
+        while f"{base}{n}" in taken:
+            n += 1
+        taken.add(f"{base}{n}")
+        assert namer.fresh(base) == f"{base}{n}"
+
+
+def _best_cpu_seconds(src: str) -> float:
+    ast = parse(src)
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.process_time()
+        translate([ast])
+        best = min(best, time.process_time() - t0)
+    return best
+
+
+def test_tensor_powers_translate_in_linear_time():
+    # Quadratic work reads about 16x here; linear work about 4x.
+    small = _best_cpu_seconds("{ |0> } ^ 1000")
+    large = _best_cpu_seconds("{ |0> } ^ 4000")
+    assert large <= 6 * small, (small, large)
+
+
 # ---------------------------------------------------------------------------
 # The aligned form of the E1/E2 job.
 # ---------------------------------------------------------------------------
@@ -132,7 +170,8 @@ def test_patterns_are_pure_variables_after_abstraction(job):
         for seg in assertion.segments:
             for sp in seg:
                 for term in sp.terms:
-                    assert all(hasattr(a, "var") for a in term.pattern)
+                    assert all(isinstance(a, (A.Var, A.Compl))
+                               for a in term.pattern)
 
 
 def test_setp_uids_are_unique(job):

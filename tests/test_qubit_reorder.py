@@ -26,11 +26,9 @@ from lstaq.qubit_reorder import (
     QubitSlice,
     SliceCase,
     _holds_eq,
-    _inner_vars,
     _truth,
     constraint_table,
     expand_qubit_slices,
-    outer_slice_vars,
 )
 from tests.test_var_reorder import S_A, S_B
 
@@ -89,8 +87,8 @@ def test_assignment_variables_follow_first_occurrence_order(expansion):
     setv, _table, slices = expansion
     names = [v for v, _b in slices[0].cases[0].assignment]
     # (p, z): both named first by the predicate, p before z
-    assert names[0] == setv.terms[0].pattern[0].var
-    assert names[1] == setv.terms[1].pattern[1].var
+    assert names[0] == setv.terms[0].pattern[0].name
+    assert names[1] == setv.terms[1].pattern[1].name
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +203,42 @@ def test_valamp_algebra_matches_the_slice_semantics():
 # ---------------------------------------------------------------------------
 
 
+def _ordered_vars(constraints, patterns, member):
+    order = []
+    for c in constraints:
+        for name in A.varcon_vars(c):
+            if name in member and name not in order:
+                order.append(name)
+    for pat in patterns:
+        for atom in pat:
+            if atom.name in member and atom.name not in order:
+                order.append(atom.name)
+    return order
+
+
+def _reference_outer(v):
+    """Union-indexing variables in first-occurrence order, worked out here."""
+    outer = {name for c in v.predicate for name in A.varcon_vars(c)}
+    for t in v.terms:
+        summed = {name for c in t.sum_constraints for name in A.varcon_vars(c)}
+        outer |= {a.name for a in t.pattern} - summed
+    return _ordered_vars(v.predicate, [t.pattern for t in v.terms], outer)
+
+
+def _reference_inner(t, outer):
+    summed = {name for c in t.sum_constraints for name in A.varcon_vars(c)}
+    return _ordered_vars(t.sum_constraints, [t.pattern], summed - outer)
+
+
 def _reference_slices(v, lengths):
-    """Every slice expanded on its own, one qubit index at a time."""
-    (ell,) = {lengths[a.var] for t in v.terms for a in t.pattern}
+    """Every slice expanded on its own, one qubit index at a time.
+
+    The variable order is computed here, not by ``ast.outer_vars``, so the
+    comparison also checks the order of the cases.
+    """
+    (ell,) = {lengths[a.name] for t in v.terms for a in t.pattern}
     table = constraint_table(v)
-    outer = outer_slice_vars(v)
+    outer = _reference_outer(v)
     slices = []
     for j in range(1, ell + 1):
         cases = []
@@ -220,13 +249,13 @@ def _reference_slices(v, lengths):
                 continue
             amp = {}
             for t in v.terms:
-                inner = _inner_vars(t, set(outer))
+                inner = _reference_inner(t, set(outer))
                 for ibits in itertools.product((0, 1), repeat=len(inner)):
                     phi = {**sigma, **dict(zip(inner, ibits))}
                     if not all(_holds_eq(c, phi, j) for c in t.sum_constraints
                                if isinstance(c, A.EqConst)):
                         continue
-                    key = "".join(str(phi[a.var] ^ a.complemented)
+                    key = "".join(str(phi[a.name] ^ isinstance(a, A.Compl))
                                   for a in t.pattern)
                     d = ValAmp.of({t.tag: tuple(_truth(c, phi, j)
                                                 for c in table.phis[t.tag])})

@@ -101,7 +101,7 @@ def test_recurrence_component_keeps_lengths_only(job):
     assert [type(c).__name__ for c in t1.sum_constraints] == ["Len", "Len"]
     assert [type(c).__name__ for c in t2.sum_constraints] == ["Len", "Len"]
     # the shared variable sits at slot 2 in term 1 and slot 7 in term 2
-    assert t1.pattern[1].var == t2.pattern[2].var
+    assert t1.pattern[1].name == t2.pattern[2].name
     # the predicate keeps the recurring variable's length and nothing else
     assert [type(c).__name__ for c in v.predicate] == ["Len"]
 
@@ -117,7 +117,7 @@ def test_inequality_component_keeps_both_inequalities(job):
     assert pred_kinds == ["Len", "Len", "NeqVar"]
     # the predicate inequality relates term 1's slot 3 to term 2's slot 5
     (neq,) = [c for c in v.predicate if isinstance(c, A.NeqVar)]
-    assert {neq.left, neq.right} == {t1.pattern[0].var, t2.pattern[1].var}
+    assert {neq.left, neq.right} == {t1.pattern[0].name, t2.pattern[1].name}
 
 
 def test_leftover_component_keeps_the_equality(job):
