@@ -106,13 +106,21 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
+# The smallest size at which each benchmark family is defined.
+BENCH_MIN_SIZE = {"bv": 1, "ghz": 1, "grover": 2, "groveriter": 2, "mctoffoli": 1}
+
+
 def bench_sources(family: str, n: int) -> list[tuple[str, str, bool]]:
     """Benchmark specification sources: (pre, post, translate-jointly).
 
     Pure text generation so the sources double as parser fixtures.  The
     ``ghz`` pair differs in qubit count (n vs. n+1), so its two sides are
-    translated as separate jobs.
+    translated as separate jobs.  A size below the family's minimum is a
+    ``SpecSyntaxError``.
     """
+    least = BENCH_MIN_SIZE.get(family)
+    if least is not None and n < least:
+        raise SpecSyntaxError(f"{family} requires n >= {least}, got n = {n}")
     if family == "bv":
         return [(
             f"{{ |s 0^{n} 0> : |s| = {n} }}",
@@ -127,8 +135,6 @@ def bench_sources(family: str, n: int) -> list[tuple[str, str, bool]]:
             False,
         )]
     if family == "grover":
-        if n < 2:
-            raise SpecSyntaxError("grover requires n >= 2")
         return [(
             f"{{ |s 0^{n} 0^{n - 2} 0> : |s| = {n} }}",
             f"bigU[ im(ah) = 0 && |ah|^2 > 7/8 ]"
@@ -137,8 +143,6 @@ def bench_sources(family: str, n: int) -> list[tuple[str, str, bool]]:
             True,
         )]
     if family == "groveriter":
-        if n < 2:
-            raise SpecSyntaxError("groveriter requires n >= 2")
         body = (f"{{ AH |s s 0^{n - 2} 1> +"
                 f" AL sum[ i != s ] |s i 0^{n - 2} 1> : |s| = {n} }}")
         pre = ("bigU[ im(ah) = 0 && re(ah) > 0 && im(al) = 0 &&"
@@ -170,9 +174,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise SpecSyntaxError(
             f"sizes must be comma-separated integers, got {args.sizes!r}"
         ) from None
+    # Every size is checked before the first line is printed.
+    sources = [(n, bench_sources(args.family, n)) for n in sizes]
     print(f"{'n':>5} {'qubits':>7} {'pre':>9} {'post':>9} {'seconds':>9}")
-    for n in sizes:
-        jobs = bench_sources(args.family, n)
+    for n, jobs in sources:
         pre_size = post_size = qubits = 0
         t0 = time.perf_counter()
         for pre_src, post_src, joint in jobs:
@@ -238,8 +243,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=12)
 
     p = sub.add_parser("bench", help="generate and translate a benchmark family")
-    p.add_argument("family",
-                   choices=["bv", "ghz", "grover", "groveriter", "mctoffoli"])
+    p.add_argument("family", choices=list(BENCH_MIN_SIZE))
     p.add_argument("sizes", help="comma-separated sizes, e.g. 4,8,16")
 
     p = sub.add_parser("fmt", help="parse and pretty-print a spec file")

@@ -14,12 +14,16 @@ The two composition operations mirror the set operations of the
 specification language and take any number of operands: :func:`union_all`
 adds one fresh root that selects between the operands' root transitions, and
 :func:`tensor_chain` grafts each operand in turn, one scaled copy per
-distinct leaf value of what came before.  Both cost time linear in the size
-of their result.  They assert their size bounds but do not :func:`validate`
-their results; callers validate a finished automaton once.  Neither changes
-its operands, so the same automaton object may be passed several times, as
-translation does with recurring qubit slices.  :func:`union` and
-:func:`tensor` are their two-operand forms.
+distinct leaf value of what came before.  It plans each distinct operand
+once per call, so a copy is an offset of the plan's local state ids, and it
+merges a copy's interchangeable leaf states as the copy is grafted; its
+peak is the largest intermediate size of the binary fold, counted before
+that fold's merges.  Both cost time linear in the size of their result.
+They assert their size bounds but do not :func:`validate` their results;
+callers validate a finished automaton once.  Neither changes its operands,
+so the same automaton object may be passed several times, as translation
+does with recurring qubit slices.  :func:`union` and :func:`tensor` are
+their two-operand forms.
 
 :func:`membership` decides one state without enumerating the language.  It
 holds the state as a DAG of shared subtrees, in which every all-zero
@@ -31,7 +35,7 @@ levels, not to the choice sequences, which grow exponentially with depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .amplitude import COMPLEX, Semiring
 from .errors import (
@@ -43,16 +47,14 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Internal:
+class Internal(NamedTuple):
     top: int
     choices: frozenset[int]
     left: int
     right: int
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     top: int
     choices: frozenset[int]
     amplitude: object
@@ -385,6 +387,69 @@ def union(a: Lsta, b: Lsta) -> Lsta:
     return union_all([a, b])
 
 
+class _Plan(NamedTuple):
+    """How one piece is grafted, over local ids: its non-root states, sorted.
+
+    A copy placed at offset ``off`` holds the state of local id ``a`` as
+    ``off + a``.  Root transitions hold their choices as indexes into the
+    sorted root choices.
+    """
+
+    n_states: int
+    roots: list[tuple[tuple[int, ...], int, int]]
+    inner: list[tuple[int, frozenset[int], int, int]]
+    leaves: list[tuple[int, frozenset[int], object]]
+    width: int
+    inner_max: int | None
+
+
+def _plan(b: Lsta) -> _Plan:
+    local = {s: a for a, s in enumerate(sorted(b.states - {b.root}))}
+    root_trans = [t for t in b.internal if t.top == b.root]
+    if not root_trans:
+        raise InternalError("right tensor operand has no root transitions")
+    index = {c: i for i, c in enumerate(sorted({c for t in root_trans for c in t.choices}))}
+    roots = [(tuple(index[c] for c in t.choices), local[t.left], local[t.right])
+             for t in root_trans]
+    inner = [(local[t.top], t.choices, local[t.left], local[t.right])
+             for t in b.internal if t.top != b.root]
+    leaves = [(local[t.top], t.choices, t.amplitude) for t in b.leaves]
+    inner_max = max((c for _t, cs, _l, _r in inner for c in cs), default=None)
+    return _Plan(len(local), roots, inner, leaves, len(index), inner_max)
+
+
+def _signatures(plan: _Plan, scaled: list[tuple[int, frozenset[int], object]]):
+    """Each leaf-only local state of a scaled copy, in ascending order, with
+    the set of its (choices, amplitude) pairs."""
+    inner_tops = {t for t, _c, _l, _r in plan.inner}
+    sigs: dict[int, set] = {}
+    for a, c, amplitude in scaled:
+        if a not in inner_tops:
+            sigs.setdefault(a, set()).add((c, amplitude))
+    return [(a, frozenset(sig)) for a, sig in sorted(sigs.items())]
+
+
+def _merge_leaf_states(a: Lsta) -> tuple[list[Internal], list[Leaf], set[int]]:
+    """``a``'s transitions and states once its interchangeable leaf-only
+    states are merged: those with equal leaf transitions become the
+    smallest of them."""
+    inner_tops = {t.top for t in a.internal}
+    sigs: dict[int, set] = {}
+    for t in a.leaves:
+        sigs.setdefault(t.top, set()).add((t.choices, t.amplitude))
+    groups: dict[frozenset, list[int]] = {}
+    for top, sig in sigs.items():
+        if top not in inner_tops and top != a.root:
+            groups.setdefault(frozenset(sig), []).append(top)
+    remap = {s: min(g) for g in groups.values() for s in g if s != min(g)}
+    if not remap:
+        return list(a.internal), list(a.leaves), set(a.states)
+    internal = [Internal(t.top, t.choices, remap.get(t.left, t.left), remap.get(t.right, t.right))
+                if t.left in remap or t.right in remap else t for t in a.internal]
+    leaves = [t for t in a.leaves if t.top not in remap]
+    return internal, leaves, set(a.states).difference(remap)
+
+
 def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
     """Tensor product of ``pieces`` in order, with its peak intermediate size.
 
@@ -396,18 +461,25 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
     numbers above every internal choice used so far, which keeps choice
     sets disjoint.
 
-    Before each graft, leaf-only states with identical leaf transitions are
-    merged into the smallest of them: they are interchangeable in every
-    accepting tree, and merging keeps the leaf transitions as many as the
-    distinct leaf values, which is what the size bound counts.  Only the
-    previous graft's leaves and the internal transitions appended with them
-    can be affected, so a step costs time linear in what it and the step
-    before it add.
-    State ids are those of a left fold of binary tensors.
+    Leaf-only states with identical leaf transitions are interchangeable in
+    every accepting tree, so they are merged into the smallest of them;
+    this keeps the leaf transitions as many as the distinct leaf values,
+    which is what the size bound counts.  The first piece's leaf states are
+    merged before the first graft.  A copy's leaf states are merged as the
+    copy is grafted, by the signature of their scaled leaf transitions: a
+    merged state emits no transitions and joins no state set, and the
+    transitions into it point at its representative, the first state
+    grafted with that signature.  The last graft is not merged.  State ids
+    are those of a left fold of binary tensors, which merges each
+    accumulator before grafting onto it, and the peak is that fold's
+    largest intermediate size, counted before its merges.
 
-    ``pieces`` are only read, so one automaton may appear in several
-    positions.  Each product of a leaf value and a piece's leaf amplitude
-    is computed once per call, however often the pair recurs.
+    Each distinct piece is planned once per call: its transitions over
+    local ids, so a copy is an offset, and per leaf value its scaled leaf
+    transitions and leaf-state signatures.  ``pieces`` are only read, so
+    one automaton may appear in several positions.  Each product of a leaf
+    value and a piece's leaf amplitude is computed once per call, however
+    often the pair recurs.
     """
     if not pieces:
         raise InternalError("tensor product of no automata")
@@ -416,78 +488,85 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
     if len(pieces) == 1:
         return acc, peak
     semiring, root = acc.semiring, acc.root
-    internal, leaves = list(acc.internal), list(acc.leaves)
-    states = set(acc.states)
-    # Only internal transitions from this index on can start from, or point
-    # at, a state that carries leaf transitions.
-    frontier = 0
+    internal, leaves, states = _merge_leaf_states(acc)
+    unmerged = len(acc.leaves)  # leaf transitions of the last graft before merging
     top_choice = max((c for t in internal for c in t.choices), default=0)
-    next_id = max(states) + 1
+    next_id = max(acc.states) + 1
+    plans: dict[int, _Plan] = {}
     products: dict = {}
-    for b in pieces[1:]:
+    scaled_leaves: dict = {}
+    signatures: dict = {}
+
+    def product(v, amplitude):
+        got = products.get((v, amplitude))
+        if got is None:
+            got = products[v, amplitude] = semiring.mul(v, amplitude)
+        return got
+
+    last = len(pieces) - 1
+    for step, b in enumerate(pieces[1:], start=1):
         if b.semiring != semiring:
             raise InternalError("cannot tensor automata over different semirings")
-        b_root_trans = [t for t in b.internal if t.top == b.root]
-        if not b_root_trans:
-            raise InternalError("right tensor operand has no root transitions")
-        size = len(internal) + len(leaves)
-
-        inner_tops = {t.top for t in internal[frontier:]}
-        sigs: dict[int, set] = {}
-        for t in leaves:
-            sigs.setdefault(t.top, set()).add((t.choices, t.amplitude))
-        groups: dict[frozenset, list[int]] = {}
-        for top, sig in sigs.items():
-            if top not in inner_tops and top != root:
-                groups.setdefault(frozenset(sig), []).append(top)
-        remap: dict[int, int] = {}
-        for g in groups.values():
-            rep = min(g)
-            remap.update((s, rep) for s in g if s != rep)
-        if remap:
-            for i in range(frontier, len(internal)):
-                t = internal[i]
-                if t.left in remap or t.right in remap:
-                    internal[i] = Internal(t.top, t.choices, remap.get(t.left, t.left),
-                                           remap.get(t.right, t.right))
-            leaves = [t for t in leaves if t.top not in remap]
-            states.difference_update(remap)
-            while next_id - 1 not in states:
-                next_id -= 1
+        plan = plans.get(id(b))
+        if plan is None:
+            plan = plans[id(b)] = _plan(b)
+        size = len(internal) + unmerged
+        while next_id - 1 not in states:
+            next_id -= 1
 
         values = {v: vi for vi, v in enumerate(dict.fromkeys(t.amplitude for t in leaves))}
         bound = size + len(values) * b.size
-        ex_index = {c: i for i, c in enumerate(sorted({c for t in leaves for c in t.choices}))}
-        u_b_r = sorted({c for t in b_root_trans for c in t.choices})
-        br_index = {c: i for i, c in enumerate(u_b_r)}
-        base = top_choice + 1
-        b_states = sorted(s for s in b.states if s != b.root)
-        b_inner = [t for t in b.internal if t.top != b.root]
-        frontier = len(internal)
-        copies: list[dict[int, int]] = []
+        merge = step < last
+        reps: dict[frozenset, int] = {}
         grafted: list[Leaf] = []
+        copy_ids: list[Sequence[int]] = []
         for v in values:
-            m = {s: next_id + k for k, s in enumerate(b_states)}
-            next_id += len(b_states)
-            states.update(m.values())
-            internal += [Internal(m[t.top], t.choices, m[t.left], m[t.right]) for t in b_inner]
-            for t in b.leaves:
-                key = (v, t.amplitude)
-                product = products.get(key)
-                if product is None:
-                    product = products[key] = semiring.mul(v, t.amplitude)
-                grafted.append(Leaf(m[t.top], t.choices, product))
-            copies.append(m)
+            key = (id(b), v)
+            scaled = scaled_leaves.get(key)
+            if scaled is None:
+                scaled = scaled_leaves[key] = [(a, c, product(v, amplitude))
+                                               for a, c, amplitude in plan.leaves]
+            off = next_id
+            next_id += plan.n_states
+            ids: Sequence[int] = range(off, next_id)
+            merged: dict[int, int] = {}
+            if merge:
+                sigs = signatures.get(key)
+                if sigs is None:
+                    sigs = signatures[key] = _signatures(plan, scaled)
+                for a, sig in sigs:
+                    rep = reps.setdefault(sig, off + a)
+                    if rep != off + a:
+                        merged[a] = rep
+                if merged:
+                    ids = list(ids)
+                    for a, rep in merged.items():
+                        ids[a] = rep
+            states.update(ids)
+            internal += [Internal(off + t, c, ids[l], ids[r]) for t, c, l, r in plan.inner]
+            grafted += [Leaf(off + a, c, p) for a, c, p in scaled if a not in merged]
+            copy_ids.append(ids)
+
+        base = top_choice + 1
+        ex_index = {c: i for i, c in enumerate(sorted({c for t in leaves for c in t.choices}))}
+        width = plan.width
+        interface: dict[frozenset, list[frozenset]] = {}
         for lt in leaves:
-            m = copies[values[lt.amplitude]]
-            for rt in b_root_trans:
-                choices = frozenset(base + ex_index[ca] * len(u_b_r) + br_index[cb]
-                                    for ca in lt.choices for cb in rt.choices)
-                internal.append(Internal(lt.top, choices, m[rt.left], m[rt.right]))
+            sets = interface.get(lt.choices)
+            if sets is None:
+                starts = [base + ex_index[ca] * width for ca in lt.choices]
+                sets = interface[lt.choices] = [frozenset(s + i for s in starts for i in cs)
+                                                for cs, _l, _r in plan.roots]
+                top_choice = max([top_choice, *(c for cs in sets for c in cs)])
+            ids = copy_ids[values[lt.amplitude]]
+            internal += [Internal(lt.top, cs, ids[l], ids[r])
+                         for cs, (_cs, l, r) in zip(sets, plan.roots)]
+        if values and plan.inner_max is not None:
+            top_choice = max(top_choice, plan.inner_max)
         leaves = grafted
-        top_choice = max([top_choice, *(c for t in internal[frontier:] for c in t.choices)])
-        assert len(internal) + len(leaves) <= bound
-        peak = max(peak, len(internal) + len(leaves))
+        unmerged = len(values) * len(plan.leaves)
+        assert len(internal) + unmerged <= bound
+        peak = max(peak, len(internal) + unmerged)
     out = Lsta(semiring, frozenset(states), root, tuple(internal), tuple(leaves))
     return out, peak
 
@@ -519,13 +598,20 @@ def write_lsta(a: Lsta, n: int, constraint: str | None = None) -> str:
         f"root {a.root}",
     ]
 
-    def choice_text(cs: frozenset[int]) -> str:
-        return "{%s}" % ",".join(str(c) for c in sorted(cs))
+    # The smallest choice and the text of each distinct choice set, made once.
+    seen: dict[frozenset[int], tuple[int, str]] = {}
 
-    for t in sorted(a.internal, key=lambda t: (t.top, min(t.choices))):
-        lines.append(f"i {t.top} {choice_text(t.choices)} -> {t.left} {t.right}")
-    for t in sorted(a.leaves, key=lambda t: (t.top, min(t.choices))):
-        lines.append(f"l {t.top} {choice_text(t.choices)} -> {a.semiring.render(t.amplitude)}")
+    def choice(cs: frozenset[int]) -> tuple[int, str]:
+        got = seen.get(cs)
+        if got is None:
+            got = seen[cs] = (min(cs), "{%s}" % ",".join(str(c) for c in sorted(cs)))
+        return got
+
+    for t in sorted(a.internal, key=lambda t: (t.top, choice(t.choices)[0])):
+        lines.append(f"i {t.top} {seen[t.choices][1]} -> {t.left} {t.right}")
+    render = a.semiring.render
+    for t in sorted(a.leaves, key=lambda t: (t.top, choice(t.choices)[0])):
+        lines.append(f"l {t.top} {seen[t.choices][1]} -> {render(t.amplitude)}")
     if constraint:
         lines.append(f"constraint {constraint}")
     return "\n".join(lines) + "\n"

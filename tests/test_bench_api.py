@@ -13,7 +13,7 @@ import importlib
 from pathlib import Path
 
 from lstaq.build import slice_expansions, translate
-from lstaq.lsta import write_lsta
+from lstaq.lsta import Internal, Leaf, write_lsta
 from lstaq.parser import parse
 from lstaq.qubit_reorder import expand_qubit_slices
 
@@ -53,3 +53,23 @@ def test_counted_results_keep_their_shapes():
     assert out[1] and all(len(s.cases) >= 1 for s in out[1])
     text = write_lsta(result.assertions[0].automaton, result.qubits)
     assert isinstance(text, str)
+
+
+def test_transition_records_compare_as_the_digest_expects():
+    # perfbench/digest.py tells the kinds apart by ``hasattr(t, "left")``
+    # and keys dicts and sets by transitions and their fields.
+    one, two = frozenset({1}), frozenset({1, 2})
+    i, j = Internal(3, one, 4, 5), Internal(3, frozenset({1}), 4, 5)
+    assert (i.top, i.choices, i.left, i.right) == (3, one, 4, 5)
+    assert i == j and hash(i) == hash(j)
+    assert i != Internal(3, two, 4, 5) and i != Internal(3, one, 5, 4)
+    leaf, same = Leaf(3, one, "a"), Leaf(3, frozenset({1}), "a")
+    assert (leaf.top, leaf.choices, leaf.amplitude) == (3, one, "a")
+    assert leaf == same and hash(leaf) == hash(same)
+    assert leaf != Leaf(3, one, "b")
+    assert not hasattr(leaf, "left") and hasattr(i, "left")
+    # Not even a leaf whose fields are a prefix of the internal's.
+    for a in (Leaf(3, one, 4), Leaf(3, one, (4, 5)), Leaf(3, one, "a")):
+        assert a != i and i != a
+    assert Internal(*i) == i and Leaf(*leaf) == leaf
+    assert len({i, j, leaf, same}) == 2

@@ -71,6 +71,16 @@ def test_bench_sizes_must_be_integers(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family, size", [
+    ("bv", "-2"), ("mctoffoli", "0"), ("bv", "0"), ("ghz", "0")])
+def test_bench_sizes_below_the_family_minimum_exit_1(family, size, capsys):
+    # Checked before any row is printed, and named in the message.
+    assert main(["bench", family, f"4,{size}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {family} requires n >= 1, got n = {size}\n"
+
+
 def test_malformed_theta_exits_1(tmp_path, capsys):
     f = spec_file(tmp_path, "{ a |0> + a |1> }")
     assert main(["translate", f, "--check-oracle", "--theta", "a=@@"]) == 1

@@ -9,11 +9,13 @@ the binary operations as they stood before the n-ary routines.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 
 import pytest
 
-from lstaq.amplitude import VALUATION
+import lstaq.build
+from lstaq.amplitude import COMPLEX, TAG, VALUATION, tag
 from lstaq.build import build_setq_lsta, slice_expansions, translate
 from lstaq.cli import bench_sources
 from lstaq.errors import InternalError
@@ -21,6 +23,7 @@ from lstaq.lsta import (
     Internal,
     Leaf,
     Lsta,
+    StateVector,
     n_leaves,
     tensor_chain,
     union_all,
@@ -28,7 +31,7 @@ from lstaq.lsta import (
     write_lsta,
 )
 from lstaq.parser import parse
-from tests.conftest import canonical_form
+from tests.conftest import canonical_form, cpoly
 from tests.test_acceptance import _random_automaton
 
 
@@ -137,6 +140,118 @@ def test_a_piece_repeated_by_reference_tensors_like_separate_copies():
         assert shared == copies
         assert shared_peak == copies_peak
         assert p == build()  # the piece itself is left as it was
+
+
+def _reference_chain(pieces) -> tuple[Lsta, int, int]:
+    """The binary left fold of ``pieces``: the result, its peak, and how
+    many states of grafted copies its merges removed."""
+    fold, peak, merged = pieces[0], pieces[0].size, 0
+    for k, b in enumerate(pieces[1:]):
+        if k:
+            merged += len(fold.states) - len(_ref_merge(fold).states)
+        fold = _ref_tensor(fold, b)
+        peak = max(peak, fold.size)
+    return fold, peak, merged
+
+
+def _assert_chain_is_the_fold(pieces) -> int:
+    """``tensor_chain`` builds the fold exactly; returns the fold's merges."""
+    chain, chain_peak = tensor_chain(pieces)
+    fold, peak, merged = _reference_chain(pieces)
+    assert chain.root == fold.root
+    assert chain.states == fold.states
+    # The same transitions, with the same state ids, in the same order.
+    assert chain.internal == fold.internal
+    assert chain.leaves == fold.leaves
+    assert chain_peak == peak
+    validate(chain)
+    return merged
+
+
+def _piece(semiring, *members: dict) -> Lsta:
+    """The union of the given states, each a dict from basis string to amplitude."""
+    return build_setq_lsta(
+        [StateVector.of(len(next(iter(m))), m, semiring) for m in members], semiring)
+
+
+# Q's leaves all carry tag 4, which no other piece uses: scaled by any leaf
+# value of a chain of these pieces, its copies have one leaf value, so the
+# leaf states of all of them merge into one.
+P = _piece(TAG, {"0": tag(1), "1": tag(2)}, {"0": tag(3)})
+Q = _piece(TAG, {s: tag(4) for s in ("00", "01", "10", "11")})
+R = _piece(TAG, {"0": tag(5)})
+
+
+def _random_tag_automaton(rng: random.Random, n: int) -> Lsta:
+    """A union of 1-3 states whose amplitudes are nonempty tag sets over 1-3.
+
+    Tags multiply by intersection, so copies scaled by different values
+    often end with equal leaves, and their leaf states merge.
+    """
+    tags = [frozenset(c) for k in (1, 2) for c in itertools.combinations((1, 2, 3), k)]
+    basis = ["".join(bits) for bits in itertools.product("01", repeat=n)]
+    return _piece(TAG, *({s: rng.choice(tags) for s in rng.sample(basis, rng.randint(1, 2 ** n))}
+                         for _ in range(rng.randint(1, 3))))
+
+
+def test_a_piece_repeated_2_to_12_times_grafts_like_the_fold():
+    rng = random.Random(0x12E9)
+    merged = []
+    for make in (_random_automaton, _random_tag_automaton):
+        for _ in range(4):
+            p = make(rng, 1)
+            merged += [_assert_chain_is_the_fold([p] * k) for k in range(2, 13)]
+    for _ in range(4):
+        p = _random_tag_automaton(rng, 2)
+        merged += [_assert_chain_is_the_fold([p] * k) for k in range(2, 7)]
+    assert any(merged)
+
+
+def test_alternating_pieces_graft_like_the_fold():
+    rng = random.Random(0xA17E)
+    for make in (_random_automaton, _random_tag_automaton):
+        for _ in range(10):
+            p, q = make(rng, rng.randint(1, 2)), make(rng, 1)
+            _assert_chain_is_the_fold([p, q, p, q])
+            _assert_chain_is_the_fold([q, p, q, p, q])
+
+
+def test_copies_merge_when_their_leaf_signatures_agree_and_only_then():
+    assert _assert_chain_is_the_fold([P, Q, Q, P]) > 0
+    assert _assert_chain_is_the_fold([Q, P, Q, R, P]) > 0
+    # Full support and amplitudes that are distinct primes: every product
+    # along the chain is distinct, so no two leaf states agree.
+    primes = [_piece(COMPLEX, {"0": cpoly(x), "1": cpoly(y)})
+              for x, y in (("2", "3"), ("5", "7"), ("11", "13"), ("17", "19"))]
+    assert _assert_chain_is_the_fold(primes) == 0
+
+
+def test_peak_counts_the_leaves_before_their_merge():
+    chain, peak = tensor_chain([P, Q, R])
+    # The largest step is grafting Q, whose 16 scaled leaves merge into
+    # one before the small R is grafted.
+    assert peak > chain.size
+    assert _assert_chain_is_the_fold([P, Q, R]) > 0
+
+
+@pytest.mark.parametrize("family", ["bv", "ghz", "mctoffoli"])
+def test_translation_chains_graft_like_the_fold(family, monkeypatch):
+    chains = []
+
+    def recording(pieces):
+        chains.append(list(pieces))
+        return tensor_chain(pieces)
+
+    monkeypatch.setattr(lstaq.build, "tensor_chain", recording)
+    for n in (2, 3, 4, 8):
+        for pre, post, joint in bench_sources(family, n):
+            for group in ([pre, post],) if joint else ([pre], [post]):
+                translate([parse(t) for t in group])
+    chains = [c for c in chains if len(c) > 1]
+    semirings = {c[0].semiring.name for c in chains}
+    assert "valuation" in semirings
+    merged = [_assert_chain_is_the_fold(c) for c in chains]
+    assert any(merged)
 
 
 def test_union_all_equals_the_binary_left_fold():
