@@ -4,10 +4,12 @@ The entry point is :func:`translate`, which runs the whole pipeline:
 canonicalize, align, abstract constants, reorder slots and qubits, expand
 slices, and compose the per-slice automata with the n-ary ``tensor_chain``
 and ``union_all`` and the two amplitude-domain crossings (``filter_f``,
-``filter_tau``).  Neither construction nor composition re-checks its
-results: ``validate`` runs once on each finished assertion automaton.  Qubit
-slices with the same member states recur across qubit positions and sets;
-each distinct one is built once per call and passed wherever it recurs.
+``filter_tau``).  A slice's cases are written straight into their union,
+one levelwise automaton each, by :func:`build_setq_lsta` in one pass.
+Neither construction nor composition re-checks its results: ``validate``
+runs once on each finished assertion automaton.  Qubit slices with the
+same member states recur across qubit positions and sets; each distinct
+one is built once per call and passed wherever it recurs.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .lsta import (
     Lsta,
     StateVector,
     map_leaves,
-    mk_lsta,
     n_leaves,
     tensor_chain,
     union_all,
@@ -62,87 +63,95 @@ _ONE = frozenset({1})
 
 
 # ---------------------------------------------------------------------------
-# Levelwise construction of a single-state automaton.
+# Levelwise construction of a set's member automata, written into their union.
 # ---------------------------------------------------------------------------
 
 
-def build_state_lsta(psi: StateVector, semiring: Semiring) -> Lsta:
-    """Build the compact levelwise automaton accepting exactly ``psi``.
+def _emit_member(psi: StateVector, semiring: Semiring, off: int,
+                 internal: list[Internal], leaves: list[Leaf]
+                 ) -> tuple[int, int, int, int]:
+    """Append all but the root transition of the automaton of ``psi``.
 
-    One leaf state per nonzero basis string, one active state per proper
-    prefix, and a per-level sink chain for the missing subtrees.  When the
-    state has full support the sinks are never referenced and are skipped
-    entirely.  The result satisfies ``|Δ| ≤ (N+1)(n+1)`` for ``N`` nonzero
-    amplitudes over ``n`` qubits.
+    Ids start at ``off``; returns the root, its children and one past the
+    largest id.  A nonzero state gets one leaf state per nonzero basis
+    string, one active state per proper prefix, and a per-level sink chain
+    for the missing subtrees (none under full support), with the root last.
+    The zero vector, a set member when a summation is empty, is one sink
+    chain with the root first.  Either way ``|Δ| ≤ (N+1)(n+1)`` for ``N``
+    nonzero amplitudes over ``n`` qubits.
     """
+    n = psi.n
+    start = len(internal) + len(leaves)
+    if psi.is_zero:
+        internal += [Internal(k, _ONE, k + 1, k + 1) for k in range(off + 1, off + n)]
+        leaves.append(Leaf(off + n, _ONE, semiring.zero))
+        root, left, right, end = off, off + 1, off + 1, off + n + 1
+    else:
+        full = len(psi.entries) == (1 << n)
+        ids = itertools.count(off)
+        level = {s: next(ids) for s, _amp in psi.entries}
+        leaves += [Leaf(level[s], _ONE, amp) for s, amp in psi.entries]
+        sink: int | None = None
+        if not full:
+            sink = next(ids)
+            leaves.append(Leaf(sink, _ONE, semiring.zero))
+        for depth in range(n - 1, 0, -1):
+            prev, prev_sink = level, sink
+            level = {}
+            if not full:
+                sink = next(ids)
+                internal.append(Internal(sink, _ONE, prev_sink, prev_sink))
+            for x in sorted({p[:depth] for p in prev}):
+                level[x] = next(ids)
+                internal.append(Internal(
+                    level[x], _ONE,
+                    prev.get(x + "0", prev_sink),
+                    prev.get(x + "1", prev_sink),
+                ))
+        root = next(ids)
+        left, right, end = level.get("0", sink), level.get("1", sink), root + 1
+    assert len(internal) + len(leaves) - start < (len(psi.entries) + 1) * (n + 1)
+    return root, left, right, end
+
+
+def build_state_lsta(psi: StateVector, semiring: Semiring) -> Lsta:
+    """Build the compact levelwise automaton accepting exactly ``psi``."""
     if psi.is_zero:
         raise EmptyStateError()
-    n = psi.n
-    if n < 1:
-        raise InternalError("cannot build an automaton over zero qubits")
-    full = len(psi.entries) == (1 << n)
-
-    ids = itertools.count()
-    internal: list[Internal] = []
-    leaves: list[Leaf] = []
-
-    level: dict[str, int] = {}
-    for s, amp in psi.entries:
-        level[s] = next(ids)
-        leaves.append(Leaf(level[s], _ONE, amp))
-    sink: int | None = None
-    if not full:
-        sink = next(ids)
-        leaves.append(Leaf(sink, _ONE, semiring.zero))
-
-    for depth in range(n - 1, 0, -1):
-        prev, prev_sink = level, sink
-        level, sink = {}, None
-        if not full:
-            assert prev_sink is not None
-            sink = next(ids)
-            internal.append(Internal(sink, _ONE, prev_sink, prev_sink))
-        for x in sorted({p[:depth] for p in prev}):
-            level[x] = next(ids)
-            internal.append(Internal(
-                level[x], _ONE,
-                prev.get(x + "0", prev_sink),
-                prev.get(x + "1", prev_sink),
-            ))
-
-    root = next(ids)
-    internal.append(Internal(
-        root, _ONE, level.get("0", sink), level.get("1", sink)
-    ))
-
-    out = mk_lsta(semiring, root, internal, leaves)
-    assert out.size <= (len(psi.entries) + 1) * (n + 1)
-    return out
-
-
-def _zero_lsta(n: int, semiring: Semiring) -> Lsta:
-    """The automaton whose single member is the ``n``-qubit zero vector.
-
-    An empty summation denotes the zero vector, which remains a legitimate
-    set member; it needs its own shape since the levelwise construction
-    requires a nonzero amplitude.
-    """
-    internal = [Internal(k, _ONE, k + 1, k + 1) for k in range(n)]
-    leaves = [Leaf(n, _ONE, semiring.zero)]
-    return mk_lsta(semiring, 0, internal, leaves)
+    return build_setq_lsta([psi], semiring)
 
 
 def build_setq_lsta(states: Sequence[StateVector], semiring: Semiring) -> Lsta:
-    """Union of levelwise automata, one per member state."""
+    """Union of levelwise automata, one per member state, built in one pass.
+
+    The members are written straight into the union at running offsets, and
+    their root transitions move to a fresh root with choices ``{1}..{k}``.
+    State ids and transition order are those of ``union_all`` of the member
+    automata, the fresh ids of its binary left fold included.
+    """
     if not states:
         raise EmptyStateError()
     if len({psi.n for psi in states}) != 1:
         raise InternalError("set members have differing qubit counts")
-
-    return union_all([
-        _zero_lsta(psi.n, semiring) if psi.is_zero
-        else build_state_lsta(psi, semiring)
-        for psi in states])
+    if states[0].n < 1:
+        raise InternalError("cannot build an automaton over zero qubits")
+    internal: list[Internal] = []
+    leaves: list[Leaf] = []
+    children: list[tuple[int, int]] = []
+    end = 0
+    for k, psi in enumerate(states):
+        root, left, right, end = _emit_member(psi, semiring, end, internal, leaves)
+        children.append((left, right))
+        if k:
+            root, end = end, end + 1
+    if len(children) > 1:
+        internal += [Internal(root, frozenset((k,)), a, b)
+                     for k, (a, b) in enumerate(children, start=1)]
+    else:
+        at = 0 if states[0].is_zero else len(internal)
+        internal.insert(at, Internal(root, _ONE, left, right))
+    return Lsta(semiring, frozenset(range(end)), root,
+                tuple(internal), tuple(leaves))
 
 
 # ---------------------------------------------------------------------------

@@ -112,8 +112,9 @@ class DanglingStateError(InternalError):
 
 
 class LimitExceededError(InternalError):
-    def __init__(self, limit: int):
-        super().__init__(f"enumeration exceeded the limit of {limit} states")
+    def __init__(self, limit: int, description: str | None = None):
+        super().__init__(
+            description or f"enumeration exceeded the limit of {limit} states")
         self.limit = limit
 
 

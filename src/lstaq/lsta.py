@@ -12,7 +12,9 @@ so every construction here works over all three leaf domains.
 
 The two composition operations mirror the set operations of the
 specification language and take any number of operands: :func:`union_all`
-adds one fresh root that selects between the operands' root transitions, and
+adds one fresh root that selects between the operands' root transitions
+(translation uses it for the alternatives of a segment; the members of one
+set are written into their union directly, by ``build.build_setq_lsta``), and
 :func:`tensor_chain` grafts each operand in turn, one scaled copy per
 distinct leaf value of what came before.  It plans each distinct operand
 once per call, so a copy is an offset of the plan's local state ids, and it
@@ -349,7 +351,10 @@ def union_all(pieces: Sequence[Lsta]) -> Lsta:
     move to the fresh root with singleton choices 1..k in piece order, so
     the result has exactly as many transitions as the pieces together.
     State ids are those of a left fold of binary unions, in which every
-    step's fresh root takes one id and stays in the state set.
+    step's fresh root takes one id and stays in the state set.  It serves
+    unions of already built automata, such as a segment's alternatives;
+    ``build.build_setq_lsta`` writes a set's members into the same union
+    directly instead of building each one first.
     """
     if not pieces:
         raise InternalError("union of no automata")

@@ -24,9 +24,13 @@ from dataclasses import dataclass
 
 from . import ast as A
 from .amplitude import VALUATION, ValAmp, valamp_add
-from .errors import InternalError
+from .errors import InternalError, LimitExceededError
 from .lsta import StateVector
 from .var_reorder import SetV
+
+# Assignments one distinct slice may enumerate: 2^|outer| cases, each with
+# 2^|inner| per term.  A 1-bit `!=` chain over 16 variables is at the limit.
+MAX_SLICE_ASSIGNMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -86,7 +90,9 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
     A slice depends on its qubit index ``j`` only through the constant bits
     that the ``EqConst`` and ``NeqConst`` constraints read at ``j``.  Slices
     whose columns of those bits are equal share one ``cases`` tuple, which
-    is computed once.
+    is computed once.  A slice that would enumerate more than
+    ``MAX_SLICE_ASSIGNMENTS`` assignments raises ``LimitExceededError``
+    before any case is built.
     """
     widths = {lengths[a.name] for t in v.terms for a in t.pattern}
     if len(widths) != 1:
@@ -100,6 +106,11 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
     terms = [(t, A.inner_vars(t, outer),
               [c for c in t.sum_constraints if isinstance(c, A.EqConst)])
              for t in v.terms]
+    count = (1 << len(outer)) * sum(1 << len(inner) for _t, inner, _eq in terms)
+    if count > MAX_SLICE_ASSIGNMENTS:
+        raise LimitExceededError(MAX_SLICE_ASSIGNMENTS, (
+            f"a qubit slice needs {count} assignments, "
+            f"over the limit of {MAX_SLICE_ASSIGNMENTS}"))
     constants = [c.bits for c in pred_eq]
     constants += [c.bits for _t, _inner, term_eq in terms for c in term_eq]
     constants += [c.bits for phi in table.phis.values() for c in phi

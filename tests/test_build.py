@@ -25,8 +25,10 @@ from lstaq.build import (
 from lstaq.cli import bench_sources
 from lstaq.errors import EmptyStateError, InternalError
 from lstaq.lsta import Internal, Leaf, StateVector, enumerate_language, mk_lsta, validate
+from lstaq.oracle import differential_check
 from lstaq.parser import parse
 from tests.conftest import canonical_form, cpoly, vec
+from tests.test_qubit_reorder import neq_graph
 
 ONE = frozenset({1})
 T, F = True, False
@@ -251,6 +253,14 @@ def test_stats_report_sizes_and_counts():
     assert "assertion0.size" in text and "permutation 1,2" in text
     orders = render_orders(result)
     assert "new_to_old" in orders
+
+
+def test_long_neq_chains_keep_their_size_and_language():
+    # v0 != v1 != ... != v9: one slice of 2^10 cases, written into one union.
+    (res,) = translate([parse(neq_graph("chain", 10))]).assertions
+    assert res.automaton.size == 21504
+    report = differential_check([parse(neq_graph("chain", 6))])
+    assert report.ok, str(report)
 
 
 def _slice_counts(sources) -> list[tuple[int, int]]:

@@ -8,6 +8,8 @@ import pytest
 
 from lstaq.cli import bench_sources, main
 from lstaq.parser import parse_many
+from lstaq.qubit_reorder import MAX_SLICE_ASSIGNMENTS
+from tests.test_qubit_reorder import neq_graph
 from tests.test_var_reorder import S_A, S_B
 
 
@@ -52,6 +54,14 @@ def test_resource_caps_exit_4(tmp_path, capsys):
     f = spec_file(tmp_path, "{ sum[ |i| = 3 ] |i> }")
     assert main(["oracle", f, "--cap", "2"]) == 4
     assert "error:" in capsys.readouterr().err
+
+
+def test_slice_limit_exits_4(tmp_path, capsys):
+    k = MAX_SLICE_ASSIGNMENTS.bit_length()
+    f = spec_file(tmp_path, neq_graph("chain", k))
+    assert main(["translate", f]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: a qubit slice needs")
 
 
 @pytest.mark.parametrize("command", ["translate", "oracle", "fmt"])

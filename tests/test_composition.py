@@ -3,7 +3,9 @@
 ``tensor_chain`` and ``union_all`` must build exactly what a left fold of
 the binary operations built, state ids included, because the emitted
 automaton files are compared byte for byte.  The reference folds below are
-the binary operations as they stood before the n-ary routines.
+the binary operations as they stood before the n-ary routines.  Likewise
+``build_setq_lsta``, which writes a set's members straight into their
+union, must build ``union_all`` of the separate member automata.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import random
 import pytest
 
 import lstaq.build
-from lstaq.amplitude import COMPLEX, TAG, VALUATION, tag
+from lstaq.amplitude import COMPLEX, TAG, VALUATION, ValAmp, tag
 from lstaq.build import build_setq_lsta, slice_expansions, translate
 from lstaq.cli import bench_sources
 from lstaq.errors import InternalError
@@ -24,6 +26,7 @@ from lstaq.lsta import (
     Leaf,
     Lsta,
     StateVector,
+    mk_lsta,
     n_leaves,
     tensor_chain,
     union_all,
@@ -33,6 +36,7 @@ from lstaq.lsta import (
 from lstaq.parser import parse
 from tests.conftest import canonical_form, cpoly
 from tests.test_acceptance import _random_automaton
+from tests.test_qubit_reorder import neq_graph
 
 
 def _ref_union(a: Lsta, b: Lsta) -> Lsta:
@@ -270,6 +274,113 @@ def test_union_all_equals_the_binary_left_fold():
         assert chain.size == fold.size
         assert canonical_form(chain) == canonical_form(fold)
         assert chain == fold
+
+
+def _ref_member(psi: StateVector, semiring) -> Lsta:
+    """One member's levelwise automaton, built on its own as it was before
+    a set's members were written into their union."""
+    one, n = frozenset({1}), psi.n
+    if psi.is_zero:
+        return mk_lsta(semiring, 0, [Internal(k, one, k + 1, k + 1) for k in range(n)],
+                       [Leaf(n, one, semiring.zero)])
+    full = len(psi.entries) == (1 << n)
+    ids = itertools.count()
+    internal, leaves, level = [], [], {}
+    for s, amp in psi.entries:
+        level[s] = next(ids)
+        leaves.append(Leaf(level[s], one, amp))
+    sink = None
+    if not full:
+        sink = next(ids)
+        leaves.append(Leaf(sink, one, semiring.zero))
+    for depth in range(n - 1, 0, -1):
+        prev, prev_sink = level, sink
+        level, sink = {}, None
+        if not full:
+            sink = next(ids)
+            internal.append(Internal(sink, one, prev_sink, prev_sink))
+        for x in sorted({p[:depth] for p in prev}):
+            level[x] = next(ids)
+            internal.append(Internal(level[x], one, prev.get(x + "0", prev_sink),
+                                     prev.get(x + "1", prev_sink)))
+    root = next(ids)
+    internal.append(Internal(root, one, level.get("0", sink), level.get("1", sink)))
+    return mk_lsta(semiring, root, internal, leaves)
+
+
+def _assert_setq_is_the_union(members, semiring) -> None:
+    got = build_setq_lsta(members, semiring)
+    want = union_all([_ref_member(psi, semiring) for psi in members])
+    assert got.root == want.root
+    assert got.states == want.states
+    # The same transitions, with the same state ids, in the same order.
+    assert got.internal == want.internal
+    assert got.leaves == want.leaves
+    assert got == want
+    validate(got)
+
+
+# Nonzero amplitudes of each semiring to draw leaves from.
+AMPLITUDES = {
+    COMPLEX: [cpoly(x) for x in ("1", "-1", "i", "1/sqrt2", "(1+i)/2")],
+    TAG: [tag(*t) for t in ((1,), (2,), (1, 3), (2, 3))],
+    VALUATION: [ValAmp.of(m) for m in ({1: (True,)}, {1: (False,)},
+                                       {1: (True,), 2: (False, True)}, {2: (True, True)})],
+}
+
+
+def _random_member(rng: random.Random, n: int, semiring) -> StateVector:
+    """A member with empty, full or random support, over ``n`` qubits."""
+    basis = ["".join(bits) for bits in itertools.product("01", repeat=n)]
+    support = rng.choice([[], basis, rng.sample(basis, rng.randint(1, len(basis)))])
+    return StateVector.of(n, {s: rng.choice(AMPLITUDES[semiring]) for s in support},
+                          semiring)
+
+
+def test_set_members_are_written_into_their_union_as_union_all_builds_it():
+    rng = random.Random(0x5E70)
+    for semiring in (COMPLEX, TAG, VALUATION):
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            members = [_random_member(rng, n, semiring) for _ in range(rng.randint(1, 6))]
+            _assert_setq_is_the_union(members, semiring)
+
+
+def test_zero_full_and_single_members_are_written_as_union_all_builds_them():
+    for semiring in (COMPLEX, TAG, VALUATION):
+        amp = AMPLITUDES[semiring][0]
+        for n in (1, 2, 3):
+            zero = StateVector.of(n, {}, semiring)
+            full = StateVector.of(n, {"".join(b): amp for b in
+                                      itertools.product("01", repeat=n)}, semiring)
+            basis = StateVector.of(n, {"1" * n: amp}, semiring)
+            for members in ([zero], [full], [basis], [zero, zero], [zero, full],
+                            [full, zero, basis], [basis, zero, zero, full]):
+                _assert_setq_is_the_union(members, semiring)
+    # One member is its own automaton: the zero vector's root is id 0.
+    assert build_setq_lsta([StateVector.of(3, {}, TAG)], TAG).root == 0
+
+
+def test_translation_slices_are_written_as_union_all_builds_them(monkeypatch):
+    built = []
+
+    def recording(states, semiring):
+        built.append((states, semiring))
+        return build_setq_lsta(states, semiring)
+
+    monkeypatch.setattr(lstaq.build, "build_setq_lsta", recording)
+    for k in range(5, 9):
+        translate([parse(neq_graph("chain", k)), parse(neq_graph("cycle", k))])
+        translate([parse(neq_graph("star", k))])
+    for family in ("bv", "ghz", "mctoffoli"):
+        for n in (2, 3, 4):
+            for pre, post, joint in bench_sources(family, n):
+                for group in ([pre, post],) if joint else ([pre], [post]):
+                    translate([parse(t) for t in group])
+    # An 8-variable graph's one slice has a case per assignment.
+    assert max(len(states) for states, _ in built) == 2 ** 8
+    for states, semiring in built:
+        _assert_setq_is_the_union(states, semiring)
 
 
 def test_compositions_of_nothing_are_internal_errors():

@@ -17,12 +17,15 @@ import random
 
 import pytest
 
+import lstaq.qubit_reorder as qubit_reorder
 from lstaq import ast as A
 from lstaq.amplitude import VAL_ZERO, VALUATION, ValAmp, valamp_add, valamp_mul
 from lstaq.build import slice_expansions, translate
+from lstaq.errors import LimitExceededError
 from lstaq.lsta import StateVector
 from lstaq.parser import parse
 from lstaq.qubit_reorder import (
+    MAX_SLICE_ASSIGNMENTS,
     QubitSlice,
     SliceCase,
     _holds_eq,
@@ -298,3 +301,42 @@ def test_equal_constant_columns_share_one_cases_tuple():
     assert slices[0].cases is slices[3].cases
     assert slices[1].cases is slices[2].cases
     assert slices[0].cases != slices[1].cases
+
+
+def neq_graph(shape: str, k: int) -> str:
+    """One set over ``k`` 1-bit variables with a ``!=`` per edge of a chain,
+    cycle or star; its one slice has a case per assignment, 2^k in all."""
+    names = [f"v{i}" for i in range(k)]
+    edges = {"chain": list(zip(names, names[1:])),
+             "cycle": list(zip(names, names[1:] + names[:1])),
+             "star": [(names[0], v) for v in names[1:]]}[shape]
+    cons = [f"|{v}| = 1" for v in names] + [f"{a} != {b}" for a, b in edges]
+    return f"{{ |{' '.join(names)}> : {', '.join(cons)} }}"
+
+
+def test_slice_expansion_past_its_limit_raises_before_any_case(monkeypatch):
+    def no_case(*args):
+        raise AssertionError("a case was built past the limit")
+
+    monkeypatch.setattr(qubit_reorder, "SliceCase", no_case)
+    # One variable more than the largest chain the limit admits.
+    k = MAX_SLICE_ASSIGNMENTS.bit_length()
+    with pytest.raises(LimitExceededError) as err:
+        translate([parse(neq_graph("chain", k))])
+    assert err.value.exit_code == 4
+    assert str(err.value) == (f"a qubit slice needs {2 ** k} assignments, "
+                              f"over the limit of {MAX_SLICE_ASSIGNMENTS}")
+
+
+def test_slice_assignment_count_is_checked_against_the_limit(monkeypatch):
+    monkeypatch.setattr(qubit_reorder, "MAX_SLICE_ASSIGNMENTS", 2 ** 5)
+    translate([parse(neq_graph("chain", 5))])  # exactly at the limit
+    with pytest.raises(LimitExceededError, match="needs 64 assignments"):
+        translate([parse(neq_graph("chain", 6))])
+    # Outer x and inner i in one slice: 2 cases of 2 summands each.
+    src = "{ sum[ |i| = 1, i != x ] |i x> : |x| = 1 }"
+    monkeypatch.setattr(qubit_reorder, "MAX_SLICE_ASSIGNMENTS", 4)
+    translate([parse(src)])
+    monkeypatch.setattr(qubit_reorder, "MAX_SLICE_ASSIGNMENTS", 3)
+    with pytest.raises(LimitExceededError, match="needs 4 assignments"):
+        translate([parse(src)])
