@@ -20,7 +20,8 @@ distinct leaf value of what came before.  It plans each distinct operand
 once per call, so a copy is an offset of the plan's local state ids, and it
 merges a copy's interchangeable leaf states as the copy is grafted; its
 peak is the largest intermediate size of the binary fold, counted before
-that fold's merges.  Both cost time linear in the size of their result.
+that fold's merges; a run of one operand object replays its first graft
+shifted.  Both cost time linear in the size of their result.
 They assert their size bounds but do not :func:`validate` their results;
 callers validate a finished automaton once.  Neither changes its operands,
 so the same automaton object may be passed several times, as translation
@@ -37,6 +38,7 @@ levels, not to the choice sequences, which grow exponentially with depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .amplitude import COMPLEX, Semiring
@@ -60,6 +62,9 @@ class Leaf(NamedTuple):
     top: int
     choices: frozenset[int]
     amplitude: object
+
+
+_TOP, _CHOICES, _LEFT, _RIGHT = map(itemgetter, range(4))
 
 
 @dataclass(frozen=True)
@@ -98,13 +103,22 @@ def mk_lsta(
 
 
 def validate(a: Lsta) -> None:
-    """Check structural invariants; raises on the first violation."""
+    """Check structural invariants; raises on the first violation.
+
+    Set-wide tests find whether a state is unknown, a choice set empty or
+    a (top, choice) pair repeated; only then does the ordered scan run, to
+    name the first violation in transition order.
+    """
+    transitions = (*a.internal, *a.leaves)
+    refs = {a.root, *map(_TOP, transitions), *map(_LEFT, a.internal), *map(_RIGHT, a.internal)}
+    pairs = [(t.top, c) for t in transitions for c in t.choices]
+    if refs <= a.states and all(map(_CHOICES, transitions)) and len(set(pairs)) == len(pairs):
+        return
     if a.root not in a.states:
         raise DanglingStateError(a.root)
     seen: dict[int, set[int]] = {}
-    for t in list(a.internal) + list(a.leaves):
-        refs = (t.top, t.left, t.right) if isinstance(t, Internal) else (t.top,)
-        for s in refs:
+    for t in transitions:
+        for s in (t.top, t.left, t.right) if isinstance(t, Internal) else (t.top,):
             if s not in a.states:
                 raise DanglingStateError(s)
         if not t.choices:
@@ -405,7 +419,7 @@ class _Plan(NamedTuple):
     inner: list[tuple[int, frozenset[int], int, int]]
     leaves: list[tuple[int, frozenset[int], object]]
     width: int
-    inner_max: int | None
+    inner_max: int
 
 
 def _plan(b: Lsta) -> _Plan:
@@ -419,7 +433,7 @@ def _plan(b: Lsta) -> _Plan:
     inner = [(local[t.top], t.choices, local[t.left], local[t.right])
              for t in b.internal if t.top != b.root]
     leaves = [(local[t.top], t.choices, t.amplitude) for t in b.leaves]
-    inner_max = max((c for _t, cs, _l, _r in inner for c in cs), default=None)
+    inner_max = max((c for _t, cs, _l, _r in inner for c in cs), default=0)
     return _Plan(len(local), roots, inner, leaves, len(index), inner_max)
 
 
@@ -455,6 +469,37 @@ def _merge_leaf_states(a: Lsta) -> tuple[list[Internal], list[Leaf], set[int]]:
     return internal, leaves, set(a.states).difference(remap)
 
 
+class _Template(NamedTuple):
+    """A graft relative to its first fresh id and choice and its frontier's
+    first top: ``merged`` ids join no state set, and ``top`` is the largest
+    interface choice."""
+
+    n_values: int
+    n_ids: int
+    merged: list[int]
+    inner: list[tuple[int, frozenset[int], int, int]]
+    leaves: list[tuple[int, frozenset[int], object]]
+    sets: list[tuple[int, ...]]
+    interface: list[tuple[int, int, int, int]]
+    top: int
+
+
+def _emit(tpl: _Template, off: int, base: int, front: int,
+          internal: list[Internal], states: set[int]) -> list[Leaf]:
+    """Append ``tpl`` placed at ``off``, ``base`` and ``front``; return its leaves."""
+    states.update(range(off, off + tpl.n_ids))
+    states.difference_update([off + a for a in tpl.merged])
+    sets = [frozenset([base + c for c in cs]) for cs in tpl.sets]
+    internal += [Internal(off + t, c, off + l, off + r) for t, c, l, r in tpl.inner]
+    internal += [Internal(front + t, sets[k], off + l, off + r) for t, k, l, r in tpl.interface]
+    return [Leaf(off + a, c, p) for a, c, p in tpl.leaves]
+
+
+def _shape(leaves: list[Leaf]) -> list[tuple]:
+    """A frontier up to one offset of its tops: equal shapes graft alike."""
+    return [(t.top - leaves[0].top, t.choices, t.amplitude) for t in leaves]
+
+
 def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
     """Tensor product of ``pieces`` in order, with its peak intermediate size.
 
@@ -485,6 +530,17 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
     one automaton may appear in several positions.  Each product of a leaf
     value and a piece's leaf amplitude is computed once per call, however
     often the pair recurs.
+
+    A graft is a :class:`_Template` emitted at its first fresh id, first
+    fresh choice and frontier.  A run of one piece object replays the first
+    graft's template: a merged graft of the piece grafted last, onto the
+    template's frontier with every top moved by one offset (equal choices
+    and amplitudes, in order), emits it again.  Copy ids, inner transitions
+    and grafted leaves move with the fresh id after reclaim, interface tops
+    with the frontier, interface choice sets with the first fresh choice.
+    The largest choice is recomputed, not shifted: the piece's inner
+    choices may exceed the interface.  A replay's leaves are the
+    template's, shifted, so one frontier comparison per run suffices.
     """
     if not pieces:
         raise InternalError("tensor product of no automata")
@@ -509,68 +565,69 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
         return got
 
     last = len(pieces) - 1
+    replay: tuple | None = None  # piece, template, frontier shape (None once it recurred)
     for step, b in enumerate(pieces[1:], start=1):
-        if b.semiring != semiring:
-            raise InternalError("cannot tensor automata over different semirings")
         plan = plans.get(id(b))
         if plan is None:
+            if b.semiring != semiring:
+                raise InternalError("cannot tensor automata over different semirings")
             plan = plans[id(b)] = _plan(b)
         size = len(internal) + unmerged
         while next_id - 1 not in states:
             next_id -= 1
-
-        values = {v: vi for vi, v in enumerate(dict.fromkeys(t.amplitude for t in leaves))}
-        bound = size + len(values) * b.size
         merge = step < last
-        reps: dict[frozenset, int] = {}
-        grafted: list[Leaf] = []
-        copy_ids: list[Sequence[int]] = []
-        for v in values:
-            key = (id(b), v)
-            scaled = scaled_leaves.get(key)
-            if scaled is None:
-                scaled = scaled_leaves[key] = [(a, c, product(v, amplitude))
-                                               for a, c, amplitude in plan.leaves]
-            off = next_id
-            next_id += plan.n_states
-            ids: Sequence[int] = range(off, next_id)
-            merged: dict[int, int] = {}
-            if merge:
-                sigs = signatures.get(key)
-                if sigs is None:
-                    sigs = signatures[key] = _signatures(plan, scaled)
-                for a, sig in sigs:
-                    rep = reps.setdefault(sig, off + a)
-                    if rep != off + a:
-                        merged[a] = rep
-                if merged:
-                    ids = list(ids)
-                    for a, rep in merged.items():
-                        ids[a] = rep
-            states.update(ids)
-            internal += [Internal(off + t, c, ids[l], ids[r]) for t, c, l, r in plan.inner]
-            grafted += [Leaf(off + a, c, p) for a, c, p in scaled if a not in merged]
-            copy_ids.append(ids)
+        front = leaves[0].top if leaves else 0
+        if (replay and replay[0] is b and merge
+                and (replay[2] is None or replay[2] == _shape(leaves))):
+            tpl, replay = replay[1], (b, replay[1], None)
+        else:
+            values = {v: vi for vi, v in enumerate(dict.fromkeys(t.amplitude for t in leaves))}
+            reps: dict[frozenset, int] = {}
+            merged_ids, inner, grafted, copy_roots, sets, interface = [], [], [], [], [], []
+            for vi, v in enumerate(values):
+                key = (id(b), v)
+                scaled = scaled_leaves.get(key)
+                if scaled is None:
+                    scaled = scaled_leaves[key] = [(a, c, product(v, amplitude))
+                                                   for a, c, amplitude in plan.leaves]
+                o = vi * plan.n_states
+                merged: dict[int, int] = {}
+                if merge:
+                    sigs = signatures.get(key)
+                    if sigs is None:
+                        sigs = signatures[key] = _signatures(plan, scaled)
+                    for a, sig in sigs:
+                        rep = reps.setdefault(sig, o + a)
+                        if rep != o + a:
+                            merged[a] = rep
+                merged_ids += [o + a for a in merged]
+                ids = ([merged.get(a, o + a) for a in range(plan.n_states)] if merged
+                       else range(o, o + plan.n_states))
+                inner += [(o + t, c, ids[l], ids[r]) for t, c, l, r in plan.inner]
+                grafted += [(o + a, c, p) for a, c, p in scaled if a not in merged]
+                copy_roots.append([(j, ids[l], ids[r]) for j, (_cs, l, r) in enumerate(plan.roots)])
+            ex_index = {c: i for i, c in enumerate(sorted({c for t in leaves for c in t.choices}))}
+            set_index: dict[frozenset, int] = {}
+            for lt in leaves:
+                k = set_index.get(lt.choices)
+                if k is None:
+                    k = set_index[lt.choices] = len(sets)
+                    starts = [ex_index[ca] * plan.width for ca in lt.choices]
+                    sets += [tuple(s + i for s in starts for i in cs) for cs, _l, _r in plan.roots]
+                interface += [(lt.top - front, k + j, l, r)
+                              for j, l, r in copy_roots[values[lt.amplitude]]]
+            # Every frontier choice and every root choice index occurs.
+            tpl = _Template(len(values), len(values) * plan.n_states, merged_ids, inner, grafted,
+                            sets, interface, len(ex_index) * plan.width - 1)
+            replay = (b, tpl, _shape(leaves)) if step + 1 < last and pieces[step + 1] is b else None
 
         base = top_choice + 1
-        ex_index = {c: i for i, c in enumerate(sorted({c for t in leaves for c in t.choices}))}
-        width = plan.width
-        interface: dict[frozenset, list[frozenset]] = {}
-        for lt in leaves:
-            sets = interface.get(lt.choices)
-            if sets is None:
-                starts = [base + ex_index[ca] * width for ca in lt.choices]
-                sets = interface[lt.choices] = [frozenset(s + i for s in starts for i in cs)
-                                                for cs, _l, _r in plan.roots]
-                top_choice = max([top_choice, *(c for cs in sets for c in cs)])
-            ids = copy_ids[values[lt.amplitude]]
-            internal += [Internal(lt.top, cs, ids[l], ids[r])
-                         for cs, (_cs, l, r) in zip(sets, plan.roots)]
-        if values and plan.inner_max is not None:
-            top_choice = max(top_choice, plan.inner_max)
-        leaves = grafted
-        unmerged = len(values) * len(plan.leaves)
-        assert len(internal) + unmerged <= bound
+        leaves = _emit(tpl, next_id, base, front, internal, states)
+        next_id += tpl.n_ids
+        if tpl.n_values:
+            top_choice = max(top_choice, base + tpl.top, plan.inner_max)
+        unmerged = tpl.n_values * len(plan.leaves)
+        assert len(internal) + unmerged <= size + tpl.n_values * b.size
         peak = max(peak, len(internal) + unmerged)
     out = Lsta(semiring, frozenset(states), root, tuple(internal), tuple(leaves))
     return out, peak

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -238,6 +242,17 @@ def test_bench_smoke(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0].split() == ["n", "qubits", "pre", "post", "seconds"]
     assert len(out) == 3
+
+
+def test_python_m_lstaq_runs_the_command_line():
+    # From a checkout, where the console script may not be installed.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "lstaq", "bench", "bv", "4"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[:5] == ["n", "qubits", "pre", "post", "seconds"]
 
 
 def test_bench_families_all_generate_parseable_sources():

@@ -5,7 +5,9 @@ the binary operations built, state ids included, because the emitted
 automaton files are compared byte for byte.  The reference folds below are
 the binary operations as they stood before the n-ary routines.  Likewise
 ``build_setq_lsta``, which writes a set's members straight into their
-union, must build ``union_all`` of the separate member automata.
+union, must build ``union_all`` of the separate member automata.  The runs
+of one piece that ``tensor_chain`` replays are checked against the fold
+too, and replay is checked to happen only where it may.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import random
 import pytest
 
 import lstaq.build
+import lstaq.lsta
 from lstaq.amplitude import COMPLEX, TAG, VALUATION, ValAmp, tag
 from lstaq.build import build_setq_lsta, slice_expansions, translate
 from lstaq.cli import bench_sources
@@ -238,6 +241,123 @@ def test_peak_counts_the_leaves_before_their_merge():
     assert _assert_chain_is_the_fold([P, Q, R]) > 0
 
 
+# Nonzero amplitudes of each semiring to draw leaves from.
+AMPLITUDES = {
+    COMPLEX: [cpoly(x) for x in ("1", "-1", "i", "1/sqrt2", "(1+i)/2")],
+    TAG: [tag(*t) for t in ((1,), (2,), (1, 3), (2, 3))],
+    VALUATION: [ValAmp.of(m) for m in ({1: (True,)}, {1: (False,)},
+                                       {1: (True,), 2: (False, True)}, {2: (True, True)})],
+}
+
+
+def _replays(pieces, monkeypatch) -> tuple[int, int]:
+    """Check ``tensor_chain(pieces)`` against the fold; return the fold's
+    merges and how many grafts emitted an earlier graft's template again."""
+    emitted = []
+    emit = lstaq.lsta._emit
+
+    def recording(tpl, *args):
+        emitted.append(tpl)
+        return emit(tpl, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(lstaq.lsta, "_emit", recording)
+        merged = _assert_chain_is_the_fold(pieces)
+    return merged, len(emitted) - len({id(t) for t in emitted})
+
+
+# Units whose products recur, so a run of one piece reaches a steady state.
+UNITS = {
+    COMPLEX: [cpoly(x) for x in ("1", "-1", "i")],
+    TAG: AMPLITUDES[TAG],
+    VALUATION: AMPLITUDES[VALUATION],
+}
+RUN_LENGTHS = (2, 3, 4, 5, 8, 16, 31, 32, 33, 64, 127, 128)
+
+
+def _unit_piece(rng: random.Random, semiring, n: int) -> Lsta:
+    basis = ["".join(bits) for bits in itertools.product("01", repeat=n)]
+    return _piece(semiring, *({s: rng.choice(UNITS[semiring])
+                               for s in rng.sample(basis, rng.randint(1, 2 ** n))}
+                              for _ in range(rng.randint(1, 2))))
+
+
+@pytest.mark.parametrize("semiring", [COMPLEX, TAG, VALUATION], ids=lambda s: s.name)
+def test_a_run_of_one_piece_replays_its_first_graft_like_the_fold(semiring, monkeypatch):
+    rng = random.Random(0x4E91)
+    replayed = merged = 0
+    for n in (1, 1, 2):
+        p = _unit_piece(rng, semiring, n)
+        for k in RUN_LENGTHS if n == 1 else RUN_LENGTHS[:8]:
+            m, r = _replays([p] * k, monkeypatch)
+            merged, replayed = merged + m, replayed + r
+    assert replayed > 0
+    if semiring is TAG:
+        assert merged > 0
+
+
+def test_runs_of_two_pieces_replay_each_run_like_the_fold(monkeypatch):
+    rng = random.Random(0x2F0B)
+    replayed = 0
+    for semiring in (COMPLEX, TAG, VALUATION):
+        p, q = _unit_piece(rng, semiring, 1), _unit_piece(rng, semiring, rng.randint(1, 2))
+        for k in (2, 3, 5, 8, 16):
+            for pieces in ([p] * k + [q] * k, [p] * k + [q] * (k - 1) + [p]):
+                replayed += _replays(pieces, monkeypatch)[1]
+        replayed += _replays([p, p, p, q, p, p, p], monkeypatch)[1]
+    assert replayed > 0
+
+
+def test_a_run_ending_on_the_unmerged_last_graft_is_the_fold(monkeypatch):
+    # Q's copies merge on every merged graft, so a replay of a merged
+    # graft onto the last one would merge where the fold does not.
+    replayed = 0
+    for k in (3, 4, 9, 32):
+        for pieces in ([Q] * k, [P] + [Q] * k, [P] * k + [Q] * k):
+            merged, r = _replays(pieces, monkeypatch)
+            assert merged > 0
+            replayed += r
+    assert replayed > 0
+
+
+def test_equal_pieces_that_are_distinct_objects_do_not_replay(monkeypatch):
+    rng = random.Random(0xD15C)
+    for semiring in (COMPLEX, TAG):
+        seed = rng.random()
+        pieces = [_unit_piece(random.Random(seed), semiring, 1) for _ in range(12)]
+        assert all(p == pieces[0] and p is not pieces[0] for p in pieces[1:])
+        assert _replays(pieces, monkeypatch)[1] == 0
+        assert _replays([pieces[0]] * 12, monkeypatch)[1] > 0
+
+
+def test_leaf_values_that_change_at_every_graft_never_replay(monkeypatch):
+    # Every product of these amplitudes is new, so no frontier recurs.
+    p = _piece(COMPLEX, {"0": cpoly("2"), "1": cpoly("3")})
+    for k in (2, 3, 6, 12):
+        assert _replays([p] * k, monkeypatch)[1] == 0
+
+
+def test_inner_choices_above_the_interface_keep_their_place(monkeypatch):
+    # 2-qubit pieces whose inner transitions use choices 90 and 91, above
+    # the interface choices of a first graft onto a small piece.
+    one, two = frozenset({1}), frozenset({2})
+    inner = [Internal(0, one, 1, 2), Internal(0, two, 2, 2), Internal(1, frozenset({90}), 3, 4),
+             Internal(2, frozenset({90}), 4, 5), Internal(2, frozenset({91}), 3, 3)]
+    p = mk_lsta(TAG, 0, inner, [Leaf(3, one, tag(1)), Leaf(4, one, tag(1, 2)), Leaf(5, one, tag(2))])
+    flat = mk_lsta(TAG, 0, inner, [Leaf(s, one, tag(1)) for s in (3, 4, 5)])
+    # r's two leaf states merge into one, and so do those of each graft of
+    # flat, with equal leaves: the run of flat replays its first graft,
+    # after which choice 91 was the largest.
+    r = mk_lsta(TAG, 0, [Internal(0, one, 1, 2)], [Leaf(1, one, tag(1)), Leaf(2, one, tag(1))])
+    small = _piece(TAG, {"0": tag(1)}, {"1": tag(2)})
+    for piece in (p, flat, r):
+        validate(piece)
+    for k in (3, 4, 6, 12, 40):
+        assert _replays([r] + [flat] * k, monkeypatch)[1] == k - 2
+        for pieces in ([small] + [p] * k, [p] * k, [small] * k + [p] * k):
+            _replays(pieces, monkeypatch)
+
+
 @pytest.mark.parametrize("family", ["bv", "ghz", "mctoffoli"])
 def test_translation_chains_graft_like_the_fold(family, monkeypatch):
     chains = []
@@ -318,15 +438,6 @@ def _assert_setq_is_the_union(members, semiring) -> None:
     assert got.leaves == want.leaves
     assert got == want
     validate(got)
-
-
-# Nonzero amplitudes of each semiring to draw leaves from.
-AMPLITUDES = {
-    COMPLEX: [cpoly(x) for x in ("1", "-1", "i", "1/sqrt2", "(1+i)/2")],
-    TAG: [tag(*t) for t in ((1,), (2,), (1, 3), (2, 3))],
-    VALUATION: [ValAmp.of(m) for m in ({1: (True,)}, {1: (False,)},
-                                       {1: (True,), 2: (False, True)}, {2: (True, True)})],
-}
 
 
 def _random_member(rng: random.Random, n: int, semiring) -> StateVector:

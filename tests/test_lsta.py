@@ -8,6 +8,7 @@ from lstaq.amplitude import COMPLEX, AmplitudePoly
 from lstaq.errors import (
     ChoiceOverlapError,
     DanglingStateError,
+    InternalError,
     LimitExceededError,
     UnboundComplexVarError,
 )
@@ -100,6 +101,48 @@ def test_dangling_root_is_rejected():
     bad = Lsta(COMPLEX, frozenset({0}), 5, (), ())
     with pytest.raises(DanglingStateError):
         validate(bad)
+
+
+def _violation(internal, leaves, states=frozenset({0, 1, 2})) -> InternalError:
+    """The error ``validate`` raises on an automaton rooted at 0."""
+    with pytest.raises(InternalError) as err:
+        validate(Lsta(COMPLEX, frozenset(states), 0, tuple(internal), tuple(leaves)))
+    return err.value
+
+
+ONE_LEAF = Leaf(1, ONE, cpoly("1"))
+
+
+def test_a_dangling_internal_child_is_named():
+    err = _violation([Internal(0, ONE, 1, 7)], [ONE_LEAF])
+    assert isinstance(err, DanglingStateError) and err.state == 7
+
+
+def test_a_dangling_leaf_top_is_named():
+    err = _violation([Internal(0, ONE, 1, 1)], [ONE_LEAF, Leaf(4, ONE, cpoly("0"))])
+    assert isinstance(err, DanglingStateError) and err.state == 4
+
+
+def test_an_empty_choice_set_is_rejected():
+    err = _violation([Internal(0, ONE, 1, 1)], [ONE_LEAF, Leaf(1, frozenset(), cpoly("0"))])
+    assert type(err) is InternalError
+    assert str(err) == "transition from state 1 has no choices"
+
+
+def test_an_overlap_between_leaf_transitions_is_named():
+    leaves = [Leaf(1, frozenset({1, 2}), cpoly("1")), Leaf(2, ONE, cpoly("1")),
+              Leaf(1, frozenset({3, 2}), cpoly("0"))]
+    err = _violation([Internal(0, ONE, 1, 2)], leaves)
+    assert isinstance(err, ChoiceOverlapError)
+    assert (err.state, err.choice) == (1, 2)
+
+
+def test_the_first_of_two_violations_in_transition_order_is_reported():
+    # The overlap at state 0 comes before the leaf on unknown state 5.
+    internal = [Internal(0, frozenset({1, 2}), 1, 1), Internal(0, frozenset({2}), 1, 2)]
+    err = _violation(internal, [ONE_LEAF, Leaf(5, ONE, cpoly("1"))])
+    assert isinstance(err, ChoiceOverlapError)
+    assert (err.state, err.choice) == (0, 2)
 
 
 def test_enumeration_limit_is_enforced(ref_automaton):
