@@ -82,32 +82,33 @@ def _emit_member(psi: StateVector, semiring: Semiring, off: int,
     """
     n = psi.n
     start = len(internal) + len(leaves)
+    new = tuple.__new__
     if psi.is_zero:
-        internal += [Internal(k, _ONE, k + 1, k + 1) for k in range(off + 1, off + n)]
-        leaves.append(Leaf(off + n, _ONE, semiring.zero))
+        internal += [new(Internal, (k, _ONE, k + 1, k + 1)) for k in range(off + 1, off + n)]
+        leaves.append(new(Leaf, (off + n, _ONE, semiring.zero)))
         root, left, right, end = off, off + 1, off + 1, off + n + 1
     else:
         full = len(psi.entries) == (1 << n)
         ids = itertools.count(off)
         level = {s: next(ids) for s, _amp in psi.entries}
-        leaves += [Leaf(level[s], _ONE, amp) for s, amp in psi.entries]
+        leaves += [new(Leaf, (level[s], _ONE, amp)) for s, amp in psi.entries]
         sink: int | None = None
         if not full:
             sink = next(ids)
-            leaves.append(Leaf(sink, _ONE, semiring.zero))
+            leaves.append(new(Leaf, (sink, _ONE, semiring.zero)))
         for depth in range(n - 1, 0, -1):
             prev, prev_sink = level, sink
             level = {}
             if not full:
                 sink = next(ids)
-                internal.append(Internal(sink, _ONE, prev_sink, prev_sink))
+                internal.append(new(Internal, (sink, _ONE, prev_sink, prev_sink)))
             for x in sorted({p[:depth] for p in prev}):
                 level[x] = next(ids)
-                internal.append(Internal(
+                internal.append(new(Internal, (
                     level[x], _ONE,
                     prev.get(x + "0", prev_sink),
                     prev.get(x + "1", prev_sink),
-                ))
+                )))
         root = next(ids)
         left, right, end = level.get("0", sink), level.get("1", sink), root + 1
     assert len(internal) + len(leaves) - start < (len(psi.entries) + 1) * (n + 1)
@@ -145,7 +146,8 @@ def build_setq_lsta(states: Sequence[StateVector], semiring: Semiring) -> Lsta:
         if k:
             root, end = end, end + 1
     if len(children) > 1:
-        internal += [Internal(root, frozenset((k,)), a, b)
+        new = tuple.__new__
+        internal += [new(Internal, (root, frozenset((k,)), a, b))
                      for k, (a, b) in enumerate(children, start=1)]
     else:
         at = 0 if states[0].is_zero else len(internal)
@@ -297,14 +299,20 @@ def translate(asts: Sequence[A.AssertionAst]) -> TranslationResult:
                 mv_autos: list[Lsta] = []
                 for v in project_setP(sp, orders[s], ids):
                     _table, slices = expand_qubit_slices(v, aligned.lengths)
+                    # Slices with equal columns share one cases tuple, so
+                    # its automaton is looked up once per expansion.
+                    by_cases: dict[int, Lsta] = {}
                     pieces: list[Lsta] = []
                     for sl in slices:
-                        states = tuple(c.state for c in sl.cases)
-                        piece = slice_autos.get(states)
+                        piece = by_cases.get(id(sl.cases))
                         if piece is None:
-                            piece = slice_autos[states] = build_setq_lsta(
-                                states, VALUATION)
-                            n_built += 1
+                            states = tuple(c.state for c in sl.cases)
+                            piece = slice_autos.get(states)
+                            if piece is None:
+                                piece = slice_autos[states] = build_setq_lsta(
+                                    states, VALUATION)
+                                n_built += 1
+                            by_cases[id(sl.cases)] = piece
                         pieces.append(piece)
                     n_slices += len(pieces)
                     mq, peak = tensor_chain(pieces)

@@ -20,8 +20,11 @@ distinct leaf value of what came before.  It plans each distinct operand
 once per call, so a copy is an offset of the plan's local state ids, and it
 merges a copy's interchangeable leaf states as the copy is grafted; its
 peak is the largest intermediate size of the binary fold, counted before
-that fold's merges; a run of one operand object replays its first graft
-shifted.  Both cost time linear in the size of their result.
+that fold's merges.  Once a run of one operand object grafts onto its
+first graft's frontier shifted, the rest of the run is placed by integer
+arithmetic and written out in one pass, as shifted copies of that graft,
+with leaf transitions only for the run's last graft.  Both cost time
+linear in the size of their result.
 They assert their size bounds but do not :func:`validate` their results;
 callers validate a finished automaton once.  Neither changes its operands,
 so the same automaton object may be passed several times, as translation
@@ -38,6 +41,7 @@ levels, not to the choice sequences, which grow exponentially with depth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, count
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -65,6 +69,10 @@ class Leaf(NamedTuple):
 
 
 _TOP, _CHOICES, _LEFT, _RIGHT = map(itemgetter, range(4))
+
+# Emitters build records as ``tuple.__new__(Internal, (...))``: the same
+# instances that ``Internal(...)`` makes, without NamedTuple's Python-level
+# ``__new__``, which costs more than the tuple itself.
 
 
 @dataclass(frozen=True)
@@ -380,22 +388,23 @@ def union_all(pieces: Sequence[Lsta]) -> Lsta:
     old_roots: list[Internal] = []
     states: set[int] = set()
     offset = root = 0
+    new = tuple.__new__
     for k, p in enumerate(pieces):
         if p.semiring != semiring:
             raise InternalError("cannot union automata over different semirings")
         if any(t.top == p.root for t in p.leaves):
             raise InternalError("a root state may not carry leaf transitions")
-        for t in p.internal:
-            moved = Internal(t.top + offset, t.choices, t.left + offset, t.right + offset)
-            (old_roots if t.top == p.root else internal).append(moved)
-        leaves += [Leaf(t.top + offset, t.choices, t.amplitude) for t in p.leaves]
+        for top, c, left, right in p.internal:
+            moved = new(Internal, (top + offset, c, left + offset, right + offset))
+            (old_roots if top == p.root else internal).append(moved)
+        leaves += [new(Leaf, (top + offset, c, amplitude)) for top, c, amplitude in p.leaves]
         states.update(s + offset for s in p.states)
         offset += max(p.states) + 1
         if k:
             root = offset
             states.add(root)
             offset += 1
-    internal += [Internal(root, frozenset((idx,)), t.left, t.right)
+    internal += [new(Internal, (root, frozenset((idx,)), t.left, t.right))
                  for idx, t in enumerate(old_roots, start=1)]
     assert len(internal) + len(leaves) <= sum(p.size for p in pieces)
     return Lsta(semiring, frozenset(states), root, tuple(internal), tuple(leaves))
@@ -452,7 +461,7 @@ def _merge_leaf_states(a: Lsta) -> tuple[list[Internal], list[Leaf], set[int]]:
     """``a``'s transitions and states once its interchangeable leaf-only
     states are merged: those with equal leaf transitions become the
     smallest of them."""
-    inner_tops = {t.top for t in a.internal}
+    inner_tops = set(map(_TOP, a.internal))
     sigs: dict[int, set] = {}
     for t in a.leaves:
         sigs.setdefault(t.top, set()).add((t.choices, t.amplitude))
@@ -463,7 +472,8 @@ def _merge_leaf_states(a: Lsta) -> tuple[list[Internal], list[Leaf], set[int]]:
     remap = {s: min(g) for g in groups.values() for s in g if s != min(g)}
     if not remap:
         return list(a.internal), list(a.leaves), set(a.states)
-    internal = [Internal(t.top, t.choices, remap.get(t.left, t.left), remap.get(t.right, t.right))
+    new, get = tuple.__new__, remap.get
+    internal = [new(Internal, (t.top, t.choices, get(t.left, t.left), get(t.right, t.right)))
                 if t.left in remap or t.right in remap else t for t in a.internal]
     leaves = [t for t in a.leaves if t.top not in remap]
     return internal, leaves, set(a.states).difference(remap)
@@ -471,28 +481,51 @@ def _merge_leaf_states(a: Lsta) -> tuple[list[Internal], list[Leaf], set[int]]:
 
 class _Template(NamedTuple):
     """A graft relative to its first fresh id and choice and its frontier's
-    first top: ``merged`` ids join no state set, and ``top`` is the largest
-    interface choice."""
+    first top.
+
+    ``merged`` ids join no state set.  ``internal`` holds the graft's
+    internal transitions in order, the copies' inner ones first:
+    ``(False, top, choices, left, right)`` over ids, or, for an interface
+    transition, ``(True, top, k, left, right)`` with its top relative to the
+    frontier and its choices the ``k``-th of ``sets``, whose choices are
+    relative to the first fresh choice.  ``top`` is the largest interface
+    choice.
+    """
 
     n_values: int
     n_ids: int
     merged: list[int]
-    inner: list[tuple[int, frozenset[int], int, int]]
+    internal: list[tuple[bool, int, object, int, int]]
     leaves: list[tuple[int, frozenset[int], object]]
     sets: list[tuple[int, ...]]
-    interface: list[tuple[int, int, int, int]]
     top: int
 
 
-def _emit(tpl: _Template, off: int, base: int, front: int,
+def _emit(tpl: _Template, placements: list[tuple[int, int, int]],
           internal: list[Internal], states: set[int]) -> list[Leaf]:
-    """Append ``tpl`` placed at ``off``, ``base`` and ``front``; return its leaves."""
-    states.update(range(off, off + tpl.n_ids))
-    states.difference_update([off + a for a in tpl.merged])
-    sets = [frozenset([base + c for c in cs]) for cs in tpl.sets]
-    internal += [Internal(off + t, c, off + l, off + r) for t, c, l, r in tpl.inner]
-    internal += [Internal(front + t, sets[k], off + l, off + r) for t, k, l, r in tpl.interface]
-    return [Leaf(off + a, c, p) for a, c, p in tpl.leaves]
+    """Append ``tpl`` at each placement, a (first fresh id, first fresh
+    choice, frontier's first top) triple, in order, each graft's inner
+    transitions before its interface ones.  Returns the last placement's
+    leaf transitions; the others' leaves are only the next placement's
+    frontier, so they are not built."""
+    # No id from the first placement's on is a state yet.  A placement's ids
+    # end where the next one's begin: the next placement reclaims its
+    # trailing merged ids.
+    states.update(range(placements[0][0], placements[-1][0] + tpl.n_ids))
+    if tpl.merged:
+        ends = [off for off, _base, _front in placements[1:]]
+        ends.append(placements[-1][0] + tpl.n_ids)
+        states.difference_update([off + a for (off, _base, _front), end in zip(placements, ends)
+                                  for a in tpl.merged if off + a < end])
+    sets = [frozenset(map(base.__add__, cs))
+            for _off, base, _front in placements for cs in tpl.sets]
+    new, n_sets = tuple.__new__, len(tpl.sets)
+    internal += [new(Internal, (front + t, sets[g + c], off + l, off + r) if via
+                     else (off + t, c, off + l, off + r))
+                 for g, (off, _base, front) in zip(count(0, n_sets), placements)
+                 for via, t, c, l, r in tpl.internal]
+    off = placements[-1][0]
+    return [new(Leaf, (off + a, c, p)) for a, c, p in tpl.leaves]
 
 
 def _shape(leaves: list[Leaf]) -> list[tuple]:
@@ -531,16 +564,22 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
     value and a piece's leaf amplitude is computed once per call, however
     often the pair recurs.
 
-    A graft is a :class:`_Template` emitted at its first fresh id, first
-    fresh choice and frontier.  A run of one piece object replays the first
-    graft's template: a merged graft of the piece grafted last, onto the
-    template's frontier with every top moved by one offset (equal choices
-    and amplitudes, in order), emits it again.  Copy ids, inner transitions
-    and grafted leaves move with the fresh id after reclaim, interface tops
-    with the frontier, interface choice sets with the first fresh choice.
-    The largest choice is recomputed, not shifted: the piece's inner
-    choices may exceed the interface.  A replay's leaves are the
-    template's, shifted, so one frontier comparison per run suffices.
+    A graft is a :class:`_Template` written out by :func:`_emit` at a
+    placement: its first fresh id, first fresh choice and frontier's first
+    top.  A run of one piece object replays the first graft's template.
+    When the run's next merged graft finds the template's frontier with
+    every top moved by one offset (equal choices and amplitudes, in order),
+    the rest of the run is placed in one pass, up to but not including the
+    unmerged last graft: a replay's leaves are the template's shifted, so
+    every later graft of the run finds its frontier shifted too.  The
+    placements are integer arithmetic.  The first fresh id moves by the
+    template's ids less its trailing merged ids, which the fold reclaims;
+    the frontier's first top is the previous placement plus the template's
+    first leaf; and the largest choice is recomputed at each placement, not
+    shifted, because the piece's inner choices may exceed the interface.
+    One :func:`_emit` call then writes every placement, and builds leaf
+    transitions only for the last, since the others' leaves are only the
+    next graft's frontier.  The size bound is asserted for every graft.
     """
     if not pieces:
         raise InternalError("tensor product of no automata")
@@ -551,7 +590,7 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
     semiring, root = acc.semiring, acc.root
     internal, leaves, states = _merge_leaf_states(acc)
     unmerged = len(acc.leaves)  # leaf transitions of the last graft before merging
-    top_choice = max((c for t in internal for c in t.choices), default=0)
+    top_choice = max(chain.from_iterable(map(_CHOICES, internal)), default=0)
     next_id = max(acc.states) + 1
     plans: dict[int, _Plan] = {}
     products: dict = {}
@@ -565,25 +604,29 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
         return got
 
     last = len(pieces) - 1
-    replay: tuple | None = None  # piece, template, frontier shape (None once it recurred)
-    for step, b in enumerate(pieces[1:], start=1):
+    replay: tuple | None = None  # piece, template, frontier shape
+    step = 1
+    while step <= last:
+        b = pieces[step]
         plan = plans.get(id(b))
         if plan is None:
             if b.semiring != semiring:
                 raise InternalError("cannot tensor automata over different semirings")
             plan = plans[id(b)] = _plan(b)
-        size = len(internal) + unmerged
         while next_id - 1 not in states:
             next_id -= 1
-        merge = step < last
         front = leaves[0].top if leaves else 0
-        if (replay and replay[0] is b and merge
-                and (replay[2] is None or replay[2] == _shape(leaves))):
-            tpl, replay = replay[1], (b, replay[1], None)
+        end = step + 1
+        if replay and replay[0] is b and step < last and replay[2] == _shape(leaves):
+            # The frontier recurs shifted, so every further merged graft of
+            # b is a replay too: place the rest of the run now.
+            tpl, replay = replay[1], None
+            while end < last and pieces[end] is b:
+                end += 1
         else:
             values = {v: vi for vi, v in enumerate(dict.fromkeys(t.amplitude for t in leaves))}
             reps: dict[frozenset, int] = {}
-            merged_ids, inner, grafted, copy_roots, sets, interface = [], [], [], [], [], []
+            merged_ids, moves, grafted, copy_roots, sets = [], [], [], [], []
             for vi, v in enumerate(values):
                 key = (id(b), v)
                 scaled = scaled_leaves.get(key)
@@ -592,7 +635,7 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
                                                    for a, c, amplitude in plan.leaves]
                 o = vi * plan.n_states
                 merged: dict[int, int] = {}
-                if merge:
+                if step < last:
                     sigs = signatures.get(key)
                     if sigs is None:
                         sigs = signatures[key] = _signatures(plan, scaled)
@@ -603,7 +646,7 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
                 merged_ids += [o + a for a in merged]
                 ids = ([merged.get(a, o + a) for a in range(plan.n_states)] if merged
                        else range(o, o + plan.n_states))
-                inner += [(o + t, c, ids[l], ids[r]) for t, c, l, r in plan.inner]
+                moves += [(False, o + t, c, ids[l], ids[r]) for t, c, l, r in plan.inner]
                 grafted += [(o + a, c, p) for a, c, p in scaled if a not in merged]
                 copy_roots.append([(j, ids[l], ids[r]) for j, (_cs, l, r) in enumerate(plan.roots)])
             ex_index = {c: i for i, c in enumerate(sorted({c for t in leaves for c in t.choices}))}
@@ -614,21 +657,40 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
                     k = set_index[lt.choices] = len(sets)
                     starts = [ex_index[ca] * plan.width for ca in lt.choices]
                     sets += [tuple(s + i for s in starts for i in cs) for cs, _l, _r in plan.roots]
-                interface += [(lt.top - front, k + j, l, r)
-                              for j, l, r in copy_roots[values[lt.amplitude]]]
+                moves += [(True, lt.top - front, k + j, l, r)
+                          for j, l, r in copy_roots[values[lt.amplitude]]]
             # Every frontier choice and every root choice index occurs.
-            tpl = _Template(len(values), len(values) * plan.n_states, merged_ids, inner, grafted,
-                            sets, interface, len(ex_index) * plan.width - 1)
-            replay = (b, tpl, _shape(leaves)) if step + 1 < last and pieces[step + 1] is b else None
+            tpl = _Template(len(values), len(values) * plan.n_states, merged_ids, moves, grafted,
+                            sets, len(ex_index) * plan.width - 1)
+            replay = (b, tpl, _shape(leaves)) if end < last and pieces[end] is b else None
 
-        base = top_choice + 1
-        leaves = _emit(tpl, next_id, base, front, internal, states)
-        next_id += tpl.n_ids
-        if tpl.n_values:
-            top_choice = max(top_choice, base + tpl.top, plan.inner_max)
-        unmerged = tpl.n_values * len(plan.leaves)
-        assert len(internal) + unmerged <= size + tpl.n_values * b.size
-        peak = max(peak, len(internal) + unmerged)
+        reclaim = 0
+        if tpl.merged:
+            # A merged id's representative is an earlier id of its graft, so
+            # the walk-back over the graft's trailing merged ids stays in it.
+            gone = set(tpl.merged)
+            while tpl.n_ids - 1 - reclaim in gone:
+                reclaim += 1
+            assert reclaim < tpl.n_ids
+        stride, first_leaf = tpl.n_ids - reclaim, tpl.leaves[0][0] if tpl.leaves else None
+        n_new, grown = len(tpl.internal), tpl.n_values * len(plan.leaves)
+        bound = tpl.n_values * b.size
+        n_internal = len(internal)
+        placements = []
+        for _ in range(step, end):
+            base = top_choice + 1
+            placements.append((next_id, base, front))
+            if tpl.n_values:
+                top_choice = max(top_choice, base + tpl.top, plan.inner_max)
+            size = n_internal + unmerged
+            n_internal, unmerged = n_internal + n_new, grown
+            assert n_internal + unmerged <= size + bound
+            front = 0 if first_leaf is None else next_id + first_leaf
+            next_id += stride
+        # Sizes only grow along a run, so its last graft is its largest.
+        peak = max(peak, n_internal + unmerged)
+        leaves = _emit(tpl, placements, internal, states)
+        step = end
     out = Lsta(semiring, frozenset(states), root, tuple(internal), tuple(leaves))
     return out, peak
 
@@ -641,7 +703,8 @@ def tensor(a: Lsta, b: Lsta) -> Lsta:
 def map_leaves(a: Lsta, fn, semiring: Semiring | None = None) -> Lsta:
     """Rewrite every leaf amplitude, optionally changing the semiring."""
     semiring = semiring or a.semiring
-    leaves = tuple(Leaf(t.top, t.choices, fn(t.amplitude)) for t in a.leaves)
+    new = tuple.__new__
+    leaves = tuple([new(Leaf, (top, c, fn(amplitude))) for top, c, amplitude in a.leaves])
     return Lsta(semiring, a.states, a.root, a.internal, leaves)
 
 

@@ -250,20 +250,42 @@ AMPLITUDES = {
 }
 
 
-def _replays(pieces, monkeypatch) -> tuple[int, int]:
+def _placed(pieces, monkeypatch) -> tuple[int, list[tuple[object, list]]]:
     """Check ``tensor_chain(pieces)`` against the fold; return the fold's
-    merges and how many grafts emitted an earlier graft's template again."""
-    emitted = []
+    merges and, per ``_emit`` call, its template and placements."""
+    calls = []
     emit = lstaq.lsta._emit
 
-    def recording(tpl, *args):
-        emitted.append(tpl)
-        return emit(tpl, *args)
+    def recording(tpl, placements, *args):
+        calls.append((tpl, list(placements)))
+        return emit(tpl, placements, *args)
 
     with monkeypatch.context() as m:
         m.setattr(lstaq.lsta, "_emit", recording)
         merged = _assert_chain_is_the_fold(pieces)
-    return merged, len(emitted) - len({id(t) for t in emitted})
+    return merged, calls
+
+
+def _replays(pieces, monkeypatch) -> tuple[int, int]:
+    """Check ``tensor_chain(pieces)`` against the fold; return the fold's
+    merges and how many grafts placed an earlier graft's template again.
+
+    ``_emit`` places a template once per graft, so the replays are the
+    placements beyond one per distinct template."""
+    merged, calls = _placed(pieces, monkeypatch)
+    return merged, sum(len(p) for _t, p in calls) - len({id(t) for t, _p in calls})
+
+
+def _assert_runs_are_placed_at_once(pieces, calls) -> None:
+    """Every graft is placed once, and a call that places several grafts
+    takes the rest of its run: the graft after it is the unmerged last one
+    or one of another piece."""
+    step = 1
+    for _tpl, placements in calls:
+        step += len(placements)
+        if len(placements) > 1 and step < len(pieces) - 1:
+            assert pieces[step] is not pieces[step - 1]
+    assert step == len(pieces)
 
 
 # Units whose products recur, so a run of one piece reaches a steady state.
@@ -272,7 +294,7 @@ UNITS = {
     TAG: AMPLITUDES[TAG],
     VALUATION: AMPLITUDES[VALUATION],
 }
-RUN_LENGTHS = (2, 3, 4, 5, 8, 16, 31, 32, 33, 64, 127, 128)
+RUN_LENGTHS = (2, 3, 4, 5, 8, 16, 31, 32, 33, 64, 127, 128, 200)
 
 
 def _unit_piece(rng: random.Random, semiring, n: int) -> Lsta:
@@ -289,8 +311,10 @@ def test_a_run_of_one_piece_replays_its_first_graft_like_the_fold(semiring, monk
     for n in (1, 1, 2):
         p = _unit_piece(rng, semiring, n)
         for k in RUN_LENGTHS if n == 1 else RUN_LENGTHS[:8]:
-            m, r = _replays([p] * k, monkeypatch)
-            merged, replayed = merged + m, replayed + r
+            m, calls = _placed([p] * k, monkeypatch)
+            _assert_runs_are_placed_at_once([p] * k, calls)
+            replayed += sum(len(pl) for _t, pl in calls) - len(calls)
+            merged += m
     assert replayed > 0
     if semiring is TAG:
         assert merged > 0
@@ -314,9 +338,14 @@ def test_a_run_ending_on_the_unmerged_last_graft_is_the_fold(monkeypatch):
     replayed = 0
     for k in (3, 4, 9, 32):
         for pieces in ([Q] * k, [P] + [Q] * k, [P] * k + [Q] * k):
-            merged, r = _replays(pieces, monkeypatch)
+            merged, calls = _placed(pieces, monkeypatch)
             assert merged > 0
-            replayed += r
+            _assert_runs_are_placed_at_once(pieces, calls)
+            replayed += sum(len(pl) for _t, pl in calls) - len(calls)
+            (tpl, placements), (last_tpl, last) = calls[-2:]
+            # The run before the last graft merges, the last graft does not.
+            assert tpl.merged and not last_tpl.merged
+            assert len(last) == 1 and (k <= 4 or len(placements) > 1)
     assert replayed > 0
 
 
@@ -354,8 +383,48 @@ def test_inner_choices_above_the_interface_keep_their_place(monkeypatch):
         validate(piece)
     for k in (3, 4, 6, 12, 40):
         assert _replays([r] + [flat] * k, monkeypatch)[1] == k - 2
+        # The run's first fresh choice is set by flat's inner choices.
+        _merged, calls = _placed([r] + [flat] * k, monkeypatch)
+        assert calls[1][1][0][1] == 92
         for pieces in ([small] + [p] * k, [p] * k, [small] * k + [p] * k):
             _replays(pieces, monkeypatch)
+
+
+def test_a_piece_between_two_runs_starts_the_second_afresh(monkeypatch):
+    # Pieces whose runs reach a steady state on either side of q.
+    runs_of = {COMPLEX: _piece(COMPLEX, {"0": cpoly("1"), "1": cpoly("-1")}), TAG: P,
+               VALUATION: _piece(VALUATION, {"0": UNITS[VALUATION][0], "1": UNITS[VALUATION][2]})}
+    rng = random.Random(3)
+    for semiring, p in runs_of.items():
+        q = _unit_piece(rng, semiring, 2)
+        for k in (2, 3, 5, 30):
+            pieces = [p] * k + [q] + [p] * k
+            _merged, calls = _placed(pieces, monkeypatch)
+            _assert_runs_are_placed_at_once(pieces, calls)
+            runs = [tpl for tpl, pl in calls if len(pl) > 1]
+            # Each run of p replays a template of its own.
+            assert len({id(t) for t in runs}) == len(runs)
+            if k == 30:
+                assert len(runs) == 2
+
+
+def test_a_run_reclaims_the_trailing_merged_ids_of_each_graft(monkeypatch):
+    one = frozenset({1})
+    # The leaf states of r (two) and r3 (three) are alike, so all but the
+    # first, the largest ids of each graft, merge into the first.
+    r = mk_lsta(TAG, 0, [Internal(0, one, 1, 2)], [Leaf(1, one, tag(1)), Leaf(2, one, tag(1))])
+    r3 = mk_lsta(TAG, 0, [Internal(0, one, 1, 2), Internal(0, frozenset({2}), 3, 3)],
+                 [Leaf(s, one, tag(1)) for s in (1, 2, 3)])
+    reclaims = set()
+    for k in (3, 4, 10, 50):
+        for pieces in ([r] * k, [r3] * k, [P] + [r3] * k, [r3] + [r] * k):
+            _merged, calls = _placed(pieces, monkeypatch)
+            _assert_runs_are_placed_at_once(pieces, calls)
+            for tpl, placements in calls:
+                if len(placements) > 1:
+                    stride = placements[1][0] - placements[0][0]
+                    reclaims.add(tpl.n_ids - stride)
+    assert reclaims >= {1, 2}
 
 
 @pytest.mark.parametrize("family", ["bv", "ghz", "mctoffoli"])
@@ -376,6 +445,19 @@ def test_translation_chains_graft_like_the_fold(family, monkeypatch):
     assert "valuation" in semirings
     merged = [_assert_chain_is_the_fold(c) for c in chains]
     assert any(merged)
+
+
+def test_translated_automata_hold_only_internal_and_leaf_records():
+    # Emitters build records with tuple.__new__; perfbench's digest tells
+    # the kinds apart by ``hasattr(t, "left")``.
+    groups = [[neq_graph("chain", 5)], [r"{ |00> } \/ { |11>, |01> } (x) { |0>, |1> }"]]
+    for family in ("bv", "ghz", "grover", "groveriter", "mctoffoli"):
+        for pre, post, joint in bench_sources(family, 4):
+            groups += [[pre, post]] if joint else [[pre], [post]]
+    for group in groups:
+        for ar in translate([parse(t) for t in group]).assertions:
+            assert all(type(t) is Internal for t in ar.automaton.internal)
+            assert all(type(t) is Leaf for t in ar.automaton.leaves)
 
 
 def test_union_all_equals_the_binary_left_fold():

@@ -1,0 +1,75 @@
+"""Print ROADMAP's measurement table from ``python -m lstaq bench``.
+
+Run it from any checkout as::
+
+    python3 tools/bench_table.py --sizes 128,512,1024 --repeat 3
+
+For every bench family it runs ``python -m lstaq bench FAMILY SIZES``
+``--repeat`` times, each in a fresh process on this checkout's ``src``, and
+prints one Markdown row per family: the best wall seconds at each size, and
+the pre/post transitions at the largest size.  Running it on two checkouts
+in the same hour gives a before and after table from one command.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from lstaq.cli import BENCH_MIN_SIZE  # noqa: E402
+
+
+def bench(family: str, sizes: str) -> dict[int, tuple[float, int, int]]:
+    """One ``lstaq bench`` run: seconds, pre and post transitions per size."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "lstaq", "bench", family, sizes],
+                          env=env, capture_output=True, text=True, check=True)
+    rows = {}
+    for line in done.stdout.splitlines()[1:]:
+        n, _qubits, pre, post, seconds = line.split()
+        rows[int(n)] = (float(seconds), int(pre), int(post))
+    return rows
+
+
+def table(sizes: list[int], repeat: int) -> list[str]:
+    """The table's lines, one row per family after the header."""
+    largest = max(sizes)
+    heads = [f"n={n} s" for n in sizes] + [f"transitions at {largest} (pre/post)"]
+    lines = ["| family     |" + "".join(f" {h} |" for h in heads),
+             "|------------|" + "".join("-" * (len(h) + 1) + ":|" for h in heads)]
+    arg = ",".join(map(str, sizes))
+    for family in BENCH_MIN_SIZE:
+        runs = [bench(family, arg) for _ in range(repeat)]
+        cells = [f"{min(run[n][0] for run in runs):.3f}" for n in sizes]
+        _s, pre, post = runs[0][largest]
+        cells.append(f"{pre} / {post}")
+        lines.append(f"| {family:<10} |" + "".join(f" {c:>{len(h)}} |" for c, h in zip(cells, heads)))
+    return lines
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--sizes", default="128,512,1024",
+                   help="comma-separated sizes (default: 128,512,1024)")
+    p.add_argument("--repeat", type=int, default=3,
+                   help="runs per family; each size keeps its best (default: 3)")
+    args = p.parse_args(argv)
+    try:
+        sizes = [int(x) for x in args.sizes.split(",") if x.strip()]
+    except ValueError:
+        p.error(f"sizes must be comma-separated integers, got {args.sizes!r}")
+    if not sizes or args.repeat < 1:
+        p.error("need at least one size and one run")
+    print("\n".join(table(sizes, args.repeat)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
