@@ -36,6 +36,16 @@ holds the state as a DAG of shared subtrees, in which every all-zero
 subtree is one node, and walks the levels over frontiers of (state, node)
 pairs.  Its cost is proportional to the distinct frontiers times the
 levels, not to the choice sequences, which grow exponentially with depth.
+
+:func:`enumerate_language` lists the whole language, at a cost that follows
+the nonzero entries of the states it yields rather than their 2^n positions.
+Once per call it finds the *zero-only* states, all of whose trees have only
+zero leaves.  A run's frontier holds the tree positions of the other states,
+in position order, and just the set of zero-only states present: these
+still take part in choosing, since a state without a transition for a choice
+forbids that choice, but their positions could only yield zero entries.  At
+the leaf level each member is read straight off the live positions, which
+are already in the sorted order of :class:`StateVector`'s entries.
 """
 
 from __future__ import annotations
@@ -244,43 +254,88 @@ def _choice_tables(by_top: dict):
     return usable
 
 
-def _expand_level(maps, usable, limit: int):
-    """Advance every path->state map one level down, for every usable choice."""
-    out = set()
-    for m in maps:
-        tables, common = usable(set(m))
-        for c in common:
-            nxt: list[int] = []
-            for q in m:
-                t = tables[q][c]
-                nxt.append(t.left)
-                nxt.append(t.right)
-            out.add(tuple(nxt))
-            if len(out) > limit:
-                raise LimitExceededError(limit)
-    return out
+def _live_states(a: Lsta) -> set[int]:
+    """The states some tree of which has a nonzero leaf.
 
-
-def _leaf_vectors(m, usable, n: int, semiring: Semiring):
-    tables, common = usable(set(m))
-    for c in common:
-        amps = {
-            format(i, f"0{n}b"): tables[q][c].amplitude for i, q in enumerate(m)
-        }
-        yield StateVector.of(n, amps, semiring)
+    Every other state is *zero-only*: all its trees have only zero leaves,
+    and all its children are zero-only too.  A worklist spreads liveness
+    from the nonzero leaf transitions up to their ancestors, so the pass is
+    linear in the transitions and does not recurse, whatever the depth.
+    """
+    is_zero = a.semiring.is_zero
+    parents: dict[int, list[int]] = {}
+    for t in a.internal:
+        parents.setdefault(t.left, []).append(t.top)
+        parents.setdefault(t.right, []).append(t.top)
+    live = {t.top for t in a.leaves if not is_zero(t.amplitude)}
+    work = list(live)
+    while work:
+        for p in parents.get(work.pop(), ()):
+            if p not in live:
+                live.add(p)
+                work.append(p)
+    return live
 
 
 def enumerate_language(a: Lsta, n: int, limit: int = 100_000) -> frozenset[StateVector]:
-    """All n-qubit states accepted by ``a``; raises past ``limit`` states."""
+    """All n-qubit states accepted by ``a``.
+
+    A frontier is a tuple of (position, state) pairs for the live states,
+    in position order, and a frozenset of the zero-only states present
+    (see the module docstring); equal frontiers are walked once.
+
+    Raises :class:`LimitExceededError` when a level holds more than
+    ``limit`` distinct frontiers, when the result holds more than ``limit``
+    states, or when one frontier holds more than ``limit`` live positions.
+    """
     internal_by_top, leaves_by_top = _by_top(a)
     step, leaf = _choice_tables(internal_by_top), _choice_tables(leaves_by_top)
-    maps: set[tuple[int, ...]] = {(a.root,)}
+    live = _live_states(a)
+    if a.root in live:
+        frontiers = {(((0, a.root),), frozenset())}
+    else:
+        frontiers = {((), frozenset({a.root}))}
     for _ in range(n):
-        maps = _expand_level(maps, step, limit)
+        nxt: set = set()
+        for positions, zeros in frontiers:
+            tables, common = step({q for _p, q in positions}.union(zeros))
+            for c in common:
+                kids: list = []
+                dead: set[int] = set()
+                for p, q in positions:
+                    t = tables[q][c]
+                    p *= 2
+                    if t.left in live:
+                        kids.append((p, t.left))
+                    else:
+                        dead.add(t.left)
+                    if t.right in live:
+                        kids.append((p + 1, t.right))
+                    else:
+                        dead.add(t.right)
+                for q in zeros:
+                    t = tables[q][c]
+                    dead.add(t.left)
+                    dead.add(t.right)
+                if len(kids) > limit:
+                    raise LimitExceededError(limit)
+                nxt.add((tuple(kids), frozenset(dead)))
+                if len(nxt) > limit:
+                    raise LimitExceededError(limit)
+        frontiers = nxt
+    is_zero = a.semiring.is_zero
+    width = f"0{n}b"
     out: set[StateVector] = set()
-    for m in maps:
-        for psi in _leaf_vectors(m, leaf, n, a.semiring):
-            out.add(psi)
+    for positions, zeros in frontiers:
+        tables, common = leaf({q for _p, q in positions}.union(zeros))
+        keys = [(format(p, width), tables[q]) for p, q in positions]
+        for c in common:
+            entries = []
+            for s, table in keys:
+                amplitude = table[c].amplitude
+                if not is_zero(amplitude):
+                    entries.append((s, amplitude))
+            out.add(StateVector(n, tuple(entries)))
             if len(out) > limit:
                 raise LimitExceededError(limit)
     return frozenset(out)

@@ -41,6 +41,9 @@ _PUNCT = (
     "{", "}", "[", "]", "(", ")", "|", ">", "<", "~", "^",
     "+", "-", "*", "/", "=", ":", ",", "!",
 )
+# The literals by first character, in ``_PUNCT`` order, so that a longer
+# literal is tried before its one-character prefix.
+_PUNCT_BY_FIRST = {p[0]: tuple(q for q in _PUNCT if q[0] == p[0]) for p in _PUNCT}
 _KEYWORDS = {"bigU", "sum"}
 # Binding powers of the infix arithmetic operators.
 _BP = {"*": 20, "/": 20, "+": 10, "-": 10}
@@ -71,12 +74,12 @@ def tokenize(src: str) -> list[Token]:
         if ch in " \t\r":
             i, col = i + 1, col + 1
             continue
-        if src.startswith("//", i):
+        if ch == "/" and src.startswith("//", i):
             while i < n and src[i] != "\n":
                 i += 1
             continue
         hit = None
-        for p in _PUNCT:
+        for p in _PUNCT_BY_FIRST.get(ch, ()):
             if src.startswith(p, i):
                 hit = p
                 break

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import random
+import time
+
 import pytest
 
-from lstaq.amplitude import COMPLEX, AmplitudePoly
+from lstaq.amplitude import COMPLEX, TAG, VALUATION, AmplitudePoly
+from lstaq.build import build_setq_lsta, build_state_lsta, filter_f, translate
+from lstaq.cli import bench_sources
 from lstaq.errors import (
     ChoiceOverlapError,
     DanglingStateError,
@@ -29,6 +34,7 @@ from lstaq.lsta import (
     validate,
     write_lsta,
 )
+from lstaq.parser import parse, parse_many
 from tests.conftest import cpoly, vec
 
 ONE = frozenset({1})
@@ -148,6 +154,118 @@ def test_the_first_of_two_violations_in_transition_order_is_reported():
 def test_enumeration_limit_is_enforced(ref_automaton):
     with pytest.raises(LimitExceededError):
         enumerate_language(ref_automaton, 2, limit=1)
+
+
+# ---------------------------------------------------------------------------
+# Sparse enumeration against the dense reference.
+# ---------------------------------------------------------------------------
+
+
+def _ref_enumerate(a: Lsta, n: int) -> frozenset[StateVector]:
+    """The language by dense runs: each run holds the states of all 2^level
+    positions, and each member is read off all 2^n leaves."""
+    tables: dict[tuple[int, bool], dict[int, object]] = {}
+    for t in (*a.internal, *a.leaves):
+        for c in t.choices:
+            tables.setdefault((t.top, isinstance(t, Leaf)), {})[c] = t
+
+    def common(run, leafy: bool) -> set[int]:
+        return set.intersection(*(set(tables.get((q, leafy), ())) for q in run))
+
+    runs = {(a.root,)}
+    for _ in range(n):
+        runs = {tuple(s for q in run
+                      for s in (tables[q, False][c].left, tables[q, False][c].right))
+                for run in runs for c in common(run, False)}
+    out = set()
+    for run in runs:
+        for c in common(run, True):
+            amps = {format(i, f"0{n}b"): tables[q, True][c].amplitude
+                    for i, q in enumerate(run)}
+            out.add(StateVector.of(n, amps, a.semiring))
+    return frozenset(out)
+
+
+def _assert_matches_reference(a: Lsta, n: int) -> frozenset[StateVector]:
+    got = enumerate_language(a, n)
+    assert got == _ref_enumerate(a, n)
+    for psi in got:
+        assert psi == StateVector.of(n, dict(psi.entries), a.semiring)
+    return got
+
+
+def test_sparse_enumeration_matches_the_dense_reference_on_the_families():
+    for family in ("bv", "ghz", "grover", "groveriter", "mctoffoli"):
+        for n in (2, 3, 4):
+            for pre, post, joint in bench_sources(family, n):
+                batches = ([parse_many(pre) + parse_many(post)] if joint
+                           else [parse_many(pre), parse_many(post)])
+                for asts in batches:
+                    result = translate(asts)
+                    for ar in result.assertions:
+                        assert _assert_matches_reference(ar.automaton, result.qubits)
+
+
+def test_sparse_enumeration_matches_the_dense_reference_on_random_specs():
+    from tests.test_acceptance import random_source
+
+    rng = random.Random(0x5EA75E)
+    for _ in range(200):
+        result = translate([parse(random_source(rng))])
+        _assert_matches_reference(result.assertions[0].automaton, result.qubits)
+
+
+def test_sparse_enumeration_matches_the_dense_reference_over_other_semirings():
+    from tests.test_build import reference_valuation_automaton, third_case_state
+
+    valuation = build_state_lsta(third_case_state(), VALUATION)
+    for a in (valuation, reference_valuation_automaton(),
+              map_leaves(valuation, filter_f, TAG)):
+        assert len(_assert_matches_reference(a, 3)) == 1
+
+
+def test_a_zero_only_state_forbids_the_choices_it_lacks():
+    # State 2 yields only zeros and has no choice 2 at level 1, so the run
+    # that takes choice 2 there must vanish, though state 1 allows it.
+    a = mk_lsta(
+        COMPLEX,
+        root=0,
+        internal=[Internal(0, ONE, 1, 2), Internal(1, ONE, 3, 3),
+                  Internal(1, frozenset({2}), 4, 4), Internal(2, ONE, 5, 5)],
+        leaves=[Leaf(3, ONE, cpoly("1")), Leaf(4, ONE, cpoly("i")),
+                Leaf(5, ONE, cpoly("0"))],
+    )
+    assert _assert_matches_reference(a, 2) == {vec(2, {"00": "1", "01": "1"})}
+
+
+def test_a_zero_only_root_denotes_the_zero_vector():
+    zero = StateVector.of(3, {}, COMPLEX)
+    a = build_setq_lsta([zero], COMPLEX)
+    assert _assert_matches_reference(a, 3) == {zero}
+    both = build_setq_lsta([vec(2, {"10": "i"}), StateVector.of(2, {}, COMPLEX)], COMPLEX)
+    assert _assert_matches_reference(both, 2) == {
+        vec(2, {"10": "i"}), StateVector.of(2, {}, COMPLEX)}
+
+
+def test_a_1024_qubit_basis_state_enumerates_to_itself():
+    n = 1024
+    result = translate([parse(f"{{ |1^{n - 1} 0> }}")])
+    a = result.assertions[0].automaton
+    psi = vec(n, {"1" * (n - 1) + "0": "1"})
+    assert result.qubits == n
+    assert enumerate_language(a, n) == {psi}
+    assert membership(a, psi)
+    assert not membership(a, vec(n, {"1" * n: "1"}))
+
+
+def test_a_dense_frontier_is_refused_promptly():
+    # Every one of the 2^40 leaves is nonzero: at level 17 a frontier
+    # holds 2^17 live positions, past the default limit of 100,000.
+    result = translate([parse("{ |0> + |1> } ^ 40")])
+    t0 = time.perf_counter()
+    with pytest.raises(LimitExceededError):
+        enumerate_language(result.assertions[0].automaton, result.qubits)
+    assert time.perf_counter() - t0 < 10
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from lstaq.parser import (
     parse_many,
     render,
     render_many,
+    tokenize,
 )
 
 CORPUS = [
@@ -34,6 +35,19 @@ def test_render_parse_round_trip(src):
     asts = parse_many(src)
     again = parse_many(render_many(asts))
     assert again == asts
+
+
+def test_tokens_take_the_longest_literal_and_keep_their_positions():
+    toks = tokenize("a!=b ;; c\\/d // a note\n  |x1| <= 2.5 >=!<||&&/")
+    assert [(t.kind, t.text, t.line, t.col) for t in toks] == [
+        ("IDENT", "a", 1, 1), ("!=", "!=", 1, 2), ("IDENT", "b", 1, 4),
+        (";;", ";;", 1, 6), ("IDENT", "c", 1, 9), ("\\/", "\\/", 1, 10),
+        ("IDENT", "d", 1, 12), ("|", "|", 2, 3), ("IDENT", "x1", 2, 4),
+        ("|", "|", 2, 6), ("<=", "<=", 2, 8), ("NUMBER", "2.5", 2, 11),
+        (">=", ">=", 2, 15), ("!", "!", 2, 17), ("<", "<", 2, 18),
+        ("||", "||", 2, 19), ("&&", "&&", 2, 21), ("/", "/", 2, 23),
+        ("EOF", "", 2, 24),
+    ]
 
 
 def test_power_binds_looser_than_union():
