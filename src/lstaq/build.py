@@ -79,6 +79,13 @@ def _emit_member(psi: StateVector, semiring: Semiring, off: int,
     The zero vector, a set member when a summation is empty, is one sink
     chain with the root first.  Either way ``|Δ| ≤ (N+1)(n+1)`` for ``N``
     nonzero amplitudes over ``n`` qubits.
+
+    A single nonzero entry ``s`` over ``n ≥ 1`` qubits, the common member
+    of a slice, is never full, and its ids follow by arithmetic: the leaf
+    is ``off`` and the sink leaf ``off+1``; depth ``d`` has its sink at
+    ``off+2(n-d)`` and its path state one above, whose child on side
+    ``s[d]`` is the path one level down and the other the sink; the root
+    is ``off+2n``.  These are the ids the general case gives it.
     """
     n = psi.n
     start = len(internal) + len(leaves)
@@ -87,6 +94,19 @@ def _emit_member(psi: StateVector, semiring: Semiring, off: int,
         internal += [new(Internal, (k, _ONE, k + 1, k + 1)) for k in range(off + 1, off + n)]
         leaves.append(new(Leaf, (off + n, _ONE, semiring.zero)))
         root, left, right, end = off, off + 1, off + 1, off + n + 1
+    elif len(psi.entries) == 1:
+        ((s, amp),) = psi.entries
+        leaves += [new(Leaf, (off, _ONE, amp)),
+                   new(Leaf, (off + 1, _ONE, semiring.zero))]
+        path, sink = off, off + 1
+        for depth in range(n - 1, 0, -1):
+            k = off + 2 * (n - depth)
+            internal += [new(Internal, (k, _ONE, sink, sink)),
+                         new(Internal, (k + 1, _ONE, sink, path)
+                             if s[depth] == "1" else (k + 1, _ONE, path, sink))]
+            path, sink = k + 1, k
+        root, end = off + 2 * n, off + 2 * n + 1
+        left, right = (sink, path) if s[0] == "1" else (path, sink)
     else:
         full = len(psi.entries) == (1 << n)
         ids = itertools.count(off)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from . import __version__
@@ -216,6 +217,9 @@ def _build_argparser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}")
+    parser.add_argument(
+        "--debug", action="store_true",
+        help="print the traceback of an unexpected (internal) error")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("translate", help="translate a spec file into .lsta automata")
@@ -264,6 +268,11 @@ def main(argv: list[str] | None = None) -> int:
     except LstaqError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
+    except Exception as err:  # not KeyboardInterrupt: that is no Exception
+        if args.debug:
+            traceback.print_exc()
+        print(f"error: internal: {type(err).__name__}: {err}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

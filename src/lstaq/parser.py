@@ -109,27 +109,35 @@ def tokenize(src: str) -> list[Token]:
     return toks
 
 
+# Tokens past the current one that the parser looks at: ``(x)`` needs two.
+_LOOKAHEAD = 2
+
+
 class _Parser:
     def __init__(self, text: str):
-        self.toks = tokenize(text)
+        toks = tokenize(text)
+        # Copies of the closing EOF cover the deepest lookahead, two tokens
+        # past it, and ``next`` never moves past the first EOF.
+        self.toks = toks + [toks[-1]] * _LOOKAHEAD
         self.pos = 0
         self.depth = 0
 
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos + ahead]
 
     def next(self) -> Token:
-        tok = self.peek()
-        self.pos += 1
+        tok = self.toks[self.pos]
+        if tok.kind != "EOF":
+            self.pos += 1
         return tok
 
     def at(self, kind: str, ahead: int = 0) -> bool:
-        return self.peek(ahead).kind == kind
+        return self.toks[self.pos + ahead].kind == kind
 
     def expect(self, kind: str) -> Token:
-        tok = self.peek()
+        tok = self.toks[self.pos]
         if tok.kind != kind:
             self.fail(f"expected {kind!r}, found {tok.text!r}", tok)
         return self.next()

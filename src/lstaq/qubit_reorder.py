@@ -15,15 +15,23 @@ and its first-occurrence order, which fixes the order of a slice's cases.
 Pattern atoms are ``ast.Var`` and ``ast.Compl``; a complemented one emits
 the flipped bit.  Equality bindings against constants are hard local
 filters and never enter the constraint records.
+
+The expansion is compiled before any case is evaluated.  Each term's
+pattern becomes the positions it reads in a case's values (the outer bits,
+then the term's inner bits); each qubit column's filters and inequalities
+become pairs of positions and bits.  A case is then evaluated by indexing
+tuples, with no per-case valuation dict or dispatch on constraint type.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from . import ast as A
-from .amplitude import VALUATION, ValAmp, valamp_add
+from .amplitude import ValAmp, valamp_add
 from .errors import InternalError, LimitExceededError
 from .lsta import StateVector
 from .var_reorder import SetV
@@ -31,6 +39,8 @@ from .var_reorder import SetV
 # Assignments one distinct slice may enumerate: 2^|outer| cases, each with
 # 2^|inner| per term.  A 1-bit `!=` chain over 16 variables is at the limit.
 MAX_SLICE_ASSIGNMENTS = 1 << 16
+
+_FLIP = str.maketrans("01", "10")
 
 
 @dataclass(frozen=True)
@@ -68,16 +78,13 @@ def _bit(c: str) -> int:
     return 1 if c == "1" else 0
 
 
-def _holds_eq(c: A.EqConst, phi: dict[str, int], j: int) -> bool:
-    return phi[c.var] == _bit(c.bits[j - 1])
-
-
-def _truth(c: A.VarCon, phi: dict[str, int], j: int) -> bool:
-    if isinstance(c, A.NeqVar):
-        return phi[c.left] != phi[c.right]
-    if isinstance(c, A.NeqConst):
-        return phi[c.var] != _bit(c.bits[j - 1])
-    raise InternalError(f"{c} is not an inequality constraint")
+# Most slices read 0-2 bits a term; the bound keeps a 2^16-entry table of
+# one large slice from staying behind.
+@functools.lru_cache(maxsize=4)
+def _values(k: int) -> tuple[tuple[tuple[int, ...], str], ...]:
+    """Every assignment of ``k`` bits in order, as a tuple and as a text."""
+    return tuple(zip(itertools.product((0, 1), repeat=k),
+                     map("".join, itertools.product("01", repeat=k))))
 
 
 def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
@@ -93,6 +100,14 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
     is computed once.  A slice that would enumerate more than
     ``MAX_SLICE_ASSIGNMENTS`` assignments raises ``LimitExceededError``
     before any case is built.
+
+    Term patterns are compiled once per call, and filters and inequalities
+    once per distinct column.  A case's values are the tuple
+    ``(0, 1) + outer bits + inner bits``: a filter ``v = c`` checks
+    ``(position of v, bit of c)`` and an inequality compares two positions,
+    a constant bit reading position 0 or 1.  A term's basis string picks
+    its characters, by ``operator.itemgetter``, from the same values as
+    the text ``"01..."`` followed by its complement for ``~v`` atoms.
     """
     widths = {lengths[a.name] for t in v.terms for a in t.pattern}
     if len(widths) != 1:
@@ -116,6 +131,22 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
     constants += [c.bits for phi in table.phis.values() for c in phi
                   if isinstance(c, A.NeqConst)]
 
+    # Positions in a case's values; 0 and 1 hold the constant bits.
+    at_outer = {name: i for i, name in enumerate(outer, 2)}
+    compiled = []
+    for t, inner, term_eq in terms:
+        at = {**at_outer, **{name: i for i, name in
+                             enumerate(inner, 2 + len(outer))}}
+        width = 2 + len(outer) + len(inner)
+        flips = [isinstance(a, A.Compl) for a in t.pattern]
+        pattern = operator.itemgetter(*(
+            at[a.name] + width * f for a, f in zip(t.pattern, flips)))
+        compiled.append((t.tag, at, pattern, any(flips), term_eq,
+                         table.phis[t.tag], _values(len(inner))))
+    assignments = list(zip(
+        itertools.product(*[((name, 0), (name, 1)) for name in outer]),
+        _values(len(outer))))
+
     by_column: dict[tuple[str, ...], tuple[SliceCase, ...]] = {}
     slices: list[QubitSlice] = []
     for j in range(1, ell + 1):
@@ -123,31 +154,36 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
         if column in by_column:
             slices.append(QubitSlice(j, by_column[column]))
             continue
+        eqs = [(at_outer[c.var], _bit(c.bits[j - 1])) for c in pred_eq]
+        programs = [
+            (tag, pattern, compl, inner_values,
+             [(at[c.var], _bit(c.bits[j - 1])) for c in term_eq],
+             [(at[c.left], at[c.right]) if type(c) is A.NeqVar
+              else (at[c.var], _bit(c.bits[j - 1])) for c in phi])
+            for tag, at, pattern, compl, term_eq, phi, inner_values in compiled]
         cases: list[SliceCase] = []
-        for bits in itertools.product((0, 1), repeat=len(outer)):
-            sigma = dict(zip(outer, bits))
-            if not all(_holds_eq(c, sigma, j) for c in pred_eq):
+        for assignment, (bits, word) in assignments:
+            head, text = (0, 1) + bits, "01" + word
+            if eqs and not all(head[p] == b for p, b in eqs):
                 continue
             amp: dict[str, ValAmp] = {}
-            for t, inner, term_eq in terms:
-                for ibits in itertools.product((0, 1), repeat=len(inner)):
-                    phi = dict(sigma)
-                    phi.update(zip(inner, ibits))
-                    if not all(_holds_eq(c, phi, j) for c in term_eq):
+            for tag, pattern, compl, inner_values, term_eqs, neqs in programs:
+                for ibits, iword in inner_values:
+                    vals = head + ibits
+                    if term_eqs and not all(vals[p] == b for p, b in term_eqs):
                         continue
-                    key = "".join(
-                        str(phi[a.name] ^ isinstance(a, A.Compl))
-                        for a in t.pattern
-                    )
-                    d = ValAmp.of({
-                        t.tag: tuple(_truth(c, phi, j)
-                                     for c in table.phis[t.tag])
-                    })
+                    chars = text + iword
+                    if compl:
+                        chars += chars.translate(_FLIP)
+                    # One atom's itemgetter returns its character alone,
+                    # which joins to itself.
+                    key = "".join(pattern(chars))
+                    d = ValAmp(((tag, tuple([vals[p] != vals[q]
+                                             for p, q in neqs])),))
                     amp[key] = valamp_add(amp[key], d) if key in amp else d
-            cases.append(SliceCase(
-                tuple(zip(outer, bits)),
-                StateVector.of(n_slot, amp, VALUATION),
-            ))
+            # Each entry holds a term's record, so none is zero.
+            cases.append(SliceCase(assignment, StateVector(
+                n_slot, tuple(sorted(amp.items())))))
         by_column[column] = tuple(cases)
         slices.append(QubitSlice(j, by_column[column]))
     return table, slices

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import lstaq.cli
 from lstaq.cli import bench_sources, main
 from lstaq.parser import parse_many
 from lstaq.qubit_reorder import MAX_SLICE_ASSIGNMENTS
@@ -78,6 +79,31 @@ def test_unreadable_input_files_exit_4(tmp_path, capsys, command):
     binary.write_bytes(b"{ |0> } \xff\xfe")
     assert main([command, str(binary)]) == 4
     assert "error:" in capsys.readouterr().err
+
+
+def test_unexpected_exceptions_exit_4_with_one_line(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        raise ValueError("no such thing")
+
+    monkeypatch.setattr(lstaq.cli, "cmd_fmt", broken)
+    f = spec_file(tmp_path, "{ |0> }")
+    assert main(["fmt", f]) == 4
+    assert capsys.readouterr().err == "error: internal: ValueError: no such thing\n"
+    # --debug adds the traceback before the same line.
+    assert main(["--debug", "fmt", f]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert "in broken" in err
+    assert err.endswith("\nerror: internal: ValueError: no such thing\n")
+
+
+def test_keyboard_interrupt_is_not_caught(tmp_path, monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(lstaq.cli, "cmd_fmt", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["fmt", spec_file(tmp_path, "{ |0> }")])
 
 
 def test_bench_sizes_must_be_integers(capsys):

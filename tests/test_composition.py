@@ -554,6 +554,30 @@ def test_zero_full_and_single_members_are_written_as_union_all_builds_them():
     assert build_setq_lsta([StateVector.of(3, {}, TAG)], TAG).root == 0
 
 
+def test_single_entry_members_are_written_as_union_all_builds_them():
+    # One nonzero entry takes the emitter's arithmetic path: check it id for
+    # id at every depth up to 16, alone and among zero and full members.
+    rng = random.Random(0x51E)
+    for semiring in (COMPLEX, TAG, VALUATION):
+        amps = AMPLITUDES[semiring]
+        for n in range(1, 17):
+            words = {"0" * n, "1" * n, ("01" * n)[:n], ("10" * n)[:n],
+                     "".join(rng.choice("01") for _ in range(n))}
+            singles = [StateVector.of(n, {s: rng.choice(amps)}, semiring)
+                       for s in sorted(words)]
+            for psi in singles:
+                _assert_setq_is_the_union([psi], semiring)
+            _assert_setq_is_the_union(singles, semiring)
+            zero = StateVector.of(n, {}, semiring)
+            members = [zero, *singles[:2], zero, singles[-1]]
+            if n <= 4:
+                full = StateVector.of(n, {"".join(b): amps[0] for b in
+                                          itertools.product("01", repeat=n)},
+                                      semiring)
+                members += [full, singles[0]]
+            _assert_setq_is_the_union(members, semiring)
+
+
 def test_translation_slices_are_written_as_union_all_builds_them(monkeypatch):
     built = []
 

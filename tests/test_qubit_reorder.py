@@ -28,8 +28,6 @@ from lstaq.qubit_reorder import (
     MAX_SLICE_ASSIGNMENTS,
     QubitSlice,
     SliceCase,
-    _holds_eq,
-    _truth,
     constraint_table,
     expand_qubit_slices,
 )
@@ -233,6 +231,22 @@ def _reference_inner(t, outer):
     return _ordered_vars(t.sum_constraints, [t.pattern], summed - outer)
 
 
+def _bit(c: str) -> int:
+    return 1 if c == "1" else 0
+
+
+def _holds_eq(c: A.EqConst, phi: dict[str, int], j: int) -> bool:
+    return phi[c.var] == _bit(c.bits[j - 1])
+
+
+def _truth(c: A.VarCon, phi: dict[str, int], j: int) -> bool:
+    if isinstance(c, A.NeqVar):
+        return phi[c.left] != phi[c.right]
+    if isinstance(c, A.NeqConst):
+        return phi[c.var] != _bit(c.bits[j - 1])
+    raise AssertionError(f"{c} is not an inequality constraint")
+
+
 def _reference_slices(v, lengths):
     """Every slice expanded on its own, one qubit index at a time.
 
@@ -275,15 +289,46 @@ def _assert_matches_reference(src: str) -> None:
         assert (table, list(slices)) == _reference_slices(setv, job.aligned.lengths), src
 
 
+# Several terms whose keys collide, so entries are added with valamp_add.
+COLLIDING = ("{ sum[ |j| = 2, j != 10 ] |j> + sum[ |k| = 2, k = 01 ] |~k>"
+             " - sum[ |m| = 2, m != 11 ] |m> }")
+
+
 @pytest.mark.parametrize("src", [
     "{ |i> : |i| = 4, i != 0110 }",
     "{ sum[ |j| = 4, j = 0101 ] |i j> : |i| = 4 }",
     "{ |i j> : |i| = 4, j = 0011, i != 1010 }",
     "{ sum[ |j| = 3, j != 011 ] |i j>, |i ~i> : |i| = 3, i != 110 }",
     f"{S_A} \\/ {S_B}",
+    # Complemented atoms, NeqVar and NeqConst, EqConst in the predicate
+    # and in a sum, and several terms.
+    "{ |i ~j> : |i| = 2, |j| = 2, i != j, j != 00, i = 01 }",
+    "{ sum[ |j| = 3, j != i, j = 011 ] |~j i> + sum[ |k| = 3, k != 110 ] |k ~i>"
+    " : |i| = 3, i != 101, i = 110 }",
+    "{ sum[ |j| = 2, j != 10 ] |j i> + sum[ |k| = 2, k != i ] |i k> + |i i>"
+    " : |i| = 2, i != 01 }",
+    COLLIDING,
 ])
 def test_shared_slices_equal_the_per_index_expansion(src):
     _assert_matches_reference(src)
+
+
+def test_colliding_keys_are_added_as_valuation_amplitudes(monkeypatch):
+    added = []
+
+    def recording(x, y):
+        added.append((x, y))
+        return valamp_add(x, y)
+
+    monkeypatch.setattr(qubit_reorder, "valamp_add", recording)
+    _assert_matches_reference(COLLIDING)
+    assert added
+
+
+@pytest.mark.parametrize("shape", ["chain", "cycle", "star"])
+@pytest.mark.parametrize("k", range(1, 9))
+def test_inequality_graphs_equal_the_per_index_expansion(shape, k):
+    _assert_matches_reference(neq_graph(shape, k))
 
 
 def test_shared_slices_equal_the_per_index_expansion_on_random_specs():
