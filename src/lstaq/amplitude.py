@@ -22,7 +22,6 @@ import cmath
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Any, Callable
 
 from .errors import InternalError, UnboundComplexVarError
@@ -305,9 +304,15 @@ class AmplitudePoly:
             if not self.is_constant:
                 raise ExactDivisionError("negative power of a non-constant amplitude")
             return AmplitudePoly.const(self.constant_value ** n)
-        return reduce(
-            lambda x, y: x * y, [self] * n, AmplitudePoly.from_int(1)
-        )
+        out = AmplitudePoly.from_int(1)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
 
     @property
     def is_zero(self) -> bool:

@@ -16,10 +16,16 @@ from .amplitude import AmplitudePoly
 from .errors import (
     ConflictingLengthError,
     LengthMismatchError,
+    LimitExceededError,
     RedundantSummationVarError,
     UnknownLengthError,
     WellFormednessError,
 )
+
+# Qubits one spec may span, and the largest exponent an amplitude may
+# carry.  Ket repeats are checked as they are parsed, tensor powers and
+# variable lengths before a translation expands them.
+MAX_QUBITS = 1 << 16
 
 # -- ket pattern atoms -------------------------------------------------------
 
@@ -334,6 +340,20 @@ def pattern_width(pattern: tuple[Atom, ...], lengths: LengthMap) -> int:
     for atom in pattern:
         total += 1 if isinstance(atom, ConstBit) else lengths[atom.name]
     return total
+
+
+def qubit_count(ast: AssertionAst, lengths: LengthMap) -> int:
+    """Qubits ``ast`` spans, each segment's width times its power."""
+    return sum(pattern_width(next(seg.terms()).pattern, lengths) * seg.power
+               for seg in ast.segments)
+
+
+def check_qubit_count(ast: AssertionAst, lengths: LengthMap) -> None:
+    """Refuse a spec over ``MAX_QUBITS`` qubits, before anything expands it."""
+    n = qubit_count(ast, lengths)
+    if n > MAX_QUBITS:
+        raise LimitExceededError(MAX_QUBITS, (
+            f"the spec spans {n} qubits, over the limit of {MAX_QUBITS}"))
 
 
 def pattern_vars(term: Term) -> frozenset[str]:

@@ -10,10 +10,19 @@ Neither construction nor composition re-checks its results: ``validate``
 runs once on each finished assertion automaton.  Qubit slices with the
 same member states recur across qubit positions and sets; each distinct
 one is built once per call and passed wherever it recurs.
+
+:func:`translate` runs with the cyclic collector paused, as one bulk
+build: the tens of thousands of transition records it makes live until it
+returns, so collections during the call would walk them again and again
+and find no garbage.  Reference counting still frees what the call drops,
+and the first collection after it returns sees every survivor.  A spec of
+more than ``ast.MAX_QUBITS`` qubits is refused before its powers are
+expanded.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 import time
 from dataclasses import dataclass
@@ -273,19 +282,38 @@ def measure(ast: A.AssertionAst, qubits: int, automaton: Lsta,
 
 
 def translate(asts: Sequence[A.AssertionAst]) -> TranslationResult:
-    """Translate assertions sharing one qubit layout into automata."""
+    """Translate assertions sharing one qubit layout into automata.
+
+    The cyclic collector is paused for the call and resumed on return or
+    on an error, unless the caller had paused it already.
+    """
+    running = gc.isenabled()
+    gc.disable()
+    try:
+        return _translate(asts)
+    finally:
+        if running:
+            gc.enable()
+
+
+def _translate(asts: Sequence[A.AssertionAst]) -> TranslationResult:
     t0 = time.perf_counter()
     asts = list(asts)
     if not asts:
         raise InternalError("translation requires at least one assertion")
 
+    source_lengths = []
     for ast in asts:
-        A.check_well_formed(ast, A.infer_lengths(ast))
+        source_lengths.append(A.infer_lengths(ast))
+        A.check_well_formed(ast, source_lengths[-1])
         # Checked on the source, one ket at a time, so errors name the
         # variables as written.
         for sq in ast.setqs():
             for dirac in sq.diracs:
                 _check_constrained_vars_occur(A.SetQ((dirac,), sq.predicate))
+    # After every exit-2 check, before canonicalize expands any power.
+    for ast, lengths in zip(asts, source_lengths):
+        A.check_qubit_count(ast, lengths)
 
     namer = FreshNamer.for_asts(asts)
     canon = [canonicalize(ast, namer) for ast in asts]

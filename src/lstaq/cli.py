@@ -14,6 +14,7 @@ import traceback
 from pathlib import Path
 
 from . import __version__
+from .ast import MAX_QUBITS
 from .build import render_orders, render_stats, slice_expansions, translate
 from .errors import LstaqError, SpecSyntaxError
 from .lsta import write_lsta
@@ -116,12 +117,14 @@ def bench_sources(family: str, n: int) -> list[tuple[str, str, bool]]:
 
     Pure text generation so the sources double as parser fixtures.  The
     ``ghz`` pair differs in qubit count (n vs. n+1), so its two sides are
-    translated as separate jobs.  A size below the family's minimum is a
-    ``SpecSyntaxError``.
+    translated as separate jobs.  A size below the family's minimum or
+    above ``MAX_QUBITS`` is a ``SpecSyntaxError``.
     """
     least = BENCH_MIN_SIZE.get(family)
     if least is not None and n < least:
         raise SpecSyntaxError(f"{family} requires n >= {least}, got n = {n}")
+    if n > MAX_QUBITS:
+        raise SpecSyntaxError(f"{family} requires n <= {MAX_QUBITS}, got n = {n}")
     if family == "bv":
         return [(
             f"{{ |s 0^{n} 0> : |s| = {n} }}",

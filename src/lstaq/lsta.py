@@ -31,6 +31,13 @@ so the same automaton object may be passed several times, as translation
 does with recurring qubit slices.  :func:`union` and :func:`tensor` are
 their two-operand forms.
 
+:func:`validate` tests whole sets first: the referenced states with
+``issuperset`` against the state set, building no set of them, and the
+(top, choice) pairs for repeats.  Only on a fault does it scan in
+transition order, to name the first one.  :func:`map_leaves` calls its
+function once per distinct leaf value, so an amplitude-domain crossing
+costs one call per value, however many leaves share it.
+
 :func:`membership` decides one state without enumerating the language.  It
 holds the state as a DAG of shared subtrees, in which every all-zero
 subtree is one node, and walks the levels over frontiers of (state, node)
@@ -79,6 +86,7 @@ class Leaf(NamedTuple):
 
 
 _TOP, _CHOICES, _LEFT, _RIGHT = map(itemgetter, range(4))
+_AMPLITUDE = itemgetter(2)  # of a Leaf
 
 # Emitters build records as ``tuple.__new__(Internal, (...))``: the same
 # instances that ``Internal(...)`` makes, without NamedTuple's Python-level
@@ -125,12 +133,17 @@ def validate(a: Lsta) -> None:
 
     Set-wide tests find whether a state is unknown, a choice set empty or
     a (top, choice) pair repeated; only then does the ordered scan run, to
-    name the first violation in transition order.
+    name the first violation in transition order.  The referenced states
+    are tested by ``a.states.issuperset`` over the tops, lefts and rights,
+    so no set of them is built.
     """
     transitions = (*a.internal, *a.leaves)
-    refs = {a.root, *map(_TOP, transitions), *map(_LEFT, a.internal), *map(_RIGHT, a.internal)}
+    states = a.states
     pairs = [(t.top, c) for t in transitions for c in t.choices]
-    if refs <= a.states and all(map(_CHOICES, transitions)) and len(set(pairs)) == len(pairs):
+    if (a.root in states and states.issuperset(map(_TOP, transitions))
+            and states.issuperset(map(_LEFT, a.internal))
+            and states.issuperset(map(_RIGHT, a.internal))
+            and all(map(_CHOICES, transitions)) and len(set(pairs)) == len(pairs)):
         return
     if a.root not in a.states:
         raise DanglingStateError(a.root)
@@ -756,10 +769,19 @@ def tensor(a: Lsta, b: Lsta) -> Lsta:
 
 
 def map_leaves(a: Lsta, fn, semiring: Semiring | None = None) -> Lsta:
-    """Rewrite every leaf amplitude, optionally changing the semiring."""
+    """Rewrite every leaf amplitude, optionally changing the semiring.
+
+    ``fn`` must be a function of the value: it is called once per distinct
+    leaf value, in first-occurrence order, and leaves with equal values get
+    the same image.  Each leaf value is hashed once, to number the distinct
+    values; the leaves then read their image by that number.
+    """
     semiring = semiring or a.semiring
+    number: dict[object, int] = {}
+    slots = [number.setdefault(v, len(number)) for v in map(_AMPLITUDE, a.leaves)]
+    images = list(map(fn, number))
     new = tuple.__new__
-    leaves = tuple([new(Leaf, (top, c, fn(amplitude))) for top, c, amplitude in a.leaves])
+    leaves = tuple([new(Leaf, (top, c, images[k])) for (top, c, _v), k in zip(a.leaves, slots)])
     return Lsta(semiring, a.states, a.root, a.internal, leaves)
 
 

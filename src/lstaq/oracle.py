@@ -122,8 +122,7 @@ def denote(ast: A.AssertionAst, theta: Valuation | None = None,
     """
     lengths = A.infer_lengths(ast)
     A.check_well_formed(ast, lengths)
-    total = sum(A.pattern_width(next(seg.terms()).pattern, lengths) * seg.power
-                for seg in ast.segments)
+    total = A.qubit_count(ast, lengths)
     if total > cap:
         raise CapExceededError(total, cap)
 

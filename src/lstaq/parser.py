@@ -24,6 +24,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 
 from . import ast as A
 from .amplitude import (
@@ -34,7 +35,7 @@ from .amplitude import (
     ExactDivisionError,
     POLY_ONE,
 )
-from .errors import SpecSyntaxError
+from .errors import LimitExceededError, SpecSyntaxError
 
 _PUNCT = (
     ";;", "\\/", "!=", "<=", ">=", "&&", "||",
@@ -281,7 +282,8 @@ class _Parser:
                     self.fail(f"{bits!r} is not a binary string", tok)
                 if self.at("^"):
                     self.next()
-                    bits = bits * self.parse_int()
+                    bits *= self._bounded_int(
+                        "the ket spans at least {} qubits", len(atoms), len(bits))
                 atoms.extend(A.ConstBit(int(b)) for b in bits)
             elif tok.kind == "IDENT":
                 self.next()
@@ -334,7 +336,21 @@ class _Parser:
         tok = self.expect("NUMBER")
         if not tok.text.isdigit():
             self.fail(f"expected an integer, found {tok.text!r}", tok)
-        return int(tok.text)
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than ``int`` converts
+            self.fail(f"an integer of {len(tok.text)} digits is too long", tok)
+
+    def _bounded_int(self, what: str, base: int = 0, scale: int = 1) -> int:
+        """An integer ``k`` with ``base + scale * k`` at most ``MAX_QUBITS``."""
+        tok = self.peek()
+        k = self.parse_int()
+        n = base + scale * k
+        if n > A.MAX_QUBITS:
+            raise LimitExceededError(A.MAX_QUBITS, (
+                f"{tok.line}:{tok.col}: {what.format(n)}, "
+                f"over the limit of {A.MAX_QUBITS}"))
+        return k
 
     # -- amplitude expressions --------------------------------------------------
 
@@ -346,7 +362,7 @@ class _Parser:
                 op = self.peek()
                 if op.kind == "^":
                     self.next()
-                    left = left ** self.parse_int()
+                    left = left ** self._bounded_int("an exponent of {}")
                     continue
                 bp = _BP.get(op.kind)
                 if bp is None or bp < min_bp:
@@ -572,16 +588,11 @@ def _render_term(term: A.Term) -> str:
 def render_ket(pattern: tuple[A.Atom, ...]) -> str:
     """The ``|...>`` text of a pattern; adjacent constant bits form one run."""
     out: list[str] = []
-    for atom in pattern:
-        if isinstance(atom, A.ConstBit):
-            if out and out[-1] and set(out[-1]) <= {"0", "1"}:
-                out[-1] += str(atom.bit)
-            else:
-                out.append(str(atom.bit))
-        elif isinstance(atom, A.Var):
-            out.append(atom.name)
+    for bits, run in groupby(pattern, lambda atom: isinstance(atom, A.ConstBit)):
+        if bits:
+            out.append("".join(str(atom.bit) for atom in run))
         else:
-            out.append(f"~{atom.name}")
+            out += [atom.name if isinstance(atom, A.Var) else f"~{atom.name}" for atom in run]
     return "|%s>" % " ".join(out)
 
 

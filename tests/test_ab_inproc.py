@@ -1,0 +1,24 @@
+"""``tools/ab_inproc.py`` times two checkouts side by side in one process."""
+
+from __future__ import annotations
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_ab_inproc_compares_a_checkout_with_itself_on_verify():
+    run = subprocess.run([sys.executable, str(ROOT / "tools" / "ab_inproc.py"),
+                          "--a", str(ROOT), "--b", str(ROOT),
+                          "--workload", "verify", "--seed", "3", "--passes", "2"],
+                         capture_output=True, text=True, timeout=300, check=True)
+    title, a, b, ratio = run.stdout.splitlines()
+    assert re.fullmatch(r"verify, seed 3, \d+ jobs a pass", title)
+    for side, line in (("A", a), ("B", b)):
+        m = re.fullmatch(side + r": min (\S+) s  median (\S+) s  \(2 passes\)", line)
+        assert m and 0 < float(m[1]) <= float(m[2])
+    m = re.fullmatch(r"B/A: q1 (\S+)  median (\S+)  q3 (\S+)  \(B faster in [012] of 2\)", ratio)
+    assert m and 0 < float(m[1]) <= float(m[2]) <= float(m[3])

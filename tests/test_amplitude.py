@@ -30,6 +30,7 @@ from lstaq.amplitude import (
     valamp_add,
     valamp_mul,
 )
+from lstaq.ast import MAX_QUBITS
 from lstaq.parser import parse
 from tests.conftest import cpoly
 
@@ -310,3 +311,21 @@ def test_qsqrt2_division_round_trips():
     x = QSqrt2(Fraction(3, 4), Fraction(-2, 5))
     y = QSqrt2(Fraction(1, 2), Fraction(1, 3))
     assert (x / y) * y == x
+
+
+@settings(max_examples=100)
+@given(_polys, st.integers(min_value=0, max_value=9))
+def test_poly_powers_equal_repeated_products(terms, n):
+    p = _poly_of(terms)
+    want = POLY_ONE
+    for _ in range(n):
+        want = want * p
+    assert p ** n == want
+
+
+def test_powers_at_the_exponent_ceiling_are_prompt():
+    # Square-and-multiply: 16 squarings here, where repeated products took 65536.
+    a = AmplitudePoly.var("a")
+    assert (a ** MAX_QUBITS).terms == (((("a", MAX_QUBITS),), AC_ONE),)
+    two = AmplitudePoly.from_int(2)
+    assert (two ** MAX_QUBITS).constant_value == AlgebraicComplex.from_int(2 ** MAX_QUBITS)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from lstaq import ast as A
@@ -23,7 +25,7 @@ from lstaq.build import (
     translate,
 )
 from lstaq.cli import bench_sources
-from lstaq.errors import EmptyStateError, InternalError
+from lstaq.errors import EmptyStateError, InternalError, SegmentLengthMismatchError
 from lstaq.lsta import Internal, Leaf, StateVector, enumerate_language, mk_lsta, validate
 from lstaq.oracle import differential_check
 from lstaq.parser import parse
@@ -324,6 +326,30 @@ def test_translate_validates_each_finished_assertion_once(monkeypatch):
         assert len(calls) == len(sources)
         assert all(got is ar.automaton
                    for got, ar in zip(calls, result.assertions))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_translate_pauses_the_collector_and_leaves_it_as_it_found_it(monkeypatch, enabled):
+    import lstaq.build as build
+
+    during = []
+
+    def observed(a):
+        during.append(gc.isenabled())
+        validate(a)
+
+    monkeypatch.setattr(build, "validate", observed)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        translate([parse("{ |0 1> }"), parse("{ |1 0> }")])
+        assert during == [False, False]
+        assert gc.isenabled() is enabled
+        with pytest.raises(SegmentLengthMismatchError):
+            translate([parse("{ |0> }"), parse("{ |0 1> }")])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_every_assembled_automaton_validates_and_bounds_hold():

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import lstaq.cli
+from lstaq.ast import MAX_QUBITS
 from lstaq.cli import bench_sources, main
 from lstaq.parser import parse_many
 from lstaq.qubit_reorder import MAX_SLICE_ASSIGNMENTS
@@ -67,6 +68,71 @@ def test_slice_limit_exits_4(tmp_path, capsys):
     assert main(["translate", f]) == 4
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: a qubit slice needs")
+
+
+def _run_cli(args: list[str], timeout: float) -> subprocess.CompletedProcess:
+    """``python -m lstaq ARGS`` on this checkout; raises if it outlives ``timeout``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, "-m", "lstaq", *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+CEILING = f"over the limit of {MAX_QUBITS}"
+
+
+# Each hung or ran out of memory before the qubit and exponent ceilings;
+# the message names the count (or its lower bound) and the ceiling.
+@pytest.mark.parametrize("text, named", [
+    ("{ |0> } ^ 100000000", "the spec spans 100000000 qubits"),
+    ("{ |0> } ^ 99999999999999999999", "the spec spans 99999999999999999999 qubits"),
+    ("{ |0^99999999999999> }", "1:6: the ket spans at least 99999999999999 qubits"),
+    ("{ |v> : |v| = 100000000 }", "the spec spans 100000000 qubits"),
+    ("{ |0^100000000> }", "1:6: the ket spans at least 100000000 qubits"),
+    ("{ a^100000000 |0> }", "1:5: an exponent of 100000000"),
+    ("{ 2^100000000 |0> }", "1:5: an exponent of 100000000"),
+    ("{ sqrt2^100000000 |0> }", "1:9: an exponent of 100000000"),
+    ("{ (1+i)^1000000000 |0> }", "1:9: an exponent of 1000000000"),
+])
+def test_oversized_specs_exit_4_within_two_seconds(tmp_path, text, named):
+    done = _run_cli(["translate", spec_file(tmp_path, text)], timeout=2)
+    assert done.returncode == 4
+    assert done.stderr == f"error: {named}, {CEILING}\n"
+
+
+def test_oversized_bench_sizes_exit_1_within_two_seconds():
+    done = _run_cli(["bench", "ghz", "4,100000000"], timeout=2)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == f"error: ghz requires n <= {MAX_QUBITS}, got n = 100000000\n"
+
+
+@pytest.mark.parametrize("text", [
+    "{ |0> }^100000000", "{ |0> }^99999999999999999999", "{ |v> : |v| = 100000000 }"])
+def test_fmt_of_an_oversized_spec_still_works(tmp_path, capsys, text):
+    assert main(["fmt", spec_file(tmp_path, text)]) == 0
+    assert capsys.readouterr().out == text + "\n"
+
+
+def test_fmt_of_kets_at_the_ceiling_is_prompt(tmp_path):
+    # Each bit of a run used to rescan the run, which took 26 s here.
+    text = f"{{ |0^{MAX_QUBITS}> + |1^{MAX_QUBITS}> }}"
+    done = _run_cli(["fmt", spec_file(tmp_path, text)], timeout=2)
+    assert done.returncode == 0
+    assert done.stdout == f"{{ |{'0' * MAX_QUBITS}> + |{'1' * MAX_QUBITS}> }}\n"
+
+
+def test_an_integer_too_long_to_convert_is_a_syntax_error(tmp_path, capsys):
+    f = spec_file(tmp_path, "{ |0> } ^ " + "9" * 5000)
+    assert main(["translate", f]) == 1
+    assert capsys.readouterr().err == "error: 1:11: an integer of 5000 digits is too long\n"
+
+
+def test_exit_2_faults_come_before_the_qubit_ceiling(tmp_path, capsys):
+    f = spec_file(tmp_path, "{ |0> } ^ 100000000 ;; { sum[ i != j ] |i j> }")
+    assert main(["translate", f]) == 2
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", ["translate", "oracle", "fmt"])
@@ -272,11 +338,7 @@ def test_bench_smoke(capsys):
 
 def test_python_m_lstaq_runs_the_command_line():
     # From a checkout, where the console script may not be installed.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run([sys.executable, "-m", "lstaq", "bench", "bv", "4"],
-                          env=env, capture_output=True, text=True, timeout=120)
+    done = _run_cli(["bench", "bv", "4"], timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split()[:5] == ["n", "qubits", "pre", "post", "seconds"]
 

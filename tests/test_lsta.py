@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 
@@ -151,6 +152,125 @@ def test_the_first_of_two_violations_in_transition_order_is_reported():
     assert (err.state, err.choice) == (0, 2)
 
 
+# ---------------------------------------------------------------------------
+# Fault injection: each fault, put into a translated automaton, must fail
+# validate's set-wide tests and be named by its ordered scan.
+# ---------------------------------------------------------------------------
+
+
+FAMILIES = ("bv", "ghz", "grover", "groveriter", "mctoffoli")
+
+
+def _family_batches():
+    """The assertion batches that translate the families at n=2..4."""
+    for family in FAMILIES:
+        for n in (2, 3, 4):
+            for pre, post, joint in bench_sources(family, n):
+                yield from ([parse_many(pre) + parse_many(post)] if joint
+                            else [parse_many(pre), parse_many(post)])
+
+
+def _family_automata() -> list[Lsta]:
+    return [ar.automaton for asts in _family_batches()
+            for ar in translate(asts).assertions]
+
+
+def _with_internal(a: Lsta, index: int, **fields) -> Lsta:
+    """``a`` with ``fields`` of its ``index``-th internal transition replaced."""
+    internal = list(a.internal)
+    internal[index] = internal[index]._replace(**fields)
+    return dataclasses.replace(a, internal=tuple(internal))
+
+
+def _sibling_pairs(a: Lsta) -> list[tuple[int, int]]:
+    """(i, j), i < j, for each top's first two internal transitions."""
+    first: dict[int, int] = {}
+    pairs = []
+    for j, t in enumerate(a.internal):
+        if t.top not in first:
+            first[t.top] = j
+        elif first[t.top] is not None:
+            pairs.append((first[t.top], j))
+            first[t.top] = None
+    return pairs
+
+
+def _overlap(a: Lsta, i: int, j: int) -> tuple[Lsta, int]:
+    """``a`` with transitions ``i`` and ``j`` given overlapping multi-choice
+    sets: ``i`` takes the smallest choice of ``j``, which takes a new one."""
+    shared = min(a.internal[j].choices)
+    fresh = max(c for t in a.internal for c in t.choices) + 1
+    a = _with_internal(a, i, choices=a.internal[i].choices | {shared})
+    return _with_internal(a, j, choices=a.internal[j].choices | {fresh}), shared
+
+
+def _validate_error(a: Lsta) -> InternalError:
+    with pytest.raises(InternalError) as err:
+        validate(a)
+    return err.value
+
+
+def test_a_dangling_root_is_named_in_translated_automata():
+    for a in _family_automata():
+        ghost = max(a.states) + 1
+        err = _validate_error(dataclasses.replace(a, root=ghost))
+        assert isinstance(err, DanglingStateError) and err.state == ghost
+
+
+@pytest.mark.parametrize("field", ["top", "left", "right"])
+def test_a_dangling_internal_state_is_named_in_translated_automata(field):
+    for a in _family_automata():
+        ghost = max(a.states) + 1
+        for index in (0, len(a.internal) // 2, len(a.internal) - 1):
+            err = _validate_error(_with_internal(a, index, **{field: ghost}))
+            assert isinstance(err, DanglingStateError) and err.state == ghost
+
+
+def test_a_dangling_leaf_top_is_named_in_translated_automata():
+    for a in _family_automata():
+        ghost = max(a.states) + 1
+        leaves = list(a.leaves)
+        leaves[len(leaves) // 2] = leaves[len(leaves) // 2]._replace(top=ghost)
+        err = _validate_error(dataclasses.replace(a, leaves=tuple(leaves)))
+        assert isinstance(err, DanglingStateError) and err.state == ghost
+
+
+def test_an_empty_choice_set_is_named_in_translated_automata():
+    for a in _family_automata():
+        index = len(a.internal) // 2
+        err = _validate_error(_with_internal(a, index, choices=frozenset()))
+        assert type(err) is InternalError
+        assert str(err) == f"transition from state {a.internal[index].top} has no choices"
+
+
+def test_overlapping_multi_choice_sets_are_named_in_translated_automata():
+    tested = 0
+    for a in _family_automata():
+        for i, j in _sibling_pairs(a):
+            bad, shared = _overlap(a, i, j)
+            err = _validate_error(bad)
+            assert isinstance(err, ChoiceOverlapError)
+            assert (err.state, err.choice) == (a.internal[i].top, shared)
+            tested += 1
+    assert tested > 100
+
+
+def test_of_two_overlaps_the_first_in_transition_order_is_named():
+    tested = 0
+    for a in _family_automata():
+        pairs = _sibling_pairs(a)
+        # The later-listed overlap is injected first, so that order of
+        # injection cannot decide which is named.
+        for (i, j), (k, l) in zip(pairs, pairs[1:]):
+            bad, second = _overlap(a, k, l)
+            bad, first = _overlap(bad, i, j)
+            err = _validate_error(bad)
+            assert isinstance(err, ChoiceOverlapError)
+            assert (err.state, err.choice) == (a.internal[i].top, first)
+            tested += 1
+    assert tested > 100
+
+
 def test_enumeration_limit_is_enforced(ref_automaton):
     with pytest.raises(LimitExceededError):
         enumerate_language(ref_automaton, 2, limit=1)
@@ -195,15 +315,10 @@ def _assert_matches_reference(a: Lsta, n: int) -> frozenset[StateVector]:
 
 
 def test_sparse_enumeration_matches_the_dense_reference_on_the_families():
-    for family in ("bv", "ghz", "grover", "groveriter", "mctoffoli"):
-        for n in (2, 3, 4):
-            for pre, post, joint in bench_sources(family, n):
-                batches = ([parse_many(pre) + parse_many(post)] if joint
-                           else [parse_many(pre), parse_many(post)])
-                for asts in batches:
-                    result = translate(asts)
-                    for ar in result.assertions:
-                        assert _assert_matches_reference(ar.automaton, result.qubits)
+    for asts in _family_batches():
+        result = translate(asts)
+        for ar in result.assertions:
+            assert _assert_matches_reference(ar.automaton, result.qubits)
 
 
 def test_sparse_enumeration_matches_the_dense_reference_on_random_specs():
@@ -341,6 +456,40 @@ def test_map_leaves_rescales_the_language(ref_automaton):
     scaled = map_leaves(ref_automaton, lambda v: v * cpoly("i"))
     got = enumerate_language(scaled, 2)
     assert vec(2, {"00": "i/sqrt2", "01": "-i/sqrt2"}) in got
+
+
+def test_map_leaves_calls_fn_once_per_distinct_value_in_first_occurrence_order(ref_automaton):
+    a = dataclasses.replace(ref_automaton, leaves=ref_automaton.leaves * 3)
+    seen = []
+    got = map_leaves(a, lambda v: seen.append(v) or v * cpoly("i"))
+    assert seen == [cpoly(x) for x in ("1/sqrt2", "-1/sqrt2", "0", "i/sqrt2", "-i/sqrt2")]
+    assert [t.amplitude for t in got.leaves] == [t.amplitude * cpoly("i") for t in a.leaves]
+
+
+def _checked_map_leaves(a: Lsta, fn, semiring=None) -> Lsta:
+    """``map_leaves``, asserting it against applying ``fn`` leaf by leaf."""
+    seen = []
+    got = map_leaves(a, lambda v: seen.append(v) or fn(v), semiring)
+    assert seen == list(dict.fromkeys(t.amplitude for t in a.leaves))
+    assert got.leaves == tuple(Leaf(t.top, t.choices, fn(t.amplitude)) for t in a.leaves)
+    assert (got.states, got.root, got.internal) == (a.states, a.root, a.internal)
+    assert got.semiring is (semiring or a.semiring)
+    return got
+
+
+def test_map_leaves_equals_per_leaf_application_in_translation(monkeypatch):
+    from lstaq import build
+    from tests.test_acceptance import random_source
+
+    calls = []
+    monkeypatch.setattr(build, "map_leaves",
+                        lambda *args: calls.append(1) or _checked_map_leaves(*args))
+    for asts in _family_batches():
+        translate(asts)
+    rng = random.Random(0x3A9)
+    for _ in range(200):
+        translate([parse(random_source(rng))])
+    assert len(calls) > 400
 
 
 def test_permute_state_reorders_positions():

@@ -1,0 +1,126 @@
+"""Time two checkouts' lstaq on one workload's jobs, interleaved in one process.
+
+Run it from any checkout as::
+
+    python3 tools/ab_inproc.py --a ../parent --b . --workload cases --seed 5 --passes 20
+
+It loads ``src/lstaq`` of checkout A as the package ``lstaq_a`` and that of
+checkout B as ``lstaq_b``, side by side.  Each side's jobs are built by
+``perfbench/workloads.py`` of this checkout, with ``lstaq`` and
+``lstaq.lsta`` aliased to that side's modules while they are built, so
+both sides run the same inputs.  It then times whole passes over each
+side's jobs in CPU seconds, alternating which side goes first, and prints
+each side's min and median pass time and the quartiles of the paired
+ratio B/A, with how many passes B was faster.  Pairing passes that ran
+back to back cancels most of a shared machine's drift, so effects of a
+few percent show in 20 passes where separate processes need many runs.
+
+Both heaps live in one process, so each side's cyclic collections also
+walk the other side's objects, and a side that allocates more triggers
+collections the other pays for.  GC timings here are distorted: measure
+a change to collector behaviour with ``perfbench/run.py`` instead.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load(checkout: Path, name: str):
+    """Import ``checkout/src/lstaq`` as the top-level package ``name``."""
+    src = checkout.resolve() / "src" / "lstaq"
+    spec = importlib.util.spec_from_file_location(
+        name, src / "__init__.py", submodule_search_locations=[str(src)])
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[name] = pkg
+    spec.loader.exec_module(pkg)
+    return pkg
+
+
+def build_jobs(pkg, workload: str, seed: int) -> list:
+    """One side's perfbench jobs, built with ``lstaq`` aliased to ``pkg``."""
+    from workloads import build
+
+    names = ("lstaq", "lstaq.lsta")
+    saved = {n: sys.modules.get(n) for n in names}
+    sys.modules.update({"lstaq": pkg, "lstaq.lsta": pkg.lsta})
+    try:
+        bench = build(pkg, workload, seed)
+    finally:
+        for n, mod in saved.items():
+            if mod is None:
+                sys.modules.pop(n, None)
+            else:
+                sys.modules[n] = mod
+    if bench.errors:
+        raise SystemExit(f"{pkg.__name__}: {bench.errors[0]}")
+    return bench.jobs
+
+
+def run_pass(jobs) -> float:
+    """CPU seconds of one pass; a job with wrong output stops the run."""
+    t0 = time.process_time()
+    for job in jobs:
+        if not job.run():
+            raise SystemExit(f"job {job.label} gave wrong output")
+    return time.process_time() - t0
+
+
+def quartiles(xs: list[float]) -> tuple[float, float, float]:
+    if len(xs) == 1:
+        return xs[0], xs[0], xs[0]
+    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def compare(a_jobs, b_jobs, passes: int) -> dict[str, list[float]]:
+    """Pass times per side, the side going first alternating each pass."""
+    times: dict[str, list[float]] = {"A": [], "B": []}
+    sides = [("A", a_jobs), ("B", b_jobs)]
+    for k in range(passes):
+        for side, jobs in sides if k % 2 == 0 else sides[::-1]:
+            times[side].append(run_pass(jobs))
+    return times
+
+
+def report(times: dict[str, list[float]]) -> list[str]:
+    lines = [f"{side}: min {min(ts):.4f} s  median {statistics.median(ts):.4f} s"
+             f"  ({len(ts)} passes)" for side, ts in times.items()]
+    ratios = [b / a for a, b in zip(times["A"], times["B"])]
+    q1, q2, q3 = quartiles(ratios)
+    faster = sum(r < 1 for r in ratios)
+    lines.append(f"B/A: q1 {q1:.3f}  median {q2:.3f}  q3 {q3:.3f}"
+                 f"  (B faster in {faster} of {len(ratios)})")
+    return lines
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--a", type=Path, required=True, help="checkout A (the baseline)")
+    p.add_argument("--b", type=Path, required=True, help="checkout B (the change)")
+    p.add_argument("--workload", required=True, choices=("wide", "cases", "verify"))
+    p.add_argument("--seed", type=int, default=5)
+    p.add_argument("--passes", type=int, default=20)
+    args = p.parse_args(argv)
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    a_jobs = build_jobs(load(args.a, "lstaq_a"), args.workload, args.seed)
+    b_jobs = build_jobs(load(args.b, "lstaq_b"), args.workload, args.seed)
+    # What the jobs keep is frozen out of the collector's scans, as the
+    # harness does after its set-up.
+    gc.collect()
+    gc.freeze()
+    print(f"{args.workload}, seed {args.seed}, {len(a_jobs)} jobs a pass")
+    print("\n".join(report(compare(a_jobs, b_jobs, args.passes))))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
