@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import cmath
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
-from .errors import InternalError, UnboundComplexVarError
+from .errors import InternalError, LimitExceededError, UnboundComplexVarError
 
 _OMEGA = cmath.exp(1j * cmath.pi / 4)
 _SQRT2 = 2 ** 0.5
@@ -146,14 +147,23 @@ class AlgebraicComplex:
         The eighth root of unity never appears: ``w = (1 + i)/sqrt2``, so
         the w and w^3 components fold into one Gaussian numerator over an
         extra power of sqrt2.  The result re-parses to the same value.
+
+        Raises :class:`LimitExceededError` when a component has more
+        decimal digits than Python converts (``sys.get_int_max_str_digits``).
         """
         parts = []
-        if self.a or self.c:
-            parts.append(_over_sqrt2(_gaussian(self.a, self.c), self.k))
-        if self.b or self.d:
-            num = _gaussian(self.b, self.d)
-            text = f"{num} * (1 + i)" if num != "1" else "(1 + i)"
-            parts.append(_over_sqrt2(text, self.k + 1))
+        try:
+            if self.a or self.c:
+                parts.append(_over_sqrt2(_gaussian(self.a, self.c), self.k))
+            if self.b or self.d:
+                num = _gaussian(self.b, self.d)
+                text = f"{num} * (1 + i)" if num != "1" else "(1 + i)"
+                parts.append(_over_sqrt2(text, self.k + 1))
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise LimitExceededError(
+                limit, "an amplitude coefficient is too long to write in decimal "
+                f"(over {limit} digits)") from None
         if not parts:
             return "0"
         return " + ".join(parts)

@@ -22,3 +22,18 @@ def test_ab_inproc_compares_a_checkout_with_itself_on_verify():
         assert m and 0 < float(m[1]) <= float(m[2])
     m = re.fullmatch(r"B/A: q1 (\S+)  median (\S+)  q3 (\S+)  \(B faster in [012] of 2\)", ratio)
     assert m and 0 < float(m[1]) <= float(m[2]) <= float(m[3])
+
+
+def test_ab_inproc_times_only_the_jobs_named_by_prefix(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from workloads import draw_inputs
+
+    want = sum(s.label.startswith("check/random") for s in draw_inputs("verify", 3))
+    assert want
+    run = subprocess.run([sys.executable, str(ROOT / "tools" / "ab_inproc.py"),
+                          "--a", str(ROOT), "--b", str(ROOT),
+                          "--workload", "verify", "--seed", "3", "--passes", "1",
+                          "--jobs", "check/random"],
+                         capture_output=True, text=True, timeout=300, check=True)
+    title = run.stdout.splitlines()[0]
+    assert title == f"verify, seed 3, {want} jobs a pass, labels starting check/random"

@@ -108,6 +108,20 @@ def test_oversized_bench_sizes_exit_1_within_two_seconds():
     assert done.stderr == f"error: ghz requires n <= {MAX_QUBITS}, got n = 100000000\n"
 
 
+# Each translated, then ended in an internal ValueError when written.
+@pytest.mark.parametrize("text", ["{ 2^65536 |0> }", "{ 2^10000 |0> } ^ 2"])
+def test_a_coefficient_too_long_to_write_exits_4(tmp_path, text):
+    done = _run_cli(["translate", spec_file(tmp_path, text)], timeout=5)
+    assert done.returncode == 4
+    assert done.stderr == ("error: an amplitude coefficient is too long to write"
+                           f" in decimal (over {sys.get_int_max_str_digits()} digits)\n")
+
+
+def test_oracle_refuses_a_coefficient_too_long_to_write(tmp_path, capsys):
+    assert main(["oracle", spec_file(tmp_path, "{ 2^10000 |0> } ^ 2")]) == 4
+    assert "too long to write in decimal" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", [
     "{ |0> }^100000000", "{ |0> }^99999999999999999999", "{ |v> : |v| = 100000000 }"])
 def test_fmt_of_an_oversized_spec_still_works(tmp_path, capsys, text):
@@ -185,6 +199,13 @@ def test_bench_sizes_below_the_family_minimum_exit_1(family, size, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {family} requires n >= 1, got n = {size}\n"
+
+
+def test_a_partial_theta_exits_4_naming_the_unbound_variable(tmp_path, capsys):
+    f = spec_file(tmp_path, "{ a |0> + b |1> }")
+    assert main(["translate", f, "--check-oracle", "--theta", "a=1"]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: no value supplied for amplitude variable 'b'\n"
 
 
 def test_malformed_theta_exits_1(tmp_path, capsys):

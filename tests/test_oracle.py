@@ -2,15 +2,27 @@
 
 from __future__ import annotations
 
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lstaq import ast as A
-from lstaq.amplitude import COMPLEX
-from lstaq.errors import CapExceededError, LstaqError, UnboundComplexVarError
-from lstaq.lsta import StateVector
+import lstaq.oracle as oracle_mod
+from lstaq.amplitude import AC_ONE, COMPLEX, AmplitudePoly, AlgebraicComplex
+from lstaq.cli import bench_sources
+from lstaq.errors import (
+    CapExceededError,
+    LimitExceededError,
+    LstaqError,
+    UnboundComplexVarError,
+)
+from lstaq.lsta import StateVector, permute_state, substitute_state
 from lstaq.oracle import (
+    AssertionReport,
+    DiffReport,
     _compare,
     amplitude_vars,
     ccons_eval,
@@ -23,6 +35,9 @@ from lstaq.oracle import (
 from lstaq.parser import parse, parse_constant, parse_many
 from lstaq.preprocess import canonicalize
 from tests.conftest import vec
+from tests.test_acceptance import ORACLE_NEGATIVE_CONTROLS, random_source
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # ---------------------------------------------------------------------------
@@ -226,3 +241,152 @@ def test_report_renders_one_line_per_assertion():
     report = differential_check(parse_many("{ |0> } ;; { |1> }"))
     lines = str(report).splitlines()
     assert len(lines) == 2 and all("ok" in ln for ln in lines)
+
+
+def test_compare_refuses_a_coefficient_too_long_to_write():
+    big = StateVector.of(1, {"0": AmplitudePoly.const(
+        AlgebraicComplex.from_int(2 ** 20000))}, COMPLEX)
+    with pytest.raises(LimitExceededError, match="too long to write in decimal"):
+        _compare({big}, set())
+
+
+# ---------------------------------------------------------------------------
+# The exact symbolic comparison against the per-valuation reference.
+# ---------------------------------------------------------------------------
+
+
+def _ref_compare(lang, oracle) -> tuple[bool, str]:
+    lhs = {s for s in lang if not s.is_zero}
+    rhs = {s for s in oracle if not s.is_zero}
+    if lhs == rhs:
+        return True, f"{len(rhs)} members match"
+    missing = sorted(str(s) for s in rhs - lhs)
+    extra = sorted(str(s) for s in lhs - rhs)
+    bits = []
+    if missing:
+        bits.append(f"automaton misses {missing[0]}")
+    if extra:
+        bits.append(f"automaton adds {extra[0]}")
+    return False, "; ".join(bits)
+
+
+def _ref_differential_check(asts, thetas=None, cap: int = 12) -> DiffReport:
+    """The check by substitution alone: every symbolic assertion is
+    compared under each sampled valuation, whatever its symbolic sets."""
+    from lstaq.build import translate
+    from lstaq.lsta import enumerate_language
+
+    asts = list(asts)
+    result = translate(asts)
+    n = result.qubits
+    if n > cap:
+        raise CapExceededError(n, cap)
+    names = amplitude_vars(asts)
+    if thetas is None:
+        thetas = sample_thetas(asts)
+    reports = []
+    for i, (ast, ar) in enumerate(zip(asts, result.assertions)):
+        auto = enumerate_language(ar.automaton, n)
+        oracle = {permute_state(s, result.permutation)
+                  for s in denote(ast, cap=cap)}
+        if not names:
+            ok, detail = _ref_compare(auto, oracle)
+        else:
+            ok, detail = True, "no valuations sampled"
+            for theta in thetas:
+                li = {substitute_state(s, theta) for s in auto}
+                oi = {substitute_state(s, theta) for s in oracle}
+                ok, detail = _ref_compare(li, oi)
+                if not ok:
+                    pretty = ", ".join(
+                        f"{k}={v}" for k, v in sorted(theta.items()))
+                    detail += f" (theta: {pretty})"
+                    break
+            else:
+                detail = f"{len(thetas)} valuations agree"
+        reports.append(AssertionReport(i, ok, detail))
+    return DiffReport(all(r.ok for r in reports), tuple(reports))
+
+
+@pytest.fixture
+def substitutions(monkeypatch) -> list:
+    """Counts the states ``differential_check`` substitutes."""
+    calls: list = []
+
+    def counted(psi, theta, memo=None):
+        calls.append(psi)
+        return substitute_state(psi, theta, memo)
+
+    monkeypatch.setattr(oracle_mod, "substitute_state", counted)
+    return calls
+
+
+def _sweep_inputs(monkeypatch) -> list[list[str]]:
+    """Assertion batches: the families at n=2..4, 300 random specs, the
+    ``verify`` benchmark's checks at one seed, the oracle negative controls."""
+    batches: list[list[str]] = []
+    for family in ("bv", "ghz", "grover", "groveriter", "mctoffoli"):
+        for n in (2, 3, 4):
+            for pre, post, joint in bench_sources(family, n):
+                batches += [[pre, post]] if joint else [[pre], [post]]
+    rng = random.Random(0xD1FF)
+    batches += [[random_source(rng)] for _ in range(300)]
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from workloads import draw_inputs
+
+    batches += [list(texts) for spec in draw_inputs("verify", 16)
+                if spec.kind == "check" for texts in spec.groups]
+    batches += [[src] for src, _detail in ORACLE_NEGATIVE_CONTROLS]
+    return batches
+
+
+def test_exact_comparison_reports_as_the_valuation_loop(monkeypatch, substitutions):
+    symbolic = 0
+    for texts in _sweep_inputs(monkeypatch):
+        asts = [a for t in texts for a in parse_many(t)]
+        want = _ref_differential_check(asts)
+        substitutions.clear()
+        got = differential_check(asts)
+        assert got == want, texts
+        if amplitude_vars(asts):
+            symbolic += 1
+        # Every input here is sound, so its symbolic sets are equal and
+        # the verdict needs no valuation.
+        assert got.ok and not substitutions, texts
+    assert symbolic >= 100
+
+
+def _check_translating(monkeypatch, translated: str, spec: str, thetas=None):
+    """Reports of both checks on ``spec`` when the pipeline translates
+    ``translated`` in its place."""
+    import lstaq.build as build_mod
+
+    real = build_mod.translate
+    monkeypatch.setattr(build_mod, "translate", lambda _asts: real([parse(translated)]))
+    asts = parse_many(spec)
+    return differential_check(asts, thetas), _ref_differential_check(asts, thetas)
+
+
+def test_a_symbolic_mismatch_falls_back_to_the_valuations(monkeypatch, substitutions):
+    got, want = _check_translating(monkeypatch, "{ 2*a |0> }", "{ a |0> }")
+    assert got == want
+    assert not got.ok and "(theta: a=" in got.assertions[0].detail
+    assert substitutions
+
+
+def test_symbolic_sets_that_differ_are_decided_by_the_valuations(
+        monkeypatch, substitutions):
+    got, want = _check_translating(monkeypatch, "{ a^2 |0> }", "{ a |0> }",
+                                   thetas=[{"a": AC_ONE}])
+    assert got == want
+    assert got.ok and got.assertions[0].detail == "1 valuations agree"
+    assert substitutions
+
+
+def test_an_unbound_name_still_raises_under_equal_sets():
+    asts = parse_many("{ a |0> + b |1> }")
+    for check in (differential_check, _ref_differential_check):
+        with pytest.raises(UnboundComplexVarError, match="'b'"):
+            check(asts, [{"a": AC_ONE}])
+    assert differential_check(asts, []) == _ref_differential_check(asts, [])
+    assert differential_check(asts, []).assertions[0].detail == "0 valuations agree"

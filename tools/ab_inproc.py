@@ -14,6 +14,10 @@ each side's min and median pass time and the quartiles of the paired
 ratio B/A, with how many passes B was faster.  Pairing passes that ran
 back to back cancels most of a shared machine's drift, so effects of a
 few percent show in 20 passes where separate processes need many runs.
+``--jobs PREFIX`` times only the jobs whose label starts with ``PREFIX``
+(``--workload verify --jobs check/random`` times the differential checks
+of random specs), so a change to one layer can be timed on the jobs that
+reach it.
 
 Both heaps live in one process, so each side's cyclic collections also
 walk the other side's objects, and a side that allocates more triggers
@@ -45,8 +49,9 @@ def load(checkout: Path, name: str):
     return pkg
 
 
-def build_jobs(pkg, workload: str, seed: int) -> list:
-    """One side's perfbench jobs, built with ``lstaq`` aliased to ``pkg``."""
+def build_jobs(pkg, workload: str, seed: int, prefix: str = "") -> list:
+    """One side's perfbench jobs whose label starts with ``prefix``, built
+    with ``lstaq`` aliased to ``pkg``."""
     from workloads import build
 
     names = ("lstaq", "lstaq.lsta")
@@ -62,7 +67,7 @@ def build_jobs(pkg, workload: str, seed: int) -> list:
                 sys.modules[n] = mod
     if bench.errors:
         raise SystemExit(f"{pkg.__name__}: {bench.errors[0]}")
-    return bench.jobs
+    return [job for job in bench.jobs if job.label.startswith(prefix)]
 
 
 def run_pass(jobs) -> float:
@@ -109,15 +114,20 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True, choices=("wide", "cases", "verify"))
     p.add_argument("--seed", type=int, default=5)
     p.add_argument("--passes", type=int, default=20)
+    p.add_argument("--jobs", default="", metavar="PREFIX",
+                   help="time only the jobs whose label starts with PREFIX")
     args = p.parse_args(argv)
     sys.path.insert(0, str(ROOT / "perfbench"))
-    a_jobs = build_jobs(load(args.a, "lstaq_a"), args.workload, args.seed)
-    b_jobs = build_jobs(load(args.b, "lstaq_b"), args.workload, args.seed)
+    a_jobs = build_jobs(load(args.a, "lstaq_a"), args.workload, args.seed, args.jobs)
+    b_jobs = build_jobs(load(args.b, "lstaq_b"), args.workload, args.seed, args.jobs)
+    if not a_jobs:
+        raise SystemExit(f"no {args.workload} job label starts with {args.jobs!r}")
     # What the jobs keep is frozen out of the collector's scans, as the
     # harness does after its set-up.
     gc.collect()
     gc.freeze()
-    print(f"{args.workload}, seed {args.seed}, {len(a_jobs)} jobs a pass")
+    title = f"{args.workload}, seed {args.seed}, {len(a_jobs)} jobs a pass"
+    print(title + (f", labels starting {args.jobs}" if args.jobs else ""))
     print("\n".join(report(compare(a_jobs, b_jobs, args.passes))))
     return 0
 
