@@ -250,6 +250,10 @@ AC_INV_SQRT2 = AlgebraicComplex(1, 0, 0, 0, 1)
 
 Monomial = tuple[tuple[str, int], ...]
 
+# The most term pairs one product of polynomials may multiply, so that a
+# power such as ``(a+b)^2000`` is refused rather than expanded for minutes.
+_MAX_TERM_PAIRS = 1 << 16
+
 
 @dataclass(frozen=True)
 class AmplitudePoly:
@@ -294,6 +298,13 @@ class AmplitudePoly:
         return self + (-other)
 
     def __mul__(self, other: "AmplitudePoly") -> "AmplitudePoly":
+        """The product; raises :class:`LimitExceededError` when it would
+        multiply more than ``_MAX_TERM_PAIRS`` pairs of terms."""
+        pairs = len(self.terms) * len(other.terms)
+        if pairs > _MAX_TERM_PAIRS:
+            raise LimitExceededError(
+                _MAX_TERM_PAIRS, f"an amplitude product of {pairs} term pairs is over "
+                f"the limit of {_MAX_TERM_PAIRS}")
         acc: dict[Monomial, AlgebraicComplex] = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:

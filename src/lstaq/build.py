@@ -78,31 +78,31 @@ _ONE = frozenset({1})
 
 def _emit_member(psi: StateVector, semiring: Semiring, off: int,
                  internal: list[Internal], leaves: list[Leaf]
-                 ) -> tuple[int, int, int, int]:
+                 ) -> tuple[int, int, int]:
     """Append all but the root transition of the automaton of ``psi``.
 
-    Ids start at ``off``; returns the root, its children and one past the
-    largest id.  A nonzero state gets one leaf state per nonzero basis
-    string, one active state per proper prefix, and a per-level sink chain
-    for the missing subtrees (none under full support), with the root last.
-    The zero vector, a set member when a summation is empty, is one sink
-    chain with the root first.  Either way ``|Δ| ≤ (N+1)(n+1)`` for ``N``
-    nonzero amplitudes over ``n`` qubits.
+    Ids start at ``off`` and the root takes none; returns the root's
+    children and one past the largest id.  A nonzero state gets one leaf
+    state per nonzero basis string, one active state per proper prefix, and
+    a per-level sink chain for the missing subtrees (none under full
+    support).  The zero vector, a set member when a summation is empty, is
+    one sink chain.  Either way ``|Δ| ≤ (N+1)(n+1)`` for ``N`` nonzero
+    amplitudes over ``n`` qubits.
 
     A single nonzero entry ``s`` over ``n ≥ 1`` qubits, the common member
     of a slice, is never full, and its ids follow by arithmetic: the leaf
     is ``off`` and the sink leaf ``off+1``; depth ``d`` has its sink at
     ``off+2(n-d)`` and its path state one above, whose child on side
-    ``s[d]`` is the path one level down and the other the sink; the root
-    is ``off+2n``.  These are the ids the general case gives it.
+    ``s[d]`` is the path one level down and the other the sink; the ids end
+    at ``off+2n``.  These are the ids the general case gives it.
     """
     n = psi.n
     start = len(internal) + len(leaves)
     new = tuple.__new__
     if psi.is_zero:
-        internal += [new(Internal, (k, _ONE, k + 1, k + 1)) for k in range(off + 1, off + n)]
-        leaves.append(new(Leaf, (off + n, _ONE, semiring.zero)))
-        root, left, right, end = off, off + 1, off + 1, off + n + 1
+        internal += [new(Internal, (k, _ONE, k + 1, k + 1)) for k in range(off, off + n - 1)]
+        leaves.append(new(Leaf, (off + n - 1, _ONE, semiring.zero)))
+        left, right, end = off, off, off + n
     elif len(psi.entries) == 1:
         ((s, amp),) = psi.entries
         leaves += [new(Leaf, (off, _ONE, amp)),
@@ -114,7 +114,7 @@ def _emit_member(psi: StateVector, semiring: Semiring, off: int,
                          new(Internal, (k + 1, _ONE, sink, path)
                              if s[depth] == "1" else (k + 1, _ONE, path, sink))]
             path, sink = k + 1, k
-        root, end = off + 2 * n, off + 2 * n + 1
+        end = off + 2 * n
         left, right = (sink, path) if s[0] == "1" else (path, sink)
     else:
         full = len(psi.entries) == (1 << n)
@@ -138,10 +138,9 @@ def _emit_member(psi: StateVector, semiring: Semiring, off: int,
                     prev.get(x + "0", prev_sink),
                     prev.get(x + "1", prev_sink),
                 )))
-        root = next(ids)
-        left, right, end = level.get("0", sink), level.get("1", sink), root + 1
+        left, right, end = level.get("0", sink), level.get("1", sink), next(ids)
     assert len(internal) + len(leaves) - start < (len(psi.entries) + 1) * (n + 1)
-    return root, left, right, end
+    return left, right, end
 
 
 def build_state_lsta(psi: StateVector, semiring: Semiring) -> Lsta:
@@ -154,10 +153,9 @@ def build_state_lsta(psi: StateVector, semiring: Semiring) -> Lsta:
 def build_setq_lsta(states: Sequence[StateVector], semiring: Semiring) -> Lsta:
     """Union of levelwise automata, one per member state, built in one pass.
 
-    The members are written straight into the union at running offsets, and
-    their root transitions move to a fresh root with choices ``{1}..{k}``.
-    State ids and transition order are those of ``union_all`` of the member
-    automata, the fresh ids of its binary left fold included.
+    The members are written straight into the union at running offsets,
+    and the root, the last id, re-emits their root transitions with choices
+    ``{1}..{k}``: what ``union_all`` builds of the member automata.
     """
     if not states:
         raise EmptyStateError()
@@ -169,20 +167,13 @@ def build_setq_lsta(states: Sequence[StateVector], semiring: Semiring) -> Lsta:
     leaves: list[Leaf] = []
     children: list[tuple[int, int]] = []
     end = 0
-    for k, psi in enumerate(states):
-        root, left, right, end = _emit_member(psi, semiring, end, internal, leaves)
+    for psi in states:
+        left, right, end = _emit_member(psi, semiring, end, internal, leaves)
         children.append((left, right))
-        if k:
-            root, end = end, end + 1
-    if len(children) > 1:
-        new = tuple.__new__
-        internal += [new(Internal, (root, frozenset((k,)), a, b))
-                     for k, (a, b) in enumerate(children, start=1)]
-    else:
-        at = 0 if states[0].is_zero else len(internal)
-        internal.insert(at, Internal(root, _ONE, left, right))
-    return Lsta(semiring, frozenset(range(end)), root,
-                tuple(internal), tuple(leaves))
+    new = tuple.__new__
+    internal += [new(Internal, (end, frozenset((k,)), left, right))
+                 for k, (left, right) in enumerate(children, start=1)]
+    return Lsta(semiring, range(end + 1), end, tuple(internal), tuple(leaves))
 
 
 # ---------------------------------------------------------------------------

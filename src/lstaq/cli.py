@@ -100,11 +100,14 @@ def cmd_translate(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     asts = parse_many(_read_source(args.file))
     theta = _parse_theta(args.theta)
+    # Everything is rendered before any line is printed: an error prints none.
+    lines = []
     for i, ast in enumerate(asts):
         states = denote(ast, theta=theta, cap=args.cap)
-        print(f"// assertion {i}: {len(states)} members")
-        for s in sorted(states, key=str):
-            print(s)
+        lines.append(f"// assertion {i}: {len(states)} members")
+        lines += sorted(map(str, states))
+    for line in lines:
+        print(line)
     return 0
 
 

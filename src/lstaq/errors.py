@@ -106,8 +106,8 @@ class ChoiceOverlapError(InternalError):
 
 
 class DanglingStateError(InternalError):
-    def __init__(self, state: int):
-        super().__init__(f"transition references unknown state {state}")
+    def __init__(self, state: int, problem: str = "transition references unknown state"):
+        super().__init__(f"{problem} {state}")
         self.state = state
 
 

@@ -10,6 +10,12 @@ sequence induces at most one tree.  States are bare integers, and leaf
 values are combined only through the automaton's :class:`Semiring` record,
 so every construction here works over all three leaf domains.
 
+State ids are ``0..N-1``, the root is one of them, and every id is the top
+of at least one transition: ``Lsta.states`` is ``range(N)``.
+:func:`validate` enforces this id rule.  Every construction keeps it by
+numbering the states it keeps in order, so a state that it drops or merges
+takes no id.
+
 The two composition operations mirror the set operations of the
 specification language and take any number of operands: :func:`union_all`
 adds one fresh root that selects between the operands' root transitions
@@ -17,26 +23,26 @@ adds one fresh root that selects between the operands' root transitions
 set are written into their union directly, by ``build.build_setq_lsta``), and
 :func:`tensor_chain` grafts each operand in turn, one scaled copy per
 distinct leaf value of what came before.  It plans each distinct operand
-once per call, so a copy is an offset of the plan's local state ids, and it
+once per call, so a copy is numbered in the plan's local id order, and it
 merges a copy's interchangeable leaf states as the copy is grafted; its
-peak is the largest intermediate size of the binary fold, counted before
-that fold's merges.  Once a run of one operand object grafts onto its
-first graft's frontier shifted, the rest of the run is placed by integer
+peak is the largest intermediate size of a left fold of binary tensors,
+counted before its merges.  Once a run of one operand object grafts onto
+its first graft's frontier shifted, the rest of the run is placed by integer
 arithmetic and written out in one pass, as shifted copies of that graft,
 with leaf transitions only for the run's last graft.  Both cost time
 linear in the size of their result.
 They assert their size bounds but do not :func:`validate` their results;
 callers validate a finished automaton once.  Neither changes its operands,
 so the same automaton object may be passed several times, as translation
-does with recurring qubit slices.  :func:`union` and :func:`tensor` are
-their two-operand forms.
+does with recurring qubit slices; their operands must keep the id rule.
+:func:`union` and :func:`tensor` are their two-operand forms.
 
-:func:`validate` tests whole sets first: the referenced states with
-``issuperset`` against the state set, building no set of them, and the
-(top, choice) pairs for repeats.  Only on a fault does it scan in
-transition order, to name the first one.  :func:`map_leaves` calls its
-function once per distinct leaf value, so an amplitude-domain crossing
-costs one call per value, however many leaves share it.
+:func:`validate` tests whole sets first: the set of tops against the ids,
+the referenced states against the tops, and the (top, choice) pairs for
+repeats.  Only on a fault does it scan, to name the first one in transition
+order, and then the first id that breaks the id rule.  :func:`map_leaves`
+calls its function once per distinct leaf value, so an amplitude-domain
+crossing costs one call per value, however many leaves share it.
 
 :func:`membership` decides one state without enumerating the language.  It
 holds the state as a DAG of shared subtrees, in which every all-zero
@@ -60,7 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, count
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 from .amplitude import COMPLEX, Semiring
 from .errors import (
@@ -96,7 +102,7 @@ _AMPLITUDE = itemgetter(2)  # of a Leaf
 @dataclass(frozen=True)
 class Lsta:
     semiring: Semiring
-    states: frozenset[int]
+    states: Collection[int]
     root: int
     internal: tuple[Internal, ...]
     leaves: tuple[Leaf, ...]
@@ -119,7 +125,8 @@ def mk_lsta(
     internal: list[Internal],
     leaves: list[Leaf],
 ) -> Lsta:
-    """Assemble an automaton, deriving the state set from the transitions."""
+    """Assemble an automaton over any ids, deriving the state set from the
+    transitions; it keeps the id rule only if the ids do."""
     states = {root}
     for t in internal:
         states.update((t.top, t.left, t.right))
@@ -129,20 +136,21 @@ def mk_lsta(
 
 
 def validate(a: Lsta) -> None:
-    """Check structural invariants; raises on the first violation.
+    """Check structural invariants and the id rule; raises on the first
+    violation.
 
-    Set-wide tests find whether a state is unknown, a choice set empty or
-    a (top, choice) pair repeated; only then does the ordered scan run, to
-    name the first violation in transition order.  The referenced states
-    are tested by ``a.states.issuperset`` over the tops, lefts and rights,
-    so no set of them is built.
+    Set-wide tests find whether the tops are other than ``0..N-1``, a state
+    unknown, a choice set empty or a (top, choice) pair repeated; only then
+    does the ordered scan run, to name the first violation in transition
+    order, and then the first id missing from ``a.states`` or the tops.
     """
     transitions = (*a.internal, *a.leaves)
-    states = a.states
+    n = len(a.states)
+    tops = set(map(_TOP, transitions))
     pairs = [(t.top, c) for t in transitions for c in t.choices]
-    if (a.root in states and states.issuperset(map(_TOP, transitions))
-            and states.issuperset(map(_LEFT, a.internal))
-            and states.issuperset(map(_RIGHT, a.internal))
+    if (len(tops) == n and tops.issuperset(range(n)) and tops.issuperset(a.states)
+            and a.root in tops and tops.issuperset(map(_LEFT, a.internal))
+            and tops.issuperset(map(_RIGHT, a.internal))
             and all(map(_CHOICES, transitions)) and len(set(pairs)) == len(pairs)):
         return
     if a.root not in a.states:
@@ -159,6 +167,11 @@ def validate(a: Lsta) -> None:
             if c in pool:
                 raise ChoiceOverlapError(t.top, c)
             pool.add(c)
+    for s in range(n):
+        if s not in a.states:
+            raise DanglingStateError(s, "the state ids skip")
+        if s not in tops:
+            raise DanglingStateError(s, "no transition leaves state")
 
 
 def n_leaves(a: Lsta) -> int:
@@ -437,14 +450,13 @@ def membership(a: Lsta, psi: StateVector) -> bool:
 def union_all(pieces: Sequence[Lsta]) -> Lsta:
     """Language union: a fresh root re-emits every piece's root transitions.
 
-    Each piece is relabelled by a running offset, and its root transitions
-    move to the fresh root with singleton choices 1..k in piece order, so
-    the result has exactly as many transitions as the pieces together.
-    State ids are those of a left fold of binary unions, in which every
-    step's fresh root takes one id and stays in the state set.  It serves
-    unions of already built automata, such as a segment's alternatives;
-    ``build.build_setq_lsta`` writes a set's members into the same union
-    directly instead of building each one first.
+    The pieces' states other than their roots are numbered in piece order,
+    each piece's in its own order, and the fresh root takes the last id.
+    Its transitions are the pieces' root transitions with singleton choices
+    1..k in piece order, so the result has exactly as many transitions as
+    the pieces together.  It serves unions of already built automata, such
+    as a segment's alternatives; ``build.build_setq_lsta`` writes a set's
+    members into the same union directly instead of building each one first.
     """
     if not pieces:
         raise InternalError("union of no automata")
@@ -454,28 +466,24 @@ def union_all(pieces: Sequence[Lsta]) -> Lsta:
     internal: list[Internal] = []
     leaves: list[Leaf] = []
     old_roots: list[Internal] = []
-    states: set[int] = set()
-    offset = root = 0
+    offset = 0
     new = tuple.__new__
-    for k, p in enumerate(pieces):
+    for p in pieces:
         if p.semiring != semiring:
             raise InternalError("cannot union automata over different semirings")
         if any(t.top == p.root for t in p.leaves):
             raise InternalError("a root state may not carry leaf transitions")
+        # The root takes no id, so the ids above it move down by one.
+        ids = [offset + s - (s > p.root) for s in range(len(p.states))]
         for top, c, left, right in p.internal:
-            moved = new(Internal, (top + offset, c, left + offset, right + offset))
+            moved = new(Internal, (ids[top], c, ids[left], ids[right]))
             (old_roots if top == p.root else internal).append(moved)
-        leaves += [new(Leaf, (top + offset, c, amplitude)) for top, c, amplitude in p.leaves]
-        states.update(s + offset for s in p.states)
-        offset += max(p.states) + 1
-        if k:
-            root = offset
-            states.add(root)
-            offset += 1
-    internal += [new(Internal, (root, frozenset((idx,)), t.left, t.right))
+        leaves += [new(Leaf, (ids[top], c, amplitude)) for top, c, amplitude in p.leaves]
+        offset += len(p.states) - 1
+    internal += [new(Internal, (offset, frozenset((idx,)), t.left, t.right))
                  for idx, t in enumerate(old_roots, start=1)]
     assert len(internal) + len(leaves) <= sum(p.size for p in pieces)
-    return Lsta(semiring, frozenset(states), root, tuple(internal), tuple(leaves))
+    return Lsta(semiring, range(offset + 1), offset, tuple(internal), tuple(leaves))
 
 
 def union(a: Lsta, b: Lsta) -> Lsta:
@@ -484,11 +492,12 @@ def union(a: Lsta, b: Lsta) -> Lsta:
 
 
 class _Plan(NamedTuple):
-    """How one piece is grafted, over local ids: its non-root states, sorted.
+    """How one piece is grafted, over local ids: its ids without the
+    root's, so those above the root move down by one.
 
-    A copy placed at offset ``off`` holds the state of local id ``a`` as
-    ``off + a``.  Root transitions hold their choices as indexes into the
-    sorted root choices.
+    A copy numbers its states in local id order, each merged state taking
+    none.  Root transitions hold their choices as indexes into the sorted
+    root choices.
     """
 
     n_states: int
@@ -500,7 +509,7 @@ class _Plan(NamedTuple):
 
 
 def _plan(b: Lsta) -> _Plan:
-    local = {s: a for a, s in enumerate(sorted(b.states - {b.root}))}
+    local = [s - (s > b.root) for s in range(len(b.states))]
     root_trans = [t for t in b.internal if t.top == b.root]
     if not root_trans:
         raise InternalError("right tensor operand has no root transitions")
@@ -511,58 +520,66 @@ def _plan(b: Lsta) -> _Plan:
              for t in b.internal if t.top != b.root]
     leaves = [(local[t.top], t.choices, t.amplitude) for t in b.leaves]
     inner_max = max((c for _t, cs, _l, _r in inner for c in cs), default=0)
-    return _Plan(len(local), roots, inner, leaves, len(index), inner_max)
+    return _Plan(len(local) - 1, roots, inner, leaves, len(index), inner_max)
 
 
-def _signatures(plan: _Plan, scaled: list[tuple[int, frozenset[int], object]]):
-    """Each leaf-only local state of a scaled copy, in ascending order, with
-    the set of its (choices, amplitude) pairs."""
-    inner_tops = {t for t, _c, _l, _r in plan.inner}
+def _signatures(leaves, inner_tops: set[int]) -> dict[int, frozenset]:
+    """Each top of ``leaves``, (top, choices, amplitude) triples, that is not
+    in ``inner_tops``, with the set of its (choices, amplitude) pairs."""
     sigs: dict[int, set] = {}
-    for a, c, amplitude in scaled:
+    for a, c, amplitude in leaves:
         if a not in inner_tops:
             sigs.setdefault(a, set()).add((c, amplitude))
-    return [(a, frozenset(sig)) for a, sig in sorted(sigs.items())]
+    return {a: frozenset(sig) for a, sig in sigs.items()}
 
 
-def _merge_leaf_states(a: Lsta) -> tuple[list[Internal], list[Leaf], set[int]]:
-    """``a``'s transitions and states once its interchangeable leaf-only
-    states are merged: those with equal leaf transitions become the
-    smallest of them."""
-    inner_tops = set(map(_TOP, a.internal))
-    sigs: dict[int, set] = {}
-    for t in a.leaves:
-        sigs.setdefault(t.top, set()).add((t.choices, t.amplitude))
-    groups: dict[frozenset, list[int]] = {}
-    for top, sig in sigs.items():
-        if top not in inner_tops and top != a.root:
-            groups.setdefault(frozenset(sig), []).append(top)
-    remap = {s: min(g) for g in groups.values() for s in g if s != min(g)}
-    if not remap:
-        return list(a.internal), list(a.leaves), set(a.states)
-    new, get = tuple.__new__, remap.get
-    internal = [new(Internal, (t.top, t.choices, get(t.left, t.left), get(t.right, t.right)))
-                if t.left in remap or t.right in remap else t for t in a.internal]
-    leaves = [t for t in a.leaves if t.top not in remap]
-    return internal, leaves, set(a.states).difference(remap)
+def _number(n: int, sigs: dict[int, frozenset], reps: dict[frozenset, int],
+            start: int) -> tuple[list[int], set[int]]:
+    """Ids for the states ``0..n-1``, and the states merged.  In order, a
+    state whose signature is in ``reps`` is merged into that representative;
+    any other takes the next id from ``start``, and its signature, if it has
+    one, joins ``reps``."""
+    ids: list[int] = []
+    merged: set[int] = set()
+    for a in range(n):
+        sig = sigs.get(a)
+        rep = start if sig is None else reps.setdefault(sig, start)
+        if rep == start:
+            start += 1
+        else:
+            merged.add(a)
+        ids.append(rep)
+    return ids, merged
+
+
+def _merge_leaf_states(a: Lsta) -> tuple[int, list[Internal], list[Leaf], int]:
+    """``a``'s root, transitions and number of ids once its interchangeable
+    leaf-only states are merged: those with equal leaf transitions become
+    the first of them, and the others take no id."""
+    sigs = _signatures(a.leaves, {a.root, *map(_TOP, a.internal)})
+    if len(set(sigs.values())) == len(sigs):
+        return a.root, list(a.internal), list(a.leaves), len(a.states)
+    ids, merged = _number(len(a.states), sigs, {}, 0)
+    new = tuple.__new__
+    internal = [new(Internal, (ids[t], c, ids[l], ids[r])) for t, c, l, r in a.internal]
+    leaves = [new(Leaf, (ids[t], c, p)) for t, c, p in a.leaves if t not in merged]
+    return ids[a.root], internal, leaves, len(a.states) - len(merged)
 
 
 class _Template(NamedTuple):
     """A graft relative to its first fresh id and choice and its frontier's
     first top.
 
-    ``merged`` ids join no state set.  ``internal`` holds the graft's
-    internal transitions in order, the copies' inner ones first:
-    ``(False, top, choices, left, right)`` over ids, or, for an interface
-    transition, ``(True, top, k, left, right)`` with its top relative to the
-    frontier and its choices the ``k``-th of ``sets``, whose choices are
-    relative to the first fresh choice.  ``top`` is the largest interface
-    choice.
+    ``internal`` holds the graft's internal transitions in order, the
+    copies' inner ones first: ``(False, top, choices, left, right)`` over
+    ids, or, for an interface transition, ``(True, top, k, left, right)``
+    with its top relative to the frontier and its choices the ``k``-th of
+    ``sets``, whose choices are relative to the first fresh choice.  ``top``
+    is the largest interface choice.
     """
 
     n_values: int
     n_ids: int
-    merged: list[int]
     internal: list[tuple[bool, int, object, int, int]]
     leaves: list[tuple[int, frozenset[int], object]]
     sets: list[tuple[int, ...]]
@@ -570,21 +587,12 @@ class _Template(NamedTuple):
 
 
 def _emit(tpl: _Template, placements: list[tuple[int, int, int]],
-          internal: list[Internal], states: set[int]) -> list[Leaf]:
+          internal: list[Internal]) -> list[Leaf]:
     """Append ``tpl`` at each placement, a (first fresh id, first fresh
     choice, frontier's first top) triple, in order, each graft's inner
     transitions before its interface ones.  Returns the last placement's
     leaf transitions; the others' leaves are only the next placement's
     frontier, so they are not built."""
-    # No id from the first placement's on is a state yet.  A placement's ids
-    # end where the next one's begin: the next placement reclaims its
-    # trailing merged ids.
-    states.update(range(placements[0][0], placements[-1][0] + tpl.n_ids))
-    if tpl.merged:
-        ends = [off for off, _base, _front in placements[1:]]
-        ends.append(placements[-1][0] + tpl.n_ids)
-        states.difference_update([off + a for (off, _base, _front), end in zip(placements, ends)
-                                  for a in tpl.merged if off + a < end])
     sets = [frozenset(map(base.__add__, cs))
             for _off, base, _front in placements for cs in tpl.sets]
     new, n_sets = tuple.__new__, len(tpl.sets)
@@ -618,17 +626,16 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
     which is what the size bound counts.  The first piece's leaf states are
     merged before the first graft.  A copy's leaf states are merged as the
     copy is grafted, by the signature of their scaled leaf transitions: a
-    merged state emits no transitions and joins no state set, and the
-    transitions into it point at its representative, the first state
-    grafted with that signature.  The last graft is not merged.  State ids
-    are those of a left fold of binary tensors, which merges each
-    accumulator before grafting onto it, and the peak is that fold's
-    largest intermediate size, counted before its merges.
+    merged state takes no id and emits no transitions, and the transitions
+    into it point at its representative, the first state grafted with that
+    signature.  The last graft is not merged.  The peak is the largest
+    intermediate size of a left fold of binary tensors, which merges each
+    accumulator before grafting onto it, counted before its merges.
 
     Each distinct piece is planned once per call: its transitions over
-    local ids, so a copy is an offset, and per leaf value its scaled leaf
-    transitions and leaf-state signatures.  ``pieces`` are only read, so
-    one automaton may appear in several positions.  Each product of a leaf
+    local ids, which a copy numbers in order, and per leaf value its scaled
+    leaf transitions and leaf-state signatures.  ``pieces`` are only read,
+    so one automaton may appear in several positions.  Each product of a leaf
     value and a piece's leaf amplitude is computed once per call, however
     often the pair recurs.
 
@@ -641,13 +648,13 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
     unmerged last graft: a replay's leaves are the template's shifted, so
     every later graft of the run finds its frontier shifted too.  The
     placements are integer arithmetic.  The first fresh id moves by the
-    template's ids less its trailing merged ids, which the fold reclaims;
-    the frontier's first top is the previous placement plus the template's
-    first leaf; and the largest choice is recomputed at each placement, not
-    shifted, because the piece's inner choices may exceed the interface.
-    One :func:`_emit` call then writes every placement, and builds leaf
-    transitions only for the last, since the others' leaves are only the
-    next graft's frontier.  The size bound is asserted for every graft.
+    template's ids; the frontier's first top is the previous placement plus
+    the template's first leaf; and the largest choice is recomputed at each
+    placement, not shifted, because the piece's inner choices may exceed the
+    interface.  One :func:`_emit` call then writes every placement, and
+    builds leaf transitions only for the last, since the others' leaves are
+    only the next graft's frontier.  The size bound is asserted for every
+    graft.
     """
     if not pieces:
         raise InternalError("tensor product of no automata")
@@ -655,11 +662,10 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
     peak = acc.size
     if len(pieces) == 1:
         return acc, peak
-    semiring, root = acc.semiring, acc.root
-    internal, leaves, states = _merge_leaf_states(acc)
+    semiring = acc.semiring
+    root, internal, leaves, next_id = _merge_leaf_states(acc)
     unmerged = len(acc.leaves)  # leaf transitions of the last graft before merging
     top_choice = max(chain.from_iterable(map(_CHOICES, internal)), default=0)
-    next_id = max(acc.states) + 1
     plans: dict[int, _Plan] = {}
     products: dict = {}
     scaled_leaves: dict = {}
@@ -681,8 +687,6 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
             if b.semiring != semiring:
                 raise InternalError("cannot tensor automata over different semirings")
             plan = plans[id(b)] = _plan(b)
-        while next_id - 1 not in states:
-            next_id -= 1
         front = leaves[0].top if leaves else 0
         end = step + 1
         if replay and replay[0] is b and step < last and replay[2] == _shape(leaves):
@@ -694,28 +698,22 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
         else:
             values = {v: vi for vi, v in enumerate(dict.fromkeys(t.amplitude for t in leaves))}
             reps: dict[frozenset, int] = {}
-            merged_ids, moves, grafted, copy_roots, sets = [], [], [], [], []
-            for vi, v in enumerate(values):
+            n_ids = 0
+            moves, grafted, copy_roots, sets = [], [], [], []
+            for v in values:
                 key = (id(b), v)
                 scaled = scaled_leaves.get(key)
                 if scaled is None:
                     scaled = scaled_leaves[key] = [(a, c, product(v, amplitude))
                                                    for a, c, amplitude in plan.leaves]
-                o = vi * plan.n_states
-                merged: dict[int, int] = {}
-                if step < last:
-                    sigs = signatures.get(key)
-                    if sigs is None:
-                        sigs = signatures[key] = _signatures(plan, scaled)
-                    for a, sig in sigs:
-                        rep = reps.setdefault(sig, o + a)
-                        if rep != o + a:
-                            merged[a] = rep
-                merged_ids += [o + a for a in merged]
-                ids = ([merged.get(a, o + a) for a in range(plan.n_states)] if merged
-                       else range(o, o + plan.n_states))
-                moves += [(False, o + t, c, ids[l], ids[r]) for t, c, l, r in plan.inner]
-                grafted += [(o + a, c, p) for a, c, p in scaled if a not in merged]
+                sigs = signatures.get(key) if step < last else {}
+                if sigs is None:
+                    inner_tops = {t for t, _c, _l, _r in plan.inner}
+                    sigs = signatures[key] = _signatures(scaled, inner_tops)
+                ids, merged = _number(plan.n_states, sigs, reps, n_ids)
+                n_ids += plan.n_states - len(merged)
+                moves += [(False, ids[t], c, ids[l], ids[r]) for t, c, l, r in plan.inner]
+                grafted += [(ids[a], c, p) for a, c, p in scaled if a not in merged]
                 copy_roots.append([(j, ids[l], ids[r]) for j, (_cs, l, r) in enumerate(plan.roots)])
             ex_index = {c: i for i, c in enumerate(sorted({c for t in leaves for c in t.choices}))}
             set_index: dict[frozenset, int] = {}
@@ -728,19 +726,11 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
                 moves += [(True, lt.top - front, k + j, l, r)
                           for j, l, r in copy_roots[values[lt.amplitude]]]
             # Every frontier choice and every root choice index occurs.
-            tpl = _Template(len(values), len(values) * plan.n_states, merged_ids, moves, grafted,
-                            sets, len(ex_index) * plan.width - 1)
+            tpl = _Template(len(values), n_ids, moves, grafted, sets,
+                            len(ex_index) * plan.width - 1)
             replay = (b, tpl, _shape(leaves)) if end < last and pieces[end] is b else None
 
-        reclaim = 0
-        if tpl.merged:
-            # A merged id's representative is an earlier id of its graft, so
-            # the walk-back over the graft's trailing merged ids stays in it.
-            gone = set(tpl.merged)
-            while tpl.n_ids - 1 - reclaim in gone:
-                reclaim += 1
-            assert reclaim < tpl.n_ids
-        stride, first_leaf = tpl.n_ids - reclaim, tpl.leaves[0][0] if tpl.leaves else None
+        first_leaf = tpl.leaves[0][0] if tpl.leaves else None
         n_new, grown = len(tpl.internal), tpl.n_values * len(plan.leaves)
         bound = tpl.n_values * b.size
         n_internal = len(internal)
@@ -754,12 +744,12 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
             n_internal, unmerged = n_internal + n_new, grown
             assert n_internal + unmerged <= size + bound
             front = 0 if first_leaf is None else next_id + first_leaf
-            next_id += stride
+            next_id += tpl.n_ids
         # Sizes only grow along a run, so its last graft is its largest.
         peak = max(peak, n_internal + unmerged)
-        leaves = _emit(tpl, placements, internal, states)
+        leaves = _emit(tpl, placements, internal)
         step = end
-    out = Lsta(semiring, frozenset(states), root, tuple(internal), tuple(leaves))
+    out = Lsta(semiring, range(next_id), root, tuple(internal), tuple(leaves))
     return out, peak
 
 

@@ -122,6 +122,29 @@ def test_oracle_refuses_a_coefficient_too_long_to_write(tmp_path, capsys):
     assert "too long to write in decimal" in capsys.readouterr().err
 
 
+def test_oracle_prints_nothing_when_a_later_assertion_fails(tmp_path):
+    done = _run_cli(["oracle", spec_file(tmp_path, "{ |0> } ;; { 2^65536 |0> }")], timeout=10)
+    assert done.returncode == 4
+    assert done.stdout == ""
+    assert done.stderr == ("error: an amplitude coefficient is too long to write"
+                           f" in decimal (over {sys.get_int_max_str_digits()} digits)\n")
+
+
+def test_an_amplitude_expanding_past_the_term_budget_exits_4_within_two_seconds(tmp_path):
+    # (a+b)^2000 squares (a+b)^256, 257 terms, before it could finish.
+    done = _run_cli(["translate", spec_file(tmp_path, "{ (a+b)^2000 |0> }")], timeout=2)
+    assert done.returncode == 4
+    assert done.stdout == ""
+    assert done.stderr == ("error: an amplitude product of 66049 term pairs is over"
+                           " the limit of 65536\n")
+
+
+def test_an_amplitude_under_the_term_budget_still_translates(tmp_path, capsys):
+    assert main(["translate", spec_file(tmp_path, "{ (a+b)^100 |0> }")]) == 0
+    out = capsys.readouterr().out
+    assert "vars a b" in out and "a^100" in out
+
+
 @pytest.mark.parametrize("text", [
     "{ |0> }^100000000", "{ |0> }^99999999999999999999", "{ |v> : |v| = 100000000 }"])
 def test_fmt_of_an_oversized_spec_still_works(tmp_path, capsys, text):
@@ -256,7 +279,7 @@ def test_debug_dumps_have_markers(tmp_path, capsys):
 
 # sha256 of the debug dumps below, computed before the slice expansions
 # moved out of the translation result.
-DUMP_SHA256 = "ed0f6832ffd63094e1de87d74c30b558de5c93fba013f13d9d10316db11a78c0"
+DUMP_SHA256 = "16a5feca054d2764dce3d37449adb30428430789eb4f7866893e97c08a6eaced"
 
 
 def test_debug_dumps_are_byte_identical(tmp_path, capsys):

@@ -235,6 +235,36 @@ def test_a_dangling_leaf_top_is_named_in_translated_automata():
         assert isinstance(err, DanglingStateError) and err.state == ghost
 
 
+def _with_id_skipped(a: Lsta, k: int, states) -> Lsta:
+    """``a`` with every id from ``k`` up moved up by one, so that no
+    transition leaves ``k``, over the state set ``states``."""
+    def up(s: int) -> int:
+        return s + (s >= k)
+    return Lsta(a.semiring, states, up(a.root),
+                tuple(Internal(up(t.top), t.choices, up(t.left), up(t.right)) for t in a.internal),
+                tuple(Leaf(up(t.top), t.choices, t.amplitude) for t in a.leaves))
+
+
+def test_an_id_gap_is_named_in_translated_automata():
+    for a in _family_automata():
+        n = len(a.states)
+        for k in (0, n // 2, n - 1):
+            gap = _with_id_skipped(a, k, frozenset(s + (s >= k) for s in a.states))
+            err = _validate_error(gap)
+            assert isinstance(err, DanglingStateError) and err.state == k
+            assert str(err) == f"the state ids skip {k}"
+
+
+def test_an_id_without_a_transition_is_named_in_translated_automata():
+    for a in _family_automata():
+        n = len(a.states)
+        for k in (0, n // 2, n):
+            ghost = _with_id_skipped(a, k, range(n + 1))
+            err = _validate_error(ghost)
+            assert isinstance(err, DanglingStateError) and err.state == k
+            assert str(err) == f"no transition leaves state {k}"
+
+
 def test_an_empty_choice_set_is_named_in_translated_automata():
     for a in _family_automata():
         index = len(a.internal) // 2

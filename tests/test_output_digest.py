@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-TOTAL_ALL = "a397ed3bbb1b9fc605d1301f67bf29325380e28263185675b3cf65af29fa0f8a"
+TOTAL_ALL = "c38cb71eb37b69180d29da5c1917d92205d50b01c1bc07e72307a149c8d71c23"
 
 
 def test_output_digest_total_is_pinned():
