@@ -16,6 +16,15 @@ of at least one transition: ``Lsta.states`` is ``range(N)``.
 numbering the states it keeps in order, so a state that it drops or merges
 takes no id.
 
+A state's transitions of each kind are stored in ascending order of their
+smallest choice.  Every construction keeps this order rule:
+``build.build_setq_lsta`` gives every state but the root one transition and
+the root choices 1..k in member order; :func:`union_all` gives its fresh
+root choices 1..k in piece order; :func:`tensor_chain` writes interface
+transitions in frontier-leaf order, then root order; and :func:`map_leaves`
+keeps the order it is given.  :func:`write_lsta` relies on the rule: it
+writes a state's transitions in the order they are stored.
+
 The two composition operations mirror the set operations of the
 specification language and take any number of operands: :func:`union_all`
 adds one fresh root that selects between the operands' root transitions
@@ -781,29 +790,27 @@ def map_leaves(a: Lsta, fn, semiring: Semiring | None = None) -> Lsta:
 
 
 def write_lsta(a: Lsta, n: int, constraint: str | None = None) -> str:
-    """Serialize to the versioned line format (deterministic bytes)."""
+    """Serialize to the versioned line format (deterministic bytes).
+
+    Internal transitions, then leaf ones, each by ascending top; a state's
+    transitions are written in the order they are stored (the order rule).
+    """
+    semiring = a.semiring
+    sets = {cs: "{%s}" % ",".join(map(str, sorted(cs)))
+            for cs in set(map(_CHOICES, chain(a.internal, a.leaves)))}
+    amplitudes = {v: semiring.render(v) for v in set(map(_AMPLITUDE, a.leaves))}
+    names = frozenset().union(*map(semiring.variables, amplitudes))
     lines = [
         "lsta v1",
-        f"semiring {a.semiring.name}",
+        f"semiring {semiring.name}",
         f"qubits {n}",
-        "vars" + "".join(f" {v}" for v in sorted(a.variables())),
+        "vars" + "".join(f" {v}" for v in sorted(names)),
         f"root {a.root}",
     ]
-
-    # The smallest choice and the text of each distinct choice set, made once.
-    seen: dict[frozenset[int], tuple[int, str]] = {}
-
-    def choice(cs: frozenset[int]) -> tuple[int, str]:
-        got = seen.get(cs)
-        if got is None:
-            got = seen[cs] = (min(cs), "{%s}" % ",".join(str(c) for c in sorted(cs)))
-        return got
-
-    for t in sorted(a.internal, key=lambda t: (t.top, choice(t.choices)[0])):
-        lines.append(f"i {t.top} {seen[t.choices][1]} -> {t.left} {t.right}")
-    render = a.semiring.render
-    for t in sorted(a.leaves, key=lambda t: (t.top, choice(t.choices)[0])):
-        lines.append(f"l {t.top} {seen[t.choices][1]} -> {render(t.amplitude)}")
+    lines += [f"i {top} {sets[cs]} -> {left} {right}"
+              for top, cs, left, right in sorted(a.internal, key=_TOP)]
+    lines += [f"l {top} {sets[cs]} -> {amplitudes[v]}"
+              for top, cs, v in sorted(a.leaves, key=_TOP)]
     if constraint:
         lines.append(f"constraint {constraint}")
     return "\n".join(lines) + "\n"

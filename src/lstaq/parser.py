@@ -21,10 +21,11 @@ file are separated by ``;;``.
 
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
+from typing import NamedTuple
 
 from . import ast as A
 from .amplitude import (
@@ -37,14 +38,18 @@ from .amplitude import (
 )
 from .errors import LimitExceededError, SpecSyntaxError
 
-_PUNCT = (
-    ";;", "\\/", "!=", "<=", ">=", "&&", "||",
-    "{", "}", "[", "]", "(", ")", "|", ">", "<", "~", "^",
-    "+", "-", "*", "/", "=", ":", ",", "!",
-)
-# The literals by first character, in ``_PUNCT`` order, so that a longer
-# literal is tried before its one-character prefix.
-_PUNCT_BY_FIRST = {p[0]: tuple(q for q in _PUNCT if q[0] == p[0]) for p in _PUNCT}
+# One token per match, after any blanks: a newline, a comment, a
+# punctuation literal (a longer literal before its one-character prefix), a
+# NUMBER, an IDENT, or any other single character, which is an error.  The
+# forms are those of ``docs/language.md``, ASCII only.
+_TOKEN = re.compile(r"""[ \t\r]*(?:
+    (?P<NL>\n)
+  | (?P<COMMENT>//)[^\n]*
+  | (?P<PUNCT>;;|\\/|!=|<=|>=|&&|\|\||[{}\[\]()|><~^+\-*/=:,!])
+  | (?P<NUMBER>[0-9][0-9.]*)
+  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<BAD>.)
+  | \Z)""", re.VERBOSE)
 _KEYWORDS = {"bigU", "sum"}
 # Binding powers of the infix arithmetic operators.
 _BP = {"*": 20, "/": 20, "+": 10, "-": 10}
@@ -53,10 +58,15 @@ _BP = {"*": 20, "/": 20, "+": 10, "-": 10}
 # calls in formulas), so this keeps any spec clear of the interpreter's
 # recursion limit; past it the spec is a syntax error.
 MAX_NESTING = 100
+# Most ket atoms that one parse may build, over all its kets: four kets of
+# ``MAX_QUBITS`` atoms, twice what a bench family's text at the qubit
+# ceiling holds.  Past it the parse is refused before the ket is built.
+MAX_ATOMS = 1 << 18
+# The two constant-bit atoms, shared by every ket.
+_BITS = {"0": A.ConstBit(0), "1": A.ConstBit(1)}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # punctuation literal, IDENT, NUMBER or EOF
     text: str
     line: int
@@ -64,49 +74,25 @@ class Token:
 
 
 def tokenize(src: str) -> list[Token]:
+    """The tokens of ``src`` and a closing EOF, whose column is that of a
+    comment ending the last line, or else one past the line's end.  A
+    character that starts no token is a syntax error at its position."""
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if ch in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if ch == "/" and src.startswith("//", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        hit = None
-        for p in _PUNCT_BY_FIRST.get(ch, ()):
-            if src.startswith(p, i):
-                hit = p
-                break
-        if hit is not None:
-            toks.append(Token(hit, hit, line, col))
-            i += len(hit)
-            col += len(hit)
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and (src[j].isdigit() or src[j] == "."):
-                j += 1
-            toks.append(Token("NUMBER", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            toks.append(Token("IDENT", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise SpecSyntaxError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("EOF", "", line, col))
+    line, start, comment = 1, 0, -1  # start: offset of the line's first character
+    new = tuple.__new__
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        if kind == "NL":
+            line, start = line + 1, m.end()
+        elif kind == "COMMENT":
+            comment = m.start(kind)
+        elif kind is not None:
+            text, col = m[kind], m.start(kind) - start + 1
+            if kind == "BAD":
+                raise SpecSyntaxError(f"unexpected character {text!r}", line, col)
+            toks.append(new(Token, (text if kind == "PUNCT" else kind, text, line, col)))
+    end = comment if comment >= start else len(src)
+    toks.append(new(Token, ("EOF", "", line, end - start + 1)))
     return toks
 
 
@@ -122,6 +108,7 @@ class _Parser:
         self.toks = toks + [toks[-1]] * _LOOKAHEAD
         self.pos = 0
         self.depth = 0
+        self.atoms = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -158,21 +145,6 @@ class _Parser:
         finally:
             self.depth -= 1
 
-    def _at_tensor(self) -> bool:
-        # The tensor operator "(x)" is three tokens; a set expression can
-        # never otherwise start with "(x", so the lookahead is unambiguous.
-        return (
-            self.at("(")
-            and self.at("IDENT", 1)
-            and self.peek(1).text == "x"
-            and self.at(")", 2)
-        )
-
-    def _eat_tensor(self) -> None:
-        self.next()
-        self.next()
-        self.next()
-
     # -- entry points --------------------------------------------------------
 
     def parse_file(self) -> list[A.AssertionAst]:
@@ -192,23 +164,27 @@ class _Parser:
             self.expect("[")
             constraint = self.parse_formula()
             self.expect("]")
-        segments: list[A.PSet] = []
-        segments.extend(self.parse_pset())
-        while self._at_tensor():
-            self._eat_tensor()
-            segments.extend(self.parse_pset())
-        return A.AssertionAst(tuple(segments), constraint)
+        return A.AssertionAst(tuple(self.parse_tset()), constraint)
 
     # -- set structure -------------------------------------------------------
+
+    def parse_tset(self) -> list[A.PSet]:
+        """Tensor operands ``pset ( "(x)" pset )*``, flattened in order.
+
+        The operator ``(x)`` is three tokens; a set expression can never
+        otherwise start with ``(x``, so the lookahead is unambiguous.
+        """
+        segments = self.parse_pset()
+        while (self.at("(") and self.at("IDENT", 1) and self.peek(1).text == "x"
+               and self.at(")", 2)):
+            self.pos += 3
+            segments += self.parse_pset()
+        return segments
 
     def parse_pset(self) -> list[A.PSet]:
         if self.at("("):
             with self._nested(self.next()):
-                inner: list[A.PSet] = []
-                inner.extend(self.parse_pset())
-                while self._at_tensor():
-                    self._eat_tensor()
-                    inner.extend(self.parse_pset())
+                inner = self.parse_tset()
                 self.expect(")")
             if self.at("^"):
                 tok = self.next()
@@ -284,13 +260,16 @@ class _Parser:
                     self.next()
                     bits *= self._bounded_int(
                         "the ket spans at least {} qubits", len(atoms), len(bits))
-                atoms.extend(A.ConstBit(int(b)) for b in bits)
+                self._spend(len(bits), tok)
+                atoms += map(_BITS.__getitem__, bits)
             elif tok.kind == "IDENT":
                 self.next()
+                self._spend(1, tok)
                 atoms.append(A.Var(tok.text))
             elif tok.kind == "~":
                 self.next()
                 name = self.expect("IDENT")
+                self._spend(1, tok)
                 atoms.append(A.Compl(name.text))
             else:
                 self.fail(f"unexpected {tok.text!r} inside a ket", tok)
@@ -298,6 +277,15 @@ class _Parser:
         if not atoms:
             self.fail("empty ket")
         return tuple(atoms)
+
+    def _spend(self, n: int, tok: Token) -> None:
+        """Count ``n`` more ket atoms, starting at ``tok``; fails past
+        ``MAX_ATOMS``, before they are built."""
+        self.atoms += n
+        if self.atoms > MAX_ATOMS:
+            raise LimitExceededError(MAX_ATOMS, (
+                f"{tok.line}:{tok.col}: the kets hold at least {self.atoms} atoms, "
+                f"over the limit of {MAX_ATOMS}"))
 
     # -- variable constraints -------------------------------------------------
 

@@ -13,7 +13,7 @@ import pytest
 import lstaq.cli
 from lstaq.ast import MAX_QUBITS
 from lstaq.cli import bench_sources, main
-from lstaq.parser import parse_many
+from lstaq.parser import MAX_ATOMS, parse_many
 from lstaq.qubit_reorder import MAX_SLICE_ASSIGNMENTS
 from tests.test_qubit_reorder import neq_graph
 from tests.test_var_reorder import S_A, S_B
@@ -158,6 +158,28 @@ def test_fmt_of_kets_at_the_ceiling_is_prompt(tmp_path):
     done = _run_cli(["fmt", spec_file(tmp_path, text)], timeout=2)
     assert done.returncode == 0
     assert done.stdout == f"{{ |{'0' * MAX_QUBITS}> + |{'1' * MAX_QUBITS}> }}\n"
+
+
+# Each translated before names and digits were ASCII only: ``é`` as an
+# amplitude name, ``x²`` as a variable, and ``٣`` as the amplitude 3.
+@pytest.mark.parametrize("text, at", [
+    ("{ é |x²> : |x²| = 1 }", "1:3: unexpected character 'é'"),
+    ("{ |0>,\n  ٣ |1> }", "2:3: unexpected character '٣'"),
+])
+def test_non_ascii_names_and_digits_are_syntax_errors(tmp_path, capsys, text, at):
+    for command in ("translate", "fmt"):
+        assert main([command, spec_file(tmp_path, text)]) == 1
+        assert capsys.readouterr().err == f"error: {at}\n"
+
+
+def test_kets_past_the_atom_budget_exit_4_within_two_seconds(tmp_path):
+    # 64 terms of |0^65536> took 7 s to parse and 19.6 s to translate.
+    text = "{ " + " + ".join([f"|0^{MAX_QUBITS}>"] * 64) + " }"
+    done = _run_cli(["translate", spec_file(tmp_path, text)], timeout=2)
+    assert done.returncode == 4
+    col = 3 + 4 * len(f"|0^{MAX_QUBITS}> + ") + 1
+    assert done.stderr == (f"error: 1:{col}: the kets hold at least {5 * MAX_QUBITS} atoms,"
+                           f" over the limit of {MAX_ATOMS}\n")
 
 
 def test_an_integer_too_long_to_convert_is_a_syntax_error(tmp_path, capsys):

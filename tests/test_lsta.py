@@ -31,11 +31,13 @@ from lstaq.lsta import (
     permute_state,
     substitute_state,
     tensor,
+    tensor_chain,
     union,
+    union_all,
     validate,
     write_lsta,
 )
-from lstaq.parser import parse, parse_many
+from lstaq.parser import parse, parse_many, render_formula
 from tests.conftest import cpoly, vec
 
 ONE = frozenset({1})
@@ -466,6 +468,35 @@ def test_tensor_size_bound_in_raw_operand_sizes(ref_automaton):
     assert t.size <= ref_automaton.size + n_leaves(ref_automaton) * b.size
 
 
+def _out_of_choice_order(a: Lsta) -> list:
+    """The transitions stored after one of the same kind and top whose
+    smallest choice is not smaller: what the order rule forbids."""
+    late = []
+    for transitions in (a.internal, a.leaves):
+        last: dict[int, int] = {}
+        for t in transitions:
+            if last.get(t.top, -1) >= min(t.choices):
+                late.append(t)
+            last[t.top] = min(t.choices)
+    return late
+
+
+def test_every_construction_stores_transitions_in_choice_order():
+    from tests.test_acceptance import _random_automaton
+
+    built = _family_automata() + [ar.automaton for ar, _n in _random_spec_results()]
+    rng = random.Random(0x0DE5)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        pieces = [_random_automaton(rng, n) for _ in range(rng.randint(2, 4))]
+        last = _random_automaton(rng, rng.randint(1, 3))
+        chained = tensor_chain([*pieces, last, last, last])[0]
+        built += [*pieces, union_all(pieces), chained, map_leaves(chained, lambda v: v + v)]
+    assert sum(len(a.states) for a in built) > 10_000
+    for a in built:
+        assert _out_of_choice_order(a) == []
+
+
 def test_tensor_chains_stay_valid_and_bounded():
     a = single_member({"0": "1/sqrt2", "1": "i/sqrt2"})
     t = a
@@ -549,6 +580,60 @@ def test_substitute_state_memo_keeps_unbound_variables_an_error():
 # ---------------------------------------------------------------------------
 # Serialization.
 # ---------------------------------------------------------------------------
+
+
+def reference_write_lsta(a: Lsta, n: int, constraint: str | None = None) -> str:
+    """``write_lsta`` as it was before it relied on the order rule: each
+    kind's transitions sorted by top, then by smallest choice."""
+    def choices(cs: frozenset[int]) -> str:
+        return "{%s}" % ",".join(str(c) for c in sorted(cs))
+
+    lines = [
+        "lsta v1",
+        f"semiring {a.semiring.name}",
+        f"qubits {n}",
+        "vars" + "".join(f" {v}" for v in sorted(a.variables())),
+        f"root {a.root}",
+    ]
+    for t in sorted(a.internal, key=lambda t: (t.top, min(t.choices))):
+        lines.append(f"i {t.top} {choices(t.choices)} -> {t.left} {t.right}")
+    for t in sorted(a.leaves, key=lambda t: (t.top, min(t.choices))):
+        lines.append(f"l {t.top} {choices(t.choices)} -> {a.semiring.render(t.amplitude)}")
+    if constraint:
+        lines.append(f"constraint {constraint}")
+    return "\n".join(lines) + "\n"
+
+
+def _random_spec_results():
+    """(assertion result, qubits) of 200 of the acceptance suite's random specs."""
+    from tests.test_acceptance import random_source
+
+    rng = random.Random(0x0DE5)
+    for _ in range(200):
+        result = translate([parse(random_source(rng))])
+        yield result.assertions[0], result.qubits
+
+
+def test_write_lsta_equals_the_sorting_reference_on_translated_automata():
+    results = list(_random_spec_results())
+    for asts in _family_batches():
+        result = translate(asts)
+        results += [(ar, result.qubits) for ar in result.assertions]
+    assert sum(ar.constraint is not None for ar, _n in results) > 5
+    for ar, n in results:
+        side = None if ar.constraint is None else render_formula(ar.constraint)
+        assert write_lsta(ar.automaton, n, side) == reference_write_lsta(ar.automaton, n, side)
+
+
+def test_write_lsta_writes_transitions_in_stored_order():
+    # Stored against the order rule, a state's transitions are written so.
+    a = mk_lsta(COMPLEX, root=0,
+                internal=[Internal(0, frozenset({2}), 1, 1), Internal(0, ONE, 1, 1)],
+                leaves=[Leaf(1, ONE, AmplitudePoly.var("b")),
+                        Leaf(1, frozenset({2}), AmplitudePoly.var("a"))])
+    body = write_lsta(a, 1).splitlines()[3:]
+    assert body == ["vars a b", "root 0", "i 0 {2} -> 1 1", "i 0 {1} -> 1 1",
+                    "l 1 {1} -> b", "l 1 {2} -> a"]
 
 
 def test_write_lsta_is_deterministic(ref_automaton):

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lstaq import ast as A
 from lstaq.amplitude import AC_I, AC_ONE, AC_SQRT2, AlgebraicComplex
-from lstaq.errors import SpecSyntaxError
+from lstaq.cli import bench_sources
+from lstaq.errors import LimitExceededError, SpecSyntaxError
 from lstaq.parser import (
+    MAX_ATOMS,
     MAX_NESTING,
     parse,
     parse_constant,
@@ -48,6 +52,45 @@ def test_tokens_take_the_longest_literal_and_keep_their_positions():
         ("||", "||", 2, 19), ("&&", "&&", 2, 21), ("/", "/", 2, 23),
         ("EOF", "", 2, 24),
     ]
+
+
+# Pieces that join into token streams, blanks, newlines and comments;
+# adjacent pieces may also join into one longer token.
+_PIECES = ["a", "x1", "_b", "sum", "0", "12", " 2.5", " ", "\t", "\r", "\n", "// c",
+           ";;", "\\/", "!=", "<=", ">=", "&&", "||", *"{}[]()|><~^+-*/=:,!"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=40))
+def test_each_token_position_locates_its_text(pieces):
+    src = "".join(pieces)
+    lines = src.split("\n")
+    toks = tokenize(src)
+    for t in toks:
+        assert lines[t.line - 1][t.col - 1:t.col - 1 + len(t.text)] == t.text
+    assert [(t.line, t.col) for t in toks] == sorted((t.line, t.col) for t in toks)
+    assert toks[-1].line == len(lines) and toks[-1].col <= len(lines[-1]) + 1
+
+
+@pytest.mark.parametrize("src, col", [
+    ("{ |0> // c", 7), ("{ |0>// c", 6), ("{ |0>   ", 9), ("{ |0> // c\n", 1), ("// c", 1)])
+def test_eof_stands_before_a_trailing_comment(src, col):
+    eof = tokenize(src)[-1]
+    assert (eof.kind, eof.line, eof.col) == ("EOF", src.count("\n") + 1, col)
+
+
+@pytest.mark.parametrize("src, char, col", [
+    ("{ é |x²> : |x²| = 1 }", "é", 3),
+    ("{ |x²> : |x²| = 1 }", "²", 5),
+    ("{ ٣ |0> }", "٣", 3),
+    ("{ |0> } \\ { |1> }", "\\", 9),
+    ("{ .5 |0> }", ".", 3),
+])
+def test_characters_outside_the_token_forms_are_refused(src, char, col):
+    with pytest.raises(SpecSyntaxError) as exc:
+        tokenize(src)
+    assert (exc.value.line, exc.value.column) == (1, col)
+    assert str(exc.value) == f"1:{col}: unexpected character {char!r}"
 
 
 def test_power_binds_looser_than_union():
@@ -213,3 +256,38 @@ def test_division_by_zero_reports_at_the_expression():
 def test_render_many_joins_with_separators():
     text = render_many(parse_many("{ |0> } ;; { |1> }"))
     assert ";;" in text
+
+
+def test_constant_bits_are_two_shared_atoms():
+    ast = parse("{ |0^8 1 0 1^3> } (x) { |1 0> }")
+    atoms = [atom for sq in ast.setqs() for term in sq.diracs[0] for atom in term.pattern]
+    assert len(atoms) == 15 and len({id(atom) for atom in atoms}) == 2
+
+
+def test_ket_atoms_are_budgeted_per_parse():
+    width = A.MAX_QUBITS
+    kets = MAX_ATOMS // width
+    full = ", ".join([f"|0^{width}>"] * kets)
+    parse(f"{{ {full} }}")
+    with pytest.raises(LimitExceededError) as exc:
+        parse(f"{{ {full}, |a> }}")
+    col = len(f"{{ {full}, |") + 1
+    assert str(exc.value) == (f"1:{col}: the kets hold at least {MAX_ATOMS + 1} atoms, "
+                              f"over the limit of {MAX_ATOMS}")
+    # The budget spans the assertions of one parse.
+    with pytest.raises(LimitExceededError):
+        parse_many(" ;; ".join([f"{{ |1^{width}> }}"] * (kets + 1)))
+
+
+# The largest sizes at which every text of a bench family parses: past
+# them a ket spans more than ``MAX_QUBITS`` qubits, or ``bench_sources``
+# refuses the size.
+CEILING_SIZES = {"bv": 65535, "ghz": 65536, "grover": 32768, "groveriter": 65536,
+                 "mctoffoli": 32768}
+
+
+@pytest.mark.parametrize("family", sorted(CEILING_SIZES))
+def test_bench_families_at_the_qubit_ceiling_parse_within_the_atom_budget(family):
+    for pre, post, _joint in bench_sources(family, CEILING_SIZES[family]):
+        parse(pre)
+        parse(post)
