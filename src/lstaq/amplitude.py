@@ -57,12 +57,18 @@ class AlgebraicComplex:
             # Negative powers denote multiplication by sqrt2: fold them in.
             a, b, c, d = _mul_sqrt2((a, b, c, d), -k)
             k = 0
-        # Divide numerator and sqrt2^k by sqrt2 while both allow it.
-        while k > 0 and (a - c) % 2 == 0 and (b - d) % 2 == 0:
+        bits = a | b | c | d
+        if not bits:
+            return cls(0, 0, 0, 0, 0)
+        if k > 1 and not bits & 1:
+            # Divide numerator and sqrt2^k by their common power of two.
+            s = min((bits & -bits).bit_length() - 1, k // 2)
+            a, b, c, d, k = a >> s, b >> s, c >> s, d >> s, k - 2 * s
+        # A numerator that sqrt2 divides twice is even, so one more step
+        # leaves it in canonical form.
+        if k > 0 and (a - c) % 2 == 0 and (b - d) % 2 == 0:
             a, b, c, d = (b - d) // 2, (a + c) // 2, (b + d) // 2, (c - a) // 2
             k -= 1
-        if a == b == c == d == 0:
-            k = 0
         return cls(a, b, c, d, k)
 
     @classmethod
@@ -100,10 +106,8 @@ class AlgebraicComplex:
         n = norm[0]
         sign = 1 if n > 0 else -1
         n *= sign
-        t = 0
-        while n % 2 == 0:
-            n //= 2
-            t += 1
+        t = (n & -n).bit_length() - 1
+        n >>= t
         if n != 1:
             raise ExactDivisionError(
                 f"result of division is outside the ring (norm has odd factor {n})"
@@ -186,8 +190,13 @@ def _over_sqrt2(num: str, k: int) -> str:
 
 
 def _mul_sqrt2(num: tuple[int, int, int, int], times: int) -> tuple[int, int, int, int]:
+    """``num`` times sqrt2^times: a shift for each factor of two, then one
+    sqrt2 step when ``times`` is odd."""
     a, b, c, d = num
-    for _ in range(times):
+    if times > 1:
+        h = times >> 1
+        a, b, c, d = a << h, b << h, c << h, d << h
+    if times & 1:
         a, b, c, d = b - d, a + c, b + d, c - a
     return a, b, c, d
 

@@ -185,21 +185,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
     sources = [(n, bench_sources(args.family, n)) for n in sizes]
     print(f"{'n':>5} {'qubits':>7} {'pre':>9} {'post':>9} {'seconds':>9}")
     for n, jobs in sources:
-        pre_size = post_size = qubits = 0
+        # One translation per group; the automata alternate pre and post.
+        groups = [g for pre, post, joint in jobs
+                  for g in ([[pre, post]] if joint else [[pre], [post]])]
+        transitions: list[int] = []
+        qubits = 0
         t0 = time.perf_counter()
-        for pre_src, post_src, joint in jobs:
-            if joint:
-                result = translate([parse(pre_src), parse(post_src)])
-                pre_size += result.assertions[0].automaton.size
-                post_size += result.assertions[1].automaton.size
-                qubits = max(qubits, result.qubits)
-            else:
-                r_pre = translate([parse(pre_src)])
-                r_post = translate([parse(post_src)])
-                pre_size += r_pre.assertions[0].automaton.size
-                post_size += r_post.assertions[0].automaton.size
-                qubits = max(qubits, r_pre.qubits, r_post.qubits)
+        for group in groups:
+            result = translate([parse(src) for src in group])
+            transitions += [ar.automaton.size for ar in result.assertions]
+            qubits = max(qubits, result.qubits)
         dt = time.perf_counter() - t0
+        pre_size, post_size = sum(transitions[::2]), sum(transitions[1::2])
         print(f"{n:>5} {qubits:>7} {pre_size:>9} {post_size:>9} {dt:>9.3f}")
     return 0
 

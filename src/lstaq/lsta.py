@@ -68,6 +68,10 @@ still take part in choosing, since a state without a transition for a choice
 forbids that choice, but their positions could only yield zero entries.  At
 the leaf level each member is read straight off the live positions, which
 are already in the sorted order of :class:`StateVector`'s entries.
+
+Both walks read two choice indexes, internal and leaf, built once per call:
+a state's row maps each choice to its transition, and a state without a row
+allows no choice.
 """
 
 from __future__ import annotations
@@ -253,40 +257,20 @@ def substitute_state(psi: StateVector, theta: dict, memo: dict | None = None) ->
 # ---------------------------------------------------------------------------
 
 
-def _by_top(a: Lsta):
-    internal: dict[int, list[Internal]] = {}
-    leaves: dict[int, list[Leaf]] = {}
-    for t in a.internal:
-        internal.setdefault(t.top, []).append(t)
-    for t in a.leaves:
-        leaves.setdefault(t.top, []).append(t)
-    return internal, leaves
-
-
-def _choice_index(transitions) -> dict[int, object]:
-    out = {}
+def _choice_index(transitions) -> dict[int, dict[int, object]]:
+    """Each top's transitions by choice: ``{top: {choice: transition}}``."""
+    index: dict[int, dict[int, object]] = {}
     for t in transitions:
+        row = index.setdefault(t.top, {})
         for c in t.choices:
-            out[c] = t
-    return out
+            row[c] = t
+    return index
 
 
-def _choice_tables(by_top: dict):
-    """A lookup of states' transitions by choice, each table built once.
-
-    Given a set of states, it returns every state's table and the choices
-    all of them allow; a state without transitions allows none.
-    """
-    cache: dict[int, dict] = {}
-
-    def usable(states) -> tuple[dict[int, dict], set[int]]:
-        got = {}
-        for q in states:
-            if q not in cache:
-                cache[q] = _choice_index(by_top.get(q, ()))
-            got[q] = cache[q]
-        return got, set.intersection(*map(set, got.values()))
-    return usable
+def _common(index: dict[int, dict], states) -> set[int]:
+    """The choices that all of ``states`` allow; a state without a row allows none."""
+    rows = [index.get(q, ()) for q in states]
+    return set(rows[0]).intersection(*rows[1:])
 
 
 def _live_states(a: Lsta) -> set[int]:
@@ -320,11 +304,11 @@ def enumerate_language(a: Lsta, n: int, limit: int = 100_000) -> frozenset[State
     (see the module docstring); equal frontiers are walked once.
 
     Raises :class:`LimitExceededError` when a level holds more than
-    ``limit`` distinct frontiers, when the result holds more than ``limit``
-    states, or when one frontier holds more than ``limit`` live positions.
+    ``limit`` distinct frontiers or more than ``limit`` live positions in
+    all its distinct frontiers, or when the result holds more than
+    ``limit`` states.
     """
-    internal_by_top, leaves_by_top = _by_top(a)
-    step, leaf = _choice_tables(internal_by_top), _choice_tables(leaves_by_top)
+    step, leaf = _choice_index(a.internal), _choice_index(a.leaves)
     live = _live_states(a)
     if a.root in live:
         frontiers = {(((0, a.root),), frozenset())}
@@ -332,13 +316,13 @@ def enumerate_language(a: Lsta, n: int, limit: int = 100_000) -> frozenset[State
         frontiers = {((), frozenset({a.root}))}
     for _ in range(n):
         nxt: set = set()
+        held = 0  # live positions in the distinct frontiers of this level
         for positions, zeros in frontiers:
-            tables, common = step({q for _p, q in positions}.union(zeros))
-            for c in common:
+            for c in _common(step, {q for _p, q in positions}.union(zeros)):
                 kids: list = []
                 dead: set[int] = set()
                 for p, q in positions:
-                    t = tables[q][c]
+                    t = step[q][c]
                     p *= 2
                     if t.left in live:
                         kids.append((p, t.left))
@@ -349,25 +333,26 @@ def enumerate_language(a: Lsta, n: int, limit: int = 100_000) -> frozenset[State
                     else:
                         dead.add(t.right)
                 for q in zeros:
-                    t = tables[q][c]
+                    t = step[q][c]
                     dead.add(t.left)
                     dead.add(t.right)
-                if len(kids) > limit:
-                    raise LimitExceededError(limit)
+                known = len(nxt)
                 nxt.add((tuple(kids), frozenset(dead)))
-                if len(nxt) > limit:
-                    raise LimitExceededError(limit)
+                if len(nxt) > known:
+                    held += len(kids)
+                    if len(nxt) > limit or held > limit:
+                        raise LimitExceededError(limit)
         frontiers = nxt
     is_zero = a.semiring.is_zero
     width = f"0{n}b"
     out: set[StateVector] = set()
     for positions, zeros in frontiers:
-        tables, common = leaf({q for _p, q in positions}.union(zeros))
-        keys = [(format(p, width), tables[q]) for p, q in positions]
-        for c in common:
+        # A state without leaf transitions leaves no choice common.
+        keys = [(format(p, width), leaf.get(q)) for p, q in positions]
+        for c in _common(leaf, {q for _p, q in positions}.union(zeros)):
             entries = []
-            for s, table in keys:
-                amplitude = table[c].amplitude
+            for s, row in keys:
+                amplitude = row[c].amplitude
                 if not is_zero(amplitude):
                     entries.append((s, amplitude))
             out.add(StateVector(n, tuple(entries)))
@@ -418,19 +403,17 @@ def membership(a: Lsta, psi: StateVector) -> bool:
     amplitude matches its node: node 0 matches any amplitude the semiring
     calls zero, an entry only its own amplitude, and never a zero one.
     """
-    internal_by_top, leaves_by_top = _by_top(a)
-    step, leaf = _choice_tables(internal_by_top), _choice_tables(leaves_by_top)
+    step, leaf = _choice_index(a.internal), _choice_index(a.leaves)
     root, nodes = _psi_dag(psi)
 
     frontiers = {frozenset({(a.root, root)})}
     for _ in range(psi.n):
         nxt = set()
         for f in frontiers:
-            tables, common = step({q for q, _k in f})
-            for c in common:
+            for c in _common(step, {q for q, _k in f}):
                 pairs = set()
                 for q, k in f:
-                    t = tables[q][c]
+                    t = step[q][c]
                     left, right = nodes[k]
                     pairs.add((t.left, left))
                     pairs.add((t.right, right))
@@ -444,11 +427,8 @@ def membership(a: Lsta, psi: StateVector) -> bool:
             return is_zero(amplitude)
         return not is_zero(amplitude) and amplitude == nodes[k]
 
-    for f in frontiers:
-        tables, common = leaf({q for q, _k in f})
-        if any(all(fits(tables[q][c].amplitude, k) for q, k in f) for c in common):
-            return True
-    return False
+    return any(all(fits(leaf[q][c].amplitude, k) for q, k in f)
+               for f in frontiers for c in _common(leaf, {q for q, _k in f}))
 
 
 # ---------------------------------------------------------------------------

@@ -30,12 +30,14 @@ from .amplitude import (
     AlgebraicComplex,
     QSqrt2,
 )
-from .errors import CapExceededError, InternalError, UnboundComplexVarError
+from .errors import CapExceededError, InternalError, LimitExceededError, UnboundComplexVarError
 from .lsta import StateVector, permute_state, substitute_state
 
 Valuation = dict[str, AlgebraicComplex]
 
-_ENUM_BITS = 24  # hard ceiling on enumerated assignment bits per set
+# Assignments one set may enumerate: 2^|outer bits| cases, each with
+# 2^|inner bits| per term.  A 16-bit set with one plain term is at the limit.
+MAX_SET_ASSIGNMENTS = 1 << 16
 
 
 def _bitstrings(n: int):
@@ -66,20 +68,23 @@ def _atom_bits(pattern, phi: dict[str, str]) -> str:
     return "".join(out)
 
 
-def _assignments(names, lengths: A.LengthMap, cap: int):
-    bits = sum(lengths[v] for v in names)
-    if bits > max(2 * cap, _ENUM_BITS):
-        raise CapExceededError(bits, cap)
+def _assignments(names, lengths: A.LengthMap):
     pools = [_bitstrings(lengths[v]) for v in names]
     for combo in itertools.product(*[list(p) for p in pools]):
         yield dict(zip(names, combo))
 
 
-def _denote_setq(sq: A.SetQ, lengths: A.LengthMap, theta: Valuation | None,
-                 cap: int) -> set[StateVector]:
+def _denote_setq(sq: A.SetQ, lengths: A.LengthMap,
+                 theta: Valuation | None) -> set[StateVector]:
     width = A.pattern_width(next(sq.terms()).pattern, lengths)
     outer = sorted(A.outer_vars(sq.predicate, sq.terms()))
-    phis = [phi for phi in _assignments(outer, lengths, cap)
+    count = sum(1 << sum(lengths[v] for v in (*outer, *A.inner_vars(term, outer)))
+                for term in sq.terms())
+    if count > MAX_SET_ASSIGNMENTS:
+        raise LimitExceededError(MAX_SET_ASSIGNMENTS, (
+            f"the oracle needs {count} assignments for one set, "
+            f"over the limit of {MAX_SET_ASSIGNMENTS}"))
+    phis = [phi for phi in _assignments(outer, lengths)
             if all(varcon_holds(c, phi) for c in sq.predicate)]
     if not phis:
         # Substituting below could fail on a set that has no members.
@@ -94,7 +99,7 @@ def _denote_setq(sq: A.SetQ, lengths: A.LengthMap, theta: Valuation | None,
         for dirac in diracs:
             amp_map: dict[str, object] = {}
             for term, inner, amp in dirac:
-                for iphi in _assignments(inner, lengths, cap):
+                for iphi in _assignments(inner, lengths):
                     full = {**phi, **iphi}
                     if not all(varcon_holds(c, full)
                                for c in term.sum_constraints):
@@ -125,6 +130,8 @@ def denote(ast: A.AssertionAst, theta: Valuation | None = None,
     constraints filter each term's expansion (an emptied summation leaves
     the zero vector as a member).  The trailing amplitude-constraint
     formula is ignored here: choosing ``theta`` is the caller's business.
+    A set that needs more than ``MAX_SET_ASSIGNMENTS`` assignments raises
+    :class:`LimitExceededError` before any is enumerated.
     """
     lengths = A.infer_lengths(ast)
     A.check_well_formed(ast, lengths)
@@ -136,7 +143,7 @@ def denote(ast: A.AssertionAst, theta: Valuation | None = None,
     for seg in ast.segments:
         base: set[StateVector] = set()
         for sq in seg.base.alternatives:
-            base |= _denote_setq(sq, lengths, theta, cap)
+            base |= _denote_setq(sq, lengths, theta)
         out = base
         for _ in range(seg.power - 1):
             out = tensor_sets(out, base)

@@ -17,10 +17,10 @@ the flipped bit.  Equality bindings against constants are hard local
 filters and never enter the constraint records.
 
 The expansion is compiled before any case is evaluated.  Each term's
-pattern becomes the positions it reads in a case's values (the outer bits,
-then the term's inner bits); each qubit column's filters and inequalities
-become pairs of positions and bits.  A case is then evaluated by indexing
-tuples, with no per-case valuation dict or dispatch on constraint type.
+pattern becomes the positions it reads in a case's text (``"01"``, the
+outer bits, then the term's inner bits); each qubit column's filters and
+inequalities become pairs of positions in it.  A case is then evaluated by
+indexing one string, with no per-case valuation dict or constraint dispatch.
 """
 
 from __future__ import annotations
@@ -74,17 +74,12 @@ def constraint_table(v: SetV) -> ConstraintTable:
     })
 
 
-def _bit(c: str) -> int:
-    return 1 if c == "1" else 0
-
-
 # Most slices read 0-2 bits a term; the bound keeps a 2^16-entry table of
 # one large slice from staying behind.
 @functools.lru_cache(maxsize=4)
-def _values(k: int) -> tuple[tuple[tuple[int, ...], str], ...]:
-    """Every assignment of ``k`` bits in order, as a tuple and as a text."""
-    return tuple(zip(itertools.product((0, 1), repeat=k),
-                     map("".join, itertools.product("01", repeat=k))))
+def _values(k: int) -> tuple[str, ...]:
+    """Every assignment of ``k`` bits in order, as a text."""
+    return tuple(map("".join, itertools.product("01", repeat=k)))
 
 
 def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
@@ -102,12 +97,12 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
     before any case is built.
 
     Term patterns are compiled once per call, and filters and inequalities
-    once per distinct column.  A case's values are the tuple
-    ``(0, 1) + outer bits + inner bits``: a filter ``v = c`` checks
-    ``(position of v, bit of c)`` and an inequality compares two positions,
-    a constant bit reading position 0 or 1.  A term's basis string picks
-    its characters, by ``operator.itemgetter``, from the same values as
-    the text ``"01..."`` followed by its complement for ``~v`` atoms.
+    once per distinct column.  A case's text is ``"01" + outer bits +
+    inner bits``, and every filter and inequality is a pair of positions in
+    it, a constant bit reading position 0 or 1: a filter holds when its two
+    characters are equal, an inequality when they differ.  A term's basis
+    string picks its characters, by ``operator.itemgetter``, from the same
+    text followed by its complement for ``~v`` atoms.
     """
     widths = {lengths[a.name] for t in v.terms for a in t.pattern}
     if len(widths) != 1:
@@ -131,7 +126,7 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
     constants += [c.bits for phi in table.phis.values() for c in phi
                   if isinstance(c, A.NeqConst)]
 
-    # Positions in a case's values; 0 and 1 hold the constant bits.
+    # Positions in a case's text; 0 and 1 hold the constant bits.
     at_outer = {name: i for i, name in enumerate(outer, 2)}
     compiled = []
     for t, inner, term_eq in terms:
@@ -154,31 +149,30 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
         if column in by_column:
             slices.append(QubitSlice(j, by_column[column]))
             continue
-        eqs = [(at_outer[c.var], _bit(c.bits[j - 1])) for c in pred_eq]
+        eqs = [(at_outer[c.var], int(c.bits[j - 1])) for c in pred_eq]
         programs = [
-            (tag, pattern, compl, inner_values,
-             [(at[c.var], _bit(c.bits[j - 1])) for c in term_eq],
+            (tag, pattern, compl, inner_words,
+             [(at[c.var], int(c.bits[j - 1])) for c in term_eq],
              [(at[c.left], at[c.right]) if type(c) is A.NeqVar
-              else (at[c.var], _bit(c.bits[j - 1])) for c in phi])
-            for tag, at, pattern, compl, term_eq, phi, inner_values in compiled]
+              else (at[c.var], int(c.bits[j - 1])) for c in phi])
+            for tag, at, pattern, compl, term_eq, phi, inner_words in compiled]
         cases: list[SliceCase] = []
-        for assignment, (bits, word) in assignments:
-            head, text = (0, 1) + bits, "01" + word
-            if eqs and not all(head[p] == b for p, b in eqs):
+        for assignment, word in assignments:
+            text = "01" + word
+            if eqs and not all(text[p] == text[q] for p, q in eqs):
                 continue
             amp: dict[str, ValAmp] = {}
-            for tag, pattern, compl, inner_values, term_eqs, neqs in programs:
-                for ibits, iword in inner_values:
-                    vals = head + ibits
-                    if term_eqs and not all(vals[p] == b for p, b in term_eqs):
-                        continue
+            for tag, pattern, compl, inner_words, term_eqs, neqs in programs:
+                for iword in inner_words:
                     chars = text + iword
+                    if term_eqs and not all(chars[p] == chars[q] for p, q in term_eqs):
+                        continue
                     if compl:
                         chars += chars.translate(_FLIP)
                     # One atom's itemgetter returns its character alone,
                     # which joins to itself.
                     key = "".join(pattern(chars))
-                    d = ValAmp(((tag, tuple([vals[p] != vals[q]
+                    d = ValAmp(((tag, tuple([chars[p] != chars[q]
                                              for p, q in neqs])),))
                     amp[key] = valamp_add(amp[key], d) if key in amp else d
             # Each entry holds a term's record, so none is zero.

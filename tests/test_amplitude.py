@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import cmath
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -30,7 +32,9 @@ from lstaq.amplitude import (
     valamp_add,
     valamp_mul,
 )
+from lstaq.amplitude import _mul_omega_poly, _sigma3, _sigma5, _sigma7
 from lstaq.ast import MAX_QUBITS
+from lstaq.build import translate
 from lstaq.parser import parse
 from tests.conftest import cpoly
 
@@ -329,3 +333,90 @@ def test_powers_at_the_exponent_ceiling_are_prompt():
     assert (a ** MAX_QUBITS).terms == (((("a", MAX_QUBITS),), AC_ONE),)
     two = AmplitudePoly.from_int(2)
     assert (two ** MAX_QUBITS).constant_value == AlgebraicComplex.from_int(2 ** MAX_QUBITS)
+
+
+# ---------------------------------------------------------------------------
+# Whole powers of two: the arithmetic against its one-step-a-time form.
+# ---------------------------------------------------------------------------
+
+
+def _times_sqrt2(num, times):
+    a, b, c, d = num
+    for _ in range(times):
+        a, b, c, d = b - d, a + c, b + d, c - a
+    return a, b, c, d
+
+
+def _make_by_steps(a, b, c, d, k=0) -> AlgebraicComplex:
+    """Canonical form reached one sqrt2 factor at a time."""
+    if k < 0:
+        a, b, c, d = _times_sqrt2((a, b, c, d), -k)
+        k = 0
+    while k > 0 and (a - c) % 2 == 0 and (b - d) % 2 == 0:
+        a, b, c, d = (b - d) // 2, (a + c) // 2, (b + d) // 2, (c - a) // 2
+        k -= 1
+    if a == b == c == d == 0:
+        k = 0
+    return AlgebraicComplex(a, b, c, d, k)
+
+
+def _add_by_steps(x: AlgebraicComplex, y: AlgebraicComplex) -> AlgebraicComplex:
+    k = max(x.k, y.k)
+    p = _times_sqrt2((x.a, x.b, x.c, x.d), k - x.k)
+    q = _times_sqrt2((y.a, y.b, y.c, y.d), k - y.k)
+    return _make_by_steps(*(i + j for i, j in zip(p, q)), k)
+
+
+def _div_by_steps(x: AlgebraicComplex, y: AlgebraicComplex) -> AlgebraicComplex:
+    u = (y.a, y.b, y.c, y.d)
+    p = _mul_omega_poly(_sigma3(u), _mul_omega_poly(_sigma5(u), _sigma7(u)))
+    n = _mul_omega_poly(u, p)[0]
+    sign = 1 if n > 0 else -1
+    n *= sign
+    t = 0
+    while n % 2 == 0:
+        n //= 2
+        t += 1
+    if n != 1:
+        return None
+    inv = _make_by_steps(*(sign * v for v in p), 2 * t - y.k)
+    num = _mul_omega_poly((x.a, x.b, x.c, x.d), (inv.a, inv.b, inv.c, inv.d))
+    return _make_by_steps(*num, x.k + inv.k)
+
+
+def _component(rng: random.Random) -> int:
+    if rng.random() < 0.2:
+        return 0
+    return rng.randint(-9, 9) << rng.randint(0, 12)
+
+
+def test_arithmetic_equals_its_one_step_form():
+    rng = random.Random(0x5A72)
+    units = [AlgebraicComplex.make(1, 0, 0, 0, k) for k in range(-3, 4)]
+    units += [AC_OMEGA, AC_I, AlgebraicComplex.make(1, 1, 0, 0), AlgebraicComplex.make(3, 0, 2, 0)]
+    for _ in range(3000):
+        num = [_component(rng) for _ in range(4)]
+        k = rng.randint(-6, 30)
+        x = AlgebraicComplex.make(*num, k)
+        assert x == _make_by_steps(*num, k), (num, k)
+        y = AlgebraicComplex.make(*[_component(rng) for _ in range(4)], rng.randint(-6, 30))
+        assert x + y == _add_by_steps(x, y), (x, y)
+        for u in (y, rng.choice(units)):
+            if u.is_zero:
+                continue
+            want = _div_by_steps(x, u)
+            if want is None:
+                with pytest.raises(ExactDivisionError):
+                    x / u
+            else:
+                assert x / u == want, (x, u)
+
+
+@pytest.mark.parametrize("text", [
+    "{ 1/2^32768 |0> }",
+    "{ (sqrt2^65535 + 1/sqrt2^65535) |0> }",
+])
+def test_whole_powers_of_two_are_prompt(text):
+    t0 = time.perf_counter()
+    translate([parse(text)])
+    assert time.perf_counter() - t0 < 1.0

@@ -13,6 +13,7 @@ import pytest
 import lstaq.cli
 from lstaq.ast import MAX_QUBITS
 from lstaq.cli import bench_sources, main
+from lstaq.oracle import MAX_SET_ASSIGNMENTS
 from lstaq.parser import MAX_ATOMS, parse_many
 from lstaq.qubit_reorder import MAX_SLICE_ASSIGNMENTS
 from tests.test_qubit_reorder import neq_graph
@@ -115,6 +116,27 @@ def test_a_coefficient_too_long_to_write_exits_4(tmp_path, text):
     assert done.returncode == 4
     assert done.stderr == ("error: an amplitude coefficient is too long to write"
                            f" in decimal (over {sys.get_int_max_str_digits()} digits)\n")
+
+
+# Each ran past 20 seconds, enumerating 2^30 and 4096 * 4097 assignments.
+@pytest.mark.parametrize("cap, text, count", [
+    ("30", "{ |x> : |x| = 30 }", 2 ** 30),
+    ("12", "{ |x> + sum[ |i| = 12 ] |i> : |x| = 12 }", 4096 * 4097),
+])
+def test_oracle_sets_past_the_assignment_budget_exit_4_within_two_seconds(
+        tmp_path, cap, text, count):
+    done = _run_cli(["oracle", spec_file(tmp_path, text), "--cap", cap], timeout=2)
+    assert done.returncode == 4
+    assert done.stdout == ""
+    assert done.stderr == (f"error: the oracle needs {count} assignments for one set,"
+                           f" over the limit of {MAX_SET_ASSIGNMENTS}\n")
+
+
+def test_check_oracle_on_a_dense_language_exits_4_within_two_seconds(tmp_path):
+    f = spec_file(tmp_path, "{ |x> + sum[ |i| = 12 ] |i> : |x| = 12 }")
+    done = _run_cli(["translate", f, "--check-oracle"], timeout=2)
+    assert done.returncode == 4
+    assert done.stderr == "error: enumeration exceeded the limit of 100000 states\n"
 
 
 def test_oracle_refuses_a_coefficient_too_long_to_write(tmp_path, capsys):

@@ -383,6 +383,8 @@ def test_a_zero_only_state_forbids_the_choices_it_lacks():
                 Leaf(5, ONE, cpoly("0"))],
     )
     assert _assert_matches_reference(a, 2) == {vec(2, {"00": "1", "01": "1"})}
+    assert membership(a, vec(2, {"00": "1", "01": "1"}))
+    assert not membership(a, vec(2, {"00": "i", "01": "i"}))
 
 
 def test_a_zero_only_root_denotes_the_zero_vector():
@@ -413,6 +415,17 @@ def test_a_dense_frontier_is_refused_promptly():
     with pytest.raises(LimitExceededError):
         enumerate_language(result.assertions[0].automaton, result.qubits)
     assert time.perf_counter() - t0 < 10
+
+
+def test_a_level_is_bounded_by_its_live_positions_in_all():
+    # 16 members of 16 entries: the last level holds 16 frontiers of 16
+    # live positions, so each frontier, the frontiers and the members stay
+    # within 16, while the level holds 256 live positions.
+    result = translate([parse("{ |x> + sum[ |i| = 4 ] |i> : |x| = 4 }")])
+    a = result.assertions[0].automaton
+    assert len(enumerate_language(a, result.qubits, limit=256)) == 16
+    with pytest.raises(LimitExceededError):
+        enumerate_language(a, result.qubits, limit=255)
 
 
 # ---------------------------------------------------------------------------

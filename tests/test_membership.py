@@ -17,21 +17,44 @@ from lstaq.amplitude import COMPLEX, POLY_ZERO
 from lstaq.build import translate
 from lstaq.cli import bench_sources
 from lstaq.lsta import (
+    Internal,
+    Leaf,
     Lsta,
     StateVector,
-    _by_top,
-    _choice_index,
     enumerate_language,
     membership,
+    mk_lsta,
     permute_state,
     substitute_state,
 )
 from lstaq.oracle import denote, sample_thetas
 from lstaq.parser import parse
-from tests.conftest import cpoly
+from tests.conftest import cpoly, vec
 from tests.test_acceptance import random_source
 
 FAMILIES = ("bv", "ghz", "grover", "groveriter", "mctoffoli")
+
+
+# The reference keeps its own transition lookups, so it shares none with
+# the code it checks.
+def _by_top(a: Lsta):
+    """Each state's internal and leaf transitions, as two lists by top."""
+    internal: dict[int, list] = {}
+    leaves: dict[int, list] = {}
+    for t in a.internal:
+        internal.setdefault(t.top, []).append(t)
+    for t in a.leaves:
+        leaves.setdefault(t.top, []).append(t)
+    return internal, leaves
+
+
+def _choice_index(transitions) -> dict[int, object]:
+    """One state's transitions by choice."""
+    out = {}
+    for t in transitions:
+        for c in t.choices:
+            out[c] = t
+    return out
 
 
 def _reference_expand(m: tuple[int, ...], internal_by_top) -> set[tuple[int, ...]]:
@@ -167,6 +190,24 @@ def test_explicit_zero_entries_keep_the_old_verdict(ref_automaton):
     padded = StateVector(2, member.entries + (("10", POLY_ZERO),))
     assert not membership(ref_automaton, padded)
     assert not reference_membership(ref_automaton, padded)
+
+
+def test_a_state_without_a_choice_forbids_it():
+    # Under root choice 1 the leaf frontier holds state 1, which allows
+    # leaf choices 1 and 2, and state 2, which lacks choice 2; under root
+    # choice 2 it holds state 4, which has no leaf transitions at all.
+    one, two = frozenset({1}), frozenset({2})
+    a = mk_lsta(
+        COMPLEX,
+        root=0,
+        internal=[Internal(0, one, 1, 2), Internal(0, two, 3, 4), Internal(4, one, 4, 4)],
+        leaves=[Leaf(1, one, cpoly("1")), Leaf(1, two, cpoly("i")),
+                Leaf(2, one, cpoly("0")), Leaf(3, one, cpoly("2"))],
+    )
+    assert enumerate_language(a, 1) == {vec(1, {"0": "1"})}
+    _agree(a, vec(1, {"0": "1"}), expected=True)
+    _agree(a, vec(1, {"0": "i"}), expected=False)
+    _agree(a, vec(1, {"0": "2"}), expected=False)
 
 
 def test_bv_at_17_qubits_member_and_non_member():
