@@ -213,7 +213,7 @@ def qubit_permutation(partition: GlobalPartition,
     """
     new_to_old: list[int] = []
     for seg, order in enumerate(orders):
-        slots = {sl.index: sl for sl in partition.of_segment(seg)}
+        slots = {sl.index: sl for sl in partition.segments[seg]}
         for comp in order:
             widths = {slots[i].width for i in comp}
             if len(widths) != 1:
@@ -426,7 +426,7 @@ def render_orders(result: TranslationResult) -> str:
     """Slot layout, component order, and the realized qubit permutation."""
     lines = []
     for s, order in enumerate(result.orders):
-        slots = result.aligned.partition.of_segment(s)
+        slots = result.aligned.partition.segments[s]
         span = " ".join(
             f"slot{sl.index}=[{sl.start}..{sl.end - 1}]" for sl in slots)
         comps = " ".join(

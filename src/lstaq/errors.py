@@ -112,9 +112,8 @@ class DanglingStateError(InternalError):
 
 
 class LimitExceededError(InternalError):
-    def __init__(self, limit: int, description: str | None = None):
-        super().__init__(
-            description or f"enumeration exceeded the limit of {limit} states")
+    def __init__(self, limit: int, description: str):
+        super().__init__(description)
         self.limit = limit
 
 

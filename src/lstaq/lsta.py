@@ -31,8 +31,8 @@ adds one fresh root that selects between the operands' root transitions
 (translation uses it for the alternatives of a segment; the members of one
 set are written into their union directly, by ``build.build_setq_lsta``), and
 :func:`tensor_chain` grafts each operand in turn, one scaled copy per
-distinct leaf value of what came before.  It plans each distinct operand
-once per call, so a copy is numbered in the plan's local id order, and it
+distinct leaf value of what came before.  Each graft it builds plans its
+operand, so a copy is numbered in the plan's local id order, and it
 merges a copy's interchangeable leaf states as the copy is grafted; its
 peak is the largest intermediate size of a left fold of binary tensors,
 counted before its merges.  Once a run of one operand object grafts onto
@@ -124,12 +124,6 @@ class Lsta:
     def size(self) -> int:
         """Number of transitions; the standard size measure."""
         return len(self.internal) + len(self.leaves)
-
-    def variables(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for leaf in self.leaves:
-            out |= self.semiring.variables(leaf.amplitude)
-        return out
 
 
 def mk_lsta(
@@ -233,22 +227,11 @@ def permute_state(psi: StateVector, new_to_old: tuple[int, ...]) -> StateVector:
     return StateVector(psi.n, entries)
 
 
-def substitute_state(psi: StateVector, theta: dict, memo: dict | None = None) -> StateVector:
-    """Instantiate every amplitude polynomial; entries that vanish are dropped.
-
-    ``memo`` maps polynomials already substituted under this same ``theta``
-    to their values; callers that substitute many states under one
-    valuation pass one dict to all of them, so each polynomial is
-    substituted once.
-    """
-    if memo is None:
-        memo = {}
-    out: dict[str, object] = {}
-    for s, v in psi.entries:
-        value = memo.get(v)
-        if value is None:
-            value = memo[v] = v.substitute(theta)
-        out[s] = value
+def substitute_state(psi: StateVector, theta: dict) -> StateVector:
+    """Instantiate every amplitude polynomial under ``theta``; entries that
+    vanish are dropped.  A name that ``theta`` leaves unbound raises
+    :class:`UnboundComplexVarError`."""
+    out = {s: v.substitute(theta) for s, v in psi.entries}
     return StateVector.of(psi.n, out, COMPLEX)
 
 
@@ -303,10 +286,10 @@ def enumerate_language(a: Lsta, n: int, limit: int = 100_000) -> frozenset[State
     in position order, and a frozenset of the zero-only states present
     (see the module docstring); equal frontiers are walked once.
 
-    Raises :class:`LimitExceededError` when a level holds more than
-    ``limit`` distinct frontiers or more than ``limit`` live positions in
-    all its distinct frontiers, or when the result holds more than
-    ``limit`` states.
+    Raises :class:`LimitExceededError`, whose message names the bound,
+    when a level holds more than ``limit`` distinct frontiers, or more than
+    ``limit`` live positions in all its distinct frontiers, or when the
+    result holds more than ``limit`` states.
     """
     step, leaf = _choice_index(a.internal), _choice_index(a.leaves)
     live = _live_states(a)
@@ -340,8 +323,14 @@ def enumerate_language(a: Lsta, n: int, limit: int = 100_000) -> frozenset[State
                 nxt.add((tuple(kids), frozenset(dead)))
                 if len(nxt) > known:
                     held += len(kids)
-                    if len(nxt) > limit or held > limit:
-                        raise LimitExceededError(limit)
+                    if len(nxt) > limit:
+                        raise LimitExceededError(limit, (
+                            f"enumeration exceeded the limit of {limit} "
+                            "distinct frontiers at one level"))
+                    if held > limit:
+                        raise LimitExceededError(limit, (
+                            f"enumeration exceeded the limit of {limit} "
+                            "live positions at one level"))
         frontiers = nxt
     is_zero = a.semiring.is_zero
     width = f"0{n}b"
@@ -357,7 +346,8 @@ def enumerate_language(a: Lsta, n: int, limit: int = 100_000) -> frozenset[State
                     entries.append((s, amplitude))
             out.add(StateVector(n, tuple(entries)))
             if len(out) > limit:
-                raise LimitExceededError(limit)
+                raise LimitExceededError(limit, (
+                    f"enumeration exceeded the limit of {limit} states in the language"))
     return frozenset(out)
 
 
@@ -621,12 +611,13 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
     intermediate size of a left fold of binary tensors, which merges each
     accumulator before grafting onto it, counted before its merges.
 
-    Each distinct piece is planned once per call: its transitions over
-    local ids, which a copy numbers in order, and per leaf value its scaled
-    leaf transitions and leaf-state signatures.  ``pieces`` are only read,
-    so one automaton may appear in several positions.  Each product of a leaf
-    value and a piece's leaf amplitude is computed once per call, however
-    often the pair recurs.
+    Each graft that builds a template plans its piece, as transitions over
+    local ids that a copy numbers in order, and computes the scaled leaf
+    transitions and their signatures once per leaf value; a replayed graft
+    reuses its run's plan.  ``pieces`` are only read, so one automaton may
+    appear in several positions.  Each product of a leaf value and a leaf
+    amplitude is computed once per call, however often the pair recurs:
+    ``products`` is the one table the call keeps.
 
     A graft is a :class:`_Template` written out by :func:`_emit` at a
     placement: its first fresh id, first fresh choice and frontier's first
@@ -655,10 +646,7 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
     root, internal, leaves, next_id = _merge_leaf_states(acc)
     unmerged = len(acc.leaves)  # leaf transitions of the last graft before merging
     top_choice = max(chain.from_iterable(map(_CHOICES, internal)), default=0)
-    plans: dict[int, _Plan] = {}
     products: dict = {}
-    scaled_leaves: dict = {}
-    signatures: dict = {}
 
     def product(v, amplitude):
         got = products.get((v, amplitude))
@@ -667,38 +655,30 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
         return got
 
     last = len(pieces) - 1
-    replay: tuple | None = None  # piece, template, frontier shape
+    replay: tuple | None = None  # piece, plan, template, frontier shape
     step = 1
     while step <= last:
         b = pieces[step]
-        plan = plans.get(id(b))
-        if plan is None:
-            if b.semiring != semiring:
-                raise InternalError("cannot tensor automata over different semirings")
-            plan = plans[id(b)] = _plan(b)
         front = leaves[0].top if leaves else 0
         end = step + 1
-        if replay and replay[0] is b and step < last and replay[2] == _shape(leaves):
+        if replay and replay[0] is b and step < last and replay[3] == _shape(leaves):
             # The frontier recurs shifted, so every further merged graft of
             # b is a replay too: place the rest of the run now.
-            tpl, replay = replay[1], None
+            plan, tpl, replay = replay[1], replay[2], None
             while end < last and pieces[end] is b:
                 end += 1
         else:
+            if b.semiring != semiring:
+                raise InternalError("cannot tensor automata over different semirings")
+            plan = _plan(b)
+            inner_tops = {t for t, _c, _l, _r in plan.inner}
             values = {v: vi for vi, v in enumerate(dict.fromkeys(t.amplitude for t in leaves))}
             reps: dict[frozenset, int] = {}
             n_ids = 0
             moves, grafted, copy_roots, sets = [], [], [], []
             for v in values:
-                key = (id(b), v)
-                scaled = scaled_leaves.get(key)
-                if scaled is None:
-                    scaled = scaled_leaves[key] = [(a, c, product(v, amplitude))
-                                                   for a, c, amplitude in plan.leaves]
-                sigs = signatures.get(key) if step < last else {}
-                if sigs is None:
-                    inner_tops = {t for t, _c, _l, _r in plan.inner}
-                    sigs = signatures[key] = _signatures(scaled, inner_tops)
+                scaled = [(a, c, product(v, amplitude)) for a, c, amplitude in plan.leaves]
+                sigs = _signatures(scaled, inner_tops) if step < last else {}
                 ids, merged = _number(plan.n_states, sigs, reps, n_ids)
                 n_ids += plan.n_states - len(merged)
                 moves += [(False, ids[t], c, ids[l], ids[r]) for t, c, l, r in plan.inner]
@@ -717,7 +697,7 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
             # Every frontier choice and every root choice index occurs.
             tpl = _Template(len(values), n_ids, moves, grafted, sets,
                             len(ex_index) * plan.width - 1)
-            replay = (b, tpl, _shape(leaves)) if end < last and pieces[end] is b else None
+            replay = (b, plan, tpl, _shape(leaves)) if end < last and pieces[end] is b else None
 
         first_leaf = tpl.leaves[0][0] if tpl.leaves else None
         n_new, grown = len(tpl.internal), tpl.n_values * len(plan.leaves)

@@ -37,6 +37,8 @@ Valuation = dict[str, AlgebraicComplex]
 
 # Assignments one set may enumerate: 2^|outer bits| cases, each with
 # 2^|inner bits| per term.  A 16-bit set with one plain term is at the limit.
+# It also bounds the members of one product of sets across a power or a
+# tensor of segments.
 MAX_SET_ASSIGNMENTS = 1 << 16
 
 
@@ -119,6 +121,13 @@ def _tensor_pair(x: StateVector, y: StateVector) -> StateVector:
 
 
 def tensor_sets(xs: set[StateVector], ys: set[StateVector]) -> set[StateVector]:
+    """Every ``x (x) y``.  A product of more than ``MAX_SET_ASSIGNMENTS``
+    pairs raises :class:`LimitExceededError` before any is built."""
+    count = len(xs) * len(ys)
+    if count > MAX_SET_ASSIGNMENTS:
+        raise LimitExceededError(MAX_SET_ASSIGNMENTS, (
+            f"the oracle needs {count} products for one tensor of sets, "
+            f"over the limit of {MAX_SET_ASSIGNMENTS}"))
     return {_tensor_pair(x, y) for x in xs for y in ys}
 
 
@@ -130,8 +139,10 @@ def denote(ast: A.AssertionAst, theta: Valuation | None = None,
     constraints filter each term's expansion (an emptied summation leaves
     the zero vector as a member).  The trailing amplitude-constraint
     formula is ignored here: choosing ``theta`` is the caller's business.
-    A set that needs more than ``MAX_SET_ASSIGNMENTS`` assignments raises
-    :class:`LimitExceededError` before any is enumerated.
+    A set that needs more than ``MAX_SET_ASSIGNMENTS`` assignments, or a
+    power or tensor of segments whose product of sets has more than
+    ``MAX_SET_ASSIGNMENTS`` pairs, raises :class:`LimitExceededError`
+    before any is enumerated or built.
     """
     lengths = A.infer_lengths(ast)
     A.check_well_formed(ast, lengths)
@@ -353,10 +364,8 @@ def differential_check(asts, thetas: list[Valuation] | None = None,
         else:
             ok, detail = True, "no valuations sampled"
             for theta in thetas:
-                # Both sides share most polynomials: substitute each once.
-                memo: dict = {}
-                li = {substitute_state(s, theta, memo) for s in auto}
-                oi = {substitute_state(s, theta, memo) for s in oracle}
+                li = {substitute_state(s, theta) for s in auto}
+                oi = {substitute_state(s, theta) for s in oracle}
                 ok, detail = _compare(li, oi)
                 if not ok:
                     pretty = ", ".join(

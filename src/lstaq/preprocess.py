@@ -214,9 +214,6 @@ class GlobalPartition:
 
     segments: tuple[tuple[Slot, ...], ...]
 
-    def of_segment(self, segment: int) -> tuple[Slot, ...]:
-        return self.segments[segment]
-
     @property
     def slots(self) -> tuple[Slot, ...]:
         return tuple(itertools.chain.from_iterable(self.segments))
@@ -335,7 +332,7 @@ def constant_abstraction(asts, lengths: A.LengthMap, seg_lengths: list[int],
     for ast in asts:
         segments = []
         for s, pset in enumerate(ast.segments):
-            seg_slots = partition.of_segment(s)
+            seg_slots = partition.segments[s]
             alts = []
             for sq in pset.base.alternatives:
                 (dirac,) = sq.diracs

@@ -44,13 +44,6 @@ _FLIP = str.maketrans("01", "10")
 
 
 @dataclass(frozen=True)
-class ConstraintTable:
-    """Ordered inequality lists per term; ValAmp booleans align with these."""
-
-    phis: dict[int, tuple[A.VarCon, ...]]
-
-
-@dataclass(frozen=True)
 class SliceCase:
     assignment: tuple[tuple[str, int], ...]
     state: StateVector
@@ -66,12 +59,12 @@ def _is_inequality(c: A.VarCon) -> bool:
     return isinstance(c, (A.NeqVar, A.NeqConst))
 
 
-def constraint_table(v: SetV) -> ConstraintTable:
+def constraint_table(v: SetV) -> dict[int, tuple[A.VarCon, ...]]:
+    """Each term's ordered inequality list, by tag: the predicate's first,
+    then the term's summation ones.  ValAmp booleans align with these."""
     pred = tuple(c for c in v.predicate if _is_inequality(c))
-    return ConstraintTable({
-        t.tag: pred + tuple(c for c in t.sum_constraints if _is_inequality(c))
-        for t in v.terms
-    })
+    return {t.tag: pred + tuple(c for c in t.sum_constraints if _is_inequality(c))
+            for t in v.terms}
 
 
 # Most slices read 0-2 bits a term; the bound keeps a 2^16-entry table of
@@ -85,9 +78,10 @@ def _values(k: int) -> tuple[str, ...]:
 def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
     """Expand ``v`` into per-qubit slices of concrete valuation states.
 
-    Returns ``(table, slices)`` where the table fixes each term's ordered
-    inequality list and every slice holds one concrete state per admissible
-    assignment of the union-indexing variables.
+    Returns ``(table, slices)``, where the table, :func:`constraint_table`,
+    fixes each term's ordered inequality list by tag, and every slice holds
+    one concrete state per admissible assignment of the union-indexing
+    variables.
 
     A slice depends on its qubit index ``j`` only through the constant bits
     that the ``EqConst`` and ``NeqConst`` constraints read at ``j``.  Slices
@@ -123,7 +117,7 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
             f"over the limit of {MAX_SLICE_ASSIGNMENTS}"))
     constants = [c.bits for c in pred_eq]
     constants += [c.bits for _t, _inner, term_eq in terms for c in term_eq]
-    constants += [c.bits for phi in table.phis.values() for c in phi
+    constants += [c.bits for phi in table.values() for c in phi
                   if isinstance(c, A.NeqConst)]
 
     # Positions in a case's text; 0 and 1 hold the constant bits.
@@ -137,7 +131,7 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
         pattern = operator.itemgetter(*(
             at[a.name] + width * f for a, f in zip(t.pattern, flips)))
         compiled.append((t.tag, at, pattern, any(flips), term_eq,
-                         table.phis[t.tag], _values(len(inner))))
+                         table[t.tag], _values(len(inner))))
     assignments = list(zip(
         itertools.product(*[((name, 0), (name, 1)) for name in outer]),
         _values(len(outer))))
@@ -183,14 +177,14 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
     return table, slices
 
 
-def render_slices(v: SetV, table: ConstraintTable,
+def render_slices(v: SetV, table: dict[int, tuple[A.VarCon, ...]],
                   slices: list[QubitSlice]) -> str:
     """Debug text: one line per concrete state, tagged by its assignment."""
     from .parser import render_varcon
 
     lines = [f"setP {v.uid} component slots {list(v.slots)}"]
     for t in v.terms:
-        phi = ", ".join(render_varcon(c) for c in table.phis[t.tag])
+        phi = ", ".join(render_varcon(c) for c in table[t.tag])
         lines.append(f"  phi_{t.tag} = [{phi}]")
     for sl in slices:
         lines.append(f"  slice {sl.index}:")

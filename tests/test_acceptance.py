@@ -76,7 +76,7 @@ def test_worked_example_reproduces_exactly():
     ((_, table, slices),) = [
         (v, t, s) for (_ai, _seg, v, t, s) in slice_expansions(job)
         if v.uid == second.uid and v.slots == (3, 5, 6)]
-    assert len(table.phis[1]) == 2 and len(table.phis[2]) == 1
+    assert len(table[1]) == 2 and len(table[2]) == 1
     for sl in slices:
         cases = {tuple(b for _v, b in c.assignment): c.state for c in sl.cases}
         assert cases == expected_cases()

@@ -1,9 +1,11 @@
-"""Every function the benchmark's tracer wraps by name still exists.
+"""Every lstaq name the benchmark reaches still exists.
 
 ``perfbench/spans.py`` wraps lstaq functions looked up by module and name,
 so renaming or deleting one would silently drop its layer from a traced
-run, and its counters read fields of their results.  The table is read
-from the source text, without importing the benchmark package.
+run, and its counters read fields of their results.  The other benchmark
+files import lstaq names or read them off the package, so deleting one
+would break the benchmark, ``perfbench/pin.py`` and ``tools/ab_inproc.py``.
+Both are read from the source text, without importing the benchmark package.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from lstaq.lsta import Internal, Leaf, write_lsta
 from lstaq.parser import parse
 from lstaq.qubit_reorder import expand_qubit_slices
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def _layers() -> dict[str, tuple[str, tuple[str, ...]]]:
@@ -36,6 +39,37 @@ def test_every_traced_function_resolves():
         mod = importlib.import_module(module)
         for name in names:
             assert callable(getattr(mod, name, None)), f"{layer}: {module}.{name}"
+
+
+def _names_read() -> set[tuple[str, str, str]]:
+    """``(file, module, name)`` for every lstaq name a benchmark file
+    imports (``from lstaq.x import y``) or reads as an attribute of the
+    package (``lstaq.translate``) or of an imported module
+    (``importlib.import_module("lstaq.x").y``)."""
+    out = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("lstaq"):
+                out |= {(path.name, node.module, a.name) for a in node.names}
+            elif isinstance(node, ast.Attribute):
+                v = node.value
+                if isinstance(v, ast.Name) and v.id == "lstaq":
+                    out.add((path.name, "lstaq", node.attr))
+                elif (isinstance(v, ast.Call) and isinstance(v.func, ast.Attribute)
+                      and v.func.attr == "import_module"
+                      and isinstance(v.args[0], ast.Constant)):
+                    out.add((path.name, v.args[0].value, node.attr))
+    return out
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    names = _names_read()
+    # Each of the three forms is seen.
+    assert {("workloads.py", "lstaq", "membership"),
+            ("workloads.py", "lstaq.lsta", "permute_state"),
+            ("spans.py", "lstaq.amplitude", "AmplitudePoly")} <= names
+    for file, module, name in names:
+        assert hasattr(importlib.import_module(module), name), f"{file}: {module}.{name}"
 
 
 def test_counted_results_keep_their_shapes():

@@ -132,11 +132,36 @@ def test_oracle_sets_past_the_assignment_budget_exit_4_within_two_seconds(
                            f" over the limit of {MAX_SET_ASSIGNMENTS}\n")
 
 
+# Each ran past 20 seconds.  A power builds its product one factor at a
+# time, so 10 members ^ 6 is refused at the fifth factor, 10^5 products.
+@pytest.mark.parametrize("cap, text, count", [
+    ("12", "{ |x> + |y> : |x| = 2, |y| = 2 } ^ 6", 10 ** 5),
+    ("30", "{ |x> : |x| = 15 } ^ 2", 2 ** 30),
+    ("30", "{ |x> : |x| = 10 } (x) { |y> : |y| = 10 }", 2 ** 20),
+])
+def test_oracle_products_past_the_budget_exit_4_within_two_seconds(
+        tmp_path, cap, text, count):
+    done = _run_cli(["oracle", spec_file(tmp_path, text), "--cap", cap], timeout=2)
+    assert done.returncode == 4
+    assert done.stdout == ""
+    assert done.stderr == (f"error: the oracle needs {count} products for one tensor"
+                           f" of sets, over the limit of {MAX_SET_ASSIGNMENTS}\n")
+
+
+def test_an_oracle_product_within_the_budget_still_lists(tmp_path, capsys):
+    f = spec_file(tmp_path, "{ |x> + |y> : |x| = 2, |y| = 2 } ^ 4")
+    assert main(["oracle", f]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "// assertion 0: 10000 members" and len(out) == 10001
+
+
 def test_check_oracle_on_a_dense_language_exits_4_within_two_seconds(tmp_path):
+    # The language has only 4096 members, but level k holds 4^k live positions.
     f = spec_file(tmp_path, "{ |x> + sum[ |i| = 12 ] |i> : |x| = 12 }")
     done = _run_cli(["translate", f, "--check-oracle"], timeout=2)
     assert done.returncode == 4
-    assert done.stderr == "error: enumeration exceeded the limit of 100000 states\n"
+    assert done.stderr == ("error: enumeration exceeded the limit of 100000"
+                           " live positions at one level\n")
 
 
 def test_oracle_refuses_a_coefficient_too_long_to_write(tmp_path, capsys):

@@ -632,6 +632,21 @@ def test_compositions_of_nothing_are_internal_errors():
         union_all([])
 
 
+C = _piece(COMPLEX, {"0": cpoly("1"), "1": cpoly("-1")})
+
+
+# A complex piece first, in the middle, last, and repeated as one object,
+# also where a run of one tag piece replays before it.
+@pytest.mark.parametrize("pieces", [
+    [C, P, Q], [P, C, Q], [P, Q, C], [P, C, C, C], [C, C, P], [P, P, P, C, P],
+], ids=["first", "middle", "last", "repeated", "repeated-first", "after-a-run"])
+def test_pieces_over_different_semirings_are_internal_errors(pieces):
+    with pytest.raises(InternalError, match="^cannot tensor automata over different semirings$"):
+        tensor_chain(pieces)
+    with pytest.raises(InternalError, match="^cannot union automata over different semirings$"):
+        union_all(pieces)
+
+
 # sha256 of the automata the five bench families translate to at these
 # sizes: those of the pairwise folds that the n-ary routines replaced, with
 # their states renumbered by ``_dense``.

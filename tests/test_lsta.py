@@ -304,8 +304,22 @@ def test_of_two_overlaps_the_first_in_transition_order_is_named():
 
 
 def test_enumeration_limit_is_enforced(ref_automaton):
-    with pytest.raises(LimitExceededError):
+    # The two root choices lead to two distinct frontiers of one live position.
+    with pytest.raises(LimitExceededError, match="^enumeration exceeded the limit of 1"
+                       " distinct frontiers at one level$"):
         enumerate_language(ref_automaton, 2, limit=1)
+
+
+def test_a_language_past_the_limit_names_its_states():
+    # One frontier of two live positions, whose three leaf choices give
+    # three members.
+    leaves = [Leaf(q, frozenset({c}), cpoly(v)) for q in (1, 2)
+              for c, v in ((1, "1"), (2, "i"), (3, "-1"))]
+    a = mk_lsta(COMPLEX, 0, [Internal(0, ONE, 1, 2)], leaves)
+    assert len(enumerate_language(a, 1, limit=3)) == 3
+    with pytest.raises(LimitExceededError, match="^enumeration exceeded the limit of 2"
+                       " states in the language$"):
+        enumerate_language(a, 1, limit=2)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +426,7 @@ def test_a_dense_frontier_is_refused_promptly():
     # holds 2^17 live positions, past the default limit of 100,000.
     result = translate([parse("{ |0> + |1> } ^ 40")])
     t0 = time.perf_counter()
-    with pytest.raises(LimitExceededError):
+    with pytest.raises(LimitExceededError, match="limit of 100000 live positions at one level"):
         enumerate_language(result.assertions[0].automaton, result.qubits)
     assert time.perf_counter() - t0 < 10
 
@@ -424,7 +438,7 @@ def test_a_level_is_bounded_by_its_live_positions_in_all():
     result = translate([parse("{ |x> + sum[ |i| = 4 ] |i> : |x| = 4 }")])
     a = result.assertions[0].automaton
     assert len(enumerate_language(a, result.qubits, limit=256)) == 16
-    with pytest.raises(LimitExceededError):
+    with pytest.raises(LimitExceededError, match="limit of 255 live positions at one level"):
         enumerate_language(a, result.qubits, limit=255)
 
 
@@ -579,15 +593,12 @@ def test_substitute_state_drops_vanishing_entries():
     assert out == vec(1, {"1": "1"})
 
 
-def test_substitute_state_memo_keeps_unbound_variables_an_error():
+def test_substitute_state_keeps_unbound_variables_an_error():
     sv = StateVector.of(1, {"0": AmplitudePoly.var("a"),
                             "1": AmplitudePoly.var("b")}, COMPLEX)
     theta = {"a": cpoly("1").constant_value}
-    memo: dict = {}
-    for _ in range(2):
-        with pytest.raises(UnboundComplexVarError):
-            substitute_state(sv, theta, memo)
-    assert AmplitudePoly.var("b") not in memo
+    with pytest.raises(UnboundComplexVarError):
+        substitute_state(sv, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +616,8 @@ def reference_write_lsta(a: Lsta, n: int, constraint: str | None = None) -> str:
         "lsta v1",
         f"semiring {a.semiring.name}",
         f"qubits {n}",
-        "vars" + "".join(f" {v}" for v in sorted(a.variables())),
+        "vars" + "".join(f" {v}" for v in sorted(
+            frozenset().union(*(a.semiring.variables(t.amplitude) for t in a.leaves)))),
         f"root {a.root}",
     ]
     for t in sorted(a.internal, key=lambda t: (t.top, min(t.choices))):

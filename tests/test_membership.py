@@ -25,9 +25,8 @@ from lstaq.lsta import (
     membership,
     mk_lsta,
     permute_state,
-    substitute_state,
 )
-from lstaq.oracle import denote, sample_thetas
+from lstaq.oracle import denote
 from lstaq.parser import parse
 from tests.conftest import cpoly, vec
 from tests.test_acceptance import random_source
@@ -248,14 +247,3 @@ def test_membership_is_language_membership(seed):
         assert membership(a, psi)
         for cand in perturbations(rng, psi):
             assert membership(a, cand) == (cand in lang)
-
-
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(st.integers(min_value=0, max_value=2 ** 32))
-def test_substitution_memo_changes_no_result(seed):
-    _rng, text, lang, _a = _small_spec(seed)
-    for theta in sample_thetas([parse(text)]):
-        memo: dict = {}
-        for psi in lang * 2:
-            assert substitute_state(psi, theta, memo) == substitute_state(psi, theta)

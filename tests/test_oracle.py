@@ -313,9 +313,9 @@ def substitutions(monkeypatch) -> list:
     """Counts the states ``differential_check`` substitutes."""
     calls: list = []
 
-    def counted(psi, theta, memo=None):
+    def counted(psi, theta):
         calls.append(psi)
-        return substitute_state(psi, theta, memo)
+        return substitute_state(psi, theta)
 
     monkeypatch.setattr(oracle_mod, "substitute_state", counted)
     return calls

@@ -121,7 +121,7 @@ def test_global_partition_has_five_slots(job):
     assert [(s.start, s.width) for s in slots] == [
         (1, 2), (3, 1), (4, 1), (5, 1), (6, 1)]
     assert job.aligned.partition.total_qubits == 6
-    assert [len(job.aligned.partition.of_segment(k)) for k in range(3)] == [3, 1, 1]
+    assert [len(job.aligned.partition.segments[k]) for k in range(3)] == [3, 1, 1]
 
 
 def test_first_assertion_aligns_to_summed_constants(job):

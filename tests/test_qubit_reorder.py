@@ -68,7 +68,7 @@ def state(entries: dict[str, ValAmp]) -> StateVector:
 
 def test_inequality_lists_put_the_predicate_first(expansion):
     setv, table, _slices = expansion
-    phi1, phi2 = table.phis[1], table.phis[2]
+    phi1, phi2 = table[1], table[2]
     assert len(phi1) == 2 and len(phi2) == 1
     assert isinstance(phi1[0], A.NeqVar) and isinstance(phi1[1], A.NeqVar)
     # the predicate inequality is shared as entry 0 of both lists
@@ -275,7 +275,7 @@ def _reference_slices(v, lengths):
                     key = "".join(str(phi[a.name] ^ isinstance(a, A.Compl))
                                   for a in t.pattern)
                     d = ValAmp.of({t.tag: tuple(_truth(c, phi, j)
-                                                for c in table.phis[t.tag])})
+                                                for c in table[t.tag])})
                     amp[key] = valamp_add(amp[key], d) if key in amp else d
             cases.append(SliceCase(tuple(zip(outer, bits)),
                                    StateVector.of(len(v.slots), amp, VALUATION)))

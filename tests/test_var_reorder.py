@@ -131,7 +131,7 @@ def test_leftover_component_keeps_the_equality(job):
 
 def test_tags_resolve_to_the_original_amplitudes(job):
     second = segment_setps(job)[1]
-    slot_ids = tuple(sl.index for sl in job.aligned.partition.of_segment(0))
+    slot_ids = tuple(sl.index for sl in job.aligned.partition.segments[0])
     amplitudes = [t.amplitude for t in second.terms]
     for v in project_setP(second, job.orders[0], slot_ids):
         assert [t.tag for t in v.terms] == [1, 2]
