@@ -14,6 +14,18 @@ Three commutative semirings share the leaf-transition slot of an automaton:
 Each domain is one :class:`Semiring` record, :data:`COMPLEX`, :data:`TAG` or
 :data:`VALUATION`, holding its zero and its operations; automata touch leaf
 values only through the record, whatever the domain.
+
+Values are tuples.  :class:`AlgebraicComplex`, :class:`AmplitudePoly` and
+:class:`ValAmp` are ``NamedTuple`` records, as ``lsta.Internal`` and
+``lsta.Leaf`` are, and the hot paths build them with ``tuple.__new__``, so
+building the record, hashing it and comparing it run no Python code.  Equality
+is by fields, whatever the class: ``POLY_ZERO == VAL_ZERO`` is true.  So a
+value's domain is its automaton's :class:`Semiring`, and no container mixes
+values of two domains.  Operators that ``tuple`` would lend a record, such
+as ``+`` on a ``ValAmp``, ``2 * x`` or ``<``, return ``NotImplemented``, so
+they raise ``TypeError`` as on any value without that arithmetic.  The
+specification's AST nodes stay dataclasses, because ``Var("x")`` and
+``Compl("x")`` would be equal as tuples.
 """
 
 from __future__ import annotations
@@ -23,7 +35,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .errors import InternalError, LimitExceededError, UnboundComplexVarError
 
@@ -35,8 +47,12 @@ class ExactDivisionError(InternalError):
     """The divisor has no inverse in the ring Z[w, 1/sqrt2]."""
 
 
-@dataclass(frozen=True)
-class AlgebraicComplex:
+def undefined_operator(self, other):
+    """An operator a value record does not define, in place of ``tuple``'s."""
+    return NotImplemented
+
+
+class AlgebraicComplex(NamedTuple):
     """An element of Z[w, 1/sqrt2] with w = e^{i*pi/4}, kept in canonical form.
 
     The value is ``(a + b*w + c*w^2 + d*w^3) / sqrt2^k``.  Canonical form
@@ -59,7 +75,7 @@ class AlgebraicComplex:
             k = 0
         bits = a | b | c | d
         if not bits:
-            return cls(0, 0, 0, 0, 0)
+            return tuple.__new__(cls, (0, 0, 0, 0, 0))
         if k > 1 and not bits & 1:
             # Divide numerator and sqrt2^k by their common power of two.
             s = min((bits & -bits).bit_length() - 1, k // 2)
@@ -69,36 +85,46 @@ class AlgebraicComplex:
         if k > 0 and (a - c) % 2 == 0 and (b - d) % 2 == 0:
             a, b, c, d = (b - d) // 2, (a + c) // 2, (b + d) // 2, (c - a) // 2
             k -= 1
-        return cls(a, b, c, d, k)
+        return tuple.__new__(cls, (a, b, c, d, k))
 
     @classmethod
     def from_int(cls, n: int) -> "AlgebraicComplex":
-        return cls(n, 0, 0, 0, 0)
+        return tuple.__new__(cls, (n, 0, 0, 0, 0))
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "AlgebraicComplex") -> "AlgebraicComplex":
-        k = max(self.k, other.k)
-        x = _mul_sqrt2((self.a, self.b, self.c, self.d), k - self.k)
-        y = _mul_sqrt2((other.a, other.b, other.c, other.d), k - other.k)
-        return AlgebraicComplex.make(*(p + q for p, q in zip(x, y)), k)
+        a, b, c, d, k = self
+        p, q, r, s, m = other
+        if k < m:
+            a, b, c, d = _mul_sqrt2((a, b, c, d), m - k)
+            k = m
+        elif m < k:
+            p, q, r, s = _mul_sqrt2((p, q, r, s), k - m)
+        return AlgebraicComplex.make(a + p, b + q, c + r, d + s, k)
 
     def __neg__(self) -> "AlgebraicComplex":
-        return AlgebraicComplex(-self.a, -self.b, -self.c, -self.d, self.k)
+        a, b, c, d, k = self
+        return tuple.__new__(AlgebraicComplex, (-a, -b, -c, -d, k))
 
     def __sub__(self, other: "AlgebraicComplex") -> "AlgebraicComplex":
         return self + (-other)
 
     def __mul__(self, other: "AlgebraicComplex") -> "AlgebraicComplex":
-        num = _mul_omega_poly(
-            (self.a, self.b, self.c, self.d), (other.a, other.b, other.c, other.d)
-        )
-        return AlgebraicComplex.make(*num, self.k + other.k)
+        return AlgebraicComplex.make(*_mul_omega_poly(self[:4], other[:4]),
+                                     self.k + other.k)
 
     def __truediv__(self, other: "AlgebraicComplex") -> "AlgebraicComplex":
-        if other.is_zero:
+        a, b, c, d, k = other
+        if not (a or b or c or d):
             raise ExactDivisionError("division by zero")
-        u = (other.a, other.b, other.c, other.d)
+        # A divisor 2^h / sqrt2^k or 2^h * sqrt2 / sqrt2^k is sqrt2^j, and
+        # dividing by it adds j to the quotient's k.
+        if not (b or c or d) and a > 0 and not a & (a - 1):
+            return AlgebraicComplex.make(*self[:4], self.k + 2 * a.bit_length() - 2 - k)
+        if not (a or c) and d == -b and b > 0 and not b & (b - 1):
+            return AlgebraicComplex.make(*self[:4], self.k + 2 * b.bit_length() - 1 - k)
+        u = (a, b, c, d)
         # Inverse via the three Galois conjugates: 1/u = conj_product / norm.
         p = _mul_omega_poly(_sigma3(u), _mul_omega_poly(_sigma5(u), _sigma7(u)))
         norm = _mul_omega_poly(u, p)
@@ -112,7 +138,7 @@ class AlgebraicComplex:
             raise ExactDivisionError(
                 f"result of division is outside the ring (norm has odd factor {n})"
             )
-        inv = AlgebraicComplex.make(*(sign * x for x in p), 2 * t - other.k)
+        inv = AlgebraicComplex.make(*(sign * x for x in p), 2 * t - k)
         return self * inv
 
     def __pow__(self, n: int) -> "AlgebraicComplex":
@@ -126,6 +152,8 @@ class AlgebraicComplex:
             base = base * base
             n >>= 1
         return out
+
+    __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = undefined_operator
 
     # -- views --------------------------------------------------------------
 
@@ -204,20 +232,13 @@ def _mul_sqrt2(num: tuple[int, int, int, int], times: int) -> tuple[int, int, in
 def _mul_omega_poly(
     x: tuple[int, int, int, int], y: tuple[int, int, int, int]
 ) -> tuple[int, int, int, int]:
-    out = [0, 0, 0, 0]
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            e = i + j
-            coef = xi * yj
-            if e >= 4:
-                e -= 4
-                coef = -coef
-            out[e] += coef
-    return out[0], out[1], out[2], out[3]
+    """The product of two numerators in Z[w], reduced by w^4 = -1."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e - b * h - c * g - d * f,
+            a * f + b * e - c * h - d * g,
+            a * g + b * f + c * e - d * h,
+            a * h + b * g + c * f + d * e)
 
 
 def _sigma3(u: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
@@ -264,8 +285,7 @@ Monomial = tuple[tuple[str, int], ...]
 _MAX_TERM_PAIRS = 1 << 16
 
 
-@dataclass(frozen=True)
-class AmplitudePoly:
+class AmplitudePoly(NamedTuple):
     """Polynomial in named variables with :class:`AlgebraicComplex` coefficients.
 
     Stored as a sorted tuple of (monomial, coefficient) pairs with no zero
@@ -277,12 +297,12 @@ class AmplitudePoly:
     @classmethod
     def const(cls, value: AlgebraicComplex) -> "AmplitudePoly":
         if value.is_zero:
-            return cls(())
-        return cls((((), value),))
+            return tuple.__new__(cls, ((),))
+        return tuple.__new__(cls, ((((), value),),))
 
     @classmethod
     def var(cls, name: str) -> "AmplitudePoly":
-        return cls(((((name, 1),), AC_ONE),))
+        return tuple.__new__(cls, (((((name, 1),), AC_ONE),),))
 
     @classmethod
     def from_int(cls, n: int) -> "AmplitudePoly":
@@ -290,8 +310,10 @@ class AmplitudePoly:
 
     @classmethod
     def _from_dict(cls, d: dict[Monomial, AlgebraicComplex]) -> "AmplitudePoly":
-        items = tuple(sorted((m, c) for m, c in d.items() if not c.is_zero))
-        return cls(items)
+        # Coefficients are canonical, so a zero one equals AC_ZERO.
+        if AC_ZERO in d.values():
+            d = {m: c for m, c in d.items() if c != AC_ZERO}
+        return tuple.__new__(cls, (tuple(sorted(d.items())),))
 
     def __add__(self, other: "AmplitudePoly") -> "AmplitudePoly":
         acc = dict(self.terms)
@@ -301,7 +323,7 @@ class AmplitudePoly:
         return AmplitudePoly._from_dict(acc)
 
     def __neg__(self) -> "AmplitudePoly":
-        return AmplitudePoly(tuple((m, -c) for m, c in self.terms))
+        return tuple.__new__(AmplitudePoly, (tuple((m, -c) for m, c in self.terms),))
 
     def __sub__(self, other: "AmplitudePoly") -> "AmplitudePoly":
         return self + (-other)
@@ -317,7 +339,7 @@ class AmplitudePoly:
         acc: dict[Monomial, AlgebraicComplex] = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
-                mono = _merge_monomials(m1, m2)
+                mono = _merge_monomials(m1, m2) if m1 and m2 else m1 or m2
                 coef = c1 * c2
                 cur = acc.get(mono)
                 acc[mono] = coef if cur is None else cur + coef
@@ -327,7 +349,7 @@ class AmplitudePoly:
         if not other.is_constant:
             raise ExactDivisionError("division by a non-constant amplitude")
         inv = AC_ONE / other.constant_value
-        return AmplitudePoly(tuple((m, c * inv) for m, c in self.terms))
+        return tuple.__new__(AmplitudePoly, (tuple((m, c * inv) for m, c in self.terms),))
 
     def __pow__(self, n: int) -> "AmplitudePoly":
         if n < 0:
@@ -343,6 +365,8 @@ class AmplitudePoly:
             if n:
                 base = base * base
         return out
+
+    __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = undefined_operator
 
     @property
     def is_zero(self) -> bool:
@@ -433,8 +457,7 @@ def _render_tag(x: frozenset[int]) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValAmp:
+class ValAmp(NamedTuple):
     """A family ``{f_m}`` of boolean valuations indexed by term number.
 
     Each entry maps a term index ``m`` to a tuple of booleans aligned with
@@ -448,7 +471,10 @@ class ValAmp:
 
     @classmethod
     def of(cls, mapping: dict[int, tuple[bool, ...]]) -> "ValAmp":
-        return cls(tuple(sorted(mapping.items())))
+        return tuple.__new__(cls, (tuple(sorted(mapping.items())),))
+
+    # Combined through ``valamp_add`` and ``valamp_mul`` only.
+    __add__ = __mul__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = undefined_operator
 
     @property
     def is_zero(self) -> bool:
@@ -517,13 +543,13 @@ def _no_variables(_x) -> frozenset[str]:
     return frozenset()
 
 
-_IS_ZERO = operator.attrgetter("is_zero")
-
-COMPLEX = Semiring("complex", POLY_ZERO, operator.add, operator.mul, _IS_ZERO, str,
+# A value is zero when it equals its domain's zero, compared in C.
+COMPLEX = Semiring("complex", POLY_ZERO, operator.add, operator.mul, POLY_ZERO.__eq__, str,
                    AmplitudePoly.variables)
 TAG = Semiring("tag", frozenset(), operator.or_, operator.and_, operator.not_,
                _render_tag, _no_variables)
-VALUATION = Semiring("valuation", VAL_ZERO, valamp_add, valamp_mul, _IS_ZERO, str, _no_variables)
+VALUATION = Semiring("valuation", VAL_ZERO, valamp_add, valamp_mul, VAL_ZERO.__eq__, str,
+                     _no_variables)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,14 @@ are already in the sorted order of :class:`StateVector`'s entries.
 Both walks read two choice indexes, internal and leaf, built once per call:
 a state's row maps each choice to its transition, and a state without a row
 allows no choice.
+
+Transitions and :class:`StateVector` are ``NamedTuple`` records, like the
+leaf values of ``amplitude``, and emitters build them with
+``tuple.__new__``, so constructing, hashing and comparing one runs no
+Python code.  Equality is by fields, whatever the class, so a state
+vector's values are of its automaton's :class:`Semiring`, and no set or
+memo mixes vectors of two domains.  Arithmetic and order that ``tuple``
+would lend a ``StateVector`` raise ``TypeError``.
 """
 
 from __future__ import annotations
@@ -81,7 +89,7 @@ from itertools import chain, count
 from operator import itemgetter
 from typing import Collection, NamedTuple, Sequence
 
-from .amplitude import COMPLEX, Semiring
+from .amplitude import COMPLEX, Semiring, undefined_operator
 from .errors import (
     ChoiceOverlapError,
     DanglingStateError,
@@ -191,8 +199,7 @@ def n_leaves(a: Lsta) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(NamedTuple):
     """An n-qubit state: basis bitstrings mapped to nonzero amplitudes."""
 
     n: int
@@ -203,7 +210,9 @@ class StateVector:
         items = tuple(
             sorted((s, v) for s, v in amplitudes.items() if not semiring.is_zero(v))
         )
-        return cls(n, items)
+        return tuple.__new__(cls, (n, items))
+
+    __add__ = __mul__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = undefined_operator
 
     @property
     def is_zero(self) -> bool:
@@ -224,7 +233,7 @@ def permute_state(psi: StateVector, new_to_old: tuple[int, ...]) -> StateVector:
     entries = tuple(
         sorted(("".join(s[p - 1] for p in new_to_old), v) for s, v in psi.entries)
     )
-    return StateVector(psi.n, entries)
+    return tuple.__new__(StateVector, (psi.n, entries))
 
 
 def substitute_state(psi: StateVector, theta: dict) -> StateVector:
@@ -344,7 +353,7 @@ def enumerate_language(a: Lsta, n: int, limit: int = 100_000) -> frozenset[State
                 amplitude = row[c].amplitude
                 if not is_zero(amplitude):
                     entries.append((s, amplitude))
-            out.add(StateVector(n, tuple(entries)))
+            out.add(tuple.__new__(StateVector, (n, tuple(entries))))
             if len(out) > limit:
                 raise LimitExceededError(limit, (
                     f"enumeration exceeded the limit of {limit} states in the language"))

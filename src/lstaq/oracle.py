@@ -120,14 +120,21 @@ def _tensor_pair(x: StateVector, y: StateVector) -> StateVector:
     return StateVector.of(x.n + y.n, entries, COMPLEX)
 
 
-def tensor_sets(xs: set[StateVector], ys: set[StateVector]) -> set[StateVector]:
-    """Every ``x (x) y``.  A product of more than ``MAX_SET_ASSIGNMENTS``
-    pairs raises :class:`LimitExceededError` before any is built."""
-    count = len(xs) * len(ys)
+def _product_count(m: int, n: int) -> int:
+    """The pairs of a product of sets of ``m`` and ``n`` members; more than
+    ``MAX_SET_ASSIGNMENTS`` raises :class:`LimitExceededError`."""
+    count = m * n
     if count > MAX_SET_ASSIGNMENTS:
         raise LimitExceededError(MAX_SET_ASSIGNMENTS, (
             f"the oracle needs {count} products for one tensor of sets, "
             f"over the limit of {MAX_SET_ASSIGNMENTS}"))
+    return count
+
+
+def tensor_sets(xs: set[StateVector], ys: set[StateVector]) -> set[StateVector]:
+    """Every ``x (x) y``.  A product of more than ``MAX_SET_ASSIGNMENTS``
+    pairs raises :class:`LimitExceededError` before any is built."""
+    _product_count(len(xs), len(ys))
     return {_tensor_pair(x, y) for x in xs for y in ys}
 
 
@@ -139,10 +146,13 @@ def denote(ast: A.AssertionAst, theta: Valuation | None = None,
     constraints filter each term's expansion (an emptied summation leaves
     the zero vector as a member).  The trailing amplitude-constraint
     formula is ignored here: choosing ``theta`` is the caller's business.
-    A set that needs more than ``MAX_SET_ASSIGNMENTS`` assignments, or a
-    power or tensor of segments whose product of sets has more than
-    ``MAX_SET_ASSIGNMENTS`` pairs, raises :class:`LimitExceededError`
-    before any is enumerated or built.
+    A set that needs more than ``MAX_SET_ASSIGNMENTS`` assignments raises
+    :class:`LimitExceededError` before any is enumerated.  So does a power
+    or a tensor of segments once the running product of its factors' set
+    sizes passes ``MAX_SET_ASSIGNMENTS``, in the order the products are
+    taken, before any product is built.  The count is of factor sizes, not
+    of the distinct states a product keeps, so a product that collides,
+    such as one of scalar multiples, is counted in full.
     """
     lengths = A.infer_lengths(ast)
     A.check_well_formed(ast, lengths)
@@ -150,16 +160,16 @@ def denote(ast: A.AssertionAst, theta: Valuation | None = None,
     if total > cap:
         raise CapExceededError(total, cap)
 
-    seg_sets: list[set[StateVector]] = []
+    factors: list[list[set[StateVector]]] = []
+    sizes: list[int] = []
     for seg in ast.segments:
         base: set[StateVector] = set()
         for sq in seg.base.alternatives:
             base |= _denote_setq(sq, lengths, theta)
-        out = base
-        for _ in range(seg.power - 1):
-            out = tensor_sets(out, base)
-        seg_sets.append(out)
-    return frozenset(reduce(tensor_sets, seg_sets))
+        factors.append([base] * seg.power)
+        sizes.append(reduce(_product_count, [len(base)] * seg.power))
+    reduce(_product_count, sizes)
+    return frozenset(reduce(tensor_sets, [reduce(tensor_sets, f) for f in factors]))
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,10 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import ast as A
-from .amplitude import ValAmp, valamp_add
+from .amplitude import ValAmp, undefined_operator, valamp_add
 from .errors import InternalError, LimitExceededError
 from .lsta import StateVector
 from .var_reorder import SetV
@@ -43,16 +43,18 @@ MAX_SLICE_ASSIGNMENTS = 1 << 16
 _FLIP = str.maketrans("01", "10")
 
 
-@dataclass(frozen=True)
-class SliceCase:
+class SliceCase(NamedTuple):
     assignment: tuple[tuple[str, int], ...]
     state: StateVector
 
+    __add__ = __mul__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = undefined_operator
 
-@dataclass(frozen=True)
-class QubitSlice:
+
+class QubitSlice(NamedTuple):
     index: int
     cases: tuple[SliceCase, ...]
+
+    __add__ = __mul__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = undefined_operator
 
 
 def _is_inequality(c: A.VarCon) -> bool:
@@ -136,12 +138,13 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
         itertools.product(*[((name, 0), (name, 1)) for name in outer]),
         _values(len(outer))))
 
+    new = tuple.__new__
     by_column: dict[tuple[str, ...], tuple[SliceCase, ...]] = {}
     slices: list[QubitSlice] = []
     for j in range(1, ell + 1):
         column = tuple(bits[j - 1] for bits in constants)
         if column in by_column:
-            slices.append(QubitSlice(j, by_column[column]))
+            slices.append(new(QubitSlice, (j, by_column[column])))
             continue
         eqs = [(at_outer[c.var], int(c.bits[j - 1])) for c in pred_eq]
         programs = [
@@ -166,14 +169,14 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
                     # One atom's itemgetter returns its character alone,
                     # which joins to itself.
                     key = "".join(pattern(chars))
-                    d = ValAmp(((tag, tuple([chars[p] != chars[q]
-                                             for p, q in neqs])),))
+                    d = new(ValAmp, (((tag, tuple([chars[p] != chars[q]
+                                                   for p, q in neqs])),),))
                     amp[key] = valamp_add(amp[key], d) if key in amp else d
             # Each entry holds a term's record, so none is zero.
-            cases.append(SliceCase(assignment, StateVector(
-                n_slot, tuple(sorted(amp.items())))))
+            cases.append(new(SliceCase, (assignment, new(StateVector, (
+                n_slot, tuple(sorted(amp.items())))))))
         by_column[column] = tuple(cases)
-        slices.append(QubitSlice(j, by_column[column]))
+        slices.append(new(QubitSlice, (j, by_column[column])))
     return table, slices
 
 

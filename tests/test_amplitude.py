@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from lstaq.amplitude import (
     AC_I,
+    AC_INV_SQRT2,
     AC_OMEGA,
     AC_ONE,
     AC_SQRT2,
@@ -367,10 +368,25 @@ def _add_by_steps(x: AlgebraicComplex, y: AlgebraicComplex) -> AlgebraicComplex:
     return _make_by_steps(*(i + j for i, j in zip(p, q)), k)
 
 
+def _mul_omega_by_loop(x, y):
+    """The product of two numerators in Z[w], one power of w at a time."""
+    out = [0, 0, 0, 0]
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            e = i + j
+            coef = xi * yj
+            if e >= 4:
+                e -= 4
+                coef = -coef
+            out[e] += coef
+    return out[0], out[1], out[2], out[3]
+
+
 def _div_by_steps(x: AlgebraicComplex, y: AlgebraicComplex) -> AlgebraicComplex:
+    """The quotient through the Galois-conjugate inverse, for every divisor."""
     u = (y.a, y.b, y.c, y.d)
-    p = _mul_omega_poly(_sigma3(u), _mul_omega_poly(_sigma5(u), _sigma7(u)))
-    n = _mul_omega_poly(u, p)[0]
+    p = _mul_omega_by_loop(_sigma3(u), _mul_omega_by_loop(_sigma5(u), _sigma7(u)))
+    n = _mul_omega_by_loop(u, p)[0]
     sign = 1 if n > 0 else -1
     n *= sign
     t = 0
@@ -380,7 +396,7 @@ def _div_by_steps(x: AlgebraicComplex, y: AlgebraicComplex) -> AlgebraicComplex:
     if n != 1:
         return None
     inv = _make_by_steps(*(sign * v for v in p), 2 * t - y.k)
-    num = _mul_omega_poly((x.a, x.b, x.c, x.d), (inv.a, inv.b, inv.c, inv.d))
+    num = _mul_omega_by_loop((x.a, x.b, x.c, x.d), (inv.a, inv.b, inv.c, inv.d))
     return _make_by_steps(*num, x.k + inv.k)
 
 
@@ -394,6 +410,12 @@ def test_arithmetic_equals_its_one_step_form():
     rng = random.Random(0x5A72)
     units = [AlgebraicComplex.make(1, 0, 0, 0, k) for k in range(-3, 4)]
     units += [AC_OMEGA, AC_I, AlgebraicComplex.make(1, 1, 0, 0), AlgebraicComplex.make(3, 0, 2, 0)]
+    # sqrt2, 2^h and 2^h * sqrt2, each also over sqrt2^k, which division
+    # takes as a shift of k, and two negatives, which it does not.
+    units += [AC_SQRT2, -AC_SQRT2, AlgebraicComplex.from_int(-2)]
+    units += [AlgebraicComplex.make(1 << h, 0, 0, 0, k) for h in range(6) for k in (0, 1, 5)]
+    units += [AlgebraicComplex.make(0, 1 << h, 0, -(1 << h), k)
+              for h in range(6) for k in (0, 2, 5)]
     for _ in range(3000):
         num = [_component(rng) for _ in range(4)]
         k = rng.randint(-6, 30)
@@ -412,6 +434,16 @@ def test_arithmetic_equals_its_one_step_form():
                 assert x / u == want, (x, u)
 
 
+_big = st.integers(min_value=-(1 << 200), max_value=1 << 200)
+_numerators = st.tuples(_big, _big, _big, _big)
+
+
+@settings(max_examples=300)
+@given(_numerators, _numerators)
+def test_omega_product_equals_its_loop_form(x, y):
+    assert _mul_omega_poly(x, y) == _mul_omega_by_loop(x, y)
+
+
 @pytest.mark.parametrize("text", [
     "{ 1/2^32768 |0> }",
     "{ (sqrt2^65535 + 1/sqrt2^65535) |0> }",
@@ -420,3 +452,48 @@ def test_whole_powers_of_two_are_prompt(text):
     t0 = time.perf_counter()
     translate([parse(text)])
     assert time.perf_counter() - t0 < 1.0
+
+
+# ---------------------------------------------------------------------------
+# Values are tuples that keep the behaviour of plain records.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("expr", [
+    lambda: 2 * AC_ONE,
+    lambda: 2 * POLY_ONE,
+    lambda: VAL_ZERO + VAL_ZERO,
+    lambda: VAL_ZERO * 2,
+    lambda: 2 * VAL_ZERO,
+    lambda: AC_ONE < AC_I,
+    lambda: POLY_ZERO <= POLY_ONE,
+    lambda: VAL_ZERO > VAL_ZERO,
+    lambda: sorted([(0, AC_ONE), (0, AC_I)]),
+])
+def test_tuple_operators_are_not_lent_to_values(expr):
+    with pytest.raises(TypeError):
+        expr()
+
+
+def test_value_reprs_name_their_fields():
+    assert repr(AC_INV_SQRT2) == "AlgebraicComplex(a=1, b=0, c=0, d=0, k=1)"
+    assert repr(POLY_ONE) == (
+        "AmplitudePoly(terms=(((), AlgebraicComplex(a=1, b=0, c=0, d=0, k=0)),))")
+    assert repr(AmplitudePoly.var("a")) == (
+        "AmplitudePoly(terms=(((('a', 1),), AlgebraicComplex(a=1, b=0, c=0, d=0, k=0)),))")
+    assert repr(VAL_ZERO) == "ValAmp(entries=())"
+    assert repr(ValAmp.of({2: (True, False)})) == "ValAmp(entries=((2, (True, False)),))"
+
+
+@pytest.mark.parametrize("cls", [AlgebraicComplex, AmplitudePoly, ValAmp])
+def test_values_hash_and_compare_as_tuples(cls):
+    # A Python-level __hash__ or __eq__ would run a frame on every lookup.
+    assert cls.__hash__ is tuple.__hash__
+    assert cls.__eq__ is tuple.__eq__
+    assert cls.__ne__ is tuple.__ne__
+
+
+def test_values_are_equal_by_fields_across_classes():
+    assert POLY_ZERO == VAL_ZERO and hash(POLY_ZERO) == hash(VAL_ZERO)
+    assert AlgebraicComplex.make(2, 0, 0, 0, 2) == AC_ONE
+    assert AC_ONE / AlgebraicComplex.from_int(4) == AlgebraicComplex(1, 0, 0, 0, 4)

@@ -6,6 +6,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -132,8 +133,9 @@ def test_oracle_sets_past_the_assignment_budget_exit_4_within_two_seconds(
                            f" over the limit of {MAX_SET_ASSIGNMENTS}\n")
 
 
-# Each ran past 20 seconds.  A power builds its product one factor at a
-# time, so 10 members ^ 6 is refused at the fifth factor, 10^5 products.
+# Each ran past 20 seconds.  The count is the running product of the
+# factors' set sizes, so 10 members ^ 6 is refused at the fifth factor,
+# 10^5 products.
 @pytest.mark.parametrize("cap, text, count", [
     ("12", "{ |x> + |y> : |x| = 2, |y| = 2 } ^ 6", 10 ** 5),
     ("30", "{ |x> : |x| = 15 } ^ 2", 2 ** 30),
@@ -146,6 +148,32 @@ def test_oracle_products_past_the_budget_exit_4_within_two_seconds(
     assert done.stdout == ""
     assert done.stderr == (f"error: the oracle needs {count} products for one tensor"
                            f" of sets, over the limit of {MAX_SET_ASSIGNMENTS}\n")
+
+
+_TEN_MEMBERS = "{ |x> + |y> : |x| = 2, |y| = 2 }"
+
+
+# Each spent about 1 s building the 10^4 products of four factors first.
+@pytest.mark.parametrize("text", [f"{_TEN_MEMBERS} ^ 6", " (x) ".join([_TEN_MEMBERS] * 5)],
+                         ids=["power", "tensor"])
+def test_oracle_products_are_refused_before_any_is_built(tmp_path, capsys, monkeypatch, text):
+    spent = []
+
+    def timed_denote(*args, **kwargs):
+        t0 = time.process_time()
+        try:
+            return denote(*args, **kwargs)
+        finally:
+            spent.append(time.process_time() - t0)
+
+    denote = lstaq.cli.denote
+    monkeypatch.setattr(lstaq.cli, "denote", timed_denote)
+    assert main(["oracle", spec_file(tmp_path, text), "--cap", "30"]) == 4
+    assert len(spent) == 1 and spent[0] < 0.3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the oracle needs 100000 products for one tensor"
+                            f" of sets, over the limit of {MAX_SET_ASSIGNMENTS}\n")
 
 
 def test_an_oracle_product_within_the_budget_still_lists(tmp_path, capsys):

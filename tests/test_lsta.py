@@ -593,6 +593,29 @@ def test_substitute_state_drops_vanishing_entries():
     assert out == vec(1, {"1": "1"})
 
 
+@pytest.mark.parametrize("expr", [
+    lambda: StateVector(1, ()) * 2,
+    lambda: 2 * StateVector(1, ()),
+    lambda: StateVector(1, ()) + StateVector(1, ()),
+    lambda: StateVector(1, ()) < StateVector(2, ()),
+    lambda: sorted({vec(1, {"0": "1"}), vec(1, {"1": "1"})}),
+])
+def test_tuple_operators_are_not_lent_to_state_vectors(expr):
+    with pytest.raises(TypeError):
+        expr()
+
+
+def test_state_vectors_hash_and_compare_as_tuples():
+    # A mismatch witness prints this repr; a Python-level hash or equality
+    # would run a frame on every set lookup of the oracle.
+    assert repr(vec(1, {"1": "1"})) == (
+        "StateVector(n=1, entries=(('1', AmplitudePoly(terms=(((), "
+        "AlgebraicComplex(a=1, b=0, c=0, d=0, k=0)),))),))")
+    assert StateVector.__hash__ is tuple.__hash__
+    assert StateVector.__eq__ is tuple.__eq__
+    assert StateVector.__ne__ is tuple.__ne__
+
+
 def test_substitute_state_keeps_unbound_variables_an_error():
     sv = StateVector.of(1, {"0": AmplitudePoly.var("a"),
                             "1": AmplitudePoly.var("b")}, COMPLEX)

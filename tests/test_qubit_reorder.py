@@ -385,3 +385,24 @@ def test_slice_assignment_count_is_checked_against_the_limit(monkeypatch):
     monkeypatch.setattr(qubit_reorder, "MAX_SLICE_ASSIGNMENTS", 3)
     with pytest.raises(LimitExceededError, match="needs 4 assignments"):
         translate([parse(src)])
+
+
+@pytest.mark.parametrize("expr", [
+    lambda: SliceCase((), StateVector(1, ())) + SliceCase((), StateVector(1, ())),
+    lambda: 2 * SliceCase((), StateVector(1, ())),
+    lambda: QubitSlice(1, ()) * 2,
+    lambda: QubitSlice(1, ()) < QubitSlice(2, ()),
+])
+def test_tuple_operators_are_not_lent_to_slice_records(expr):
+    with pytest.raises(TypeError):
+        expr()
+
+
+def test_slice_records_hash_and_compare_as_tuples():
+    case = SliceCase((("x", 0),), StateVector(1, (("0", VAL_ZERO),)))
+    assert repr(QubitSlice(2, (case,))) == (
+        "QubitSlice(index=2, cases=(SliceCase(assignment=(('x', 0),), "
+        "state=StateVector(n=1, entries=(('0', ValAmp(entries=())),))),))")
+    for cls in (SliceCase, QubitSlice):
+        assert cls.__hash__ is tuple.__hash__
+        assert cls.__eq__ is tuple.__eq__

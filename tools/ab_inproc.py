@@ -5,23 +5,28 @@ Run it from any checkout as::
     python3 tools/ab_inproc.py --a ../parent --b . --workload cases --seed 5 --passes 20
 
 It loads ``src/lstaq`` of checkout A as the package ``lstaq_a`` and that of
-checkout B as ``lstaq_b``, side by side.  Each side's jobs are built by
+checkout B as ``lstaq_b``, side by side, and checkout A a second time as
+``lstaq_a2``, the A/A control.  Each side's jobs are built by
 ``perfbench/workloads.py`` of this checkout, with ``lstaq`` and
 ``lstaq.lsta`` aliased to that side's modules while they are built, so
-both sides run the same inputs.  It then times whole passes over each
-side's jobs in CPU seconds, alternating which side goes first, and prints
-each side's min and median pass time and the quartiles of the paired
-ratio B/A, with how many passes B was faster.  Pairing passes that ran
-back to back cancels most of a shared machine's drift, so effects of a
-few percent show in 20 passes where separate processes need many runs.
+all sides run the same inputs.  It then times whole passes over each
+side's jobs in CPU seconds, each pass running every side once and the
+order rotating by one side a pass, so each side goes first equally often.
+It prints each side's min and median pass time and the quartiles of the
+paired ratios B/A and A2/A, with how many passes the numerator was
+faster.  A2 runs A's code from its own module objects, so A2/A shows how
+far two copies of one program read apart here: a B/A median inside A2/A's
+quartiles is no effect.  Pairing passes that ran back to back cancels
+most of a shared machine's drift, so effects of a few percent show in 20
+passes where separate processes need many runs.
 ``--jobs PREFIX`` times only the jobs whose label starts with ``PREFIX``
 (``--workload verify --jobs check/random`` times the differential checks
 of random specs), so a change to one layer can be timed on the jobs that
 reach it.
 
-Both heaps live in one process, so each side's cyclic collections also
-walk the other side's objects, and a side that allocates more triggers
-collections the other pays for.  GC timings here are distorted: measure
+All heaps live in one process, so each side's cyclic collections also
+walk the other sides' objects, and a side that allocates more triggers
+collections the others pay for.  GC timings here are distorted: measure
 a change to collector behaviour with ``perfbench/run.py`` instead.
 """
 
@@ -86,24 +91,26 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def compare(a_jobs, b_jobs, passes: int) -> dict[str, list[float]]:
-    """Pass times per side, the side going first alternating each pass."""
-    times: dict[str, list[float]] = {"A": [], "B": []}
-    sides = [("A", a_jobs), ("B", b_jobs)]
+def compare(sides: dict[str, list], passes: int) -> dict[str, list[float]]:
+    """Pass times per side; pass ``k`` starts ``k`` sides further along."""
+    names = list(sides)
+    times: dict[str, list[float]] = {name: [] for name in names}
     for k in range(passes):
-        for side, jobs in sides if k % 2 == 0 else sides[::-1]:
-            times[side].append(run_pass(jobs))
+        r = k % len(names)
+        for name in names[r:] + names[:r]:
+            times[name].append(run_pass(sides[name]))
     return times
 
 
 def report(times: dict[str, list[float]]) -> list[str]:
     lines = [f"{side}: min {min(ts):.4f} s  median {statistics.median(ts):.4f} s"
              f"  ({len(ts)} passes)" for side, ts in times.items()]
-    ratios = [b / a for a, b in zip(times["A"], times["B"])]
-    q1, q2, q3 = quartiles(ratios)
-    faster = sum(r < 1 for r in ratios)
-    lines.append(f"B/A: q1 {q1:.3f}  median {q2:.3f}  q3 {q3:.3f}"
-                 f"  (B faster in {faster} of {len(ratios)})")
+    for side in ("B", "A2"):
+        ratios = [x / a for a, x in zip(times["A"], times[side])]
+        q1, q2, q3 = quartiles(ratios)
+        faster = sum(r < 1 for r in ratios)
+        lines.append(f"{side}/A: q1 {q1:.3f}  median {q2:.3f}  q3 {q3:.3f}"
+                     f"  ({side} faster in {faster} of {len(ratios)})")
     return lines
 
 
@@ -118,17 +125,18 @@ def main(argv=None) -> int:
                    help="time only the jobs whose label starts with PREFIX")
     args = p.parse_args(argv)
     sys.path.insert(0, str(ROOT / "perfbench"))
-    a_jobs = build_jobs(load(args.a, "lstaq_a"), args.workload, args.seed, args.jobs)
-    b_jobs = build_jobs(load(args.b, "lstaq_b"), args.workload, args.seed, args.jobs)
-    if not a_jobs:
+    sides = {side: build_jobs(load(checkout, name), args.workload, args.seed, args.jobs)
+             for side, checkout, name in (("A", args.a, "lstaq_a"), ("B", args.b, "lstaq_b"),
+                                          ("A2", args.a, "lstaq_a2"))}
+    if not sides["A"]:
         raise SystemExit(f"no {args.workload} job label starts with {args.jobs!r}")
     # What the jobs keep is frozen out of the collector's scans, as the
     # harness does after its set-up.
     gc.collect()
     gc.freeze()
-    title = f"{args.workload}, seed {args.seed}, {len(a_jobs)} jobs a pass"
+    title = f"{args.workload}, seed {args.seed}, {len(sides['A'])} jobs a pass"
     print(title + (f", labels starting {args.jobs}" if args.jobs else ""))
-    print("\n".join(report(compare(a_jobs, b_jobs, args.passes))))
+    print("\n".join(report(compare(sides, args.passes))))
     return 0
 
 
