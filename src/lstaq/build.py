@@ -7,9 +7,12 @@ and ``union_all`` and the two amplitude-domain crossings (``filter_f``,
 ``filter_tau``).  A slice's cases are written straight into their union,
 one levelwise automaton each, by :func:`build_setq_lsta` in one pass.
 Neither construction nor composition re-checks its results: ``validate``
-runs once on each finished assertion automaton.  Qubit slices with the
-same member states recur across qubit positions and sets; each distinct
-one is built once per call and passed wherever it recurs.
+runs once on each finished assertion automaton.  A call keeps one table:
+slice automata keyed by their member states, and compositions and crossings
+keyed by operation, operand ids in order and any value read besides them
+(``filter_tau``'s amplitudes).  What recurs across positions, sets or
+assertions is built once; an entry stores its operands, so no id it is
+keyed by is reused while the call runs.
 
 :func:`translate` runs with the cyclic collector paused, as one bulk
 build: the tens of thousands of transition records it makes live until it
@@ -323,9 +326,19 @@ def _translate(asts: Sequence[A.AssertionAst]) -> TranslationResult:
         for s, ids in enumerate(slot_ids))
     permutation = qubit_permutation(aligned.partition, orders)
 
-    # Slice automata by their member states, shared by the whole call:
-    # tensor_chain only reads its pieces, so one object may recur.
-    slice_autos: dict[tuple[StateVector, ...], Lsta] = {}
+    # (operands, result) entries.  Compositions only read their operands, so
+    # a result serves wherever the same objects recur in the same order (a
+    # union numbers root choices in piece order); the stored operands keep
+    # their ids from reuse.  Slice automata are keyed by their member states.
+    table: dict[tuple, tuple] = {}
+
+    def shared(op, operands, make, *values):
+        key = (op, *map(id, operands), *values)
+        hit = table.get(key)
+        if hit is None:
+            hit = table[key] = (operands, make())
+        return hit[1]
+
     results: list[AssertionResult] = []
     for idx, assertion in enumerate(aligned.assertions):
         ta = time.perf_counter()
@@ -345,30 +358,29 @@ def _translate(asts: Sequence[A.AssertionAst]) -> TranslationResult:
                     for sl in slices:
                         piece = by_cases.get(id(sl.cases))
                         if piece is None:
-                            states = tuple(c.state for c in sl.cases)
-                            piece = slice_autos.get(states)
-                            if piece is None:
-                                piece = slice_autos[states] = build_setq_lsta(
-                                    states, VALUATION)
+                            key = ("slice", tuple(c.state for c in sl.cases))
+                            hit = table.get(key)
+                            if hit is None:
+                                hit = table[key] = ((), build_setq_lsta(key[1], VALUATION))
                                 n_built += 1
-                            by_cases[id(sl.cases)] = piece
+                            piece = by_cases[id(sl.cases)] = hit[1]
                         pieces.append(piece)
                     n_slices += len(pieces)
-                    mq, peak = tensor_chain(pieces)
+                    mq, peak = shared("tensor", pieces, lambda: tensor_chain(pieces))
                     peaks["slice"] = max(peaks["slice"], peak)
-                    mv = map_leaves(mq, filter_f, TAG)
+                    mv = shared("filter_f", (mq,), lambda: map_leaves(mq, filter_f, TAG))
                     peaks["setv"] = max(peaks["setv"], mv.size)
                     mv_autos.append(mv)
-                amplitudes = [t.amplitude for t in sp.terms]
-                mp = map_leaves(
-                    tensor_chain(mv_autos)[0],
-                    lambda e, _a=amplitudes: filter_tau(e, _a), COMPLEX)
+                amplitudes = tuple(t.amplitude for t in sp.terms)
+                mt = shared("tensor", mv_autos, lambda: tensor_chain(mv_autos))[0]
+                mp = shared("filter_tau", (mt,), lambda: map_leaves(
+                    mt, lambda e: filter_tau(e, amplitudes), COMPLEX), *amplitudes)
                 peaks["setp"] = max(peaks["setp"], mp.size)
                 alt_autos.append(mp)
-            seg_auto = union_all(alt_autos)
+            seg_auto = shared("union", alt_autos, lambda: union_all(alt_autos))
             peaks["segment"] = max(peaks["segment"], seg_auto.size)
             seg_autos.append(seg_auto)
-        final = tensor_chain(seg_autos)[0]
+        final = shared("tensor", seg_autos, lambda: tensor_chain(seg_autos))[0]
         validate(final)
         stats = measure(canon[idx], aligned.partition.total_qubits, final,
                         peaks, time.perf_counter() - ta)

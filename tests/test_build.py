@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+from collections import Counter
 
 import pytest
 
@@ -26,7 +27,15 @@ from lstaq.build import (
 )
 from lstaq.cli import bench_sources
 from lstaq.errors import EmptyStateError, InternalError, SegmentLengthMismatchError
-from lstaq.lsta import Internal, Leaf, StateVector, enumerate_language, mk_lsta, validate
+from lstaq.lsta import (
+    Internal,
+    Leaf,
+    StateVector,
+    enumerate_language,
+    mk_lsta,
+    validate,
+    write_lsta,
+)
 from lstaq.oracle import differential_check
 from lstaq.parser import parse
 from tests.conftest import canonical_form, cpoly, vec
@@ -327,6 +336,51 @@ def test_translate_validates_each_finished_assertion_once(monkeypatch):
         assert len(calls) == len(sources)
         assert all(got is ar.automaton
                    for got, ar in zip(calls, result.assertions))
+
+
+# Assertions whose alignment does not depend on their partners, so each one
+# translates alone to the same bytes as in the group.  Within a group they
+# share operand automata but differ in a value a composition reads: the
+# amplitudes filter_tau sums, the order union_all numbers root choices in,
+# and the valuations filter_f keeps.
+@pytest.mark.parametrize("sources", [
+    ["{ a |0 x> + b |1 x> : |x| = 1 }", "{ c |0 x> + d |1 x> : |x| = 1 }"],
+    ["{ |0 x> : |x| = 1 } \\/ { |1 x> : |x| = 1 }",
+     "{ |1 x> : |x| = 1 } \\/ { |0 x> : |x| = 1 }"],
+    # One slot component with or without the inequality.
+    ["{ |x y> + |y x> : |x| = 1, |y| = 1 }",
+     "{ |x y> + |y x> : |x| = 1, |y| = 1, x != y }"],
+], ids=["amplitudes", "union-order", "constraint"])
+def test_shared_compositions_never_cross_a_value_difference(sources):
+    group = translate([parse(src) for src in sources])
+    for src, ar in zip(sources, group.assertions):
+        alone = translate([parse(src)])
+        assert write_lsta(ar.automaton, group.qubits) == write_lsta(
+            alone.assertions[0].automaton, alone.qubits)
+    texts = [write_lsta(ar.automaton, group.qubits) for ar in group.assertions]
+    assert len(set(texts)) == len(texts)
+
+
+def test_identical_assertions_share_every_composition(monkeypatch):
+    import lstaq.build as build
+
+    calls: Counter[str] = Counter()
+    for name in ("tensor_chain", "map_leaves", "union_all", "validate"):
+        def call(*args, _fn=getattr(build, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(build, name, call)
+
+    keep = bench_sources("mctoffoli", 8)[0][0]
+    translate([parse(keep)])
+    once = calls.copy()
+    calls.clear()
+    result = translate([parse(keep), parse(keep)])
+    assert once.pop("validate") == 1 and calls.pop("validate") == 2
+    assert set(once) == {"tensor_chain", "map_leaves", "union_all"}
+    assert calls == once
+    first, second = result.assertions
+    assert first.automaton is second.automaton
 
 
 @pytest.mark.parametrize("enabled", [True, False])
