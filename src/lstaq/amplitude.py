@@ -328,14 +328,20 @@ class AmplitudePoly(NamedTuple):
     def __sub__(self, other: "AmplitudePoly") -> "AmplitudePoly":
         return self + (-other)
 
-    def __mul__(self, other: "AmplitudePoly") -> "AmplitudePoly":
-        """The product; raises :class:`LimitExceededError` when it would
-        multiply more than ``_MAX_TERM_PAIRS`` pairs of terms."""
+    def term_pairs(self, other: "AmplitudePoly") -> int:
+        """How many pairs of terms ``self * other`` multiplies; raises
+        :class:`LimitExceededError` when that is more than
+        ``_MAX_TERM_PAIRS``."""
         pairs = len(self.terms) * len(other.terms)
         if pairs > _MAX_TERM_PAIRS:
             raise LimitExceededError(
                 _MAX_TERM_PAIRS, f"an amplitude product of {pairs} term pairs is over "
                 f"the limit of {_MAX_TERM_PAIRS}")
+        return pairs
+
+    def __mul__(self, other: "AmplitudePoly") -> "AmplitudePoly":
+        """The product, refused as :meth:`term_pairs` says."""
+        self.term_pairs(other)
         acc: dict[Monomial, AlgebraicComplex] = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
@@ -356,14 +362,19 @@ class AmplitudePoly(NamedTuple):
             if not self.is_constant:
                 raise ExactDivisionError("negative power of a non-constant amplitude")
             return AmplitudePoly.const(self.constant_value ** n)
+        return self.power(n, AmplitudePoly.__mul__)
+
+    def power(self, n: int, times: Callable) -> "AmplitudePoly":
+        """``self ** n`` for ``n >= 0`` by repeated squaring, each product
+        taken as ``times(x, y)``, so that a caller can count them."""
         out = AmplitudePoly.from_int(1)
         base = self
         while n:
             if n & 1:
-                out = out * base
+                out = times(out, base)
             n >>= 1
             if n:
-                base = base * base
+                base = times(base, base)
         return out
 
     __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = undefined_operator

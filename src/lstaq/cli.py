@@ -2,7 +2,8 @@
 
 Exit codes follow the error taxonomy: 1 syntax, 2 well-formedness,
 3 alignment, 4 internal invariant or resource limit (also used when
-``--check-oracle`` finds a mismatch or an input file cannot be read).
+``--check-oracle`` finds a mismatch, an input file cannot be read or an
+output cannot be written).
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ def _parse_theta(bindings: list[str]) -> Valuation | None:
 
 def cmd_translate(args: argparse.Namespace) -> int:
     asts = parse_many(_read_source(args.file))
+    # A malformed --theta is refused before anything is written.
+    theta = _parse_theta(args.theta) if args.check_oracle else None
     result = translate(asts)
 
     automata = []
@@ -73,13 +76,17 @@ def cmd_translate(args: argparse.Namespace) -> int:
             sys.stdout.write(render_slices(v, table, slices))
     if args.out:
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
         stem = Path(args.file).stem
-        for i, text in enumerate(automata):
-            (outdir / f"{stem}_{i}.lsta").write_text(text)
-        (outdir / f"{stem}.perm").write_text(perm_report)
-        if args.stats:
-            (outdir / f"{stem}.stats").write_text(render_stats(result))
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            for i, text in enumerate(automata):
+                (outdir / f"{stem}_{i}.lsta").write_text(text)
+            (outdir / f"{stem}.perm").write_text(perm_report)
+            if args.stats:
+                (outdir / f"{stem}.stats").write_text(render_stats(result))
+        except OSError as err:
+            raise LstaqError(f"cannot write {err.filename or args.out!r}: "
+                             f"{err.strerror}") from err
     else:
         for text in automata:
             sys.stdout.write(text)
@@ -88,7 +95,6 @@ def cmd_translate(args: argparse.Namespace) -> int:
             sys.stdout.write(render_stats(result))
 
     if args.check_oracle:
-        theta = _parse_theta(args.theta)
         report = differential_check(
             asts, thetas=None if theta is None else [theta], cap=args.cap)
         print(report)

@@ -31,15 +31,16 @@ adds one fresh root that selects between the operands' root transitions
 (translation uses it for the alternatives of a segment; the members of one
 set are written into their union directly, by ``build.build_setq_lsta``), and
 :func:`tensor_chain` grafts each operand in turn, one scaled copy per
-distinct leaf value of what came before.  Each graft it builds plans its
-operand, so a copy is numbered in the plan's local id order, and it
-merges a copy's interchangeable leaf states as the copy is grafted; its
-peak is the largest intermediate size of a left fold of binary tensors,
-counted before its merges.  Once a run of one operand object grafts onto
-its first graft's frontier shifted, the rest of the run is placed by integer
-arithmetic and written out in one pass, as shifted copies of that graft,
-with leaf transitions only for the run's last graft.  Both cost time
-linear in the size of their result.
+distinct leaf value of what came before.  Each graft plans its operand,
+so a copy is numbered in the plan's local id order, and it merges a copy's
+interchangeable leaf states as the copy is grafted; its peak is the largest
+intermediate size of a left fold of binary tensors, counted before its
+merges.  A graft whose leaves have its frontier's shape starts a run of one
+operand object: each further merged graft of it finds that frontier again,
+shifted, so the whole run is placed by integer arithmetic and written out
+in one pass, as shifted copies of that graft, with leaf transitions only
+for the run's last graft.  Both cost time linear in the size of their
+result.
 They assert their size bounds but do not :func:`validate` their results;
 callers validate a finished automaton once.  Neither changes its operands,
 so the same automaton object may be passed several times, as translation
@@ -479,24 +480,15 @@ def union(a: Lsta, b: Lsta) -> Lsta:
     return union_all([a, b])
 
 
-class _Plan(NamedTuple):
-    """How one piece is grafted, over local ids: its ids without the
-    root's, so those above the root move down by one.
+def _plan(b: Lsta) -> tuple:
+    """How ``b`` is grafted, over local ids: its ids without the root's, so
+    those above the root move down by one.  A copy numbers its states in
+    local id order, each merged state taking none.
 
-    A copy numbers its states in local id order, each merged state taking
-    none.  Root transitions hold their choices as indexes into the sorted
-    root choices.
+    Returns the number of local ids; the root transitions, their choices as
+    indexes into the sorted root choices; the inner and the leaf
+    transitions; the number of root choices; and the largest inner choice.
     """
-
-    n_states: int
-    roots: list[tuple[tuple[int, ...], int, int]]
-    inner: list[tuple[int, frozenset[int], int, int]]
-    leaves: list[tuple[int, frozenset[int], object]]
-    width: int
-    inner_max: int
-
-
-def _plan(b: Lsta) -> _Plan:
     local = [s - (s > b.root) for s in range(len(b.states))]
     root_trans = [t for t in b.internal if t.top == b.root]
     if not root_trans:
@@ -508,7 +500,7 @@ def _plan(b: Lsta) -> _Plan:
              for t in b.internal if t.top != b.root]
     leaves = [(local[t.top], t.choices, t.amplitude) for t in b.leaves]
     inner_max = max((c for _t, cs, _l, _r in inner for c in cs), default=0)
-    return _Plan(len(local) - 1, roots, inner, leaves, len(index), inner_max)
+    return len(local) - 1, roots, inner, leaves, len(index), inner_max
 
 
 def _signatures(leaves, inner_tops: set[int]) -> dict[int, frozenset]:
@@ -592,9 +584,9 @@ def _emit(tpl: _Template, placements: list[tuple[int, int, int]],
     return [new(Leaf, (off + a, c, p)) for a, c, p in tpl.leaves]
 
 
-def _shape(leaves: list[Leaf]) -> list[tuple]:
+def _shape(leaves: list[tuple]) -> list[tuple]:
     """A frontier up to one offset of its tops: equal shapes graft alike."""
-    return [(t.top - leaves[0].top, t.choices, t.amplitude) for t in leaves]
+    return [(a - leaves[0][0], c, p) for a, c, p in leaves]
 
 
 def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
@@ -620,30 +612,27 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
     intermediate size of a left fold of binary tensors, which merges each
     accumulator before grafting onto it, counted before its merges.
 
-    Each graft that builds a template plans its piece, as transitions over
-    local ids that a copy numbers in order, and computes the scaled leaf
-    transitions and their signatures once per leaf value; a replayed graft
-    reuses its run's plan.  ``pieces`` are only read, so one automaton may
-    appear in several positions.  Each product of a leaf value and a leaf
-    amplitude is computed once per call, however often the pair recurs:
-    ``products`` is the one table the call keeps.
+    Each graft plans its piece, as transitions over local ids that a copy
+    numbers in order, and computes the scaled leaf transitions and their
+    signatures once per leaf value.  ``pieces`` are only read, so one
+    automaton may appear in several positions.  Each product of a leaf value
+    and a leaf amplitude is computed once per call, however often the pair
+    recurs: ``products`` is the one table the call keeps.
 
     A graft is a :class:`_Template` written out by :func:`_emit` at a
     placement: its first fresh id, first fresh choice and frontier's first
-    top.  A run of one piece object replays the first graft's template.
-    When the run's next merged graft finds the template's frontier with
-    every top moved by one offset (equal choices and amplitudes, in order),
-    the rest of the run is placed in one pass, up to but not including the
-    unmerged last graft: a replay's leaves are the template's shifted, so
-    every later graft of the run finds its frontier shifted too.  The
-    placements are integer arithmetic.  The first fresh id moves by the
-    template's ids; the frontier's first top is the previous placement plus
-    the template's first leaf; and the largest choice is recomputed at each
-    placement, not shifted, because the piece's inner choices may exceed the
-    interface.  One :func:`_emit` call then writes every placement, and
-    builds leaf transitions only for the last, since the others' leaves are
-    only the next graft's frontier.  The size bound is asserted for every
-    graft.
+    top.  A merged graft whose leaves have its frontier's shape (every top
+    moved by one offset, equal choices and amplitudes, in order) starts a
+    run: each further merged graft of the same piece object finds that
+    frontier again, shifted, so its template places the whole run, up to
+    but not including the unmerged last graft.  The placements are integer
+    arithmetic.  The first fresh id moves by the template's ids; the
+    frontier's first top is the previous placement plus the template's
+    first leaf; and the largest choice is recomputed at each placement, not
+    shifted, because the piece's inner choices may exceed the interface.
+    One :func:`_emit` call then writes every placement, and builds leaf
+    transitions only for the last, since the others' leaves are only the
+    next graft's frontier.  The size bound is asserted for every graft.
     """
     if not pieces:
         raise InternalError("tensor product of no automata")
@@ -664,52 +653,46 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
         return got
 
     last = len(pieces) - 1
-    replay: tuple | None = None  # piece, plan, template, frontier shape
     step = 1
     while step <= last:
         b = pieces[step]
+        if b.semiring != semiring:
+            raise InternalError("cannot tensor automata over different semirings")
+        n_states, roots, inner, b_leaves, width, inner_max = _plan(b)
+        inner_tops = {t for t, _c, _l, _r in inner}
+        values = {v: vi for vi, v in enumerate(dict.fromkeys(t.amplitude for t in leaves))}
+        reps: dict[frozenset, int] = {}
+        n_ids = 0
+        moves, grafted, copy_roots, sets = [], [], [], []
+        for v in values:
+            scaled = [(a, c, product(v, amplitude)) for a, c, amplitude in b_leaves]
+            sigs = _signatures(scaled, inner_tops) if step < last else {}
+            ids, merged = _number(n_states, sigs, reps, n_ids)
+            n_ids += n_states - len(merged)
+            moves += [(False, ids[t], c, ids[l], ids[r]) for t, c, l, r in inner]
+            grafted += [(ids[a], c, p) for a, c, p in scaled if a not in merged]
+            copy_roots.append([(j, ids[l], ids[r]) for j, (_cs, l, r) in enumerate(roots)])
         front = leaves[0].top if leaves else 0
+        ex_index = {c: i for i, c in enumerate(sorted({c for t in leaves for c in t.choices}))}
+        set_index: dict[frozenset, int] = {}
+        for lt in leaves:
+            k = set_index.get(lt.choices)
+            if k is None:
+                k = set_index[lt.choices] = len(sets)
+                starts = [ex_index[ca] * width for ca in lt.choices]
+                sets += [tuple(s + i for s in starts for i in cs) for cs, _l, _r in roots]
+            moves += [(True, lt.top - front, k + j, l, r)
+                      for j, l, r in copy_roots[values[lt.amplitude]]]
+        # Every frontier choice and every root choice index occurs.
+        tpl = _Template(len(values), n_ids, moves, grafted, sets, len(ex_index) * width - 1)
         end = step + 1
-        if replay and replay[0] is b and step < last and replay[3] == _shape(leaves):
-            # The frontier recurs shifted, so every further merged graft of
-            # b is a replay too: place the rest of the run now.
-            plan, tpl, replay = replay[1], replay[2], None
+        if end < last and pieces[end] is b and _shape(grafted) == _shape(leaves):
+            # The graft's leaves are its frontier shifted, so each further
+            # merged graft of b finds that frontier again: place the run now.
             while end < last and pieces[end] is b:
                 end += 1
-        else:
-            if b.semiring != semiring:
-                raise InternalError("cannot tensor automata over different semirings")
-            plan = _plan(b)
-            inner_tops = {t for t, _c, _l, _r in plan.inner}
-            values = {v: vi for vi, v in enumerate(dict.fromkeys(t.amplitude for t in leaves))}
-            reps: dict[frozenset, int] = {}
-            n_ids = 0
-            moves, grafted, copy_roots, sets = [], [], [], []
-            for v in values:
-                scaled = [(a, c, product(v, amplitude)) for a, c, amplitude in plan.leaves]
-                sigs = _signatures(scaled, inner_tops) if step < last else {}
-                ids, merged = _number(plan.n_states, sigs, reps, n_ids)
-                n_ids += plan.n_states - len(merged)
-                moves += [(False, ids[t], c, ids[l], ids[r]) for t, c, l, r in plan.inner]
-                grafted += [(ids[a], c, p) for a, c, p in scaled if a not in merged]
-                copy_roots.append([(j, ids[l], ids[r]) for j, (_cs, l, r) in enumerate(plan.roots)])
-            ex_index = {c: i for i, c in enumerate(sorted({c for t in leaves for c in t.choices}))}
-            set_index: dict[frozenset, int] = {}
-            for lt in leaves:
-                k = set_index.get(lt.choices)
-                if k is None:
-                    k = set_index[lt.choices] = len(sets)
-                    starts = [ex_index[ca] * plan.width for ca in lt.choices]
-                    sets += [tuple(s + i for s in starts for i in cs) for cs, _l, _r in plan.roots]
-                moves += [(True, lt.top - front, k + j, l, r)
-                          for j, l, r in copy_roots[values[lt.amplitude]]]
-            # Every frontier choice and every root choice index occurs.
-            tpl = _Template(len(values), n_ids, moves, grafted, sets,
-                            len(ex_index) * plan.width - 1)
-            replay = (b, plan, tpl, _shape(leaves)) if end < last and pieces[end] is b else None
-
         first_leaf = tpl.leaves[0][0] if tpl.leaves else None
-        n_new, grown = len(tpl.internal), tpl.n_values * len(plan.leaves)
+        n_new, grown = len(tpl.internal), tpl.n_values * len(b_leaves)
         bound = tpl.n_values * b.size
         n_internal = len(internal)
         placements = []
@@ -717,7 +700,7 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
             base = top_choice + 1
             placements.append((next_id, base, front))
             if tpl.n_values:
-                top_choice = max(top_choice, base + tpl.top, plan.inner_max)
+                top_choice = max(top_choice, base + tpl.top, inner_max)
             size = n_internal + unmerged
             n_internal, unmerged = n_internal + n_new, grown
             assert n_internal + unmerged <= size + bound

@@ -62,6 +62,12 @@ MAX_NESTING = 100
 # ``MAX_QUBITS`` atoms, twice what a bench family's text at the qubit
 # ceiling holds.  Past it the parse is refused before the ket is built.
 MAX_ATOMS = 1 << 18
+# Most pairs of polynomial terms that one parse may multiply, over all its
+# amplitude products and powers: ``(a+b)^255 * (a+b)^255`` multiplies
+# 121,180, so a second such amplitude passes it.  Each product is first
+# held to ``amplitude``'s bound on one product.  Past it the parse is
+# refused before the product is built.
+MAX_TERM_PAIRS = 1 << 17
 # The two constant-bit atoms, shared by every ket.
 _BITS = {"0": A.ConstBit(0), "1": A.ConstBit(1)}
 
@@ -109,6 +115,7 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.atoms = 0
+        self.pairs = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -350,7 +357,8 @@ class _Parser:
                 op = self.peek()
                 if op.kind == "^":
                     self.next()
-                    left = left ** self._bounded_int("an exponent of {}")
+                    k = self._bounded_int("an exponent of {}")
+                    left = left.power(k, lambda x, y: self._times(x, y, op))
                     continue
                 bp = _BP.get(op.kind)
                 if bp is None or bp < min_bp:
@@ -358,7 +366,7 @@ class _Parser:
                 self.next()
                 right = self.parse_amp(bp + 1)
                 if op.kind == "*":
-                    left = left * right
+                    left = self._times(left, right, op)
                 elif op.kind == "/":
                     left = left / right
                 elif op.kind == "+":
@@ -368,6 +376,17 @@ class _Parser:
             return left
         except ExactDivisionError as exc:
             raise SpecSyntaxError(str(exc), tok.line, tok.col) from exc
+
+    def _times(self, left: AmplitudePoly, right: AmplitudePoly, tok: Token) -> AmplitudePoly:
+        """``left * right`` at ``tok``.  Once ``term_pairs`` has held it to
+        the bound on one product, its pairs join the parse's count, and the
+        parse fails past ``MAX_TERM_PAIRS`` before the product is built."""
+        self.pairs += left.term_pairs(right)
+        if self.pairs > MAX_TERM_PAIRS:
+            raise LimitExceededError(MAX_TERM_PAIRS, (
+                f"{tok.line}:{tok.col}: the amplitudes multiply at least "
+                f"{self.pairs} term pairs, over the limit of {MAX_TERM_PAIRS}"))
+        return left * right
 
     def _amp_prefix(self) -> AmplitudePoly:
         tok = self.next()

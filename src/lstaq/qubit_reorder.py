@@ -25,7 +25,6 @@ indexing one string, with no per-case valuation dict or constraint dispatch.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from typing import NamedTuple
@@ -69,9 +68,6 @@ def constraint_table(v: SetV) -> dict[int, tuple[A.VarCon, ...]]:
             for t in v.terms}
 
 
-# Most slices read 0-2 bits a term; the bound keeps a 2^16-entry table of
-# one large slice from staying behind.
-@functools.lru_cache(maxsize=4)
 def _values(k: int) -> tuple[str, ...]:
     """Every assignment of ``k`` bits in order, as a text."""
     return tuple(map("".join, itertools.product("01", repeat=k)))

@@ -15,7 +15,7 @@ import lstaq.cli
 from lstaq.ast import MAX_QUBITS
 from lstaq.cli import bench_sources, main
 from lstaq.oracle import MAX_SET_ASSIGNMENTS
-from lstaq.parser import MAX_ATOMS, parse_many
+from lstaq.parser import MAX_ATOMS, MAX_TERM_PAIRS, parse_many
 from lstaq.qubit_reorder import MAX_SLICE_ASSIGNMENTS
 from tests.test_qubit_reorder import neq_graph
 from tests.test_var_reorder import S_A, S_B
@@ -214,6 +214,23 @@ def test_an_amplitude_expanding_past_the_term_budget_exits_4_within_two_seconds(
                            " the limit of 65536\n")
 
 
+def test_amplitudes_past_the_term_budget_of_a_parse_exit_4_within_1_5_cpu_seconds(
+        tmp_path, capsys):
+    # Each amplitude multiplies 121,180 term pairs, all within the bound on
+    # one product, in about 0.7 s; four of them took 3.1 s to parse.
+    amplitude = "(a+b)^255 * (a+b)^255"
+    f = spec_file(tmp_path, "{ " + ", ".join([f"{amplitude} |0>"] * 8) + " }")
+    t0 = time.process_time()
+    assert main(["translate", f]) == 4
+    assert time.process_time() - t0 < 1.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # Refused at the second amplitude's first power, the product passing it.
+    col = len("{ " + amplitude + " |0>, (a+b)") + 1
+    assert captured.err == (f"error: 1:{col}: the amplitudes multiply at least 132490 term"
+                            f" pairs, over the limit of {MAX_TERM_PAIRS}\n")
+
+
 def test_an_amplitude_under_the_term_budget_still_translates(tmp_path, capsys):
     assert main(["translate", spec_file(tmp_path, "{ (a+b)^100 |0> }")]) == 0
     out = capsys.readouterr().out
@@ -329,9 +346,14 @@ def test_a_partial_theta_exits_4_naming_the_unbound_variable(tmp_path, capsys):
 
 
 def test_malformed_theta_exits_1(tmp_path, capsys):
+    # Refused before any automaton or report is written.
     f = spec_file(tmp_path, "{ a |0> + a |1> }")
     assert main(["translate", f, "--check-oracle", "--theta", "a=@@"]) == 1
-    capsys.readouterr()
+    assert capsys.readouterr().out == ""
+    assert main(["translate", f, "--check-oracle", "--theta", "x"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --theta expects NAME=VALUE, got 'x'\n"
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +384,19 @@ def test_translate_writes_one_automaton_per_assertion(tmp_path, capsys):
     assert (out / "pair.perm").exists()
     assert (out / "pair.stats").exists()
     assert (out / "pair_0.lsta").read_text().startswith("lsta v1")
+
+
+def test_unwritable_outputs_exit_4_naming_the_path(tmp_path, capsys):
+    f = spec_file(tmp_path, "{ |0> }", "one.spec")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["translate", f, "-o", str(taken)]) == 4
+    assert capsys.readouterr().err == f"error: cannot write {str(taken)!r}: File exists\n"
+    out = tmp_path / "out"
+    (out / "one_0.lsta").mkdir(parents=True)
+    assert main(["translate", f, "-o", str(out)]) == 4
+    target = str(out / "one_0.lsta")
+    assert capsys.readouterr().err == f"error: cannot write {target!r}: Is a directory\n"
 
 
 def test_debug_dumps_have_markers(tmp_path, capsys):

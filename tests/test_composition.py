@@ -381,28 +381,48 @@ def test_leaf_values_that_change_at_every_graft_never_replay(monkeypatch):
         assert _replays([p] * k, monkeypatch)[1] == 0
 
 
-def test_inner_choices_above_the_interface_keep_their_place(monkeypatch):
-    # 2-qubit pieces whose inner transitions use choices 90 and 91, above
-    # the interface choices of a first graft onto a small piece.
+def _high_choice_pieces() -> tuple[Lsta, Lsta, Lsta]:
+    """2-qubit pieces ``p`` and ``flat`` whose inner transitions use choices
+    90 and 91, above the interface choices of a first graft onto a small
+    piece, and a 1-qubit ``r`` whose two leaf states merge into one."""
     one, two = frozenset({1}), frozenset({2})
     inner = [Internal(0, one, 1, 2), Internal(0, two, 2, 2), Internal(1, frozenset({90}), 3, 4),
              Internal(2, frozenset({90}), 4, 5), Internal(2, frozenset({91}), 3, 3)]
     p = mk_lsta(TAG, 0, inner, [Leaf(3, one, tag(1)), Leaf(4, one, tag(1, 2)), Leaf(5, one, tag(2))])
     flat = mk_lsta(TAG, 0, inner, [Leaf(s, one, tag(1)) for s in (3, 4, 5)])
+    r = mk_lsta(TAG, 0, [Internal(0, one, 1, 2)], [Leaf(1, one, tag(1)), Leaf(2, one, tag(1))])
+    for piece in (p, flat, r):
+        validate(piece)
+    return p, flat, r
+
+
+def test_inner_choices_above_the_interface_keep_their_place(monkeypatch):
     # r's two leaf states merge into one, and so do those of each graft of
     # flat, with equal leaves: the run of flat replays its first graft,
     # after which choice 91 was the largest.
-    r = mk_lsta(TAG, 0, [Internal(0, one, 1, 2)], [Leaf(1, one, tag(1)), Leaf(2, one, tag(1))])
+    p, flat, r = _high_choice_pieces()
     small = _piece(TAG, {"0": tag(1)}, {"1": tag(2)})
-    for piece in (p, flat, r):
-        validate(piece)
     for k in (3, 4, 6, 12, 40):
         assert _replays([r] + [flat] * k, monkeypatch)[1] == k - 2
-        # The run's first fresh choice is set by flat's inner choices.
+        # The run's second graft's first fresh choice is set by flat's
+        # inner choices.
         _merged, calls = _placed([r] + [flat] * k, monkeypatch)
-        assert calls[1][1][0][1] == 92
+        assert calls[0][1][1][1] == 92
         for pieces in ([small] + [p] * k, [p] * k, [small] * k + [p] * k):
             _replays(pieces, monkeypatch)
+
+
+def test_a_run_steady_from_its_first_graft_is_placed_by_one_call(monkeypatch):
+    # The first graft's leaves have its frontier's shape, so its template
+    # places every merged graft of the run; the unmerged last graft builds
+    # a template of its own.  (P's first graft does not: its run starts at
+    # its second.)
+    _p, flat, r = _high_choice_pieces()
+    for k in (4, 5, 9, 32):
+        for pieces in ([r] + [flat] * k, [Q] * k):
+            _merged, calls = _placed(pieces, monkeypatch)
+            assert [len(pl) for _t, pl in calls] == [len(pieces) - 2, 1]
+            assert calls[0][0] is not calls[1][0]
 
 
 def test_a_piece_between_two_runs_starts_the_second_afresh(monkeypatch):
