@@ -246,7 +246,12 @@ class AssertionResult:
 
 @dataclass(frozen=True)
 class TranslationResult:
+    """The translated assertions, with what their layout was built from:
+    each source assertion's inferred variable lengths, the aligned form and
+    the slot orders, and the qubit permutation they realize."""
+
     assertions: tuple[AssertionResult, ...]
+    source_lengths: tuple[A.LengthMap, ...]
     aligned: AlignedSpec
     orders: tuple[SlotOrder, ...]
     permutation: tuple[int, ...]
@@ -389,7 +394,7 @@ def _translate(asts: Sequence[A.AssertionAst]) -> TranslationResult:
             AssertionResult(final, canon[idx].constraint, stats))
 
     return TranslationResult(
-        tuple(results), aligned, orders, permutation,
+        tuple(results), tuple(source_lengths), aligned, orders, permutation,
         time.perf_counter() - t0,
     )
 

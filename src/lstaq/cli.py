@@ -66,14 +66,8 @@ def cmd_translate(args: argparse.Namespace) -> int:
         automata.append(write_lsta(ar.automaton, result.qubits, side))
     perm_report = render_orders(result)
 
-    if args.dump_aligned:
-        sys.stdout.write(render_aligned(result.aligned))
-    if args.order_report and args.out:
-        sys.stdout.write(perm_report)
-    if args.dump_slices:
-        for ai, seg, v, table, slices in slice_expansions(result):
-            sys.stdout.write(f"// assertion {ai}, segment {seg + 1}\n")
-            sys.stdout.write(render_slices(v, table, slices))
+    # The files are written before any dump is printed, so an output that
+    # cannot be written leaves stdout empty.
     if args.out:
         outdir = Path(args.out)
         stem = Path(args.file).stem
@@ -87,7 +81,15 @@ def cmd_translate(args: argparse.Namespace) -> int:
         except OSError as err:
             raise LstaqError(f"cannot write {err.filename or args.out!r}: "
                              f"{err.strerror}") from err
-    else:
+    if args.dump_aligned:
+        sys.stdout.write(render_aligned(result.aligned))
+    if args.order_report and args.out:
+        sys.stdout.write(perm_report)
+    if args.dump_slices:
+        for ai, seg, v, table, slices in slice_expansions(result):
+            sys.stdout.write(f"// assertion {ai}, segment {seg + 1}\n")
+            sys.stdout.write(render_slices(v, table, slices))
+    if not args.out:
         for text in automata:
             sys.stdout.write(text)
         sys.stdout.write(perm_report)

@@ -31,16 +31,19 @@ adds one fresh root that selects between the operands' root transitions
 (translation uses it for the alternatives of a segment; the members of one
 set are written into their union directly, by ``build.build_setq_lsta``), and
 :func:`tensor_chain` grafts each operand in turn, one scaled copy per
-distinct leaf value of what came before.  Each graft plans its operand,
-so a copy is numbered in the plan's local id order, and it merges a copy's
-interchangeable leaf states as the copy is grafted; its peak is the largest
-intermediate size of a left fold of binary tensors, counted before its
-merges.  A graft whose leaves have its frontier's shape starts a run of one
-operand object: each further merged graft of it finds that frontier again,
-shifted, so the whole run is placed by integer arithmetic and written out
-in one pass, as shifted copies of that graft, with leaf transitions only
-for the run's last graft.  Both cost time linear in the size of their
-result.
+distinct leaf value of what came before.  The first operand's
+interchangeable leaf states are merged before the first graft: the ids
+below its first merged state keep their numbers, so only the ids from that
+state up are numbered again, and only the transitions that reach them are
+rebuilt.  Each graft plans its operand, so a copy is numbered in the plan's
+local id order, and it merges a copy's interchangeable leaf states as the
+copy is grafted; its peak is the largest intermediate size of a left fold
+of binary tensors, counted before its merges.  A graft whose leaves have
+its frontier's shape starts a run of one operand object: each further
+merged graft of it finds that frontier again, shifted, so the whole run is
+placed by integer arithmetic and written out in one pass, as shifted
+copies of that graft, with leaf transitions only for the run's last graft.
+Both cost time linear in the size of their result.
 They assert their size bounds but do not :func:`validate` their results;
 callers validate a finished automaton once.  Neither changes its operands,
 so the same automaton object may be passed several times, as translation
@@ -49,8 +52,11 @@ does with recurring qubit slices; their operands must keep the id rule.
 
 :func:`validate` tests whole sets first: the set of tops against the ids,
 the referenced states against the tops, and the (top, choice) pairs for
-repeats.  Only on a fault does it scan, to name the first one in transition
-order, and then the first id that breaks the id rule.  :func:`map_leaves`
+repeats.  When every choice set is a singleton, as in the automata that
+translation builds, each transition is one such pair, and it tests the
+(top, choice set) pairs instead, one per transition.  Only on a fault does
+it scan, to name the first one in transition order, and then the first id
+that breaks the id rule.  :func:`map_leaves`
 calls its function once per distinct leaf value, so an amplitude-domain
 crossing costs one call per value, however many leaves share it.
 
@@ -159,15 +165,23 @@ def validate(a: Lsta) -> None:
     unknown, a choice set empty or a (top, choice) pair repeated; only then
     does the ordered scan run, to name the first violation in transition
     order, and then the first id missing from ``a.states`` or the tops.
+    When every choice set is a singleton, the pairs are (top, choice set)
+    pairs, one per transition.
     """
     transitions = (*a.internal, *a.leaves)
     n = len(a.states)
-    tops = set(map(_TOP, transitions))
-    pairs = [(t.top, c) for t in transitions for c in t.choices]
-    if (len(tops) == n and tops.issuperset(range(n)) and tops.issuperset(a.states)
-            and a.root in tops and tops.issuperset(map(_LEFT, a.internal))
-            and tops.issuperset(map(_RIGHT, a.internal))
-            and all(map(_CHOICES, transitions)) and len(set(pairs)) == len(pairs)):
+    tops = list(map(_TOP, transitions))
+    choices = list(map(_CHOICES, transitions))
+    if set(map(len, choices)) == {1}:
+        distinct = len(set(zip(tops, choices))) == len(tops)
+    else:
+        pairs = [(top, c) for top, cs in zip(tops, choices) for c in cs]
+        distinct = all(choices) and len(set(pairs)) == len(pairs)
+    top_ids = set(tops)
+    if (distinct and len(top_ids) == n and top_ids.issuperset(range(n))
+            and (a.states == range(n) or top_ids.issuperset(a.states))
+            and a.root in top_ids and top_ids.issuperset(map(_LEFT, a.internal))
+            and top_ids.issuperset(map(_RIGHT, a.internal))):
         return
     if a.root not in a.states:
         raise DanglingStateError(a.root)
@@ -186,7 +200,7 @@ def validate(a: Lsta) -> None:
     for s in range(n):
         if s not in a.states:
             raise DanglingStateError(s, "the state ids skip")
-        if s not in tops:
+        if s not in top_ids:
             raise DanglingStateError(s, "no transition leaves state")
 
 
@@ -513,15 +527,15 @@ def _signatures(leaves, inner_tops: set[int]) -> dict[int, frozenset]:
     return {a: frozenset(sig) for a, sig in sigs.items()}
 
 
-def _number(n: int, sigs: dict[int, frozenset], reps: dict[frozenset, int],
+def _number(states: range, sigs: dict[int, frozenset], reps: dict[frozenset, int],
             start: int) -> tuple[list[int], set[int]]:
-    """Ids for the states ``0..n-1``, and the states merged.  In order, a
+    """Ids for ``states``, in their order, and the states merged.  In order, a
     state whose signature is in ``reps`` is merged into that representative;
     any other takes the next id from ``start``, and its signature, if it has
     one, joins ``reps``."""
     ids: list[int] = []
     merged: set[int] = set()
-    for a in range(n):
+    for a in states:
         sig = sigs.get(a)
         rep = start if sig is None else reps.setdefault(sig, start)
         if rep == start:
@@ -535,15 +549,29 @@ def _number(n: int, sigs: dict[int, frozenset], reps: dict[frozenset, int],
 def _merge_leaf_states(a: Lsta) -> tuple[int, list[Internal], list[Leaf], int]:
     """``a``'s root, transitions and number of ids once its interchangeable
     leaf-only states are merged: those with equal leaf transitions become
-    the first of them, and the others take no id."""
+    the first of them, and the others take no id.
+
+    The ids below the first merged state keep their numbers, so only the
+    ids from it up are numbered again, and only the transitions that reach
+    one of them are rebuilt, each in its place.
+    """
     sigs = _signatures(a.leaves, {a.root, *map(_TOP, a.internal)})
-    if len(set(sigs.values())) == len(sigs):
+    reps: dict[frozenset, int] = {}
+    for first in sorted(sigs):
+        if reps.setdefault(sigs[first], first) != first:
+            break
+    else:
         return a.root, list(a.internal), list(a.leaves), len(a.states)
-    ids, merged = _number(len(a.states), sigs, {}, 0)
+    n = len(a.states)
+    tail, merged = _number(range(first, n), sigs, reps, first)
+    ids = [*range(first), *tail]
     new = tuple.__new__
-    internal = [new(Internal, (ids[t], c, ids[l], ids[r])) for t, c, l, r in a.internal]
+    internal = list(a.internal)
+    for k, (t, c, l, r) in enumerate(a.internal):
+        if t >= first or l >= first or r >= first:
+            internal[k] = new(Internal, (ids[t], c, ids[l], ids[r]))
     leaves = [new(Leaf, (ids[t], c, p)) for t, c, p in a.leaves if t not in merged]
-    return ids[a.root], internal, leaves, len(a.states) - len(merged)
+    return ids[a.root], internal, leaves, n - len(merged)
 
 
 class _Template(NamedTuple):
@@ -667,7 +695,7 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
         for v in values:
             scaled = [(a, c, product(v, amplitude)) for a, c, amplitude in b_leaves]
             sigs = _signatures(scaled, inner_tops) if step < last else {}
-            ids, merged = _number(n_states, sigs, reps, n_ids)
+            ids, merged = _number(range(n_states), sigs, reps, n_ids)
             n_ids += n_states - len(merged)
             moves += [(False, ids[t], c, ids[l], ids[r]) for t, c, l, r in inner]
             grafted += [(ids[a], c, p) for a, c, p in scaled if a not in merged]
@@ -748,7 +776,7 @@ def write_lsta(a: Lsta, n: int, constraint: str | None = None) -> str:
     transitions are written in the order they are stored (the order rule).
     """
     semiring = a.semiring
-    sets = {cs: "{%s}" % ",".join(map(str, sorted(cs)))
+    sets = {cs: "{%d}" % min(cs) if len(cs) == 1 else "{%s}" % ",".join(map(str, sorted(cs)))
             for cs in set(map(_CHOICES, chain(a.internal, a.leaves)))}
     amplitudes = {v: semiring.render(v) for v in set(map(_AMPLITUDE, a.leaves))}
     names = frozenset().union(*map(semiring.variables, amplitudes))

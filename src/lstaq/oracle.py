@@ -159,7 +159,12 @@ def denote(ast: A.AssertionAst, theta: Valuation | None = None,
     total = A.qubit_count(ast, lengths)
     if total > cap:
         raise CapExceededError(total, cap)
+    return _denote(ast, lengths, theta)
 
+
+def _denote(ast: A.AssertionAst, lengths: A.LengthMap,
+            theta: Valuation | None) -> frozenset[StateVector]:
+    """:func:`denote` of a well-formed ``ast`` under its length map."""
     factors: list[list[set[StateVector]]] = []
     sizes: list[int] = []
     for seg in ast.segments:
@@ -346,6 +351,11 @@ def differential_check(asts, thetas: list[Valuation] | None = None,
     valuation leaves a name unbound) is each sampled valuation substituted
     into both sides and the results compared; that sampled check decides,
     so a symbolic difference that no valuation separates still passes.
+
+    The enumeration reads each assertion's length map from the translation,
+    which inferred it from the same syntax tree and checked the tree's
+    well-formedness under it; the one cross-check is that the map spans
+    the translation's qubit count.
     """
     # The translation pipeline is imported lazily: the oracle must stay
     # importable (and meaningful) without it.
@@ -363,10 +373,15 @@ def differential_check(asts, thetas: list[Valuation] | None = None,
     bound = all(theta.keys() >= set(names) for theta in thetas)
 
     reports = []
-    for i, (ast, ar) in enumerate(zip(asts, result.assertions)):
+    for i, (ast, ar, lengths) in enumerate(
+            zip(asts, result.assertions, result.source_lengths)):
+        width = A.qubit_count(ast, lengths)
+        if width != n:
+            raise InternalError(
+                f"assertion {i}'s lengths span {width} qubits, not the translation's {n}")
         auto = enumerate_language(ar.automaton, n)
         oracle = {permute_state(s, result.permutation)
-                  for s in denote(ast, cap=cap)}
+                  for s in _denote(ast, lengths, None)}
         if not names:
             ok, detail = _compare(auto, oracle)
         elif bound and _nonzero(auto) == _nonzero(oracle):

@@ -88,8 +88,10 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
     ``MAX_SLICE_ASSIGNMENTS`` assignments raises ``LimitExceededError``
     before any case is built.
 
-    Term patterns are compiled once per call, and filters and inequalities
-    once per distinct column.  A case's text is ``"01" + outer bits +
+    The columns are the constants transposed once; a constant whose length
+    is not the component's qubit length raises ``InternalError``.  Term
+    patterns are compiled once per call, and filters and inequalities once
+    per distinct column.  A case's text is ``"01" + outer bits +
     inner bits``, and every filter and inequality is a pair of positions in
     it, a constant bit reading position 0 or 1: a filter holds when its two
     characters are equal, an inequality when they differ.  A term's basis
@@ -117,6 +119,10 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
     constants += [c.bits for _t, _inner, term_eq in terms for c in term_eq]
     constants += [c.bits for phi in table.values() for c in phi
                   if isinstance(c, A.NeqConst)]
+    for bits in constants:
+        if len(bits) != ell:
+            raise InternalError(
+                f"constant {bits} has {len(bits)} bits in a slot component of {ell} qubits")
 
     # Positions in a case's text; 0 and 1 hold the constant bits.
     at_outer = {name: i for i, name in enumerate(outer, 2)}
@@ -137,8 +143,8 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
     new = tuple.__new__
     by_column: dict[tuple[str, ...], tuple[SliceCase, ...]] = {}
     slices: list[QubitSlice] = []
-    for j in range(1, ell + 1):
-        column = tuple(bits[j - 1] for bits in constants)
+    columns = zip(*constants) if constants else itertools.repeat((), ell)
+    for j, column in enumerate(columns, 1):
         if column in by_column:
             slices.append(new(QubitSlice, (j, by_column[column])))
             continue

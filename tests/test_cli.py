@@ -387,16 +387,20 @@ def test_translate_writes_one_automaton_per_assertion(tmp_path, capsys):
 
 
 def test_unwritable_outputs_exit_4_naming_the_path(tmp_path, capsys):
+    # The dumps are printed only once every file is written, so a failed
+    # write leaves stdout empty.
     f = spec_file(tmp_path, "{ |0> }", "one.spec")
+    dumps = ["--order-report", "--dump-aligned", "--dump-slices"]
     taken = tmp_path / "taken"
     taken.write_text("")
-    assert main(["translate", f, "-o", str(taken)]) == 4
-    assert capsys.readouterr().err == f"error: cannot write {str(taken)!r}: File exists\n"
+    assert main(["translate", f, "-o", str(taken), *dumps]) == 4
+    assert capsys.readouterr() == (
+        "", f"error: cannot write {str(taken)!r}: File exists\n")
     out = tmp_path / "out"
     (out / "one_0.lsta").mkdir(parents=True)
-    assert main(["translate", f, "-o", str(out)]) == 4
+    assert main(["translate", f, "-o", str(out), *dumps]) == 4
     target = str(out / "one_0.lsta")
-    assert capsys.readouterr().err == f"error: cannot write {target!r}: Is a directory\n"
+    assert capsys.readouterr() == ("", f"error: cannot write {target!r}: Is a directory\n")
 
 
 def test_debug_dumps_have_markers(tmp_path, capsys):

@@ -483,6 +483,67 @@ def test_translation_chains_graft_like_the_fold(family, monkeypatch):
     assert any(merged)
 
 
+def _merge_by_renumbering_all(a: Lsta) -> tuple[tuple, set[int]]:
+    """What ``_merge_leaf_states`` returns, computed by numbering every id
+    in order and rebuilding every transition, and the states merged: the
+    reference for its renumbering from the first merged state up."""
+    inner_tops = {a.root, *(t.top for t in a.internal)}
+    sigs: dict[int, set] = {}
+    for t in a.leaves:
+        if t.top not in inner_tops:
+            sigs.setdefault(t.top, set()).add((t.choices, t.amplitude))
+    reps: dict[frozenset, int] = {}
+    ids: list[int] = []
+    merged: set[int] = set()
+    next_id = 0
+    for s in range(len(a.states)):
+        sig = frozenset(sigs[s]) if s in sigs else None
+        if sig in reps:
+            ids.append(reps[sig])
+            merged.add(s)
+            continue
+        if sig is not None:
+            reps[sig] = next_id
+        ids.append(next_id)
+        next_id += 1
+    internal = [Internal(ids[t.top], t.choices, ids[t.left], ids[t.right]) for t in a.internal]
+    leaves = [Leaf(ids[t.top], t.choices, t.amplitude) for t in a.leaves if t.top not in merged]
+    return (ids[a.root], internal, leaves, next_id), merged
+
+
+def test_first_operands_merge_from_their_first_merged_state_as_a_full_renumbering(monkeypatch):
+    from tests.test_acceptance import random_source
+
+    firsts, unions = [], []
+
+    def recording_chain(pieces):
+        if len(pieces) > 1:
+            firsts.append(pieces[0])
+        return tensor_chain(pieces)
+
+    def recording_union(pieces):
+        unions.append(union_all(pieces))
+        return unions[-1]
+
+    monkeypatch.setattr(lstaq.build, "tensor_chain", recording_chain)
+    monkeypatch.setattr(lstaq.build, "union_all", recording_union)
+    for family in ("bv", "ghz", "grover", "groveriter", "mctoffoli"):
+        for n in range(2, 9):
+            for pre, post, joint in bench_sources(family, n):
+                for group in ([pre, post],) if joint else ([pre], [post]):
+                    translate([parse(t) for t in group])
+    rng = random.Random(0x0DE5)
+    for _ in range(200):
+        translate([parse(random_source(rng))])
+    between = 0  # operands with an unmerged state above a merged one
+    for a in firsts:
+        want, merged = _merge_by_renumbering_all(a)
+        assert lstaq.lsta._merge_leaf_states(a) == want
+        between += bool(merged) and len(a.states) - min(merged) > len(merged)
+    assert any(a is u for a in firsts for u in unions)
+    assert between > 100
+
+
 def test_translated_automata_hold_only_internal_and_leaf_records():
     # Emitters build records with tuple.__new__; perfbench's digest tells
     # the kinds apart by ``hasattr(t, "left")``.

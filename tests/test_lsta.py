@@ -287,6 +287,24 @@ def test_overlapping_multi_choice_sets_are_named_in_translated_automata():
     assert tested > 100
 
 
+def test_a_repeated_singleton_choice_is_named_in_translated_automata():
+    # Every choice set here is a singleton, which validate tests as whole
+    # sets; the multi-choice injections above reach its general test.
+    for a in _family_automata():
+        assert all(len(t.choices) == 1 for t in (*a.internal, *a.leaves))
+        for k in (0, len(a.internal) // 2, len(a.internal) - 1):
+            t = a.internal[k]
+            internal = (*a.internal[:k + 1], t._replace(left=t.right, right=t.left),
+                        *a.internal[k + 1:])
+            err = _validate_error(dataclasses.replace(a, internal=internal))
+            assert isinstance(err, ChoiceOverlapError)
+            assert (err.state, err.choice) == (t.top, min(t.choices))
+        leaf = a.leaves[-1]
+        err = _validate_error(dataclasses.replace(a, leaves=(*a.leaves, leaf)))
+        assert isinstance(err, ChoiceOverlapError)
+        assert (err.state, err.choice) == (leaf.top, min(leaf.choices))
+
+
 def test_of_two_overlaps_the_first_in_transition_order_is_named():
     tested = 0
     for a in _family_automata():

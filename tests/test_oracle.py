@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from lstaq.amplitude import AC_ONE, COMPLEX, AmplitudePoly, AlgebraicComplex
 from lstaq.cli import bench_sources
 from lstaq.errors import (
     CapExceededError,
+    InternalError,
     LimitExceededError,
     LstaqError,
     UnboundComplexVarError,
@@ -227,6 +229,39 @@ def test_differential_check_reports_witnesses(monkeypatch):
     assert not report.ok
     assert "automaton" in report.assertions[0].detail
     assert "misses" in report.assertions[0].detail or "adds" in report.assertions[0].detail
+
+
+def test_differential_check_checks_each_assertion_once(monkeypatch):
+    # The oracle reads the lengths translate inferred and checked.
+    calls = []
+
+    def counted(name):
+        real = getattr(A, name)
+
+        def call(*args):
+            calls.append((name, args[0]))
+            return real(*args)
+        return call
+
+    for name in ("infer_lengths", "check_well_formed"):
+        monkeypatch.setattr(A, name, counted(name))
+    asts = parse_many("{ sum[ |i| = 2, i != 10 ] |i 1> } ;; { |0 0 0> - |1 1 1> }")
+    assert differential_check(asts).ok
+    for name in ("infer_lengths", "check_well_formed"):
+        on_sources = [ast for called, ast in calls
+                      if called == name and any(ast is x for x in asts)]
+        assert len(on_sources) == 2, name
+
+
+def test_lengths_spanning_another_qubit_count_are_an_internal_error(monkeypatch):
+    import lstaq.build as build_mod
+
+    real = build_mod.translate
+    monkeypatch.setattr(build_mod, "translate", lambda asts: dataclasses.replace(
+        real(asts), source_lengths=({"i": 3},)))
+    with pytest.raises(InternalError) as err:
+        differential_check(parse_many("{ |i 0> : |i| = 2 }"))
+    assert str(err.value) == "assertion 0's lengths span 4 qubits, not the translation's 3"
 
 
 def test_compare_ignores_zero_members_on_both_sides():

@@ -12,6 +12,7 @@ which inequalities the chosen bits already satisfy.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -21,7 +22,7 @@ import lstaq.qubit_reorder as qubit_reorder
 from lstaq import ast as A
 from lstaq.amplitude import VAL_ZERO, VALUATION, ValAmp, valamp_add, valamp_mul
 from lstaq.build import slice_expansions, translate
-from lstaq.errors import LimitExceededError
+from lstaq.errors import InternalError, LimitExceededError
 from lstaq.lsta import StateVector
 from lstaq.parser import parse
 from lstaq.qubit_reorder import (
@@ -346,6 +347,22 @@ def test_equal_constant_columns_share_one_cases_tuple():
     assert slices[0].cases is slices[3].cases
     assert slices[1].cases is slices[2].cases
     assert slices[0].cases != slices[1].cases
+
+
+@pytest.mark.parametrize("bits", ["011", "01101"])
+def test_a_constant_of_another_length_is_an_internal_error(bits):
+    # Transposed, a longer constant would add a column and a shorter one
+    # drop one, without a word.
+    job = translate([parse("{ |i> : |i| = 4, i != 0110 }")])
+    ((_, _, setv, _table, _slices),) = slice_expansions(job)
+    predicate = tuple(dataclasses.replace(c, bits=bits) if isinstance(c, A.NeqConst) else c
+                      for c in setv.predicate)
+    assert predicate != setv.predicate
+    bad = dataclasses.replace(setv, predicate=predicate)
+    with pytest.raises(InternalError) as err:
+        expand_qubit_slices(bad, job.aligned.lengths)
+    assert str(err.value) == (
+        f"constant {bits} has {len(bits)} bits in a slot component of 4 qubits")
 
 
 def neq_graph(shape: str, k: int) -> str:

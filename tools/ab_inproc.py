@@ -9,14 +9,15 @@ checkout B as ``lstaq_b``, side by side, and checkout A a second time as
 ``lstaq_a2``, the A/A control.  Each side's jobs are built by
 ``perfbench/workloads.py`` of this checkout, with ``lstaq`` and
 ``lstaq.lsta`` aliased to that side's modules while they are built, so
-all sides run the same inputs.  It then times whole passes over each
-side's jobs in CPU seconds, each pass running every side once and the
-order rotating by one side a pass, so each side goes first equally often.
+all sides run the same inputs.  It then times passes over the jobs in CPU
+seconds: each job runs on the three sides back to back, the side that goes
+first rotating by one a job and a pass, and a side's pass time is the sum
+of its job times, so drift within a pass falls on every side alike.
 It prints each side's min and median pass time and the quartiles of the
 paired ratios B/A and A2/A, with how many passes the numerator was
 faster.  A2 runs A's code from its own module objects, so A2/A shows how
 far two copies of one program read apart here: a B/A median inside A2/A's
-quartiles is no effect.  Pairing passes that ran back to back cancels
+quartiles is no effect.  Pairing job times taken back to back cancels
 most of a shared machine's drift, so effects of a few percent show in 20
 passes where separate processes need many runs.
 ``--jobs PREFIX`` times only the jobs whose label starts with ``PREFIX``
@@ -75,13 +76,14 @@ def build_jobs(pkg, workload: str, seed: int, prefix: str = "") -> list:
     return [job for job in bench.jobs if job.label.startswith(prefix)]
 
 
-def run_pass(jobs) -> float:
-    """CPU seconds of one pass; a job with wrong output stops the run."""
+def run_job(job) -> float:
+    """CPU seconds of one job; a job with wrong output stops the run."""
     t0 = time.process_time()
-    for job in jobs:
-        if not job.run():
-            raise SystemExit(f"job {job.label} gave wrong output")
-    return time.process_time() - t0
+    ok = job.run()
+    took = time.process_time() - t0
+    if not ok:
+        raise SystemExit(f"job {job.label} gave wrong output")
+    return took
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -92,13 +94,25 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
 
 
 def compare(sides: dict[str, list], passes: int) -> dict[str, list[float]]:
-    """Pass times per side; pass ``k`` starts ``k`` sides further along."""
+    """Pass times per side, each the sum of the side's job times.
+
+    Each job runs on every side back to back, and job ``i`` of pass ``k``
+    starts ``i + k`` sides further along, so every side goes first equally
+    often and drift within a pass falls on all sides alike.
+    """
     names = list(sides)
+    rows = list(zip(*sides.values()))
+    if any(len(jobs) != len(rows) for jobs in sides.values()):
+        raise SystemExit("the sides built different numbers of jobs")
     times: dict[str, list[float]] = {name: [] for name in names}
     for k in range(passes):
-        r = k % len(names)
-        for name in names[r:] + names[:r]:
-            times[name].append(run_pass(sides[name]))
+        took = [0.0] * len(names)
+        for i, row in enumerate(rows):
+            for j in range(len(names)):
+                side = (i + k + j) % len(names)
+                took[side] += run_job(row[side])
+        for name, t in zip(names, took):
+            times[name].append(t)
     return times
 
 
