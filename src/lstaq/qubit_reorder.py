@@ -86,7 +86,10 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
     whose columns of those bits are equal share one ``cases`` tuple, which
     is computed once.  A slice that would enumerate more than
     ``MAX_SLICE_ASSIGNMENTS`` assignments raises ``LimitExceededError``
-    before any case is built.
+    before any case is built.  A column whose ``EqConst`` filters keep no
+    assignment has one case, the zero vector with an empty assignment: no
+    assignment satisfies the set, which then denotes the zero vector, as a
+    contradictory ``!=`` does.
 
     The columns are the constants transposed once; a constant whose length
     is not the component's qubit length raises ``InternalError``.  Term
@@ -177,6 +180,8 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
             # Each entry holds a term's record, so none is zero.
             cases.append(new(SliceCase, (assignment, new(StateVector, (
                 n_slot, tuple(sorted(amp.items())))))))
+        if not cases:  # contradictory filters: the set is the zero vector
+            cases.append(new(SliceCase, ((), new(StateVector, (n_slot, ())))))
         by_column[column] = tuple(cases)
         slices.append(new(QubitSlice, (j, by_column[column])))
     return table, slices

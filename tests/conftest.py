@@ -52,33 +52,77 @@ def ref_automaton() -> Lsta:
     return two_member_automaton()
 
 
-def canonical_form(a: Lsta):
-    """A renaming-invariant description: root signature + transition multiset.
+def normalize(a: Lsta) -> Lsta:
+    """``a`` in normal form: two automata normalize equal exactly when one
+    is the other with its states renamed, each state's transitions kept in
+    order, and each level's choices renumbered in order.
 
-    Signatures expand states structurally (automata here are acyclic), so
-    two automata with equal forms are equal up to state renaming.
+    Ids go breadth-first from the root, transitions in stored order, left
+    child first; then, in the order of what they number, the same walks
+    from the unreached states that no other reaches.  A level is a height;
+    its choices are numbered from 1.  Raises ``AssertionError`` naming the
+    state on a cycle, a dangling child, children of differing heights, or
+    a state two unreached walks share, which no linear pass can order.
     """
-    by_top: dict[int, list] = {}
-    for t in list(a.internal) + list(a.leaves):
-        by_top.setdefault(t.top, []).append(t)
+    out: dict[int, list] = {}
+    for t in (*a.internal, *a.leaves):
+        out.setdefault(t.top, []).append(t)
+    kids = {q: [c for t in ts if isinstance(t, Internal) for c in t[2:]] for q, ts in out.items()}
 
-    memo: dict[int, tuple] = {}
+    height: dict[int, int] = {}
+    path: set[int] = set()  # the states the depth-first walk is inside
+    stack = [*out, a.root]
+    while stack:
+        q = stack.pop()
+        if q in height:
+            continue
+        assert q in out, f"no transition leaves state {q}"
+        todo = [c for c in kids[q] if c not in height]
+        if todo:
+            path.add(q)
+            assert not path.intersection(todo), f"state {q} is on a cycle"
+            stack += [q, *todo]
+            continue
+        hs = {height[c] + 1 for c in kids[q]} | {0 for t in out[q] if isinstance(t, Leaf)}
+        assert len(hs) == 1, f"state {q} has children of differing heights"
+        height[q] = hs.pop()
+        path.discard(q)
 
-    def sig(q: int) -> tuple:
-        if q in memo:
-            return memo[q]
-        parts = []
-        for t in by_top.get(q, []):
-            if isinstance(t, Internal):
-                parts.append(("i", tuple(sorted(t.choices)), sig(t.left), sig(t.right)))
-            else:
-                parts.append(("l", tuple(sorted(t.choices)), a.semiring.render(t.amplitude)))
-        memo[q] = tuple(sorted(parts))
-        return memo[q]
+    levels: dict[int, set[int]] = {}
+    for q, ts in out.items():
+        levels.setdefault(height[q], set()).update(*(t.choices for t in ts))
+    rank = {h: {c: k for k, c in enumerate(sorted(cs), 1)} for h, cs in levels.items()}
 
-    transitions = []
-    for t in a.internal:
-        transitions.append((sig(t.top), tuple(sorted(t.choices)), "i", sig(t.left), sig(t.right)))
-    for t in a.leaves:
-        transitions.append((sig(t.top), tuple(sorted(t.choices)), "l", a.semiring.render(t.amplitude)))
-    return sig(a.root), tuple(sorted(transitions))
+    def renamed(q: int, name) -> list:
+        """``q``'s transitions, its states renamed by ``name``, choices ranked."""
+        rk = rank[height[q]]
+        return [Leaf(name(q), frozenset(rk[c] for c in t.choices), t.amplitude)
+                if isinstance(t, Leaf) else
+                Internal(name(q), frozenset(rk[c] for c in t.choices), name(t.left), name(t.right))
+                for t in out[q]]
+
+    def walk(start: int) -> list[int]:
+        order, seen = [start], {start}
+        for q in order:
+            new = [c for c in dict.fromkeys(kids[q]) if c not in ids and c not in seen]
+            seen.update(new)
+            order += new
+        return order
+
+    ids: dict[int, int] = {}
+    ids.update((q, k) for k, q in enumerate(walk(a.root)))
+    rest = [q for q in out if q not in ids]
+    reached = {c for q in rest for c in kids[q]}
+    walks = []
+    for order in (walk(q) for q in rest if q not in reached):
+        local = {q: ~k for k, q in enumerate(order)}  # negative, apart from ids
+        walks.append(([(isinstance(t, Leaf), t.top, sorted(t.choices),
+                        a.semiring.render(t.amplitude) if isinstance(t, Leaf) else t[2:])
+                       for q in order for t in renamed(q, lambda c: ids.get(c, local.get(c)))],
+                      order))
+    for q in (q for _key, order in sorted(walks, key=lambda w: w[0]) for q in order):
+        assert q not in ids, f"state {q} is shared by two walks from unreached states"
+        ids[q] = len(ids)
+    ts = [t for q in ids for t in renamed(q, ids.__getitem__)]
+    return Lsta(a.semiring, range(len(ids)), 0, *(tuple(t for t in ts if isinstance(t, kind))
+                                                  for kind in (Internal, Leaf)))

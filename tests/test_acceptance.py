@@ -37,7 +37,7 @@ from lstaq.lsta import StateVector, n_leaves, tensor, union, validate
 from lstaq.oracle import differential_check
 from lstaq.parser import parse, parse_many
 from lstaq.var_reorder import build_dependency_graph, compute_slot_order
-from tests.conftest import canonical_form, cpoly
+from tests.conftest import cpoly, normalize
 from tests.test_build import reference_valuation_automaton, third_case_state
 from tests.test_qubit_reorder import expected_cases
 from tests.test_var_reorder import S_A, S_B
@@ -85,8 +85,7 @@ def test_worked_example_reproduces_exactly():
     automaton = build_state_lsta(third_case_state(), VALUATION)
     validate(automaton)
     assert automaton.size == 15
-    assert canonical_form(automaton) == canonical_form(
-        reference_valuation_automaton())
+    assert normalize(automaton) == normalize(reference_valuation_automaton())
 
     assert filter_f(ValAmp.of({2: (T,)})) == tag(2)
     assert filter_f(ValAmp.of({1: (T, T), 2: (T,)})) == tag(1, 2)
@@ -233,6 +232,77 @@ def test_translation_agrees_with_the_oracle_everywhere():
     assert not failures, "\n".join(failures)
     assert checked == 500
     assert elapsed < 300, f"soundness sweep took {elapsed:.1f}s"
+
+
+def _eq_set(rng: random.Random, widths: list[int], fresh) -> tuple[str, bool]:
+    """A set whose predicate binds outer variables by ``v = bits``, and
+    whether two of those bindings contradict each other."""
+    outer = []
+    atoms = []
+    for w in widths:
+        if outer and rng.random() < 0.2:
+            atoms.append("".join(rng.choice("01") for _ in range(w)))
+            continue
+        v = fresh()
+        outer.append((v, w))
+        atoms.append(v)
+    predicate = [f"|{v}| = {w}" for v, w in outer]
+    contradictory, bindings = False, 0
+    for v, w in outer:
+        bound = ["".join(rng.choice("01") for _ in range(w))
+                 for _ in range(rng.choice((0, 1, 1, 2)))]
+        contradictory |= len(set(bound)) > 1
+        bindings += len(bound)
+        predicate += [f"{v} = {bits}" for bits in bound]
+    if not bindings:
+        v, w = outer[0]
+        predicate.append(f"{v} = {'1' * w}")
+    mates = [(v, u) for v, w in outer for u, x in outer if v < u and w == x]
+    if mates and rng.random() < 0.3:
+        predicate.append("{} != {}".format(*rng.choice(mates)))
+    terms = [f"{rng.choice(AMP_POOL[:5])} |{' '.join(atoms)}>"]
+    if rng.random() < 0.4:
+        flipped = [f"~{a}" if a[0] == "v" else a for a in atoms]
+        terms.append(f"{rng.choice(AMP_POOL[:5])} |{' '.join(flipped)}>")
+    return f"{{ {' + '.join(terms)} : {', '.join(predicate)} }}", contradictory
+
+
+def random_eq_source(rng: random.Random) -> tuple[str, bool]:
+    """A spec with predicate ``=`` bindings, consistent or contradictory: a
+    set alone, beside a satisfiable alternative, or in a tensor; and
+    whether one of its sets is contradictory."""
+    counter = itertools.count()
+
+    def fresh() -> str:
+        return f"v{next(counter)}"
+
+    widths = [rng.randint(1, 2) for _ in range(rng.randint(1, 3))]
+    text, contradictory = _eq_set(rng, widths, fresh)
+    form = rng.choice(("alone", "union", "tensor"))
+    if form == "union":
+        basis = " ".join("".join(rng.choice("01") for _ in range(w)) for w in widths)
+        sides = [text, f"{{ |{basis}> }}"]
+        rng.shuffle(sides)
+        text = " \\/ ".join(sides)
+    elif form == "tensor":
+        other, other_contradictory = _eq_set(rng, [rng.randint(1, 2)], fresh)
+        text = f"{text} (x) {other}"
+        contradictory |= other_contradictory
+    return text, contradictory
+
+
+def test_predicate_equalities_agree_with_the_oracle():
+    rng = random.Random(0xE9E9)
+    failures: list[str] = []
+    contradictory = 0
+    for k in range(240):
+        src, bad = random_eq_source(rng)
+        contradictory += bad
+        report = differential_check([parse(src)])
+        if not report.ok:
+            failures.append(f"#{k}: {src!r}: {report}")
+    assert not failures, "\n".join(failures)
+    assert 40 < contradictory < 200
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from lstaq.lsta import (
 )
 from lstaq.oracle import differential_check
 from lstaq.parser import parse
-from tests.conftest import canonical_form, cpoly, vec
+from tests.conftest import cpoly, normalize, vec
 from tests.test_qubit_reorder import neq_graph
 
 ONE = frozenset({1})
@@ -143,7 +143,7 @@ def test_valuation_state_compiles_to_the_reference_automaton():
     a = build_state_lsta(third_case_state(), VALUATION)
     validate(a)
     assert a.size == 15
-    assert canonical_form(a) == canonical_form(reference_valuation_automaton())
+    assert normalize(a) == normalize(reference_valuation_automaton())
 
 
 def test_valuation_language_round_trips():

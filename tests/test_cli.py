@@ -356,6 +356,21 @@ def test_malformed_theta_exits_1(tmp_path, capsys):
     assert captured.err == "error: --theta expects NAME=VALUE, got 'x'\n"
 
 
+# A set whose `=` filters contradict each other has no satisfying
+# assignment: it translates to its zero vector, as a contradictory `!=` set
+# does, and the oracle agrees.
+@pytest.mark.parametrize("text, members", [
+    (r"{ |x> : x = 0, x = 1 } \/ { |1> }", 1),
+    ("{ |x> : x = 0, x = 1 } (x) { |1> }", 0),
+    ("{ |x> : x = 01, x = 10 }", 0),
+], ids=["union", "tensor", "two-bit"])
+def test_contradictory_equalities_translate_and_match_the_oracle(tmp_path, capsys, text, members):
+    assert main(["translate", spec_file(tmp_path, text), "--check-oracle"]) == 0
+    captured = capsys.readouterr()
+    assert f"assertion 0: ok — {members} members match\n" in captured.out
+    assert captured.err == ""
+
+
 # ---------------------------------------------------------------------------
 # Output determinism and file emission.
 # ---------------------------------------------------------------------------

@@ -1,14 +1,13 @@
 """The n-ary compositions against the binary folds they replace.
 
-``tensor_chain`` and ``union_all`` must build exactly what a left fold of
-the binary operations built, renumbered by :func:`_dense`, because the
-emitted automaton files are compared byte for byte.  The reference folds
-below are the binary operations as they stood before the n-ary routines;
-they number states as those did, leaving ids that no transition leaves.
-Likewise ``build_setq_lsta``, which writes a set's members straight into
-their union, must build ``union_all`` of the separate member automata.  The
-runs of one piece that ``tensor_chain`` replays are checked against the
-fold too, and replay is checked to happen only where it may.
+``tensor_chain`` and ``union_all`` must build what a left fold of the
+binary operations built, compared through ``conftest.normalize``: the
+reference folds below are the binary operations as they stood before the
+n-ary routines, and number states as those did.  Likewise
+``build_setq_lsta``, which writes a set's members straight into their
+union, must build ``union_all`` of the separate member automata.  The runs
+of one piece that ``tensor_chain`` replays are checked against the fold
+too, and replay is checked to happen only where it may.
 """
 
 from __future__ import annotations
@@ -38,19 +37,9 @@ from lstaq.lsta import (
     write_lsta,
 )
 from lstaq.parser import parse
-from tests.conftest import canonical_form, cpoly
-from tests.test_acceptance import _random_automaton
+from tests.conftest import cpoly, normalize
+from tests.test_acceptance import _random_automaton, random_source
 from tests.test_qubit_reorder import neq_graph
-
-
-def _dense(a: Lsta) -> Lsta:
-    """``a`` under the id rule: its tops renumbered ``0..N-1`` in ascending
-    order, its transitions kept in their order."""
-    ids = {s: k for k, s in enumerate(sorted({t.top for t in (*a.internal, *a.leaves)}))}
-    return Lsta(a.semiring, range(len(ids)), ids[a.root],
-                tuple(Internal(ids[t.top], t.choices, ids[t.left], ids[t.right])
-                      for t in a.internal),
-                tuple(Leaf(ids[t.top], t.choices, t.amplitude) for t in a.leaves))
 
 
 def _ref_union(a: Lsta, b: Lsta) -> Lsta:
@@ -120,26 +109,10 @@ def _ref_tensor(a: Lsta, b: Lsta) -> Lsta:
 def test_tensor_chain_equals_the_binary_left_fold():
     rng = random.Random(0x7E5C)
     for _ in range(60):
-        # At most 8 qubits: canonical forms unfold shared states, so
-        # comparing them costs time exponential in the depth.
         widths = [rng.randint(1, 2) for _ in range(rng.randint(2, 8))]
-        while sum(widths) > 8:
-            widths[widths.index(2)] = 1
         pieces = [_random_automaton(rng, n) for n in widths]
-        fold = pieces[0]
-        peak = fold.size
-        for b in pieces[1:]:
-            bound = fold.size + n_leaves(fold) * b.size
-            fold = _ref_tensor(fold, b)
-            validate(_dense(fold))
-            assert fold.size <= bound
-            peak = max(peak, fold.size)
-        chain, chain_peak = tensor_chain(pieces)
-        validate(chain)
-        assert chain.size == fold.size
-        assert canonical_form(chain) == canonical_form(fold)
-        assert chain == _dense(fold)
-        assert chain_peak == peak
+        for k in range(2, len(pieces) + 1):  # each step of the fold
+            _assert_chain_is_the_fold(pieces[:k])
 
 
 def test_a_piece_repeated_by_reference_tensors_like_separate_copies():
@@ -161,27 +134,24 @@ def test_a_piece_repeated_by_reference_tensors_like_separate_copies():
 
 
 def _reference_chain(pieces) -> tuple[Lsta, int, int]:
-    """The binary left fold of ``pieces``: the result, its peak, and how
-    many states of grafted copies its merges removed."""
+    """The binary left fold of ``pieces``, each step within its size bound:
+    the result, its peak, and how many states of copies its merges removed."""
     fold, peak, merged = pieces[0], pieces[0].size, 0
     for k, b in enumerate(pieces[1:]):
         if k:
             merged += len(fold.states) - len(_ref_merge(fold).states)
+        bound = fold.size + n_leaves(fold) * b.size
         fold = _ref_tensor(fold, b)
+        assert fold.size <= bound
         peak = max(peak, fold.size)
     return fold, peak, merged
 
 
 def _assert_chain_is_the_fold(pieces) -> int:
-    """``tensor_chain`` builds the dense fold exactly; returns the fold's merges."""
+    """``tensor_chain`` builds the fold exactly; returns the fold's merges."""
     chain, chain_peak = tensor_chain(pieces)
     fold, peak, merged = _reference_chain(pieces)
-    fold = _dense(fold)
-    assert chain.root == fold.root
-    assert chain.states == fold.states
-    # The same transitions, with the same state ids, in the same order.
-    assert chain.internal == fold.internal
-    assert chain.leaves == fold.leaves
+    assert normalize(chain) == normalize(fold)
     assert chain_peak == peak
     validate(chain)
     return merged
@@ -463,7 +433,7 @@ def test_a_run_gives_the_merged_states_of_each_graft_no_id(monkeypatch):
     assert merged >= {1, 2}
 
 
-@pytest.mark.parametrize("family", ["bv", "ghz", "mctoffoli"])
+@pytest.mark.parametrize("family", ["bv", "ghz", "grover", "groveriter", "mctoffoli"])
 def test_translation_chains_graft_like_the_fold(family, monkeypatch):
     chains = []
 
@@ -472,7 +442,7 @@ def test_translation_chains_graft_like_the_fold(family, monkeypatch):
         return tensor_chain(pieces)
 
     monkeypatch.setattr(lstaq.build, "tensor_chain", recording)
-    for n in (2, 3, 4, 8):
+    for n in (2, 3, 4, 8, 128):
         for pre, post, joint in bench_sources(family, n):
             for group in ([pre, post],) if joint else ([pre], [post]):
                 translate([parse(t) for t in group])
@@ -512,8 +482,6 @@ def _merge_by_renumbering_all(a: Lsta) -> tuple[tuple, set[int]]:
 
 
 def test_first_operands_merge_from_their_first_merged_state_as_a_full_renumbering(monkeypatch):
-    from tests.test_acceptance import random_source
-
     firsts, unions = [], []
 
     def recording_chain(pieces):
@@ -574,23 +542,17 @@ def test_union_all_equals_the_binary_left_fold():
         for b in pieces[1:]:
             bound = fold.size + b.size
             fold = _ref_union(fold, b)
-            validate(_dense(fold))
+            validate(normalize(fold))
             assert fold.size <= bound
         chain = union_all(pieces)
         validate(chain)
-        assert chain.size == fold.size
-        assert canonical_form(chain) == canonical_form(fold)
-        assert chain == _dense(fold)
+        assert normalize(chain) == normalize(fold)
 
 
 def _ref_member(psi: StateVector, semiring) -> Lsta:
     """One member's levelwise automaton, built on its own as it was before
-    a set's members were written into their union, but for the zero
-    vector's root: it is the last id, as every other root is."""
+    a set's members were written into their union."""
     one, n = frozenset({1}), psi.n
-    if psi.is_zero:
-        return mk_lsta(semiring, n, [Internal(k, one, k + 1, k + 1) for k in range(n - 1)]
-                       + [Internal(n, one, 0, 0)], [Leaf(n - 1, one, semiring.zero)])
     full = len(psi.entries) == (1 << n)
     ids = itertools.count()
     internal, leaves, level = [], [], {}
@@ -618,14 +580,8 @@ def _ref_member(psi: StateVector, semiring) -> Lsta:
 
 def _assert_setq_is_the_union(members, semiring) -> None:
     got = build_setq_lsta(members, semiring)
-    want = _dense(union_all([_ref_member(psi, semiring) for psi in members]))
-    assert got.root == want.root
-    assert got.states == want.states
-    # The same transitions, with the same state ids, in the same order.
-    assert got.internal == want.internal
-    assert got.leaves == want.leaves
-    assert got == want
     validate(got)
+    assert normalize(got) == normalize(union_all([_ref_member(psi, semiring) for psi in members]))
 
 
 def _random_member(rng: random.Random, n: int, semiring) -> StateVector:
@@ -730,7 +686,7 @@ def test_pieces_over_different_semirings_are_internal_errors(pieces):
 
 # sha256 of the automata the five bench families translate to at these
 # sizes: those of the pairwise folds that the n-ary routines replaced, with
-# their states renumbered by ``_dense``.
+# their states numbered by the id rule of ``lstaq.lsta``.
 FAMILY_SIZES = (2, 3, 4, 8, 16)
 FAMILY_SHA256 = "2d7bfaa9675be8aa3f1ef31aca1ff8b76c4705a5d033fc3e1aecb863a2ca7440"
 

@@ -542,6 +542,24 @@ def test_every_construction_stores_transitions_in_choice_order():
         assert _out_of_choice_order(a) == []
 
 
+def test_a_fresh_root_takes_choices_1_to_k_in_order():
+    # The choice rule of a union's and a set's fresh root, which the fold
+    # comparisons, made up to a renumbering of each level's choices, leave
+    # to this test and the byte pins.
+    from tests.test_acceptance import _random_automaton, _random_vector
+
+    rng = random.Random(0xF4E5)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        members = [_random_vector(rng, n) for _ in range(rng.randint(1, 5))]
+        pieces = [_random_automaton(rng, n) for _ in range(rng.randint(2, 4))]
+        roots = sum(t.top == p.root for p in pieces for t in p.internal)
+        for a, k in ((build_setq_lsta(members, COMPLEX), len(members)),
+                     (union_all(pieces), roots)):
+            assert [t.choices for t in a.internal if t.top == a.root] == [
+                frozenset({c}) for c in range(1, k + 1)]
+
+
 def test_tensor_chains_stay_valid_and_bounded():
     a = single_member({"0": "1/sqrt2", "1": "i/sqrt2"})
     t = a
