@@ -189,6 +189,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise SpecSyntaxError(
             f"sizes must be comma-separated integers, got {args.sizes!r}"
         ) from None
+    if not sizes:
+        raise SpecSyntaxError("no sizes given")
     # Every size is checked before the first line is printed.
     sources = [(n, bench_sources(args.family, n)) for n in sizes]
     print(f"{'n':>5} {'qubits':>7} {'pre':>9} {'post':>9} {'seconds':>9}")

@@ -41,14 +41,35 @@ copy is grafted; its peak is the largest intermediate size of a left fold
 of binary tensors, counted before its merges.  A graft whose leaves have
 its frontier's shape starts a run of one operand object: each further
 merged graft of it finds that frontier again, shifted, so the whole run is
-placed by integer arithmetic and written out in one pass, as shifted
-copies of that graft, with leaf transitions only for the run's last graft.
-Both cost time linear in the size of their result.
+placed by integer arithmetic, as shifted copies of that graft, with leaf
+transitions only for the run's last graft.  Outside runs, both cost time
+linear in the size of their result.
 They assert their size bounds but do not :func:`validate` their results;
 callers validate a finished automaton once.  Neither changes its operands,
 so the same automaton object may be passed several times, as translation
 does with recurring qubit slices; their operands must keep the id rule.
 :func:`union` and :func:`tensor` are their two-operand forms.
+
+**Run blocks.**  :func:`tensor_chain` keeps each run as one block of the
+automaton it returns: a :class:`_Run`, the graft's template and its
+placements, held as their arithmetic (:class:`_Placements`).  Such a
+*run-bearing* automaton stores its internal transitions as blocks that
+alternate records and runs (``Lsta._blocks``); its leaves are records, as
+a run has leaves only at its last graft, and the unmerged last graft and
+everything that does not repeat are records too.  An explicit automaton,
+built as ``Lsta(...)``, holds plain tuples.  Blocks are read directly by
+:func:`tensor_chain`, :func:`union_all`, :func:`map_leaves`,
+:func:`validate`, :func:`write_lsta` and ``Lsta.size``; so composition and
+validation of a run cost the same however long it is.
+:func:`tensor_chain` keeps a first operand's runs and reads only its
+records; a right operand's runs, and :func:`union_all`'s pieces', are kept
+moved by each copy's offset (:func:`_runs_of`).  Every other reader (the
+oracle, :func:`membership`, :func:`enumerate_language`, the tests) reads
+``a.internal``, which a run-bearing automaton builds on its first read, in
+stored order: record blocks as they are, a run graft by graft, each
+graft's inner transitions before its interface ones, which is the order
+rule's order.  That accessor is the one place outside :func:`write_lsta`
+that expands a run.  ``dataclasses.replace`` builds an explicit automaton.
 
 :func:`validate` tests whole sets first: the set of tops against the ids,
 the referenced states against the tops, and the (top, choice) pairs for
@@ -56,7 +77,17 @@ repeats.  When every choice set is a singleton, as in the automata that
 translation builds, each transition is one such pair, and it tests the
 (top, choice set) pairs instead, one per transition.  Only on a fault does
 it scan, to name the first one in transition order, and then the first id
-that breaks the id rule.  :func:`map_leaves`
+that breaks the id rule.  A run is tested through its template and two
+seams (:func:`_runs_hold`): placement ``i``'s ids, its window, hold the
+tops of its inner transitions and of placement ``i+1``'s interface ones,
+which must tile the window, and the children of its own transitions.  The
+first placement's interface transitions, on the frontier the run grafts
+onto, and the last placement's inner ones, whose leaf states the next
+graft continues from, are the seams: they are tested with the records,
+and they repeat every (top, choice) pair of the template, so the set-wide
+tests see every repeat a run holds.  The records' tops must be exactly
+the ids outside the runs' interiors.  Only if that fails are the records
+built, so a fault is named as in the explicit automaton.  :func:`map_leaves`
 calls its function once per distinct leaf value, so an amplitude-domain
 crossing costs one call per value, however many leaves share it.
 
@@ -91,9 +122,11 @@ would lend a ``StateVector`` raise ``TypeError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain, count
-from operator import itemgetter
+from bisect import bisect_left
+from dataclasses import dataclass, replace
+from functools import partial
+from itertools import chain, count, islice, takewhile
+from operator import is_, itemgetter
 from typing import Collection, NamedTuple, Sequence
 
 from .amplitude import COMPLEX, Semiring, undefined_operator
@@ -121,6 +154,7 @@ class Leaf(NamedTuple):
 
 _TOP, _CHOICES, _LEFT, _RIGHT = map(itemgetter, range(4))
 _AMPLITUDE = itemgetter(2)  # of a Leaf
+_OFF, _BASE = itemgetter(0), itemgetter(1)  # of a placement
 
 # Emitters build records as ``tuple.__new__(Internal, (...))``: the same
 # instances that ``Internal(...)`` makes, without NamedTuple's Python-level
@@ -135,10 +169,42 @@ class Lsta:
     internal: tuple[Internal, ...]
     leaves: tuple[Leaf, ...]
 
+    # A run-bearing automaton's internal transitions as blocks (see the
+    # module docstring); ``None`` for an explicit one.
+    _blocks = None
+
     @property
     def size(self) -> int:
         """Number of transitions; the standard size measure."""
-        return len(self.internal) + len(self.leaves)
+        if self._blocks is None:
+            return len(self.internal) + len(self.leaves)
+        return _count(self._blocks) + len(self.leaves)
+
+
+class _Records:
+    """``Lsta.internal`` where the instance holds none, as a run-bearing
+    automaton does: its first read builds the records from the blocks and
+    stores them on the instance, which later reads find first.  Being a
+    non-data descriptor, it leaves attribute lookup on ``Lsta`` generic."""
+
+    def __get__(self, a, owner=None):
+        if a is None:
+            return self
+        internal = a.__dict__["internal"] = _materialize(a._blocks)
+        return internal
+
+
+Lsta.internal = _Records()  # set after the dataclass is made: not a field default
+
+
+def _with_blocks(semiring: Semiring, states: Collection[int], root: int,
+                 blocks: tuple, leaves: tuple[Leaf, ...]) -> Lsta:
+    """A run-bearing automaton: ``internal`` is built from ``blocks`` on
+    its first read."""
+    a = object.__new__(Lsta)
+    a.__dict__.update(semiring=semiring, states=states, root=root, leaves=leaves,
+                      _blocks=blocks)
+    return a
 
 
 def mk_lsta(
@@ -157,6 +223,46 @@ def mk_lsta(
     return Lsta(semiring, frozenset(states), root, tuple(internal), tuple(leaves))
 
 
+def _distinct(tops: list[int], choices: list) -> bool:
+    """Whether every choice set is nonempty and no (top, choice) pair
+    repeats, over transitions given as their tops and choice sets.  When
+    every choice set is a singleton, the pairs are (top, choice set) pairs,
+    one per transition."""
+    if set(map(len, choices)) == {1}:
+        return len(set(zip(tops, choices))) == len(tops)
+    pairs = [(top, c) for top, cs in zip(tops, choices) for c in cs]
+    return all(choices) and len(set(pairs)) == len(pairs)
+
+
+def _runs_hold(a: Lsta) -> bool:
+    """Whether a run-bearing ``a`` keeps every rule :func:`validate`
+    checks, read from its runs' templates (see the module docstring).
+
+    The set-wide tests run on the records :func:`_layout` keeps, whose tops
+    must be exactly the ids outside the runs' interiors.  Those records
+    hold every run's two seams, which carry its template's inner and
+    interface transitions, so a (top, choice) pair the template repeats
+    repeats there too.
+    """
+    n = len(a.states)
+    layout = _layout(a) if a.states == range(n) else None
+    if layout is None:
+        return False
+    records, runs = layout
+    gaps, prev = [], 0
+    for lo, hi, _run in runs:
+        gaps.append(range(prev, lo))
+        prev = hi
+    gaps.append(range(prev, n))
+    transitions = (*records, *a.leaves)
+    tops = list(map(_TOP, transitions))
+    kids = [*map(_LEFT, records), *map(_RIGHT, records)]
+    # Once the tops are 0..N-1, a child is a top exactly when it is an id.
+    return (_distinct(tops, list(map(_CHOICES, transitions))) and a.root in a.states
+            and set(tops) == set(chain.from_iterable(gaps))
+            and (not kids or 0 <= min(kids) and max(kids) < n))
+
+
 def validate(a: Lsta) -> None:
     """Check structural invariants and the id rule; raises on the first
     violation.
@@ -164,21 +270,18 @@ def validate(a: Lsta) -> None:
     Set-wide tests find whether the tops are other than ``0..N-1``, a state
     unknown, a choice set empty or a (top, choice) pair repeated; only then
     does the ordered scan run, to name the first violation in transition
-    order, and then the first id missing from ``a.states`` or the tops.
-    When every choice set is a singleton, the pairs are (top, choice set)
-    pairs, one per transition.
+    order, and then the first id missing from ``a.states`` or the tops.  A
+    run-bearing automaton is tested through its runs' templates
+    (:func:`_runs_hold`); only if that fails are its records built, to be
+    tested and scanned in the same way.
     """
+    if a._blocks is not None and _runs_hold(a):
+        return
     transitions = (*a.internal, *a.leaves)
     n = len(a.states)
     tops = list(map(_TOP, transitions))
-    choices = list(map(_CHOICES, transitions))
-    if set(map(len, choices)) == {1}:
-        distinct = len(set(zip(tops, choices))) == len(tops)
-    else:
-        pairs = [(top, c) for top, cs in zip(tops, choices) for c in cs]
-        distinct = all(choices) and len(set(pairs)) == len(pairs)
     top_ids = set(tops)
-    if (distinct and len(top_ids) == n and top_ids.issuperset(range(n))
+    if (_distinct(tops, list(map(_CHOICES, transitions))) and len(top_ids) == n and top_ids.issuperset(range(n))
             and (a.states == range(n) or top_ids.issuperset(a.states))
             and a.root in top_ids and top_ids.issuperset(map(_LEFT, a.internal))
             and top_ids.issuperset(map(_RIGHT, a.internal))):
@@ -460,13 +563,14 @@ def union_all(pieces: Sequence[Lsta]) -> Lsta:
     the pieces together.  It serves unions of already built automata, such
     as a segment's alternatives; ``build.build_setq_lsta`` writes a set's
     members into the same union directly instead of building each one first.
+    A piece's runs (:func:`_runs_of`) are kept, moved by the piece's offset.
     """
     if not pieces:
         raise InternalError("union of no automata")
     if len(pieces) == 1:
         return pieces[0]
     semiring = pieces[0].semiring
-    internal: list[Internal] = []
+    blocks: list = [[]]
     leaves: list[Leaf] = []
     old_roots: list[Internal] = []
     offset = 0
@@ -476,17 +580,23 @@ def union_all(pieces: Sequence[Lsta]) -> Lsta:
             raise InternalError("cannot union automata over different semirings")
         if any(t.top == p.root for t in p.leaves):
             raise InternalError("a root state may not carry leaf transitions")
+        root, n = p.root, len(p.states)
         # The root takes no id, so the ids above it move down by one.
-        ids = [offset + s - (s > p.root) for s in range(len(p.states))]
-        for top, c, left, right in p.internal:
-            moved = new(Internal, (ids[top], c, ids[left], ids[right]))
-            (old_roots if top == p.root else internal).append(moved)
+        ids = [*range(offset, offset + root + 1), *range(offset + root, offset + n - 1)]
+        for block in _runs_of(p, below_leaves=False):
+            if type(block) is _Run:
+                blocks += [_shift(block, offset - 1, root), []]
+                continue
+            internal = blocks[-1]
+            for top, c, left, right in block:
+                moved = new(Internal, (ids[top], c, ids[left], ids[right]))
+                (old_roots if top == root else internal).append(moved)
         leaves += [new(Leaf, (ids[top], c, amplitude)) for top, c, amplitude in p.leaves]
-        offset += len(p.states) - 1
-    internal += [new(Internal, (offset, frozenset((idx,)), t.left, t.right))
-                 for idx, t in enumerate(old_roots, start=1)]
-    assert len(internal) + len(leaves) <= sum(p.size for p in pieces)
-    return Lsta(semiring, range(offset + 1), offset, tuple(internal), tuple(leaves))
+        offset += n - 1
+    blocks[-1] += [new(Internal, (offset, frozenset((idx,)), t.left, t.right))
+                   for idx, t in enumerate(old_roots, start=1)]
+    assert _count(blocks) + len(leaves) <= sum(p.size for p in pieces)
+    return _assemble(semiring, offset + 1, offset, blocks, leaves)
 
 
 def union(a: Lsta, b: Lsta) -> Lsta:
@@ -501,20 +611,31 @@ def _plan(b: Lsta) -> tuple:
 
     Returns the number of local ids; the root transitions, their choices as
     indexes into the sorted root choices; the inner and the leaf
-    transitions; the number of root choices; and the largest inner choice.
+    transitions; the number of root choices; the largest inner choice; and
+    ``b``'s runs (:func:`_runs_of`), each with the index of the inner
+    transition it goes before.  A run's ids are below every leaf state, so
+    a copy moves them by one offset (:func:`_shift`).
     """
-    local = [s - (s > b.root) for s in range(len(b.states))]
-    root_trans = [t for t in b.internal if t.top == b.root]
+    root = b.root
+    root_trans: list[Internal] = []
+    inner: list[tuple] = []
+    runs: list[tuple[int, _Run]] = []
+    for block in _runs_of(b):
+        if type(block) is _Run:
+            runs.append((len(inner), block))
+            continue
+        root_trans += [t for t in block if t.top == root]
+        inner += [(t - (t > root), c, l - (l > root), r - (r > root))
+                  for t, c, l, r in block if t != root]
     if not root_trans:
         raise InternalError("right tensor operand has no root transitions")
     index = {c: i for i, c in enumerate(sorted({c for t in root_trans for c in t.choices}))}
-    roots = [(tuple(index[c] for c in t.choices), local[t.left], local[t.right])
-             for t in root_trans]
-    inner = [(local[t.top], t.choices, local[t.left], local[t.right])
-             for t in b.internal if t.top != b.root]
-    leaves = [(local[t.top], t.choices, t.amplitude) for t in b.leaves]
-    inner_max = max((c for _t, cs, _l, _r in inner for c in cs), default=0)
-    return len(local) - 1, roots, inner, leaves, len(index), inner_max
+    roots = [(tuple(index[c] for c in cs), l - (l > root), r - (r > root))
+             for _t, cs, l, r in root_trans]
+    leaves = [(t - (t > root), c, amplitude) for t, c, amplitude in b.leaves]
+    inner_max = max(chain((c for _t, cs, _l, _r in inner for c in cs),
+                          (run.top for _at, run in runs)), default=0)
+    return len(b.states) - 1, roots, inner, leaves, len(index), inner_max, runs
 
 
 def _signatures(leaves, inner_tops: set[int]) -> dict[int, frozenset]:
@@ -528,87 +649,289 @@ def _signatures(leaves, inner_tops: set[int]) -> dict[int, frozenset]:
 
 
 def _number(states: range, sigs: dict[int, frozenset], reps: dict[frozenset, int],
-            start: int) -> tuple[list[int], set[int]]:
+            start: int, named=None) -> tuple:
     """Ids for ``states``, in their order, and the states merged.  In order, a
     state whose signature is in ``reps`` is merged into that representative;
     any other takes the next id from ``start``, and its signature, if it has
-    one, joins ``reps``."""
-    ids: list[int] = []
+    one, joins ``reps``.  The states before the first with a signature take
+    consecutive ids without a lookup.  With ``named``, the ids are a dict
+    of those states' only."""
+    first = min(sigs, default=states.stop)
+    if first < states.start:
+        first = states.start
+    top = start + first - states.start
+    ids = list(range(start, top)) if named is None else []
     merged: set[int] = set()
-    for a in states:
+    for a in range(first, states.stop):
         sig = sigs.get(a)
-        rep = start if sig is None else reps.setdefault(sig, start)
-        if rep == start:
-            start += 1
+        rep = top if sig is None else reps.setdefault(sig, top)
+        if rep == top:
+            top += 1
         else:
             merged.add(a)
         ids.append(rep)
-    return ids, merged
+    if named is None:
+        return ids, merged
+    return {a: start + a - states.start if a < first else ids[a - first]
+            for a in named}, merged
 
 
-def _merge_leaf_states(a: Lsta) -> tuple[int, list[Internal], list[Leaf], int]:
+def _merge_leaf_states(a: Lsta, internal=None) -> tuple[int, list[Internal], list[Leaf], int]:
     """``a``'s root, transitions and number of ids once its interchangeable
     leaf-only states are merged: those with equal leaf transitions become
     the first of them, and the others take no id.
 
     The ids below the first merged state keep their numbers, so only the
     ids from it up are numbered again, and only the transitions that reach
-    one of them are rebuilt, each in its place.
+    one of them are rebuilt, each in its place.  ``internal`` are the
+    transitions to read and rebuild, by default all of ``a``'s;
+    :func:`tensor_chain` passes only those after ``a``'s last run, whose
+    ids are all below every leaf state (:func:`_runs_of`).
     """
-    sigs = _signatures(a.leaves, {a.root, *map(_TOP, a.internal)})
+    if internal is None:
+        internal = a.internal
+    sigs = _signatures(a.leaves, {a.root, *map(_TOP, internal)})
     reps: dict[frozenset, int] = {}
     for first in sorted(sigs):
         if reps.setdefault(sigs[first], first) != first:
             break
     else:
-        return a.root, list(a.internal), list(a.leaves), len(a.states)
+        return a.root, list(internal), list(a.leaves), len(a.states)
     n = len(a.states)
     tail, merged = _number(range(first, n), sigs, reps, first)
-    ids = [*range(first), *tail]
+    ids = tail.__getitem__  # the new id of s >= first is ids(s - first)
     new = tuple.__new__
-    internal = list(a.internal)
-    for k, (t, c, l, r) in enumerate(a.internal):
+    internal = list(internal)
+    for k, (t, c, l, r) in enumerate(internal):
         if t >= first or l >= first or r >= first:
-            internal[k] = new(Internal, (ids[t], c, ids[l], ids[r]))
-    leaves = [new(Leaf, (ids[t], c, p)) for t, c, p in a.leaves if t not in merged]
-    return ids[a.root], internal, leaves, n - len(merged)
+            internal[k] = new(Internal, (t if t < first else ids(t - first), c,
+                                         l if l < first else ids(l - first),
+                                         r if r < first else ids(r - first)))
+    leaves = [new(Leaf, (t if t < first else ids(t - first), c, p))
+              for t, c, p in a.leaves if t not in merged]
+    root = a.root if a.root < first else ids(a.root - first)
+    return root, internal, leaves, n - len(merged)
 
 
 class _Template(NamedTuple):
     """A graft relative to its first fresh id and choice and its frontier's
     first top.
 
-    ``internal`` holds the graft's internal transitions in order, the
-    copies' inner ones first: ``(False, top, choices, left, right)`` over
-    ids, or, for an interface transition, ``(True, top, k, left, right)``
-    with its top relative to the frontier and its choices the ``k``-th of
-    ``sets``, whose choices are relative to the first fresh choice.  ``top``
-    is the largest interface choice.
+    ``inner`` holds the copies' inner transitions in order, ``(top,
+    choices, left, right)`` over ids, and ``faces`` the interface ones in
+    order, ``(top, k, left, right)`` with the top relative to the frontier
+    and the choices the ``k``-th of ``sets``, whose choices are relative to
+    the first fresh choice.  ``top`` is the largest interface choice.
+    ``nested`` holds the runs of a run-bearing piece's copies, ``(k, run,
+    offset, root)``: ``run``, moved by ``offset`` ids above the piece's
+    ``root`` (:func:`_shift`), goes before ``inner[k]``.
     """
 
     n_values: int
     n_ids: int
-    internal: list[tuple[bool, int, object, int, int]]
+    inner: list[tuple[int, frozenset[int], int, int]]
+    faces: list[tuple[int, int, int, int]]
     leaves: list[tuple[int, frozenset[int], object]]
     sets: list[tuple[int, ...]]
     top: int
+    nested: list[tuple[int, "_Run", int, int]]
 
 
-def _emit(tpl: _Template, placements: list[tuple[int, int, int]],
-          internal: list[Internal]) -> list[Leaf]:
-    """Append ``tpl`` at each placement, a (first fresh id, first fresh
-    choice, frontier's first top) triple, in order, each graft's inner
-    transitions before its interface ones.  Returns the last placement's
-    leaf transitions; the others' leaves are only the next placement's
-    frontier, so they are not built."""
-    sets = [frozenset(map(base.__add__, cs))
-            for _off, base, _front in placements for cs in tpl.sets]
-    new, n_sets = tuple.__new__, len(tpl.sets)
-    internal += [new(Internal, (front + t, sets[g + c], off + l, off + r) if via
-                     else (off + t, c, off + l, off + r))
-                 for g, (off, _base, front) in zip(count(0, n_sets), placements)
-                 for via, t, c, l, r in tpl.internal]
-    off = placements[-1][0]
+@dataclass(frozen=True)
+class _Placements:
+    """``n`` placements, each a (first fresh id, first fresh choice,
+    frontier's first top) triple, held as the integer arithmetic
+    :func:`tensor_chain` places them by: ``first`` is the first triple;
+    each first fresh id after it is the previous one plus ``step``, and
+    each frontier's first top the previous first fresh id plus ``lead``;
+    the second first fresh choice is ``base1``, and each after it the
+    previous one plus ``stride``.  It reads as the tuple of its triples."""
+
+    first: tuple[int, int, int]
+    n: int
+    step: int
+    lead: int
+    base1: int
+    stride: int
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        off = self.first[0]
+        return chain((self.first,), islice(zip(
+            count(off + self.step, self.step), count(self.base1, self.stride),
+            count(off + self.lead, self.step)), self.n - 1))
+
+    def __getitem__(self, i: int) -> tuple[int, int, int]:
+        i = range(self.n)[i]
+        if i == 0:
+            return self.first
+        off = self.first[0] + i * self.step
+        return off, self.base1 + (i - 1) * self.stride, off - self.step + self.lead
+
+
+class _Run(NamedTuple):
+    """A run's block: its template, its placements and its largest choice."""
+
+    tpl: _Template
+    placements: _Placements
+    top: int
+
+
+def _shift(run: _Run, delta: int, root: int) -> _Run:
+    """``run`` with its ids moved as a piece's are when its root takes no
+    id: those above ``root`` by ``delta``, those below it by one more.
+    Only its first frontier may be below the root (:func:`_fits`)."""
+    off, base, front = run.placements.first
+    first = (off + delta, base, front + delta + (front < root))
+    return run._replace(placements=replace(run.placements, first=first))
+
+
+def _fits(run: _Run, root: int, floor: int) -> bool:
+    """Whether ``run``'s own ids are above ``root`` and below ``floor``, and
+    the frontier it grafts onto is below ``floor``, on one side of ``root``."""
+    off, _base, front = run.placements[0]
+    tops = [front + t for t, _k, _l, _r in run.tpl.faces] or [front]
+    end = run.placements[-1][0] + run.tpl.n_ids
+    return (root < off and end <= floor and max(tops) < floor
+            and (max(tops) < root or min(tops) > root))
+
+
+def _runs_of(a: Lsta, below_leaves: bool = True) -> tuple:
+    """``a``'s blocks, when each run :func:`_fits` above its root and, with
+    ``below_leaves``, below its leaf states, as :func:`tensor_chain` and
+    :func:`map_leaves` leave them; otherwise its records, as one block.
+    The blocks alternate records and runs, and begin and end with records."""
+    blocks = a._blocks
+    if blocks is not None:
+        floor = min(map(_TOP, a.leaves), default=-1) if below_leaves else len(a.states)
+        if all(_fits(run, a.root, floor) for run in blocks[1::2]):
+            return blocks
+    return (a.internal,)
+
+
+def _inner_at(inner: list[tuple], off: int) -> list[Internal]:
+    """Inner transitions of a template placed at first fresh id ``off``."""
+    new = tuple.__new__
+    return [new(Internal, (off + t, c, off + l, off + r)) for t, c, l, r in inner]
+
+
+def _faces_at(tpl: _Template, off: int, base: int, front: int) -> list[Internal]:
+    """``tpl``'s interface transitions placed at one placement."""
+    new = tuple.__new__
+    sets = [frozenset(map(base.__add__, cs)) for cs in tpl.sets]
+    return [new(Internal, (front + t, sets[k], off + l, off + r)) for t, k, l, r in tpl.faces]
+
+
+def _materialize(blocks: tuple) -> tuple[Internal, ...]:
+    """The records of ``blocks``, in stored order, each run's graft by graft,
+    inner transitions before interface ones: the one place outside
+    :func:`write_lsta` that expands a run."""
+    out: list[Internal] = []
+    for block in blocks:
+        if type(block) is tuple:
+            out += block
+            continue
+        for off, base, front in block.placements:
+            out += _inner_at(block.tpl.inner, off)
+            out += _faces_at(block.tpl, off, base, front)
+    return tuple(out)
+
+
+def _count(blocks) -> int:
+    """The number of records ``blocks`` hold, counted without building them."""
+    return sum(len(b.placements) * (len(b.tpl.inner) + len(b.tpl.faces))
+               if type(b) is _Run else len(b) for b in blocks)
+
+
+def _assemble(semiring: Semiring, n: int, root: int, blocks: list, leaves: list) -> Lsta:
+    """The automaton over ids ``0..n-1`` that ``blocks`` hold, explicit when
+    they hold no run."""
+    if len(blocks) == 1:
+        return Lsta(semiring, range(n), root, tuple(blocks[0]), tuple(leaves))
+    return _with_blocks(semiring, range(n), root,
+                        tuple(b if type(b) is _Run else tuple(b) for b in blocks),
+                        tuple(leaves))
+
+
+def _steady(run: _Run) -> bool:
+    """Whether ``run`` is placed as :func:`tensor_chain` places one, and its
+    windows tile their ids.
+
+    Each placement's first fresh id is the previous one's plus the
+    template's ids, and its frontier's first top the previous one's plus
+    the template's first leaf.  Window ``i`` is placement ``i``'s ids: the
+    tops of its inner transitions and of placement ``i+1``'s interface
+    ones, which must be disjoint and together every id of the window; and
+    the children of placement ``i``'s transitions, all inside it.
+    """
+    tpl, placements, _top = run
+    if not tpl.leaves:
+        return False
+    step, first_leaf = tpl.n_ids, tpl.leaves[0][0]
+    inner_tops = set(map(_TOP, tpl.inner))
+    face_tops = {first_leaf + t for t, _k, _l, _r in tpl.faces}
+    kids = [x for _t, _c, l, r in chain(tpl.inner, tpl.faces) for x in (l, r)]
+    return (placements.step == step and placements.lead == first_leaf
+            and not inner_tops & face_tops and inner_tops | face_tops == set(range(step))
+            and bool(kids) and 0 <= min(kids) and max(kids) < step)
+
+
+def _layout(a: Lsta) -> tuple[list[Internal], list[tuple[int, int, _Run]]] | None:
+    """A run-bearing ``a``'s records outside its runs' interiors, in stored
+    order, and its runs, each as ``(lo, hi, run)`` with its interior
+    ``lo..hi-1``; ``None`` unless every run is :func:`_steady`, the
+    interiors are in ascending order and each run's last window ends by
+    the last id.
+
+    The records are the explicit blocks' and each run's two seams: its
+    first placement's interface transitions, whose tops are the frontier
+    it grafts onto, and its last placement's inner ones, whose leaf states
+    are the next graft's frontier.  A run's interior, the ids from its
+    first placement's up to its last placement's, holds the tops of every
+    other record it stores.
+    """
+    records: list[Internal] = []
+    runs: list[tuple[int, int, _Run]] = []
+    n, prev = len(a.states), 0
+    for block in a._blocks:
+        if type(block) is tuple:
+            records += block
+            continue
+        tpl, placements, _top = block
+        lo, hi = placements[0][0], placements[-1][0]
+        if lo < prev or hi + tpl.n_ids > n or not _steady(block):
+            return None
+        records += _faces_at(tpl, *placements[0])
+        records += _inner_at(tpl.inner, hi)
+        runs.append((lo, hi, block))
+        prev = hi
+    return records, runs
+
+
+def _emit(tpl: _Template, placements, blocks: list) -> list[Leaf]:
+    """Store ``tpl`` at each placement, a (first fresh id, first fresh
+    choice, frontier's first top) triple, in order.  Several placements are
+    kept as one :class:`_Run`, and a new block of records opens after it.
+    One placement is written out onto the open block of records,
+    ``blocks[-1]``, except for its nested runs, each kept as a run.
+    Returns the last placement's leaf transitions; the others' leaves are
+    only the next placement's frontier, so they are not built."""
+    if len(placements) > 1:
+        off, base, _front = placements[-1]
+        top = max(chain((c for _t, cs, _l, _r in tpl.inner for c in cs),
+                        (base + c for cs in tpl.sets for c in cs)), default=0)
+        blocks += [_Run(tpl, placements, top), []]
+    else:
+        ((off, base, front),), cut = placements, 0
+        for k, run, delta, root in tpl.nested:
+            blocks[-1] += _inner_at(tpl.inner[cut:k], off)
+            blocks += [_shift(run, off + delta, root), []]
+            cut = k
+        blocks[-1] += _inner_at(tpl.inner[cut:] if cut else tpl.inner, off)
+        blocks[-1] += _faces_at(tpl, off, base, front)
+    new = tuple.__new__
     return [new(Leaf, (off + a, c, p)) for a, c, p in tpl.leaves]
 
 
@@ -647,20 +970,28 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
     and a leaf amplitude is computed once per call, however often the pair
     recurs: ``products`` is the one table the call keeps.
 
-    A graft is a :class:`_Template` written out by :func:`_emit` at a
+    A graft is a :class:`_Template` stored by :func:`_emit` at a
     placement: its first fresh id, first fresh choice and frontier's first
     top.  A merged graft whose leaves have its frontier's shape (every top
     moved by one offset, equal choices and amplitudes, in order) starts a
     run: each further merged graft of the same piece object finds that
     frontier again, shifted, so its template places the whole run, up to
     but not including the unmerged last graft.  The placements are integer
-    arithmetic.  The first fresh id moves by the template's ids; the
-    frontier's first top is the previous placement plus the template's
-    first leaf; and the largest choice is recomputed at each placement, not
-    shifted, because the piece's inner choices may exceed the interface.
-    One :func:`_emit` call then writes every placement, and builds leaf
-    transitions only for the last, since the others' leaves are only the
-    next graft's frontier.  The size bound is asserted for every graft.
+    arithmetic (:class:`_Placements`).  The first fresh id moves by the
+    template's ids; the frontier's first top is the previous placement plus
+    the template's first leaf; and the first fresh choice is one above
+    every choice before it, which from the second graft on is the previous
+    graft's largest interface choice, while the first graft's may be the
+    piece's largest inner choice.  The run is kept as one block of the
+    result, with leaf transitions only for its last graft, since the
+    others' leaves are only the next graft's frontier.  The size bound is
+    asserted for every graft: its second and later grafts share one.
+
+    Runs stay runs through later calls (:func:`_runs_of`).  A first piece
+    keeps its blocks up to its last run: only the records after it are
+    merged and rebuilt, and only its records and its runs' largest choices
+    are read for the largest choice.  A piece with runs is grafted with
+    each copy's runs moved by the copy's offset; such a graft starts no run.
     """
     if not pieces:
         raise InternalError("tensor product of no automata")
@@ -669,9 +1000,14 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
     if len(pieces) == 1:
         return acc, peak
     semiring = acc.semiring
-    root, internal, leaves, next_id = _merge_leaf_states(acc)
+    *head, tail = _runs_of(acc)
+    root, internal, leaves, next_id = _merge_leaf_states(acc, tail)
+    blocks: list = [*head, internal]
     unmerged = len(acc.leaves)  # leaf transitions of the last graft before merging
-    top_choice = max(chain.from_iterable(map(_CHOICES, internal)), default=0)
+    top_choice = max(chain.from_iterable(map(_CHOICES, chain(*head[::2], internal))), default=0)
+    if head:
+        top_choice = max(top_choice, *(run.top for run in head[1::2]))
+    n_internal = _count(blocks)
     products: dict = {}
 
     def product(v, amplitude):
@@ -686,18 +1022,28 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
         b = pieces[step]
         if b.semiring != semiring:
             raise InternalError("cannot tensor automata over different semirings")
-        n_states, roots, inner, b_leaves, width, inner_max = _plan(b)
+        n_states, roots, inner, b_leaves, width, inner_max, b_runs = _plan(b)
         inner_tops = {t for t, _c, _l, _r in inner}
         values = {v: vi for vi, v in enumerate(dict.fromkeys(t.amplitude for t in leaves))}
         reps: dict[frozenset, int] = {}
         n_ids = 0
-        moves, grafted, copy_roots, sets = [], [], [], []
+        moves, faces, nested, grafted, copy_roots, sets = [], [], [], [], [], []
+        # A piece with runs names few of its ids outside them: only those
+        # are numbered one by one.
+        named = None
+        if b_runs:
+            named = {x for t, _c, l, r in inner for x in (t, l, r)}
+            named.update(*((l, r) for _cs, l, r in roots), map(_TOP, b_leaves))
         for v in values:
             scaled = [(a, c, product(v, amplitude)) for a, c, amplitude in b_leaves]
             sigs = _signatures(scaled, inner_tops) if step < last else {}
-            ids, merged = _number(range(n_states), sigs, reps, n_ids)
+            ids, merged = _number(range(n_states), sigs, reps, n_ids, named)
+            if b_runs:
+                # A run's local ids are below every merged state, so they
+                # move by the copy's first id (:func:`_shift`).
+                nested += [(len(moves) + k, run, n_ids - 1, b.root) for k, run in b_runs]
             n_ids += n_states - len(merged)
-            moves += [(False, ids[t], c, ids[l], ids[r]) for t, c, l, r in inner]
+            moves += [(ids[t], c, ids[l], ids[r]) for t, c, l, r in inner]
             grafted += [(ids[a], c, p) for a, c, p in scaled if a not in merged]
             copy_roots.append([(j, ids[l], ids[r]) for j, (_cs, l, r) in enumerate(roots)])
         front = leaves[0].top if leaves else 0
@@ -709,37 +1055,41 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
                 k = set_index[lt.choices] = len(sets)
                 starts = [ex_index[ca] * width for ca in lt.choices]
                 sets += [tuple(s + i for s in starts for i in cs) for cs, _l, _r in roots]
-            moves += [(True, lt.top - front, k + j, l, r)
-                      for j, l, r in copy_roots[values[lt.amplitude]]]
+            faces += [(lt.top - front, k + j, l, r) for j, l, r in copy_roots[values[lt.amplitude]]]
         # Every frontier choice and every root choice index occurs.
-        tpl = _Template(len(values), n_ids, moves, grafted, sets, len(ex_index) * width - 1)
+        tpl = _Template(len(values), n_ids, moves, faces, grafted, sets,
+                        len(ex_index) * width - 1, nested)
         end = step + 1
-        if end < last and pieces[end] is b and _shape(grafted) == _shape(leaves):
+        if (end < last and pieces[end] is b and grafted and not nested
+                and _shape(grafted) == _shape(leaves)):
             # The graft's leaves are its frontier shifted, so each further
             # merged graft of b finds that frontier again: place the run now.
-            while end < last and pieces[end] is b:
-                end += 1
-        first_leaf = tpl.leaves[0][0] if tpl.leaves else None
-        n_new, grown = len(tpl.internal), tpl.n_values * len(b_leaves)
-        bound = tpl.n_values * b.size
-        n_internal = len(internal)
-        placements = []
-        for _ in range(step, end):
-            base = top_choice + 1
-            placements.append((next_id, base, front))
-            if tpl.n_values:
-                top_choice = max(top_choice, base + tpl.top, inner_max)
-            size = n_internal + unmerged
-            n_internal, unmerged = n_internal + n_new, grown
-            assert n_internal + unmerged <= size + bound
-            front = 0 if first_leaf is None else next_id + first_leaf
-            next_id += tpl.n_ids
+            end += len(list(takewhile(partial(is_, b), islice(pieces, end, last))))
+        k, n_new = end - step, len(moves) + len(faces)
+        if nested:
+            n_new += _count(r for _k, r, _d, _r in nested)
+        grown, bound = tpl.n_values * len(b_leaves), tpl.n_values * b.size
+        # Each graft's size bound; from the second on, its frontier is the
+        # previous graft's unmerged leaves.
+        assert n_new + grown <= unmerged + bound and (k == 1 or n_new <= bound)
+        # A graft's first fresh choice is one above every choice before it.
+        # From the second graft on, that is the previous graft's largest
+        # interface choice, since its first fresh choice is above inner_max.
+        base = top_choice + 1
+        placements = ((next_id, base, front),)
+        if k > 1:
+            base1 = max(base + tpl.top, inner_max) + 1 if tpl.n_values else base
+            placements = _Placements(placements[0], k, tpl.n_ids, grafted[0][0], base1,
+                                     tpl.top + 1)
+        if tpl.n_values:
+            top_choice = max(placements[-1][1] + tpl.top, inner_max)
+        next_id += k * tpl.n_ids
+        n_internal, unmerged = n_internal + k * n_new, grown
         # Sizes only grow along a run, so its last graft is its largest.
         peak = max(peak, n_internal + unmerged)
-        leaves = _emit(tpl, placements, internal)
+        leaves = _emit(tpl, placements, blocks)
         step = end
-    out = Lsta(semiring, range(next_id), root, tuple(internal), tuple(leaves))
-    return out, peak
+    return _assemble(semiring, next_id, root, blocks, leaves), peak
 
 
 def tensor(a: Lsta, b: Lsta) -> Lsta:
@@ -761,7 +1111,9 @@ def map_leaves(a: Lsta, fn, semiring: Semiring | None = None) -> Lsta:
     images = list(map(fn, number))
     new = tuple.__new__
     leaves = tuple([new(Leaf, (top, c, images[k])) for (top, c, _v), k in zip(a.leaves, slots)])
-    return Lsta(semiring, a.states, a.root, a.internal, leaves)
+    if a._blocks is None:
+        return Lsta(semiring, a.states, a.root, a.internal, leaves)
+    return _with_blocks(semiring, a.states, a.root, a._blocks, leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -769,15 +1121,62 @@ def map_leaves(a: Lsta, fn, semiring: Semiring | None = None) -> Lsta:
 # ---------------------------------------------------------------------------
 
 
+def _set_text(cs) -> str:
+    return "{%d}" % min(cs) if len(cs) == 1 else "{%s}" % ",".join(map(str, sorted(cs)))
+
+
+def _in_order(a: Lsta) -> tuple[list[Internal], list[tuple[int, _Run]]]:
+    """``a``'s records by ascending top, each state's in stored order, and
+    where each run's interior goes among them.  A run-bearing ``a`` sorts
+    only the records :func:`_layout` keeps, when no top of theirs falls in
+    a run's interior and every run's interface choice sets are singletons,
+    as translation builds them; otherwise its records are written."""
+    layout = None if a._blocks is None else _layout(a)
+    if layout is not None:
+        records, runs = layout
+        records.sort(key=_TOP)
+        tops = list(map(_TOP, records))
+        cuts = []
+        for lo, hi, run in runs:
+            cut = bisect_left(tops, lo)
+            if bisect_left(tops, hi) != cut or any(len(cs) != 1 for cs in run.tpl.sets):
+                break
+            cuts.append((cut, run))
+        else:
+            return records, cuts
+    return sorted(a.internal, key=_TOP), []
+
+
+def _run_lines(run: _Run) -> list[str]:
+    """The lines of ``run``'s interior, window by window (see
+    :func:`_steady`): a window's transitions by ascending top, each state's
+    in stored order, its inner ones before the next placement's interface
+    ones, whose single choice is that placement's."""
+    tpl, placements, _top = run
+    step, first_leaf = tpl.n_ids, tpl.leaves[0][0]
+    # (top, text, choice, left, right) relative to the window; an
+    # interface transition's text is left empty, to be made per window.
+    order = sorted([(t, _set_text(c), 0, l, r) for t, c, l, r in tpl.inner]
+                   + [(first_leaf + t, "", tpl.sets[k][0], step + l, step + r)
+                      for t, k, l, r in tpl.faces], key=_TOP)
+    windows = zip(map(_OFF, placements), islice(map(_BASE, placements), 1, None))
+    return [f"i {o + t} {text} -> {o + l} {o + r}" if text
+            else f"i {o + t} {{{b + c}}} -> {o + l} {o + r}"
+            for o, b in windows for t, text, c, l, r in order]
+
+
 def write_lsta(a: Lsta, n: int, constraint: str | None = None) -> str:
     """Serialize to the versioned line format (deterministic bytes).
 
     Internal transitions, then leaf ones, each by ascending top; a state's
     transitions are written in the order they are stored (the order rule).
+    A run's interior is written from its template, window by window, with
+    no records built, when its interface choice sets are singletons
+    (:func:`_in_order`).
     """
     semiring = a.semiring
-    sets = {cs: "{%d}" % min(cs) if len(cs) == 1 else "{%s}" % ",".join(map(str, sorted(cs)))
-            for cs in set(map(_CHOICES, chain(a.internal, a.leaves)))}
+    records, cuts = _in_order(a)
+    sets = {cs: _set_text(cs) for cs in set(map(_CHOICES, chain(records, a.leaves)))}
     amplitudes = {v: semiring.render(v) for v in set(map(_AMPLITUDE, a.leaves))}
     names = frozenset().union(*map(semiring.variables, amplitudes))
     lines = [
@@ -787,8 +1186,10 @@ def write_lsta(a: Lsta, n: int, constraint: str | None = None) -> str:
         "vars" + "".join(f" {v}" for v in sorted(names)),
         f"root {a.root}",
     ]
-    lines += [f"i {top} {sets[cs]} -> {left} {right}"
-              for top, cs, left, right in sorted(a.internal, key=_TOP)]
+    body = [f"i {top} {sets[cs]} -> {left} {right}" for top, cs, left, right in records]
+    for cut, run in reversed(cuts):
+        body[cut:cut] = _run_lines(run)
+    lines += body
     lines += [f"l {top} {sets[cs]} -> {amplitudes[v]}"
               for top, cs, v in sorted(a.leaves, key=_TOP)]
     if constraint:

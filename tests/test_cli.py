@@ -328,6 +328,12 @@ def test_bench_sizes_must_be_integers(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sizes", [",", "", " , "])
+def test_bench_without_a_size_exits_1_before_any_output(sizes, capsys):
+    assert main(["bench", "bv", sizes]) == 1
+    assert capsys.readouterr() == ("", "error: no sizes given\n")
+
+
 @pytest.mark.parametrize("family, size", [
     ("bv", "-2"), ("mctoffoli", "0"), ("bv", "0"), ("ghz", "0")])
 def test_bench_sizes_below_the_family_minimum_exit_1(family, size, capsys):

@@ -6,9 +6,12 @@ Run it from any checkout as::
 
 For every bench family it runs ``python -m lstaq bench FAMILY SIZES``
 ``--repeat`` times, each in a fresh process on this checkout's ``src``, and
-prints one Markdown row per family: the best wall seconds at each size, and
-the pre/post transitions at the largest size.  Running it on two checkouts
-in the same hour gives a before and after table from one command.
+prints one Markdown row per family: the best wall seconds at each size, the
+pre/post transitions at the largest size, and the highest peak resident
+memory of the runs, which the largest size sets.  Each run's peak is read
+from its own process with ``os.wait4``, so runs do not mix.  Running it on
+two checkouts in the same hour gives a before and after table from one
+command.
 """
 
 from __future__ import annotations
@@ -25,31 +28,38 @@ sys.path.insert(0, str(ROOT / "src"))
 from lstaq.cli import BENCH_MIN_SIZE  # noqa: E402
 
 
-def bench(family: str, sizes: str) -> dict[int, tuple[float, int, int]]:
-    """One ``lstaq bench`` run: seconds, pre and post transitions per size."""
+def bench(family: str, sizes: str) -> tuple[dict[int, tuple[float, int, int]], float]:
+    """One ``lstaq bench`` run: seconds, pre and post transitions per size,
+    and the run's peak resident memory in MB."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run([sys.executable, "-m", "lstaq", "bench", family, sizes],
-                          env=env, capture_output=True, text=True, check=True)
+    args = [sys.executable, "-m", "lstaq", "bench", family, sizes]
+    with subprocess.Popen(args, env=env, stdout=subprocess.PIPE, text=True) as child:
+        out = child.stdout.read()
+        _pid, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+    if child.returncode:
+        raise subprocess.CalledProcessError(child.returncode, args, out)
     rows = {}
-    for line in done.stdout.splitlines()[1:]:
+    for line in out.splitlines()[1:]:
         n, _qubits, pre, post, seconds = line.split()
         rows[int(n)] = (float(seconds), int(pre), int(post))
-    return rows
+    return rows, usage.ru_maxrss / 1024  # KiB on Linux
 
 
 def table(sizes: list[int], repeat: int) -> list[str]:
     """The table's lines, one row per family after the header."""
     largest = max(sizes)
-    heads = [f"n={n} s" for n in sizes] + [f"transitions at {largest} (pre/post)"]
+    heads = ([f"n={n} s" for n in sizes]
+             + [f"transitions at {largest} (pre/post)", f"peak RSS at {largest} (MB)"])
     lines = ["| family     |" + "".join(f" {h} |" for h in heads),
              "|------------|" + "".join("-" * (len(h) + 1) + ":|" for h in heads)]
     arg = ",".join(map(str, sizes))
     for family in BENCH_MIN_SIZE:
-        runs = [bench(family, arg) for _ in range(repeat)]
+        runs, peaks = zip(*(bench(family, arg) for _ in range(repeat)))
         cells = [f"{min(run[n][0] for run in runs):.3f}" for n in sizes]
         _s, pre, post = runs[0][largest]
-        cells.append(f"{pre} / {post}")
+        cells += [f"{pre} / {post}", f"{max(peaks):.0f}"]
         lines.append(f"| {family:<10} |" + "".join(f" {c:>{len(h)}} |" for c, h in zip(cells, heads)))
     return lines
 
