@@ -50,9 +50,11 @@ so the same automaton object may be passed several times, as translation
 does with recurring qubit slices; their operands must keep the id rule.
 :func:`union` and :func:`tensor` are their two-operand forms.
 
-**Run blocks.**  :func:`tensor_chain` keeps each run as one block of the
-automaton it returns: a :class:`_Run`, the graft's template and its
-placements, held as their arithmetic (:class:`_Placements`).  Such a
+**Run blocks.**  :func:`tensor_chain` writes the first graft of each run
+as records, like any single graft, and keeps the grafts after it as one
+block of the automaton it returns: a :class:`_Run`, the graft's template,
+the second graft's first fresh id and first fresh choice, and the number of
+grafts it holds; each later graft's follow from the template.  Such a
 *run-bearing* automaton stores its internal transitions as blocks that
 alternate records and runs (``Lsta._blocks``); its leaves are records, as
 a run has leaves only at its last graft, and the unmerged last graft and
@@ -78,18 +80,19 @@ translation builds, each transition is one such pair, and it tests the
 (top, choice set) pairs instead, one per transition.  Only on a fault does
 it scan, to name the first one in transition order, and then the first id
 that breaks the id rule.  A run is tested through its template and two
-seams (:func:`_runs_hold`): placement ``i``'s ids, its window, hold the
-tops of its inner transitions and of placement ``i+1``'s interface ones,
-which must tile the window, and the children of its own transitions.  The
-first placement's interface transitions, on the frontier the run grafts
-onto, and the last placement's inner ones, whose leaf states the next
-graft continues from, are the seams: they are tested with the records,
-and they repeat every (top, choice) pair of the template, so the set-wide
-tests see every repeat a run holds.  The records' tops must be exactly
-the ids outside the runs' interiors.  Only if that fails are the records
-built, so a fault is named as in the explicit automaton.  :func:`map_leaves`
-calls its function once per distinct leaf value, so an amplitude-domain
-crossing costs one call per value, however many leaves share it.
+seams (:func:`_runs_hold`): graft ``i``'s ids, its window, hold the tops
+of its inner transitions and of graft ``i+1``'s interface ones, which must
+tile the window, and the children of its own transitions.  The first
+graft's interface transitions, on the frontier the run grafts onto (the
+leaf states of the graft written out before it, so above the root), and
+the last graft's inner ones, whose leaf states the next graft continues
+from, are the seams: they are tested with the records, and they repeat
+every (top, choice) pair of the template, so the set-wide tests see every
+repeat a run holds.  The records' tops must be exactly the ids outside the
+runs' interiors.  Only if that fails are the records built, so a fault is
+named as in the explicit automaton.  :func:`map_leaves` calls its function
+once per distinct leaf value, so an amplitude-domain crossing costs one
+call per value, however many leaves share it.
 
 :func:`membership` decides one state without enumerating the language.  It
 holds the state as a DAG of shared subtrees, in which every all-zero
@@ -123,7 +126,7 @@ would lend a ``StateVector`` raise ``TypeError``.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain, count, islice, takewhile
 from operator import is_, itemgetter
@@ -154,7 +157,6 @@ class Leaf(NamedTuple):
 
 _TOP, _CHOICES, _LEFT, _RIGHT = map(itemgetter, range(4))
 _AMPLITUDE = itemgetter(2)  # of a Leaf
-_OFF, _BASE = itemgetter(0), itemgetter(1)  # of a placement
 
 # Emitters build records as ``tuple.__new__(Internal, (...))``: the same
 # instances that ``Internal(...)`` makes, without NamedTuple's Python-level
@@ -585,7 +587,7 @@ def union_all(pieces: Sequence[Lsta]) -> Lsta:
         ids = [*range(offset, offset + root + 1), *range(offset + root, offset + n - 1)]
         for block in _runs_of(p, below_leaves=False):
             if type(block) is _Run:
-                blocks += [_shift(block, offset - 1, root), []]
+                blocks += [_shift(block, offset - 1), []]
                 continue
             internal = blocks[-1]
             for top, c, left, right in block:
@@ -613,8 +615,8 @@ def _plan(b: Lsta) -> tuple:
     indexes into the sorted root choices; the inner and the leaf
     transitions; the number of root choices; the largest inner choice; and
     ``b``'s runs (:func:`_runs_of`), each with the index of the inner
-    transition it goes before.  A run's ids are below every leaf state, so
-    a copy moves them by one offset (:func:`_shift`).
+    transition it goes before.  A run's ids are above the root and below
+    every leaf state, so a copy moves them by one offset (:func:`_shift`).
     """
     root = b.root
     root_trans: list[Internal] = []
@@ -723,8 +725,14 @@ class _Template(NamedTuple):
     and the choices the ``k``-th of ``sets``, whose choices are relative to
     the first fresh choice.  ``top`` is the largest interface choice.
     ``nested`` holds the runs of a run-bearing piece's copies, ``(k, run,
-    offset, root)``: ``run``, moved by ``offset`` ids above the piece's
-    ``root`` (:func:`_shift`), goes before ``inner[k]``.
+    offset)``: ``run``, moved by ``offset`` ids (:func:`_shift`), goes
+    before ``inner[k]``.
+
+    Along a run a template fixes its own placements: each graft takes
+    ``n_ids`` ids, its leaf states are the next graft's frontier, so that
+    frontier's first top is its first fresh id plus ``leaves[0]``'s top,
+    and from the run's second graft on, each graft's first fresh choice is
+    ``top + 1`` above the one before.
     """
 
     n_values: int
@@ -734,68 +742,33 @@ class _Template(NamedTuple):
     leaves: list[tuple[int, frozenset[int], object]]
     sets: list[tuple[int, ...]]
     top: int
-    nested: list[tuple[int, "_Run", int, int]]
-
-
-@dataclass(frozen=True)
-class _Placements:
-    """``n`` placements, each a (first fresh id, first fresh choice,
-    frontier's first top) triple, held as the integer arithmetic
-    :func:`tensor_chain` places them by: ``first`` is the first triple;
-    each first fresh id after it is the previous one plus ``step``, and
-    each frontier's first top the previous first fresh id plus ``lead``;
-    the second first fresh choice is ``base1``, and each after it the
-    previous one plus ``stride``.  It reads as the tuple of its triples."""
-
-    first: tuple[int, int, int]
-    n: int
-    step: int
-    lead: int
-    base1: int
-    stride: int
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self):
-        off = self.first[0]
-        return chain((self.first,), islice(zip(
-            count(off + self.step, self.step), count(self.base1, self.stride),
-            count(off + self.lead, self.step)), self.n - 1))
-
-    def __getitem__(self, i: int) -> tuple[int, int, int]:
-        i = range(self.n)[i]
-        if i == 0:
-            return self.first
-        off = self.first[0] + i * self.step
-        return off, self.base1 + (i - 1) * self.stride, off - self.step + self.lead
+    nested: list[tuple[int, "_Run", int]]
 
 
 class _Run(NamedTuple):
-    """A run's block: its template, its placements and its largest choice."""
+    """A run's block: ``n`` grafts of ``tpl`` after the one written out
+    before it, and the largest choice they hold.  Graft ``i`` takes its
+    first fresh id at ``off + i*tpl.n_ids`` and its first fresh choice at
+    ``base + i*(tpl.top+1)``, and grafts onto the leaf states of the graft
+    before it, whose first is ``off + (i-1)*tpl.n_ids + tpl.leaves[0][0]``;
+    so graft 0's frontier is in the ``tpl.n_ids`` ids before ``off``."""
 
     tpl: _Template
-    placements: _Placements
+    off: int
+    base: int
+    n: int
     top: int
 
 
-def _shift(run: _Run, delta: int, root: int) -> _Run:
-    """``run`` with its ids moved as a piece's are when its root takes no
-    id: those above ``root`` by ``delta``, those below it by one more.
-    Only its first frontier may be below the root (:func:`_fits`)."""
-    off, base, front = run.placements.first
-    first = (off + delta, base, front + delta + (front < root))
-    return run._replace(placements=replace(run.placements, first=first))
+def _shift(run: _Run, delta: int) -> _Run:
+    """``run`` with its ids moved by ``delta``."""
+    return run._replace(off=run.off + delta)
 
 
 def _fits(run: _Run, root: int, floor: int) -> bool:
-    """Whether ``run``'s own ids are above ``root`` and below ``floor``, and
-    the frontier it grafts onto is below ``floor``, on one side of ``root``."""
-    off, _base, front = run.placements[0]
-    tops = [front + t for t, _k, _l, _r in run.tpl.faces] or [front]
-    end = run.placements[-1][0] + run.tpl.n_ids
-    return (root < off and end <= floor and max(tops) < floor
-            and (max(tops) < root or min(tops) > root))
+    """Whether ``run``'s ids and the frontier it grafts onto are above
+    ``root`` and below ``floor``."""
+    return root < run.off - run.tpl.n_ids and run.off + run.n * run.tpl.n_ids <= floor
 
 
 def _runs_of(a: Lsta, below_leaves: bool = True) -> tuple:
@@ -833,15 +806,17 @@ def _materialize(blocks: tuple) -> tuple[Internal, ...]:
         if type(block) is tuple:
             out += block
             continue
-        for off, base, front in block.placements:
-            out += _inner_at(block.tpl.inner, off)
-            out += _faces_at(block.tpl, off, base, front)
+        tpl, off, base, n, _top = block
+        step, stride, lead = tpl.n_ids, tpl.top + 1, tpl.leaves[0][0] - tpl.n_ids
+        for i in range(n):
+            out += _inner_at(tpl.inner, off + i * step)
+            out += _faces_at(tpl, off + i * step, base + i * stride, off + i * step + lead)
     return tuple(out)
 
 
 def _count(blocks) -> int:
     """The number of records ``blocks`` hold, counted without building them."""
-    return sum(len(b.placements) * (len(b.tpl.inner) + len(b.tpl.faces))
+    return sum(b.n * (len(b.tpl.inner) + len(b.tpl.faces))
                if type(b) is _Run else len(b) for b in blocks)
 
 
@@ -855,42 +830,37 @@ def _assemble(semiring: Semiring, n: int, root: int, blocks: list, leaves: list)
                         tuple(leaves))
 
 
-def _steady(run: _Run) -> bool:
-    """Whether ``run`` is placed as :func:`tensor_chain` places one, and its
-    windows tile their ids.
+def _steady(tpl: _Template) -> bool:
+    """Whether the windows of a run of ``tpl`` tile their ids.
 
-    Each placement's first fresh id is the previous one's plus the
-    template's ids, and its frontier's first top the previous one's plus
-    the template's first leaf.  Window ``i`` is placement ``i``'s ids: the
-    tops of its inner transitions and of placement ``i+1``'s interface
-    ones, which must be disjoint and together every id of the window; and
-    the children of placement ``i``'s transitions, all inside it.
+    Window ``i`` is graft ``i``'s ids: the tops of its inner transitions
+    and of graft ``i+1``'s interface ones, which must be disjoint and
+    together every id of the window; and the children of graft ``i``'s
+    transitions, all inside it.
     """
-    tpl, placements, _top = run
     if not tpl.leaves:
         return False
     step, first_leaf = tpl.n_ids, tpl.leaves[0][0]
     inner_tops = set(map(_TOP, tpl.inner))
     face_tops = {first_leaf + t for t, _k, _l, _r in tpl.faces}
     kids = [x for _t, _c, l, r in chain(tpl.inner, tpl.faces) for x in (l, r)]
-    return (placements.step == step and placements.lead == first_leaf
-            and not inner_tops & face_tops and inner_tops | face_tops == set(range(step))
+    return (not inner_tops & face_tops and inner_tops | face_tops == set(range(step))
             and bool(kids) and 0 <= min(kids) and max(kids) < step)
 
 
 def _layout(a: Lsta) -> tuple[list[Internal], list[tuple[int, int, _Run]]] | None:
     """A run-bearing ``a``'s records outside its runs' interiors, in stored
     order, and its runs, each as ``(lo, hi, run)`` with its interior
-    ``lo..hi-1``; ``None`` unless every run is :func:`_steady`, the
-    interiors are in ascending order and each run's last window ends by
-    the last id.
+    ``lo..hi-1``; ``None`` unless every run's template is :func:`_steady`,
+    the interiors are in ascending order and each run's last window ends
+    by the last id.
 
     The records are the explicit blocks' and each run's two seams: its
-    first placement's interface transitions, whose tops are the frontier
-    it grafts onto, and its last placement's inner ones, whose leaf states
-    are the next graft's frontier.  A run's interior, the ids from its
-    first placement's up to its last placement's, holds the tops of every
-    other record it stores.
+    first graft's interface transitions, whose tops are the frontier it
+    grafts onto, and its last graft's inner ones, whose leaf states are the
+    next graft's frontier.  A run's interior, the ids from its first
+    graft's up to its last graft's, holds the tops of every other record it
+    stores.
     """
     records: list[Internal] = []
     runs: list[tuple[int, int, _Run]] = []
@@ -899,38 +869,36 @@ def _layout(a: Lsta) -> tuple[list[Internal], list[tuple[int, int, _Run]]] | Non
         if type(block) is tuple:
             records += block
             continue
-        tpl, placements, _top = block
-        lo, hi = placements[0][0], placements[-1][0]
-        if lo < prev or hi + tpl.n_ids > n or not _steady(block):
+        tpl, lo, base, k, _top = block
+        hi = lo + (k - 1) * tpl.n_ids
+        if lo < prev or hi + tpl.n_ids > n or not _steady(tpl):
             return None
-        records += _faces_at(tpl, *placements[0])
+        records += _faces_at(tpl, lo, base, lo - tpl.n_ids + tpl.leaves[0][0])
         records += _inner_at(tpl.inner, hi)
         runs.append((lo, hi, block))
         prev = hi
     return records, runs
 
 
-def _emit(tpl: _Template, placements, blocks: list) -> list[Leaf]:
-    """Store ``tpl`` at each placement, a (first fresh id, first fresh
-    choice, frontier's first top) triple, in order.  Several placements are
-    kept as one :class:`_Run`, and a new block of records opens after it.
-    One placement is written out onto the open block of records,
-    ``blocks[-1]``, except for its nested runs, each kept as a run.
-    Returns the last placement's leaf transitions; the others' leaves are
-    only the next placement's frontier, so they are not built."""
-    if len(placements) > 1:
-        off, base, _front = placements[-1]
-        top = max(chain((c for _t, cs, _l, _r in tpl.inner for c in cs),
-                        (base + c for cs in tpl.sets for c in cs)), default=0)
-        blocks += [_Run(tpl, placements, top), []]
-    else:
-        ((off, base, front),), cut = placements, 0
-        for k, run, delta, root in tpl.nested:
-            blocks[-1] += _inner_at(tpl.inner[cut:k], off)
-            blocks += [_shift(run, off + delta, root), []]
-            cut = k
-        blocks[-1] += _inner_at(tpl.inner[cut:] if cut else tpl.inner, off)
-        blocks[-1] += _faces_at(tpl, off, base, front)
+def _emit(tpl: _Template, off: int, base: int, front: int, blocks: list,
+          run: _Run | None = None) -> list[Leaf]:
+    """Write ``tpl`` out at one placement, its first fresh id ``off``, first
+    fresh choice ``base`` and frontier's first top ``front``, onto the open
+    block of records, ``blocks[-1]``, except for its nested runs, each kept
+    as a run.  ``run``, the grafts of ``tpl`` after this one, follows as one
+    block, and a new block of records opens after it.  Returns the last
+    graft's leaf transitions; the others' leaves are only the next graft's
+    frontier, so they are not built."""
+    cut = 0
+    for k, nested, delta in tpl.nested:
+        blocks[-1] += _inner_at(tpl.inner[cut:k], off)
+        blocks += [_shift(nested, off + delta), []]
+        cut = k
+    blocks[-1] += _inner_at(tpl.inner[cut:] if cut else tpl.inner, off)
+    blocks[-1] += _faces_at(tpl, off, base, front)
+    if run is not None:
+        blocks += [run, []]
+        off = run.off + (run.n - 1) * tpl.n_ids
     new = tuple.__new__
     return [new(Leaf, (off + a, c, p)) for a, c, p in tpl.leaves]
 
@@ -970,22 +938,24 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
     and a leaf amplitude is computed once per call, however often the pair
     recurs: ``products`` is the one table the call keeps.
 
-    A graft is a :class:`_Template` stored by :func:`_emit` at a
+    A graft is a :class:`_Template` written out by :func:`_emit` at a
     placement: its first fresh id, first fresh choice and frontier's first
     top.  A merged graft whose leaves have its frontier's shape (every top
     moved by one offset, equal choices and amplitudes, in order) starts a
     run: each further merged graft of the same piece object finds that
     frontier again, shifted, so its template places the whole run, up to
-    but not including the unmerged last graft.  The placements are integer
-    arithmetic (:class:`_Placements`).  The first fresh id moves by the
-    template's ids; the frontier's first top is the previous placement plus
-    the template's first leaf; and the first fresh choice is one above
-    every choice before it, which from the second graft on is the previous
-    graft's largest interface choice, while the first graft's may be the
-    piece's largest inner choice.  The run is kept as one block of the
-    result, with leaf transitions only for its last graft, since the
-    others' leaves are only the next graft's frontier.  The size bound is
-    asserted for every graft: its second and later grafts share one.
+    but not including the unmerged last graft.  The first graft is written
+    out as records, and the grafts after it are kept as one block of the
+    result, a :class:`_Run`: the second graft's first fresh id and first
+    fresh choice and the number of grafts, from which the template fixes
+    every placement.  The first fresh id moves by the template's ids; the
+    frontier is the previous graft's leaf states; and the first fresh
+    choice is one above every choice before it, which from the second
+    graft on is the previous graft's largest interface choice, while the
+    first graft's may be the piece's largest inner choice.  The run has
+    leaf transitions only for its last graft, since the others' leaves are
+    only the next graft's frontier.  The size bound is asserted for every
+    graft: its second and later grafts share one.
 
     Runs stay runs through later calls (:func:`_runs_of`).  A first piece
     keeps its blocks up to its last run: only the records after it are
@@ -1039,9 +1009,9 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
             sigs = _signatures(scaled, inner_tops) if step < last else {}
             ids, merged = _number(range(n_states), sigs, reps, n_ids, named)
             if b_runs:
-                # A run's local ids are below every merged state, so they
-                # move by the copy's first id (:func:`_shift`).
-                nested += [(len(moves) + k, run, n_ids - 1, b.root) for k, run in b_runs]
+                # A run's ids are above b's root and below every merged
+                # state, so a copy moves them by its first id less one.
+                nested += [(len(moves) + k, run, n_ids - 1) for k, run in b_runs]
             n_ids += n_states - len(merged)
             moves += [(ids[t], c, ids[l], ids[r]) for t, c, l, r in inner]
             grafted += [(ids[a], c, p) for a, c, p in scaled if a not in merged]
@@ -1067,7 +1037,7 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
             end += len(list(takewhile(partial(is_, b), islice(pieces, end, last))))
         k, n_new = end - step, len(moves) + len(faces)
         if nested:
-            n_new += _count(r for _k, r, _d, _r in nested)
+            n_new += _count(r for _k, r, _d in nested)
         grown, bound = tpl.n_values * len(b_leaves), tpl.n_values * b.size
         # Each graft's size bound; from the second on, its frontier is the
         # previous graft's unmerged leaves.
@@ -1076,18 +1046,18 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
         # From the second graft on, that is the previous graft's largest
         # interface choice, since its first fresh choice is above inner_max.
         base = top_choice + 1
-        placements = ((next_id, base, front),)
-        if k > 1:
-            base1 = max(base + tpl.top, inner_max) + 1 if tpl.n_values else base
-            placements = _Placements(placements[0], k, tpl.n_ids, grafted[0][0], base1,
-                                     tpl.top + 1)
         if tpl.n_values:
-            top_choice = max(placements[-1][1] + tpl.top, inner_max)
+            top_choice = max(base + tpl.top, inner_max)
+        run = None
+        if k > 1:
+            run = _Run(tpl, next_id + tpl.n_ids, top_choice + 1, k - 1,
+                       top_choice + (k - 1) * (tpl.top + 1))
+            top_choice = run.top
+        leaves = _emit(tpl, next_id, base, front, blocks, run)
         next_id += k * tpl.n_ids
         n_internal, unmerged = n_internal + k * n_new, grown
         # Sizes only grow along a run, so its last graft is its largest.
         peak = max(peak, n_internal + unmerged)
-        leaves = _emit(tpl, placements, blocks)
         step = end
     return _assemble(semiring, next_id, root, blocks, leaves), peak
 
@@ -1150,16 +1120,16 @@ def _in_order(a: Lsta) -> tuple[list[Internal], list[tuple[int, _Run]]]:
 def _run_lines(run: _Run) -> list[str]:
     """The lines of ``run``'s interior, window by window (see
     :func:`_steady`): a window's transitions by ascending top, each state's
-    in stored order, its inner ones before the next placement's interface
-    ones, whose single choice is that placement's."""
-    tpl, placements, _top = run
-    step, first_leaf = tpl.n_ids, tpl.leaves[0][0]
+    in stored order, its inner ones before the next graft's interface ones,
+    whose single choice is that graft's."""
+    tpl, off, base, n, _top = run
+    step, stride, first_leaf = tpl.n_ids, tpl.top + 1, tpl.leaves[0][0]
     # (top, text, choice, left, right) relative to the window; an
     # interface transition's text is left empty, to be made per window.
     order = sorted([(t, _set_text(c), 0, l, r) for t, c, l, r in tpl.inner]
                    + [(first_leaf + t, "", tpl.sets[k][0], step + l, step + r)
                       for t, k, l, r in tpl.faces], key=_TOP)
-    windows = zip(map(_OFF, placements), islice(map(_BASE, placements), 1, None))
+    windows = zip(range(off, off + (n - 1) * step, step), count(base + stride, stride))
     return [f"i {o + t} {text} -> {o + l} {o + r}" if text
             else f"i {o + t} {{{b + c}}} -> {o + l} {o + r}"
             for o, b in windows for t, text, c, l, r in order]

@@ -232,15 +232,25 @@ AMPLITUDES = {
 }
 
 
+def _placements(run) -> list[tuple[int, int, int]]:
+    """A run's grafts as (first fresh id, first fresh choice, frontier's
+    first top) triples, from its template, first id, first choice and count."""
+    tpl = run.tpl
+    step, stride, first_leaf = tpl.n_ids, tpl.top + 1, tpl.leaves[0][0]
+    return [(run.off + i * step, run.base + i * stride, run.off + (i - 1) * step + first_leaf)
+            for i in range(run.n)]
+
+
 def _placed(pieces, monkeypatch) -> tuple[int, list[tuple[object, list]]]:
     """Check ``tensor_chain(pieces)`` against the fold; return the fold's
-    merges and, per ``_emit`` call, its template and placements."""
+    merges and, per ``_emit`` call, its template and the placements of the
+    graft it writes out and of the run it keeps after it, if any."""
     calls = []
     emit = lstaq.lsta._emit
 
-    def recording(tpl, placements, *args):
-        calls.append((tpl, list(placements)))
-        return emit(tpl, placements, *args)
+    def recording(tpl, off, base, front, blocks, run=None):
+        calls.append((tpl, [(off, base, front), *(_placements(run) if run else ())]))
+        return emit(tpl, off, base, front, blocks, run)
 
     with monkeypatch.context() as m:
         m.setattr(lstaq.lsta, "_emit", recording)

@@ -3,15 +3,18 @@
 Each shape translates, at n = 4, 8 and 12, to exactly the transitions of
 its affine form, and so does every ``size_*_max`` peak of the translation.
 The five bench families are exactly affine at n = 256, 512 and 768, in the
-size and in every peak of each assertion.
+size and in every peak of each assertion, and on one line from just above
+their minimum size up to 32 and at 1024.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import lstaq.lsta as L
 from lstaq.build import translate
-from lstaq.cli import bench_sources
+from lstaq.cli import BENCH_MIN_SIZE, bench_sources
+from lstaq.lsta import Lsta, write_lsta
 from lstaq.parser import parse
 
 PEAKS = ("size_slice_max", "size_setv_max", "size_setp_max", "size_segment_max")
@@ -61,3 +64,36 @@ def test_bench_families_are_exactly_affine(family):
     assert len({len(row) for row in rows}) == 1
     for small, mid, large in zip(*rows):
         assert mid - small == large - mid
+
+
+# The smallest size from which each family's sizes and peaks lie on one
+# line: the sizes below it, down to the family's minimum, lie off it.
+LINE_FROM = {"bv": 2, "ghz": 3, "grover": 3, "groveriter": 3, "mctoffoli": 2}
+
+
+def test_bench_families_lie_on_one_line_from_just_above_their_minimum():
+    one_graft_runs = 0
+    for family, line_from in LINE_FROM.items():
+        rows = {}
+        for n in [*range(BENCH_MIN_SIZE[family], 33), 1024]:
+            row = rows[n] = []
+            for pre, post, joint in bench_sources(family, n):
+                for group in ([pre, post],) if joint else ([pre], [post]):
+                    result = translate([parse(t) for t in group])
+                    for ar in result.assertions:
+                        a = ar.automaton
+                        row += [ar.stats[key] for key in ("size", *PEAKS)]
+                        if a._blocks is not None:
+                            assert L._runs_hold(a)
+                            one_graft_runs += sum(run.n == 1 for run in a._blocks[1::2])
+                        explicit = Lsta(a.semiring, a.states, a.root, tuple(a.internal), a.leaves)
+                        assert write_lsta(a, result.qubits) == write_lsta(explicit, result.qubits)
+        base = rows[line_from]
+        slope = [y - x for x, y in zip(base, rows[line_from + 1])]
+
+        def on_line(n):
+            return rows[n] == [x + (n - line_from) * d for x, d in zip(base, slope)]
+
+        assert [n for n in rows if not on_line(n)] == list(range(BENCH_MIN_SIZE[family], line_from))
+    # Runs of two grafts: one written out, one kept as a run block.
+    assert one_graft_runs > 0

@@ -1,5 +1,6 @@
-"""Run blocks: a translated automaton keeps each run of one piece as its
-template and placements.  ``validate`` reads a run through its template and
+"""Run blocks: a translated automaton writes out the first graft of each run
+of one piece and keeps the grafts after it as their template, first id,
+first choice and count.  ``validate`` reads a run through its template and
 ``write_lsta`` writes it without building its records; both must agree with
 the same automaton written out record by record."""
 
@@ -9,6 +10,7 @@ import dataclasses
 
 import pytest
 
+import lstaq.build
 import lstaq.lsta as L
 from lstaq.build import translate
 from lstaq.cli import bench_sources
@@ -16,6 +18,7 @@ from lstaq.errors import InternalError
 from lstaq.amplitude import COMPLEX
 from lstaq.lsta import Internal, Leaf, Lsta, map_leaves, mk_lsta, validate, write_lsta
 from lstaq.parser import parse
+from tests.test_composition import _placements
 
 FAMILIES = ("bv", "ghz", "grover", "groveriter", "mctoffoli")
 
@@ -34,7 +37,7 @@ def _explicit(a: Lsta) -> Lsta:
 
 def _run_bearing() -> list[Lsta]:
     """The distinct family automata at n = 5, 8 and 33 with a run of at
-    least 3 grafts."""
+    least 3 grafts: one written out and at least 2 in a run block."""
     found: dict[int, Lsta] = {}
     for n in (5, 8, 33):
         for family in FAMILIES:
@@ -96,28 +99,29 @@ FAULTS = {"dangling top": _dangle("top"), "dangling left": _dangle("left"),
 
 
 def _first_long_run(a: Lsta) -> int | None:
-    """The index in ``a``'s blocks of its first run of at least 3 grafts."""
-    return next((i for i, b in enumerate(a._blocks)
-                 if type(b) is L._Run and len(b.placements) >= 3), None)
+    """The index in ``a``'s blocks of its first run block of at least 2
+    grafts, a run of at least 3 with the one written out before it."""
+    return next((i for i, b in enumerate(a._blocks) if type(b) is L._Run and b.n >= 2), None)
 
 
 def _written_out(a: Lsta, i: int, end: int) -> tuple[list, int, int]:
-    """``a``'s blocks with the first (``end`` = 0) or last (-1) placement of
-    the run at ``i`` written out as records beside it; the index of the
-    block that holds them and where they start in it."""
+    """``a``'s blocks with the first (``end`` = 0) or last (-1) graft of the
+    run at ``i`` written out as records beside it; the index of the block
+    that holds them and where they start in it."""
     blocks = list(a._blocks)
     run = blocks[i]
-    p, tpl = run.placements, run.tpl
-    records = [*L._inner_at(tpl.inner, p[end][0]), *L._faces_at(tpl, *p[end])]
+    tpl = run.tpl
+    off, base, front = _placements(run)[end]
+    records = [*L._inner_at(tpl.inner, off), *L._faces_at(tpl, off, base, front)]
     if end == 0:
-        rest = L._Placements(p[1], p.n - 1, p.step, p.lead, p[2][1], p.stride)
+        rest = run._replace(off=off + tpl.n_ids, base=base + tpl.top + 1, n=run.n - 1)
         at, start = i - 1, len(blocks[i - 1])
         blocks[at] = (*blocks[at], *records)
     else:
-        rest = dataclasses.replace(p, n=p.n - 1)
+        rest = run._replace(n=run.n - 1)
         at, start = i + 1, 0
         blocks[at] = (*records, *blocks[at])
-    blocks[i] = run._replace(placements=rest)
+    blocks[i] = rest
     return blocks, at, start
 
 
@@ -190,29 +194,36 @@ def _on_blocks(edit):
 
 
 def _moved_frontier(blocks, i):
-    p = blocks[i].placements
-    blocks[i] = blocks[i]._replace(placements=dataclasses.replace(p, lead=p.lead + 1))
+    # The template's first leaf moved by one: each graft's frontier with it.
+    run = blocks[i]
+    (top, c, v), *rest = run.tpl.leaves
+    blocks[i] = run._replace(tpl=run.tpl._replace(leaves=[(top + 1, c, v), *rest]))
 
 
 def _longer_graft(a, i):
-    # Every window of the run one id longer, that id bare.  The ids from its
-    # last placement's up move by as many, so the ids are still 0..N-1, the
-    # run's last window ends by the last id and the records outside the
-    # run's interior are unchanged: only the run's step tells it apart.
-    p = a._blocks[i].placements
-    hi, d = p[-1][0], p.n - 1
+    # Every graft of the run one id longer: its template gains a bare id
+    # before its own, which move up by one, so its frontier is unchanged.
+    # The ids from the run's last graft's up move by as many as the run has
+    # grafts, so the ids are still 0..N-1 and the last graft's leaf states
+    # are still where the records after the run reach them: only the bare
+    # ids, one in every window, tell it apart.
+    run = a._blocks[i]
+    tpl, hi, d = run.tpl, _placements(run)[-1][0], run.n
 
     def move(s):
         return s + d if s >= hi else s
 
+    longer = tpl._replace(
+        n_ids=tpl.n_ids + 1,
+        inner=[(t + 1, c, l + 1, r + 1) for t, c, l, r in tpl.inner],
+        faces=[(t, k, l + 1, r + 1) for t, k, l, r in tpl.faces],
+        leaves=[(top + 1, c, v) for top, c, v in tpl.leaves])
     blocks = []
     for k, b in enumerate(a._blocks):
         if k == i:
-            b = b._replace(placements=dataclasses.replace(p, step=p.step + 1))
+            b = run._replace(tpl=longer)
         elif type(b) is L._Run:
-            off, base, front = b.placements.first
-            first = (move(off), base, move(front))
-            b = b._replace(placements=dataclasses.replace(b.placements, first=first))
+            b = b._replace(off=move(b.off))
         else:
             b = tuple(t._replace(top=move(t.top), left=move(t.left), right=move(t.right))
                       for t in b)
@@ -223,9 +234,9 @@ def _longer_graft(a, i):
 
 
 def _child_before_the_run(blocks, i):
-    # Inside every later placement the child is an id, but not in the first.
+    # Inside every later graft the child is an id, but not in the first.
     run = blocks[i]
-    tpl, off = run.tpl, run.placements[0][0]
+    tpl, off = run.tpl, run.off
     if tpl.inner:
         t, c, _l, r = tpl.inner[0]
         tpl = tpl._replace(inner=[(t, c, -off - 1, r), *tpl.inner[1:]])
@@ -236,16 +247,16 @@ def _child_before_the_run(blocks, i):
 
 
 def _interface_on_an_inner_top(blocks, i):
-    # One more interface transition per placement, on a top that the
-    # previous placement's inner transitions leave, with a set that meets
-    # their choice at the third placement only.
+    # One more interface transition per graft, on a top that the previous
+    # graft's inner transitions leave, with a set that meets their choice
+    # at the run block's second graft only, the run's third.
     run = blocks[i]
-    tpl, p = run.tpl, run.placements
+    tpl = run.tpl
     if not tpl.inner:
         return _child_before_the_run(blocks, i)
     t, c, l, r = tpl.inner[0]
-    sets = [*tpl.sets, (min(c) - p[2][1],)]
-    face = (t - p.lead, len(sets) - 1, l, r)
+    sets = [*tpl.sets, (min(c) - _placements(run)[1][1],)]
+    face = (t - tpl.leaves[0][0], len(sets) - 1, l, r)
     blocks[i] = run._replace(tpl=tpl._replace(sets=sets, faces=[*tpl.faces, face]))
 
 
@@ -253,7 +264,7 @@ def _bare_inside(blocks, i):
     # An id without transitions in every window but the one a seam keeps:
     # the seam's records for it stay, written out beside the run.
     run = blocks[i]
-    tpl, p = run.tpl, run.placements
+    tpl, p = run.tpl, _placements(run)
     if tpl.inner:
         t = tpl.inner[0][0]
         gone = [x for x in tpl.inner if x[0] == t]
@@ -283,8 +294,10 @@ def test_a_fault_in_how_a_run_is_placed_is_named_as_in_its_records(fault):
 def test_an_id_gap_is_named_as_in_its_records(place):
     for a in _run_bearing():
         run = a._blocks[_first_long_run(a)]
-        off = {"template": run.placements[1][0], "first seam": run.placements[0][0],
-               "last seam": run.placements[-1][0]}[place]
+        p = _placements(run)
+        # An id of the run's first window, the first frontier top, and the
+        # last graft's first id.
+        off = {"template": p[0][0], "first seam": p[0][2], "last seam": p[-1][0]}[place]
         n = len(a.states)
         gap = L._with_blocks(a.semiring, frozenset(range(n + 1)) - {off}, a.root,
                              a._blocks, a.leaves)
@@ -304,6 +317,34 @@ def test_a_dangling_root_or_leaf_top_is_named_as_in_its_records():
 # ---------------------------------------------------------------------------
 # Runs stay runs: a structural count, not a timing.
 # ---------------------------------------------------------------------------
+
+
+def test_composed_operands_keep_their_runs_above_the_root(monkeypatch):
+    # Every run-bearing operand of a composition of several pieces keeps its
+    # blocks, and each run grafts onto the n_ids ids just before its own,
+    # above the root: as the records show, not the run's arithmetic.
+    operands = []
+
+    def recording(kind, compose):
+        def record(pieces):
+            if len(pieces) > 1:
+                operands.extend((kind, p) for p in pieces if p._blocks is not None)
+            return compose(pieces)
+        return record
+
+    monkeypatch.setattr(lstaq.build, "tensor_chain", recording("tensor", L.tensor_chain))
+    monkeypatch.setattr(lstaq.build, "union_all", recording("union", L.union_all))
+    for family in FAMILIES:
+        list(_translated(family, 64))
+    assert {kind for kind, _p in operands} == {"tensor", "union"}
+    for kind, p in operands:
+        assert L._runs_of(p, below_leaves=kind == "tensor") is p._blocks
+        for run in p._blocks[1::2]:
+            window = range(run.off, run.off + run.tpl.n_ids)
+            before = range(run.off - run.tpl.n_ids, run.off)
+            front = {t.top for t in p.internal
+                     if (t.left in window or t.right in window) and t.top not in window}
+            assert front and p.root < min(front) and front <= set(before)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -341,6 +382,24 @@ def test_runs_of_multi_choice_sets_are_written_and_validated_as_their_records():
             assert any(len(cs) > 1 for run in a._blocks[1::2] for cs in run.tpl.sets)
             assert L._runs_hold(a)
             assert write_lsta(a, k) == write_lsta(_explicit(a), k)
+
+
+def test_runs_below_a_root_are_composed_as_their_records():
+    # A union's root is its last id, so the runs of its first piece lie
+    # below it: composing the union must not move them as runs above a
+    # root move (``_fits``).
+    from tests.conftest import cpoly, normalize
+    from tests.test_composition import _assert_chain_is_the_fold, _piece, _ref_union
+
+    p = _piece(COMPLEX, {"0": cpoly("1"), "1": cpoly("-1")})
+    for k in (5, 9):
+        # Equal pieces that are distinct objects start no run.
+        y = L.tensor_chain([_piece(COMPLEX, {"0": cpoly("1")}) for _ in range(k)])[0]
+        u = L.union_all([L.tensor_chain([p] * k)[0], y])
+        assert u._blocks is not None and y._blocks is None
+        _assert_chain_is_the_fold([p, u, u])
+        validate(L.union_all([y, u]))
+        assert normalize(L.union_all([y, u])) == normalize(_ref_union(y, _explicit(u)))
 
 
 def test_run_bearing_automata_keep_the_lsta_interface():
