@@ -28,11 +28,13 @@ from .errors import (
 MAX_QUBITS = 1 << 16
 
 # -- ket pattern atoms -------------------------------------------------------
+# A run of constant bits is one atom however many qubits it spans, and no two
+# runs are adjacent: ``|1 0^3 i>`` is ``(Const("1000"), Var("i"))``.
 
 
 @dataclass(frozen=True)
-class ConstBit:
-    bit: int
+class Const:
+    bits: str
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,7 @@ class Compl:
     name: str
 
 
-Atom = ConstBit | Var | Compl
+Atom = Const | Var | Compl
 
 
 # -- variable constraints ----------------------------------------------------
@@ -299,8 +301,8 @@ def infer_lengths(ast: AssertionAst) -> LengthMap:
                 bits = 0
                 unknown: dict[str, tuple[int, str]] = {}
                 for atom in term.pattern:
-                    if isinstance(atom, ConstBit):
-                        bits += 1
+                    if isinstance(atom, Const):
+                        bits += len(atom.bits)
                         continue
                     root = uf.find(atom.name)
                     if root in known:
@@ -336,10 +338,7 @@ def infer_lengths(ast: AssertionAst) -> LengthMap:
 
 
 def pattern_width(pattern: tuple[Atom, ...], lengths: LengthMap) -> int:
-    total = 0
-    for atom in pattern:
-        total += 1 if isinstance(atom, ConstBit) else lengths[atom.name]
-    return total
+    return sum(len(a.bits) if isinstance(a, Const) else lengths[a.name] for a in pattern)
 
 
 def qubit_count(ast: AssertionAst, lengths: LengthMap) -> int:
@@ -380,7 +379,7 @@ def outer_vars(predicate, terms) -> tuple[str, ...]:
     names = [v for c in predicate for v in varcon_vars(c)]
     outer = set(names)
     for term in terms:
-        kets = [a.name for a in term.pattern if not isinstance(a, ConstBit)]
+        kets = [a.name for a in term.pattern if not isinstance(a, Const)]
         outer |= set(kets) - sum_vars(term)
         names += kets
     return tuple(v for v in dict.fromkeys(names) if v in outer)

@@ -61,8 +61,8 @@ def varcon_holds(c: A.VarCon, phi: dict[str, str]) -> bool:
 def _atom_bits(pattern, phi: dict[str, str]) -> str:
     out = []
     for atom in pattern:
-        if isinstance(atom, A.ConstBit):
-            out.append(str(atom.bit))
+        if isinstance(atom, A.Const):
+            out.append(atom.bits)
         elif isinstance(atom, A.Var):
             out.append(phi[atom.name])
         else:

@@ -12,7 +12,7 @@ The grammar is documented in ``docs/language.md``.  In brief::
     ket        ::=  "|" atom+ ">"
 
 Ket atoms are whitespace separated: a run of binary digits (optionally
-repeated, ``0^4``), a variable name, or a complemented variable ``~v``.
+repeated, ``0^4``; adjacent runs join), a variable or its complement ``~v``.
 Amplitudes are exact arithmetic over integers, rationals, ``i`` and
 ``sqrt2``; ``bigU`` formulas compare arithmetic over ``re(v)``, ``im(v)``
 and ``|v|^2``.  Comments run from ``//`` to end of line; assertions in one
@@ -24,7 +24,6 @@ from __future__ import annotations
 import re
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import groupby
 from typing import NamedTuple
 
 from . import ast as A
@@ -58,9 +57,9 @@ _BP = {"*": 20, "/": 20, "+": 10, "-": 10}
 # calls in formulas), so this keeps any spec clear of the interpreter's
 # recursion limit; past it the spec is a syntax error.
 MAX_NESTING = 100
-# Most ket atoms that one parse may build, over all its kets: four kets of
-# ``MAX_QUBITS`` atoms, twice what a bench family's text at the qubit
-# ceiling holds.  Past it the parse is refused before the ket is built.
+# Most constant bits and variable occurrences that one parse's kets may hold,
+# four kets of ``MAX_QUBITS`` bits: twice what a bench family's text at the
+# qubit ceiling holds.  Past it the parse is refused before the run is built.
 MAX_ATOMS = 1 << 18
 # Most pairs of polynomial terms that one parse may multiply, over all its
 # amplitude products and powers: ``(a+b)^255 * (a+b)^255`` multiplies
@@ -68,8 +67,6 @@ MAX_ATOMS = 1 << 18
 # held to ``amplitude``'s bound on one product.  Past it the parse is
 # refused before the product is built.
 MAX_TERM_PAIRS = 1 << 17
-# The two constant-bit atoms, shared by every ket.
-_BITS = {"0": A.ConstBit(0), "1": A.ConstBit(1)}
 
 
 class Token(NamedTuple):
@@ -255,7 +252,9 @@ class _Parser:
 
     def parse_ket(self) -> tuple[A.Atom, ...]:
         self.expect("|")
+        start = self.atoms  # so the ket holds ``self.atoms - start`` bits and variables
         atoms: list[A.Atom] = []
+        run = ""  # the constant bits since the last variable
         while not self.at(">"):
             tok = self.peek()
             if tok.kind == "NUMBER":
@@ -266,28 +265,31 @@ class _Parser:
                 if self.at("^"):
                     self.next()
                     bits *= self._bounded_int(
-                        "the ket spans at least {} qubits", len(atoms), len(bits))
+                        "the ket spans at least {} qubits", self.atoms - start, len(bits))
                 self._spend(len(bits), tok)
-                atoms += map(_BITS.__getitem__, bits)
-            elif tok.kind == "IDENT":
+                run += bits
+                continue
+            if tok.kind == "IDENT":
                 self.next()
-                self._spend(1, tok)
-                atoms.append(A.Var(tok.text))
+                atom = A.Var(tok.text)
             elif tok.kind == "~":
                 self.next()
-                name = self.expect("IDENT")
-                self._spend(1, tok)
-                atoms.append(A.Compl(name.text))
+                atom = A.Compl(self.expect("IDENT").text)
             else:
                 self.fail(f"unexpected {tok.text!r} inside a ket", tok)
+            self._spend(1, tok)
+            atoms += (A.Const(run), atom) if run else (atom,)
+            run = ""
         self.expect(">")
+        if run:
+            atoms.append(A.Const(run))
         if not atoms:
             self.fail("empty ket")
         return tuple(atoms)
 
     def _spend(self, n: int, tok: Token) -> None:
-        """Count ``n`` more ket atoms, starting at ``tok``; fails past
-        ``MAX_ATOMS``, before they are built."""
+        """Count ``n`` more constant bits or variable occurrences, starting
+        at ``tok``; fails past ``MAX_ATOMS``, before they are built."""
         self.atoms += n
         if self.atoms > MAX_ATOMS:
             raise LimitExceededError(MAX_ATOMS, (
@@ -593,14 +595,11 @@ def _render_term(term: A.Term) -> str:
 
 
 def render_ket(pattern: tuple[A.Atom, ...]) -> str:
-    """The ``|...>`` text of a pattern; adjacent constant bits form one run."""
-    out: list[str] = []
-    for bits, run in groupby(pattern, lambda atom: isinstance(atom, A.ConstBit)):
-        if bits:
-            out.append("".join(str(atom.bit) for atom in run))
-        else:
-            out += [atom.name if isinstance(atom, A.Var) else f"~{atom.name}" for atom in run]
-    return "|%s>" % " ".join(out)
+    """The ``|...>`` text of a pattern, one word per atom."""
+    return "|%s>" % " ".join(
+        atom.bits if isinstance(atom, A.Const)
+        else atom.name if isinstance(atom, A.Var) else f"~{atom.name}"
+        for atom in pattern)
 
 
 def render_varcon(con: A.VarCon) -> str:

@@ -165,8 +165,8 @@ def _occurrence_intervals(asts, lengths: A.LengthMap, starts: list[int]):
             for term in pset.terms():
                 pos = starts[s]
                 for atom in term.pattern:
-                    if isinstance(atom, A.ConstBit):
-                        pos += 1
+                    if isinstance(atom, A.Const):
+                        pos += len(atom.bits)
                     else:
                         w = lengths[atom.name]
                         yield atom.name, pos, pos + w, s
@@ -294,9 +294,9 @@ def _abstract_term(term: A.Term, seg_slots: tuple[Slot, ...], seg_start: int,
             pending = pending[slot.width:]
             start += slot.width
     for atom in term.pattern:
-        if isinstance(atom, A.ConstBit):
-            pending += str(atom.bit)
-            pos += 1
+        if isinstance(atom, A.Const):
+            pending += atom.bits
+            pos += len(atom.bits)
             continue
         flush()
         w = lengths[atom.name]

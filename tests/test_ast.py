@@ -103,7 +103,7 @@ def _reference_scopes(predicate, terms):
 
     def ket_names(ts):
         return [a.name for t in ts for a in t.pattern
-                if not isinstance(a, A.ConstBit)]
+                if not isinstance(a, A.Const)]
 
     def first(names, member):
         order = []

@@ -92,6 +92,8 @@ CEILING = f"over the limit of {MAX_QUBITS}"
     ("{ |0^99999999999999> }", "1:6: the ket spans at least 99999999999999 qubits"),
     ("{ |v> : |v| = 100000000 }", "the spec spans 100000000 qubits"),
     ("{ |0^100000000> }", "1:6: the ket spans at least 100000000 qubits"),
+    # The bound counts the ket's qubits over all its runs.
+    ("{ |0^65535 1 0^1> }", "1:16: the ket spans at least 65537 qubits"),
     ("{ a^100000000 |0> }", "1:5: an exponent of 100000000"),
     ("{ 2^100000000 |0> }", "1:5: an exponent of 100000000"),
     ("{ sqrt2^100000000 |0> }", "1:9: an exponent of 100000000"),

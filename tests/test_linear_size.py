@@ -4,7 +4,8 @@ Each shape translates, at n = 4, 8 and 12, to exactly the transitions of
 its affine form, and so does every ``size_*_max`` peak of the translation.
 The five bench families are exactly affine at n = 256, 512 and 768, in the
 size and in every peak of each assertion, and on one line from just above
-their minimum size up to 32 and at 1024.
+their minimum size up to 32 and at 1024.  Their parsed and canonicalized
+texts hold as many ket atoms at n = 64 as at n = 16384.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from lstaq.build import translate
 from lstaq.cli import BENCH_MIN_SIZE, bench_sources
 from lstaq.lsta import Lsta, write_lsta
 from lstaq.parser import parse
+from lstaq.preprocess import canonicalize
 
 PEAKS = ("size_slice_max", "size_setv_max", "size_setp_max", "size_segment_max")
 
@@ -64,6 +66,17 @@ def test_bench_families_are_exactly_affine(family):
     assert len({len(row) for row in rows}) == 1
     for small, mid, large in zip(*rows):
         assert mid - small == large - mid
+
+
+@pytest.mark.parametrize("family", ["bv", "ghz", "grover", "groveriter", "mctoffoli"])
+def test_bench_families_hold_as_many_ket_atoms_at_any_size(family):
+    # A constant run is one atom, however many qubits it spans.
+    def atoms(n):
+        asts = [parse(t) for pre, post, _joint in bench_sources(family, n) for t in (pre, post)]
+        return [sum(len(term.pattern) for term in form.terms())
+                for ast in asts for form in (ast, canonicalize(ast))]
+
+    assert atoms(64) == atoms(16384)
 
 
 # The smallest size from which each family's sizes and peaks lie on one

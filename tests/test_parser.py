@@ -121,9 +121,7 @@ def test_ket_runs_expand_and_vanish():
     ast = parse("{ |1 0^3 i 0^0> : |i| = 1 }")
     (sq,) = list(ast.setqs())
     (term,) = sq.diracs[0]
-    kinds = [type(a).__name__ for a in term.pattern]
-    assert kinds == ["ConstBit", "ConstBit", "ConstBit", "ConstBit", "Var"]
-    assert [a.bit for a in term.pattern[:4]] == [1, 0, 0, 0]
+    assert term.pattern == (A.Const("1000"), A.Var("i"))
 
 
 def test_complement_atoms_parse_and_render():
@@ -258,10 +256,11 @@ def test_render_many_joins_with_separators():
     assert ";;" in text
 
 
-def test_constant_bits_are_two_shared_atoms():
-    ast = parse("{ |0^8 1 0 1^3> } (x) { |1 0> }")
-    atoms = [atom for sq in ast.setqs() for term in sq.diracs[0] for atom in term.pattern]
-    assert len(atoms) == 15 and len({id(atom) for atom in atoms}) == 2
+def test_a_constant_run_is_one_atom():
+    asts = parse_many("{ |0^8 1 0 1^3> } (x) { |1 0> }")
+    patterns = [term.pattern for sq in asts[0].setqs() for term in sq.diracs[0]]
+    assert patterns == [(A.Const("0000000010111"),), (A.Const("10"),)]
+    assert render_many(asts) == "{ |0000000010111> } (x) { |10> }\n"
 
 
 def test_ket_atoms_are_budgeted_per_parse():

@@ -7,6 +7,7 @@ and variables that force the global partition's five slots.
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import pytest
@@ -65,9 +66,9 @@ def test_split_copies_are_renamed_apart():
     out = canonicalize(parse(E2))
     first, second = out.segments[0].base.alternatives
     v1 = {a.name for (t,) in first.diracs for a in t.pattern
-          if not isinstance(a, A.ConstBit)}
+          if not isinstance(a, A.Const)}
     v2 = {a.name for (t,) in second.diracs for a in t.pattern
-          if not isinstance(a, A.ConstBit)}
+          if not isinstance(a, A.Const)}
     assert v1 and v2 and v1.isdisjoint(v2)
 
 
@@ -94,23 +95,30 @@ def test_fresh_names_equal_the_count_from_zero_reference(used, bases):
         assert namer.fresh(base) == f"{base}{n}"
 
 
-def _best_cpu_seconds(*srcs: str) -> list[float]:
-    """The best of 3 CPU times per source.  Each round translates every
-    source once, so a slower stretch of the machine weighs on all alike."""
-    asts = [parse(src) for src in srcs]
-    best = [float("inf")] * len(asts)
-    for _ in range(3):
-        for k, ast in enumerate(asts):
-            t0 = time.process_time()
+def _cpu_ratios(small: str, large: str, step: int) -> list[float]:
+    """In each of 5 rounds, the CPU time of translating ``large`` once over
+    that of translating ``small`` once.  ``small`` is timed ``step`` times
+    in a row, so at linear cost both samples of a round take as long and
+    see the same stretch of a shared machine.  One untimed translation of
+    each comes first."""
+    small_ast, large_ast = parse(small), parse(large)
+
+    def cpu_seconds(ast, times: int) -> float:
+        t0 = time.process_time()
+        for _ in range(times):
             translate([ast])
-            best[k] = min(best[k], time.process_time() - t0)
-    return best
+        return time.process_time() - t0
+
+    for ast in (small_ast, large_ast):
+        translate([ast])
+    return [step * cpu_seconds(large_ast, 1) / cpu_seconds(small_ast, step)
+            for _ in range(5)]
 
 
 def test_tensor_powers_translate_in_linear_time():
-    # Quadratic work reads about 16x here; linear work about 4x.
-    small, large = _best_cpu_seconds("{ |0> } ^ 1000", "{ |0> } ^ 4000")
-    assert large <= 6 * small, (small, large)
+    # Linear work reads about 4x here; quadratic work about 16x.
+    ratios = _cpu_ratios("{ |0> } ^ 1000", "{ |0> } ^ 4000", 4)
+    assert statistics.median(ratios) <= 6, ratios
 
 
 # ---------------------------------------------------------------------------

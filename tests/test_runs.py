@@ -277,17 +277,52 @@ def _bare_inside(blocks, i):
         blocks[i - 1] = (*blocks[i - 1], *L._faces_at(gone, *p[0]))
 
 
+def _past_the_last_id(a, i):
+    # The automaton cut where the run's last window starts: no record or
+    # leaf is past the last id, but the last graft's children are.
+    last = _placements(a._blocks[i])[-1][0]
+    return L._with_blocks(a.semiring, range(last), a.root, (*a._blocks[:i + 1], ()), ())
+
+
 RUN_FAULTS = {"a frontier moved by one": _on_blocks(_moved_frontier),
               "a graft one id longer": _longer_graft,
               "a child before the run": _on_blocks(_child_before_the_run),
               "an interface transition on an inner top": _on_blocks(_interface_on_an_inner_top),
-              "an id bare inside the run only": _on_blocks(_bare_inside)}
+              "an id bare inside the run only": _on_blocks(_bare_inside),
+              "a last window past the last id": _past_the_last_id}
 
 
 @pytest.mark.parametrize("fault", RUN_FAULTS)
 def test_a_fault_in_how_a_run_is_placed_is_named_as_in_its_records(fault):
     for a in _run_bearing():
         _assert_same_error(RUN_FAULTS[fault](a, _first_long_run(a)))
+
+
+def _interior(run) -> list[Internal]:
+    """The records a run holds in its interior: all but its two seams."""
+    tpl, p = run.tpl, _placements(run)
+    seams = {*L._faces_at(tpl, *p[0]), *L._inner_at(tpl.inner, p[-1][0])}
+    return [t for t in L._materialize((run,)) if t not in seams]
+
+
+def test_run_interiors_out_of_order_are_named_as_in_their_records():
+    # Each first long run split in two, its upper half stored first, and
+    # both halves' interiors written out again after them: every id is
+    # then the top of a record, as if each interior were a gap between
+    # the runs, and every transition of the interiors repeats.  A run of 2
+    # grafts splits into halves without interiors, so it is left out.
+    autos = [a for a in _run_bearing() if a._blocks[_first_long_run(a)].n >= 3]
+    assert len(autos) > 20
+    for a in autos:
+        i = _first_long_run(a)
+        blocks = list(a._blocks)
+        run = blocks[i]
+        tpl, k = run.tpl, run.n // 2
+        low = run._replace(n=k)
+        high = run._replace(off=run.off + k * tpl.n_ids, base=run.base + k * (tpl.top + 1),
+                            n=run.n - k)
+        blocks[i:i + 2] = [high, (), low, (*blocks[i + 1], *_interior(low), *_interior(high))]
+        _assert_same_error(L._with_blocks(a.semiring, a.states, a.root, tuple(blocks), a.leaves))
 
 
 @pytest.mark.parametrize("place", PLACES)
