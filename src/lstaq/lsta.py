@@ -11,10 +11,10 @@ values are combined only through the automaton's :class:`Semiring` record,
 so every construction here works over all three leaf domains.
 
 State ids are ``0..N-1``, the root is one of them, and every id is the top
-of at least one transition: ``Lsta.states`` is ``range(N)``.
-:func:`validate` enforces this id rule.  Every construction keeps it by
-numbering the states it keeps in order, so a state that it drops or merges
-takes no id.
+of at least one transition.  ``Lsta.states`` is ``range(N)`` by
+construction; :func:`validate` enforces the rest of this id rule.  Every
+construction keeps it by numbering the states it keeps in order, so a
+state that it drops or merges takes no id.
 
 A state's transitions of each kind are stored in ascending order of their
 smallest choice.  Every construction keeps this order rule:
@@ -73,26 +73,26 @@ graft's inner transitions before its interface ones, which is the order
 rule's order.  That accessor is the one place outside :func:`write_lsta`
 that expands a run.  ``dataclasses.replace`` builds an explicit automaton.
 
-:func:`validate` tests whole sets first: the set of tops against the ids,
-the referenced states against the tops, and the (top, choice) pairs for
-repeats.  When every choice set is a singleton, as in the automata that
-translation builds, each transition is one such pair, and it tests the
-(top, choice set) pairs instead, one per transition.  Only on a fault does
-it scan, to name the first one in transition order, and then the first id
-that breaks the id rule.  A run is tested through its template and two
-seams (:func:`_runs_hold`): graft ``i``'s ids, its window, hold the tops
-of its inner transitions and of graft ``i+1``'s interface ones, which must
-tile the window, and the children of its own transitions.  The first
-graft's interface transitions, on the frontier the run grafts onto (the
-leaf states of the graft written out before it, so above the root), and
-the last graft's inner ones, whose leaf states the next graft continues
-from, are the seams: they are tested with the records, and they repeat
-every (top, choice) pair of the template, so the set-wide tests see every
-repeat a run holds.  The records' tops must be exactly the ids outside the
-runs' interiors.  Only if that fails are the records built, so a fault is
-named as in the explicit automaton.  :func:`map_leaves` calls its function
-once per distinct leaf value, so an amplitude-domain crossing costs one
-call per value, however many leaves share it.
+:func:`validate` runs one set-wide test, :func:`_holds`, on the records
+:func:`_layout` keeps, all of an explicit automaton's: their tops must be
+exactly the ids outside the runs' interiors, the children and the root
+ids, and no (top, choice) pair may repeat; with singleton choice sets
+only, as translation builds them, one (top, choice set) pair per
+transition.  Only on a fault does it scan, to name the first one in
+transition order, and then the first id that no transition leaves.  A run
+is tested through its template and two seams: graft ``i``'s ids, its
+window, hold the tops of its inner transitions and of graft ``i+1``'s
+interface ones, which must tile the window, and the children of its own
+transitions.  The first graft's interface transitions, on the frontier
+the run grafts onto (the leaf states of the graft written out before it,
+so above the root), and the last graft's inner ones, whose leaf states
+the next graft continues from, are the seams: they are tested with the
+records, and they repeat every (top, choice) pair of the template, so the
+set-wide test sees every repeat a run holds.  Only if that test fails are
+a run-bearing automaton's records built, so a fault is named as in the
+explicit automaton.  :func:`map_leaves` calls its function once per
+distinct leaf value, so an amplitude-domain crossing costs one call per
+value, however many leaves share it.
 
 :func:`membership` decides one state without enumerating the language.  It
 holds the state as a DAG of shared subtrees, in which every all-zero
@@ -130,7 +130,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, count, islice, takewhile
 from operator import is_, itemgetter
-from typing import Collection, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .amplitude import COMPLEX, Semiring, undefined_operator
 from .errors import (
@@ -166,7 +166,7 @@ _AMPLITUDE = itemgetter(2)  # of a Leaf
 @dataclass(frozen=True)
 class Lsta:
     semiring: Semiring
-    states: Collection[int]
+    states: range
     root: int
     internal: tuple[Internal, ...]
     leaves: tuple[Leaf, ...]
@@ -199,7 +199,7 @@ class _Records:
 Lsta.internal = _Records()  # set after the dataclass is made: not a field default
 
 
-def _with_blocks(semiring: Semiring, states: Collection[int], root: int,
+def _with_blocks(semiring: Semiring, states: range, root: int,
                  blocks: tuple, leaves: tuple[Leaf, ...]) -> Lsta:
     """A run-bearing automaton: ``internal`` is built from ``blocks`` on
     its first read."""
@@ -215,14 +215,11 @@ def mk_lsta(
     internal: list[Internal],
     leaves: list[Leaf],
 ) -> Lsta:
-    """Assemble an automaton over any ids, deriving the state set from the
-    transitions; it keeps the id rule only if the ids do."""
-    states = {root}
-    for t in internal:
-        states.update((t.top, t.left, t.right))
-    for t in leaves:
-        states.add(t.top)
-    return Lsta(semiring, frozenset(states), root, tuple(internal), tuple(leaves))
+    """Assemble an automaton over the ids ``0..`` the largest id its root
+    and transitions name; :func:`validate` names an id that no transition
+    leaves."""
+    ids = chain((root,), *((t.top, t.left, t.right) for t in internal), map(_TOP, leaves))
+    return Lsta(semiring, range(max(ids) + 1), root, tuple(internal), tuple(leaves))
 
 
 def _distinct(tops: list[int], choices: list) -> bool:
@@ -236,64 +233,62 @@ def _distinct(tops: list[int], choices: list) -> bool:
     return all(choices) and len(set(pairs)) == len(pairs)
 
 
-def _runs_hold(a: Lsta) -> bool:
-    """Whether a run-bearing ``a`` keeps every rule :func:`validate`
-    checks, read from its runs' templates (see the module docstring).
-
-    The set-wide tests run on the records :func:`_layout` keeps, whose tops
-    must be exactly the ids outside the runs' interiors.  Those records
-    hold every run's two seams, which carry its template's inner and
-    interface transitions, so a (top, choice) pair the template repeats
-    repeats there too.
-    """
-    n = len(a.states)
-    layout = _layout(a) if a.states == range(n) else None
+def _holds(a: Lsta) -> bool:
+    """Whether ``a`` keeps every rule :func:`validate` checks, tested over
+    whole sets on the records :func:`_layout` keeps, whose tops must be
+    exactly the ids outside the runs' interiors: every id, for an explicit
+    ``a``.  The records hold every run's two seams, which carry its
+    template's inner and interface transitions, so a (top, choice) pair the
+    template repeats repeats there too.  A child is tested against the tops,
+    or, with runs, whose interiors hold ids that no record's top is, against
+    the ids."""
+    layout = _layout(a)
     if layout is None:
         return False
     records, runs = layout
-    gaps, prev = [], 0
-    for lo, hi, _run in runs:
-        gaps.append(range(prev, lo))
-        prev = hi
-    gaps.append(range(prev, n))
+    n = len(a.states)
+    outside = range(n)  # the ids outside the runs' interiors
+    if runs:
+        outside, prev = [], 0
+        for lo, hi, _run in runs:
+            outside += range(prev, lo)
+            prev = hi
+        outside += range(prev, n)
     transitions = (*records, *a.leaves)
     tops = list(map(_TOP, transitions))
+    top_ids = set(tops)
+    if not (_distinct(tops, list(map(_CHOICES, transitions))) and 0 <= a.root < n
+            and len(top_ids) == len(outside) and top_ids.issuperset(outside)):
+        return False
+    if not runs:
+        return top_ids.issuperset(map(_LEFT, records)) and top_ids.issuperset(map(_RIGHT, records))
     kids = [*map(_LEFT, records), *map(_RIGHT, records)]
-    # Once the tops are 0..N-1, a child is a top exactly when it is an id.
-    return (_distinct(tops, list(map(_CHOICES, transitions))) and a.root in a.states
-            and set(tops) == set(chain.from_iterable(gaps))
-            and (not kids or 0 <= min(kids) and max(kids) < n))
+    return 0 <= min(kids) and max(kids) < n
 
 
 def validate(a: Lsta) -> None:
     """Check structural invariants and the id rule; raises on the first
     violation.
 
-    Set-wide tests find whether the tops are other than ``0..N-1``, a state
-    unknown, a choice set empty or a (top, choice) pair repeated; only then
-    does the ordered scan run, to name the first violation in transition
-    order, and then the first id missing from ``a.states`` or the tops.  A
-    run-bearing automaton is tested through its runs' templates
-    (:func:`_runs_hold`); only if that fails are its records built, to be
-    tested and scanned in the same way.
+    A state set other than ``range(N)``, which only a hand-built ``Lsta``
+    has, must still hold every id below its length.  Then :func:`_holds`
+    tests whole sets, a run-bearing automaton through its runs' templates;
+    only on a fault are the records scanned, to name the first violation in
+    transition order, and then the first id that no transition leaves.
     """
-    if a._blocks is not None and _runs_hold(a):
-        return
-    transitions = (*a.internal, *a.leaves)
     n = len(a.states)
-    tops = list(map(_TOP, transitions))
-    top_ids = set(tops)
-    if (_distinct(tops, list(map(_CHOICES, transitions))) and len(top_ids) == n and top_ids.issuperset(range(n))
-            and (a.states == range(n) or top_ids.issuperset(a.states))
-            and a.root in top_ids and top_ids.issuperset(map(_LEFT, a.internal))
-            and top_ids.issuperset(map(_RIGHT, a.internal))):
+    if a.states != range(n):
+        for k in range(n):
+            if k not in a.states:
+                raise DanglingStateError(k, "the state ids skip")
+    if _holds(a):
         return
-    if a.root not in a.states:
+    if not 0 <= a.root < n:
         raise DanglingStateError(a.root)
     seen: dict[int, set[int]] = {}
-    for t in transitions:
+    for t in (*a.internal, *a.leaves):
         for s in (t.top, t.left, t.right) if isinstance(t, Internal) else (t.top,):
-            if s not in a.states:
+            if not 0 <= s < n:
                 raise DanglingStateError(s)
         if not t.choices:
             raise InternalError(f"transition from state {t.top} has no choices")
@@ -303,9 +298,7 @@ def validate(a: Lsta) -> None:
                 raise ChoiceOverlapError(t.top, c)
             pool.add(c)
     for s in range(n):
-        if s not in a.states:
-            raise DanglingStateError(s, "the state ids skip")
-        if s not in top_ids:
+        if s not in seen:
             raise DanglingStateError(s, "no transition leaves state")
 
 
@@ -747,17 +740,21 @@ class _Template(NamedTuple):
 
 class _Run(NamedTuple):
     """A run's block: ``n`` grafts of ``tpl`` after the one written out
-    before it, and the largest choice they hold.  Graft ``i`` takes its
-    first fresh id at ``off + i*tpl.n_ids`` and its first fresh choice at
-    ``base + i*(tpl.top+1)``, and grafts onto the leaf states of the graft
-    before it, whose first is ``off + (i-1)*tpl.n_ids + tpl.leaves[0][0]``;
-    so graft 0's frontier is in the ``tpl.n_ids`` ids before ``off``."""
+    before it.  Graft ``i`` takes its first fresh id at ``off + i*tpl.n_ids``
+    and its first fresh choice at ``base + i*(tpl.top+1)``, and grafts onto
+    the leaf states of the graft before it, whose first is ``off +
+    (i-1)*tpl.n_ids + tpl.leaves[0][0]``; so graft 0's frontier is in the
+    ``tpl.n_ids`` ids before ``off``."""
 
     tpl: _Template
     off: int
     base: int
     n: int
-    top: int
+
+    @property
+    def top(self) -> int:
+        """The largest choice the run holds: its last graft's largest."""
+        return self.base + self.n * (self.tpl.top + 1) - 1
 
 
 def _shift(run: _Run, delta: int) -> _Run:
@@ -806,7 +803,7 @@ def _materialize(blocks: tuple) -> tuple[Internal, ...]:
         if type(block) is tuple:
             out += block
             continue
-        tpl, off, base, n, _top = block
+        tpl, off, base, n = block
         step, stride, lead = tpl.n_ids, tpl.top + 1, tpl.leaves[0][0] - tpl.n_ids
         for i in range(n):
             out += _inner_at(tpl.inner, off + i * step)
@@ -848,12 +845,12 @@ def _steady(tpl: _Template) -> bool:
             and bool(kids) and 0 <= min(kids) and max(kids) < step)
 
 
-def _layout(a: Lsta) -> tuple[list[Internal], list[tuple[int, int, _Run]]] | None:
-    """A run-bearing ``a``'s records outside its runs' interiors, in stored
-    order, and its runs, each as ``(lo, hi, run)`` with its interior
-    ``lo..hi-1``; ``None`` unless every run's template is :func:`_steady`,
-    the interiors are in ascending order and each run's last window ends
-    by the last id.
+def _layout(a: Lsta) -> tuple[Sequence[Internal], list[tuple[int, int, _Run]]] | None:
+    """``a``'s records outside its runs' interiors, in stored order, and its
+    runs, each as ``(lo, hi, run)`` with its interior ``lo..hi-1``; ``None``
+    unless every run's template is :func:`_steady`, the interiors are in
+    ascending order and each run's last window ends by the last id.  An
+    explicit ``a`` is its records with no runs.
 
     The records are the explicit blocks' and each run's two seams: its
     first graft's interface transitions, whose tops are the frontier it
@@ -862,6 +859,8 @@ def _layout(a: Lsta) -> tuple[list[Internal], list[tuple[int, int, _Run]]] | Non
     graft's up to its last graft's, holds the tops of every other record it
     stores.
     """
+    if a._blocks is None:
+        return a.internal, []
     records: list[Internal] = []
     runs: list[tuple[int, int, _Run]] = []
     n, prev = len(a.states), 0
@@ -869,7 +868,7 @@ def _layout(a: Lsta) -> tuple[list[Internal], list[tuple[int, int, _Run]]] | Non
         if type(block) is tuple:
             records += block
             continue
-        tpl, lo, base, k, _top = block
+        tpl, lo, base, k = block
         hi = lo + (k - 1) * tpl.n_ids
         if lo < prev or hi + tpl.n_ids > n or not _steady(tpl):
             return None
@@ -1050,8 +1049,7 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
             top_choice = max(base + tpl.top, inner_max)
         run = None
         if k > 1:
-            run = _Run(tpl, next_id + tpl.n_ids, top_choice + 1, k - 1,
-                       top_choice + (k - 1) * (tpl.top + 1))
+            run = _Run(tpl, next_id + tpl.n_ids, top_choice + 1, k - 1)
             top_choice = run.top
         leaves = _emit(tpl, next_id, base, front, blocks, run)
         next_id += k * tpl.n_ids
@@ -1097,19 +1095,19 @@ def _set_text(cs) -> str:
 
 def _in_order(a: Lsta) -> tuple[list[Internal], list[tuple[int, _Run]]]:
     """``a``'s records by ascending top, each state's in stored order, and
-    where each run's interior goes among them.  A run-bearing ``a`` sorts
-    only the records :func:`_layout` keeps, when no top of theirs falls in
-    a run's interior and every run's interface choice sets are singletons,
-    as translation builds them; otherwise its records are written."""
-    layout = None if a._blocks is None else _layout(a)
+    where each run's interior goes among them.  Only the records
+    :func:`_layout` keeps are sorted, when no top of theirs falls in a
+    run's interior and every run's interface choice sets are singletons,
+    as translation builds them; otherwise all of ``a``'s records are."""
+    layout = _layout(a)
     if layout is not None:
         records, runs = layout
-        records.sort(key=_TOP)
-        tops = list(map(_TOP, records))
+        records = sorted(records, key=_TOP)
         cuts = []
         for lo, hi, run in runs:
-            cut = bisect_left(tops, lo)
-            if bisect_left(tops, hi) != cut or any(len(cs) != 1 for cs in run.tpl.sets):
+            cut = bisect_left(records, lo, key=_TOP)
+            if (bisect_left(records, hi, key=_TOP) != cut
+                    or any(len(cs) != 1 for cs in run.tpl.sets)):
                 break
             cuts.append((cut, run))
         else:
@@ -1122,7 +1120,7 @@ def _run_lines(run: _Run) -> list[str]:
     :func:`_steady`): a window's transitions by ascending top, each state's
     in stored order, its inner ones before the next graft's interface ones,
     whose single choice is that graft's."""
-    tpl, off, base, n, _top = run
+    tpl, off, base, n = run
     step, stride, first_leaf = tpl.n_ids, tpl.top + 1, tpl.leaves[0][0]
     # (top, text, choice, left, right) relative to the window; an
     # interface transition's text is left empty, to be made per window.

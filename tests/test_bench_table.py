@@ -26,4 +26,4 @@ def test_bench_table_has_one_row_per_family():
         assert float(two) >= 0 and float(four) >= 0
         pre, post = transitions.split("/")
         assert int(pre) > 0 and int(post) > 0
-        assert int(peak) > 0
+        assert float(peak) > 0

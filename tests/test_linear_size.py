@@ -97,7 +97,7 @@ def test_bench_families_lie_on_one_line_from_just_above_their_minimum():
                         a = ar.automaton
                         row += [ar.stats[key] for key in ("size", *PEAKS)]
                         if a._blocks is not None:
-                            assert L._runs_hold(a)
+                            assert L._holds(a)
                             one_graft_runs += sum(run.n == 1 for run in a._blocks[1::2])
                         explicit = Lsta(a.semiring, a.states, a.root, tuple(a.internal), a.leaves)
                         assert write_lsta(a, result.qubits) == write_lsta(explicit, result.qubits)

@@ -38,7 +38,7 @@ from lstaq.lsta import (
     write_lsta,
 )
 from lstaq.parser import parse, parse_many, render_formula
-from tests.conftest import cpoly, vec
+from tests.conftest import cpoly, normalize, vec
 
 ONE = frozenset({1})
 
@@ -265,6 +265,32 @@ def test_an_id_without_a_transition_is_named_in_translated_automata():
             err = _validate_error(ghost)
             assert isinstance(err, DanglingStateError) and err.state == k
             assert str(err) == f"no transition leaves state {k}"
+
+
+def test_every_constructor_numbers_its_states_0_to_n_minus_1():
+    piece = single_member({"0": "1", "1": "0"})
+    explicit, run_bearing = tensor_chain([piece, piece])[0], tensor_chain([piece] * 6)[0]
+    assert explicit._blocks is None and run_bearing._blocks is not None
+    setq = build_setq_lsta([vec(1, {"0": "1"}), vec(1, {"1": "1"})], COMPLEX)
+    for a in (setq, union_all([setq, piece]), explicit, run_bearing,
+              map_leaves(explicit, lambda v: v + v), map_leaves(run_bearing, lambda v: v + v),
+              piece, normalize(run_bearing)):
+        assert type(a.states) is range and a.states == range(len(a.states))
+        validate(a)
+
+
+def test_an_id_that_mk_lsta_skips_is_one_that_no_transition_leaves():
+    a = mk_lsta(COMPLEX, 0, [Internal(0, ONE, 1, 3)], [ONE_LEAF, Leaf(3, ONE, cpoly("0"))])
+    assert a.states == range(4)
+    err = _validate_error(a)
+    assert isinstance(err, DanglingStateError) and str(err) == "no transition leaves state 2"
+
+
+def test_a_gap_free_state_set_validates_as_its_range():
+    internal, leaves = (Internal(0, ONE, 1, 2),), (ONE_LEAF, Leaf(2, ONE, cpoly("0")))
+    validate(Lsta(COMPLEX, frozenset({2, 0, 1}), 0, internal, leaves))
+    err = _validate_error(Lsta(COMPLEX, frozenset({0, 1, 2, 3}), 0, internal, leaves))
+    assert isinstance(err, DanglingStateError) and str(err) == "no transition leaves state 3"
 
 
 def test_an_empty_choice_set_is_named_in_translated_automata():

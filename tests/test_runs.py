@@ -163,14 +163,14 @@ def test_every_run_bearing_automaton_passes_through_its_templates():
     autos = _run_bearing()
     assert len(autos) > 30
     for a in autos:
-        assert L._runs_hold(a)
+        assert L._holds(a)
         validate(a)
         # A placement written out beside its run is a seam as well.
         i = _first_long_run(a)
         for end in (0, -1):
             blocks, _at, _start = _written_out(a, i, end)
             b = L._with_blocks(a.semiring, a.states, a.root, tuple(blocks), a.leaves)
-            assert b.internal == a.internal and L._runs_hold(b)
+            assert b.internal == a.internal and L._holds(b)
 
 
 @pytest.mark.parametrize("place", PLACES)
@@ -415,7 +415,7 @@ def test_runs_of_multi_choice_sets_are_written_and_validated_as_their_records():
             _assert_chain_is_the_fold([p] * k)
             a, _peak = L.tensor_chain([p] * k)
             assert any(len(cs) > 1 for run in a._blocks[1::2] for cs in run.tpl.sets)
-            assert L._runs_hold(a)
+            assert L._holds(a)
             assert write_lsta(a, k) == write_lsta(_explicit(a), k)
 
 

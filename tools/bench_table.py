@@ -59,7 +59,7 @@ def table(sizes: list[int], repeat: int) -> list[str]:
         runs, peaks = zip(*(bench(family, arg) for _ in range(repeat)))
         cells = [f"{min(run[n][0] for run in runs):.3f}" for n in sizes]
         _s, pre, post = runs[0][largest]
-        cells += [f"{pre} / {post}", f"{max(peaks):.0f}"]
+        cells += [f"{pre} / {post}", f"{max(peaks):.1f}"]
         lines.append(f"| {family:<10} |" + "".join(f" {c:>{len(h)}} |" for c, h in zip(cells, heads)))
     return lines
 
