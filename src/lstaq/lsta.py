@@ -73,6 +73,19 @@ graft's inner transitions before its interface ones, which is the order
 rule's order.  That accessor is the one place outside :func:`write_lsta`
 that expands a run.  ``dataclasses.replace`` builds an explicit automaton.
 
+:func:`write_lsta` writes text a block at a time, never a line at a time:
+each block of records, the leaves and each run's interior is one ``%``
+format of a line's fields, repeated over the block and applied to one
+tuple of the block's fields, formatted in slices of at most ``_SLICE``
+arguments so the tuple stays bounded.  A run's arguments are its windows'
+ids and interface choices, arithmetic progressions along the run, so they
+are assigned a column at a time from ranges (:func:`_run_lines`).  Only
+choice-set texts that :func:`_set_text` makes may enter a format string;
+amplitude renders, variable names and the public ``constraint`` argument
+never do.  A run-bearing automaton's :func:`_layout`, which
+:func:`validate` and :func:`write_lsta` both read, is built once and kept
+on the instance, as ``internal`` is.
+
 :func:`validate` runs one set-wide test, :func:`_holds`, on the records
 :func:`_layout` keeps, all of an explicit automaton's: their tops must be
 exactly the ids outside the runs' interiors, the children and the root
@@ -128,7 +141,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, count, islice, takewhile
+from itertools import chain, islice, takewhile
 from operator import is_, itemgetter
 from typing import NamedTuple, Sequence
 
@@ -858,9 +871,22 @@ def _layout(a: Lsta) -> tuple[Sequence[Internal], list[tuple[int, int, _Run]]] |
     next graft's frontier.  A run's interior, the ids from its first
     graft's up to its last graft's, holds the tops of every other record it
     stores.
+
+    A run-bearing ``a``'s layout, ``None`` included, is built once, by
+    :func:`_build_layout`, and kept on the instance, as ``internal`` is, so
+    :func:`validate` and a later :func:`write_lsta` share it; callers must
+    not change it.
     """
     if a._blocks is None:
         return a.internal, []
+    kept = a.__dict__
+    if "_layout" not in kept:
+        kept["_layout"] = _build_layout(a)
+    return kept["_layout"]
+
+
+def _build_layout(a: Lsta) -> tuple[list[Internal], list[tuple[int, int, _Run]]] | None:
+    """The layout :func:`_layout` keeps for a run-bearing ``a``."""
     records: list[Internal] = []
     runs: list[tuple[int, int, _Run]] = []
     n, prev = len(a.states), 0
@@ -1115,22 +1141,77 @@ def _in_order(a: Lsta) -> tuple[list[Internal], list[tuple[int, _Run]]]:
     return sorted(a.internal, key=_TOP), []
 
 
+# The most arguments one ``%`` format takes: a long block is formatted in
+# slices of whole lines, so the argument tuple each call builds stays bounded.
+_SLICE = 4096
+
+
+def _sliced(line: str, width: int, count: int, fields) -> list[str]:
+    """``count`` lines of the ``%`` format ``line``, which takes ``width``
+    arguments, one format per slice of at most ``_SLICE`` arguments:
+    ``fields(i, k)`` lists the arguments of lines ``i`` to ``i+k-1``."""
+    per = max(1, _SLICE // width)
+    full = line * per
+    out = []
+    for i in range(0, count, per):
+        k = min(per, count - i)
+        out.append((full if k == per else line * k) % tuple(fields(i, k)))
+    return out
+
+
+def _rows_text(line: str, width: int, rows: Sequence[tuple], texts: dict) -> list[str]:
+    """The text of ``rows``, tuples of ``width`` fields, each a line of
+    ``line``: its fields flattened, with each field ``j`` that ``texts``
+    keys replaced by ``texts[j]`` of it."""
+    def fields(i, k):
+        flat = list(chain.from_iterable(rows[i:i + k]))
+        for j, text in texts.items():
+            flat[j::width] = map(text, flat[j::width])
+        return flat
+
+    return _sliced(line, width, len(rows), fields)
+
+
 def _run_lines(run: _Run) -> list[str]:
-    """The lines of ``run``'s interior, window by window (see
-    :func:`_steady`): a window's transitions by ascending top, each state's
-    in stored order, its inner ones before the next graft's interface ones,
-    whose single choice is that graft's."""
+    """The text of ``run``'s interior, window by window (see :func:`_steady`):
+    a window's transitions by ascending top, each state's in stored order,
+    its inner ones before the next graft's interface ones, whose single
+    choice is that graft's.
+
+    A window's lines are one ``%`` format, repeated over a slice of windows
+    (:func:`_sliced`).  Its numbers follow arithmetic progressions along the
+    run: ids step by ``tpl.n_ids`` and interface choices by ``tpl.top + 1``,
+    so each argument column is assigned from a ``range``, with no Python
+    work per line.  Only the inner transitions' choice-set texts, which
+    :func:`_set_text` makes, enter the format.  A run of one graft has no
+    window, and no text."""
     tpl, off, base, n = run
     step, stride, first_leaf = tpl.n_ids, tpl.top + 1, tpl.leaves[0][0]
     # (top, text, choice, left, right) relative to the window; an
-    # interface transition's text is left empty, to be made per window.
+    # interface transition's text is left empty: its choice is an argument.
     order = sorted([(t, _set_text(c), 0, l, r) for t, c, l, r in tpl.inner]
                    + [(first_leaf + t, "", tpl.sets[k][0], step + l, step + r)
                       for t, k, l, r in tpl.faces], key=_TOP)
-    windows = zip(range(off, off + (n - 1) * step, step), count(base + stride, stride))
-    return [f"i {o + t} {text} -> {o + l} {o + r}" if text
-            else f"i {o + t} {{{b + c}}} -> {o + l} {o + r}"
-            for o, b in windows for t, text, c, l, r in order]
+    line = ""
+    columns = []  # each argument's value in the first window, and its step
+    for t, text, c, l, r in order:
+        if text:
+            line += "i %%d %s -> %%d %%d\n" % text
+            columns += [(off + t, step), (off + l, step), (off + r, step)]
+        else:
+            line += "i %d {%d} -> %d %d\n"
+            columns += [(off + t, step), (base + stride + c, stride),
+                        (off + l, step), (off + r, step)]
+    width = len(columns)
+
+    def fields(i, k):
+        args = [0] * (k * width)
+        for j, (first, d) in enumerate(columns):
+            first += i * d
+            args[j::width] = range(first, first + k * d, d)
+        return args
+
+    return _sliced(line, width, n - 1, fields)
 
 
 def write_lsta(a: Lsta, n: int, constraint: str | None = None) -> str:
@@ -1141,25 +1222,30 @@ def write_lsta(a: Lsta, n: int, constraint: str | None = None) -> str:
     A run's interior is written from its template, window by window, with
     no records built, when its interface choice sets are singletons
     (:func:`_in_order`).
+
+    Each block is written with one ``%`` format per slice (see the module
+    docstring): the records between two run interiors, each interior
+    (:func:`_run_lines`) and the leaves, whose choice-set and amplitude
+    texts are substituted into their fields; the pieces are joined once.
+    ``constraint``, like every amplitude render and variable name, is
+    written as given and never becomes part of a format string.  A
+    run-bearing ``a`` reuses the layout that :func:`validate` kept.
     """
     semiring = a.semiring
     records, cuts = _in_order(a)
     sets = {cs: _set_text(cs) for cs in set(map(_CHOICES, chain(records, a.leaves)))}
     amplitudes = {v: semiring.render(v) for v in set(map(_AMPLITUDE, a.leaves))}
     names = frozenset().union(*map(semiring.variables, amplitudes))
-    lines = [
-        "lsta v1",
-        f"semiring {semiring.name}",
-        f"qubits {n}",
-        "vars" + "".join(f" {v}" for v in sorted(names)),
-        f"root {a.root}",
-    ]
-    body = [f"i {top} {sets[cs]} -> {left} {right}" for top, cs, left, right in records]
-    for cut, run in reversed(cuts):
-        body[cut:cut] = _run_lines(run)
-    lines += body
-    lines += [f"l {top} {sets[cs]} -> {amplitudes[v]}"
-              for top, cs, v in sorted(a.leaves, key=_TOP)]
+    out = [f"lsta v1\nsemiring {semiring.name}\nqubits {n}\n"
+           f"vars{''.join(f' {v}' for v in sorted(names))}\nroot {a.root}\n"]
+    prev = 0
+    for cut, run in cuts:
+        out += _rows_text("i %d %s -> %d %d\n", 4, records[prev:cut], {1: sets.__getitem__})
+        out += _run_lines(run)
+        prev = cut
+    out += _rows_text("i %d %s -> %d %d\n", 4, records[prev:], {1: sets.__getitem__})
+    out += _rows_text("l %d %s -> %s\n", 3, sorted(a.leaves, key=_TOP),
+                      {1: sets.__getitem__, 2: amplitudes.__getitem__})
     if constraint:
-        lines.append(f"constraint {constraint}")
-    return "\n".join(lines) + "\n"
+        out.append(f"constraint {constraint}\n")
+    return "".join(out)

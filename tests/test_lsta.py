@@ -765,3 +765,14 @@ def test_write_lsta_lists_each_transition_once(ref_automaton):
 def test_write_lsta_carries_the_constraint_line(ref_automaton):
     text = write_lsta(ref_automaton, 2, constraint="re(a) = 0")
     assert "constraint re(a) = 0" in text
+
+
+@pytest.mark.parametrize("constraint", ["100% of %d", "{} {0} {a!r}", "%s %(x)s %% %"])
+def test_write_lsta_writes_any_constraint_verbatim(ref_automaton, constraint):
+    # The constraint is public input: no text of it is ever a format string.
+    run_bearing = translate(parse_many(bench_sources("bv", 8)[0][0])).assertions[0].automaton
+    assert run_bearing._blocks is not None
+    for a in (ref_automaton, run_bearing):
+        text = write_lsta(a, 2, constraint)
+        assert text.endswith(f"\nconstraint {constraint}\n")
+        assert text == reference_write_lsta(a, 2, constraint)

@@ -9,15 +9,18 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lstaq.build
 import lstaq.lsta as L
 from lstaq.build import translate
-from lstaq.cli import bench_sources
+from lstaq.cli import BENCH_MIN_SIZE, bench_sources
 from lstaq.errors import InternalError
 from lstaq.amplitude import COMPLEX
 from lstaq.lsta import Internal, Leaf, Lsta, map_leaves, mk_lsta, validate, write_lsta
 from lstaq.parser import parse
+from tests.conftest import cpoly
 from tests.test_composition import _placements
 
 FAMILIES = ("bv", "ghz", "grover", "groveriter", "mctoffoli")
@@ -446,3 +449,129 @@ def test_run_bearing_automata_keep_the_lsta_interface():
     assert copy._blocks is None and copy.internal == a.internal[1:]
     assert dataclasses.replace(a, root=a.root) == a == _explicit(a)
     assert write_lsta(mapped, qubits) == write_lsta(a, qubits)
+
+
+# ---------------------------------------------------------------------------
+# Writing: a run's interior is formatted from its template, a slice of
+# windows at a time, and must give the bytes of its explicit copy.
+# ---------------------------------------------------------------------------
+
+
+def _assert_written_as_its_records(a: Lsta, qubits: int) -> None:
+    # Names the first line that differs: a diff of two long texts is slow.
+    got = write_lsta(a, qubits).split("\n")
+    want = write_lsta(dataclasses.replace(a), qubits).split("\n")
+    if got != want:
+        at = next((k for k, (x, y) in enumerate(zip(got, want)) if x != y),
+                  min(len(got), len(want)))
+        pytest.fail(f"line {at}: {got[at:at + 1]} != {want[at:at + 1]}, "
+                    f"{len(got)} and {len(want)} lines")
+
+
+def _written_runs(a: Lsta) -> list:
+    """The runs whose interiors ``write_lsta`` writes from their templates."""
+    return [run for _cut, run in L._in_order(a)[1]]
+
+
+def _three_sets_piece() -> Lsta:
+    """A two-level piece whose runs' windows hold 14 lines, with three inner
+    and three interface choice sets."""
+    one, minus = cpoly("1"), cpoly("-1")
+    c1, c2, c3 = (frozenset({c}) for c in (1, 2, 3))
+    return mk_lsta(COMPLEX, 4, [
+        Internal(4, c1, 2, 3), Internal(4, c2, 3, 2), Internal(4, c3, 2, 2),
+        Internal(2, c1, 0, 1), Internal(2, c2, 1, 0),
+        Internal(3, c1, 0, 0), Internal(3, c3, 1, 1)],
+        [Leaf(0, c1, one), Leaf(1, c1, minus)])
+
+
+def test_a_run_block_of_one_graft_writes_no_interior():
+    # A run block of one graft has no window, so it adds no line at all.
+    autos = [aq for family in ("ghz", "grover", "mctoffoli") for aq in _translated(family, 5)]
+    autos.append((L.tensor_chain([_three_sets_piece()] * 4)[0], 8))
+    ones = 0
+    for a, qubits in autos:
+        ones += sum(run.n == 1 for run in _written_runs(a))
+        _assert_written_as_its_records(a, qubits)
+        assert "\n\n" not in write_lsta(a, qubits)
+    assert ones >= 3
+
+
+@pytest.mark.parametrize("slice_", [1, 10, 100, L._SLICE])
+def test_windows_across_a_power_of_ten_are_written_as_their_records(monkeypatch, slice_):
+    # Small slices start a format in mid-run, on either side of a new digit.
+    monkeypatch.setattr(L, "_SLICE", slice_)
+    crossed = set()
+    for family in FAMILIES:
+        for a, qubits in _translated(family, 300):
+            for run in _written_runs(a):
+                step, stride = run.tpl.n_ids, run.tpl.top + 1
+                last = run.n - 2  # the last window
+                crossed.update(("id", m) for m in (2, 3)
+                               if run.off < 10 ** m <= run.off + last * step)
+                crossed.update(("choice", m) for m in (1, 2)
+                               if run.base + stride < 10 ** m <= run.base + (last + 1) * stride)
+            _assert_written_as_its_records(a, qubits)
+    assert crossed == {("id", 2), ("id", 3), ("choice", 1), ("choice", 2)}
+
+
+@pytest.mark.parametrize("slice_", [1, 100, L._SLICE])
+def test_windows_of_several_lines_and_choice_sets_are_written_as_their_records(
+        monkeypatch, slice_):
+    monkeypatch.setattr(L, "_SLICE", slice_)
+    p = _three_sets_piece()
+    for k in (5, 40):
+        a, _peak = L.tensor_chain([p] * k)
+        (run,) = _written_runs(a)
+        tpl = run.tpl
+        assert len(tpl.inner) + len(tpl.faces) == 14 and len(set(tpl.sets)) == 3
+        assert len(set(map(L._CHOICES, tpl.inner))) == 3
+        validate(a)
+        _assert_written_as_its_records(a, 2 * k)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_run_bearing_automata_are_written_as_their_records(family, data):
+    n = data.draw(st.integers(BENCH_MIN_SIZE[family], 300), label="n")
+    for a, qubits in _translated(family, n):
+        _assert_written_as_its_records(a, qubits)
+
+
+def test_validate_and_write_lay_a_run_bearing_automaton_out_once(monkeypatch):
+    built = []
+    build = L._build_layout
+
+    def counting(a):
+        built.append(a)
+        return build(a)
+
+    monkeypatch.setattr(L, "_build_layout", counting)
+    # translate validates each automaton it returns, which lays it out
+    # once; writing lays none out again.
+    autos = [(a, q) for a, q in _translated("grover", 8) if a._blocks is not None]
+    laid = len(built)
+    assert autos and all(sum(b is a for b in built) == 1 for a, _q in autos)
+    texts = [write_lsta(a, q) for a, q in autos]
+    validate(autos[0][0])
+    assert len(built) == laid
+    # Reading the records after a write changes nothing the writer reads.
+    for (a, q), text in zip(autos, texts):
+        assert a.internal and write_lsta(a, q) == text
+    assert len(built) == laid
+    # An explicit copy has no layout to keep.
+    a, q = autos[0]
+    copy = dataclasses.replace(a)
+    validate(copy)
+    assert write_lsta(copy, q) == texts[0]
+    assert len(built) == laid and "_layout" not in copy.__dict__
+    # A layout that fails is kept as well: its automaton is laid out once.
+    for a, _q in autos:
+        moved = RUN_FAULTS["a frontier moved by one"](a, _first_long_run(a))
+        del built[:]
+        with pytest.raises(InternalError):
+            validate(moved)
+        write_lsta(moved, 1)
+        write_lsta(moved, 1)
+        assert len(built) == 1 and built[0] is moved and L._layout(moved) is None
