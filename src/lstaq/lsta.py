@@ -89,10 +89,15 @@ on the instance, as ``internal`` is.
 :func:`validate` runs one set-wide test, :func:`_holds`, on the records
 :func:`_layout` keeps, all of an explicit automaton's: their tops must be
 exactly the ids outside the runs' interiors, the children and the root
-ids, and no (top, choice) pair may repeat; with singleton choice sets
-only, as translation builds them, one (top, choice set) pair per
-transition.  Only on a fault does it scan, to name the first one in
-transition order, and then the first id that no transition leaves.  A run
+ids, and no (top, choice) pair may repeat.  When the root is the only top
+with more than one transition, as in every ``build.build_setq_lsta``
+result and every :func:`union_all` of such pieces, a pair can repeat only
+at the root, so only the root's choice sets are tested for overlap, and
+every set for being nonempty; this is exact.  Otherwise the pairs are
+tested over all transitions; with singleton choice sets only, as
+translation builds them, one (top, choice set) pair per transition.  Only
+on a fault does it scan, to name the first one in transition order, and
+then the first id that no transition leaves.  A run
 is tested through its template and two seams: graft ``i``'s ids, its
 window, hold the tops of its inner transitions and of graft ``i+1``'s
 interface ones, which must tile the window, and the children of its own
@@ -141,8 +146,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice, takewhile
-from operator import is_, itemgetter
+from itertools import chain, compress, islice, repeat, takewhile
+from operator import eq, is_, itemgetter
 from typing import NamedTuple, Sequence
 
 from .amplitude import COMPLEX, Semiring, undefined_operator
@@ -254,7 +259,15 @@ def _holds(a: Lsta) -> bool:
     template's inner and interface transitions, so a (top, choice) pair the
     template repeats repeats there too.  A child is tested against the tops,
     or, with runs, whose interiors hold ids that no record's top is, against
-    the ids."""
+    the ids.
+
+    When only the root has several transitions, which a count of the tops
+    shows, every other top has a single choice set, and a frozenset holds
+    no choice twice: a (top, choice) pair can then repeat only at the root.
+    So only the root's sets are tested, for being pairwise disjoint (their
+    union is as large as their sizes summed), and every set for being
+    nonempty; this accepts exactly what :func:`_distinct` accepts, without
+    hashing a pair per transition."""
     layout = _layout(a)
     if layout is None:
         return False
@@ -269,8 +282,18 @@ def _holds(a: Lsta) -> bool:
         outside += range(prev, n)
     transitions = (*records, *a.leaves)
     tops = list(map(_TOP, transitions))
+    choices = list(map(_CHOICES, transitions))
     top_ids = set(tops)
-    if not (_distinct(tops, list(map(_CHOICES, transitions))) and 0 <= a.root < n
+    root = a.root
+    if tops.count(root) == len(tops) - len(top_ids) + 1:
+        # Only the root has several transitions, so only its choice sets
+        # can share a choice: they must be pairwise disjoint.
+        root_sets = list(compress(choices, map(eq, tops, repeat(root))))
+        distinct = all(choices) and (
+            len(frozenset().union(*root_sets)) == sum(map(len, root_sets)))
+    else:
+        distinct = _distinct(tops, choices)
+    if not (distinct and 0 <= root < n
             and len(top_ids) == len(outside) and top_ids.issuperset(outside)):
         return False
     if not runs:
@@ -1119,6 +1142,15 @@ def _set_text(cs) -> str:
     return "{%d}" % min(cs) if len(cs) == 1 else "{%s}" % ",".join(map(str, sorted(cs)))
 
 
+class _Texts(dict):
+    """Choice-set texts by set, each made by :func:`_set_text` on its
+    first lookup."""
+
+    def __missing__(self, cs) -> str:
+        text = self[cs] = _set_text(cs)
+        return text
+
+
 def _in_order(a: Lsta) -> tuple[list[Internal], list[tuple[int, _Run]]]:
     """``a``'s records by ascending top, each state's in stored order, and
     where each run's interior goes among them.  Only the records
@@ -1227,13 +1259,15 @@ def write_lsta(a: Lsta, n: int, constraint: str | None = None) -> str:
     docstring): the records between two run interiors, each interior
     (:func:`_run_lines`) and the leaves, whose choice-set and amplitude
     texts are substituted into their fields; the pieces are joined once.
+    A choice set's text is made on its first lookup (:class:`_Texts`), so
+    no pass over the records lists the distinct sets first.
     ``constraint``, like every amplitude render and variable name, is
     written as given and never becomes part of a format string.  A
     run-bearing ``a`` reuses the layout that :func:`validate` kept.
     """
     semiring = a.semiring
     records, cuts = _in_order(a)
-    sets = {cs: _set_text(cs) for cs in set(map(_CHOICES, chain(records, a.leaves)))}
+    sets = _Texts()
     amplitudes = {v: semiring.render(v) for v in set(map(_AMPLITUDE, a.leaves))}
     names = frozenset().union(*map(semiring.variables, amplitudes))
     out = [f"lsta v1\nsemiring {semiring.name}\nqubits {n}\n"

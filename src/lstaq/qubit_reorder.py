@@ -19,8 +19,14 @@ filters and never enter the constraint records.
 The expansion is compiled before any case is evaluated.  Each term's
 pattern becomes the positions it reads in a case's text (``"01"``, the
 outer bits, then the term's inner bits); each qubit column's filters and
-inequalities become pairs of positions in it.  A case is then evaluated by
-indexing one string, with no per-case valuation dict or constraint dispatch.
+inequalities become pairs of positions in it.  When every case has one
+contributor, a term without inner words, a column's cases are evaluated by
+columns: its key column, one truth column per inequality and its filter
+masks are each one ``map`` over the column's texts, and the cases are
+assembled from them with no Python work per case.  Cases with several
+contributors, whose colliding keys must be added, are evaluated one text at
+a time.  Neither path builds a per-case valuation dict or dispatches on
+constraint kinds.
 """
 
 from __future__ import annotations
@@ -100,6 +106,11 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
     characters are equal, an inequality when they differ.  A term's basis
     string picks its characters, by ``operator.itemgetter``, from the same
     text followed by its complement for ``~v`` atoms.
+
+    A contributor is a term with one of its inner words, so each case has
+    the same number of them.  With one, a column's cases are evaluated a
+    column at a time (:func:`_by_columns`); with several, one case at a
+    time, adding the records of colliding keys with ``valamp_add``.
     """
     widths = {lengths[a.name] for t in v.terms for a in t.pattern}
     if len(widths) != 1:
@@ -113,7 +124,8 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
     terms = [(t, A.inner_vars(t, outer),
               [c for c in t.sum_constraints if isinstance(c, A.EqConst)])
              for t in v.terms]
-    count = (1 << len(outer)) * sum(1 << len(inner) for _t, inner, _eq in terms)
+    per_case = sum(1 << len(inner) for _t, inner, _eq in terms)
+    count = (1 << len(outer)) * per_case
     if count > MAX_SLICE_ASSIGNMENTS:
         raise LimitExceededError(MAX_SLICE_ASSIGNMENTS, (
             f"a qubit slice needs {count} assignments, "
@@ -158,33 +170,78 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
              [(at[c.left], at[c.right]) if type(c) is A.NeqVar
               else (at[c.var], int(c.bits[j - 1])) for c in phi])
             for tag, at, pattern, compl, term_eq, phi, inner_words in compiled]
-        cases: list[SliceCase] = []
-        for assignment, word in assignments:
-            text = "01" + word
-            if eqs and not all(text[p] == text[q] for p, q in eqs):
-                continue
-            amp: dict[str, ValAmp] = {}
-            for tag, pattern, compl, inner_words, term_eqs, neqs in programs:
-                for iword in inner_words:
-                    chars = text + iword
-                    if term_eqs and not all(chars[p] == chars[q] for p, q in term_eqs):
-                        continue
-                    if compl:
-                        chars += chars.translate(_FLIP)
-                    # One atom's itemgetter returns its character alone,
-                    # which joins to itself.
-                    key = "".join(pattern(chars))
-                    d = new(ValAmp, (((tag, tuple([chars[p] != chars[q]
-                                                   for p, q in neqs])),),))
-                    amp[key] = valamp_add(amp[key], d) if key in amp else d
-            # Each entry holds a term's record, so none is zero.
-            cases.append(new(SliceCase, (assignment, new(StateVector, (
-                n_slot, tuple(sorted(amp.items())))))))
+        if per_case == 1:
+            ((tag, pattern, compl, _words, term_eqs, neqs),) = programs
+            cases = _by_columns(assignments, eqs, n_slot, tag, pattern, compl, term_eqs, neqs)
+        else:
+            # Several contributors a case: each case is evaluated on its own
+            # text, and colliding keys are added.
+            cases = []
+            for assignment, word in assignments:
+                text = "01" + word
+                if eqs and not all(text[p] == text[q] for p, q in eqs):
+                    continue
+                amp: dict[str, ValAmp] = {}
+                for tag, pattern, compl, inner_words, term_eqs, neqs in programs:
+                    for iword in inner_words:
+                        chars = text + iword
+                        if term_eqs and not all(chars[p] == chars[q] for p, q in term_eqs):
+                            continue
+                        if compl:
+                            chars += chars.translate(_FLIP)
+                        # One atom's itemgetter returns its character
+                        # alone, which joins to itself.
+                        key = "".join(pattern(chars))
+                        d = new(ValAmp, (((tag, tuple([chars[p] != chars[q]
+                                                       for p, q in neqs])),),))
+                        amp[key] = valamp_add(amp[key], d) if key in amp else d
+                # Each entry holds a term's record, so none is zero.
+                cases.append(new(SliceCase, (assignment, new(StateVector, (
+                    n_slot, tuple(sorted(amp.items())))))))
+            cases = tuple(cases)
         if not cases:  # contradictory filters: the set is the zero vector
-            cases.append(new(SliceCase, ((), new(StateVector, (n_slot, ())))))
-        by_column[column] = tuple(cases)
-        slices.append(new(QubitSlice, (j, by_column[column])))
+            cases = (new(SliceCase, ((), new(StateVector, (n_slot, ())))),)
+        by_column[column] = cases
+        slices.append(new(QubitSlice, (j, cases)))
     return table, slices
+
+
+def _compared(texts: list[str], pairs, op) -> list:
+    """One column over ``texts`` per pair of positions ``(p, q)``: whether
+    ``op`` holds between each text's characters at ``p`` and ``q``."""
+    return [map(op, map(operator.itemgetter(p), texts), map(operator.itemgetter(q), texts))
+            for p, q in pairs]
+
+
+def _by_columns(assignments: list, eqs, n_slot: int, tag: int, pattern, compl: bool,
+                term_eqs, neqs) -> tuple[SliceCase, ...]:
+    """A column's cases when each has one contributor, a term without inner
+    words, computed a column at a time from ``assignments``, pairs of an
+    assignment and its outer bits: the texts the filters keep, their keys,
+    and one truth column per inequality.  A case is its key's single entry,
+    or no entry where the term's own filters fail."""
+    new, repeat = tuple.__new__, itertools.repeat
+    assignments, words = zip(*assignments)
+    texts = list(map("01".__add__, words))
+    if eqs:
+        keep = list(map(all, zip(*_compared(texts, eqs, operator.eq))))
+        assignments = list(itertools.compress(assignments, keep))
+        texts = list(itertools.compress(texts, keep))
+    if compl:
+        texts = list(map(str.__add__, texts, map(str.translate, texts, repeat(_FLIP))))
+    # One atom's itemgetter returns its character alone, which joins to
+    # itself.
+    keys = map("".join, map(pattern, texts))
+    truths = zip(*_compared(texts, neqs, operator.ne)) if neqs else repeat((), len(texts))
+    # ``zip`` of one iterable wraps each item in a 1-tuple: one term's
+    # record, the amplitude that holds it, and the state's one entry.
+    amps = map(new, repeat(ValAmp), zip(zip(zip(repeat(tag), truths))))
+    entries = zip(zip(keys, amps))
+    if term_eqs:
+        holds = map(all, zip(*_compared(texts, term_eqs, operator.eq)))
+        entries = [e if ok else () for e, ok in zip(entries, holds)]
+    return tuple(map(new, repeat(SliceCase), zip(
+        assignments, map(new, repeat(StateVector), zip(repeat(n_slot), entries)))))
 
 
 def render_slices(v: SetV, table: dict[int, tuple[A.VarCon, ...]],

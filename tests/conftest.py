@@ -47,6 +47,17 @@ def two_member_automaton() -> Lsta:
     )
 
 
+def assert_same_lines(got: str, want: str) -> None:
+    """Fail naming the first line where two texts differ.  A plain ``==``
+    on two long texts makes pytest diff them, which can take minutes."""
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    if got_lines != want_lines:
+        at = next((k for k, (x, y) in enumerate(zip(got_lines, want_lines)) if x != y),
+                  min(len(got_lines), len(want_lines)))
+        pytest.fail(f"line {at}: {got_lines[at:at + 1]} != {want_lines[at:at + 1]}, "
+                    f"{len(got_lines)} and {len(want_lines)} lines")
+
+
 @pytest.fixture
 def ref_automaton() -> Lsta:
     return two_member_automaton()

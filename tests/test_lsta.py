@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+import lstaq.lsta as L
 from lstaq.amplitude import COMPLEX, TAG, VALUATION, AmplitudePoly
 from lstaq.build import build_setq_lsta, build_state_lsta, filter_f, translate
 from lstaq.cli import bench_sources
@@ -152,6 +153,127 @@ def test_the_first_of_two_violations_in_transition_order_is_reported():
     err = _violation(internal, [ONE_LEAF, Leaf(5, ONE, cpoly("1"))])
     assert isinstance(err, ChoiceOverlapError)
     assert (err.state, err.choice) == (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# The root-only test: when the root is the only top with several
+# transitions, validate tests choice distinctness at the root alone.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def distinct_calls(monkeypatch) -> list:
+    """Records each call of the general distinctness test."""
+    calls = []
+    general = L._distinct
+
+    def recording(tops, choices):
+        calls.append(len(tops))
+        return general(tops, choices)
+
+    monkeypatch.setattr(L, "_distinct", recording)
+    return calls
+
+
+TWO_LEAVES = [ONE_LEAF, Leaf(2, ONE, cpoly("0"))]
+
+
+def test_two_root_transitions_sharing_a_choice_are_named_at_the_root(distinct_calls):
+    a = mk_lsta(COMPLEX, 0, [Internal(0, ONE, 1, 2), Internal(0, ONE, 2, 1)], TWO_LEAVES)
+    err = _validate_error(a)
+    assert type(err) is ChoiceOverlapError
+    assert str(err) == "state 0 has two transitions sharing choice 1"
+    assert distinct_calls == []
+
+
+def test_a_second_transition_off_the_root_leaves_the_decision_to_the_general_test(
+        distinct_calls):
+    internal = [Internal(0, ONE, 1, 2), Internal(0, frozenset({2}), 2, 1)]
+    leaves = [*TWO_LEAVES, Leaf(1, ONE, cpoly("1"))]
+    err = _validate_error(mk_lsta(COMPLEX, 0, internal, leaves))
+    assert type(err) is ChoiceOverlapError
+    assert str(err) == "state 1 has two transitions sharing choice 1"
+    assert len(distinct_calls) == 1
+    # Disjoint, the same shape validates, again by the general test.
+    leaves[-1] = Leaf(1, frozenset({2}), cpoly("1"))
+    validate(mk_lsta(COMPLEX, 0, internal, leaves))
+    assert len(distinct_calls) == 2
+
+
+def test_an_empty_choice_set_off_the_root_is_named_by_the_root_only_test(distinct_calls):
+    internal = [Internal(0, ONE, 1, 2), Internal(0, frozenset({2}), 2, 1)]
+    leaves = [ONE_LEAF, Leaf(2, frozenset(), cpoly("0"))]
+    err = _validate_error(mk_lsta(COMPLEX, 0, internal, leaves))
+    assert type(err) is InternalError
+    assert str(err) == "transition from state 2 has no choices"
+    assert distinct_calls == []
+
+
+def test_overlapping_multi_choice_root_sets_are_named_at_the_root(distinct_calls):
+    internal = [Internal(0, frozenset({1, 2}), 1, 2), Internal(0, frozenset({3}), 2, 2),
+                Internal(0, frozenset({2, 4}), 2, 1)]
+    err = _validate_error(mk_lsta(COMPLEX, 0, internal, TWO_LEAVES))
+    assert type(err) is ChoiceOverlapError
+    assert str(err) == "state 0 has two transitions sharing choice 2"
+    # Pairwise disjoint, the same sets validate.
+    disjoint = [*internal[:2], Internal(0, frozenset({4, 5}), 2, 1)]
+    validate(mk_lsta(COMPLEX, 0, disjoint, TWO_LEAVES))
+    assert distinct_calls == []
+
+
+def test_a_cases_automaton_and_a_run_bearing_union_take_the_root_only_test(distinct_calls):
+    from tests.test_qubit_reorder import neq_graph
+
+    (cases,) = translate([parse(neq_graph("cycle", 8))]).assertions
+    a = cases.automaton
+    piece = single_member({"0": "1", "1": "0"})
+    union = union_all([tensor_chain([piece] * 6)[0], tensor_chain([piece] * 5)[0], piece])
+    assert union._blocks is not None
+    root_transitions = sum(t.top == a.root for t in a.internal)
+    assert root_transitions == 2 ** 8 and a.size > 4000
+    for b in (a, union):
+        validate(b)
+    assert distinct_calls == []
+
+
+def _holds_by_pairs(a: Lsta) -> bool:
+    """``L._holds`` of an explicit automaton, with distinctness tested over
+    every (top, choice) pair, as the general test does."""
+    transitions = (*a.internal, *a.leaves)
+    pairs = [(t.top, c) for t in transitions for c in t.choices]
+    tops = {t.top for t in transitions}
+    n = len(a.states)
+    return (all(t.choices for t in transitions) and len(set(pairs)) == len(pairs)
+            and 0 <= a.root < n and tops == set(range(n))
+            and all(t.left in tops and t.right in tops for t in a.internal))
+
+
+def test_the_root_only_test_accepts_exactly_what_the_pair_test_accepts():
+    # Every id leaves by one transition, and extra ones go mostly to the
+    # root; small choice sets, sometimes empty, often overlap.
+    rng = random.Random(0x2007)
+    seen = {(True, True): 0, (True, False): 0, (False, True): 0, (False, False): 0}
+
+    def transition(top, n):
+        cs = frozenset(rng.sample(range(1, 6), rng.choices((0, 1, 2), (1, 30, 10))[0]))
+        if rng.random() < 0.6:
+            return Internal(top, cs, rng.randrange(n), rng.randrange(n))
+        return Leaf(top, cs, cpoly("1"))
+
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        extra = [0 if rng.random() < 0.7 else rng.randrange(n) for _ in range(rng.randint(0, 4))]
+        transitions = [transition(top, n) for top in [*range(n), *extra]]
+        rng.shuffle(transitions)
+        a = Lsta(COMPLEX, range(n), 0,
+                 tuple(t for t in transitions if isinstance(t, Internal)),
+                 tuple(t for t in transitions if isinstance(t, Leaf)))
+        tops = [t.top for t in transitions]
+        root_only = tops.count(0) == len(tops) - len(set(tops)) + 1
+        want = _holds_by_pairs(a)
+        assert L._holds(a) == want, a
+        seen[root_only, want] += 1
+    assert min(seen.values()) > 50, seen
 
 
 # ---------------------------------------------------------------------------

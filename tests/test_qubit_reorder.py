@@ -280,6 +280,8 @@ def _reference_slices(v, lengths):
                     amp[key] = valamp_add(amp[key], d) if key in amp else d
             cases.append(SliceCase(tuple(zip(outer, bits)),
                                    StateVector.of(len(v.slots), amp, VALUATION)))
+        if not cases:  # no assignment passes the filters: the zero vector
+            cases.append(SliceCase((), StateVector.of(len(v.slots), {}, VALUATION)))
         slices.append(QubitSlice(j, tuple(cases)))
     return table, slices
 
@@ -309,6 +311,17 @@ COLLIDING = ("{ sum[ |j| = 2, j != 10 ] |j> + sum[ |k| = 2, k = 01 ] |~k>"
     "{ sum[ |j| = 2, j != 10 ] |j i> + sum[ |k| = 2, k != i ] |i k> + |i i>"
     " : |i| = 2, i != 01 }",
     COLLIDING,
+    # One-contributor cases, which are evaluated by columns: a one-atom
+    # pattern, whose itemgetter returns a character, with a complement; a
+    # term filter on an outer variable; a column whose filters keep no
+    # case, which gets the zero case, beside one that keeps one; outer
+    # filters with a complement and a `!=` between variables.
+    "{ |~x> : |x| = 1, x != 1 }",
+    "{ sum[ p = 0 ] |p q> : |p| = 1, |q| = 1 }",
+    "{ |i> : |i| = 2, i = 01, i = 00 }",
+    "{ |i ~j> : |i| = 2, |j| = 2, i = 01, j = 11, i != j }",
+    # Several contributors a case, and a column that keeps no case.
+    "{ sum[ |j| = 2, j != i ] |~i j> + |i i> : |i| = 2, i = 01, i = 00 }",
 ])
 def test_shared_slices_equal_the_per_index_expansion(src):
     _assert_matches_reference(src)

@@ -20,7 +20,7 @@ from lstaq.errors import InternalError
 from lstaq.amplitude import COMPLEX
 from lstaq.lsta import Internal, Leaf, Lsta, map_leaves, mk_lsta, validate, write_lsta
 from lstaq.parser import parse
-from tests.conftest import cpoly
+from tests.conftest import assert_same_lines, cpoly
 from tests.test_composition import _placements
 
 FAMILIES = ("bv", "ghz", "grover", "groveriter", "mctoffoli")
@@ -395,7 +395,7 @@ def test_runs_stay_runs_as_the_qubits_double(family):
             counts.append(sum(map(len, a._blocks[::2])))
             size, text = a.size, write_lsta(a, qubits)
             assert size == len(a.internal) + len(a.leaves)
-            assert text == write_lsta(_explicit(a), qubits)
+            assert_same_lines(text, write_lsta(_explicit(a), qubits))
         held[n] = counts
     assert held[512] == held[1024]
 
@@ -458,14 +458,7 @@ def test_run_bearing_automata_keep_the_lsta_interface():
 
 
 def _assert_written_as_its_records(a: Lsta, qubits: int) -> None:
-    # Names the first line that differs: a diff of two long texts is slow.
-    got = write_lsta(a, qubits).split("\n")
-    want = write_lsta(dataclasses.replace(a), qubits).split("\n")
-    if got != want:
-        at = next((k for k, (x, y) in enumerate(zip(got, want)) if x != y),
-                  min(len(got), len(want)))
-        pytest.fail(f"line {at}: {got[at:at + 1]} != {want[at:at + 1]}, "
-                    f"{len(got)} and {len(want)} lines")
+    assert_same_lines(write_lsta(a, qubits), write_lsta(dataclasses.replace(a), qubits))
 
 
 def _written_runs(a: Lsta) -> list:
