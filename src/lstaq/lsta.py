@@ -50,16 +50,21 @@ so the same automaton object may be passed several times, as translation
 does with recurring qubit slices; their operands must keep the id rule.
 :func:`union` and :func:`tensor` are their two-operand forms.
 
-**Run blocks.**  :func:`tensor_chain` writes the first graft of each run
-as records, like any single graft, and keeps the grafts after it as one
-block of the automaton it returns: a :class:`_Run`, the graft's template,
-the second graft's first fresh id and first fresh choice, and the number of
-grafts it holds; each later graft's follow from the template.  Such a
-*run-bearing* automaton stores its internal transitions as blocks that
-alternate records and runs (``Lsta._blocks``); its leaves are records, as
-a run has leaves only at its last graft, and the unmerged last graft and
-everything that does not repeat are records too.  An explicit automaton,
-built as ``Lsta(...)``, holds plain tuples.  Blocks are read directly by
+**Run blocks.**  :func:`tensor_chain` keeps each run as the windows of its
+grafts, one block of the automaton it returns: a :class:`_Run`, the
+grafts' template, the first graft's first fresh id, the second graft's
+first fresh choice, and the number of windows, one per graft but the last.
+Window ``i`` is graft ``i``'s ids: its inner transitions and graft
+``i+1``'s interface ones, which graft onto graft ``i``'s leaf states.  The
+first graft's interface transitions, on the frontier the run grafts onto,
+and the last graft's inner ones, whose leaf states the next graft
+continues from, are records before and after the block, so every block
+holds at least one window.  Such a *run-bearing* automaton stores its
+internal transitions as blocks that alternate records and runs
+(``Lsta._blocks``); its leaves are records, as a run has leaves only at its
+last graft, and the unmerged last graft and everything that does not
+repeat are records too.  An explicit automaton, built as ``Lsta(...)``,
+holds plain tuples.  Blocks are read directly by
 :func:`tensor_chain`, :func:`union_all`, :func:`map_leaves`,
 :func:`validate`, :func:`write_lsta` and ``Lsta.size``; so composition and
 validation of a run cost the same however long it is.
@@ -68,27 +73,29 @@ records; a right operand's runs, and :func:`union_all`'s pieces', are kept
 moved by each copy's offset (:func:`_runs_of`).  Every other reader (the
 oracle, :func:`membership`, :func:`enumerate_language`, the tests) reads
 ``a.internal``, which a run-bearing automaton builds on its first read, in
-stored order: record blocks as they are, a run graft by graft, each
-graft's inner transitions before its interface ones, which is the order
-rule's order.  That accessor is the one place outside :func:`write_lsta`
-that expands a run.  ``dataclasses.replace`` builds an explicit automaton.
+stored order: record blocks as they are, a run window by window, each
+window's inner transitions before its interface ones; a state's
+transitions all lie in one of these, so each keeps the order rule's order.
+That accessor is the one place outside :func:`write_lsta` that expands a
+run.  ``dataclasses.replace`` builds an explicit automaton.
 
 :func:`write_lsta` writes text a block at a time, never a line at a time:
-each block of records, the leaves and each run's interior is one ``%``
+each block of records, the leaves and each run's windows are one ``%``
 format of a line's fields, repeated over the block and applied to one
 tuple of the block's fields, formatted in slices of at most ``_SLICE``
 arguments so the tuple stays bounded.  A run's arguments are its windows'
 ids and interface choices, arithmetic progressions along the run, so they
 are assigned a column at a time from ranges (:func:`_run_lines`).  Only
-choice-set texts that :func:`_set_text` makes may enter a format string;
+choice-set texts that :func:`_set_text` makes, and a run's interface sets
+as ``{%d,...}``, may enter a format string;
 amplitude renders, variable names and the public ``constraint`` argument
-never do.  A run-bearing automaton's :func:`_layout`, which
-:func:`validate` and :func:`write_lsta` both read, is built once and kept
-on the instance, as ``internal`` is.
+never do.  :func:`validate` and :func:`write_lsta` both read
+:func:`_layout`: the records as the blocks store them and the ids of each
+run's windows, which keeps nothing on the instance.
 
 :func:`validate` runs one set-wide test, :func:`_holds`, on the records
-:func:`_layout` keeps, all of an explicit automaton's: their tops must be
-exactly the ids outside the runs' interiors, the children and the root
+:func:`_layout` returns, all of an explicit automaton's: their tops must be
+exactly the ids outside the runs' windows, the children and the root
 ids, and no (top, choice) pair may repeat.  When the root is the only top
 with more than one transition, as in every ``build.build_setq_lsta``
 result and every :func:`union_all` of such pieces, a pair can repeat only
@@ -97,17 +104,13 @@ every set for being nonempty; this is exact.  Otherwise the pairs are
 tested over all transitions; with singleton choice sets only, as
 translation builds them, one (top, choice set) pair per transition.  Only
 on a fault does it scan, to name the first one in transition order, and
-then the first id that no transition leaves.  A run
-is tested through its template and two seams: graft ``i``'s ids, its
-window, hold the tops of its inner transitions and of graft ``i+1``'s
-interface ones, which must tile the window, and the children of its own
-transitions.  The first graft's interface transitions, on the frontier
-the run grafts onto (the leaf states of the graft written out before it,
-so above the root), and the last graft's inner ones, whose leaf states
-the next graft continues from, are the seams: they are tested with the
-records, and they repeat every (top, choice) pair of the template, so the
-set-wide test sees every repeat a run holds.  Only if that test fails are
-a run-bearing automaton's records built, so a fault is named as in the
+then the first id that no transition leaves.  A run is tested through its
+template (:func:`_steady`): the tops of a window's transitions must tile
+it, their children lie in it or in the next graft's ids, and their choice
+sets keep the choice rules, which every window keeps exactly when its
+template does.  Windows hold no record's top, so no (top, choice) pair
+repeats between a window and the records.  Only if that test fails are a
+run-bearing automaton's records built, so a fault is named as in the
 explicit automaton.  :func:`map_leaves` calls its function once per
 distinct leaf value, so an amplitude-domain crossing costs one call per
 value, however many leaves share it.
@@ -253,13 +256,10 @@ def _distinct(tops: list[int], choices: list) -> bool:
 
 def _holds(a: Lsta) -> bool:
     """Whether ``a`` keeps every rule :func:`validate` checks, tested over
-    whole sets on the records :func:`_layout` keeps, whose tops must be
-    exactly the ids outside the runs' interiors: every id, for an explicit
-    ``a``.  The records hold every run's two seams, which carry its
-    template's inner and interface transitions, so a (top, choice) pair the
-    template repeats repeats there too.  A child is tested against the tops,
-    or, with runs, whose interiors hold ids that no record's top is, against
-    the ids.
+    whole sets on the records :func:`_layout` returns, whose tops must be
+    exactly the ids outside the runs' windows: every id, for an explicit
+    ``a``.  The windows, whose templates :func:`_layout` has tested, hold
+    every other id as a top, so a child is tested only for being an id.
 
     When only the root has several transitions, which a count of the tops
     shows, every other top has a single choice set, and a frozenset holds
@@ -273,7 +273,7 @@ def _holds(a: Lsta) -> bool:
         return False
     records, runs = layout
     n = len(a.states)
-    outside = range(n)  # the ids outside the runs' interiors
+    outside = range(n)  # the ids outside the runs' windows
     if runs:
         outside, prev = [], 0
         for lo, hi, _run in runs:
@@ -296,10 +296,8 @@ def _holds(a: Lsta) -> bool:
     if not (distinct and 0 <= root < n
             and len(top_ids) == len(outside) and top_ids.issuperset(outside)):
         return False
-    if not runs:
-        return top_ids.issuperset(map(_LEFT, records)) and top_ids.issuperset(map(_RIGHT, records))
     kids = [*map(_LEFT, records), *map(_RIGHT, records)]
-    return 0 <= min(kids) and max(kids) < n
+    return not kids or (0 <= min(kids) and max(kids) < n)
 
 
 def validate(a: Lsta) -> None:
@@ -775,12 +773,14 @@ class _Template(NamedTuple):
 
 
 class _Run(NamedTuple):
-    """A run's block: ``n`` grafts of ``tpl`` after the one written out
-    before it.  Graft ``i`` takes its first fresh id at ``off + i*tpl.n_ids``
-    and its first fresh choice at ``base + i*(tpl.top+1)``, and grafts onto
-    the leaf states of the graft before it, whose first is ``off +
-    (i-1)*tpl.n_ids + tpl.leaves[0][0]``; so graft 0's frontier is in the
-    ``tpl.n_ids`` ids before ``off``."""
+    """A run's block: the ``n`` windows of a run of ``n + 1`` grafts of
+    ``tpl``.  Graft ``i`` takes its first fresh id at ``off + i*tpl.n_ids``;
+    window ``i`` is its ids, which hold its inner transitions and the
+    interface transitions of graft ``i+1``.  Those take their choices from
+    ``base + i*(tpl.top+1)``, the first fresh choice of graft ``i+1``, and
+    their tops from ``off + i*tpl.n_ids + tpl.leaves[0][0]``, the first of
+    graft ``i``'s leaf states.  Graft 0's interface transitions and graft
+    ``n``'s inner ones are records, before and after the block."""
 
     tpl: _Template
     off: int
@@ -799,9 +799,9 @@ def _shift(run: _Run, delta: int) -> _Run:
 
 
 def _fits(run: _Run, root: int, floor: int) -> bool:
-    """Whether ``run``'s ids and the frontier it grafts onto are above
-    ``root`` and below ``floor``."""
-    return root < run.off - run.tpl.n_ids and run.off + run.n * run.tpl.n_ids <= floor
+    """Whether the ids of ``run``'s windows and of the graft after them,
+    all the ids it names, are above ``root`` and below ``floor``."""
+    return root < run.off and run.off + (run.n + 1) * run.tpl.n_ids <= floor
 
 
 def _runs_of(a: Lsta, below_leaves: bool = True) -> tuple:
@@ -831,8 +831,8 @@ def _faces_at(tpl: _Template, off: int, base: int, front: int) -> list[Internal]
 
 
 def _materialize(blocks: tuple) -> tuple[Internal, ...]:
-    """The records of ``blocks``, in stored order, each run's graft by graft,
-    inner transitions before interface ones: the one place outside
+    """The records of ``blocks``, in stored order, each run's window by
+    window, inner transitions before interface ones: the one place outside
     :func:`write_lsta` that expands a run."""
     out: list[Internal] = []
     for block in blocks:
@@ -840,10 +840,11 @@ def _materialize(blocks: tuple) -> tuple[Internal, ...]:
             out += block
             continue
         tpl, off, base, n = block
-        step, stride, lead = tpl.n_ids, tpl.top + 1, tpl.leaves[0][0] - tpl.n_ids
+        step, stride, first_leaf = tpl.n_ids, tpl.top + 1, tpl.leaves[0][0]
         for i in range(n):
-            out += _inner_at(tpl.inner, off + i * step)
-            out += _faces_at(tpl, off + i * step, base + i * stride, off + i * step + lead)
+            at = off + i * step
+            out += _inner_at(tpl.inner, at)
+            out += _faces_at(tpl, at + step, base + i * stride, at + first_leaf)
     return tuple(out)
 
 
@@ -864,68 +865,48 @@ def _assemble(semiring: Semiring, n: int, root: int, blocks: list, leaves: list)
 
 
 def _steady(tpl: _Template) -> bool:
-    """Whether the windows of a run of ``tpl`` tile their ids.
+    """Whether the windows of a run of ``tpl`` tile their ids and keep the
+    choice rules.
 
     Window ``i`` is graft ``i``'s ids: the tops of its inner transitions
     and of graft ``i+1``'s interface ones, which must be disjoint and
-    together every id of the window; and the children of graft ``i``'s
-    transitions, all inside it.
+    together every id of the window; the children of graft ``i``'s
+    transitions, all inside it; and no empty choice set or repeated (top,
+    choice) pair (:func:`_distinct`), which a window holds exactly where its
+    template does, as its choices are the template's moved by one number.
+    With one transition a top, no pair can repeat.
     """
-    if not tpl.leaves:
+    if not tpl.leaves or not (tpl.inner or tpl.faces):
         return False
-    step, first_leaf = tpl.n_ids, tpl.leaves[0][0]
-    inner_tops = set(map(_TOP, tpl.inner))
-    face_tops = {first_leaf + t for t, _k, _l, _r in tpl.faces}
-    kids = [x for _t, _c, l, r in chain(tpl.inner, tpl.faces) for x in (l, r)]
-    return (not inner_tops & face_tops and inner_tops | face_tops == set(range(step))
-            and bool(kids) and 0 <= min(kids) and max(kids) < step)
+    step, first_leaf, sets, cut = tpl.n_ids, tpl.leaves[0][0], tpl.sets, len(tpl.inner)
+    tops, choices, lefts, rights = zip(*tpl.inner, *[(first_leaf + t, sets[k], l, r)
+                                                     for t, k, l, r in tpl.faces])
+    kids = lefts + rights
+    return (len(set(tops[:cut])) + len(set(tops[cut:])) == step
+            and set(tops) == set(range(step)) and 0 <= min(kids) and max(kids) < step
+            and (all(choices) if len(tops) == step else _distinct(tops, choices)))
 
 
 def _layout(a: Lsta) -> tuple[Sequence[Internal], list[tuple[int, int, _Run]]] | None:
-    """``a``'s records outside its runs' interiors, in stored order, and its
-    runs, each as ``(lo, hi, run)`` with its interior ``lo..hi-1``; ``None``
-    unless every run's template is :func:`_steady`, the interiors are in
-    ascending order and each run's last window ends by the last id.  An
-    explicit ``a`` is its records with no runs.
-
-    The records are the explicit blocks' and each run's two seams: its
-    first graft's interface transitions, whose tops are the frontier it
-    grafts onto, and its last graft's inner ones, whose leaf states are the
-    next graft's frontier.  A run's interior, the ids from its first
-    graft's up to its last graft's, holds the tops of every other record it
-    stores.
-
-    A run-bearing ``a``'s layout, ``None`` included, is built once, by
-    :func:`_build_layout`, and kept on the instance, as ``internal`` is, so
-    :func:`validate` and a later :func:`write_lsta` share it; callers must
-    not change it.
-    """
-    if a._blocks is None:
+    """``a``'s records, its record blocks in stored order, and its runs,
+    each as ``(lo, hi, run)`` with its windows' ids ``lo..hi-1``; ``None``
+    unless every run's template is :func:`_steady`, the runs' windows are
+    in ascending order and the ids hold the graft after each run's last
+    window, whose ids its interface transitions reach.  An explicit ``a`` is
+    its records with no runs."""
+    blocks = a._blocks
+    if blocks is None:
         return a.internal, []
-    kept = a.__dict__
-    if "_layout" not in kept:
-        kept["_layout"] = _build_layout(a)
-    return kept["_layout"]
-
-
-def _build_layout(a: Lsta) -> tuple[list[Internal], list[tuple[int, int, _Run]]] | None:
-    """The layout :func:`_layout` keeps for a run-bearing ``a``."""
-    records: list[Internal] = []
     runs: list[tuple[int, int, _Run]] = []
     n, prev = len(a.states), 0
-    for block in a._blocks:
-        if type(block) is tuple:
-            records += block
-            continue
-        tpl, lo, base, k = block
-        hi = lo + (k - 1) * tpl.n_ids
-        if lo < prev or hi + tpl.n_ids > n or not _steady(tpl):
+    for run in blocks[1::2]:
+        lo, step = run.off, run.tpl.n_ids
+        hi = lo + run.n * step
+        if lo < prev or hi + step > n or not _steady(run.tpl):
             return None
-        records += _faces_at(tpl, lo, base, lo - tpl.n_ids + tpl.leaves[0][0])
-        records += _inner_at(tpl.inner, hi)
-        runs.append((lo, hi, block))
+        runs.append((lo, hi, run))
         prev = hi
-    return records, runs
+    return list(chain.from_iterable(blocks[::2])), runs
 
 
 def _emit(tpl: _Template, off: int, base: int, front: int, blocks: list,
@@ -933,20 +914,24 @@ def _emit(tpl: _Template, off: int, base: int, front: int, blocks: list,
     """Write ``tpl`` out at one placement, its first fresh id ``off``, first
     fresh choice ``base`` and frontier's first top ``front``, onto the open
     block of records, ``blocks[-1]``, except for its nested runs, each kept
-    as a run.  ``run``, the grafts of ``tpl`` after this one, follows as one
-    block, and a new block of records opens after it.  Returns the last
+    as a run.  With ``run``, the windows of a run from this graft on, only
+    the graft's interface transitions are written before ``run``, which
+    follows as one block; a new block of records opens after it with the
+    inner transitions of the graft after its last window.  Returns the last
     graft's leaf transitions; the others' leaves are only the next graft's
     frontier, so they are not built."""
+    faces = _faces_at(tpl, off, base, front)
+    if run is not None:
+        blocks[-1] += faces
+        blocks += [run, []]
+        off, faces = off + run.n * tpl.n_ids, []
     cut = 0
     for k, nested, delta in tpl.nested:
         blocks[-1] += _inner_at(tpl.inner[cut:k], off)
         blocks += [_shift(nested, off + delta), []]
         cut = k
     blocks[-1] += _inner_at(tpl.inner[cut:] if cut else tpl.inner, off)
-    blocks[-1] += _faces_at(tpl, off, base, front)
-    if run is not None:
-        blocks += [run, []]
-        off = run.off + (run.n - 1) * tpl.n_ids
+    blocks[-1] += faces
     new = tuple.__new__
     return [new(Leaf, (off + a, c, p)) for a, c, p in tpl.leaves]
 
@@ -992,12 +977,13 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
     moved by one offset, equal choices and amplitudes, in order) starts a
     run: each further merged graft of the same piece object finds that
     frontier again, shifted, so its template places the whole run, up to
-    but not including the unmerged last graft.  The first graft is written
-    out as records, and the grafts after it are kept as one block of the
-    result, a :class:`_Run`: the second graft's first fresh id and first
-    fresh choice and the number of grafts, from which the template fixes
-    every placement.  The first fresh id moves by the template's ids; the
-    frontier is the previous graft's leaf states; and the first fresh
+    but not including the unmerged last graft.  The run is kept as one
+    block of the result, a :class:`_Run` of its windows: the first graft's
+    first fresh id, the second graft's first fresh choice and the number of
+    windows, from which the template fixes every placement; the first
+    graft's interface transitions and the last graft's inner ones are
+    written out beside it.  The first fresh id moves by the template's ids;
+    the frontier is the previous graft's leaf states; and the first fresh
     choice is one above every choice before it, which from the second
     graft on is the previous graft's largest interface choice, while the
     first graft's may be the piece's largest inner choice.  The run has
@@ -1098,7 +1084,7 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
             top_choice = max(base + tpl.top, inner_max)
         run = None
         if k > 1:
-            run = _Run(tpl, next_id + tpl.n_ids, top_choice + 1, k - 1)
+            run = _Run(tpl, next_id, top_choice + 1, k - 1)
             top_choice = run.top
         leaves = _emit(tpl, next_id, base, front, blocks, run)
         next_id += k * tpl.n_ids
@@ -1153,10 +1139,9 @@ class _Texts(dict):
 
 def _in_order(a: Lsta) -> tuple[list[Internal], list[tuple[int, _Run]]]:
     """``a``'s records by ascending top, each state's in stored order, and
-    where each run's interior goes among them.  Only the records
-    :func:`_layout` keeps are sorted, when no top of theirs falls in a
-    run's interior and every run's interface choice sets are singletons,
-    as translation builds them; otherwise all of ``a``'s records are."""
+    where each run's windows go among them.  Only the records
+    :func:`_layout` returns are sorted, when no top of theirs falls in a
+    run's windows; otherwise all of ``a``'s records are."""
     layout = _layout(a)
     if layout is not None:
         records, runs = layout
@@ -1164,8 +1149,7 @@ def _in_order(a: Lsta) -> tuple[list[Internal], list[tuple[int, _Run]]]:
         cuts = []
         for lo, hi, run in runs:
             cut = bisect_left(records, lo, key=_TOP)
-            if (bisect_left(records, hi, key=_TOP) != cut
-                    or any(len(cs) != 1 for cs in run.tpl.sets)):
+            if bisect_left(records, hi, key=_TOP) != cut:
                 break
             cuts.append((cut, run))
         else:
@@ -1205,34 +1189,38 @@ def _rows_text(line: str, width: int, rows: Sequence[tuple], texts: dict) -> lis
 
 
 def _run_lines(run: _Run) -> list[str]:
-    """The text of ``run``'s interior, window by window (see :func:`_steady`):
+    """The text of ``run``'s windows, window by window (see :func:`_steady`):
     a window's transitions by ascending top, each state's in stored order,
-    its inner ones before the next graft's interface ones, whose single
-    choice is that graft's.
+    its inner ones before the next graft's interface ones, whose choices
+    are that graft's.
 
     A window's lines are one ``%`` format, repeated over a slice of windows
     (:func:`_sliced`).  Its numbers follow arithmetic progressions along the
     run: ids step by ``tpl.n_ids`` and interface choices by ``tpl.top + 1``,
     so each argument column is assigned from a ``range``, with no Python
-    work per line.  Only the inner transitions' choice-set texts, which
-    :func:`_set_text` makes, enter the format.  A run of one graft has no
-    window, and no text."""
+    work per line.  An inner transition's choice set enters the format as
+    the text :func:`_set_text` makes; an interface set, as ``{%d,...}`` with
+    one ``%d`` column per choice, in ascending order, as :func:`_set_text`
+    writes it."""
     tpl, off, base, n = run
     step, stride, first_leaf = tpl.n_ids, tpl.top + 1, tpl.leaves[0][0]
-    # (top, text, choice, left, right) relative to the window; an
-    # interface transition's text is left empty: its choice is an argument.
-    order = sorted([(t, _set_text(c), 0, l, r) for t, c, l, r in tpl.inner]
-                   + [(first_leaf + t, "", tpl.sets[k][0], step + l, step + r)
+    # (top, text, choices, left, right) relative to the window; an
+    # interface transition's text is left empty: its choices are arguments.
+    order = sorted([(t, _set_text(c), (), l, r) for t, c, l, r in tpl.inner]
+                   + [(first_leaf + t, "", tpl.sets[k], step + l, step + r)
                       for t, k, l, r in tpl.faces], key=_TOP)
     line = ""
     columns = []  # each argument's value in the first window, and its step
-    for t, text, c, l, r in order:
+    for t, text, cs, l, r in order:
         if text:
             line += "i %%d %s -> %%d %%d\n" % text
             columns += [(off + t, step), (off + l, step), (off + r, step)]
-        else:
+        elif len(cs) == 1:  # as translation builds them
             line += "i %d {%d} -> %d %d\n"
-            columns += [(off + t, step), (base + stride + c, stride),
+            columns += [(off + t, step), (base + cs[0], stride), (off + l, step), (off + r, step)]
+        else:
+            line += "i %%d {%s} -> %%d %%d\n" % ",".join(["%d"] * len(cs))
+            columns += [(off + t, step), *[(base + c, stride) for c in sorted(cs)],
                         (off + l, step), (off + r, step)]
     width = len(columns)
 
@@ -1243,7 +1231,7 @@ def _run_lines(run: _Run) -> list[str]:
             args[j::width] = range(first, first + k * d, d)
         return args
 
-    return _sliced(line, width, n - 1, fields)
+    return _sliced(line, width, n, fields)
 
 
 def write_lsta(a: Lsta, n: int, constraint: str | None = None) -> str:
@@ -1251,19 +1239,17 @@ def write_lsta(a: Lsta, n: int, constraint: str | None = None) -> str:
 
     Internal transitions, then leaf ones, each by ascending top; a state's
     transitions are written in the order they are stored (the order rule).
-    A run's interior is written from its template, window by window, with
-    no records built, when its interface choice sets are singletons
+    A run's windows are written from its template, with no records built
     (:func:`_in_order`).
 
     Each block is written with one ``%`` format per slice (see the module
-    docstring): the records between two run interiors, each interior
+    docstring): the records between two runs, each run's windows
     (:func:`_run_lines`) and the leaves, whose choice-set and amplitude
     texts are substituted into their fields; the pieces are joined once.
     A choice set's text is made on its first lookup (:class:`_Texts`), so
     no pass over the records lists the distinct sets first.
     ``constraint``, like every amplitude render and variable name, is
-    written as given and never becomes part of a format string.  A
-    run-bearing ``a`` reuses the layout that :func:`validate` kept.
+    written as given and never becomes part of a format string.
     """
     semiring = a.semiring
     records, cuts = _in_order(a)

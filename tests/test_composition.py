@@ -233,18 +233,22 @@ AMPLITUDES = {
 
 
 def _placements(run) -> list[tuple[int, int, int]]:
-    """A run's grafts as (first fresh id, first fresh choice, frontier's
-    first top) triples, from its template, first id, first choice and count."""
+    """The grafts whose interface transitions a run's windows hold, one a
+    window, as (first fresh id, first fresh choice, frontier's first top)
+    triples, from its template, first id, first choice and count: window
+    ``i`` is graft ``i``'s ids, written with graft ``i+1``'s interface
+    transitions."""
     tpl = run.tpl
     step, stride, first_leaf = tpl.n_ids, tpl.top + 1, tpl.leaves[0][0]
-    return [(run.off + i * step, run.base + i * stride, run.off + (i - 1) * step + first_leaf)
+    return [(run.off + (i + 1) * step, run.base + i * stride, run.off + i * step + first_leaf)
             for i in range(run.n)]
 
 
 def _placed(pieces, monkeypatch) -> tuple[int, list[tuple[object, list]]]:
     """Check ``tensor_chain(pieces)`` against the fold; return the fold's
     merges and, per ``_emit`` call, its template and the placements of the
-    graft it writes out and of the run it keeps after it, if any."""
+    graft it is called for and, when it keeps a run from that graft on, of
+    the run's later grafts (``_placements``)."""
     calls = []
     emit = lstaq.lsta._emit
 

@@ -110,5 +110,5 @@ def test_bench_families_lie_on_one_line_from_just_above_their_minimum():
             return rows[n] == [x + (n - line_from) * d for x, d in zip(base, slope)]
 
         assert [n for n in rows if not on_line(n)] == list(range(BENCH_MIN_SIZE[family], line_from))
-    # Runs of two grafts: one written out, one kept as a run block.
+    # Runs of two grafts: one window each.
     assert one_graft_runs > 0

@@ -1,8 +1,9 @@
-"""Run blocks: a translated automaton writes out the first graft of each run
-of one piece and keeps the grafts after it as their template, first id,
-first choice and count.  ``validate`` reads a run through its template and
-``write_lsta`` writes it without building its records; both must agree with
-the same automaton written out record by record."""
+"""Run blocks: a translated automaton keeps each run of one piece as its
+windows, one a graft but the last: their template, first id, first choice
+and count.  The first graft's interface transitions and the last graft's
+inner ones are records beside the block.  ``validate`` reads a run through
+its template and ``write_lsta`` writes it without building its records;
+both must agree with the same automaton written out record by record."""
 
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ def _explicit(a: Lsta) -> Lsta:
 
 def _run_bearing() -> list[Lsta]:
     """The distinct family automata at n = 5, 8 and 33 with a run of at
-    least 3 grafts: one written out and at least 2 in a run block."""
+    least 3 grafts, whose block holds at least 2 windows."""
     found: dict[int, Lsta] = {}
     for n in (5, 8, 33):
         for family in FAMILIES:
@@ -63,7 +64,7 @@ def _assert_same_error(a: Lsta) -> None:
 
 # ---------------------------------------------------------------------------
 # Faults, each injected into a list of (top, choices, left, right) records at
-# one index: a run's template, or one placement written out beside its run.
+# one index: a run's template, or a seam, the records beside its block.
 # ---------------------------------------------------------------------------
 
 
@@ -103,36 +104,43 @@ FAULTS = {"dangling top": _dangle("top"), "dangling left": _dangle("left"),
 
 def _first_long_run(a: Lsta) -> int | None:
     """The index in ``a``'s blocks of its first run block of at least 2
-    grafts, a run of at least 3 with the one written out before it."""
+    windows, a run of at least 3 grafts."""
     return next((i for i, b in enumerate(a._blocks) if type(b) is L._Run and b.n >= 2), None)
 
 
-def _written_out(a: Lsta, i: int, end: int) -> tuple[list, int, int]:
-    """``a``'s blocks with the first (``end`` = 0) or last (-1) graft of the
-    run at ``i`` written out as records beside it; the index of the block
-    that holds them and where they start in it."""
+def _written_out(a: Lsta, i: int, end: int) -> list:
+    """``a``'s blocks with the first (``end`` = 0) or last (-1) window of
+    the run at ``i`` written out as records beside it."""
     blocks = list(a._blocks)
     run = blocks[i]
-    tpl = run.tpl
-    off, base, front = _placements(run)[end]
-    records = [*L._inner_at(tpl.inner, off), *L._faces_at(tpl, off, base, front)]
+    step, stride = run.tpl.n_ids, run.tpl.top + 1
     if end == 0:
-        rest = run._replace(off=off + tpl.n_ids, base=base + tpl.top + 1, n=run.n - 1)
-        at, start = i - 1, len(blocks[i - 1])
-        blocks[at] = (*blocks[at], *records)
+        one = run._replace(n=1)
+        blocks[i - 1] = (*blocks[i - 1], *L._materialize((one,)))
+        blocks[i] = run._replace(off=run.off + step, base=run.base + stride, n=run.n - 1)
     else:
-        rest = run._replace(n=run.n - 1)
-        at, start = i + 1, 0
-        blocks[at] = (*records, *blocks[at])
-    blocks[i] = rest
-    return blocks, at, start
+        w = run.n - 1
+        one = run._replace(off=run.off + w * step, base=run.base + w * stride, n=1)
+        blocks[i + 1] = (*L._materialize((one,)), *blocks[i + 1])
+        blocks[i] = run._replace(n=w)
+    return blocks
+
+
+def _seam(a: Lsta, i: int, place: str) -> tuple[int, int]:
+    """Where the records of a seam of the run at ``i`` start: the block and
+    the index in it of the run's first graft's first interface transition,
+    written out last before the run, or of its last graft's first inner
+    transition, written out first after it."""
+    if place == "first seam":
+        return i - 1, len(a._blocks[i - 1]) - len(a._blocks[i].tpl.faces)
+    return i + 1, 0
 
 
 def _injected(a: Lsta, place: str, fault) -> Lsta:
     """``a`` with ``fault`` inside its first long run's template, so every
-    placement carries it, or at that run's first or last placement: the
-    interface transitions the run grafts onto what precedes it, or the inner
-    transitions whose leaf states the next graft continues from."""
+    window carries it, or in a seam of that run: the interface transitions
+    the run grafts onto what precedes it, or the inner transitions whose
+    leaf states the next graft continues from."""
     i, ghost = _first_long_run(a), len(a.states) + 10
     if place == "template":
         blocks, run = list(a._blocks), a._blocks[i]
@@ -151,9 +159,9 @@ def _injected(a: Lsta, place: str, fault) -> Lsta:
                                                  for t, c, l, r in faces])
         blocks[i] = run._replace(tpl=tpl)
     else:
-        blocks, at, start = _written_out(a, i, 0 if place == "first seam" else -1)
+        blocks = list(a._blocks)
+        at, k = _seam(a, i, place)
         records = list(blocks[at])
-        k = start + (len(a._blocks[i].tpl.inner) if place == "first seam" else 0)
         fault(records, k, ghost)
         blocks[at] = tuple(records)
     return L._with_blocks(a.semiring, a.states, a.root, tuple(blocks), a.leaves)
@@ -168,10 +176,18 @@ def test_every_run_bearing_automaton_passes_through_its_templates():
     for a in autos:
         assert L._holds(a)
         validate(a)
-        # A placement written out beside its run is a seam as well.
         i = _first_long_run(a)
+        # The seams: the first graft's interface transitions, into the first
+        # window, and the last graft's inner ones, past the last window.
+        run = a._blocks[i]
+        step, end = run.tpl.n_ids, run.off + run.n * run.tpl.n_ids
+        at, k = _seam(a, i, "first seam")
+        assert all(run.off <= t.left < run.off + step for t in a._blocks[at][k:])
+        at, k = _seam(a, i, "last seam")
+        assert all(end <= t.top < end + step for t in a._blocks[at][k:k + len(run.tpl.inner)])
+        # A window written out beside its run is a record like any other.
         for end in (0, -1):
-            blocks, _at, _start = _written_out(a, i, end)
+            blocks = _written_out(a, i, end)
             b = L._with_blocks(a.semiring, a.states, a.root, tuple(blocks), a.leaves)
             assert b.internal == a.internal and L._holds(b)
 
@@ -204,23 +220,18 @@ def _moved_frontier(blocks, i):
 
 
 def _longer_graft(a, i):
-    # Every graft of the run one id longer: its template gains a bare id
-    # before its own, which move up by one, so its frontier is unchanged.
-    # The ids from the run's last graft's up move by as many as the run has
-    # grafts, so the ids are still 0..N-1 and the last graft's leaf states
-    # are still where the records after the run reach them: only the bare
-    # ids, one in every window, tell it apart.
+    # Every window of the run one id longer: its template gains a bare id
+    # after its own.  The ids from the run's last graft's up move by as many
+    # as the run has windows, so the ids are still 0..N-1 and the last
+    # window's interface transitions still reach the last graft's records:
+    # only the bare ids, one in every window, tell it apart.
     run = a._blocks[i]
     tpl, hi, d = run.tpl, _placements(run)[-1][0], run.n
 
     def move(s):
         return s + d if s >= hi else s
 
-    longer = tpl._replace(
-        n_ids=tpl.n_ids + 1,
-        inner=[(t + 1, c, l + 1, r + 1) for t, c, l, r in tpl.inner],
-        faces=[(t, k, l + 1, r + 1) for t, k, l, r in tpl.faces],
-        leaves=[(top + 1, c, v) for top, c, v in tpl.leaves])
+    longer = tpl._replace(n_ids=tpl.n_ids + 1)
     blocks = []
     for k, b in enumerate(a._blocks):
         if k == i:
@@ -237,22 +248,23 @@ def _longer_graft(a, i):
 
 
 def _child_before_the_run(blocks, i):
-    # Inside every later graft the child is an id, but not in the first.
+    # Inside every later window the child is an id, but not in the first.
     run = blocks[i]
     tpl, off = run.tpl, run.off
     if tpl.inner:
         t, c, _l, r = tpl.inner[0]
         tpl = tpl._replace(inner=[(t, c, -off - 1, r), *tpl.inner[1:]])
     else:
+        # The first window's interface transitions are its next graft's.
         t, k, _l, r = tpl.faces[0]
-        tpl = tpl._replace(faces=[(t, k, -off - 1, r), *tpl.faces[1:]])
+        tpl = tpl._replace(faces=[(t, k, -off - tpl.n_ids - 1, r), *tpl.faces[1:]])
     blocks[i] = run._replace(tpl=tpl)
 
 
 def _interface_on_an_inner_top(blocks, i):
     # One more interface transition per graft, on a top that the previous
     # graft's inner transitions leave, with a set that meets their choice
-    # at the run block's second graft only, the run's third.
+    # at the run's third graft only, in its second window.
     run = blocks[i]
     tpl = run.tpl
     if not tpl.inner:
@@ -264,25 +276,22 @@ def _interface_on_an_inner_top(blocks, i):
 
 
 def _bare_inside(blocks, i):
-    # An id without transitions in every window but the one a seam keeps:
-    # the seam's records for it stay, written out beside the run.
+    # An id without transitions in every window: the seams' records, for
+    # the like ids of the grafts before and after the windows, stay.
     run = blocks[i]
-    tpl, p = run.tpl, _placements(run)
+    tpl = run.tpl
     if tpl.inner:
         t = tpl.inner[0][0]
-        gone = [x for x in tpl.inner if x[0] == t]
-        blocks[i] = run._replace(tpl=tpl._replace(inner=[x for x in tpl.inner if x[0] != t]))
-        blocks[i + 1] = (*L._inner_at(gone, p[-1][0]), *blocks[i + 1])
+        tpl = tpl._replace(inner=[x for x in tpl.inner if x[0] != t])
     else:
         t = tpl.faces[0][0]
-        gone = tpl._replace(faces=[x for x in tpl.faces if x[0] == t])
-        blocks[i] = run._replace(tpl=tpl._replace(faces=[x for x in tpl.faces if x[0] != t]))
-        blocks[i - 1] = (*blocks[i - 1], *L._faces_at(gone, *p[0]))
+        tpl = tpl._replace(faces=[x for x in tpl.faces if x[0] != t])
+    blocks[i] = run._replace(tpl=tpl)
 
 
 def _past_the_last_id(a, i):
-    # The automaton cut where the run's last window starts: no record or
-    # leaf is past the last id, but the last graft's children are.
+    # The automaton cut where the run's last window ends: no record or
+    # leaf is past the last id, but the last window's children are.
     last = _placements(a._blocks[i])[-1][0]
     return L._with_blocks(a.semiring, range(last), a.root, (*a._blocks[:i + 1], ()), ())
 
@@ -301,21 +310,13 @@ def test_a_fault_in_how_a_run_is_placed_is_named_as_in_its_records(fault):
         _assert_same_error(RUN_FAULTS[fault](a, _first_long_run(a)))
 
 
-def _interior(run) -> list[Internal]:
-    """The records a run holds in its interior: all but its two seams."""
-    tpl, p = run.tpl, _placements(run)
-    seams = {*L._faces_at(tpl, *p[0]), *L._inner_at(tpl.inner, p[-1][0])}
-    return [t for t in L._materialize((run,)) if t not in seams]
-
-
 def test_run_interiors_out_of_order_are_named_as_in_their_records():
     # Each first long run split in two, its upper half stored first, and
-    # both halves' interiors written out again after them: every id is
-    # then the top of a record, as if each interior were a gap between
-    # the runs, and every transition of the interiors repeats.  A run of 2
-    # grafts splits into halves without interiors, so it is left out.
-    autos = [a for a in _run_bearing() if a._blocks[_first_long_run(a)].n >= 3]
-    assert len(autos) > 20
+    # both halves' windows written out again after them: every id is then
+    # the top of a record, as if each window were a gap between the runs,
+    # and every transition of the windows repeats.
+    autos = _run_bearing()
+    assert len(autos) > 30
     for a in autos:
         i = _first_long_run(a)
         blocks = list(a._blocks)
@@ -324,18 +325,21 @@ def test_run_interiors_out_of_order_are_named_as_in_their_records():
         low = run._replace(n=k)
         high = run._replace(off=run.off + k * tpl.n_ids, base=run.base + k * (tpl.top + 1),
                             n=run.n - k)
-        blocks[i:i + 2] = [high, (), low, (*blocks[i + 1], *_interior(low), *_interior(high))]
+        blocks[i:i + 2] = [high, (), low, (*blocks[i + 1], *L._materialize((low, high)))]
         _assert_same_error(L._with_blocks(a.semiring, a.states, a.root, tuple(blocks), a.leaves))
 
 
 @pytest.mark.parametrize("place", PLACES)
 def test_an_id_gap_is_named_as_in_its_records(place):
     for a in _run_bearing():
-        run = a._blocks[_first_long_run(a)]
-        p = _placements(run)
-        # An id of the run's first window, the first frontier top, and the
-        # last graft's first id.
-        off = {"template": p[0][0], "first seam": p[0][2], "last seam": p[-1][0]}[place]
+        i = _first_long_run(a)
+        # An id of the run's first window, or the top of a seam's first
+        # record.
+        if place == "template":
+            off = a._blocks[i].off
+        else:
+            at, k = _seam(a, i, place)
+            off = a._blocks[at][k].top
         n = len(a.states)
         gap = L._with_blocks(a.semiring, frozenset(range(n + 1)) - {off}, a.root,
                              a._blocks, a.leaves)
@@ -359,8 +363,9 @@ def test_a_dangling_root_or_leaf_top_is_named_as_in_its_records():
 
 def test_composed_operands_keep_their_runs_above_the_root(monkeypatch):
     # Every run-bearing operand of a composition of several pieces keeps its
-    # blocks, and each run grafts onto the n_ids ids just before its own,
-    # above the root: as the records show, not the run's arithmetic.
+    # blocks, and each run's second graft grafts onto its first window, the
+    # n_ids ids just before its own, above the root: as the records show,
+    # not the run's arithmetic.
     operands = []
 
     def recording(kind, compose):
@@ -378,11 +383,12 @@ def test_composed_operands_keep_their_runs_above_the_root(monkeypatch):
     for kind, p in operands:
         assert L._runs_of(p, below_leaves=kind == "tensor") is p._blocks
         for run in p._blocks[1::2]:
-            window = range(run.off, run.off + run.tpl.n_ids)
-            before = range(run.off - run.tpl.n_ids, run.off)
+            step = run.tpl.n_ids
+            first = range(run.off, run.off + step)
+            second = range(run.off + step, run.off + 2 * step)
             front = {t.top for t in p.internal
-                     if (t.left in window or t.right in window) and t.top not in window}
-            assert front and p.root < min(front) and front <= set(before)
+                     if (t.left in second or t.right in second) and t.top not in second}
+            assert front and p.root < min(front) and front <= set(first)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -418,6 +424,7 @@ def test_runs_of_multi_choice_sets_are_written_and_validated_as_their_records():
             _assert_chain_is_the_fold([p] * k)
             a, _peak = L.tensor_chain([p] * k)
             assert any(len(cs) > 1 for run in a._blocks[1::2] for cs in run.tpl.sets)
+            assert _written_runs(a) == list(a._blocks[1::2])
             assert L._holds(a)
             assert write_lsta(a, k) == write_lsta(_explicit(a), k)
 
@@ -452,7 +459,7 @@ def test_run_bearing_automata_keep_the_lsta_interface():
 
 
 # ---------------------------------------------------------------------------
-# Writing: a run's interior is formatted from its template, a slice of
+# Writing: a run's windows are formatted from their template, a slice of
 # windows at a time, and must give the bytes of its explicit copy.
 # ---------------------------------------------------------------------------
 
@@ -462,7 +469,7 @@ def _assert_written_as_its_records(a: Lsta, qubits: int) -> None:
 
 
 def _written_runs(a: Lsta) -> list:
-    """The runs whose interiors ``write_lsta`` writes from their templates."""
+    """The runs whose windows ``write_lsta`` writes from their templates."""
     return [run for _cut, run in L._in_order(a)[1]]
 
 
@@ -478,13 +485,18 @@ def _three_sets_piece() -> Lsta:
         [Leaf(0, c1, one), Leaf(1, c1, minus)])
 
 
-def test_a_run_block_of_one_graft_writes_no_interior():
-    # A run block of one graft has no window, so it adds no line at all.
+def test_a_run_of_two_grafts_writes_one_window():
+    # A run of two grafts is one window: its block adds the template's lines
+    # once.
     autos = [aq for family in ("ghz", "grover", "mctoffoli") for aq in _translated(family, 5)]
     autos.append((L.tensor_chain([_three_sets_piece()] * 4)[0], 8))
     ones = 0
     for a, qubits in autos:
-        ones += sum(run.n == 1 for run in _written_runs(a))
+        for run in _written_runs(a):
+            if run.n == 1:
+                ones += 1
+                lines = "".join(L._run_lines(run)).splitlines()
+                assert len(lines) == len(run.tpl.inner) + len(run.tpl.faces)
         _assert_written_as_its_records(a, qubits)
         assert "\n\n" not in write_lsta(a, qubits)
     assert ones >= 3
@@ -499,11 +511,11 @@ def test_windows_across_a_power_of_ten_are_written_as_their_records(monkeypatch,
         for a, qubits in _translated(family, 300):
             for run in _written_runs(a):
                 step, stride = run.tpl.n_ids, run.tpl.top + 1
-                last = run.n - 2  # the last window
+                last = run.n - 1  # the last window
                 crossed.update(("id", m) for m in (2, 3)
                                if run.off < 10 ** m <= run.off + last * step)
                 crossed.update(("choice", m) for m in (1, 2)
-                               if run.base + stride < 10 ** m <= run.base + (last + 1) * stride)
+                               if run.base < 10 ** m <= run.base + last * stride)
             _assert_written_as_its_records(a, qubits)
     assert crossed == {("id", 2), ("id", 3), ("choice", 1), ("choice", 2)}
 
@@ -532,39 +544,43 @@ def test_run_bearing_automata_are_written_as_their_records(family, data):
         _assert_written_as_its_records(a, qubits)
 
 
-def test_validate_and_write_lay_a_run_bearing_automaton_out_once(monkeypatch):
-    built = []
-    build = L._build_layout
-
-    def counting(a):
-        built.append(a)
-        return build(a)
-
-    monkeypatch.setattr(L, "_build_layout", counting)
-    # translate validates each automaton it returns, which lays it out
-    # once; writing lays none out again.
+def test_validate_and_write_keep_nothing_on_a_run_bearing_automaton():
+    # translate validates each automaton it returns; neither that nor
+    # writing, validating again or reading the records changes what the
+    # writer reads.
     autos = [(a, q) for a, q in _translated("grover", 8) if a._blocks is not None]
-    laid = len(built)
-    assert autos and all(sum(b is a for b in built) == 1 for a, _q in autos)
+    assert autos
     texts = [write_lsta(a, q) for a, q in autos]
     validate(autos[0][0])
-    assert len(built) == laid
-    # Reading the records after a write changes nothing the writer reads.
+    for a, _q in autos:
+        assert set(a.__dict__) == {"semiring", "states", "root", "leaves", "_blocks"}
     for (a, q), text in zip(autos, texts):
         assert a.internal and write_lsta(a, q) == text
-    assert len(built) == laid
-    # An explicit copy has no layout to keep.
+    # An explicit copy validates and writes alike.
     a, q = autos[0]
     copy = dataclasses.replace(a)
     validate(copy)
     assert write_lsta(copy, q) == texts[0]
-    assert len(built) == laid and "_layout" not in copy.__dict__
-    # A layout that fails is kept as well: its automaton is laid out once.
+    # An automaton whose layout fails is written from its records.
     for a, _q in autos:
         moved = RUN_FAULTS["a frontier moved by one"](a, _first_long_run(a))
-        del built[:]
         with pytest.raises(InternalError):
             validate(moved)
-        write_lsta(moved, 1)
-        write_lsta(moved, 1)
-        assert len(built) == 1 and built[0] is moved and L._layout(moved) is None
+        assert L._layout(moved) is None
+        assert write_lsta(moved, 1) == write_lsta(_explicit(moved), 1)
+
+
+def test_translate_and_write_build_no_records(monkeypatch):
+    def refused(blocks):
+        raise AssertionError("a run's records were built")
+
+    monkeypatch.setattr(L, "_materialize", refused)
+    for n in (5, 1024):
+        bearing = 0
+        for family in FAMILIES:
+            for a, qubits in _translated(family, n):
+                write_lsta(a, qubits)
+                if a._blocks is not None:
+                    bearing += 1
+                    assert "internal" not in a.__dict__
+        assert bearing > 0
