@@ -182,6 +182,14 @@ def bench_sources(family: str, n: int) -> list[tuple[str, str, bool]]:
     raise SpecSyntaxError(f"unknown benchmark family {family!r}")
 
 
+def bench_groups(family: str, n: int) -> list[list[str]]:
+    """The sources of :func:`bench_sources` in the groups that are
+    translated together, one ``translate`` call each: pre and post in one
+    group when they are translated jointly, else in one each."""
+    return [g for pre, post, joint in bench_sources(family, n)
+            for g in ([[pre, post]] if joint else [[pre], [post]])]
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     try:
         sizes = [int(x) for x in args.sizes.split(",") if x.strip()]
@@ -192,12 +200,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not sizes:
         raise SpecSyntaxError("no sizes given")
     # Every size is checked before the first line is printed.
-    sources = [(n, bench_sources(args.family, n)) for n in sizes]
+    sources = [(n, bench_groups(args.family, n)) for n in sizes]
     print(f"{'n':>5} {'qubits':>7} {'pre':>9} {'post':>9} {'seconds':>9}")
-    for n, jobs in sources:
+    for n, groups in sources:
         # One translation per group; the automata alternate pre and post.
-        groups = [g for pre, post, joint in jobs
-                  for g in ([[pre, post]] if joint else [[pre], [post]])]
         transitions: list[int] = []
         qubits = 0
         t0 = time.perf_counter()

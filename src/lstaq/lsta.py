@@ -89,27 +89,31 @@ are assigned a column at a time from ranges (:func:`_run_lines`).  Only
 choice-set texts that :func:`_set_text` makes, and a run's interface sets
 as ``{%d,...}``, may enter a format string;
 amplitude renders, variable names and the public ``constraint`` argument
-never do.  :func:`validate` and :func:`write_lsta` both read
-:func:`_layout`: the records as the blocks store them and the ids of each
-run's windows, which keeps nothing on the instance.
+never do.  The writer reads the blocks as they are stored and tests no
+choice rule (:func:`_in_order`): it needs only the runs' windows in
+ascending order, each template's tops inside its window and no record's
+top inside a window, so that the text sorts by top; otherwise it writes
+the records.  Neither it nor :func:`validate` keeps anything on the
+instance.
 
-:func:`validate` runs one set-wide test, :func:`_holds`, on the records
-:func:`_layout` returns, all of an explicit automaton's: their tops must be
-exactly the ids outside the runs' windows, the children and the root
-ids, and no (top, choice) pair may repeat.  When the root is the only top
-with more than one transition, as in every ``build.build_setq_lsta``
-result and every :func:`union_all` of such pieces, a pair can repeat only
-at the root, so only the root's choice sets are tested for overlap, and
-every set for being nonempty; this is exact.  Otherwise the pairs are
-tested over all transitions; with singleton choice sets only, as
-translation builds them, one (top, choice set) pair per transition.  Only
-on a fault does it scan, to name the first one in transition order, and
-then the first id that no transition leaves.  A run is tested through its
-template (:func:`_steady`): the tops of a window's transitions must tile
-it, their children lie in it or in the next graft's ids, and their choice
-sets keep the choice rules, which every window keeps exactly when its
-template does.  Windows hold no record's top, so no (top, choice) pair
-repeats between a window and the records.  Only if that test fails are a
+:func:`validate` runs one set-wide test, :func:`_holds`, over the records,
+the leaves and each run's first window: their tops must be exactly the ids
+outside the runs' later windows, the children and the root ids, and no
+(top, choice) pair may repeat.  When the root is the
+only top with more than one transition, as in every
+``build.build_setq_lsta`` result and every :func:`union_all` of such
+pieces, a pair can repeat only at the root, so only the root's choice sets
+are tested for overlap, and every set for being nonempty; this is exact.
+Otherwise the pairs are tested over all transitions; with singleton choice
+sets only, as translation builds them, one (top, choice set) pair per
+transition.  Only on a fault does it scan, to name the first one in
+transition order, and then the first id that no transition leaves.  A
+run's first window stands for all its windows: a later one is the first
+moved by a number of ids, with only its interface choices moved too, so
+when the template's inner and interface tops are apart and tile the
+window, every window keeps the choice rules exactly when the first does.
+Its children are tested in the first window and moved to the last, and
+no record's top lies in a later window.  Only if that test fails are a
 run-bearing automaton's records built, so a fault is named as in the
 explicit automaton.  :func:`map_leaves` calls its function once per
 distinct leaf value, so an amplitude-domain crossing costs one call per
@@ -256,10 +260,17 @@ def _distinct(tops: list[int], choices: list) -> bool:
 
 def _holds(a: Lsta) -> bool:
     """Whether ``a`` keeps every rule :func:`validate` checks, tested over
-    whole sets on the records :func:`_layout` returns, whose tops must be
-    exactly the ids outside the runs' windows: every id, for an explicit
-    ``a``.  The windows, whose templates :func:`_layout` has tested, hold
-    every other id as a top, so a child is tested only for being an id.
+    whole sets: its records, its leaves and each run's first window, placed
+    as :func:`_materialize` places it.  Their tops must be exactly the ids
+    outside the runs' later windows: every id, for an explicit ``a``.
+
+    Window ``i`` is the first moved by ``i * n_ids`` ids, and only its
+    interface choices move with it.  So the first window stands for them
+    all when the runs' windows are in ascending order inside the ids, and
+    its inner tops and interface tops are apart and tile it: each later
+    window then tiles its ids and keeps the choice rules exactly where the
+    first does.  A child is tested for being an id in the first window, and
+    again moved to the last.
 
     When only the root has several transitions, which a count of the tops
     shows, every other top has a single choice set, and a frozenset holds
@@ -268,16 +279,28 @@ def _holds(a: Lsta) -> bool:
     union is as large as their sizes summed), and every set for being
     nonempty; this accepts exactly what :func:`_distinct` accepts, without
     hashing a pair per transition."""
-    layout = _layout(a)
-    if layout is None:
-        return False
-    records, runs = layout
     n = len(a.states)
-    outside = range(n)  # the ids outside the runs' windows
-    if runs:
-        outside, prev = [], 0
-        for lo, hi, _run in runs:
-            outside += range(prev, lo)
+    blocks = a._blocks
+    lasts: list[int] = []  # each run's largest child, moved to its last window
+    if blocks is None:
+        records, outside = a.internal, range(n)
+    else:
+        records, outside, prev = list(chain.from_iterable(blocks[::2])), [], 0
+        for tpl, lo, base, k in blocks[1::2]:
+            step = tpl.n_ids
+            hi = lo + k * step
+            if lo < prev or hi > n or not (tpl.leaves and (tpl.inner or tpl.faces)):
+                return False
+            inner = _inner_at(tpl.inner, lo)
+            faces = _faces_at(tpl, lo + step, base, lo + tpl.leaves[0][0])
+            inner_tops, face_tops = set(map(_TOP, inner)), set(map(_TOP, faces))
+            if (len(inner_tops) + len(face_tops) != step
+                    or inner_tops.union(face_tops) != set(range(lo, lo + step))):
+                return False
+            window = inner + faces
+            records += window
+            lasts.append(max(chain(map(_LEFT, window), map(_RIGHT, window))) + (k - 1) * step)
+            outside += range(prev, lo + step)
             prev = hi
         outside += range(prev, n)
     transitions = (*records, *a.leaves)
@@ -296,7 +319,7 @@ def _holds(a: Lsta) -> bool:
     if not (distinct and 0 <= root < n
             and len(top_ids) == len(outside) and top_ids.issuperset(outside)):
         return False
-    kids = [*map(_LEFT, records), *map(_RIGHT, records)]
+    kids = [*map(_LEFT, records), *map(_RIGHT, records), *lasts]
     return not kids or (0 <= min(kids) and max(kids) < n)
 
 
@@ -306,9 +329,9 @@ def validate(a: Lsta) -> None:
 
     A state set other than ``range(N)``, which only a hand-built ``Lsta``
     has, must still hold every id below its length.  Then :func:`_holds`
-    tests whole sets, a run-bearing automaton through its runs' templates;
-    only on a fault are the records scanned, to name the first violation in
-    transition order, and then the first id that no transition leaves.
+    tests whole sets, a run through its first window; only on a fault are
+    the records scanned, to name the first violation in transition order,
+    and then the first id that no transition leaves.
     """
     n = len(a.states)
     if a.states != range(n):
@@ -864,51 +887,6 @@ def _assemble(semiring: Semiring, n: int, root: int, blocks: list, leaves: list)
                         tuple(leaves))
 
 
-def _steady(tpl: _Template) -> bool:
-    """Whether the windows of a run of ``tpl`` tile their ids and keep the
-    choice rules.
-
-    Window ``i`` is graft ``i``'s ids: the tops of its inner transitions
-    and of graft ``i+1``'s interface ones, which must be disjoint and
-    together every id of the window; the children of graft ``i``'s
-    transitions, all inside it; and no empty choice set or repeated (top,
-    choice) pair (:func:`_distinct`), which a window holds exactly where its
-    template does, as its choices are the template's moved by one number.
-    With one transition a top, no pair can repeat.
-    """
-    if not tpl.leaves or not (tpl.inner or tpl.faces):
-        return False
-    step, first_leaf, sets, cut = tpl.n_ids, tpl.leaves[0][0], tpl.sets, len(tpl.inner)
-    tops, choices, lefts, rights = zip(*tpl.inner, *[(first_leaf + t, sets[k], l, r)
-                                                     for t, k, l, r in tpl.faces])
-    kids = lefts + rights
-    return (len(set(tops[:cut])) + len(set(tops[cut:])) == step
-            and set(tops) == set(range(step)) and 0 <= min(kids) and max(kids) < step
-            and (all(choices) if len(tops) == step else _distinct(tops, choices)))
-
-
-def _layout(a: Lsta) -> tuple[Sequence[Internal], list[tuple[int, int, _Run]]] | None:
-    """``a``'s records, its record blocks in stored order, and its runs,
-    each as ``(lo, hi, run)`` with its windows' ids ``lo..hi-1``; ``None``
-    unless every run's template is :func:`_steady`, the runs' windows are
-    in ascending order and the ids hold the graft after each run's last
-    window, whose ids its interface transitions reach.  An explicit ``a`` is
-    its records with no runs."""
-    blocks = a._blocks
-    if blocks is None:
-        return a.internal, []
-    runs: list[tuple[int, int, _Run]] = []
-    n, prev = len(a.states), 0
-    for run in blocks[1::2]:
-        lo, step = run.off, run.tpl.n_ids
-        hi = lo + run.n * step
-        if lo < prev or hi + step > n or not _steady(run.tpl):
-            return None
-        runs.append((lo, hi, run))
-        prev = hi
-    return list(chain.from_iterable(blocks[::2])), runs
-
-
 def _emit(tpl: _Template, off: int, base: int, front: int, blocks: list,
           run: _Run | None = None) -> list[Leaf]:
     """Write ``tpl`` out at one placement, its first fresh id ``off``, first
@@ -1139,19 +1117,26 @@ class _Texts(dict):
 
 def _in_order(a: Lsta) -> tuple[list[Internal], list[tuple[int, _Run]]]:
     """``a``'s records by ascending top, each state's in stored order, and
-    where each run's windows go among them.  Only the records
-    :func:`_layout` returns are sorted, when no top of theirs falls in a
-    run's windows; otherwise all of ``a``'s records are."""
-    layout = _layout(a)
-    if layout is not None:
-        records, runs = layout
-        records = sorted(records, key=_TOP)
-        cuts = []
-        for lo, hi, run in runs:
+    where each run's windows go among them.  Only the record blocks are
+    sorted when the windows need no records to be written: they come in
+    ascending order, each template's tops lie inside its window, and no
+    record's top lies inside a window.  Otherwise all of ``a``'s records
+    are."""
+    blocks = a._blocks
+    if blocks is not None:
+        records = sorted(chain.from_iterable(blocks[::2]), key=_TOP)
+        cuts, prev = [], 0
+        for run in blocks[1::2]:
+            tpl, lo = run.tpl, run.off
+            hi = lo + run.n * tpl.n_ids
+            tops = [*map(_TOP, tpl.inner),
+                    *map(tpl.leaves[0][0].__add__, map(_TOP, tpl.faces))] if tpl.leaves else ()
             cut = bisect_left(records, lo, key=_TOP)
-            if bisect_left(records, hi, key=_TOP) != cut:
+            if not (tops and prev <= lo and 0 <= min(tops) and max(tops) < tpl.n_ids
+                    and bisect_left(records, hi, key=_TOP) == cut):
                 break
             cuts.append((cut, run))
+            prev = hi
         else:
             return records, cuts
     return sorted(a.internal, key=_TOP), []
@@ -1189,7 +1174,7 @@ def _rows_text(line: str, width: int, rows: Sequence[tuple], texts: dict) -> lis
 
 
 def _run_lines(run: _Run) -> list[str]:
-    """The text of ``run``'s windows, window by window (see :func:`_steady`):
+    """The text of ``run``'s windows, window by window (see :class:`_Run`):
     a window's transitions by ascending top, each state's in stored order,
     its inner ones before the next graft's interface ones, whose choices
     are that graft's.
@@ -1239,8 +1224,9 @@ def write_lsta(a: Lsta, n: int, constraint: str | None = None) -> str:
 
     Internal transitions, then leaf ones, each by ascending top; a state's
     transitions are written in the order they are stored (the order rule).
-    A run's windows are written from its template, with no records built
-    (:func:`_in_order`).
+    A run's windows are written from its template, with no records built,
+    wherever they sort as their records would (:func:`_in_order`); the
+    writer tests no rule that :func:`validate` tests.
 
     Each block is written with one ``%`` format per slice (see the module
     docstring): the records between two runs, each run's windows

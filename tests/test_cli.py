@@ -13,7 +13,7 @@ import pytest
 
 import lstaq.cli
 from lstaq.ast import MAX_QUBITS
-from lstaq.cli import bench_sources, main
+from lstaq.cli import bench_groups, bench_sources, main
 from lstaq.oracle import MAX_SET_ASSIGNMENTS
 from lstaq.parser import MAX_ATOMS, MAX_TERM_PAIRS, parse_many
 from lstaq.qubit_reorder import MAX_SLICE_ASSIGNMENTS
@@ -445,8 +445,7 @@ def test_debug_dumps_are_byte_identical(tmp_path, capsys):
     groups = [[f"{S_A} \\/ {S_B}"]]
     for family in ("bv", "ghz", "grover", "groveriter", "mctoffoli"):
         for n in (2, 3, 4):
-            for pre, post, joint in bench_sources(family, n):
-                groups += [[pre, post]] if joint else [[pre], [post]]
+            groups += bench_groups(family, n)
     out = []
     for group in groups:
         f = spec_file(tmp_path, " ;; ".join(group))

@@ -22,7 +22,7 @@ import lstaq.build
 import lstaq.lsta
 from lstaq.amplitude import COMPLEX, TAG, VALUATION, ValAmp, tag
 from lstaq.build import build_setq_lsta, slice_expansions, translate
-from lstaq.cli import bench_sources
+from lstaq.cli import bench_groups
 from lstaq.errors import InternalError
 from lstaq.lsta import (
     Internal,
@@ -457,9 +457,8 @@ def test_translation_chains_graft_like_the_fold(family, monkeypatch):
 
     monkeypatch.setattr(lstaq.build, "tensor_chain", recording)
     for n in (2, 3, 4, 8, 128):
-        for pre, post, joint in bench_sources(family, n):
-            for group in ([pre, post],) if joint else ([pre], [post]):
-                translate([parse(t) for t in group])
+        for group in bench_groups(family, n):
+            translate([parse(t) for t in group])
     chains = [c for c in chains if len(c) > 1]
     semirings = {c[0].semiring.name for c in chains}
     assert "valuation" in semirings
@@ -511,9 +510,8 @@ def test_first_operands_merge_from_their_first_merged_state_as_a_full_renumberin
     monkeypatch.setattr(lstaq.build, "union_all", recording_union)
     for family in ("bv", "ghz", "grover", "groveriter", "mctoffoli"):
         for n in range(2, 9):
-            for pre, post, joint in bench_sources(family, n):
-                for group in ([pre, post],) if joint else ([pre], [post]):
-                    translate([parse(t) for t in group])
+            for group in bench_groups(family, n):
+                translate([parse(t) for t in group])
     rng = random.Random(0x0DE5)
     for _ in range(200):
         translate([parse(random_source(rng))])
@@ -531,8 +529,7 @@ def test_translated_automata_hold_only_internal_and_leaf_records():
     # the kinds apart by ``hasattr(t, "left")``.
     groups = [[neq_graph("chain", 5)], [r"{ |00> } \/ { |11>, |01> } (x) { |0>, |1> }"]]
     for family in ("bv", "ghz", "grover", "groveriter", "mctoffoli"):
-        for pre, post, joint in bench_sources(family, 4):
-            groups += [[pre, post]] if joint else [[pre], [post]]
+        groups += bench_groups(family, 4)
     for group in groups:
         for ar in translate([parse(t) for t in group]).assertions:
             assert all(type(t) is Internal for t in ar.automaton.internal)
@@ -667,9 +664,8 @@ def test_translation_slices_are_written_as_union_all_builds_them(monkeypatch):
         translate([parse(neq_graph("star", k))])
     for family in ("bv", "ghz", "mctoffoli"):
         for n in (2, 3, 4):
-            for pre, post, joint in bench_sources(family, n):
-                for group in ([pre, post],) if joint else ([pre], [post]):
-                    translate([parse(t) for t in group])
+            for group in bench_groups(family, n):
+                translate([parse(t) for t in group])
     # An 8-variable graph's one slice has a case per assignment.
     assert max(len(states) for states, _ in built) == 2 ** 8
     for states, semiring in built:
@@ -709,9 +705,7 @@ def test_bench_family_automata_are_byte_identical_to_the_folds():
     out = []
     for family in ("bv", "ghz", "grover", "groveriter", "mctoffoli"):
         for n in FAMILY_SIZES:
-            for pre, post, joint in bench_sources(family, n):
-                for group in ([pre, post],) if joint else ([pre], [post]):
-                    result = translate([parse(t) for t in group])
-                    out += [write_lsta(ar.automaton, result.qubits)
-                            for ar in result.assertions]
+            for group in bench_groups(family, n):
+                result = translate([parse(t) for t in group])
+                out += [write_lsta(ar.automaton, result.qubits) for ar in result.assertions]
     assert hashlib.sha256("".join(out).encode()).hexdigest() == FAMILY_SHA256

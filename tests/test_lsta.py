@@ -163,15 +163,23 @@ def test_the_first_of_two_violations_in_transition_order_is_reported():
 
 @pytest.fixture
 def distinct_calls(monkeypatch) -> list:
-    """Records each call of the general distinctness test."""
+    """Records each call of the general distinctness test, and checks that
+    each set-wide test, one a ``validate``, makes at most one."""
     calls = []
-    general = L._distinct
+    general, holds = L._distinct, L._holds
 
     def recording(tops, choices):
         calls.append(len(tops))
         return general(tops, choices)
 
+    def once(a):
+        before = len(calls)
+        held = holds(a)
+        assert len(calls) - before <= 1
+        return held
+
     monkeypatch.setattr(L, "_distinct", recording)
+    monkeypatch.setattr(L, "_holds", once)
     return calls
 
 
@@ -234,6 +242,22 @@ def test_a_cases_automaton_and_a_run_bearing_union_take_the_root_only_test(disti
     for b in (a, union):
         validate(b)
     assert distinct_calls == []
+
+
+def test_runs_with_several_interface_transitions_a_top_are_tested_once(distinct_calls):
+    # Each frontier state takes an interface transition per root transition
+    # of the piece, so the windows' tops repeat: the general test decides,
+    # once, over the records and every run's first window.
+    both = mk_lsta(COMPLEX, 0, [Internal(0, ONE, 1, 2), Internal(0, frozenset({2}), 2, 1)],
+                   TWO_LEAVES)
+    union = union_all([tensor_chain([both] * 6)[0], tensor_chain([both] * 5)[0], both])
+    runs = union._blocks[1::2]
+    assert len(runs) == 2
+    for run in runs:
+        tops = [t for t, _k, _l, _r in run.tpl.faces]
+        assert len(set(tops)) < len(tops)
+    validate(union)
+    assert len(distinct_calls) == 1
 
 
 def _holds_by_pairs(a: Lsta) -> bool:

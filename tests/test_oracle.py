@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from lstaq import ast as A
 import lstaq.oracle as oracle_mod
 from lstaq.amplitude import AC_ONE, COMPLEX, AmplitudePoly, AlgebraicComplex
-from lstaq.cli import bench_sources
+from lstaq.cli import bench_groups
 from lstaq.errors import (
     CapExceededError,
     InternalError,
@@ -362,8 +362,7 @@ def _sweep_inputs(monkeypatch) -> list[list[str]]:
     batches: list[list[str]] = []
     for family in ("bv", "ghz", "grover", "groveriter", "mctoffoli"):
         for n in (2, 3, 4):
-            for pre, post, joint in bench_sources(family, n):
-                batches += [[pre, post]] if joint else [[pre], [post]]
+            batches += bench_groups(family, n)
     rng = random.Random(0xD1FF)
     batches += [[random_source(rng)] for _ in range(300)]
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))

@@ -108,21 +108,24 @@ def _first_long_run(a: Lsta) -> int | None:
     return next((i for i, b in enumerate(a._blocks) if type(b) is L._Run and b.n >= 2), None)
 
 
+def _split(run, k: int) -> tuple:
+    """``run``'s first ``k`` windows and the others, as two runs."""
+    tpl = run.tpl
+    return run._replace(n=k), run._replace(off=run.off + k * tpl.n_ids,
+                                           base=run.base + k * (tpl.top + 1), n=run.n - k)
+
+
 def _written_out(a: Lsta, i: int, end: int) -> list:
     """``a``'s blocks with the first (``end`` = 0) or last (-1) window of
     the run at ``i`` written out as records beside it."""
     blocks = list(a._blocks)
     run = blocks[i]
-    step, stride = run.tpl.n_ids, run.tpl.top + 1
     if end == 0:
-        one = run._replace(n=1)
+        one, blocks[i] = _split(run, 1)
         blocks[i - 1] = (*blocks[i - 1], *L._materialize((one,)))
-        blocks[i] = run._replace(off=run.off + step, base=run.base + stride, n=run.n - 1)
     else:
-        w = run.n - 1
-        one = run._replace(off=run.off + w * step, base=run.base + w * stride, n=1)
+        blocks[i], one = _split(run, run.n - 1)
         blocks[i + 1] = (*L._materialize((one,)), *blocks[i + 1])
-        blocks[i] = run._replace(n=w)
     return blocks
 
 
@@ -212,11 +215,11 @@ def _on_blocks(edit):
     return fault
 
 
-def _moved_frontier(blocks, i):
-    # The template's first leaf moved by one: each graft's frontier with it.
+def _moved_frontier(blocks, i, by=1):
+    # The template's first leaf moved by ``by``: each graft's frontier with it.
     run = blocks[i]
     (top, c, v), *rest = run.tpl.leaves
-    blocks[i] = run._replace(tpl=run.tpl._replace(leaves=[(top + 1, c, v), *rest]))
+    blocks[i] = run._replace(tpl=run.tpl._replace(leaves=[(top + by, c, v), *rest]))
 
 
 def _longer_graft(a, i):
@@ -296,12 +299,79 @@ def _past_the_last_id(a, i):
     return L._with_blocks(a.semiring, range(last), a.root, (*a._blocks[:i + 1], ()), ())
 
 
+def _child_past_the_end(a, i):
+    # A child that is the last id from the run's first window, and so is
+    # past it from every later window.
+    blocks = list(a._blocks)
+    run = blocks[i]
+    tpl, last = run.tpl, len(a.states) - 1 - run.off
+    if tpl.inner:
+        t, c, _l, r = tpl.inner[0]
+        tpl = tpl._replace(inner=[(t, c, last, r), *tpl.inner[1:]])
+    else:
+        # An interface transition's children are its next graft's ids.
+        t, k, _l, r = tpl.faces[0]
+        tpl = tpl._replace(faces=[(t, k, last - tpl.n_ids, r), *tpl.faces[1:]])
+    blocks[i] = run._replace(tpl=tpl)
+    return L._with_blocks(a.semiring, a.states, a.root, tuple(blocks), a.leaves)
+
+
+def _top_before_the_window(a, i):
+    # A template's inner top moved to the id just before each window, with
+    # choices of its own, and that id of the first window held by records:
+    # only the first window's tops tell that the later ones have a gap.
+    blocks = list(a._blocks)
+    run = blocks[i]
+    tpl = run.tpl
+    if not tpl.inner:
+        return _on_blocks(_child_before_the_run)(a, i)
+    t = tpl.inner[0][0]
+    ghost = run.top + 1  # above every choice of the run and the graft before it
+    inner = [(-1, frozenset({ghost + j}), l, r) if top == t else (top, c, l, r)
+             for j, (top, c, l, r) in enumerate(tpl.inner)]
+    blocks[i - 1] = (*blocks[i - 1], *L._inner_at([x for x in tpl.inner if x[0] == t], run.off))
+    blocks[i] = run._replace(tpl=tpl._replace(inner=inner))
+    return L._with_blocks(a.semiring, a.states, a.root, tuple(blocks), a.leaves)
+
+
+def _tops_past_the_last_id(a, i):
+    # The automaton cut one id short of the end of the run's last window,
+    # with every child in each window on its first id: no child is past
+    # the last id, but the last window's last top is.
+    run = a._blocks[i]
+    tpl, step = run.tpl, run.tpl.n_ids
+    tpl = tpl._replace(inner=[(t, c, 0, 0) for t, c, _l, _r in tpl.inner],
+                       faces=[(t, k, -step, -step) for t, k, _l, _r in tpl.faces])
+    return L._with_blocks(a.semiring, range(run.off + run.n * step - 1), a.root,
+                          (*a._blocks[:i], run._replace(tpl=tpl), ()), ())
+
+
+def _out_of_order_over_ghosts(a, i):
+    # The run split in two, its upper half stored first, and every window
+    # but the halves' first ones written out as records after them, beside
+    # as many records on ghost ids past the last one as a window has ids:
+    # taken in stored order, the ids outside the runs' later windows count
+    # the upper half's first window twice.
+    blocks = list(a._blocks)
+    run = blocks[i]
+    low, high = _split(run, run.n // 2)
+    later = [_split(r, 1)[1] for r in (low, high)]
+    ghost, one = len(a.states), frozenset({1})
+    ghosts = [Internal(ghost + j, one, run.off, run.off) for j in range(run.tpl.n_ids)]
+    blocks[i:i + 2] = [high, (), low, (*blocks[i + 1], *L._materialize(later), *ghosts)]
+    return L._with_blocks(a.semiring, a.states, a.root, tuple(blocks), a.leaves)
+
+
 RUN_FAULTS = {"a frontier moved by one": _on_blocks(_moved_frontier),
               "a graft one id longer": _longer_graft,
               "a child before the run": _on_blocks(_child_before_the_run),
               "an interface transition on an inner top": _on_blocks(_interface_on_an_inner_top),
               "an id bare inside the run only": _on_blocks(_bare_inside),
-              "a last window past the last id": _past_the_last_id}
+              "a last window past the last id": _past_the_last_id,
+              "a child past the last id from the last window": _child_past_the_end,
+              "a template top before its window": _top_before_the_window,
+              "a last window's tops past the last id": _tops_past_the_last_id,
+              "runs out of order over ghost ids": _out_of_order_over_ghosts}
 
 
 @pytest.mark.parametrize("fault", RUN_FAULTS)
@@ -321,10 +391,7 @@ def test_run_interiors_out_of_order_are_named_as_in_their_records():
         i = _first_long_run(a)
         blocks = list(a._blocks)
         run = blocks[i]
-        tpl, k = run.tpl, run.n // 2
-        low = run._replace(n=k)
-        high = run._replace(off=run.off + k * tpl.n_ids, base=run.base + k * (tpl.top + 1),
-                            n=run.n - k)
+        low, high = _split(run, run.n // 2)
         blocks[i:i + 2] = [high, (), low, (*blocks[i + 1], *L._materialize((low, high)))]
         _assert_same_error(L._with_blocks(a.semiring, a.states, a.root, tuple(blocks), a.leaves))
 
@@ -561,13 +628,38 @@ def test_validate_and_write_keep_nothing_on_a_run_bearing_automaton():
     copy = dataclasses.replace(a)
     validate(copy)
     assert write_lsta(copy, q) == texts[0]
-    # An automaton whose layout fails is written from its records.
+    # A fault in a run is written as its records are.  Moved by one, a
+    # frontier may stay inside its windows, which is all that writing a run
+    # from its template needs; moved by a window, it is written from the
+    # records.
     for a, _q in autos:
-        moved = RUN_FAULTS["a frontier moved by one"](a, _first_long_run(a))
-        with pytest.raises(InternalError):
-            validate(moved)
-        assert L._layout(moved) is None
-        assert write_lsta(moved, 1) == write_lsta(_explicit(moved), 1)
+        i = _first_long_run(a)
+        moved = RUN_FAULTS["a frontier moved by one"](a, i)
+        out = _on_blocks(lambda blocks, i: _moved_frontier(blocks, i, blocks[i].tpl.n_ids))(a, i)
+        for b in (moved, out):
+            with pytest.raises(InternalError):
+                validate(b)
+            assert not L._holds(b)
+            assert write_lsta(b, 1) == write_lsta(_explicit(b), 1)
+        assert _written_runs(out) == []
+
+
+def test_runs_out_of_order_or_over_records_are_written_as_their_records():
+    # A run is written from its template only where its windows sort as
+    # their records would: each first long run split in two, its upper half
+    # stored first, and, apart, its lower half's windows also written out as
+    # records before it.
+    for a in _run_bearing():
+        i = _first_long_run(a)
+        blocks = list(a._blocks)
+        run = blocks[i]
+        low, high = _split(run, run.n // 2)
+        swapped = [*blocks[:i], high, (), low, *blocks[i + 1:]]
+        over = [*blocks[:i - 1], (*blocks[i - 1], *L._materialize((low,))), *blocks[i:]]
+        for edited in (swapped, over):
+            b = L._with_blocks(a.semiring, a.states, a.root, tuple(edited), a.leaves)
+            assert _written_runs(b) == []
+            _assert_written_as_its_records(b, 1)
 
 
 def test_translate_and_write_build_no_records(monkeypatch):

@@ -30,7 +30,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from lstaq.build import translate  # noqa: E402
-from lstaq.cli import BENCH_MIN_SIZE, bench_sources  # noqa: E402
+from lstaq.cli import BENCH_MIN_SIZE, bench_groups  # noqa: E402
 from lstaq.lsta import write_lsta  # noqa: E402
 from lstaq.parser import parse  # noqa: E402
 
@@ -65,13 +65,12 @@ def write_seconds(family: str, n: int) -> float:
     """CPU seconds of ``write_lsta`` of every assertion of ``family`` at size
     ``n``, each group translated as ``lstaq bench`` translates it."""
     seconds = 0.0
-    for pre, post, joint in bench_sources(family, n):
-        for group in ([pre, post],) if joint else ([pre], [post]):
-            result = translate([parse(text) for text in group])
-            start = time.process_time()
-            for ar in result.assertions:
-                write_lsta(ar.automaton, result.qubits)
-            seconds += time.process_time() - start
+    for group in bench_groups(family, n):
+        result = translate([parse(text) for text in group])
+        start = time.process_time()
+        for ar in result.assertions:
+            write_lsta(ar.automaton, result.qubits)
+        seconds += time.process_time() - start
     return seconds
 
 
