@@ -5,12 +5,23 @@ of segments; each segment is a union of braced sets; each braced set holds
 one or more superposition patterns (diracs) over a shared predicate.  The
 static checks here resolve every bitstring variable to a definite qubit
 length and reject patterns whose meaning would be ambiguous.
+
+A set's scope, which variables it enumerates and which each term sums over,
+is kept on the parsed ``SetQ`` object, computed on first use: ``kets``
+holds one ``KetScope`` per ket, which canonicalization renames by and the
+scope and length checks of ``build.translate`` read, and ``scope`` the
+whole set's, which :func:`check_well_formed` and the oracle's enumeration
+read.  The oracle enumerates the sets a translation checked, so the two
+share them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
+from typing import NamedTuple
 
 from .amplitude import AmplitudePoly
 from .errors import (
@@ -83,9 +94,7 @@ VarCon = Len | NeqVar | NeqConst | EqConst
 
 
 def varcon_vars(c: VarCon) -> tuple[str, ...]:
-    if isinstance(c, Len):
-        return (c.var,)
-    if isinstance(c, NeqVar):
+    if type(c) is NeqVar:
         return (c.left, c.right)
     return (c.var,)
 
@@ -122,6 +131,65 @@ class SetQ:
         yield from self.predicate
         for term in self.terms():
             yield from term.sum_constraints
+
+    # A set's scopes are computed once per set object, on first use, and
+    # kept in its ``__dict__``, outside the dataclass fields: equality,
+    # hashing and ``repr`` do not see them.
+
+    @cached_property
+    def kets(self) -> tuple[KetScope, ...]:
+        """The scope of each comma-separated ket with the predicate, the set
+        that canonicalization makes of it.  Canonicalization renames by
+        them; ``preprocess._check_constrained_vars_occur`` and the build's
+        test that each canonical form's lengths can be inferred read them."""
+        return tuple(_ket_scope(self.predicate, dirac) for dirac in self.diracs)
+
+    @cached_property
+    def scope(self) -> Scope:
+        """The scope of the whole set, taken from its kets' scopes.
+        :func:`check_well_formed` and the oracle's enumeration read it.
+
+        The set's outer variables are those of its kets, as
+        :func:`outer_vars` takes the predicate and every ket's variables
+        that their own terms do not sum over, and a term sums over the
+        variables its ket's scope holds as inner beyond them.
+        """
+        kets = self.kets
+        if len(kets) == 1:
+            return Scope(*kets[0][:2])
+        outer = tuple(dict.fromkeys(chain.from_iterable(k.outer for k in kets)))
+        return Scope(outer, tuple(
+            tuple(v for v in names if v not in outer)
+            for k in kets for names in k.inner))
+
+
+class Scope(NamedTuple):
+    """Which variables a set enumerates and which each of its terms sums
+    over: ``outer`` holds the variables of :func:`outer_vars` of the set,
+    and ``inner[k]`` is :func:`inner_vars` of its ``k``-th term, in
+    ``SetQ.terms`` order.  ``outer`` is in first-occurrence order for one
+    ket and in ket order for several."""
+
+    outer: tuple[str, ...]
+    inner: tuple[tuple[str, ...], ...]
+
+
+class KetScope(NamedTuple):
+    """The :class:`Scope` of one ket with its set's predicate, and two facts
+    about it.
+
+    ``absent`` is the first variable its constraints name (the predicate's,
+    then each term's summations) that none of its patterns holds, or None.
+    ``sized`` says whether its own constraints size each of its variables,
+    as :func:`infer_lengths` does before it reads positions: each is named
+    by a length constraint or a comparison with a constant, or tied by
+    ``!=`` to one that is.  An inner variable is its term's own.
+    """
+
+    outer: tuple[str, ...]
+    inner: tuple[tuple[str, ...], ...]
+    absent: str | None
+    sized: bool
 
 
 @dataclass(frozen=True)
@@ -268,6 +336,22 @@ def infer_lengths(ast: AssertionAst) -> LengthMap:
     qubits, so a ket whose width is already fixed pins the single unknown
     variable of a sibling ket.
     """
+    return _infer(ast)
+
+
+def check_inferable(ast: AssertionAst) -> None:
+    """Raise what :func:`infer_lengths` raises on ``ast``, if anything.
+
+    A translation carries its canonical forms' lengths over from the
+    sources, renamed, so it needs only this verdict, and only on a form
+    one of whose kets leaves a variable to be sized by position (see
+    :attr:`KetScope.sized`): a ket is a scope of its own there, and a
+    length the source took from another scope may not be inferable.
+    """
+    _infer(ast)
+
+
+def _infer(ast: AssertionAst) -> LengthMap:
     uf = UnionFind()
     known: dict[str, tuple[int, str]] = {}  # class root -> (length, witness var)
 
@@ -280,18 +364,22 @@ def infer_lengths(ast: AssertionAst) -> LengthMap:
 
     mentioned: set[str] = set()
     for term in ast.terms():
-        mentioned |= pattern_vars(term)
-    for con in _all_constraints(ast):
-        mentioned.update(varcon_vars(con))
-        if isinstance(con, NeqVar):
+        mentioned.update(a.name for a in term.pattern if type(a) is not Const)
+    constraints = list(_all_constraints(ast))
+    for con in constraints:
+        if type(con) is NeqVar:
+            mentioned.update((con.left, con.right))
             uf.union(con.left, con.right)
-    for con in _all_constraints(ast):
-        if isinstance(con, Len):
+        else:
+            mentioned.add(con.var)
+    for con in constraints:
+        if type(con) is Len:
             assign(con.var, con.n)
-        elif isinstance(con, (NeqConst, EqConst)):
+        elif type(con) is not NeqVar:
             assign(con.var, len(con.bits))
 
-    changed = True
+    # Positions are read only while a variable is left unsized.
+    changed = any(uf.find(v) not in known for v in mentioned)
     while changed:
         changed = False
         for seg in ast.segments:
@@ -347,9 +435,11 @@ def qubit_count(ast: AssertionAst, lengths: LengthMap) -> int:
                for seg in ast.segments)
 
 
-def check_qubit_count(ast: AssertionAst, lengths: LengthMap) -> None:
-    """Refuse a spec over ``MAX_QUBITS`` qubits, before anything expands it."""
-    n = qubit_count(ast, lengths)
+def check_qubit_count(ast: AssertionAst, widths: list[int]) -> None:
+    """Refuse a spec over ``MAX_QUBITS`` qubits, before anything expands it.
+    ``widths`` are its segments' widths, as :func:`check_well_formed`
+    returns them."""
+    n = sum(w * seg.power for w, seg in zip(widths, ast.segments))
     if n > MAX_QUBITS:
         raise LimitExceededError(MAX_QUBITS, (
             f"the spec spans {n} qubits, over the limit of {MAX_QUBITS}"))
@@ -379,8 +469,11 @@ def outer_vars(predicate, terms) -> tuple[str, ...]:
     names = [v for c in predicate for v in varcon_vars(c)]
     outer = set(names)
     for term in terms:
-        kets = [a.name for a in term.pattern if not isinstance(a, Const)]
-        outer |= set(kets) - sum_vars(term)
+        kets = [a.name for a in term.pattern if type(a) is not Const]
+        if term.sum_constraints:
+            outer.update(set(kets).difference(sum_vars(term)))
+        else:
+            outer.update(kets)
         names += kets
     return tuple(v for v in dict.fromkeys(names) if v in outer)
 
@@ -392,8 +485,48 @@ def inner_vars(term, outer) -> tuple[str, ...]:
         if v not in outer))
 
 
-def check_well_formed(ast: AssertionAst, lengths: LengthMap) -> None:
-    """Enforce the static rules on a length-resolved assertion.
+def _ket_scope(predicate: tuple[VarCon, ...], terms: Dirac) -> KetScope:
+    outer = outer_vars(predicate, terms)
+    inner = tuple(inner_vars(t, outer) if t.sum_constraints else () for t in terms)
+    in_pattern = {a.name for t in terms for a in t.pattern if type(a) is not Const}
+    constraints = tuple(chain(predicate, *(t.sum_constraints for t in terms)))
+    absent = next((v for c in constraints for v in varcon_vars(c)
+                   if v not in in_pattern), None)
+    if any(type(c) is NeqVar for c in constraints):
+        sized = _self_sized(predicate, terms, outer, inner)
+    else:
+        # Every constraint names the one variable it sizes, and an inner
+        # variable is named by its own term's.
+        sized = {c.var for c in constraints}.issuperset(outer)
+    return KetScope(outer, inner, absent, sized)
+
+
+def _self_sized(predicate, terms, outer, inner) -> bool:
+    """:attr:`KetScope.sized`.  A variable is keyed by its name when it is
+    outer and by its term's position and name when it is inner."""
+    sized: set = set()
+    ties = []
+    for k, cons in enumerate((predicate, *(t.sum_constraints for t in terms))):
+        for c in cons:
+            if type(c) is NeqVar:
+                ties.append((c.left if c.left in outer else (k, c.left),
+                             c.right if c.right in outer else (k, c.right)))
+            else:
+                sized.add(c.var if c.var in outer else (k, c.var))
+    grew = True
+    while grew:
+        grew = False
+        for x, y in ties:
+            if (x in sized) != (y in sized):
+                sized.update((x, y))
+                grew = True
+    return sized.issuperset(outer) and all(
+        (k, v) in sized for k, names in enumerate(inner, start=1) for v in names)
+
+
+def check_well_formed(ast: AssertionAst, lengths: LengthMap) -> list[int]:
+    """Enforce the static rules on a length-resolved assertion, and return
+    each segment's width, once (its power not applied).
 
     1. every tensor power and every variable spans at least one qubit,
     2. every dirac inside one union denotes states of one qubit count,
@@ -404,6 +537,7 @@ def check_well_formed(ast: AssertionAst, lengths: LengthMap) -> None:
     for var, n in lengths.items():
         if n < 1:
             raise WellFormednessError(f"variable '{var}' spans no qubits")
+    seg_widths = []
     for seg in ast.segments:
         if seg.power < 1:
             raise WellFormednessError(f"tensor power {seg.power} is below 1")
@@ -411,6 +545,7 @@ def check_well_formed(ast: AssertionAst, lengths: LengthMap) -> None:
         for w in widths[1:]:
             if w != widths[0]:
                 raise LengthMismatchError("union members", widths[0], w)
+        seg_widths.append(widths[0])
 
     for con in _all_constraints(ast):
         if isinstance(con, NeqVar):
@@ -426,8 +561,8 @@ def check_well_formed(ast: AssertionAst, lengths: LengthMap) -> None:
                 raise LengthMismatchError(f"{con.var} {op} {con.bits}", n1, n2)
 
     for sq in ast.setqs():
-        outer = set(outer_vars(sq.predicate, sq.terms()))
-        for term in sq.terms():
-            loose = sum_vars(term) - outer - pattern_vars(term)
+        for term, inner in zip(sq.terms(), sq.scope.inner):
+            loose = set(inner).difference(pattern_vars(term)) if inner else ()
             if loose:
-                raise RedundantSummationVarError(sorted(loose)[0])
+                raise RedundantSummationVarError(min(loose))
+    return seg_widths

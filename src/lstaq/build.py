@@ -4,8 +4,20 @@ The entry point is :func:`translate`, which runs the whole pipeline:
 canonicalize, align, abstract constants, reorder slots and qubits, expand
 slices, and compose the per-slice automata with the n-ary ``tensor_chain``
 and ``union_all`` and the two amplitude-domain crossings (``filter_f``,
-``filter_tau``).  A slice's cases are written straight into their union,
-one levelwise automaton each, by :func:`build_setq_lsta` in one pass.
+``filter_tau``).
+
+Its front end derives each fact about a source assertion once and passes
+it on.  Each source's lengths are inferred and checked once, and the check
+returns the segment widths that the qubit count and the tensor alignment
+read.  The fresh-name pool is the union of the source length maps
+(``infer_lengths`` sizes every name or raises), and the canonical length
+map is the sources' renamed.  A canonical form's lengths are checked for
+being inferable only when one of its kets leaves a variable to be sized by
+position (``ast.KetScope.sized``).  The occurrence intervals are walked
+once, for the alignment check and the partition.
+
+A slice's cases are written straight into their union, one levelwise
+automaton each, by :func:`build_setq_lsta` in one pass.
 Neither construction nor composition re-checks its results: ``validate``
 runs once on each finished assertion automaton.  A call keeps one table:
 slice automata keyed by their member states, and compositions and crossings
@@ -264,14 +276,27 @@ class TranslationResult:
 
 def measure(ast: A.AssertionAst, qubits: int, automaton: Lsta,
             peaks: dict[str, int], seconds: float) -> dict:
-    """Count the structural size parameters and the realized sizes."""
-    terms = list(ast.terms())
+    """Count the structural size parameters and the realized sizes.
+
+    ``ast`` is a source assertion; the counts are of its canonical form,
+    where each segment is ``power`` segments and each ket a set of its own.
+    """
+    n_term = n_vc = n_union = 0
+    amplitudes = set()
+    for seg in ast.segments:
+        for sq in seg.base.alternatives:
+            terms = list(sq.terms())
+            amplitudes.update(t.amplitude for t in terms)
+            n_union += seg.power * len(sq.diracs)
+            n_term += seg.power * len(terms)
+            n_vc += seg.power * (len(sq.diracs) * len(sq.predicate)
+                                 + sum(len(t.sum_constraints) for t in terms))
     stats = {
         "qubits": qubits,
-        "n_term": len(terms),
-        "n_vc": sum(1 for sq in ast.setqs() for _ in sq.constraints()),
-        "n_union": sum(len(seg.base.alternatives) for seg in ast.segments),
-        "n_amp": len({t.amplitude for t in terms}),
+        "n_term": n_term,
+        "n_vc": n_vc,
+        "n_union": n_union,
+        "n_amp": len(amplitudes),
         "size": automaton.size,
         "n_leaves": n_leaves(automaton),
         "seconds": seconds,
@@ -301,28 +326,35 @@ def _translate(asts: Sequence[A.AssertionAst]) -> TranslationResult:
     if not asts:
         raise InternalError("translation requires at least one assertion")
 
-    source_lengths = []
+    source_lengths, source_widths = [], []
     for ast in asts:
         source_lengths.append(A.infer_lengths(ast))
-        A.check_well_formed(ast, source_lengths[-1])
+        source_widths.append(A.check_well_formed(ast, source_lengths[-1]))
         # Checked on the source, one ket at a time, so errors name the
         # variables as written.
         for sq in ast.setqs():
-            for dirac in sq.diracs:
-                _check_constrained_vars_occur(A.SetQ((dirac,), sq.predicate))
+            _check_constrained_vars_occur(sq)
     # After every exit-2 check, before canonicalize expands any power.
-    for ast, lengths in zip(asts, source_lengths):
-        A.check_qubit_count(ast, lengths)
+    for ast, widths in zip(asts, source_widths):
+        A.check_qubit_count(ast, widths)
 
-    namer = FreshNamer.for_asts(asts)
-    canon = [canonicalize(ast, namer) for ast in asts]
+    # The names the sources use: infer_lengths sizes each or raises.
+    namer = FreshNamer(set().union(*source_lengths))
+    canon: list[A.AssertionAst] = []
     lengths: A.LengthMap = {}
-    for c in canon:
-        lengths.update(A.infer_lengths(c))
+    for ast, source in zip(asts, source_lengths):
+        origin: dict[str, str] = {}
+        canon.append(canonicalize(ast, namer, origin))
+        lengths.update(zip(origin, map(source.__getitem__, origin.values())))
+    for ast, c in zip(asts, canon):
+        if not all(ket.sized for sq in ast.setqs() for ket in sq.kets):
+            A.check_inferable(c)
 
-    seg_lengths = tensor_alignment_check(canon, lengths)
-    variable_alignment_check(canon, lengths, seg_lengths)
-    aligned = constant_abstraction(canon, lengths, seg_lengths, namer)
+    seg_lengths = tensor_alignment_check([
+        [w for w, seg in zip(widths, ast.segments) for _ in range(seg.power)]
+        for ast, widths in zip(asts, source_widths)])
+    intervals = variable_alignment_check(canon, lengths, seg_lengths)
+    aligned = constant_abstraction(canon, lengths, seg_lengths, namer, intervals)
 
     slot_ids = _slot_ids(aligned.partition)
     orders = tuple(
@@ -387,7 +419,7 @@ def _translate(asts: Sequence[A.AssertionAst]) -> TranslationResult:
             seg_autos.append(seg_auto)
         final = shared("tensor", seg_autos, lambda: tensor_chain(seg_autos))[0]
         validate(final)
-        stats = measure(canon[idx], aligned.partition.total_qubits, final,
+        stats = measure(asts[idx], aligned.partition.total_qubits, final,
                         peaks, time.perf_counter() - ta)
         stats.update(slices=n_slices, slices_built=n_built)
         results.append(

@@ -270,7 +270,8 @@ def _holds(a: Lsta) -> bool:
     its inner tops and interface tops are apart and tile it: each later
     window then tiles its ids and keeps the choice rules exactly where the
     first does.  A child is tested for being an id in the first window, and
-    again moved to the last.
+    again moved to the last; in an explicit ``a``, whose tops are then every
+    id, for being a top.
 
     When only the root has several transitions, which a count of the tops
     shows, every other top has a single choice set, and a frozenset holds
@@ -319,6 +320,10 @@ def _holds(a: Lsta) -> bool:
     if not (distinct and 0 <= root < n
             and len(top_ids) == len(outside) and top_ids.issuperset(outside)):
         return False
+    if blocks is None:
+        # The tops are every id, so a child is an id when it is a top.
+        return (top_ids.issuperset(map(_LEFT, records))
+                and top_ids.issuperset(map(_RIGHT, records)))
     kids = [*map(_LEFT, records), *map(_RIGHT, records), *lasts]
     return not kids or (0 <= min(kids) and max(kids) < n)
 

@@ -26,7 +26,6 @@ from .amplitude import (
     AC_OMEGA,
     AC_ONE,
     COMPLEX,
-    POLY_ZERO,
     AlgebraicComplex,
     QSqrt2,
 )
@@ -79,9 +78,11 @@ def _assignments(names, lengths: A.LengthMap):
 def _denote_setq(sq: A.SetQ, lengths: A.LengthMap,
                  theta: Valuation | None) -> set[StateVector]:
     width = A.pattern_width(next(sq.terms()).pattern, lengths)
-    outer = sorted(A.outer_vars(sq.predicate, sq.terms()))
-    count = sum(1 << sum(lengths[v] for v in (*outer, *A.inner_vars(term, outer)))
-                for term in sq.terms())
+    scope = sq.scope
+    outer = sorted(scope.outer)
+    outer_bits = sum(lengths[v] for v in outer)
+    count = sum(1 << outer_bits + sum(lengths[v] for v in inner)
+                for inner in scope.inner)
     if count > MAX_SET_ASSIGNMENTS:
         raise LimitExceededError(MAX_SET_ASSIGNMENTS, (
             f"the oracle needs {count} assignments for one set, "
@@ -91,7 +92,9 @@ def _denote_setq(sq: A.SetQ, lengths: A.LengthMap,
     if not phis:
         # Substituting below could fail on a set that has no members.
         return set()
-    diracs = [[(term, sorted(A.inner_vars(term, outer)),
+    # Each term's inner assignments, the same under every outer one.
+    inners = iter(scope.inner)
+    diracs = [[(term, list(_assignments(sorted(next(inners)), lengths)),
                 term.amplitude if theta is None
                 else term.amplitude.substitute(theta))
                for term in dirac]
@@ -100,14 +103,15 @@ def _denote_setq(sq: A.SetQ, lengths: A.LengthMap,
     for phi in phis:
         for dirac in diracs:
             amp_map: dict[str, object] = {}
-            for term, inner, amp in dirac:
-                for iphi in _assignments(inner, lengths):
+            for term, iphis, amp in dirac:
+                for iphi in iphis:
                     full = {**phi, **iphi}
                     if not all(varcon_holds(c, full)
                                for c in term.sum_constraints):
                         continue
                     s = _atom_bits(term.pattern, full)
-                    amp_map[s] = amp_map.get(s, POLY_ZERO) + amp
+                    prev = amp_map.get(s)
+                    amp_map[s] = amp if prev is None else prev + amp
             states.add(StateVector.of(width, amp_map, COMPLEX))
     return states
 

@@ -1,15 +1,25 @@
 """Preprocessing: rewrite assertions into slot-aligned constant-free form.
 
 Four steps run in order over a whole translation job (all assertions that
-must share one qubit ordering):
+must share one qubit ordering).  Each reads what the source checks in
+``build.translate`` derived rather than deriving it again:
 
 1. canonicalize    -- expand tensor powers, split multi-state sets into
                       unions of single-state sets, alpha-rename every scope.
-2. tensor_alignment_check    -- equal segment counts and per-segment widths.
-3. variable_alignment_check  -- variable intervals pairwise disjoint or equal.
-4. constant_abstraction      -- compute the global slot partition; replace
-                                constant bits by fresh summation variables
-                                bound with equality constraints.
+                      Each ket is renamed by its scope, ``SetQ.kets``, kept
+                      on the source set; fresh names avoid a pool of the
+                      names the sources' length maps hold, and ``origin``
+                      records each fresh name's source name, so the
+                      canonical length map is the sources' renamed.
+2. tensor_alignment_check    -- equal segment counts and per-segment widths,
+                                read from the widths ``ast.check_well_formed``
+                                returned, one per canonical segment.
+3. variable_alignment_check  -- variable intervals pairwise disjoint or
+                                equal; returns the intervals, walked once.
+4. constant_abstraction      -- cut the global slot partition at those
+                                intervals; replace constant bits by fresh
+                                summation variables bound with equality
+                                constraints.
 
 The output patterns hold one ``ast.Var`` or ``ast.Compl`` per slot, with
 fresh ``c`` variables in place of constant runs, which is the shape the
@@ -68,57 +78,60 @@ class FreshNamer:
 # ---------------------------------------------------------------------------
 
 
-def _sub_atom(atom: A.Atom, mapping: dict[str, str]) -> A.Atom:
-    if isinstance(atom, A.Var):
-        return A.Var(mapping.get(atom.name, atom.name))
-    if isinstance(atom, A.Compl):
-        return A.Compl(mapping.get(atom.name, atom.name))
-    return atom
-
-
 def _sub_varcon(c: A.VarCon, mapping: dict[str, str]) -> A.VarCon:
-    if isinstance(c, A.Len):
-        return A.Len(mapping.get(c.var, c.var), c.n)
-    if isinstance(c, A.NeqVar):
-        return A.NeqVar(mapping.get(c.left, c.left), mapping.get(c.right, c.right))
-    if isinstance(c, A.NeqConst):
-        return A.NeqConst(mapping.get(c.var, c.var), c.bits)
-    return A.EqConst(mapping.get(c.var, c.var), c.bits)
+    kind = type(c)
+    if kind is A.NeqVar:
+        return A.NeqVar(mapping[c.left], mapping[c.right])
+    if kind is A.Len:
+        return A.Len(mapping[c.var], c.n)
+    return kind(mapping[c.var], c.bits)
 
 
-def _rename_setq(sq: A.SetQ, namer: FreshNamer) -> A.SetQ:
-    (dirac,) = sq.diracs
-    outer = A.outer_vars(sq.predicate, dirac)
-    omap = {v: namer.fresh(v) for v in outer}
+def _rename_ket(dirac: A.Dirac, predicate: tuple[A.VarCon, ...],
+                scope: A.KetScope, namer: FreshNamer,
+                origin: dict[str, str] | None) -> A.SetQ:
+    """The set of one ket with the predicate, each scope's names fresh.
+    The scope holds every name the ket uses."""
+    omap = {v: namer.fresh(v) for v in scope.outer}
+    if origin is not None:
+        origin.update(zip(omap.values(), omap))
     terms = []
-    for term in dirac:
-        tmap = dict(omap)
-        tmap.update({v: namer.fresh(v) for v in A.inner_vars(term, omap)})
+    for term, inner in zip(dirac, scope.inner):
+        tmap = omap
+        if inner:
+            fresh = {v: namer.fresh(v) for v in inner}
+            if origin is not None:
+                origin.update(zip(fresh.values(), fresh))
+            tmap = {**omap, **fresh}
         terms.append(A.Term(
             term.amplitude,
             tuple(_sub_varcon(c, tmap) for c in term.sum_constraints),
-            tuple(_sub_atom(a, tmap) for a in term.pattern),
+            tuple(a if type(a) is A.Const else type(a)(tmap[a.name])
+                  for a in term.pattern),
         ))
-    predicate = tuple(_sub_varcon(c, omap) for c in sq.predicate)
+    predicate = tuple(_sub_varcon(c, omap) for c in predicate)
     return A.SetQ((tuple(terms),), predicate)
 
 
-def canonicalize(ast: A.AssertionAst, namer: FreshNamer | None = None) -> A.AssertionAst:
+def canonicalize(ast: A.AssertionAst, namer: FreshNamer | None = None,
+                 origin: dict[str, str] | None = None) -> A.AssertionAst:
     """Expand powers, split multi-state sets, and alpha-rename all scopes.
 
     The denoted state set is unchanged.  Copies produced by power expansion
     are renamed independently, which is exactly the independence the tensor
-    power means.
+    power means.  Each ket is renamed by its scope, ``SetQ.kets``, kept on
+    the source set, so the copies of a power share it.  ``origin``, when
+    given, receives each fresh name's source name.
     """
     namer = namer or FreshNamer.for_asts([ast])
     segments = []
     for pset in ast.segments:
+        kets = [(dirac, sq.predicate, scope) for sq in pset.base.alternatives
+                for dirac, scope in zip(sq.diracs, sq.kets)]
         for _ in range(pset.power):
-            alts = []
-            for sq in pset.base.alternatives:
-                for dirac in sq.diracs:
-                    alts.append(_rename_setq(A.SetQ((dirac,), sq.predicate), namer))
-            segments.append(A.PSet(A.USet(tuple(alts)), 1))
+            alts = tuple(_rename_ket(dirac, predicate, scope, namer, origin)
+                         for dirac, predicate, scope in kets)
+            segments.append(A.PSet(A.USet(alts), 1))
     return A.AssertionAst(tuple(segments), ast.constraint)
 
 
@@ -127,20 +140,22 @@ def canonicalize(ast: A.AssertionAst, namer: FreshNamer | None = None) -> A.Asse
 # ---------------------------------------------------------------------------
 
 
-def tensor_alignment_check(asts, lengths: A.LengthMap) -> list[int]:
-    """Check segment structure across assertions; return per-segment widths."""
-    counts = sorted({len(ast.segments) for ast in asts})
+def tensor_alignment_check(widths) -> list[int]:
+    """Check segment structure across assertions; return per-segment widths.
+
+    ``widths`` holds each canonical assertion's segment widths.  A
+    canonical segment is one copy of a well-formed source segment, whose
+    kets all span its width, so one width per segment stands for them all.
+    """
+    counts = sorted({len(ws) for ws in widths})
     if len(counts) > 1:
         raise SegmentCountMismatchError(counts[0], counts[1])
     seg_lengths: list[int] = []
-    for s in range(counts[0]):
-        widths = sorted({
-            A.pattern_width(term.pattern, lengths)
-            for ast in asts for term in ast.segments[s].terms()
-        })
-        if len(widths) > 1:
-            raise SegmentLengthMismatchError(s + 1, widths[0], widths[1])
-        seg_lengths.append(widths[0])
+    for s, column in enumerate(zip(*widths)):
+        found = sorted(set(column))
+        if len(found) > 1:
+            raise SegmentLengthMismatchError(s + 1, found[0], found[1])
+        seg_lengths.append(found[0])
     return seg_lengths
 
 
@@ -154,12 +169,15 @@ def _segment_starts(seg_lengths: list[int]) -> list[int]:
     return list(itertools.accumulate(seg_lengths, initial=1))
 
 
-def _occurrence_intervals(asts, lengths: A.LengthMap, starts: list[int]):
-    """Yield (var, start, end, segment) for every variable occurrence.
+def _occurrence_intervals(asts, lengths: A.LengthMap, starts: list[int]
+                          ) -> dict[tuple[int, int], tuple[str, int]]:
+    """Map each variable occurrence's ``(start, end)`` to the variable and
+    the segment of its first occurrence, in walk order.
 
     Positions are global and 1-based; constants advance the cursor but
     produce no interval.
     """
+    intervals: dict[tuple[int, int], tuple[str, int]] = {}
     for ast in asts:
         for s, pset in enumerate(ast.segments):
             for term in pset.terms():
@@ -169,25 +187,28 @@ def _occurrence_intervals(asts, lengths: A.LengthMap, starts: list[int]):
                         pos += len(atom.bits)
                     else:
                         w = lengths[atom.name]
-                        yield atom.name, pos, pos + w, s
+                        intervals.setdefault((pos, pos + w), (atom.name, s))
                         pos += w
                 if pos != starts[s + 1]:
                     raise InternalError(
                         f"segment {s + 1} pattern width drifted")
+    return intervals
 
 
 def variable_alignment_check(asts, lengths: A.LengthMap,
-                             seg_lengths: list[int]) -> None:
-    """Require all occurrence intervals to be pairwise disjoint or identical."""
-    intervals: dict[tuple[int, int], str] = {}
-    for var, start, end, _seg in _occurrence_intervals(
-            asts, lengths, _segment_starts(seg_lengths)):
-        intervals.setdefault((start, end), var)
+                             seg_lengths: list[int]):
+    """Require all occurrence intervals to be pairwise disjoint or identical.
+
+    Returns the intervals, as :func:`_occurrence_intervals` maps them, for
+    :func:`constant_abstraction` to cut the partition at.
+    """
+    intervals = _occurrence_intervals(asts, lengths, _segment_starts(seg_lengths))
     spans = sorted(intervals)
     for (a, b), (c, d) in zip(spans, spans[1:]):
         if c < b:
-            raise VariableOverlapError(intervals[(a, b)], (a, b),
-                                       intervals[(c, d)], (c, d))
+            raise VariableOverlapError(intervals[(a, b)][0], (a, b),
+                                       intervals[(c, d)][0], (c, d))
+    return intervals
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +274,14 @@ class AlignedSpec:
     lengths: dict[str, int]
 
 
-def _build_partition(asts, lengths, starts: list[int]) -> GlobalPartition:
+def _build_partition(intervals, starts: list[int]) -> GlobalPartition:
     """Cut each segment at the ends of its variable intervals.
 
     The intervals are pairwise disjoint or equal (variable alignment), so
     the cuts give every interval one slot and every gap between them one.
     """
     cuts = [{starts[s], starts[s + 1]} for s in range(len(starts) - 1)]
-    for _v, start, end, s in _occurrence_intervals(asts, lengths, starts):
+    for (start, end), (_v, s) in intervals.items():
         cuts[s].update((start, end))
     index = itertools.count(1)
     segments = []
@@ -271,17 +292,19 @@ def _build_partition(asts, lengths, starts: list[int]) -> GlobalPartition:
     return GlobalPartition(tuple(segments))
 
 
-def _abstract_term(term: A.Term, seg_slots: tuple[Slot, ...], seg_start: int,
+def _abstract_term(term: A.Term, by_start: dict[int, Slot], seg_start: int,
                    lengths: dict[str, int], namer: FreshNamer):
-    """Rewrite one term's pattern into one atom per slot."""
+    """Rewrite one term's pattern into one atom per slot; ``by_start``
+    holds the segment's slots by their first qubit."""
     atoms: list[A.Atom] = []
     extra: list[A.VarCon] = []
-    by_start = {s.start: s for s in seg_slots}
     pos = seg_start
     pending = ""  # accumulated constant bits ending just before pos
-
-    def flush() -> None:
-        nonlocal pending
+    for atom in (*term.pattern, None):
+        if type(atom) is A.Const:
+            pending += atom.bits
+            pos += len(atom.bits)
+            continue
         start = pos - len(pending)
         while pending:
             slot = by_start.get(start)
@@ -293,12 +316,8 @@ def _abstract_term(term: A.Term, seg_slots: tuple[Slot, ...], seg_start: int,
             extra.append(A.EqConst(fresh, pending[: slot.width]))
             pending = pending[slot.width:]
             start += slot.width
-    for atom in term.pattern:
-        if isinstance(atom, A.Const):
-            pending += atom.bits
-            pos += len(atom.bits)
-            continue
-        flush()
+        if atom is None:
+            break
         w = lengths[atom.name]
         slot = by_start.get(pos)
         if slot is None or slot.width != w:
@@ -306,38 +325,40 @@ def _abstract_term(term: A.Term, seg_slots: tuple[Slot, ...], seg_start: int,
                 f"variable '{atom.name}' does not align with its slot")
         atoms.append(atom)
         pos += w
-    flush()
+    if not extra:
+        return term
     return A.Term(term.amplitude, term.sum_constraints + tuple(extra),
                   tuple(atoms))
 
 
 def _check_constrained_vars_occur(sq: A.SetQ) -> None:
-    """Every variable that ``sq`` constrains occurs in one of its patterns."""
-    in_pattern = set().union(*map(A.pattern_vars, sq.terms()))
-    for c in sq.constraints():
-        for v in A.varcon_vars(c):
-            if v not in in_pattern:
-                raise ScopeError(f"variable '{v}' is constrained but "
-                                 "never appears in a pattern")
+    """Every variable that one of ``sq``'s kets constrains occurs in one of
+    that ket's patterns (``KetScope.absent``)."""
+    for ket in sq.kets:
+        if ket.absent is not None:
+            raise ScopeError(f"variable '{ket.absent}' is constrained but "
+                             "never appears in a pattern")
 
 
 def constant_abstraction(asts, lengths: A.LengthMap, seg_lengths: list[int],
-                         namer: FreshNamer) -> AlignedSpec:
-    """Compute the global partition and rewrite every set into a SetP."""
+                         namer: FreshNamer, intervals) -> AlignedSpec:
+    """Compute the global partition at ``intervals``, as
+    :func:`variable_alignment_check` returns them, and rewrite every set
+    into a SetP."""
     starts = _segment_starts(seg_lengths)
-    partition = _build_partition(asts, lengths, starts)
+    partition = _build_partition(intervals, starts)
     out_lengths = dict(lengths)
     uid = 0
     assertions = []
     for ast in asts:
         segments = []
         for s, pset in enumerate(ast.segments):
-            seg_slots = partition.segments[s]
+            by_start = {sl.start: sl for sl in partition.segments[s]}
             alts = []
             for sq in pset.base.alternatives:
                 (dirac,) = sq.diracs
                 terms = tuple(
-                    _abstract_term(t, seg_slots, starts[s], out_lengths, namer)
+                    _abstract_term(t, by_start, starts[s], out_lengths, namer)
                     for t in dirac
                 )
                 alts.append(SetP(uid, terms, sq.predicate))
