@@ -451,13 +451,6 @@ def pattern_vars(term: Term) -> frozenset[str]:
     )
 
 
-def sum_vars(term: Term) -> frozenset[str]:
-    out = set()
-    for con in term.sum_constraints:
-        out.update(varcon_vars(con))
-    return frozenset(out)
-
-
 def outer_vars(predicate, terms) -> tuple[str, ...]:
     """The variables a set enumerates, in first-occurrence order.
 
@@ -466,16 +459,29 @@ def outer_vars(predicate, terms) -> tuple[str, ...]:
     kets left to right.  Fresh names and slice case order follow it.
     ``terms`` may hold ``Term``s or projected ``var_reorder.VTerm``s.
     """
-    names = [v for c in predicate for v in varcon_vars(c)]
-    outer = set(names)
+    return _walk(predicate, terms)[0]
+
+
+def _walk(predicate, terms):
+    """:func:`outer_vars`, as a tuple and as a set, with what its walk reads
+    on the way: the variables the predicate names, and each term's pattern
+    variables and summation variables (``()`` for a term with no
+    summation), each in order."""
+    named = [v for c in predicate for v in varcon_vars(c)]
+    outer = set(named)
+    kets, sums = [], []
     for term in terms:
-        kets = [a.name for a in term.pattern if type(a) is not Const]
+        ket = [a.name for a in term.pattern if type(a) is not Const]
         if term.sum_constraints:
-            outer.update(set(kets).difference(sum_vars(term)))
+            summed = [v for c in term.sum_constraints for v in varcon_vars(c)]
+            outer.update(set(ket).difference(summed))
         else:
-            outer.update(kets)
-        names += kets
-    return tuple(v for v in dict.fromkeys(names) if v in outer)
+            summed = ()
+            outer.update(ket)
+        kets.append(ket)
+        sums.append(summed)
+    first = dict.fromkeys(chain(named, *kets))
+    return tuple(v for v in first if v in outer), outer, named, kets, sums
 
 
 def inner_vars(term, outer) -> tuple[str, ...]:
@@ -486,18 +492,25 @@ def inner_vars(term, outer) -> tuple[str, ...]:
 
 
 def _ket_scope(predicate: tuple[VarCon, ...], terms: Dirac) -> KetScope:
-    outer = outer_vars(predicate, terms)
-    inner = tuple(inner_vars(t, outer) if t.sum_constraints else () for t in terms)
-    in_pattern = {a.name for t in terms for a in t.pattern if type(a) is not Const}
-    constraints = tuple(chain(predicate, *(t.sum_constraints for t in terms)))
-    absent = next((v for c in constraints for v in varcon_vars(c)
-                   if v not in in_pattern), None)
-    if any(type(c) is NeqVar for c in constraints):
+    """One walk over the ket's terms (:func:`_walk`); every field is
+    derived from what it read."""
+    outer, outer_set, named, kets, sums = _walk(predicate, terms)
+    # inner_vars of each term.
+    inner = tuple(tuple(dict.fromkeys(v for v in summed if v not in outer_set))
+                  if summed else () for summed in sums)
+    in_pattern = set(chain.from_iterable(kets))
+    constrained = set(named).union(*sums)
+    absent = None
+    if not constrained <= in_pattern:
+        absent = next(v for v in chain(named, *sums) if v not in in_pattern)
+    # A `!=` of two variables is the one constraint that names two.
+    if len(named) > len(predicate) or any(
+            len(summed) > len(t.sum_constraints) for summed, t in zip(sums, terms)):
         sized = _self_sized(predicate, terms, outer, inner)
     else:
         # Every constraint names the one variable it sizes, and an inner
         # variable is named by its own term's.
-        sized = {c.var for c in constraints}.issuperset(outer)
+        sized = constrained.issuperset(outer)
     return KetScope(outer, inner, absent, sized)
 
 

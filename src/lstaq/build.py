@@ -17,7 +17,13 @@ position (``ast.KetScope.sized``).  The occurrence intervals are walked
 once, for the alignment check and the partition.
 
 A slice's cases are written straight into their union, one levelwise
-automaton each, by :func:`build_setq_lsta` in one pass.
+automaton each, by :func:`build_setq_lsta` in one pass.  A projected set
+is the tensor of its slot components' slice tensors.  Only a set of
+several components builds a ``TAG`` automaton: ``filter_f`` of each
+component, their tensor, then ``filter_tau``.  A set of one component,
+nearly every set in practice, crosses once: its slice tensor's leaves map
+straight into ``COMPLEX`` by ``filter_tau(filter_f(e), amplitudes)``,
+since the tensor of one automaton is that automaton.
 Neither construction nor composition re-checks its results: ``validate``
 runs once on each finished assertion automaton.  A call keeps one table:
 slice automata keyed by their member states, and compositions and crossings
@@ -385,7 +391,7 @@ def _translate(asts: Sequence[A.AssertionAst]) -> TranslationResult:
         for s, ids in enumerate(slot_ids):
             alt_autos: list[Lsta] = []
             for sp in assertion.segments[s]:
-                mv_autos: list[Lsta] = []
+                mq_autos: list[Lsta] = []
                 for v in project_setP(sp, orders[s], ids):
                     _table, slices = expand_qubit_slices(v, aligned.lengths)
                     # Slices with equal columns share one cases tuple, so
@@ -405,13 +411,23 @@ def _translate(asts: Sequence[A.AssertionAst]) -> TranslationResult:
                     n_slices += len(pieces)
                     mq, peak = shared("tensor", pieces, lambda: tensor_chain(pieces))
                     peaks["slice"] = max(peaks["slice"], peak)
-                    mv = shared("filter_f", (mq,), lambda: map_leaves(mq, filter_f, TAG))
-                    peaks["setv"] = max(peaks["setv"], mv.size)
-                    mv_autos.append(mv)
+                    # A leaf map keeps every transition: filter_f of mq has
+                    # its size.
+                    peaks["setv"] = max(peaks["setv"], mq.size)
+                    mq_autos.append(mq)
                 amplitudes = tuple(t.amplitude for t in sp.terms)
-                mt = shared("tensor", mv_autos, lambda: tensor_chain(mv_autos))[0]
-                mp = shared("filter_tau", (mt,), lambda: map_leaves(
-                    mt, lambda e: filter_tau(e, amplitudes), COMPLEX), *amplitudes)
+                if len(mq_autos) == 1:
+                    # The tensor of one TAG automaton is that automaton, so
+                    # both crossings are one leaf map.
+                    mp = shared("filter", mq_autos, lambda: map_leaves(
+                        mq_autos[0], lambda e: filter_tau(filter_f(e), amplitudes),
+                        COMPLEX), *amplitudes)
+                else:
+                    mv_autos = [shared("filter_f", (mq,), lambda: map_leaves(mq, filter_f, TAG))
+                                for mq in mq_autos]
+                    mt = shared("tensor", mv_autos, lambda: tensor_chain(mv_autos))[0]
+                    mp = shared("filter_tau", (mt,), lambda: map_leaves(
+                        mt, lambda e: filter_tau(e, amplitudes), COMPLEX), *amplitudes)
                 peaks["setp"] = max(peaks["setp"], mp.size)
                 alt_autos.append(mp)
             seg_auto = shared("union", alt_autos, lambda: union_all(alt_autos))

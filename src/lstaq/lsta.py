@@ -403,8 +403,13 @@ class StateVector(NamedTuple):
 
 
 def permute_state(psi: StateVector, new_to_old: tuple[int, ...]) -> StateVector:
-    """Reindex qubits: position k of the result reads old position new_to_old[k-1]."""
+    """Reindex qubits: position k of the result reads old position new_to_old[k-1].
+
+    The identity returns ``psi`` itself, whose entries are sorted already.
+    """
     assert len(new_to_old) == psi.n
+    if new_to_old == tuple(range(1, psi.n + 1)):
+        return psi
     entries = tuple(
         sorted(("".join(s[p - 1] for p in new_to_old), v) for s, v in psi.entries)
     )

@@ -10,6 +10,11 @@ exactly first, as sets of polynomial states; sampled valuations are
 substituted only when those sets differ.  Polynomials are canonical, so
 equal symbolic sets stay equal under every valuation, and the shortcut
 never changes a verdict.
+
+The sampled valuations draw every value from ``_POOL``.  A constraint
+formula reads a value's real and imaginary parts in ``Q(sqrt2)``; those
+of the pool values are derived once, at import (``_POOL_PARTS``), and
+only a value from outside the pool is derived as it is read.
 """
 
 from __future__ import annotations
@@ -196,6 +201,10 @@ _POOL: tuple[AlgebraicComplex, ...] = (
     AC_OMEGA,
 )
 
+# Each pool value's real and imaginary parts, as ``_cexpr_val`` reads them.
+_POOL_PARTS: dict[AlgebraicComplex, tuple[QSqrt2, QSqrt2]] = {
+    v: (QSqrt2(*v.real_parts()), QSqrt2(*v.imag_parts())) for v in _POOL}
+
 _SEARCH_LIMIT = 4096
 
 
@@ -226,8 +235,10 @@ def _cexpr_val(e: A.CExpr, theta: Valuation) -> QSqrt2:
     if isinstance(e, (A.CRe, A.CIm, A.CAbsSq)):
         if e.var not in theta:
             raise UnboundComplexVarError(e.var)
-        re = QSqrt2(*theta[e.var].real_parts())
-        im = QSqrt2(*theta[e.var].imag_parts())
+        value = theta[e.var]
+        parts = _POOL_PARTS.get(value)
+        re, im = parts if parts is not None else (
+            QSqrt2(*value.real_parts()), QSqrt2(*value.imag_parts()))
         if isinstance(e, A.CRe):
             return re
         if isinstance(e, A.CIm):
@@ -272,13 +283,15 @@ def satisfying_theta(constraint: A.CCons, names) -> Valuation | None:
     return None
 
 
-def sample_thetas(asts) -> list[Valuation]:
+def sample_thetas(asts, names: list[str] | None = None) -> list[Valuation]:
     """Three deterministic valuations covering every amplitude variable.
 
     Adds, per trailing constraint formula, one valuation satisfying it
-    whenever the bounded pool search finds one.
+    whenever the bounded pool search finds one.  ``names``, when given, is
+    :func:`amplitude_vars` of ``asts``.
     """
-    names = amplitude_vars(asts)
+    if names is None:
+        names = amplitude_vars(asts)
     if not names:
         return []
     thetas = [
@@ -373,7 +386,7 @@ def differential_check(asts, thetas: list[Valuation] | None = None,
         raise CapExceededError(n, cap)
     names = amplitude_vars(asts)
     if thetas is None:
-        thetas = sample_thetas(asts)
+        thetas = sample_thetas(asts, names)
     bound = all(theta.keys() >= set(names) for theta in thetas)
 
     reports = []

@@ -74,9 +74,17 @@ def constraint_table(v: SetV) -> dict[int, tuple[A.VarCon, ...]]:
             for t in v.terms}
 
 
+def _texts(k: int) -> tuple[str, ...]:
+    return tuple(map("".join, itertools.product("01", repeat=k)))
+
+
+# Widths up to 8 are built once: 511 texts in all.
+_VALUES = tuple(map(_texts, range(9)))
+
+
 def _values(k: int) -> tuple[str, ...]:
     """Every assignment of ``k`` bits in order, as a text."""
-    return tuple(map("".join, itertools.product("01", repeat=k)))
+    return _VALUES[k] if k < len(_VALUES) else _texts(k)
 
 
 def expand_qubit_slices(v: SetV, lengths: dict[str, int]):

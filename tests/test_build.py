@@ -10,6 +10,7 @@ import pytest
 from lstaq import ast as A
 from lstaq.amplitude import (
     COMPLEX,
+    TAG,
     VAL_ZERO,
     VALUATION,
     AmplitudePoly,
@@ -381,6 +382,34 @@ def test_identical_assertions_share_every_composition(monkeypatch):
     assert calls == once
     first, second = result.assertions
     assert first.automaton is second.automaton
+
+
+@pytest.mark.parametrize("source, components", [
+    ("{ |x y> : |x| = 1, |y| = 1, x != y }", [1]),
+    ("{ |x y> : |x| = 1, |y| = 1, y = 1 }", [2]),
+    ("{ |x y z> : |x| = 1, |y| = 1, |z| = 1, x != y }", [2]),
+    # The union's sets share one slot order.
+    ("{ a |x> + b |~x> : |x| = 2 } \\/ { |1 0> }", [1, 1]),
+])
+def test_one_component_sets_cross_to_amplitudes_in_one_leaf_map(
+        monkeypatch, source, components):
+    import lstaq.build as build
+
+    calls = []
+    real = build.map_leaves
+    monkeypatch.setattr(build, "map_leaves",
+                        lambda *args: calls.append(args[2]) or real(*args))
+    result = translate([parse(source)])
+    (assertion,) = result.aligned.assertions
+    (ids,) = build._slot_ids(result.aligned.partition)
+    (order,) = result.orders
+    assert [len(list(build.project_setP(sp, order, ids)))
+            for sp in assertion.segments[0]] == components
+    # One leaf map straight into COMPLEX per one-component set; filter_f
+    # per component, then filter_tau, per set of several.  No component
+    # automaton here recurs, so none is shared.
+    assert calls == [semiring for k in components
+                     for semiring in ([COMPLEX] if k == 1 else [TAG] * k + [COMPLEX])]
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -794,6 +794,23 @@ def test_permute_state_reorders_positions():
     assert permute_state(psi, (1, 2, 3)) == psi
 
 
+def test_the_identity_permutation_returns_the_state_itself():
+    rng = random.Random(0x51D)
+    for n in range(1, 7):
+        for _ in range(20):
+            strings = rng.sample(range(1 << n), rng.randint(0, min(6, 1 << n)))
+            psi = vec(n, {format(x, f"0{n}b"): rng.choice(["1", "-1", "i", "1/sqrt2"])
+                          for x in strings})
+            identity = tuple(range(1, n + 1))
+            assert permute_state(psi, identity) is psi
+            # The general path, for the identity and for another order:
+            # every string reindexed, then the entries sorted.
+            for order in (identity, tuple(rng.sample(identity, n))):
+                general = tuple(sorted(("".join(s[p - 1] for p in order), v)
+                                       for s, v in psi.entries))
+                assert permute_state(psi, order) == (n, general)
+
+
 def test_substitute_state_drops_vanishing_entries():
     sv = StateVector.of(1, {"0": AmplitudePoly.var("a"),
                             "1": AmplitudePoly.from_int(1)}, COMPLEX)

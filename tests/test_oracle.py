@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from lstaq import ast as A
 import lstaq.oracle as oracle_mod
-from lstaq.amplitude import AC_ONE, COMPLEX, AmplitudePoly, AlgebraicComplex
+from lstaq.amplitude import AC_ONE, COMPLEX, AlgebraicComplex, AmplitudePoly, QSqrt2
 from lstaq.cli import bench_groups
 from lstaq.errors import (
     CapExceededError,
@@ -200,6 +200,34 @@ def test_sample_thetas_covers_amplitude_names():
     assert len(thetas) >= 3
     assert all(set(t) == {"ah", "al"} for t in thetas)
     assert sample_thetas(parse_many("{ |0> }")) == []
+
+
+def test_sample_thetas_reads_the_names_it_is_given():
+    asts = parse_many("bigU[ |ah|^2 > 1/2 ] { ah |0> + al |1> } ;; { b |0> }")
+    names = amplitude_vars(asts)
+    assert sample_thetas(asts, names) == sample_thetas(asts)
+
+
+def test_the_pool_table_holds_the_parts_of_every_pool_value():
+    assert list(oracle_mod._POOL_PARTS) == list(oracle_mod._POOL)
+    for v, (re, im) in oracle_mod._POOL_PARTS.items():
+        assert re == QSqrt2(*v.real_parts()) and im == QSqrt2(*v.imag_parts())
+    # A value outside the pool is derived as it is read.
+    theta = {"a": AlgebraicComplex.make(3, 0, -1, 0, 2)}
+    assert ccons_eval(formula_of("re(a) = 3/2 && im(a) = -1/2"), theta)
+
+
+@pytest.mark.parametrize("source", [
+    "bigU[ |ah|^2 > 1/2 ] { ah |0> + al |1> } ;; { b |0> }",
+    "{ |0 0> } ;; { |1 1> }",
+])
+def test_differential_check_collects_the_amplitude_names_once(monkeypatch, source):
+    calls = []
+    real = oracle_mod.amplitude_vars
+    monkeypatch.setattr(oracle_mod, "amplitude_vars",
+                        lambda asts: calls.append(asts) or real(asts))
+    assert differential_check(parse_many(source)).ok
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -403,6 +403,14 @@ def test_slice_expansion_past_its_limit_raises_before_any_case(monkeypatch):
                               f"over the limit of {MAX_SLICE_ASSIGNMENTS}")
 
 
+def test_assignment_texts_up_to_eight_bits_are_built_once():
+    for k in range(12):
+        texts = qubit_reorder._values(k)
+        assert texts == tuple("".join(bits) for bits in itertools.product("01", repeat=k))
+        assert (texts is qubit_reorder._values(k)) == (k <= 8)
+    assert sum(map(len, qubit_reorder._VALUES)) == 511
+
+
 def test_slice_assignment_count_is_checked_against_the_limit(monkeypatch):
     monkeypatch.setattr(qubit_reorder, "MAX_SLICE_ASSIGNMENTS", 2 ** 5)
     translate([parse(neq_graph("chain", 5))])  # exactly at the limit

@@ -34,7 +34,8 @@ from ab_inproc import build_jobs, load, run_job  # noqa: E402
 CLOCK = time.process_time
 
 # (label, module, attribute), in pipeline order.  The front end is every
-# step of ``build._translate`` before the qubit permutation.
+# step of ``build._translate`` before the qubit permutation.  The jobs call
+# ``write_lsta`` and ``membership`` on the package itself.
 STAGES = (
     ("parse", "", "parse"),
     ("infer_lengths", "ast", "infer_lengths"),
@@ -58,9 +59,12 @@ STAGES = (
     ("union_all", "build", "union_all"),
     ("validate", "build", "validate"),
     ("measure", "build", "measure"),
+    ("write_lsta", "", "write_lsta"),
     ("oracle._denote", "oracle", "_denote"),
+    ("permute_state", "oracle", "permute_state"),
     ("enumerate_language", "lsta", "enumerate_language"),
     ("sample_thetas", "oracle", "sample_thetas"),
+    ("membership", "", "membership"),
 )
 
 
