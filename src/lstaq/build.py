@@ -209,14 +209,17 @@ def filter_f(e: ValAmp) -> frozenset[int]:
 
 def filter_tau(e: frozenset,
                amplitudes: Sequence[AmplitudePoly]) -> AmplitudePoly:
-    """Sum the amplitudes of the surviving tags; tag ``m`` reads ``amplitudes[m - 1]``."""
-    out = POLY_ZERO
+    """Sum the amplitudes of the surviving tags; tag ``m`` reads ``amplitudes[m - 1]``.
+
+    The sum starts from the first tag's amplitude, which ``POLY_ZERO`` plus
+    it equals; no tag leaves ``POLY_ZERO``."""
+    out = None
     for m in sorted(e):
         if not 1 <= m <= len(amplitudes):
             raise InternalError(
                 f"tag {m} names no term of a {len(amplitudes)}-term set")
-        out = out + amplitudes[m - 1]
-    return out
+        out = amplitudes[m - 1] if out is None else out + amplitudes[m - 1]
+    return POLY_ZERO if out is None else out
 
 
 # ---------------------------------------------------------------------------

@@ -35,15 +35,18 @@ distinct leaf value of what came before.  The first operand's
 interchangeable leaf states are merged before the first graft: the ids
 below its first merged state keep their numbers, so only the ids from that
 state up are numbered again, and only the transitions that reach them are
-rebuilt.  Each graft plans its operand, so a copy is numbered in the plan's
-local id order, and it merges a copy's interchangeable leaf states as the
-copy is grafted; its peak is the largest intermediate size of a left fold
-of binary tensors, counted before its merges.  A graft whose leaves have
-its frontier's shape starts a run of one operand object: each further
-merged graft of it finds that frontier again, shifted, so the whole run is
-placed by integer arithmetic, as shifted copies of that graft, with leaf
-transitions only for the run's last graft.  Outside runs, both cost time
-linear in the size of their result.
+rebuilt.  A call plans each distinct operand object once, and scales its
+leaves once per distinct leaf value it is grafted onto.  A graft lays its
+copies out one after another in the plan's local id order and, unless it
+is the last, then merges the copies' interchangeable leaf states, so the
+states it keeps are numbered in that order; its peak is the largest
+intermediate size of a left fold of binary tensors, counted before its
+merges.  A graft whose leaves have its frontier's shape starts a run of
+one operand object: each further merged graft of it finds that frontier
+again, shifted, so the whole run is placed by integer arithmetic, as
+shifted copies of that graft, with leaf transitions only for the run's
+last graft, whose set-up the unmerged last graft of the same operand
+reuses.  Outside runs, both cost time linear in the size of their result.
 They assert their size bounds but do not :func:`validate` their results;
 callers validate a finished automaton once.  Neither changes its operands,
 so the same automaton object may be passed several times, as translation
@@ -151,6 +154,7 @@ would lend a ``StateVector`` raise ``TypeError``.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, compress, islice, repeat, takewhile
@@ -666,19 +670,28 @@ def union(a: Lsta, b: Lsta) -> Lsta:
     return union_all([a, b])
 
 
-def _plan(b: Lsta) -> tuple:
+# How a piece is grafted, over local ids (:func:`_plan`).
+_Plan = namedtuple("_Plan", "n_ids roots inner leaves width inner_max runs amplitudes slots size")
+
+
+def _plan(b: Lsta) -> _Plan:
     """How ``b`` is grafted, over local ids: its ids without the root's, so
-    those above the root move down by one.  A copy numbers its states in
-    local id order, each merged state taking none.
+    those above the root move down by one, and a copy numbers its states in
+    local id order.
 
     Returns the number of local ids; the root transitions, their choices as
     indexes into the sorted root choices; the inner and the leaf
-    transitions; the number of root choices; the largest inner choice; and
+    transitions; the number of root choices; the largest inner choice;
     ``b``'s runs (:func:`_runs_of`), each with the index of the inner
-    transition it goes before.  A run's ids are above the root and below
-    every leaf state, so a copy moves them by one offset (:func:`_shift`).
+    transition it goes before; the distinct leaf amplitudes and each leaf's
+    index among them, so a copy scales each once; and ``b``'s size.  A
+    piece whose root is its last id, as ``build.build_setq_lsta`` builds
+    it, keeps its transitions as they are.  A run's ids are above the root
+    and below every leaf state, so a copy moves them by one offset
+    (:func:`_shift`).
     """
     root = b.root
+    last = root == len(b.states) - 1
     root_trans: list[Internal] = []
     inner: list[tuple] = []
     runs: list[tuple[int, _Run]] = []
@@ -686,18 +699,43 @@ def _plan(b: Lsta) -> tuple:
         if type(block) is _Run:
             runs.append((len(inner), block))
             continue
-        root_trans += [t for t in block if t.top == root]
-        inner += [(t - (t > root), c, l - (l > root), r - (r > root))
-                  for t, c, l, r in block if t != root]
+        root_trans += [t for t in block if t[0] == root]
+        if last:
+            inner += [t for t in block if t[0] != root]
+        else:
+            inner += [(t - (t > root), c, l - (l > root), r - (r > root))
+                      for t, c, l, r in block if t != root]
     if not root_trans:
         raise InternalError("right tensor operand has no root transitions")
-    index = {c: i for i, c in enumerate(sorted({c for t in root_trans for c in t.choices}))}
-    roots = [(tuple(index[c] for c in cs), l - (l > root), r - (r > root))
+    index = {c: i for i, c in enumerate(sorted(frozenset().union(*map(_CHOICES, root_trans))))}
+    roots = [(tuple(map(index.__getitem__, cs)), l - (l > root), r - (r > root))
              for _t, cs, l, r in root_trans]
-    leaves = [(t - (t > root), c, amplitude) for t, c, amplitude in b.leaves]
-    inner_max = max(chain((c for _t, cs, _l, _r in inner for c in cs),
-                          (run.top for _at, run in runs)), default=0)
-    return len(b.states) - 1, roots, inner, leaves, len(index), inner_max, runs
+    leaves = b.leaves if last else [(t - (t > root), c, p) for t, c, p in b.leaves]
+    inner_max = max(chain.from_iterable(map(_CHOICES, inner)), default=0)
+    if runs:
+        inner_max = max(inner_max, *(run.top for _at, run in runs))
+    numbers: dict = {}
+    slots = [numbers.setdefault(p, len(numbers)) for p in map(_AMPLITUDE, leaves)]
+    return tuple.__new__(_Plan, (len(b.states) - 1, roots, inner, leaves, len(index),
+                                 inner_max, runs, list(numbers), slots, b.size))
+
+
+def _leaf_states(plan: _Plan) -> tuple:
+    """What a merged graft of ``plan`` reads to number a copy's states: its
+    leaf-only states, ascending, each with its leaves' indexes; and, for a
+    piece with runs, the only ids a copy numbers one by one (``None`` for
+    all): those named outside the runs."""
+    inner_tops = set(map(_TOP, plan.inner))
+    picks: dict[int, list[int]] = {}
+    for i, a in enumerate(map(_TOP, plan.leaves)):
+        if a not in inner_tops:
+            picks.setdefault(a, []).append(i)
+    order = sorted(picks)
+    named = None
+    if plan.runs:
+        named = {x for t, _c, l, r in plan.inner for x in (t, l, r)}
+        named.update(*((l, r) for _cs, l, r in plan.roots), map(_TOP, plan.leaves))
+    return order, [picks[a] for a in order], named
 
 
 def _signatures(leaves, inner_tops: set[int]) -> dict[int, frozenset]:
@@ -710,32 +748,36 @@ def _signatures(leaves, inner_tops: set[int]) -> dict[int, frozenset]:
     return {a: frozenset(sig) for a, sig in sigs.items()}
 
 
-def _number(states: range, sigs: dict[int, frozenset], reps: dict[frozenset, int],
-            start: int, named=None) -> tuple:
-    """Ids for ``states``, in their order, and the states merged.  In order, a
-    state whose signature is in ``reps`` is merged into that representative;
-    any other takes the next id from ``start``, and its signature, if it has
-    one, joins ``reps``.  The states before the first with a signature take
-    consecutive ids without a lookup.  With ``named``, the ids are a dict
-    of those states' only."""
-    first = min(sigs, default=states.stop)
-    if first < states.start:
-        first = states.start
-    top = start + first - states.start
-    ids = list(range(start, top)) if named is None else []
-    merged: set[int] = set()
-    for a in range(first, states.stop):
-        sig = sigs.get(a)
-        rep = top if sig is None else reps.setdefault(sig, top)
-        if rep == top:
-            top += 1
-        else:
-            merged.add(a)
+def _number(states: range, order: list[int], sigs: list, named=None) -> tuple:
+    """Ids for ``states``, from their first, once interchangeable states are
+    merged, and the states merged, each with its representative's id.
+    ``order`` lists the states with a signature, ascending, and ``sigs``
+    their signatures.  In order, a state whose signature an earlier state
+    has is merged into that state, and takes no id; any other takes the
+    next id.  The ids are indexed from ``states.start``: ``states`` itself
+    when no state merges; otherwise a list, or with ``named`` a dict of
+    those states' only."""
+    reps: dict = {}
+    merged: dict[int, int] = {}
+    for a, sig in zip(order, sigs):
+        top = a - len(merged)
+        rep = reps.setdefault(sig, top)
+        if rep != top:
+            merged[a] = rep
+    if not merged:
+        return states, merged
+    if named is not None:
+        cuts = list(merged)
+        return {a: merged[a] if a in merged else a - bisect_left(cuts, a)
+                for a in named}, merged
+    ids: list[int] = []
+    prev = states.start
+    for m, (a, rep) in enumerate(merged.items()):
+        ids += range(prev - m, a - m)
         ids.append(rep)
-    if named is None:
-        return ids, merged
-    return {a: start + a - states.start if a < first else ids[a - first]
-            for a in named}, merged
+        prev = a + 1
+    ids += range(prev - len(merged), states.stop - len(merged))
+    return ids, merged
 
 
 def _merge_leaf_states(a: Lsta, internal=None) -> tuple[int, list[Internal], list[Leaf], int]:
@@ -743,35 +785,44 @@ def _merge_leaf_states(a: Lsta, internal=None) -> tuple[int, list[Internal], lis
     leaf-only states are merged: those with equal leaf transitions become
     the first of them, and the others take no id.
 
-    The ids below the first merged state keep their numbers, so only the
-    ids from it up are numbered again, and only the transitions that reach
-    one of them are rebuilt, each in its place.  ``internal`` are the
-    transitions to read and rebuild, by default all of ``a``'s;
-    :func:`tensor_chain` passes only those after ``a``'s last run, whose
-    ids are all below every leaf state (:func:`_runs_of`).
+    The ids below the first state with leaves keep their numbers, so only
+    the ids from it up are numbered again, and only the transitions that
+    reach a merged state or one above it are rebuilt, each in its place.
+    ``internal`` are the transitions to read and rebuild, by default all of
+    ``a``'s; :func:`tensor_chain` passes only those after ``a``'s last run,
+    whose ids are all below every leaf state (:func:`_runs_of`).
     """
     if internal is None:
         internal = a.internal
-    sigs = _signatures(a.leaves, {a.root, *map(_TOP, internal)})
-    reps: dict[frozenset, int] = {}
-    for first in sorted(sigs):
-        if reps.setdefault(sigs[first], first) != first:
-            break
-    else:
-        return a.root, list(internal), list(a.leaves), len(a.states)
+    leaves = a.leaves
     n = len(a.states)
-    tail, merged = _number(range(first, n), sigs, reps, first)
-    ids = tail.__getitem__  # the new id of s >= first is ids(s - first)
+    # A state's signature is its one leaf's choices and amplitude, or the
+    # set of its leaves' pairs; when no two are alike nothing merges.
+    sigs = dict(zip(map(_TOP, leaves), zip(map(_CHOICES, leaves), map(_AMPLITUDE, leaves))))
+    if len(sigs) < len(leaves):
+        sigs = _signatures(leaves, ())
+    order = None
+    if len(set(sigs.values())) < len(sigs):
+        for t in sigs.keys() & {a.root, *map(_TOP, internal)}:
+            del sigs[t]
+        order = sorted(sigs)
+    if order:
+        lo = order[0]
+        ids, merged = _number(range(lo, n), order, list(map(sigs.__getitem__, order)))
+    if not order or not merged:
+        return a.root, list(internal), list(leaves), n
+    first = next(iter(merged))
+    ids = ids.__getitem__  # the new id of s >= lo is ids(s - lo)
     new = tuple.__new__
     internal = list(internal)
     for k, (t, c, l, r) in enumerate(internal):
         if t >= first or l >= first or r >= first:
-            internal[k] = new(Internal, (t if t < first else ids(t - first), c,
-                                         l if l < first else ids(l - first),
-                                         r if r < first else ids(r - first)))
-    leaves = [new(Leaf, (t if t < first else ids(t - first), c, p))
-              for t, c, p in a.leaves if t not in merged]
-    root = a.root if a.root < first else ids(a.root - first)
+            internal[k] = new(Internal, (t if t < first else ids(t - lo), c,
+                                         l if l < first else ids(l - lo),
+                                         r if r < first else ids(r - lo)))
+    leaves = [new(Leaf, (t if t < first else ids(t - lo), c, p))
+              for t, c, p in leaves if t not in merged]
+    root = a.root if a.root < first else ids(a.root - lo)
     return root, internal, leaves, n - len(merged)
 
 
@@ -828,7 +879,8 @@ class _Run(NamedTuple):
 
 def _shift(run: _Run, delta: int) -> _Run:
     """``run`` with its ids moved by ``delta``."""
-    return run._replace(off=run.off + delta)
+    tpl, off, base, n = run
+    return tuple.__new__(_Run, (tpl, off + delta, base, n))
 
 
 def _fits(run: _Run, root: int, floor: int) -> bool:
@@ -925,8 +977,10 @@ def _emit(tpl: _Template, off: int, base: int, front: int, blocks: list,
 
 
 def _shape(leaves: list[tuple]) -> list[tuple]:
-    """A frontier up to one offset of its tops: equal shapes graft alike."""
-    return [(a - leaves[0][0], c, p) for a, c, p in leaves]
+    """A frontier's tops up to one offset, and its choices: frontiers with
+    equal shapes and equal values, in order, graft alike."""
+    first = leaves[0][0]
+    return [(a - first, c) for a, c, _p in leaves]
 
 
 def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
@@ -944,25 +998,36 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
     every accepting tree, so they are merged into the smallest of them;
     this keeps the leaf transitions as many as the distinct leaf values,
     which is what the size bound counts.  The first piece's leaf states are
-    merged before the first graft.  A copy's leaf states are merged as the
-    copy is grafted, by the signature of their scaled leaf transitions: a
-    merged state takes no id and emits no transitions, and the transitions
-    into it point at its representative, the first state grafted with that
-    signature.  The last graft is not merged.  The peak is the largest
-    intermediate size of a left fold of binary tensors, which merges each
-    accumulator before grafting onto it, counted before its merges.
+    merged before the first graft.  A graft lays its copies out one after
+    another, copy ``i`` from ``i`` times the piece's local ids, and every
+    graft but the last then merges the copies' leaf states by the signature
+    of their scaled leaf transitions (:func:`_number`): a merged state takes
+    no id and emits no transitions, the transitions into it point at its
+    representative, the first state with that signature, and the states
+    kept are numbered in order.  The peak is the largest intermediate size
+    of a left fold of binary tensors, which merges each accumulator before
+    grafting onto it, counted before its merges.
 
-    Each graft plans its piece, as transitions over local ids that a copy
-    numbers in order, and computes the scaled leaf transitions and their
-    signatures once per leaf value.  ``pieces`` are only read, so one
-    automaton may appear in several positions.  Each product of a leaf value
-    and a leaf amplitude is computed once per call, however often the pair
-    recurs: ``products`` is the one table the call keeps.
+    A call sets up each piece once, however often it recurs, in tables
+    that live only while it runs and are keyed by objects and numbers in
+    hand, never by a leaf value's hash a second time.  Each distinct piece
+    object is planned once (:func:`_plan`).  Each leaf value is numbered
+    once in the call, where it first appears: the first frontier's values
+    as the first graft reads them, and every scaled value as it is made,
+    so each later frontier carries its values' numbers.  A copy, a piece's
+    scaled leaf transitions, their numbers and its states' signatures, is
+    made once per (piece, value number) pair (:func:`_copy`).  After a run
+    the frontier has the shape of the run's first graft's frontier, so the
+    next graft reuses that frontier's copies and interface index, and, for
+    the same piece, as the unmerged last graft after a run, the run's
+    interface choice sets and its graft as laid out before its merges.
+    ``pieces`` are only read, so one automaton may appear in several
+    positions.
 
     A graft is a :class:`_Template` written out by :func:`_emit` at a
     placement: its first fresh id, first fresh choice and frontier's first
     top.  A merged graft whose leaves have its frontier's shape (every top
-    moved by one offset, equal choices and amplitudes, in order) starts a
+    moved by one offset, equal choices and values, in order) starts a
     run: each further merged graft of the same piece object finds that
     frontier again, shifted, so its template places the whole run, up to
     but not including the unmerged last graft.  The run is kept as one
@@ -992,6 +1057,7 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
     if len(pieces) == 1:
         return acc, peak
     semiring = acc.semiring
+    mul, is_zero = semiring.mul, semiring.is_zero
     *head, tail = _runs_of(acc)
     root, internal, leaves, next_id = _merge_leaf_states(acc, tail)
     blocks: list = [*head, internal]
@@ -1000,67 +1066,95 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
     if head:
         top_choice = max(top_choice, *(run.top for run in head[1::2]))
     n_internal = _count(blocks)
-    products: dict = {}
-
-    def product(v, amplitude):
-        got = products.get((v, amplitude))
-        if got is None:
-            got = products[v, amplitude] = semiring.mul(v, amplitude)
-        return got
-
+    plans: dict[int, list] = {}  # each piece's plan, copies and leaf states, by id
+    numbers: dict = {}  # each leaf value, by its number in the call
+    frontier_numbers = [numbers.setdefault(v, len(numbers)) for v in map(_AMPLITUDE, leaves)]
+    values = list(numbers)
+    reshaped, prev = True, None
     last = len(pieces) - 1
     step = 1
     while step <= last:
         b = pieces[step]
-        if b.semiring != semiring:
-            raise InternalError("cannot tensor automata over different semirings")
-        n_states, roots, inner, b_leaves, width, inner_max, b_runs = _plan(b)
-        inner_tops = {t for t, _c, _l, _r in inner}
-        values = {v: vi for vi, v in enumerate(dict.fromkeys(t.amplitude for t in leaves))}
-        reps: dict[frozenset, int] = {}
-        n_ids = 0
-        moves, faces, nested, grafted, copy_roots, sets = [], [], [], [], [], []
-        # A piece with runs names few of its ids outside them: only those
-        # are numbered one by one.
-        named = None
-        if b_runs:
-            named = {x for t, _c, l, r in inner for x in (t, l, r)}
-            named.update(*((l, r) for _cs, l, r in roots), map(_TOP, b_leaves))
-        for v in values:
-            scaled = [(a, c, product(v, amplitude)) for a, c, amplitude in b_leaves]
-            sigs = _signatures(scaled, inner_tops) if step < last else {}
-            ids, merged = _number(range(n_states), sigs, reps, n_ids, named)
-            if b_runs:
+        got = plans.get(id(b))
+        if got is None:
+            if b.semiring != semiring:
+                raise InternalError("cannot tensor automata over different semirings")
+            got = plans[id(b)] = [_plan(b), {}, None]
+        plan, copies_of, leaf_states = got
+        front = leaves[0][0] if leaves else 0
+        if reshaped:
+            # Each frontier leaf's top relative to the first, its choice
+            # set's index and its copy: one per distinct value.
+            copy_of: dict[int, int] = {}
+            set_of: dict[frozenset, int] = {}
+            spots = list(zip([a - front for a in map(_TOP, leaves)],
+                             [set_of.setdefault(c, len(set_of)) for c in map(_CHOICES, leaves)],
+                             [copy_of.setdefault(k, len(copy_of)) for k in frontier_numbers]))
+            copies, frontier_sets = list(copy_of), list(set_of)
+            ex_index = {c: i for i, c in enumerate(sorted(frozenset().union(*frontier_sets)))}
+        roots, width = plan.roots, plan.width
+        merging = step < last
+        if merging and leaf_states is None:
+            leaf_states = got[2] = _leaf_states(plan)
+        if reshaped or plan is not prev:
+            sets = [tuple([s + i for s in starts for i in cs])
+                    for starts in [[ex_index[c] * width for c in lcs] for lcs in frontier_sets]
+                    for cs, _l, _r in roots]
+            # The graft laid out unmerged, copy i from local id i * n_states.
+            # A graft of the same piece onto a frontier of the same shape,
+            # as the last graft after a run, is laid out the same.
+            inner, n_states, n_roots = plan.inner, plan.n_ids, len(roots)
+            made = [copies_of[k] if k in copies_of else copies_of.setdefault(
+                        k, _copy(plan, values[k], mul, is_zero, leaf_states,
+                                 numbers if merging else None))
+                    for k in copies]
+            offsets = range(0, len(copies) * n_states, n_states)
+            laid = (
+                len(copies) * n_states,
+                [(o + t, c, o + l, o + r) for o in offsets for t, c, l, r in inner],
+                [(o + a, c, p) for o, copy in zip(offsets, made) for a, c, p in copy[0]],
+                [(t, i * n_roots + j, o + l, o + r)
+                 for t, i, o in [(t, i, vi * n_states) for t, i, vi in spots]
+                 for j, (_cs, l, r) in enumerate(roots)],
                 # A run's ids are above b's root and below every merged
                 # state, so a copy moves them by its first id less one.
-                nested += [(len(moves) + k, run, n_ids - 1) for k, run in b_runs]
-            n_ids += n_states - len(merged)
-            moves += [(ids[t], c, ids[l], ids[r]) for t, c, l, r in inner]
-            grafted += [(ids[a], c, p) for a, c, p in scaled if a not in merged]
-            copy_roots.append([(j, ids[l], ids[r]) for j, (_cs, l, r) in enumerate(roots)])
-        front = leaves[0].top if leaves else 0
-        ex_index = {c: i for i, c in enumerate(sorted({c for t in leaves for c in t.choices}))}
-        set_index: dict[frozenset, int] = {}
-        for lt in leaves:
-            k = set_index.get(lt.choices)
-            if k is None:
-                k = set_index[lt.choices] = len(sets)
-                starts = [ex_index[ca] * width for ca in lt.choices]
-                sets += [tuple(s + i for s in starts for i in cs) for cs, _l, _r in roots]
-            faces += [(lt.top - front, k + j, l, r) for j, l, r in copy_roots[values[lt.amplitude]]]
+                [(i * len(inner) + at, run, o - 1)
+                 for i, o in enumerate(offsets) for at, run in plan.runs])
+        n_ids, moves, grafted, faces, nested = laid
+        grafted_numbers = []
+        if merging:
+            # Merge the copies' leaf-only states by their signatures; the
+            # states kept are numbered in order (:func:`_number`).
+            order, _picks, named = leaf_states
+            grafted_numbers = [k for copy in made for k in copy[1]]
+            if named is not None:
+                named = {o + x for o in offsets for x in named}
+            ids, merged = _number(range(n_ids), [o + a for o in offsets for a in order],
+                                  [sig for copy in made for sig in copy[2]], named)
+            if merged:
+                moves = [(ids[t], c, ids[l], ids[r]) for t, c, l, r in moves]
+                faces = [(t, k, ids[l], ids[r]) for t, k, l, r in faces]
+                kept = [a not in merged for a, _c, _p in grafted]
+                grafted = [(ids[a], c, p) for a, c, p in compress(grafted, kept)]
+                grafted_numbers = list(compress(grafted_numbers, kept))
+                if nested:
+                    cuts = list(merged)
+                    nested = [(at, run, d - bisect_left(cuts, d + 1)) for at, run, d in nested]
+                n_ids -= len(merged)
+            values += islice(numbers, len(values), None)
         # Every frontier choice and every root choice index occurs.
-        tpl = _Template(len(values), n_ids, moves, faces, grafted, sets,
-                        len(ex_index) * width - 1, nested)
+        tpl = tuple.__new__(_Template, (len(copies), n_ids, moves, faces, grafted, sets,
+                                        len(ex_index) * width - 1, nested))
         end = step + 1
         if (end < last and pieces[end] is b and grafted and not nested
-                and _shape(grafted) == _shape(leaves)):
+                and grafted_numbers == frontier_numbers and _shape(grafted) == _shape(leaves)):
             # The graft's leaves are its frontier shifted, so each further
             # merged graft of b finds that frontier again: place the run now.
             end += len(list(takewhile(partial(is_, b), islice(pieces, end, last))))
         k, n_new = end - step, len(moves) + len(faces)
         if nested:
             n_new += _count(r for _k, r, _d in nested)
-        grown, bound = tpl.n_values * len(b_leaves), tpl.n_values * b.size
+        grown, bound = tpl.n_values * len(plan.leaves), tpl.n_values * plan.size
         # Each graft's size bound; from the second on, its frontier is the
         # previous graft's unmerged leaves.
         assert n_new + grown <= unmerged + bound and (k == 1 or n_new <= bound)
@@ -1069,18 +1163,46 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
         # interface choice, since its first fresh choice is above inner_max.
         base = top_choice + 1
         if tpl.n_values:
-            top_choice = max(base + tpl.top, inner_max)
+            top_choice = max(base + tpl.top, plan.inner_max)
         run = None
         if k > 1:
-            run = _Run(tpl, next_id, top_choice + 1, k - 1)
+            run = tuple.__new__(_Run, (tpl, next_id, top_choice + 1, k - 1))
             top_choice = run.top
+        # After a run the frontier is its first graft's, shifted.
+        reshaped = run is None
         leaves = _emit(tpl, next_id, base, front, blocks, run)
+        frontier_numbers, prev = grafted_numbers, plan
         next_id += k * tpl.n_ids
         n_internal, unmerged = n_internal + k * n_new, grown
         # Sizes only grow along a run, so its last graft is its largest.
         peak = max(peak, n_internal + unmerged)
         step = end
     return _assemble(semiring, next_id, root, blocks, leaves), peak
+
+
+def _copy(plan: _Plan, v, mul, is_zero, leaf_states=None, numbers=None) -> tuple:
+    """A copy of a planned piece for the value ``v``: its leaf transitions,
+    each distinct amplitude multiplied by ``v`` once, and a zero factor
+    taken as the product, as zero absorbs.  With ``numbers``, the call's
+    numbering of values, also each scaled value's number, entered where it
+    first appears, and the signature of each state of ``leaf_states``
+    (:func:`_leaf_states`): its one leaf's (choices, number) pair, or the
+    set of its leaves' pairs."""
+    amplitudes, leaves = plan.amplitudes, plan.leaves
+    if is_zero(v):
+        products = [v] * len(amplitudes)
+    else:
+        products = [p if is_zero(p) else mul(v, p) for p in amplitudes]
+    scaled = list(zip(map(_TOP, leaves), map(_CHOICES, leaves),
+                      map(products.__getitem__, plan.slots)))
+    if numbers is None:
+        return scaled, None, None
+    known = [numbers.setdefault(p, len(numbers)) for p in products]
+    scaled_numbers = list(map(known.__getitem__, plan.slots))
+    pairs = list(zip(map(_CHOICES, leaves), scaled_numbers))
+    sigs = [pairs[k[0]] if len(k) == 1 else frozenset(map(pairs.__getitem__, k))
+            for k in leaf_states[1]]
+    return scaled, scaled_numbers, sigs
 
 
 def tensor(a: Lsta, b: Lsta) -> Lsta:
@@ -1160,8 +1282,12 @@ _SLICE = 4096
 def _sliced(line: str, width: int, count: int, fields) -> list[str]:
     """``count`` lines of the ``%`` format ``line``, which takes ``width``
     arguments, one format per slice of at most ``_SLICE`` arguments:
-    ``fields(i, k)`` lists the arguments of lines ``i`` to ``i+k-1``."""
+    ``fields(i, k)`` lists the arguments of lines ``i`` to ``i+k-1``.  A
+    block of at most one slice, as most are, is one format of ``count``
+    lines; only a longer one builds the format of a full slice, once."""
     per = max(1, _SLICE // width)
+    if count <= per:
+        return [(line * count) % tuple(fields(0, count))] if count else []
     full = line * per
     out = []
     for i in range(0, count, per):

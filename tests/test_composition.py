@@ -12,6 +12,7 @@ too, and replay is checked to happen only where it may.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -20,7 +21,7 @@ import pytest
 
 import lstaq.build
 import lstaq.lsta
-from lstaq.amplitude import COMPLEX, TAG, VALUATION, ValAmp, tag
+from lstaq.amplitude import COMPLEX, TAG, VAL_ZERO, VALUATION, ValAmp, tag
 from lstaq.build import build_setq_lsta, slice_expansions, translate
 from lstaq.cli import bench_groups
 from lstaq.errors import InternalError
@@ -363,6 +364,73 @@ def test_leaf_values_that_change_at_every_graft_never_replay(monkeypatch):
     p = _piece(COMPLEX, {"0": cpoly("2"), "1": cpoly("3")})
     for k in (2, 3, 6, 12):
         assert _replays([p] * k, monkeypatch)[1] == 0
+
+
+def _counted_plans(pieces, monkeypatch) -> list:
+    """The pieces ``tensor_chain(pieces)`` plans, checked against the fold."""
+    planned = []
+    plan = lstaq.lsta._plan
+
+    def counted(b):
+        planned.append(b)
+        return plan(b)
+
+    with monkeypatch.context() as m:
+        m.setattr(lstaq.lsta, "_plan", counted)
+        _assert_chain_is_the_fold(pieces)
+    return planned
+
+
+def test_each_distinct_piece_object_is_planned_once_per_call(monkeypatch):
+    # A run's unmerged last graft, and a piece that comes back after
+    # another, reuse the plan of the piece's first graft.
+    rng = random.Random(0x91A4)
+    for semiring in (COMPLEX, TAG, VALUATION):
+        a, b, c = (_unit_piece(rng, semiring, 1) for _ in range(3))
+        for k in (2, 3, 4, 9, 33):
+            assert _counted_plans([b] * k, monkeypatch) == [b]
+            planned = _counted_plans([a] + [b] * k + [c], monkeypatch)
+            assert planned == [b, c]
+            assert _counted_plans([a, b, c] * 2, monkeypatch) == [b, c, a]
+
+
+def test_a_chain_multiplies_each_pair_of_nonzero_values_once():
+    # However long the run, each leaf amplitude of its piece is multiplied
+    # by each distinct leaf value once, and a zero factor not at all: zero
+    # absorbs.  The sink leaves of a set's members are zero.
+    calls = []
+
+    def counted_mul(x, y):
+        calls.append((x, y))
+        return VALUATION.mul(x, y)
+
+    semiring = dataclasses.replace(VALUATION, mul=counted_mul)
+    f, t = ValAmp.of({1: (False,)}), ValAmp.of({1: (True,)})
+    p = _piece(semiring, {"0": f, "1": t}, {"0": t})
+    counts = []
+    for k in (4, 8, 64):
+        calls.clear()
+        chain, _peak = tensor_chain([p] * k)
+        assert chain._blocks is not None
+        assert len(calls) == len(set(calls))
+        assert not any(x == VAL_ZERO or y == VAL_ZERO for x, y in calls)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2] > 0
+
+
+def test_run_bearing_pieces_merged_before_the_last_graft_are_the_fold():
+    # Copies of a run-bearing piece grafted before the last graft merge
+    # their leaf states: each copy's runs move with its first kept id, and
+    # only the ids the piece names outside its runs are numbered.
+    rng = random.Random(0x7A11)
+    merged = 0
+    for semiring in (TAG, VALUATION):
+        p, q = _unit_piece(rng, semiring, 1), _unit_piece(rng, semiring, 2)
+        r = tensor_chain([p] * 6)[0]
+        assert r._blocks is not None
+        for pieces in ([q, r, q], [p, r, r, q], [r, q, r, p], [q, r, p, r, q]):
+            merged += _assert_chain_is_the_fold(pieces)
+    assert merged > 0
 
 
 def _high_choice_pieces() -> tuple[Lsta, Lsta, Lsta]:

@@ -939,3 +939,39 @@ def test_write_lsta_writes_any_constraint_verbatim(ref_automaton, constraint):
         text = write_lsta(a, 2, constraint)
         assert text.endswith(f"\nconstraint {constraint}\n")
         assert text == reference_write_lsta(a, 2, constraint)
+
+
+def test_blocks_of_one_slice_and_one_line_more_or_less_are_written_as_the_reference(
+        monkeypatch):
+    # A block of at most one slice, ``_SLICE // width`` lines, is one format
+    # of its own length; a longer one is formatted in full slices and a
+    # rest.  Each block kind, records, leaves and a run's windows, is
+    # written with a slice of one line fewer, exactly as many and one more
+    # than it has, and with the full slice.
+    autos = [(translate(parse_many(bench_sources(family, 6)[0][0])).assertions[0].automaton,
+              8) for family in ("bv", "ghz", "mctoffoli")]
+    autos.append((build_setq_lsta([vec(2, {"00": "1", "11": "1"}), vec(2, {"01": "i"})],
+                                  COMPLEX), 2))
+    assert any(a._blocks is not None for a, _n in autos)
+    blocks = []
+    sliced = L._sliced
+
+    def recorded(line, width, count, fields):
+        blocks.append((line, width, count))
+        return sliced(line, width, count, fields)
+
+    with monkeypatch.context() as m:
+        m.setattr(L, "_sliced", recorded)
+        for a, n in autos:
+            write_lsta(a, n)
+    kinds = {"l" if line.startswith("l ") else "i" if line == "i %d %s -> %d %d\n" else "run"
+             for line, _w, count in blocks if count > 1}
+    assert kinds == {"i", "l", "run"}
+    for _line, width, count in blocks:
+        if count < 2:
+            continue
+        for per in (count - 1, count, count + 1):
+            with monkeypatch.context() as m:
+                m.setattr(L, "_SLICE", per * width)
+                for a, n in autos:
+                    assert write_lsta(a, n) == reference_write_lsta(a, n)

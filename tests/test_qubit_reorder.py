@@ -362,6 +362,27 @@ def test_equal_constant_columns_share_one_cases_tuple():
     assert slices[0].cases != slices[1].cases
 
 
+def test_a_set_of_128_columns_evaluates_its_2_distinct_columns(monkeypatch):
+    # Each distinct column is evaluated once, at its first qubit and in the
+    # order of first occurrence; the slices then read their columns' cases.
+    evaluated = []
+    by_columns = qubit_reorder._by_columns
+
+    def counted(*args):
+        evaluated.append(by_columns(*args))
+        return evaluated[-1]
+
+    monkeypatch.setattr(qubit_reorder, "_by_columns", counted)
+    job = translate([parse("{ |i> : |i| = 128, i != 1%s1 }" % ("0" * 126))])
+    assert len(evaluated) == 2
+    monkeypatch.undo()
+    ((_, _, _setv, _table, slices),) = slice_expansions(job)
+    assert [sl.index for sl in slices] == list(range(1, 129))
+    assert [sl.cases for sl in slices[:2]] == evaluated
+    assert slices[0].cases is slices[127].cases
+    assert all(sl.cases is slices[1].cases for sl in slices[1:127])
+
+
 @pytest.mark.parametrize("bits", ["011", "01101"])
 def test_a_constant_of_another_length_is_an_internal_error(bits):
     # Transposed, a longer constant would add a column and a shorter one

@@ -19,9 +19,9 @@ IN_ORDER = ["parse", "infer_lengths", "check_well_formed", "canonicalize",
             "membership"]
 
 
-def _stage_times(workload: str) -> tuple[str, str, list[list[str]], str]:
+def _stage_times(workload: str, *options: str) -> tuple[str, str, list[list[str]], str]:
     run = subprocess.run([sys.executable, str(ROOT / "tools" / "stage_times.py"),
-                          "--workload", workload, "--seed", "3", "--passes", "1"],
+                          "--workload", workload, "--seed", "3", "--passes", "1", *options],
                          capture_output=True, text=True, timeout=300, check=True)
     title, header, *rows, total = run.stdout.splitlines()
     return title, header, [row.split() for row in rows], total
@@ -54,3 +54,21 @@ def test_stage_times_counts_the_writes_of_one_cases_pass():
     # Each job writes every assertion it translates.
     assert calls["write_lsta"] == calls["validate"] > 0
     assert calls["membership"] == calls["oracle._denote"] == calls["permute_state"] == 0
+
+
+def test_stage_times_times_only_the_jobs_named_by_prefix(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from workloads import draw_inputs
+
+    want = sum(s.label.startswith("mctoffoli") for s in draw_inputs("wide", 3))
+    assert 0 < want < len(draw_inputs("wide", 3))
+    title, _header, rows, _total = _stage_times("wide", "--jobs", "mctoffoli")
+    assert title == (f"wide, seed 3, {want} jobs a pass, 1 passes, inclusive CPU time,"
+                     " labels starting mctoffoli")
+    calls = {row[0]: int(row[3]) for row in rows}
+    # mctoffoli translates four pairs at each size, and writes each side.
+    assert calls["write_lsta"] == 8 * want > 0
+    run = subprocess.run([sys.executable, str(ROOT / "tools" / "stage_times.py"),
+                          "--workload", "wide", "--passes", "1", "--jobs", "nothing"],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode != 0 and "no wide job label starts with 'nothing'" in run.stderr

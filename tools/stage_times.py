@@ -15,6 +15,9 @@ passes.  A stage's time is inclusive: it counts the stages it calls, and a
 call nested in a call of the same stage counts once.  A stage its checkout
 does not have is left out.  Each row prints the stage's CPU ms per pass, its
 share of a pass and its calls per pass; the last row is the whole pass.
+``--jobs PREFIX`` times only the jobs whose label starts with ``PREFIX``,
+as in ``tools/ab_inproc.py`` (``--workload wide --jobs mctoffoli`` times
+the mctoffoli jobs at both sizes).
 """
 
 from __future__ import annotations
@@ -121,10 +124,14 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True, choices=("wide", "cases", "verify"))
     p.add_argument("--seed", type=int, default=5)
     p.add_argument("--passes", type=int, default=5)
+    p.add_argument("--jobs", default="", metavar="PREFIX",
+                   help="time only the jobs whose label starts with PREFIX")
     args = p.parse_args(argv)
     sys.path.insert(0, str(ROOT / "perfbench"))
     pkg = load(args.checkout, "lstaq_stages")
-    jobs = build_jobs(pkg, args.workload, args.seed)
+    jobs = build_jobs(pkg, args.workload, args.seed, args.jobs)
+    if not jobs:
+        raise SystemExit(f"no {args.workload} job label starts with {args.jobs!r}")
     gc.collect()
     gc.freeze()
     totals: dict[str, float] = defaultdict(float)
@@ -132,7 +139,8 @@ def main(argv=None) -> int:
     labels = wrap(pkg, totals, calls)
     pass_s = sum(run_job(job) for _ in range(args.passes) for job in jobs)
     print(f"{args.workload}, seed {args.seed}, {len(jobs)} jobs a pass,"
-          f" {args.passes} passes, inclusive CPU time")
+          f" {args.passes} passes, inclusive CPU time"
+          + (f", labels starting {args.jobs}" if args.jobs else ""))
     print("\n".join(rows(labels, totals, calls, args.passes, pass_s)))
     return 0
 
