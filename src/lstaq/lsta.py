@@ -684,14 +684,11 @@ def _plan(b: Lsta) -> _Plan:
     transitions; the number of root choices; the largest inner choice;
     ``b``'s runs (:func:`_runs_of`), each with the index of the inner
     transition it goes before; the distinct leaf amplitudes and each leaf's
-    index among them, so a copy scales each once; and ``b``'s size.  A
-    piece whose root is its last id, as ``build.build_setq_lsta`` builds
-    it, keeps its transitions as they are.  A run's ids are above the root
-    and below every leaf state, so a copy moves them by one offset
-    (:func:`_shift`).
+    index among them, so a copy scales each once; and ``b``'s size.  A run's
+    ids are above the root and below every leaf state, so a copy moves them
+    by one offset (:func:`_shift`).
     """
     root = b.root
-    last = root == len(b.states) - 1
     root_trans: list[Internal] = []
     inner: list[tuple] = []
     runs: list[tuple[int, _Run]] = []
@@ -699,25 +696,21 @@ def _plan(b: Lsta) -> _Plan:
         if type(block) is _Run:
             runs.append((len(inner), block))
             continue
-        root_trans += [t for t in block if t[0] == root]
-        if last:
-            inner += [t for t in block if t[0] != root]
-        else:
-            inner += [(t - (t > root), c, l - (l > root), r - (r > root))
-                      for t, c, l, r in block if t != root]
+        root_trans += [t for t in block if t.top == root]
+        inner += [(t - (t > root), c, l - (l > root), r - (r > root))
+                  for t, c, l, r in block if t != root]
     if not root_trans:
         raise InternalError("right tensor operand has no root transitions")
-    index = {c: i for i, c in enumerate(sorted(frozenset().union(*map(_CHOICES, root_trans))))}
-    roots = [(tuple(map(index.__getitem__, cs)), l - (l > root), r - (r > root))
+    index = {c: i for i, c in enumerate(sorted({c for t in root_trans for c in t.choices}))}
+    roots = [(tuple(index[c] for c in cs), l - (l > root), r - (r > root))
              for _t, cs, l, r in root_trans]
-    leaves = b.leaves if last else [(t - (t > root), c, p) for t, c, p in b.leaves]
-    inner_max = max(chain.from_iterable(map(_CHOICES, inner)), default=0)
-    if runs:
-        inner_max = max(inner_max, *(run.top for _at, run in runs))
+    leaves = [(t - (t > root), c, amplitude) for t, c, amplitude in b.leaves]
+    inner_max = max(chain((c for _t, cs, _l, _r in inner for c in cs),
+                          (run.top for _at, run in runs)), default=0)
     numbers: dict = {}
-    slots = [numbers.setdefault(p, len(numbers)) for p in map(_AMPLITUDE, leaves)]
-    return tuple.__new__(_Plan, (len(b.states) - 1, roots, inner, leaves, len(index),
-                                 inner_max, runs, list(numbers), slots, b.size))
+    slots = [numbers.setdefault(p, len(numbers)) for _t, _c, p in leaves]
+    return _Plan(len(b.states) - 1, roots, inner, leaves, len(index), inner_max, runs,
+                 list(numbers), slots, b.size)
 
 
 def _leaf_states(plan: _Plan) -> tuple:
@@ -785,7 +778,7 @@ def _merge_leaf_states(a: Lsta, internal=None) -> tuple[int, list[Internal], lis
     leaf-only states are merged: those with equal leaf transitions become
     the first of them, and the others take no id.
 
-    The ids below the first state with leaves keep their numbers, so only
+    The ids below the first leaf-only state keep their numbers, so only
     the ids from it up are numbered again, and only the transitions that
     reach a merged state or one above it are rebuilt, each in its place.
     ``internal`` are the transitions to read and rebuild, by default all of
@@ -794,23 +787,13 @@ def _merge_leaf_states(a: Lsta, internal=None) -> tuple[int, list[Internal], lis
     """
     if internal is None:
         internal = a.internal
-    leaves = a.leaves
     n = len(a.states)
-    # A state's signature is its one leaf's choices and amplitude, or the
-    # set of its leaves' pairs; when no two are alike nothing merges.
-    sigs = dict(zip(map(_TOP, leaves), zip(map(_CHOICES, leaves), map(_AMPLITUDE, leaves))))
-    if len(sigs) < len(leaves):
-        sigs = _signatures(leaves, ())
-    order = None
-    if len(set(sigs.values())) < len(sigs):
-        for t in sigs.keys() & {a.root, *map(_TOP, internal)}:
-            del sigs[t]
-        order = sorted(sigs)
-    if order:
-        lo = order[0]
-        ids, merged = _number(range(lo, n), order, list(map(sigs.__getitem__, order)))
-    if not order or not merged:
-        return a.root, list(internal), list(leaves), n
+    sigs = _signatures(a.leaves, {a.root, *map(_TOP, internal)})
+    order = sorted(sigs)
+    lo = order[0] if order else n
+    ids, merged = _number(range(lo, n), order, [sigs[s] for s in order])
+    if not merged:
+        return a.root, list(internal), list(a.leaves), n
     first = next(iter(merged))
     ids = ids.__getitem__  # the new id of s >= lo is ids(s - lo)
     new = tuple.__new__
@@ -821,7 +804,7 @@ def _merge_leaf_states(a: Lsta, internal=None) -> tuple[int, list[Internal], lis
                                          l if l < first else ids(l - lo),
                                          r if r < first else ids(r - lo)))
     leaves = [new(Leaf, (t if t < first else ids(t - lo), c, p))
-              for t, c, p in leaves if t not in merged]
+              for t, c, p in a.leaves if t not in merged]
     root = a.root if a.root < first else ids(a.root - lo)
     return root, internal, leaves, n - len(merged)
 
@@ -879,8 +862,7 @@ class _Run(NamedTuple):
 
 def _shift(run: _Run, delta: int) -> _Run:
     """``run`` with its ids moved by ``delta``."""
-    tpl, off, base, n = run
-    return tuple.__new__(_Run, (tpl, off + delta, base, n))
+    return run._replace(off=run.off + delta)
 
 
 def _fits(run: _Run, root: int, floor: int) -> bool:
@@ -977,10 +959,8 @@ def _emit(tpl: _Template, off: int, base: int, front: int, blocks: list,
 
 
 def _shape(leaves: list[tuple]) -> list[tuple]:
-    """A frontier's tops up to one offset, and its choices: frontiers with
-    equal shapes and equal values, in order, graft alike."""
-    first = leaves[0][0]
-    return [(a - first, c) for a, c, _p in leaves]
+    """A frontier up to one offset of its tops: equal shapes graft alike."""
+    return [(a - leaves[0][0], c, p) for a, c, p in leaves]
 
 
 def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
@@ -1143,11 +1123,11 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
                 n_ids -= len(merged)
             values += islice(numbers, len(values), None)
         # Every frontier choice and every root choice index occurs.
-        tpl = tuple.__new__(_Template, (len(copies), n_ids, moves, faces, grafted, sets,
-                                        len(ex_index) * width - 1, nested))
+        tpl = _Template(len(copies), n_ids, moves, faces, grafted, sets,
+                        len(ex_index) * width - 1, nested)
         end = step + 1
         if (end < last and pieces[end] is b and grafted and not nested
-                and grafted_numbers == frontier_numbers and _shape(grafted) == _shape(leaves)):
+                and _shape(grafted) == _shape(leaves)):
             # The graft's leaves are its frontier shifted, so each further
             # merged graft of b finds that frontier again: place the run now.
             end += len(list(takewhile(partial(is_, b), islice(pieces, end, last))))
@@ -1166,7 +1146,7 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
             top_choice = max(base + tpl.top, plan.inner_max)
         run = None
         if k > 1:
-            run = tuple.__new__(_Run, (tpl, next_id, top_choice + 1, k - 1))
+            run = _Run(tpl, next_id, top_choice + 1, k - 1)
             top_choice = run.top
         # After a run the frontier is its first graft's, shifted.
         reshaped = run is None
@@ -1186,22 +1166,20 @@ def _copy(plan: _Plan, v, mul, is_zero, leaf_states=None, numbers=None) -> tuple
     taken as the product, as zero absorbs.  With ``numbers``, the call's
     numbering of values, also each scaled value's number, entered where it
     first appears, and the signature of each state of ``leaf_states``
-    (:func:`_leaf_states`): its one leaf's (choices, number) pair, or the
-    set of its leaves' pairs."""
+    (:func:`_leaf_states`): the set of its leaves' (choices, number)
+    pairs."""
     amplitudes, leaves = plan.amplitudes, plan.leaves
     if is_zero(v):
         products = [v] * len(amplitudes)
     else:
         products = [p if is_zero(p) else mul(v, p) for p in amplitudes]
-    scaled = list(zip(map(_TOP, leaves), map(_CHOICES, leaves),
-                      map(products.__getitem__, plan.slots)))
+    scaled = [(a, c, products[i]) for (a, c, _p), i in zip(leaves, plan.slots)]
     if numbers is None:
         return scaled, None, None
     known = [numbers.setdefault(p, len(numbers)) for p in products]
-    scaled_numbers = list(map(known.__getitem__, plan.slots))
-    pairs = list(zip(map(_CHOICES, leaves), scaled_numbers))
-    sigs = [pairs[k[0]] if len(k) == 1 else frozenset(map(pairs.__getitem__, k))
-            for k in leaf_states[1]]
+    scaled_numbers = [known[i] for i in plan.slots]
+    pairs = [(c, k) for (_a, c, _p), k in zip(leaves, scaled_numbers)]
+    sigs = [frozenset([pairs[i] for i in k]) for k in leaf_states[1]]
     return scaled, scaled_numbers, sigs
 
 

@@ -98,9 +98,7 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
     A slice depends on its qubit index ``j`` only through the constant bits
     that the ``EqConst`` and ``NeqConst`` constraints read at ``j``.  Slices
     whose columns of those bits are equal share one ``cases`` tuple, which
-    is computed once: each distinct column is evaluated at its first qubit,
-    in the order of first occurrence, and the slices are then mapped to
-    their columns' cases in one pass.  A slice that would enumerate more than
+    is computed once.  A slice that would enumerate more than
     ``MAX_SLICE_ASSIGNMENTS`` assignments raises ``LimitExceededError``
     before any case is built.  A column whose ``EqConst`` filters keep no
     assignment has one case, the zero vector with an empty assignment: no
@@ -166,13 +164,13 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
         _values(len(outer))))
 
     new = tuple.__new__
-    columns = list(zip(*constants)) if constants else [()] * ell
-    # Each distinct column is evaluated once, at its first qubit, in the
-    # order of first occurrence, so each is found after the one before.
-    by_column: dict[tuple[str, ...], tuple[SliceCase, ...]] = dict.fromkeys(columns)
-    j = 0
-    for column in by_column:
-        j = columns.index(column, j) + 1
+    by_column: dict[tuple[str, ...], tuple[SliceCase, ...]] = {}
+    slices: list[QubitSlice] = []
+    columns = zip(*constants) if constants else itertools.repeat((), ell)
+    for j, column in enumerate(columns, 1):
+        if column in by_column:
+            slices.append(new(QubitSlice, (j, by_column[column])))
+            continue
         eqs = [(at_outer[c.var], int(c.bits[j - 1])) for c in pred_eq]
         programs = [
             (tag, pattern, compl, inner_words,
@@ -212,8 +210,7 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
         if not cases:  # contradictory filters: the set is the zero vector
             cases = (new(SliceCase, ((), new(StateVector, (n_slot, ())))),)
         by_column[column] = cases
-    slices = list(map(new, itertools.repeat(QubitSlice),
-                      zip(range(1, ell + 1), map(by_column.__getitem__, columns))))
+        slices.append(new(QubitSlice, (j, cases)))
     return table, slices
 
 
