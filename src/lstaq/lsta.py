@@ -54,15 +54,9 @@ does with recurring qubit slices; their operands must keep the id rule.
 :func:`union` and :func:`tensor` are their two-operand forms.
 
 **Run blocks.**  :func:`tensor_chain` keeps each run as the windows of its
-grafts, one block of the automaton it returns: a :class:`_Run`, the
-grafts' template, the first graft's first fresh id, the second graft's
-first fresh choice, and the number of windows, one per graft but the last.
-Window ``i`` is graft ``i``'s ids: its inner transitions and graft
-``i+1``'s interface ones, which graft onto graft ``i``'s leaf states.  The
-first graft's interface transitions, on the frontier the run grafts onto,
-and the last graft's inner ones, whose leaf states the next graft
-continues from, are records before and after the block, so every block
-holds at least one window.  Such a *run-bearing* automaton stores its
+grafts, one block of the automaton it returns: a :class:`_Run`, whose
+docstring states the windows' layout once, and whose members are the only
+code that places a window.  Such a *run-bearing* automaton stores its
 internal transitions as blocks that alternate records and runs
 (``Lsta._blocks``); its leaves are records, as a run has leaves only at its
 last graft, and the unmerged last graft and everything that does not
@@ -76,9 +70,9 @@ records; a right operand's runs, and :func:`union_all`'s pieces', are kept
 moved by each copy's offset (:func:`_runs_of`).  Every other reader (the
 oracle, :func:`membership`, :func:`enumerate_language`, the tests) reads
 ``a.internal``, which a run-bearing automaton builds on its first read, in
-stored order: record blocks as they are, a run window by window, each
-window's inner transitions before its interface ones; a state's
-transitions all lie in one of these, so each keeps the order rule's order.
+stored order: record blocks as they are, a run window by window
+(:meth:`_Run.window`); a state's transitions all lie in one of these, so
+each keeps the order rule's order.
 That accessor is the one place outside :func:`write_lsta` that expands a
 run.  ``dataclasses.replace`` builds an explicit automaton.
 
@@ -86,16 +80,16 @@ run.  ``dataclasses.replace`` builds an explicit automaton.
 each block of records, the leaves and each run's windows are one ``%``
 format of a line's fields, repeated over the block and applied to one
 tuple of the block's fields, formatted in slices of at most ``_SLICE``
-arguments so the tuple stays bounded.  A run's arguments are its windows'
-ids and interface choices, arithmetic progressions along the run, so they
-are assigned a column at a time from ranges (:func:`_run_lines`).  Only
+arguments so the tuple stays bounded.  A run's arguments are its window's
+shape moved by the run's strides, so they are assigned a column at a time
+from ranges (:func:`_run_lines`).  Only
 choice-set texts that :func:`_set_text` makes, and a run's interface sets
 as ``{%d,...}``, may enter a format string;
 amplitude renders, variable names and the public ``constraint`` argument
 never do.  The writer reads the blocks as they are stored and tests no
 choice rule (:func:`_in_order`): it needs only the runs' windows in
-ascending order, each template's tops inside its window and no record's
-top inside a window, so that the text sorts by top; otherwise it writes
+ascending order, each window's tops inside it and no record's top
+inside a window, so that the text sorts by top; otherwise it writes
 the records.  Neither it nor :func:`validate` keeps anything on the
 instance.
 
@@ -111,12 +105,10 @@ Otherwise the pairs are tested over all transitions; with singleton choice
 sets only, as translation builds them, one (top, choice set) pair per
 transition.  Only on a fault does it scan, to name the first one in
 transition order, and then the first id that no transition leaves.  A
-run's first window stands for all its windows: a later one is the first
-moved by a number of ids, with only its interface choices moved too, so
-when the template's inner and interface tops are apart and tile the
-window, every window keeps the choice rules exactly when the first does.
-Its children are tested in the first window and moved to the last, and
-no record's top lies in a later window.  Only if that test fails are a
+run's first window stands for all its windows when its inner and
+interface tops are apart and tile it (:func:`_holds`).  Its children are
+tested in the first window and the last, and no record's top lies in a
+later window.  Only if that test fails are a
 run-bearing automaton's records built, so a fault is named as in the
 explicit automaton.  :func:`map_leaves` calls its function once per
 distinct leaf value, so an amplitude-domain crossing costs one call per
@@ -264,18 +256,20 @@ def _distinct(tops: list[int], choices: list) -> bool:
 
 def _holds(a: Lsta) -> bool:
     """Whether ``a`` keeps every rule :func:`validate` checks, tested over
-    whole sets: its records, its leaves and each run's first window, placed
-    as :func:`_materialize` places it.  Their tops must be exactly the ids
-    outside the runs' later windows: every id, for an explicit ``a``.
+    whole sets: its records, its leaves and each run's first window
+    (:meth:`_Run.window`).  Their tops must be exactly the ids outside the
+    runs' later windows: every id, for an explicit ``a``.
 
-    Window ``i`` is the first moved by ``i * n_ids`` ids, and only its
-    interface choices move with it.  So the first window stands for them
-    all when the runs' windows are in ascending order inside the ids, and
-    its inner tops and interface tops are apart and tile it: each later
-    window then tiles its ids and keeps the choice rules exactly where the
-    first does.  A child is tested for being an id in the first window, and
-    again moved to the last; in an explicit ``a``, whose tops are then every
-    id, for being a top.
+    A later window is the first moved by the run's strides, its inner
+    choices unmoved (see :class:`_Run`).  So the first window stands for
+    them all when the runs' windows are in ascending order inside the ids,
+    and its inner tops and interface tops are apart and tile it, its ids
+    being the first ``tpl.n_ids`` of the run's: each later window then
+    tiles its ids and keeps the choice rules exactly where the first does.
+    A child is tested for being an id in the first window, and the largest
+    again moved to the last, by the ids from the first window's end to the
+    run's; in an explicit ``a``, whose tops are then every id, for being a
+    top.
 
     When only the root has several transitions, which a count of the tops
     shows, every other top has a single choice set, and a frozenset holds
@@ -291,22 +285,19 @@ def _holds(a: Lsta) -> bool:
         records, outside = a.internal, range(n)
     else:
         records, outside, prev = list(chain.from_iterable(blocks[::2])), [], 0
-        for tpl, lo, base, k in blocks[1::2]:
-            step = tpl.n_ids
-            hi = lo + k * step
-            if lo < prev or hi > n or not (tpl.leaves and (tpl.inner or tpl.faces)):
+        for run in blocks[1::2]:
+            tpl, end = run.tpl, run.end
+            if run.off < prev or end > n or not (tpl.leaves and (tpl.inner or tpl.faces)):
                 return False
-            inner = _inner_at(tpl.inner, lo)
-            faces = _faces_at(tpl, lo + step, base, lo + tpl.leaves[0][0])
-            inner_tops, face_tops = set(map(_TOP, inner)), set(map(_TOP, faces))
-            if (len(inner_tops) + len(face_tops) != step
-                    or inner_tops.union(face_tops) != set(range(lo, lo + step))):
+            first, ids = run.window(), range(run.off, end)[:tpl.n_ids]  # window 0 and its ids
+            inner_tops = set(map(_TOP, first[:len(tpl.inner)]))
+            face_tops = set(map(_TOP, first[len(tpl.inner):]))
+            if len(inner_tops) + len(face_tops) != tpl.n_ids or inner_tops | face_tops != set(ids):
                 return False
-            window = inner + faces
-            records += window
-            lasts.append(max(chain(map(_LEFT, window), map(_RIGHT, window))) + (k - 1) * step)
-            outside += range(prev, lo + step)
-            prev = hi
+            records += first
+            lasts.append(max(chain(map(_LEFT, first), map(_RIGHT, first))) + end - ids.stop)
+            outside += range(prev, ids.stop)
+            prev = end
         outside += range(prev, n)
     transitions = (*records, *a.leaves)
     tops = list(map(_TOP, transitions))
@@ -651,7 +642,7 @@ def union_all(pieces: Sequence[Lsta]) -> Lsta:
         ids = [*range(offset, offset + root + 1), *range(offset + root, offset + n - 1)]
         for block in _runs_of(p, below_leaves=False):
             if type(block) is _Run:
-                blocks += [_shift(block, offset - 1), []]
+                blocks += [block.moved(offset - 1), []]
                 continue
             internal = blocks[-1]
             for top, c, left, right in block:
@@ -686,7 +677,7 @@ def _plan(b: Lsta) -> _Plan:
     transition it goes before; the distinct leaf amplitudes and each leaf's
     index among them, so a copy scales each once; and ``b``'s size.  A run's
     ids are above the root and below every leaf state, so a copy moves them
-    by one offset (:func:`_shift`).
+    by one offset (:meth:`_Run.moved`).
     """
     root = b.root
     root_trans: list[Internal] = []
@@ -819,14 +810,9 @@ class _Template(NamedTuple):
     and the choices the ``k``-th of ``sets``, whose choices are relative to
     the first fresh choice.  ``top`` is the largest interface choice.
     ``nested`` holds the runs of a run-bearing piece's copies, ``(k, run,
-    offset)``: ``run``, moved by ``offset`` ids (:func:`_shift`), goes
-    before ``inner[k]``.
-
-    Along a run a template fixes its own placements: each graft takes
-    ``n_ids`` ids, its leaf states are the next graft's frontier, so that
-    frontier's first top is its first fresh id plus ``leaves[0]``'s top,
-    and from the run's second graft on, each graft's first fresh choice is
-    ``top + 1`` above the one before.
+    offset)``: ``run``, moved by ``offset`` ids (:meth:`_Run.moved`), goes
+    before ``inner[k]``.  Along a run a template fixes its own placements,
+    as :class:`_Run` lays them out.
     """
 
     n_values: int
@@ -840,14 +826,24 @@ class _Template(NamedTuple):
 
 
 class _Run(NamedTuple):
-    """A run's block: the ``n`` windows of a run of ``n + 1`` grafts of
-    ``tpl``.  Graft ``i`` takes its first fresh id at ``off + i*tpl.n_ids``;
-    window ``i`` is its ids, which hold its inner transitions and the
+    """A run's block, and the one place that lays its windows out.
+
+    The block holds the ``n`` windows of a run of ``n + 1`` grafts of
+    ``tpl``.  Graft ``i`` takes its first fresh id at ``off + i*tpl.n_ids``.
+    Window ``i`` is its ids: they hold its inner transitions and the
     interface transitions of graft ``i+1``.  Those take their choices from
     ``base + i*(tpl.top+1)``, the first fresh choice of graft ``i+1``, and
-    their tops from ``off + i*tpl.n_ids + tpl.leaves[0][0]``, the first of
-    graft ``i``'s leaf states.  Graft 0's interface transitions and graft
-    ``n``'s inner ones are records, before and after the block."""
+    their tops from graft ``i``'s leaf states, the frontier of graft
+    ``i+1``: its first top is graft ``i``'s first fresh id plus the top of
+    ``tpl.leaves[0]``.  So a window is the one before it moved by the two
+    :attr:`strides`, ``tpl.n_ids`` ids and ``tpl.top + 1`` interface
+    choices, and its inner choices stay.  Graft 0's interface transitions
+    and graft ``n``'s inner ones are records, before and after the block,
+    so a block holds at least one window.
+
+    :meth:`window` places windows as records; :meth:`shape` is a window
+    relative to its first id and first fresh choice, which the writer
+    places by the strides itself.  No other reader restates this layout."""
 
     tpl: _Template
     off: int
@@ -855,31 +851,62 @@ class _Run(NamedTuple):
     n: int
 
     @property
+    def strides(self) -> tuple[int, int]:
+        """How far each window's ids and interface choices lie above the
+        one before's."""
+        return self.tpl.n_ids, self.tpl.top + 1
+
+    @property
     def top(self) -> int:
         """The largest choice the run holds: its last graft's largest."""
-        return self.base + self.n * (self.tpl.top + 1) - 1
+        return self.base + self.n * self.strides[1] - 1
 
+    @property
+    def end(self) -> int:
+        """The first id after the windows: the graft after them starts it."""
+        return self.off + self.n * self.tpl.n_ids
 
-def _shift(run: _Run, delta: int) -> _Run:
-    """``run`` with its ids moved by ``delta``."""
-    return run._replace(off=run.off + delta)
+    def shape(self) -> tuple[list[tuple], list[tuple]]:
+        """A window relative to its first id and first fresh choice: its
+        inner transitions and its interface ones, each ``(top, choices,
+        left, right)`` with its ids relative to the first id.  An inner
+        transition's choices are its frozenset, which no window moves; an
+        interface one's are a tuple relative to the first fresh choice."""
+        tpl = self.tpl
+        step, front, sets = tpl.n_ids, tpl.leaves[0][0], tpl.sets
+        return tpl.inner, [(front + t, sets[k], step + l, step + r) for t, k, l, r in tpl.faces]
 
+    def window(self, i: int = 0, count: int = 1) -> list[Internal]:
+        """The records of windows ``i`` to ``i + count - 1``, window by
+        window, each window's inner transitions before its interface ones."""
+        tpl, off, base, out = self.tpl, self.off, self.base, []
+        (step, stride), inner, front = self.strides, tpl.inner, tpl.leaves[0][0]
+        for k in range(i, i + count):
+            at = off + k * step
+            out += _inner_at(inner, at)
+            out += _faces_at(tpl, at + step, base + k * stride, at + front)
+        return out
 
-def _fits(run: _Run, root: int, floor: int) -> bool:
-    """Whether the ids of ``run``'s windows and of the graft after them,
-    all the ids it names, are above ``root`` and below ``floor``."""
-    return root < run.off and run.off + (run.n + 1) * run.tpl.n_ids <= floor
+    def moved(self, delta: int) -> "_Run":
+        """The run with its ids moved by ``delta``."""
+        return self._replace(off=self.off + delta)
+
+    def fits(self, root: int, floor: int) -> bool:
+        """Whether the ids of the windows and of the graft after them, all
+        the ids the run names, are above ``root`` and below ``floor``."""
+        return root < self.off and self.end + self.tpl.n_ids <= floor
 
 
 def _runs_of(a: Lsta, below_leaves: bool = True) -> tuple:
-    """``a``'s blocks, when each run :func:`_fits` above its root and, with
-    ``below_leaves``, below its leaf states, as :func:`tensor_chain` and
-    :func:`map_leaves` leave them; otherwise its records, as one block.
-    The blocks alternate records and runs, and begin and end with records."""
+    """``a``'s blocks, when each run fits (:meth:`_Run.fits`) above its root
+    and, with ``below_leaves``, below its leaf states, as
+    :func:`tensor_chain` and :func:`map_leaves` leave them; otherwise its
+    records, as one block.  The blocks alternate records and runs, and
+    begin and end with records."""
     blocks = a._blocks
     if blocks is not None:
         floor = min(map(_TOP, a.leaves), default=-1) if below_leaves else len(a.states)
-        if all(_fits(run, a.root, floor) for run in blocks[1::2]):
+        if all(run.fits(a.root, floor) for run in blocks[1::2]):
             return blocks
     return (a.internal,)
 
@@ -898,21 +925,11 @@ def _faces_at(tpl: _Template, off: int, base: int, front: int) -> list[Internal]
 
 
 def _materialize(blocks: tuple) -> tuple[Internal, ...]:
-    """The records of ``blocks``, in stored order, each run's window by
-    window, inner transitions before interface ones: the one place outside
+    """The records of ``blocks``, in stored order, each run's all its
+    windows (:meth:`_Run.window`): the one place outside
     :func:`write_lsta` that expands a run."""
-    out: list[Internal] = []
-    for block in blocks:
-        if type(block) is tuple:
-            out += block
-            continue
-        tpl, off, base, n = block
-        step, stride, first_leaf = tpl.n_ids, tpl.top + 1, tpl.leaves[0][0]
-        for i in range(n):
-            at = off + i * step
-            out += _inner_at(tpl.inner, at)
-            out += _faces_at(tpl, at + step, base + i * stride, at + first_leaf)
-    return tuple(out)
+    return tuple(chain.from_iterable(
+        b.window(0, b.n) if type(b) is _Run else b for b in blocks))
 
 
 def _count(blocks) -> int:
@@ -946,11 +963,11 @@ def _emit(tpl: _Template, off: int, base: int, front: int, blocks: list,
     if run is not None:
         blocks[-1] += faces
         blocks += [run, []]
-        off, faces = off + run.n * tpl.n_ids, []
+        off, faces = run.end, []
     cut = 0
     for k, nested, delta in tpl.nested:
         blocks[-1] += _inner_at(tpl.inner[cut:k], off)
-        blocks += [_shift(nested, off + delta), []]
+        blocks += [nested.moved(off + delta), []]
         cut = k
     blocks[-1] += _inner_at(tpl.inner[cut:] if cut else tpl.inner, off)
     blocks[-1] += faces
@@ -1011,12 +1028,9 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
     run: each further merged graft of the same piece object finds that
     frontier again, shifted, so its template places the whole run, up to
     but not including the unmerged last graft.  The run is kept as one
-    block of the result, a :class:`_Run` of its windows: the first graft's
-    first fresh id, the second graft's first fresh choice and the number of
-    windows, from which the template fixes every placement; the first
-    graft's interface transitions and the last graft's inner ones are
-    written out beside it.  The first fresh id moves by the template's ids;
-    the frontier is the previous graft's leaf states; and the first fresh
+    block of the result, a :class:`_Run` of its windows, laid out as its
+    docstring states; the first graft's interface transitions and the last
+    graft's inner ones are written out beside it.  A graft's first fresh
     choice is one above every choice before it, which from the second
     graft on is the previous graft's largest interface choice, while the
     first graft's may be the piece's largest inner choice.  The run has
@@ -1042,9 +1056,8 @@ def tensor_chain(pieces: Sequence[Lsta]) -> tuple[Lsta, int]:
     root, internal, leaves, next_id = _merge_leaf_states(acc, tail)
     blocks: list = [*head, internal]
     unmerged = len(acc.leaves)  # leaf transitions of the last graft before merging
-    top_choice = max(chain.from_iterable(map(_CHOICES, chain(*head[::2], internal))), default=0)
-    if head:
-        top_choice = max(top_choice, *(run.top for run in head[1::2]))
+    top_choice = max(chain(chain.from_iterable(map(_CHOICES, chain(*head[::2], internal))),
+                           (run.top for run in head[1::2])), default=0)
     n_internal = _count(blocks)
     plans: dict[int, list] = {}  # each piece's plan, copies and leaf states, by id
     numbers: dict = {}  # each leaf value, by its number in the call
@@ -1225,28 +1238,27 @@ class _Texts(dict):
         return text
 
 
-def _in_order(a: Lsta) -> tuple[list[Internal], list[tuple[int, _Run]]]:
+def _in_order(a: Lsta) -> tuple[list[Internal], list[tuple[int, _Run, tuple]]]:
     """``a``'s records by ascending top, each state's in stored order, and
-    where each run's windows go among them.  Only the record blocks are
-    sorted when the windows need no records to be written: they come in
-    ascending order, each template's tops lie inside its window, and no
-    record's top lies inside a window.  Otherwise all of ``a``'s records
-    are."""
+    where each run's windows go among them, each run with its
+    :meth:`_Run.shape`, which :func:`_run_lines` writes.  Only the record
+    blocks are sorted when the windows need no records to be written: they
+    come in ascending order, each window's shape has its tops inside the
+    window, and no record's top lies inside a window.  Otherwise all of
+    ``a``'s records are."""
     blocks = a._blocks
     if blocks is not None:
         records = sorted(chain.from_iterable(blocks[::2]), key=_TOP)
         cuts, prev = [], 0
         for run in blocks[1::2]:
-            tpl, lo = run.tpl, run.off
-            hi = lo + run.n * tpl.n_ids
-            tops = [*map(_TOP, tpl.inner),
-                    *map(tpl.leaves[0][0].__add__, map(_TOP, tpl.faces))] if tpl.leaves else ()
-            cut = bisect_left(records, lo, key=_TOP)
-            if not (tops and prev <= lo and 0 <= min(tops) and max(tops) < tpl.n_ids
-                    and bisect_left(records, hi, key=_TOP) == cut):
+            shape = run.shape() if run.tpl.leaves else ((), ())
+            tops = [*map(_TOP, chain(*shape))]
+            cut = bisect_left(records, run.off, key=_TOP)
+            if not (tops and prev <= run.off and 0 <= min(tops) and max(tops) < run.tpl.n_ids
+                    and bisect_left(records, run.end, key=_TOP) == cut):
                 break
-            cuts.append((cut, run))
-            prev = hi
+            cuts.append((cut, run, shape))
+            prev = run.end
         else:
             return records, cuts
     return sorted(a.internal, key=_TOP), []
@@ -1287,32 +1299,27 @@ def _rows_text(line: str, width: int, rows: Sequence[tuple], texts: dict) -> lis
     return _sliced(line, width, len(rows), fields)
 
 
-def _run_lines(run: _Run) -> list[str]:
-    """The text of ``run``'s windows, window by window (see :class:`_Run`):
-    a window's transitions by ascending top, each state's in stored order,
-    its inner ones before the next graft's interface ones, whose choices
-    are that graft's.
+def _run_lines(run: _Run, inner: list[tuple], faces: list[tuple]) -> list[str]:
+    """The text of ``run``'s windows, window by window, from the window's
+    shape, its ``inner`` and interface transitions ``faces``
+    (:meth:`_Run.shape`): a window's transitions by ascending top, each
+    state's in stored order, its inner ones before its interface ones.
 
     A window's lines are one ``%`` format, repeated over a slice of windows
-    (:func:`_sliced`).  Its numbers follow arithmetic progressions along the
-    run: ids step by ``tpl.n_ids`` and interface choices by ``tpl.top + 1``,
-    so each argument column is assigned from a ``range``, with no Python
-    work per line.  An inner transition's choice set enters the format as
-    the text :func:`_set_text` makes; an interface set, as ``{%d,...}`` with
-    one ``%d`` column per choice, in ascending order, as :func:`_set_text`
-    writes it."""
-    tpl, off, base, n = run
-    step, stride, first_leaf = tpl.n_ids, tpl.top + 1, tpl.leaves[0][0]
-    # (top, text, choices, left, right) relative to the window; an
-    # interface transition's text is left empty: its choices are arguments.
-    order = sorted([(t, _set_text(c), (), l, r) for t, c, l, r in tpl.inner]
-                   + [(first_leaf + t, "", tpl.sets[k], step + l, step + r)
-                      for t, k, l, r in tpl.faces], key=_TOP)
+    (:func:`_sliced`).  Its numbers are its shape moved by the run's first
+    id and first choice and then, window by window, by the
+    run's :attr:`_Run.strides`, so each argument column is assigned from a
+    ``range``, with no Python work per line.  An inner transition's choice
+    set enters the format as the text :func:`_set_text` makes; an
+    interface set, as ``{%d,...}`` with one ``%d`` column per choice, in
+    ascending order, as :func:`_set_text` writes it."""
+    off, base, n = run.off, run.base, run.n
+    step, stride = run.strides
     line = ""
     columns = []  # each argument's value in the first window, and its step
-    for t, text, cs, l, r in order:
-        if text:
-            line += "i %%d %s -> %%d %%d\n" % text
+    for t, cs, l, r in sorted([*inner, *faces], key=_TOP):
+        if type(cs) is frozenset:  # an inner transition's choices, as they are
+            line += "i %%d %s -> %%d %%d\n" % _set_text(cs)
             columns += [(off + t, step), (off + l, step), (off + r, step)]
         elif len(cs) == 1:  # as translation builds them
             line += "i %d {%d} -> %d %d\n"
@@ -1359,9 +1366,9 @@ def write_lsta(a: Lsta, n: int, constraint: str | None = None) -> str:
     out = [f"lsta v1\nsemiring {semiring.name}\nqubits {n}\n"
            f"vars{''.join(f' {v}' for v in sorted(names))}\nroot {a.root}\n"]
     prev = 0
-    for cut, run in cuts:
+    for cut, run, shape in cuts:
         out += _rows_text("i %d %s -> %d %d\n", 4, records[prev:cut], {1: sets.__getitem__})
-        out += _run_lines(run)
+        out += _run_lines(run, *shape)
         prev = cut
     out += _rows_text("i %d %s -> %d %d\n", 4, records[prev:], {1: sets.__getitem__})
     out += _rows_text("l %d %s -> %s\n", 3, sorted(a.leaves, key=_TOP),

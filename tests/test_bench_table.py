@@ -19,13 +19,13 @@ def test_bench_table_has_one_row_per_family():
     assert header.split("|")[1:-1] == [" family     ", " n=2 s ", " n=4 s ",
                                        " transitions at 4 (pre/post) ",
                                        " peak RSS at 4 (MB) ", " write s at 4 ",
-                                       " write peak RSS at 4 (MB) "]
+                                       " records s at 4 ", " write peak RSS at 4 (MB) "]
     assert set(rule) == {"|", "-", ":"}
     assert [row.split("|")[1].strip() for row in rows] == list(BENCH_MIN_SIZE)
     for row in rows:
-        _family, two, four, transitions, peak, write, write_peak = row.split("|")[1:-1]
+        _family, two, four, transitions, peak, write, records, write_peak = row.split("|")[1:-1]
         assert float(two) >= 0 and float(four) >= 0
         pre, post = transitions.split("/")
         assert int(pre) > 0 and int(post) > 0
         assert float(peak) > 0
-        assert float(write) >= 0 and float(write_peak) > 0
+        assert float(write) >= 0 and float(records) >= 0 and float(write_peak) > 0

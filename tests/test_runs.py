@@ -7,7 +7,10 @@ both must agree with the same automaton written out record by record."""
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import inspect
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -173,12 +176,47 @@ def _injected(a: Lsta, place: str, fault) -> Lsta:
 PLACES = ("template", "first seam", "last seam")
 
 
+def _assert_placed_as_its_grafts(run) -> None:
+    """``run``'s members against its grafts' placements (``_placements``),
+    placed here record by record: window ``i`` holds graft ``i``'s inner
+    transitions and graft ``i+1``'s interface ones."""
+    tpl, placements = run.tpl, _placements(run)
+    firsts = [run.off, *(off for off, _base, _front in placements)]
+    records = L._materialize((run,))
+    for i, (off, base, front) in enumerate(placements):
+        at = firsts[i]
+        want = [Internal(at + t, c, at + l, at + r) for t, c, l, r in tpl.inner]
+        want += [Internal(front + t, frozenset(base + c for c in tpl.sets[k]), off + l, off + r)
+                 for t, k, l, r in tpl.faces]
+        assert run.window(i) == want
+        # The shape is window i relative to its first id and first choice.
+        inner, faces = run.shape()
+        assert [Internal(at + t, c, at + l, at + r) for t, c, l, r in inner] + [
+            Internal(at + t, frozenset(base + c for c in cs), at + l, at + r)
+            for t, cs, l, r in faces] == want
+        assert run.moved(7).window(i) == [
+            t._replace(top=t.top + 7, left=t.left + 7, right=t.right + 7) for t in want]
+    assert list(records) == run.window(0, run.n) == [*chain(*map(run.window, range(run.n)))]
+    assert run.strides[0] == firsts[1] - firsts[0]
+    if run.n > 1:
+        assert run.strides[1] == placements[1][1] - placements[0][1]
+    assert run.end == firsts[-1] == max(t.top for t in records) + 1
+    assert run.top == max(c for t in records for c in t.choices)
+    assert L._count((run,)) == len(records) == run.n * (len(tpl.inner) + len(tpl.faces))
+    # The run names its windows' ids and the graft's after them.
+    floor = run.end + tpl.n_ids
+    assert run.fits(run.off - 1, floor)
+    assert not run.fits(run.off, floor) and not run.fits(run.off - 1, floor - 1)
+
+
 def test_every_run_bearing_automaton_passes_through_its_templates():
     autos = _run_bearing()
     assert len(autos) > 30
     for a in autos:
         assert L._holds(a)
         validate(a)
+        for run in a._blocks[1::2]:
+            _assert_placed_as_its_grafts(run)
         i = _first_long_run(a)
         # The seams: the first graft's interface transitions, into the first
         # window, and the last graft's inner ones, past the last window.
@@ -193,6 +231,28 @@ def test_every_run_bearing_automaton_passes_through_its_templates():
             blocks = _written_out(a, i, end)
             b = L._with_blocks(a.semiring, a.states, a.root, tuple(blocks), a.leaves)
             assert b.internal == a.internal and L._holds(b)
+
+
+# The readers of run blocks, which place a window only through ``_Run``.
+READERS = ("_holds", "_materialize", "_in_order", "_run_lines", "_count", "_runs_of",
+           "union_all")
+
+
+def test_only_a_run_places_its_windows():
+    # No reader restates a window's arithmetic: no sum or product of a
+    # run's ``off``, ``base`` or ``n_ids``, and no index into a template's
+    # leaves, whose first top places a window's interface transitions.
+    defs = {node.name: node for node in ast.parse(inspect.getsource(L)).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not {"_shift", "_fits"} & set(defs)
+    for name in READERS:
+        for node in ast.walk(defs[name]):
+            operands = ((node.left, node.right) if isinstance(node, ast.BinOp)
+                        else (node.target, node.value) if isinstance(node, ast.AugAssign) else ())
+            assert not any(isinstance(x, ast.Attribute) and x.attr in ("off", "base", "n_ids")
+                           for x in operands), (name, ast.unparse(node))
+            assert not (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                        and node.value.attr == "leaves"), (name, ast.unparse(node))
 
 
 @pytest.mark.parametrize("place", PLACES)
@@ -492,6 +552,8 @@ def test_runs_of_multi_choice_sets_are_written_and_validated_as_their_records():
             a, _peak = L.tensor_chain([p] * k)
             assert any(len(cs) > 1 for run in a._blocks[1::2] for cs in run.tpl.sets)
             assert _written_runs(a) == list(a._blocks[1::2])
+            for run in a._blocks[1::2]:
+                _assert_placed_as_its_grafts(run)
             assert L._holds(a)
             assert write_lsta(a, k) == write_lsta(_explicit(a), k)
 
@@ -499,7 +561,7 @@ def test_runs_of_multi_choice_sets_are_written_and_validated_as_their_records():
 def test_runs_below_a_root_are_composed_as_their_records():
     # A union's root is its last id, so the runs of its first piece lie
     # below it: composing the union must not move them as runs above a
-    # root move (``_fits``).
+    # root move (``_Run.fits``).
     from tests.conftest import cpoly, normalize
     from tests.test_composition import _assert_chain_is_the_fold, _piece, _ref_union
 
@@ -537,7 +599,7 @@ def _assert_written_as_its_records(a: Lsta, qubits: int) -> None:
 
 def _written_runs(a: Lsta) -> list:
     """The runs whose windows ``write_lsta`` writes from their templates."""
-    return [run for _cut, run in L._in_order(a)[1]]
+    return [run for _cut, run, _shape in L._in_order(a)[1]]
 
 
 def _three_sets_piece() -> Lsta:
@@ -562,7 +624,7 @@ def test_a_run_of_two_grafts_writes_one_window():
         for run in _written_runs(a):
             if run.n == 1:
                 ones += 1
-                lines = "".join(L._run_lines(run)).splitlines()
+                lines = "".join(L._run_lines(run, *run.shape())).splitlines()
                 assert len(lines) == len(run.tpl.inner) + len(run.tpl.faces)
         _assert_written_as_its_records(a, qubits)
         assert "\n\n" not in write_lsta(a, qubits)

@@ -10,9 +10,14 @@ prints one Markdown row per family: the best wall seconds at each size, the
 pre/post transitions at the largest size, and the highest peak resident
 memory of the runs, which the largest size sets.  As many times again, a
 fresh process translates the family's assertion groups at the largest size
-and times ``write_lsta`` of every result in CPU seconds: the row gives the
-best of these write times and the highest peak of these processes.  Each
-run's peak is read from its own process with ``os.wait4``, so runs do not
+and times ``write_lsta`` of every result in CPU seconds, then translates
+them again and times reading ``.internal`` of every result, which builds a
+run-bearing automaton's records: the row gives the best of these write and
+records times and the highest peak of these processes before the records
+are read.  Each group's reads start after a full collection, so where the
+collector happens to run after translating does not move them.  Each
+``lstaq bench`` run's peak is read from its own process
+with ``os.wait4``, and each write run reports its own, so runs do not
 mix.  Running it on two checkouts in the same hour gives a before and after
 table from one command.
 """
@@ -20,7 +25,9 @@ table from one command.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -61,23 +68,32 @@ def bench(family: str, sizes: str) -> tuple[dict[int, tuple[float, int, int]], f
     return rows, peak
 
 
-def write_seconds(family: str, n: int) -> float:
+def write_seconds(family: str, n: int) -> tuple[float, float, float]:
     """CPU seconds of ``write_lsta`` of every assertion of ``family`` at size
-    ``n``, each group translated as ``lstaq bench`` translates it."""
-    seconds = 0.0
-    for group in bench_groups(family, n):
-        result = translate([parse(text) for text in group])
-        start = time.process_time()
-        for ar in result.assertions:
-            write_lsta(ar.automaton, result.qubits)
-        seconds += time.process_time() - start
-    return seconds
+    ``n``, each group translated as ``lstaq bench`` translates it; this
+    process's peak memory in MB so far; and CPU seconds of reading
+    ``.internal`` of every assertion, each group translated again."""
+    def timed(read) -> float:
+        seconds = 0.0
+        for group in bench_groups(family, n):
+            result = translate([parse(text) for text in group])
+            gc.collect()  # translation's garbage is not charged to the reads
+            start = time.process_time()
+            for ar in result.assertions:
+                read(ar.automaton, result.qubits)
+            seconds += time.process_time() - start
+        return seconds
+
+    writing = timed(write_lsta)
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    return writing, peak, timed(lambda a, _qubits: a.internal)
 
 
-def write(family: str, n: int) -> tuple[float, float]:
-    """One write run in a fresh process: its seconds and peak in MB."""
-    out, peak = child([str(Path(__file__).resolve()), "--write-child", family, str(n)])
-    return float(out), peak
+def write(family: str, n: int) -> tuple[float, float, float]:
+    """One write run in a fresh process: its write seconds, its peak in MB
+    before the records are read, and its records seconds."""
+    out, _peak = child([str(Path(__file__).resolve()), "--write-child", family, str(n)])
+    return tuple(map(float, out.split()))
 
 
 def table(sizes: list[int], repeat: int) -> list[str]:
@@ -85,17 +101,18 @@ def table(sizes: list[int], repeat: int) -> list[str]:
     largest = max(sizes)
     heads = ([f"n={n} s" for n in sizes]
              + [f"transitions at {largest} (pre/post)", f"peak RSS at {largest} (MB)",
-                f"write s at {largest}", f"write peak RSS at {largest} (MB)"])
+                f"write s at {largest}", f"records s at {largest}",
+                f"write peak RSS at {largest} (MB)"])
     lines = ["| family     |" + "".join(f" {h} |" for h in heads),
              "|------------|" + "".join("-" * (len(h) + 1) + ":|" for h in heads)]
     arg = ",".join(map(str, sizes))
     for family in BENCH_MIN_SIZE:
         runs, peaks = zip(*(bench(family, arg) for _ in range(repeat)))
-        writes, write_peaks = zip(*(write(family, largest) for _ in range(repeat)))
+        writes, write_peaks, records = zip(*(write(family, largest) for _ in range(repeat)))
         cells = [f"{min(run[n][0] for run in runs):.3f}" for n in sizes]
         _s, pre, post = runs[0][largest]
         cells += [f"{pre} / {post}", f"{max(peaks):.1f}",
-                  f"{min(writes):.3f}", f"{max(write_peaks):.1f}"]
+                  f"{min(writes):.3f}", f"{min(records):.3f}", f"{max(write_peaks):.1f}"]
         lines.append(f"| {family:<10} |" + "".join(f" {c:>{len(h)}} |" for c, h in zip(cells, heads)))
     return lines
 
@@ -111,7 +128,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if args.write_child:
         family, n = args.write_child
-        print(write_seconds(family, int(n)))
+        print(*write_seconds(family, int(n)))
         return 0
     try:
         sizes = [int(x) for x in args.sizes.split(",") if x.strip()]
