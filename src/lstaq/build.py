@@ -17,20 +17,27 @@ position (``ast.KetScope.sized``).  The occurrence intervals are walked
 once, for the alignment check and the partition.
 
 A slice's cases are written straight into their union, one levelwise
-automaton each, by :func:`build_setq_lsta` in one pass.  A projected set
-is the tensor of its slot components' slice tensors.  Only a set of
-several components builds a ``TAG`` automaton: ``filter_f`` of each
-component, their tensor, then ``filter_tau``.  A set of one component,
-nearly every set in practice, crosses once: its slice tensor's leaves map
-straight into ``COMPLEX`` by ``filter_tau(filter_f(e), amplitudes)``,
-since the tensor of one automaton is that automaton.
+automaton each, by :func:`build_setq_lsta` in one pass.  Slices come as
+runs of equal qubit columns (``qubit_reorder.SliceRun``), and each run's
+cases are built or looked up once, as one piece.  A component's slice
+tensor is ``tensor_chain`` of its pieces, each repeated as often as its
+run is long in a list made by ``[piece] * length``.  With the qubit
+permutation made of one ``range`` per slot, no Python loop in translation
+runs once per qubit.  A projected set is the tensor of its slot
+components' slice tensors.  Only a set of several components builds a
+``TAG`` automaton: ``filter_f`` of each component, their tensor, then
+``filter_tau``.  A set of one component, nearly every set in practice,
+crosses once: its slice tensor's leaves map straight into ``COMPLEX`` by
+``filter_tau(filter_f(e), amplitudes)``, since the tensor of one automaton
+is that automaton.
 Neither construction nor composition re-checks its results: ``validate``
 runs once on each finished assertion automaton.  A call keeps one table:
 slice automata keyed by their member states, and compositions and crossings
 keyed by operation, operand ids in order and any value read besides them
-(``filter_tau``'s amplitudes).  What recurs across positions, sets or
-assertions is built once; an entry stores its operands, so no id it is
-keyed by is reused while the call runs.
+(``filter_tau``'s amplitudes; a slice tensor's run lengths, under the
+operation ``"slices"``, apart from the chains keyed ``"tensor"``).  What
+recurs across positions, sets or assertions is built once; an entry stores
+its operands, so no id it is keyed by is reused while the call runs.
 
 :func:`translate` runs with the cyclic collector paused, as one bulk
 build: the tens of thousands of transition records it makes live until it
@@ -233,19 +240,22 @@ def qubit_permutation(partition: GlobalPartition,
 
     Component by component, the k-th qubit of every slot in the component
     is emitted before the (k+1)-th of any; entry ``new_to_old[k-1]`` is the
-    1-based source position feeding output position ``k``.
+    1-based source position feeding output position ``k``.  A component's
+    entries are its slots' ranges of source positions, interleaved by
+    ``zip``, so no Python code runs once per qubit.
     """
     new_to_old: list[int] = []
     for seg, order in enumerate(orders):
         slots = {sl.index: sl for sl in partition.segments[seg]}
         for comp in order:
-            widths = {slots[i].width for i in comp}
+            spans = [range(slots[i].start, slots[i].start + slots[i].width) for i in comp]
+            widths = set(map(len, spans))
             if len(widths) != 1:
                 raise InternalError(
                     f"slot component {comp} mixes widths {sorted(widths)}")
-            for j in range(widths.pop()):
-                for i in comp:
-                    new_to_old.append(slots[i].start + j)
+            # The slots' ranges interleaved; a slot alone is its range.
+            new_to_old += (spans[0] if len(spans) == 1
+                           else itertools.chain.from_iterable(zip(*spans)))
     if sorted(new_to_old) != list(range(1, partition.total_qubits + 1)):
         raise InternalError("qubit reordering is not a permutation")
     return tuple(new_to_old)
@@ -396,23 +406,25 @@ def _translate(asts: Sequence[A.AssertionAst]) -> TranslationResult:
             for sp in assertion.segments[s]:
                 mq_autos: list[Lsta] = []
                 for v in project_setP(sp, orders[s], ids):
-                    _table, slices = expand_qubit_slices(v, aligned.lengths)
-                    # Slices with equal columns share one cases tuple, so
-                    # its automaton is looked up once per expansion.
-                    by_cases: dict[int, Lsta] = {}
+                    _table, runs = expand_qubit_slices(v, aligned.lengths)
+                    # One piece per run; the chain repeats it as often as
+                    # the run is long.
                     pieces: list[Lsta] = []
-                    for sl in slices:
-                        piece = by_cases.get(id(sl.cases))
-                        if piece is None:
-                            key = ("slice", tuple(c.state for c in sl.cases))
-                            hit = table.get(key)
-                            if hit is None:
-                                hit = table[key] = ((), build_setq_lsta(key[1], VALUATION))
-                                n_built += 1
-                            piece = by_cases[id(sl.cases)] = hit[1]
-                        pieces.append(piece)
-                    n_slices += len(pieces)
-                    mq, peak = shared("tensor", pieces, lambda: tensor_chain(pieces))
+                    lengths: list[int] = []
+                    chained: list[Lsta] = []
+                    for _first, length, cases in runs:
+                        key = ("slice", tuple([c.state for c in cases]))
+                        hit = table.get(key)
+                        if hit is None:
+                            hit = table[key] = ((), build_setq_lsta(key[1], VALUATION))
+                            n_built += 1
+                        pieces.append(hit[1])
+                        lengths.append(length)
+                        chained += [hit[1]] * length
+                    n_slices += len(chained)
+                    # Keyed by (piece, length) runs, apart from the chains
+                    # keyed "tensor".
+                    mq, peak = shared("slices", pieces, lambda: tensor_chain(chained), *lengths)
                     peaks["slice"] = max(peaks["slice"], peak)
                     # A leaf map keeps every transition: filter_f of mq has
                     # its size.
@@ -456,11 +468,13 @@ def _slot_ids(partition: GlobalPartition) -> list[tuple[int, ...]]:
 
 
 def slice_expansions(result: TranslationResult):
-    """Yield ``(assertion, segment, setV, table, slices)`` per projected set.
+    """Yield ``(assertion, segment, setV, table, runs)`` per projected set.
 
     A translation keeps no slice expansions; they are rebuilt here from
     ``result.aligned`` and ``result.orders`` by the calls :func:`translate`
-    makes, in its order.
+    makes, in its order.  ``runs`` is the tuple of ``SliceRun`` records
+    that ``expand_qubit_slices`` returns; ``qubit_reorder.render_slices``
+    spells them out one slice per qubit.
     """
     aligned = result.aligned
     slot_ids = _slot_ids(aligned.partition)
@@ -468,8 +482,8 @@ def slice_expansions(result: TranslationResult):
         for s, ids in enumerate(slot_ids):
             for sp in assertion.segments[s]:
                 for v in project_setP(sp, result.orders[s], ids):
-                    table, slices = expand_qubit_slices(v, aligned.lengths)
-                    yield idx, s, v, table, tuple(slices)
+                    table, runs = expand_qubit_slices(v, aligned.lengths)
+                    yield idx, s, v, table, tuple(runs)
 
 
 # ---------------------------------------------------------------------------

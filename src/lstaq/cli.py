@@ -86,9 +86,9 @@ def cmd_translate(args: argparse.Namespace) -> int:
     if args.order_report and args.out:
         sys.stdout.write(perm_report)
     if args.dump_slices:
-        for ai, seg, v, table, slices in slice_expansions(result):
+        for ai, seg, v, table, runs in slice_expansions(result):
             sys.stdout.write(f"// assertion {ai}, segment {seg + 1}\n")
-            sys.stdout.write(render_slices(v, table, slices))
+            sys.stdout.write(render_slices(v, table, runs))
     if not args.out:
         for text in automata:
             sys.stdout.write(text)

@@ -27,6 +27,14 @@ assembled from them with no Python work per case.  Cases with several
 contributors, whose colliding keys must be added, are evaluated one text at
 a time.  Neither path builds a per-case valuation dict or dispatches on
 constraint kinds.
+
+Slices come as runs.  Consecutive qubits whose constant columns are equal
+have equal slices, so an expansion returns one :class:`SliceRun` per run of
+equal columns: its first qubit, its length and its cases.  The families'
+sets are a few runs each however many qubits they span, and each later
+stage reads the runs, never a slice per qubit: ``build`` builds one piece
+per run.  Only the debug text (:func:`render_slices`) spells the runs out
+one qubit at a time.
 """
 
 from __future__ import annotations
@@ -55,22 +63,22 @@ class SliceCase(NamedTuple):
     __add__ = __mul__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = undefined_operator
 
 
-class QubitSlice(NamedTuple):
-    index: int
+class SliceRun(NamedTuple):
+    first: int
+    length: int
     cases: tuple[SliceCase, ...]
 
     __add__ = __mul__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = undefined_operator
 
 
-def _is_inequality(c: A.VarCon) -> bool:
-    return isinstance(c, (A.NeqVar, A.NeqConst))
+_INEQUALITIES = (A.NeqVar, A.NeqConst)
 
 
 def constraint_table(v: SetV) -> dict[int, tuple[A.VarCon, ...]]:
     """Each term's ordered inequality list, by tag: the predicate's first,
     then the term's summation ones.  ValAmp booleans align with these."""
-    pred = tuple(c for c in v.predicate if _is_inequality(c))
-    return {t.tag: pred + tuple(c for c in t.sum_constraints if _is_inequality(c))
+    pred = tuple([c for c in v.predicate if isinstance(c, _INEQUALITIES)])
+    return {t.tag: pred + tuple([c for c in t.sum_constraints if isinstance(c, _INEQUALITIES)])
             for t in v.terms}
 
 
@@ -88,17 +96,24 @@ def _values(k: int) -> tuple[str, ...]:
 
 
 def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
-    """Expand ``v`` into per-qubit slices of concrete valuation states.
+    """Expand ``v`` into runs of equal qubit slices of concrete valuation
+    states.
 
-    Returns ``(table, slices)``, where the table, :func:`constraint_table`,
-    fixes each term's ordered inequality list by tag, and every slice holds
-    one concrete state per admissible assignment of the union-indexing
-    variables.
+    Returns ``(table, runs)``, where the table, :func:`constraint_table`,
+    fixes each term's ordered inequality list by tag, and each
+    :class:`SliceRun` covers the qubits ``first .. first + length - 1``,
+    whose slices all hold its ``cases``: one concrete state per admissible
+    assignment of the union-indexing variables.  The runs cover the
+    component's qubits in order, and neighbouring runs read different
+    columns.
 
     A slice depends on its qubit index ``j`` only through the constant bits
-    that the ``EqConst`` and ``NeqConst`` constraints read at ``j``.  Slices
-    whose columns of those bits are equal share one ``cases`` tuple, which
-    is computed once.  A slice that would enumerate more than
+    that the ``EqConst`` and ``NeqConst`` constraints read at ``j``, its
+    column.  Consecutive qubits with equal columns form one run, found by
+    ``itertools.groupby`` over the columns, so no Python code runs once per
+    qubit; a set that reads no constant is one run.  Runs whose columns are
+    equal share one ``cases`` tuple, which is computed once, at the first
+    qubit of the first such run.  A slice that would enumerate more than
     ``MAX_SLICE_ASSIGNMENTS`` assignments raises ``LimitExceededError``
     before any case is built.  A column whose ``EqConst`` filters keep no
     assignment has one case, the zero vector with an empty assignment: no
@@ -108,7 +123,8 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
     The columns are the constants transposed once; a constant whose length
     is not the component's qubit length raises ``InternalError``.  Term
     patterns are compiled once per call, and filters and inequalities once
-    per distinct column.  A case's text is ``"01" + outer bits +
+    per distinct column; the rest of the set-up is paid once per call
+    whatever the number of qubits.  A case's text is ``"01" + outer bits +
     inner bits``, and every filter and inequality is a pair of positions in
     it, a constant bit reading position 0 or 1: a filter holds when its two
     characters are equal, an inequality when they differ.  A term's basis
@@ -165,11 +181,14 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
 
     new = tuple.__new__
     by_column: dict[tuple[str, ...], tuple[SliceCase, ...]] = {}
-    slices: list[QubitSlice] = []
+    runs: list[SliceRun] = []
+    j = 1  # each run's first qubit
     columns = zip(*constants) if constants else itertools.repeat((), ell)
-    for j, column in enumerate(columns, 1):
+    for column, run in itertools.groupby(columns):
+        length = len(list(run))
         if column in by_column:
-            slices.append(new(QubitSlice, (j, by_column[column])))
+            runs.append(new(SliceRun, (j, length, by_column[column])))
+            j += length
             continue
         eqs = [(at_outer[c.var], int(c.bits[j - 1])) for c in pred_eq]
         programs = [
@@ -210,8 +229,9 @@ def expand_qubit_slices(v: SetV, lengths: dict[str, int]):
         if not cases:  # contradictory filters: the set is the zero vector
             cases = (new(SliceCase, ((), new(StateVector, (n_slot, ())))),)
         by_column[column] = cases
-        slices.append(new(QubitSlice, (j, cases)))
-    return table, slices
+        runs.append(new(SliceRun, (j, length, cases)))
+        j += length
+    return table, runs
 
 
 def _compared(texts: list[str], pairs, op) -> list:
@@ -253,18 +273,21 @@ def _by_columns(assignments: list, eqs, n_slot: int, tag: int, pattern, compl: b
 
 
 def render_slices(v: SetV, table: dict[int, tuple[A.VarCon, ...]],
-                  slices: list[QubitSlice]) -> str:
-    """Debug text: one line per concrete state, tagged by its assignment."""
+                  runs: list[SliceRun]) -> str:
+    """Debug text: one line per concrete state, tagged by its assignment.
+
+    The runs are spelled out one slice per qubit, each with its run's
+    cases, so the text does not depend on how the qubits were grouped."""
     from .parser import render_varcon
 
     lines = [f"setP {v.uid} component slots {list(v.slots)}"]
     for t in v.terms:
         phi = ", ".join(render_varcon(c) for c in table[t.tag])
         lines.append(f"  phi_{t.tag} = [{phi}]")
-    for sl in slices:
-        lines.append(f"  slice {sl.index}:")
-        for case in sl.cases:
-            label = ", ".join(f"{name}_{sl.index}={b}"
-                              for name, b in case.assignment)
-            lines.append(f"    case {label or '-'}: {case.state}")
+    for run in runs:
+        for j in range(run.first, run.first + run.length):
+            lines.append(f"  slice {j}:")
+            for case in run.cases:
+                label = ", ".join(f"{name}_{j}={b}" for name, b in case.assignment)
+                lines.append(f"    case {label or '-'}: {case.state}")
     return "\n".join(lines) + "\n"

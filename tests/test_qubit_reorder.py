@@ -22,13 +22,14 @@ import lstaq.qubit_reorder as qubit_reorder
 from lstaq import ast as A
 from lstaq.amplitude import VAL_ZERO, VALUATION, ValAmp, valamp_add, valamp_mul
 from lstaq.build import slice_expansions, translate
+from lstaq.cli import BENCH_MIN_SIZE, bench_groups
 from lstaq.errors import InternalError, LimitExceededError
 from lstaq.lsta import StateVector
 from lstaq.parser import parse
 from lstaq.qubit_reorder import (
     MAX_SLICE_ASSIGNMENTS,
-    QubitSlice,
     SliceCase,
+    SliceRun,
     constraint_table,
     expand_qubit_slices,
 )
@@ -50,8 +51,14 @@ def expansion(job):
     raise AssertionError("expected component not found")
 
 
-def by_assignment(slc):
-    return {tuple(b for _v, b in case.assignment): case.state for case in slc.cases}
+def by_assignment(cases):
+    return {tuple(b for _v, b in case.assignment): case.state for case in cases}
+
+
+def spelled(runs) -> list[tuple[int, tuple[SliceCase, ...]]]:
+    """The runs spelled out as one ``(qubit, cases)`` pair per qubit."""
+    return [(j, run.cases) for run in runs
+            for j in range(run.first, run.first + run.length)]
 
 
 def va(mapping: dict[int, tuple[bool, ...]]) -> ValAmp:
@@ -77,11 +84,13 @@ def test_inequality_lists_put_the_predicate_first(expansion):
 
 
 def test_two_slices_with_four_cases_each(expansion):
-    _setv, _table, slices = expansion
-    assert [s.index for s in slices] == [1, 2]
-    for s in slices:
-        assert len(s.cases) == 4
-        assert [tuple(b for _v, b in c.assignment) for c in s.cases] == [
+    # No constant reads a column, so both slices are one run of length 2.
+    _setv, _table, runs = expansion
+    assert [(run.first, run.length) for run in runs] == [(1, 2)]
+    assert [j for j, _cases in spelled(runs)] == [1, 2]
+    for _j, cases in spelled(runs):
+        assert len(cases) == 4
+        assert [tuple(b for _v, b in c.assignment) for c in cases] == [
             (0, 0), (0, 1), (1, 0), (1, 1)]
 
 
@@ -139,15 +148,15 @@ def expected_cases():
 
 @pytest.mark.parametrize("slice_index", [0, 1])
 def test_case_states_record_partial_inequality_truth(expansion, slice_index):
-    _setv, _table, slices = expansion
-    assert by_assignment(slices[slice_index]) == expected_cases()
+    _setv, _table, runs = expansion
+    assert by_assignment(spelled(runs)[slice_index][1]) == expected_cases()
 
 
 def test_case_states_merge_coinciding_assignments(expansion):
     # In case (1,0) the strings 100,101 are reachable through both terms;
     # the valuation amplitude keeps one record per term.
     _setv, _table, slices = expansion
-    third = by_assignment(slices[0])[(1, 0)]
+    third = by_assignment(slices[0].cases)[(1, 0)]
     assert len(third.entries) == 6
     assert third.as_dict()["100"] == va({1: (T, T), 2: (T,)})
 
@@ -249,7 +258,8 @@ def _truth(c: A.VarCon, phi: dict[str, int], j: int) -> bool:
 
 
 def _reference_slices(v, lengths):
-    """Every slice expanded on its own, one qubit index at a time.
+    """Every slice expanded on its own, one ``(qubit, cases)`` pair per
+    qubit index.
 
     The variable order is computed here, not by ``ast.outer_vars``, so the
     comparison also checks the order of the cases.
@@ -282,14 +292,16 @@ def _reference_slices(v, lengths):
                                    StateVector.of(len(v.slots), amp, VALUATION)))
         if not cases:  # no assignment passes the filters: the zero vector
             cases.append(SliceCase((), StateVector.of(len(v.slots), {}, VALUATION)))
-        slices.append(QubitSlice(j, tuple(cases)))
+        slices.append((j, tuple(cases)))
     return table, slices
 
 
 def _assert_matches_reference(src: str) -> None:
     job = translate([parse(src)])
-    for (_ai, _seg, setv, table, slices) in slice_expansions(job):
-        assert (table, list(slices)) == _reference_slices(setv, job.aligned.lengths), src
+    for (_ai, _seg, setv, table, runs) in slice_expansions(job):
+        assert (table, spelled(runs)) == _reference_slices(setv, job.aligned.lengths), src
+        # Runs are maximal: neighbours read different columns.
+        assert all(a.cases is not b.cases for a, b in zip(runs, runs[1:])), src
 
 
 # Several terms whose keys collide, so entries are added with valamp_add.
@@ -355,16 +367,17 @@ def test_shared_slices_equal_the_per_index_expansion_on_random_specs():
 
 def test_equal_constant_columns_share_one_cases_tuple():
     job = translate([parse("{ |i> : |i| = 4, i != 0110 }")])
-    ((_, _, _setv, _table, slices),) = slice_expansions(job)
-    # Columns 0, 1, 1, 0: the outer slices share, and so do the inner ones.
-    assert slices[0].cases is slices[3].cases
-    assert slices[1].cases is slices[2].cases
-    assert slices[0].cases != slices[1].cases
+    ((_, _, _setv, _table, runs),) = slice_expansions(job)
+    # Columns 0, 1, 1, 0: the inner slices are one run, and the outer runs
+    # share their cases.
+    assert [(run.first, run.length) for run in runs] == [(1, 1), (2, 2), (4, 1)]
+    assert runs[0].cases is runs[2].cases
+    assert runs[0].cases != runs[1].cases
 
 
 def test_a_set_of_128_columns_evaluates_its_2_distinct_columns(monkeypatch):
     # Each distinct column is evaluated once, at its first qubit and in the
-    # order of first occurrence; the slices then read their columns' cases.
+    # order of first occurrence; the runs then read their columns' cases.
     evaluated = []
     by_columns = qubit_reorder._by_columns
 
@@ -376,11 +389,39 @@ def test_a_set_of_128_columns_evaluates_its_2_distinct_columns(monkeypatch):
     job = translate([parse("{ |i> : |i| = 128, i != 1%s1 }" % ("0" * 126))])
     assert len(evaluated) == 2
     monkeypatch.undo()
-    ((_, _, _setv, _table, slices),) = slice_expansions(job)
-    assert [sl.index for sl in slices] == list(range(1, 129))
-    assert [sl.cases for sl in slices[:2]] == evaluated
-    assert slices[0].cases is slices[127].cases
-    assert all(sl.cases is slices[1].cases for sl in slices[1:127])
+    ((_, _, _setv, _table, runs),) = slice_expansions(job)
+    assert [(run.first, run.length) for run in runs] == [(1, 1), (2, 126), (128, 1)]
+    assert [run.cases for run in runs[:2]] == evaluated
+    assert runs[0].cases is runs[2].cases
+
+
+@pytest.mark.parametrize("family", sorted(BENCH_MIN_SIZE))
+def test_family_sets_at_16384_qubits_are_at_most_3_runs(family, monkeypatch):
+    # The families' columns repeat: each set is a few runs, and a set with
+    # one contributor a case (one term, no inner variable) evaluates each
+    # distinct column once by columns; no other set does so at all.
+    calls = []
+    by_columns = qubit_reorder._by_columns
+
+    def counted(*args):
+        calls.append(args)
+        return by_columns(*args)
+
+    for group in bench_groups(family, 16384):
+        job = translate([parse(src) for src in group])
+        monkeypatch.setattr(qubit_reorder, "_by_columns", counted)
+        for (_ai, _seg, setv, _table, runs) in slice_expansions(job):
+            ell = job.aligned.lengths[setv.terms[0].pattern[0].name]
+            assert 1 <= len(runs) <= 3
+            assert [run.first for run in runs] == list(itertools.accumulate(
+                [1] + [run.length for run in runs[:-1]]))
+            assert sum(run.length for run in runs) == ell
+            (term, *others) = setv.terms
+            one = not others and not A.inner_vars(term, A.outer_vars(setv.predicate, setv.terms))
+            # The expansion ran as the loop drew this set.
+            assert len(calls) == (len({id(run.cases) for run in runs}) if one else 0)
+            calls.clear()
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("bits", ["011", "01101"])
@@ -449,8 +490,8 @@ def test_slice_assignment_count_is_checked_against_the_limit(monkeypatch):
 @pytest.mark.parametrize("expr", [
     lambda: SliceCase((), StateVector(1, ())) + SliceCase((), StateVector(1, ())),
     lambda: 2 * SliceCase((), StateVector(1, ())),
-    lambda: QubitSlice(1, ()) * 2,
-    lambda: QubitSlice(1, ()) < QubitSlice(2, ()),
+    lambda: SliceRun(1, 1, ()) * 2,
+    lambda: SliceRun(1, 1, ()) < SliceRun(2, 1, ()),
 ])
 def test_tuple_operators_are_not_lent_to_slice_records(expr):
     with pytest.raises(TypeError):
@@ -459,9 +500,9 @@ def test_tuple_operators_are_not_lent_to_slice_records(expr):
 
 def test_slice_records_hash_and_compare_as_tuples():
     case = SliceCase((("x", 0),), StateVector(1, (("0", VAL_ZERO),)))
-    assert repr(QubitSlice(2, (case,))) == (
-        "QubitSlice(index=2, cases=(SliceCase(assignment=(('x', 0),), "
+    assert repr(SliceRun(2, 3, (case,))) == (
+        "SliceRun(first=2, length=3, cases=(SliceCase(assignment=(('x', 0),), "
         "state=StateVector(n=1, entries=(('0', ValAmp(entries=())),))),))")
-    for cls in (SliceCase, QubitSlice):
+    for cls in (SliceCase, SliceRun):
         assert cls.__hash__ is tuple.__hash__
         assert cls.__eq__ is tuple.__eq__

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # Stages every checkout since the tool was written has, in pipeline order.
@@ -72,3 +74,35 @@ def test_stage_times_times_only_the_jobs_named_by_prefix(monkeypatch):
                           "--workload", "wide", "--passes", "1", "--jobs", "nothing"],
                          capture_output=True, text=True, timeout=300)
     assert run.returncode != 0 and "no wide job label starts with 'nothing'" in run.stderr
+
+
+def test_stage_times_times_a_bench_family_at_its_sizes():
+    from lstaq.cli import bench_groups
+
+    groups = bench_groups("mctoffoli", 8) + bench_groups("mctoffoli", 64)
+    run = subprocess.run([sys.executable, str(ROOT / "tools" / "stage_times.py"),
+                          "--family", "mctoffoli", "--sizes", "8,64", "--passes", "1"],
+                         capture_output=True, text=True, timeout=300, check=True)
+    title, header, *rows, total = run.stdout.splitlines()
+    assert title == (f"mctoffoli, sizes 8,64, {len(groups)} jobs a pass, 1 passes,"
+                     " inclusive CPU time")
+    assert header.split() == ["stage", "ms/pass", "share", "calls/pass"]
+    calls = {row.split()[0]: int(row.split()[3]) for row in rows}
+    # One translation per group, of every source in it, and nothing else.
+    assert calls["parse"] == sum(map(len, groups))
+    assert calls["qubit_permutation"] == len(groups)
+    assert calls["expand_qubit_slices"] > 0 and calls["tensor_chain"] > 0
+    for stage in ("write_lsta", "oracle._denote", "enumerate_language", "membership"):
+        assert calls[stage] == 0, stage
+    assert total.split()[0] == "pass"
+
+
+@pytest.mark.parametrize("options, message", [
+    (["--family", "bv"], "--family needs --sizes"),
+    (["--family", "bv", "--sizes", "8,x"], "sizes must be comma-separated integers"),
+    (["--family", "bv", "--workload", "wide", "--sizes", "8"], "not allowed with argument"),
+])
+def test_stage_times_refuses_a_family_run_it_cannot_size(options, message):
+    run = subprocess.run([sys.executable, str(ROOT / "tools" / "stage_times.py"), *options],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 2 and message in run.stderr

@@ -18,16 +18,28 @@ share of a pass and its calls per pass; the last row is the whole pass.
 ``--jobs PREFIX`` times only the jobs whose label starts with ``PREFIX``,
 as in ``tools/ab_inproc.py`` (``--workload wide --jobs mctoffoli`` times
 the mctoffoli jobs at both sizes).
+
+In place of a workload, ``--family F --sizes N[,N...]`` times what
+``python -m lstaq bench F N[,N...]`` runs, at sizes up to the ceiling::
+
+    python3 tools/stage_times.py --family mctoffoli --sizes 16384 --passes 3
+
+It has one job per group that ``cli.bench_groups`` gives at each size,
+labelled ``F/N``: the job parses the group's sources and translates them
+in one call, and writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
+import importlib
 import sys
 import time
 from collections import defaultdict
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
@@ -105,6 +117,20 @@ def _timed(fn, label: str, totals: dict, calls: dict):
     return timed
 
 
+def family_jobs(pkg, family: str, sizes: list[int]) -> list:
+    """One job per group that ``lstaq bench`` translates at each size."""
+    bench_groups = importlib.import_module(f"{pkg.__name__}.cli").bench_groups
+    return [SimpleNamespace(label=f"{family}/{n}", run=functools.partial(_translate, pkg, group))
+            for n in sizes for group in bench_groups(family, n)]
+
+
+def _translate(pkg, group: list[str]) -> bool:
+    """Parse and translate one group through the package's own names, so
+    the wrapped stages see the calls."""
+    pkg.translate([pkg.parse(src) for src in group])
+    return True
+
+
 def rows(labels: list[str], totals: dict, calls: dict, passes: int,
          pass_s: float) -> list[str]:
     lines = [f"{'stage':<30} {'ms/pass':>9} {'share':>7} {'calls/pass':>11}"]
@@ -121,24 +147,40 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--checkout", type=Path, default=ROOT,
                    help="the checkout whose src/lstaq is timed")
-    p.add_argument("--workload", required=True, choices=("wide", "cases", "verify"))
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--workload", choices=("wide", "cases", "verify"))
+    source.add_argument("--family", help="a bench family, timed at --sizes")
+    p.add_argument("--sizes", help="comma-separated sizes for --family")
     p.add_argument("--seed", type=int, default=5)
     p.add_argument("--passes", type=int, default=5)
     p.add_argument("--jobs", default="", metavar="PREFIX",
                    help="time only the jobs whose label starts with PREFIX")
     args = p.parse_args(argv)
+    if args.family:
+        try:
+            sizes = [int(x) for x in (args.sizes or "").split(",") if x.strip()]
+        except ValueError:
+            p.error(f"sizes must be comma-separated integers, got {args.sizes!r}")
+        if not sizes:
+            p.error("--family needs --sizes")
     sys.path.insert(0, str(ROOT / "perfbench"))
     pkg = load(args.checkout, "lstaq_stages")
-    jobs = build_jobs(pkg, args.workload, args.seed, args.jobs)
+    if args.family:
+        jobs = [job for job in family_jobs(pkg, args.family, sizes)
+                if job.label.startswith(args.jobs)]
+        title = f"{args.family}, sizes {','.join(map(str, sizes))}"
+    else:
+        jobs = build_jobs(pkg, args.workload, args.seed, args.jobs)
+        title = f"{args.workload}, seed {args.seed}"
     if not jobs:
-        raise SystemExit(f"no {args.workload} job label starts with {args.jobs!r}")
+        raise SystemExit(f"no {args.family or args.workload} job label starts with {args.jobs!r}")
     gc.collect()
     gc.freeze()
     totals: dict[str, float] = defaultdict(float)
     calls: dict[str, int] = defaultdict(int)
     labels = wrap(pkg, totals, calls)
     pass_s = sum(run_job(job) for _ in range(args.passes) for job in jobs)
-    print(f"{args.workload}, seed {args.seed}, {len(jobs)} jobs a pass,"
+    print(f"{title}, {len(jobs)} jobs a pass,"
           f" {args.passes} passes, inclusive CPU time"
           + (f", labels starting {args.jobs}" if args.jobs else ""))
     print("\n".join(rows(labels, totals, calls, args.passes, pass_s)))
